@@ -1,0 +1,279 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	"loft/internal/audit"
+	"loft/internal/config"
+	"loft/internal/fault"
+	"loft/internal/gsf"
+	"loft/internal/loft"
+	"loft/internal/lsf"
+	"loft/internal/probe"
+	"loft/internal/topo"
+	"loft/internal/traffic"
+)
+
+// Stored-value goldens: every other determinism test in the repository
+// compares two runs of the same binary, so a refactor that changes simulated
+// behaviour consistently passes them all. These digests were recorded at the
+// commit that introduced this file and pin the simulated outputs across
+// commits. Regenerate with
+//
+//	go test ./internal/core -run TestGolden -update
+//
+// and say so in the PR description: a changed digest is a behaviour change.
+var update = flag.Bool("update", false, "regenerate testdata/golden.json")
+
+const goldenPath = "testdata/golden.json"
+
+type goldenCase struct {
+	name            string
+	arch            Arch
+	spec            int
+	pattern         func(config.LOFT) *traffic.Pattern
+	warmup, measure uint64
+}
+
+func uniform(rate float64) func(config.LOFT) *traffic.Pattern {
+	return func(c config.LOFT) *traffic.Pattern {
+		return traffic.Uniform(c.Mesh(), rate, c.PacketFlits, c.FrameFlits)
+	}
+}
+
+func caseI(c config.LOFT) *traffic.Pattern {
+	return traffic.CaseStudyI(c.Mesh(), 0.2, 0.6, c.PacketFlits, c.FrameFlits)
+}
+
+func hotspot(c config.LOFT) *traffic.Pattern {
+	m := c.Mesh()
+	return traffic.Hotspot(m, topo.NodeID(m.N()-1), 0.015, c.PacketFlits, c.FrameFlits, c.QuantumFlits, nil)
+}
+
+// goldenCases cover both architectures at light load and past saturation,
+// the hotspot and case-study patterns and the optimizations-off LOFT (which
+// delivers only its reserved 1/64 share, hence the low rate). The saturated
+// and the GSF rows run half as long: they cost several times as much per
+// cycle.
+var goldenCases = []goldenCase{
+	{"loft-uniform-0.05", ArchLOFT, 12, uniform(0.05), 500, 2500},
+	{"loft-uniform-0.6", ArchLOFT, 12, uniform(0.6), 300, 1200},
+	{"loft-hotspot", ArchLOFT, 12, hotspot, 500, 2500},
+	{"loft-case1", ArchLOFT, 12, caseI, 500, 2500},
+	{"loft-spec0-uniform-0.012", ArchLOFT, 0, uniform(0.012), 500, 2500},
+	{"gsf-uniform-0.6", ArchGSF, 12, uniform(0.6), 300, 1200},
+	{"gsf-case1", ArchGSF, 12, caseI, 300, 1200},
+}
+
+// goldenChaosPlan arms every fault kind inside the observed run's horizon.
+const goldenChaosPlan = `
+link-down    node=7  dir=south from=300 to=400
+flit-loss    node=3  dir=east  rate=0.4 from=250 to=1200
+credit-stall node=15 dir=west  from=500 to=560
+router-stall node=9  from=600 to=608
+adversary    flow=1  factor=3 cap=1 from=400
+`
+
+// runAny runs either architecture the way every CLI does and returns the
+// result plus the architecture's own end-of-run counters.
+func runAny(arch Arch, lcfg config.LOFT, p *traffic.Pattern, spec RunSpec) (Result, any, error) {
+	if arch == ArchGSF {
+		res, net, err := RunGSF(config.PaperGSF(), p, lcfg.FrameFlits, spec)
+		if err != nil {
+			return res, nil, err
+		}
+		return res, gsfCounters(net), nil
+	}
+	res, net, err := RunLOFT(lcfg, p, spec)
+	if err != nil {
+		return res, nil, err
+	}
+	return res, loftCounters(net), nil
+}
+
+func loftCounters(net *loft.Network) any {
+	out, inj := net.SchedulerTotals()
+	return struct {
+		Total    loft.NodeStats
+		Out, Inj lsf.Stats
+		Resets   uint64
+	}{net.TotalStats(), out, inj, net.ResetCount()}
+}
+
+func gsfCounters(net *gsf.Network) any {
+	return struct {
+		Drops          uint64
+		Head, InFlight int
+	}{net.Drops(), net.Head(), net.InFlight()}
+}
+
+// digest hashes the canonical JSON of v: encoding/json emits struct fields
+// in declaration order and map keys sorted, so the bytes are stable.
+func digest(t *testing.T, v any) string {
+	t.Helper()
+	blob, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum(blob)
+}
+
+func sum(b []byte) string {
+	h := sha256.Sum256(b)
+	return hex.EncodeToString(h[:])
+}
+
+// goldenStore is testdata/golden.json: digest by key. Every check also
+// records what it saw, so -update rewrites the whole file from one run.
+type goldenStore struct {
+	want map[string]string
+	mu   sync.Mutex
+	got  map[string]string
+}
+
+func loadGolden(t *testing.T) *goldenStore {
+	t.Helper()
+	g := &goldenStore{want: map[string]string{}, got: map[string]string{}}
+	blob, err := os.ReadFile(goldenPath)
+	if err != nil {
+		if *update && os.IsNotExist(err) {
+			return g
+		}
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(blob, &g.want); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	return g
+}
+
+// check compares one digest with the stored one (or records it under
+// -update).
+func (g *goldenStore) check(t *testing.T, key, got string) {
+	t.Helper()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if prev, dup := g.got[key]; dup && prev != got {
+		t.Errorf("%s: two runs of the same case disagree: %s vs %s", key, prev, got)
+	}
+	g.got[key] = got
+	if *update {
+		return
+	}
+	want, ok := g.want[key]
+	if !ok {
+		t.Errorf("%s: no stored digest; run with -update and review the change", key)
+	} else if want != got {
+		t.Errorf("%s: digest %s, stored %s — simulated behaviour changed", key, got, want)
+	}
+}
+
+func (g *goldenStore) save(t *testing.T) {
+	t.Helper()
+	if !*update {
+		for key := range g.want {
+			if _, ran := g.got[key]; !ran {
+				t.Errorf("%s: stored digest has no test case; run with -update", key)
+			}
+		}
+		return
+	}
+	blob, err := json.MarshalIndent(g.got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, append(blob, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGolden pins the simulated outputs of both architectures by stored
+// digest, under the sequential and the sharded engine alike.
+func TestGolden(t *testing.T) {
+	g := loadGolden(t)
+	// The group returns once its parallel subtests have all finished.
+	t.Run("runs", func(t *testing.T) {
+		for _, c := range goldenCases {
+			for _, seed := range []uint64{1, 2} {
+				for _, workers := range []int{1, 2} {
+					c, seed, workers := c, seed, workers
+					t.Run(fmt.Sprintf("%s/seed%d/workers%d", c.name, seed, workers), func(t *testing.T) {
+						t.Parallel()
+						lcfg := config.PaperLOFTSpec(c.spec)
+						res, counters, err := runAny(c.arch, lcfg, c.pattern(lcfg), RunSpec{Seed: seed, Warmup: c.warmup, Measure: c.measure, Workers: workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Packets == 0 {
+							t.Fatal("no packets measured")
+						}
+						g.check(t, fmt.Sprintf("%s/seed%d", c.name, seed), digest(t, runDigest{res, counters}))
+					})
+				}
+			}
+		}
+		goldenObserved(t, g)
+	})
+	g.save(t)
+}
+
+// runDigest is what one run's digest covers.
+type runDigest struct {
+	Result   Result
+	Counters any
+}
+
+// goldenObserved pins the observer artifacts of one clean and one chaotic
+// LOFT run: the probe event stream as events.jsonl carries it and the audit
+// snapshot as audit.json carries it. Replay order at the cycle barrier is
+// visible only here — the result summary is order-insensitive.
+func goldenObserved(t *testing.T, g *goldenStore) {
+	chaos, err := fault.Parse(goldenChaosPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		plan *fault.Plan
+	}{{"clean", nil}, {"chaos", chaos}} {
+		for _, workers := range []int{1, 2} {
+			c, workers := c, workers
+			t.Run(fmt.Sprintf("observed-%s/workers%d", c.name, workers), func(t *testing.T) {
+				t.Parallel()
+				lcfg := config.PaperLOFT()
+				pr := probe.New(probe.Config{SampleEvery: 256})
+				aud := audit.New(audit.Config{})
+				res, counters, err := runAny(ArchLOFT, lcfg, uniform(0.1)(lcfg), RunSpec{Seed: 1, Warmup: 200, Measure: 1300, Probe: pr, Audit: aud, Workers: workers, Fault: c.plan})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.plan != nil && (res.FaultsInjected == 0 || res.Retries == 0) {
+					t.Fatalf("chaos run fired no faults: %+v", res)
+				}
+				events := sha256.New()
+				if err := probe.WriteEventsJSONL(events, pr.Events(), pr.Tracer().Dropped()); err != nil {
+					t.Fatal(err)
+				}
+				snap, err := json.MarshalIndent(aud.Snapshot(), "", "  ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := "observed-" + c.name
+				g.check(t, key+"/result", digest(t, runDigest{res, counters}))
+				g.check(t, key+"/events.jsonl", hex.EncodeToString(events.Sum(nil)))
+				g.check(t, key+"/audit.json", sum(append(snap, '\n')))
+			})
+		}
+	}
+}
