@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-sweep par-smoke vet fmt lint lint-test check audit-smoke trace-smoke perf-smoke chaos-smoke bench bench-save bench-check bench-probe
+.PHONY: build test race race-sweep par-smoke vet fmt lint lint-test check audit-smoke trace-smoke perf-smoke chaos-smoke bench-module bench bench-save bench-check bench-probe
 
 build:
 	$(GO) build ./...
@@ -15,8 +15,8 @@ race:
 	$(GO) test -race ./...
 
 # The sweep worker pool and the parallel-vs-sequential determinism golden
-# under the race detector (the Fig. 10 golden; the heavier Fig. 11 golden
-# runs race-free in `test`).
+# under the race detector (the Fig. 10 golden; the Fig. 11 corner, which
+# includes saturated runs, stays race-free in `test`).
 race-sweep:
 	$(GO) test -race ./internal/sweep
 	$(GO) test -race -run TestFig10SweepDeterminism ./internal/exp
@@ -111,7 +111,15 @@ chaos-smoke:
 	cmp "$$dir/a/audit.json" "$$dir/b/audit.json"; \
 	rm -rf "$$dir"
 
-check: build vet fmt lint test race-sweep par-smoke race audit-smoke trace-smoke perf-smoke chaos-smoke
+# The frozen benchmark (bench/, its own module with `replace loft => ../`)
+# is invisible to the root `go build ./...`, yet it constructs loft.Options,
+# gsf.Options, core.RunSpec and exp.Options with keyed literals and
+# type-switches on both Network types: a refactor here can break its compile
+# surface silently. Vet it and run its own tests (about 15 s).
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test .
+
+check: build vet fmt lint test race-sweep par-smoke race audit-smoke trace-smoke perf-smoke chaos-smoke bench-module
 
 bench:
 	$(GO) test -bench=. -benchmem

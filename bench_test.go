@@ -20,7 +20,6 @@ import (
 	loftnet "loft/internal/loft"
 	"loft/internal/perfmon"
 	"loft/internal/probe"
-	"loft/internal/tdm"
 	"loft/internal/topo"
 	"loft/internal/traffic"
 )
@@ -625,38 +624,5 @@ func BenchmarkCostOfQoS(b *testing.B) {
 			res, _, err := core.RunLOFT(lcfg, trafficUniform(lcfg, 0.44), s)
 			return res, err
 		})
-	})
-}
-
-// BenchmarkTDMRigidity contrasts Æthereal-style TDM circuit switching
-// (related work, §2.2) with LOFT on the Case Study II pattern: both give
-// hard guarantees, but TDM pins the uncontended stripped flow to its
-// reservation while LOFT's local status resets let it use the idle link.
-func BenchmarkTDMRigidity(b *testing.B) {
-	lcfg := config.PaperLOFT()
-	b.Run("tdm", func(b *testing.B) {
-		var stripped float64
-		for i := 0; i < b.N; i++ {
-			p := traffic.CaseStudyII(lcfg.Mesh(), 0.9, lcfg.PacketFlits, lcfg.FrameFlits)
-			net, err := tdm.New(tdm.Paper(), p, tdm.Options{Seed: uint64(i + 1), Warmup: 2000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			net.Run(8000)
-			stripped = net.Throughput().Flow(traffic.CaseStudyIIStripped(p))
-		}
-		b.ReportMetric(stripped, "stripped-flits/cyc")
-	})
-	b.Run("loft", func(b *testing.B) {
-		var stripped float64
-		for i := 0; i < b.N; i++ {
-			p := traffic.CaseStudyII(lcfg.Mesh(), 0.9, lcfg.PacketFlits, lcfg.FrameFlits)
-			res, _, err := core.RunLOFT(lcfg, p, core.RunSpec{Seed: uint64(i + 1), Warmup: 2000, Measure: 6000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			stripped = res.FlowRate[traffic.CaseStudyIIStripped(p)]
-		}
-		b.ReportMetric(stripped, "stripped-flits/cyc")
 	})
 }

@@ -8,114 +8,38 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"loft/internal/analysis"
-	"loft/internal/audit"
 	"loft/internal/config"
 	"loft/internal/core"
 	"loft/internal/exp"
 	"loft/internal/fault"
-	"loft/internal/perfmon"
-	"loft/internal/probe"
-	"loft/internal/profiles"
-	"loft/internal/runenv"
 	"loft/internal/runio"
 	"loft/internal/trace"
 )
 
 func main() {
+	s := &runio.Session{Tool: "loftexp", SummaryNote: " (all runs combined)"}
+	s.Flags(flag.CommandLine)
 	var (
-		which       = flag.String("exp", "all", "experiment: fig6, fig10, fig11a, fig11b, fig12, fig13, table2, bounds, areapower, all")
-		quick       = flag.Bool("quick", false, "reduced cycle counts and sweep densities")
-		seed        = flag.Uint64("seed", 1, "deterministic traffic seed")
-		faultSpec   = flag.String("fault", "", "arm a deterministic fault-injection plan on every run: inline spec or a plan file (see DESIGN.md §16); GSF-including experiments accept adversary-only plans")
-		jsonPath    = flag.String("json", "", "also write all results as JSON to this file")
-		probeOn     = flag.Bool("probe", false, "attach the observability probe layer to every run")
-		probeOut    = flag.String("probe-out", "", "write probe data here: a directory (trailing /) gets all formats + manifest.json, else by extension (.jsonl events, .csv time series, otherwise Chrome trace JSON) with a sibling manifest; implies -probe")
-		probeSample = flag.Uint64("probe-sample", 256, "gauge sampling period in cycles (0 disables time series)")
-		auditOn     = flag.Bool("audit", false, "attach the runtime QoS auditor to every run; violations exit non-zero")
-		auditOut    = flag.String("audit-out", "", "write the audit conformance snapshot JSON here, plus a sibling manifest; implies -audit")
-		perfOn      = flag.Bool("perf", false, "attach the in-simulator profiler to every run: per-stage cycle attribution accumulated across the sweep (forces sequential runs, never changes results)")
-		perfSample  = flag.Uint64("perf-sample", perfmon.DefaultSampleEvery, "profile every Nth cycle (1 = every cycle)")
-		httpAddr    = flag.String("http", "", "serve live introspection (/metrics, /audit, /debug/pprof) on this address; implies -audit")
-		workers     = flag.Int("j", 0, "concurrent simulations per experiment (0 = one per CPU; probe and audit runs are forced sequential)")
-		nodeWorkers = flag.Int("jnode", 0, "shard node ticking inside each simulation across this many OS threads (0 or 1 = sequential; results are byte-identical)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		which    = flag.String("exp", "all", "experiment: fig6, fig10, fig11a, fig11b, fig12, fig13, table2, bounds, areapower, all")
+		quick    = flag.Bool("quick", false, "reduced cycle counts and sweep densities")
+		jsonPath = flag.String("json", "", "also write all results as JSON to this file")
 	)
 	flag.Parse()
-	var plan *fault.Plan
-	if *faultSpec != "" {
-		p, err := fault.Load(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "loftexp:", err)
-			os.Exit(2)
-		}
-		plan = p
+	if err := s.Load(flag.CommandLine); err != nil {
+		s.BadUsage(err)
 	}
-	jSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "j" {
-			jSet = true
-		}
-	})
-	observed := *probeOn || *probeOut != "" || *auditOn || *auditOut != "" || *httpAddr != "" || *perfOn
-	if err := validateExpFlags(*which, *workers, *nodeWorkers, jSet, observed, plan); err != nil {
-		fmt.Fprintln(os.Stderr, "loftexp:", err)
-		os.Exit(2)
+	if err := validateExpFlags(*which, s.Workers, s.NodeWorkers, s.JSet, s.Observed(), s.Plan); err != nil {
+		s.BadUsage(err)
 	}
-	stopProfiles, err := profiles.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer stopProfiles()
-	var pr *probe.Probe
-	if *probeOn || *probeOut != "" {
-		pr = probe.New(probe.Config{SampleEvery: *probeSample})
-	}
-	var aud *audit.Auditor
-	if *auditOn || *auditOut != "" || *httpAddr != "" {
-		aud = audit.New(audit.Config{})
-	}
-	var mon *perfmon.Monitor
-	if *perfOn {
-		mon = perfmon.New(perfmon.Config{SampleEvery: *perfSample, Workers: *nodeWorkers})
-	}
-	var srv *audit.Server
-	if *httpAddr != "" {
-		srv, err = audit.NewServer(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		srv.SetTitle("loftexp " + *which)
-		aud.OnPublish(func() { srv.Publish(pr, aud, mon) })
-		fmt.Fprintf(os.Stderr, "introspection server listening on %s\n", srv.URL())
+	if err := s.Start("loftexp " + *which); err != nil {
+		s.Fatal(err)
 	}
 
-	// SIGINT requests a graceful stop: in-flight simulations end at the next
-	// chunk boundary, later experiments finish immediately, and the
-	// requested artifacts are still flushed. A second SIGINT kills.
-	var interrupted atomic.Bool
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	go func() {
-		<-sig
-		interrupted.Store(true)
-		signal.Stop(sig)
-		fmt.Fprintln(os.Stderr, "interrupt: stopping at next chunk boundary, flushing snapshots (^C again to kill)")
-	}()
-
-	o := exp.Options{Seed: *seed, Quick: *quick, Workers: *workers, NodeWorkers: *nodeWorkers, Probe: pr, Audit: aud, Perf: mon, Stop: interrupted.Load, Fault: plan}
-	if srv != nil {
-		o.Progress = srv.JobProgress
-	}
+	o := exp.Options{Seed: s.Seed, Quick: *quick, Workers: s.Workers, NodeWorkers: s.NodeWorkers, Probe: s.Probe, Audit: s.Audit, Perf: s.Perf, Stop: s.Interrupted, Fault: s.Plan, Progress: s.Progress()}
 	report := map[string]any{}
 
 	runners := []struct {
@@ -132,76 +56,46 @@ func main() {
 		{"bounds", bounds},
 		{"areapower", func(exp.Options) (any, error) { return areaPower() }},
 	}
-	ran := false
 	for _, r := range runners {
 		if *which != "all" && *which != r.name {
 			continue
 		}
-		if interrupted.Load() {
+		// After SIGINT, in-flight simulations end at the next chunk boundary
+		// and later experiments do not start.
+		if s.Interrupted() {
 			break
 		}
-		ran = true
 		fmt.Printf("==== %s ====\n", r.name)
 		data, err := r.fn(o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", r.name, err)
-			os.Exit(1)
+			s.Fatal(fmt.Errorf("%s: %w", r.name, err))
 		}
 		report[r.name] = data
 		fmt.Println()
 	}
-	if !ran && !interrupted.Load() {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *which)
-		os.Exit(2)
-	}
 	if *jsonPath != "" {
 		blob, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			s.Fatal(err)
 		}
 		if err := os.WriteFile(*jsonPath, blob, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			s.Fatal(err)
 		}
 		fmt.Printf("wrote JSON report to %s\n", *jsonPath)
 	}
-	if pr != nil || *auditOut != "" {
-		m := expManifest(*which, *seed, *nodeWorkers, runio.Metrics(nil, pr, aud, mon, uint64(config.PaperLOFT().QuantumFlits)))
-		m.FaultPlan = plan.String()
-		if pr != nil {
-			if err := writeRun(pr, aud, mon, *probeOut, m); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if *auditOut != "" {
-			if err := writeAuditOut(*auditOut, aud, m); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
+	// Experiments mix configurations, so unlike loftsim no single config
+	// block is recorded; the experiment name takes the pattern slot.
+	err := s.Export(func() trace.Manifest {
+		m := s.Manifest()
+		m.Pattern = *which
+		m.Seeds = []uint64{s.Seed}
+		m.Metrics = runio.Metrics(nil, s.Probe, s.Audit, s.Perf, uint64(config.PaperLOFT().QuantumFlits))
+		return m
+	})
+	if err != nil {
+		s.Fatal(err)
 	}
-	if mon != nil && !(*probeOut != "" && runio.IsDirTarget(*probeOut)) {
-		mon.Snapshot().WriteText(os.Stdout)
-	}
-	auditFailed := false
-	if aud != nil {
-		for _, line := range aud.Summary() {
-			fmt.Printf("  %s\n", line)
-		}
-		for _, v := range aud.Violations() {
-			fmt.Fprintf(os.Stderr, "audit violation: %s\n", v)
-		}
-		auditFailed = aud.Err() != nil
-	}
-	if interrupted.Load() {
-		fmt.Fprintln(os.Stderr, "run interrupted; partial artifacts flushed")
-		os.Exit(130)
-	}
-	if auditFailed {
-		os.Exit(1)
-	}
+	os.Exit(s.Finish())
 }
 
 // expNames lists the experiments -exp accepts, in run order.
@@ -217,10 +111,10 @@ var (
 
 // validateExpFlags rejects flag combinations up front that would otherwise
 // fail mid-sweep or be silently ignored: an unknown -exp used to surface only
-// after the introspection server was already listening, a link-level fault
-// plan would abort a GSF run halfway through an experiment, and an explicit
-// -j on an observed sweep was silently forced sequential. Callers report the
-// error and exit 2.
+// after the introspection server was already listening and a link-level
+// fault plan would abort a GSF run halfway through an experiment. The
+// execution-flag rules are the session's (runio.ValidateExec). Callers
+// report the error and exit 2.
 func validateExpFlags(which string, workers, nodeWorkers int, jSet, observed bool, plan *fault.Plan) error {
 	known := which == "all"
 	for _, n := range expNames {
@@ -231,11 +125,8 @@ func validateExpFlags(which string, workers, nodeWorkers int, jSet, observed boo
 	if !known {
 		return fmt.Errorf("unknown experiment %q (want all or one of %s)", which, strings.Join(expNames, ", "))
 	}
-	if workers < 0 {
-		return fmt.Errorf("-j %d is negative; use 0 for one worker per CPU", workers)
-	}
-	if nodeWorkers < 0 {
-		return fmt.Errorf("-jnode %d is negative; use 0 or 1 for the sequential engine", nodeWorkers)
+	if err := runio.ValidateExec(workers, nodeWorkers, jSet, observed, "sweeps"); err != nil {
+		return err
 	}
 	if plan != nil {
 		if !simExps[which] {
@@ -245,79 +136,6 @@ func validateExpFlags(which string, workers, nodeWorkers int, jSet, observed boo
 			return fmt.Errorf("fault plan %q uses link-level faults, but %q also simulates the GSF baseline, which accepts adversary events only; use -exp fig10 or an adversary-only plan", plan, which)
 		}
 	}
-	if jSet && workers > 1 && observed {
-		return fmt.Errorf("-j %d conflicts with -probe/-audit/-perf: observed sweeps share one observer and run sequentially; drop -j or the observer flags", workers)
-	}
-	return nil
-}
-
-// expManifest assembles the manifest recorded with exported probe/audit
-// data. Experiments mix configurations, so unlike loftsim no single config
-// block is recorded; the experiment name takes the pattern slot.
-func expManifest(which string, seed uint64, nodeWorkers int, metrics map[string]float64) trace.Manifest {
-	env := runenv.Capture()
-	return trace.Manifest{
-		ManifestVersion: trace.ManifestVersion,
-		Tool:            "loftexp",
-		Command:         os.Args,
-		CreatedUTC:      env.CreatedUTC,
-		GitRevision:     env.GitRevision,
-		HostCPUs:        env.NumCPU,
-		HostGoMaxProcs:  env.GoMaxProcs,
-		NodeWorkers:     nodeWorkers,
-		Pattern:         which,
-		Seeds:           []uint64{seed},
-		Metrics:         metrics,
-	}
-}
-
-// writeRun exports the probe data collected across all runs; an empty path
-// prints the event summary, a directory path writes the full run directory
-// (all three export formats, audit snapshot, checksummed manifest), and any
-// other path keeps the extension dispatch (probe.FormatForPath) plus a
-// sibling <path>.manifest.json. Ring drops are warned about on stderr
-// either way.
-func writeRun(pr *probe.Probe, aud *audit.Auditor, mon *perfmon.Monitor, path string, m trace.Manifest) error {
-	if d := pr.Tracer().Dropped(); d > 0 {
-		fmt.Fprintf(os.Stderr, "warning: probe ring overwrote %d oldest events; raise -probe-events for a complete trace\n", d)
-	}
-	if path == "" {
-		fmt.Println("probe event summary (all runs combined):")
-		for _, line := range pr.Summary() {
-			fmt.Printf("  %s\n", line)
-		}
-		return nil
-	}
-	if runio.IsDirTarget(path) {
-		if err := runio.WriteRunDir(path, pr, aud, mon, m); err != nil {
-			return err
-		}
-		fmt.Println(runio.Describe(path, pr, aud, mon))
-		return nil
-	}
-	if err := runio.WriteFileWithManifest(path, pr, m); err != nil {
-		return err
-	}
-	fmt.Printf("wrote probe data to %s (%d events retained, %d dropped) and %s.manifest.json\n",
-		path, pr.Tracer().Len(), pr.Tracer().Dropped(), path)
-	return nil
-}
-
-// writeAuditOut writes the audit conformance snapshot plus its sibling
-// manifest.
-func writeAuditOut(path string, aud *audit.Auditor, m trace.Manifest) error {
-	if err := runio.WriteAuditSnapshot(path, aud); err != nil {
-		return err
-	}
-	a, err := trace.FileArtifact(path)
-	if err != nil {
-		return err
-	}
-	m.Artifacts = []trace.Artifact{a}
-	if err := m.Write(path + ".manifest.json"); err != nil {
-		return err
-	}
-	fmt.Printf("wrote audit snapshot to %s (and %s.manifest.json)\n", path, path)
 	return nil
 }
 

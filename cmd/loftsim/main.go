@@ -55,20 +55,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"sort"
-	"sync/atomic"
 
-	"loft/internal/audit"
 	"loft/internal/config"
 	"loft/internal/core"
-	"loft/internal/fault"
-	"loft/internal/gsf"
-	"loft/internal/loft"
-	"loft/internal/perfmon"
-	"loft/internal/probe"
-	"loft/internal/profiles"
-	"loft/internal/runenv"
 	"loft/internal/runio"
 	"loft/internal/stats"
 	"loft/internal/sweep"
@@ -78,93 +68,62 @@ import (
 )
 
 func main() {
+	s := &runio.Session{Tool: "loftsim"}
+	s.Flags(flag.CommandLine)
 	var (
-		arch        = flag.String("arch", "loft", "architecture: loft or gsf")
-		pattern     = flag.String("pattern", "uniform", "traffic: uniform, hotspot, case1, case2, neighbor, transpose")
-		rate        = flag.Float64("rate", 0.1, "offered load in flits/cycle/node (aggressor rate for case1)")
-		spec        = flag.Int("spec", 12, "LOFT speculative buffer size in flits (0 disables §4.3 optimizations)")
-		warmup      = flag.Uint64("warmup", 5000, "warmup cycles excluded from statistics")
-		cycles      = flag.Uint64("cycles", 20000, "measured cycles")
-		seed        = flag.Uint64("seed", 1, "deterministic traffic seed")
-		verbose     = flag.Bool("v", false, "print per-flow rates")
-		heatmap     = flag.Bool("heatmap", false, "print an ASCII link-utilization heatmap")
-		trace       = flag.String("trace", "", "replay a workload trace file instead of a synthetic pattern")
-		faultSpec   = flag.String("fault", "", "arm a deterministic fault-injection plan: inline spec or a plan file (see DESIGN.md §16); faulted runs stay byte-reproducible per (plan, seed)")
-		genTrace    = flag.Int("gentrace", 0, "emit a synthetic trace with this many packets to stdout and exit")
-		probeOn     = flag.Bool("probe", false, "enable the observability probe layer")
-		probeOut    = flag.String("probe-out", "", "write probe data here: a directory (trailing /) gets all formats + manifest.json, else by extension (.jsonl events, .csv time series, otherwise Chrome trace JSON) with a sibling manifest; implies -probe")
-		probeSample = flag.Uint64("probe-sample", 256, "gauge sampling period in cycles (0 disables time series)")
-		probeEvents = flag.Int("probe-events", 1<<20, "event ring buffer capacity")
-		auditOn     = flag.Bool("audit", false, "enable the runtime QoS auditor (invariant checks + delay-bound conformance); violations exit non-zero")
-		auditOut    = flag.String("audit-out", "", "write the audit conformance snapshot JSON here, plus a sibling manifest; implies -audit")
-		perfOn      = flag.Bool("perf", false, "enable the in-simulator profiler: per-stage cycle attribution, parallel-engine telemetry, flamegraph export (never changes results)")
-		perfSample  = flag.Uint64("perf-sample", perfmon.DefaultSampleEvery, "profile every Nth cycle (1 = every cycle)")
-		httpAddr    = flag.String("http", "", "serve live introspection (/metrics, /audit, /debug/pprof) on this address, e.g. :8080; implies -audit")
-		seeds       = flag.Int("seeds", 1, "run this many seeds (seed, seed+1, ...) and report per-seed plus aggregate statistics")
-		workers     = flag.Int("j", 0, "concurrent runs for -seeds > 1 (0 = one per CPU; probe runs are forced sequential)")
-		nodeWorkers = flag.Int("jnode", 0, "shard node ticking inside each run across this many OS threads (0 or 1 = sequential; results are byte-identical)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		arch     = flag.String("arch", "loft", "architecture: loft or gsf")
+		pattern  = flag.String("pattern", "uniform", "traffic: uniform, hotspot, case1, case2, neighbor, transpose")
+		rate     = flag.Float64("rate", 0.1, "offered load in flits/cycle/node (aggressor rate for case1)")
+		spec     = flag.Int("spec", 12, "LOFT speculative buffer size in flits (0 disables §4.3 optimizations)")
+		warmup   = flag.Uint64("warmup", 5000, "warmup cycles excluded from statistics")
+		cycles   = flag.Uint64("cycles", 20000, "measured cycles")
+		verbose  = flag.Bool("v", false, "print per-flow rates")
+		heatmap  = flag.Bool("heatmap", false, "print an ASCII link-utilization heatmap")
+		replay   = flag.String("trace", "", "replay a workload trace file instead of a synthetic pattern")
+		genTrace = flag.Int("gentrace", 0, "emit a synthetic trace with this many packets to stdout and exit")
+		seeds    = flag.Int("seeds", 1, "run this many seeds (seed, seed+1, ...) across -j workers and report per-seed plus aggregate statistics")
 	)
 	flag.Parse()
-	var plan *fault.Plan
-	if *faultSpec != "" {
-		p, err := fault.Load(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "loftsim:", err)
-			os.Exit(2)
-		}
-		plan = p
+	if err := s.Load(flag.CommandLine); err != nil {
+		s.BadUsage(err)
 	}
-	jSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "j" {
-			jSet = true
-		}
-	})
 	if err := validateFlags(cliFlags{
-		Arch: *arch, Pattern: *pattern, Trace: *trace, GenTrace: *genTrace,
-		Rate: *rate, Seeds: *seeds, Workers: *workers, JSet: jSet,
-		NodeWorkers: *nodeWorkers,
-		Observed:    *probeOn || *probeOut != "" || *auditOn || *auditOut != "" || *httpAddr != "" || *perfOn,
-		Plan:        plan,
+		Arch: *arch, Pattern: *pattern, Trace: *replay, GenTrace: *genTrace,
+		Rate: *rate, Seeds: *seeds, Workers: s.Workers, JSet: s.JSet,
+		NodeWorkers: s.NodeWorkers, Observed: s.Observed(), Plan: s.Plan,
 	}); err != nil {
-		fmt.Fprintln(os.Stderr, "loftsim:", err)
-		os.Exit(2)
+		s.BadUsage(err)
 	}
-	stopProfiles, err := profiles.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer stopProfiles()
 
 	lcfg := config.PaperLOFTSpec(*spec)
 	mesh := lcfg.Mesh()
 	if *genTrace > 0 {
-		events := traffic.SyntheticTrace(mesh, *genTrace, *cycles, lcfg.PacketFlits, *seed)
+		events := traffic.SyntheticTrace(mesh, *genTrace, *cycles, lcfg.PacketFlits, s.Seed)
 		if err := traffic.WriteTrace(os.Stdout, events); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			s.Fatal(err)
 		}
 		return
 	}
 	var p *traffic.Pattern
-	if *trace != "" {
-		f, err := os.Open(*trace)
+	if *replay != "" {
+		f, err := os.Open(*replay)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			s.Fatal(err)
 		}
 		events, err := traffic.ParseTrace(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			s.Fatal(err)
 		}
 		if p, err = traffic.FromTrace(mesh, events, lcfg.PacketFlits, lcfg.FrameFlits, lcfg.QuantumFlits); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			s.Fatal(err)
+		}
+		// Trace replays measure every packet: no warmup exclusion unless
+		// explicitly requested.
+		explicit := false
+		flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "warmup" })
+		if !explicit {
+			*warmup = 0
 		}
 	}
 	switch {
@@ -181,108 +140,37 @@ func main() {
 		p = traffic.NearestNeighbor(mesh, *rate, lcfg.PacketFlits, lcfg.FrameFlits)
 	case *pattern == "transpose":
 		p = traffic.Transpose(mesh, *rate, lcfg.PacketFlits, lcfg.FrameFlits)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown pattern %q\n", *pattern)
-		os.Exit(2)
+	}
+	if err := s.Plan.Validate(mesh.N(), len(p.Flows)); err != nil {
+		s.BadUsage(err)
+	}
+	if err := s.Start(fmt.Sprintf("loftsim %s / %s", *arch, p.Name)); err != nil {
+		s.Fatal(err)
 	}
 
-	if err := plan.Validate(mesh.N(), len(p.Flows)); err != nil {
-		fmt.Fprintln(os.Stderr, "loftsim:", err)
-		os.Exit(2)
-	}
-
-	if *trace != "" {
-		// Trace replays measure every packet: no warmup exclusion unless
-		// explicitly requested.
-		explicit := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "warmup" {
-				explicit = true
-			}
-		})
-		if !explicit {
-			*warmup = 0
-		}
-	}
-	var pr *probe.Probe
-	if *probeOn || *probeOut != "" {
-		pr = probe.New(probe.Config{EventCap: *probeEvents, SampleEvery: *probeSample})
-	}
-	var aud *audit.Auditor
-	if *auditOn || *auditOut != "" || *httpAddr != "" {
-		aud = audit.New(audit.Config{})
-	}
-	var mon *perfmon.Monitor
-	if *perfOn {
-		mon = perfmon.New(perfmon.Config{SampleEvery: *perfSample, Workers: *nodeWorkers})
-	}
-	var srv *audit.Server
-	if *httpAddr != "" {
-		srv, err = audit.NewServer(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		srv.SetTitle(fmt.Sprintf("loftsim %s / %s", *arch, p.Name))
-		aud.OnPublish(func() { srv.Publish(pr, aud, mon) })
-		fmt.Fprintf(os.Stderr, "introspection server listening on %s\n", srv.URL())
-	}
-
-	// SIGINT requests a graceful stop: the run ends at the next chunk
-	// boundary and every requested artifact is still flushed. A second
-	// SIGINT falls back to the default kill.
-	var interrupted atomic.Bool
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	go func() {
-		<-sig
-		interrupted.Store(true)
-		signal.Stop(sig)
-		fmt.Fprintln(os.Stderr, "interrupt: stopping at next chunk boundary, flushing snapshots (^C again to kill)")
-	}()
-
-	// A run-directory -probe-out with -perf also collects a pprof CPU
-	// profile; it must stop before WriteRunDir checksums the file.
-	var stopCPU func()
-	if mon != nil && *probeOut != "" && runio.IsDirTarget(*probeOut) {
-		if stopCPU, err = runio.StartCPUProfile(*probeOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
-	run := core.RunSpec{Seed: *seed, Warmup: *warmup, Measure: *cycles, Probe: pr, Audit: aud, Workers: *nodeWorkers, Perf: mon, Stop: interrupted.Load, Fault: plan}
+	run := core.RunSpec{Seed: s.Seed, Warmup: *warmup, Measure: *cycles, Probe: s.Probe, Audit: s.Audit, Workers: s.NodeWorkers, Perf: s.Perf, Stop: s.Interrupted, Fault: s.Plan}
+	a := core.Arch(*arch)
 	if *seeds > 1 {
-		if err := runSeeds(*arch, lcfg, p, run, *seeds, *workers, *rate, *probeOut, *auditOut, srv, stopCPU); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := runSeeds(s, a, lcfg, p, run, *seeds, *rate); err != nil {
+			s.Fatal(err)
 		}
-		if interrupted.Load() {
-			fmt.Fprintln(os.Stderr, "run interrupted; partial artifacts flushed")
-			os.Exit(130)
-		}
-		return
+		os.Exit(s.Finish())
 	}
+	// Only the heatmap needs the network after the run.
 	var res core.Result
-	var lnet *loft.Network
-	var gnet *gsf.Network
-	switch *arch {
-	case "loft":
-		res, lnet, err = core.RunLOFT(lcfg, p, run)
-	case "gsf":
-		res, gnet, err = core.RunGSF(config.PaperGSF(), p, lcfg.FrameFlits, run)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown architecture %q\n", *arch)
-		os.Exit(2)
+	var net interface{ Heatmap() string }
+	var err error
+	if a == core.ArchGSF {
+		res, net, err = core.RunGSF(config.PaperGSF(), p, lcfg.FrameFlits, run)
+	} else {
+		res, net, err = core.RunLOFT(lcfg, p, run)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		s.Fatal(err)
 	}
 
 	fmt.Printf("%s / %s @ %.3f flits/cycle/node (%d+%d cycles, seed %d)\n",
-		res.Arch, p.Name, *rate, *warmup, *cycles, *seed)
+		res.Arch, p.Name, *rate, *warmup, *cycles, s.Seed)
 	fmt.Printf("  packets delivered : %d\n", res.Packets)
 	fmt.Printf("  avg latency       : %.1f cycles (network %.1f)\n", res.AvgLatency, res.AvgNetLatency)
 	fmt.Printf("  p99 / max latency : %.0f / %d cycles\n", res.P99Latency, res.MaxLatency)
@@ -294,39 +182,20 @@ func main() {
 	} else {
 		fmt.Printf("  source-queue drops: %d\n", res.Drops)
 	}
-	if plan != nil {
+	if s.Plan != nil {
 		fmt.Printf("  faults injected   : %d (%d flits lost, %d retried)\n",
 			res.FaultsInjected, res.FlitsLost, res.Retries)
 	}
 	if *heatmap {
 		fmt.Println("link utilization (digits = tenths; right = East link, below = South link):")
-		if lnet != nil {
-			fmt.Print(lnet.Heatmap())
-		} else if gnet != nil {
-			fmt.Print(gnet.Heatmap())
-		}
+		fmt.Print(net.Heatmap())
 	}
-	if stopCPU != nil {
-		stopCPU()
-	}
-	if pr != nil || *auditOut != "" {
-		m := newManifest(*arch, p.Name, lcfg, run, []uint64{*seed},
-			runio.Metrics(&res, pr, aud, mon, uint64(lcfg.QuantumFlits)))
-		if pr != nil {
-			if err := writeRun(pr, aud, mon, *probeOut, m); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if *auditOut != "" {
-			if err := writeAuditOut(*auditOut, aud, m); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-	}
-	if mon != nil && !(*probeOut != "" && runio.IsDirTarget(*probeOut)) {
-		mon.Snapshot().WriteText(os.Stdout)
+	err = s.Export(func() trace.Manifest {
+		return newManifest(s, a, p.Name, lcfg, run, []uint64{s.Seed},
+			runio.Metrics(&res, s.Probe, s.Audit, s.Perf, uint64(lcfg.QuantumFlits)))
+	})
+	if err != nil {
+		s.Fatal(err)
 	}
 	if *verbose {
 		ids := make([]int, 0, len(res.FlowRate))
@@ -340,58 +209,26 @@ func main() {
 				id, f.Src, f.Dst, res.FlowRate[f.ID], res.FlowLatency[f.ID])
 		}
 	}
-	ok := reportAudit(aud)
-	if interrupted.Load() {
-		fmt.Fprintln(os.Stderr, "run interrupted; partial artifacts flushed")
-		os.Exit(130)
-	}
-	if !ok {
-		os.Exit(1)
-	}
-}
-
-// reportAudit prints the auditor's verdict and any violations; it returns
-// false when the run must exit non-zero. A nil auditor passes silently.
-func reportAudit(aud *audit.Auditor) bool {
-	if aud == nil {
-		return true
-	}
-	for _, line := range aud.Summary() {
-		fmt.Printf("  %s\n", line)
-	}
-	for _, v := range aud.Violations() {
-		fmt.Fprintf(os.Stderr, "audit violation: %s\n", v)
-	}
-	return aud.Err() == nil
+	os.Exit(s.Finish())
 }
 
 // runSeeds fans n runs with consecutive seeds across the sweep worker pool
 // and prints per-seed plus aggregate statistics. Runs share the (read-only)
 // pattern; each owns its network and RNGs, so the output is independent of
 // the worker count.
-func runSeeds(arch string, lcfg config.LOFT, p *traffic.Pattern, run core.RunSpec, n, workers int, rate float64, probeOut, auditOut string, srv *audit.Server, stopCPU func()) error {
-	if arch != "loft" && arch != "gsf" {
-		return fmt.Errorf("unknown architecture %q", arch)
-	}
-	if run.Probe != nil || run.Audit != nil || run.Perf != nil {
+func runSeeds(s *runio.Session, arch core.Arch, lcfg config.LOFT, p *traffic.Pattern, run core.RunSpec, n int, rate float64) error {
+	workers := s.Workers
+	if s.Observed() {
 		workers = 1 // runs share one probe/auditor/monitor: keep them sequential
 	}
 	var opts []sweep.Option
-	if srv != nil {
-		opts = append(opts, sweep.WithProgress(srv.JobProgress))
+	if progress := s.Progress(); progress != nil {
+		opts = append(opts, sweep.WithProgress(progress))
 	}
-	gcfg := config.PaperGSF()
 	results, err := sweep.Run(workers, n, func(i int) (core.Result, error) {
 		spec := run
 		spec.Seed = run.Seed + uint64(i)
-		var res core.Result
-		var err error
-		if arch == "loft" {
-			res, _, err = core.RunLOFT(lcfg, p, spec)
-		} else {
-			res, _, err = core.RunGSF(gcfg, p, lcfg.FrameFlits, spec)
-		}
-		return res, err
+		return core.Run(arch, lcfg, p, spec)
 	}, opts...)
 	if err != nil {
 		return err
@@ -400,123 +237,39 @@ func runSeeds(arch string, lcfg config.LOFT, p *traffic.Pattern, run core.RunSpe
 	fmt.Printf("%s / %s @ %.3f flits/cycle/node (%d+%d cycles, %d seeds from %d, -j %d)\n",
 		results[0].Arch, p.Name, rate, run.Warmup, run.Measure, n, run.Seed, sweep.Workers(workers))
 	var lats, rates []float64
+	seedList := make([]uint64, n)
 	for i, r := range results {
+		seedList[i] = run.Seed + uint64(i)
 		fmt.Printf("  seed %-4d: avg latency %8.1f cycles, accepted %.4f flits/cycle/node\n",
-			run.Seed+uint64(i), r.AvgLatency, r.TotalRate/nodes)
+			seedList[i], r.AvgLatency, r.TotalRate/nodes)
 		lats = append(lats, r.AvgLatency)
 		rates = append(rates, r.TotalRate/nodes)
 	}
 	ls, rs := stats.Summarize(lats), stats.Summarize(rates)
 	fmt.Printf("  aggregate : latency %.1f ±%.1f%%, accepted %.4f ±%.1f%% (n=%d)\n",
 		ls.Avg, ls.Stdev*100, rs.Avg, rs.Stdev*100, ls.N)
-	if stopCPU != nil {
-		stopCPU()
-	}
-	if run.Probe != nil || auditOut != "" {
-		seedList := make([]uint64, n)
-		for i := range seedList {
-			seedList[i] = run.Seed + uint64(i)
-		}
+	return s.Export(func() trace.Manifest {
 		// Aggregate metrics: the per-seed probe/audit/perf layers are shared,
 		// the headline result metrics are the cross-seed means.
 		metrics := runio.Metrics(nil, run.Probe, run.Audit, run.Perf, uint64(lcfg.QuantumFlits))
 		metrics["avg_latency_cycles"] = ls.Avg
 		metrics["throughput_flits_per_cycle"] = rs.Avg * nodes
-		m := newManifest(arch, p.Name, lcfg, run, seedList, metrics)
-		if run.Probe != nil {
-			if err := writeRun(run.Probe, run.Audit, run.Perf, probeOut, m); err != nil {
-				return err
-			}
-		}
-		if auditOut != "" {
-			if err := writeAuditOut(auditOut, run.Audit, m); err != nil {
-				return err
-			}
-		}
-	}
-	if run.Perf != nil && !(probeOut != "" && runio.IsDirTarget(probeOut)) {
-		run.Perf.Snapshot().WriteText(os.Stdout)
-	}
-	if !reportAudit(run.Audit) {
-		return fmt.Errorf("audit failed: %d violations across %d seeds", len(run.Audit.Violations()), n)
-	}
-	return nil
+		return newManifest(s, arch, p.Name, lcfg, run, seedList, metrics)
+	})
 }
 
 // newManifest assembles the run manifest recorded next to every exported
-// artifact set. Environment provenance (wall time, git revision) comes from
-// runenv, the only sanctioned wall-clock read below the CLIs.
-func newManifest(arch, pattern string, lcfg config.LOFT, run core.RunSpec, seeds []uint64, metrics map[string]float64) trace.Manifest {
-	env := runenv.Capture()
-	return trace.Manifest{
-		ManifestVersion: trace.ManifestVersion,
-		Tool:            "loftsim",
-		Command:         os.Args,
-		CreatedUTC:      env.CreatedUTC,
-		GitRevision:     env.GitRevision,
-		HostCPUs:        env.NumCPU,
-		HostGoMaxProcs:  env.GoMaxProcs,
-		NodeWorkers:     run.Workers,
-		Arch:            arch,
-		Pattern:         pattern,
-		Seeds:           seeds,
-		WarmupCycles:    run.Warmup,
-		MeasureCycles:   run.Measure,
-		FaultPlan:       run.Fault.String(),
-		MeshK:           lcfg.MeshK,
-		Nodes:           lcfg.Mesh().N(),
-		Config:          &lcfg,
-		Metrics:         metrics,
-	}
-}
-
-// writeRun exports the collected probe/audit/perf data. An empty path
-// prints the per-kind event summary; a directory path (existing, or spelled
-// with a trailing separator) receives the full run directory — all three
-// probe export formats, the audit snapshot, the perf snapshot + folded
-// stacks and the checksummed manifest; any other path keeps the legacy
-// single-file extension dispatch (probe.FormatForPath) and gains a sibling
-// <path>.manifest.json. Ring drops are warned about on stderr either way.
-func writeRun(pr *probe.Probe, aud *audit.Auditor, mon *perfmon.Monitor, path string, m trace.Manifest) error {
-	if d := pr.Tracer().Dropped(); d > 0 {
-		fmt.Fprintf(os.Stderr, "warning: probe ring overwrote %d oldest events; raise -probe-events for a complete trace\n", d)
-	}
-	if path == "" {
-		fmt.Println("probe event summary:")
-		for _, line := range pr.Summary() {
-			fmt.Printf("  %s\n", line)
-		}
-		return nil
-	}
-	if runio.IsDirTarget(path) {
-		if err := runio.WriteRunDir(path, pr, aud, mon, m); err != nil {
-			return err
-		}
-		fmt.Println(runio.Describe(path, pr, aud, mon))
-		return nil
-	}
-	if err := runio.WriteFileWithManifest(path, pr, m); err != nil {
-		return err
-	}
-	fmt.Printf("wrote probe data to %s (%d events retained, %d dropped) and %s.manifest.json\n",
-		path, pr.Tracer().Len(), pr.Tracer().Dropped(), path)
-	return nil
-}
-
-// writeAuditOut writes the audit conformance snapshot plus its sibling
-// manifest (skipped in run-directory mode, where audit.json is included).
-func writeAuditOut(path string, aud *audit.Auditor, m trace.Manifest) error {
-	if err := runio.WriteAuditSnapshot(path, aud); err != nil {
-		return err
-	}
-	a, err := trace.FileArtifact(path)
-	if err != nil {
-		return err
-	}
-	m.Artifacts = []trace.Artifact{a}
-	if err := m.Write(path + ".manifest.json"); err != nil {
-		return err
-	}
-	fmt.Printf("wrote audit snapshot to %s (and %s.manifest.json)\n", path, path)
-	return nil
+// artifact set: the session's provenance plus what this invocation ran.
+func newManifest(s *runio.Session, arch core.Arch, pattern string, lcfg config.LOFT, run core.RunSpec, seeds []uint64, metrics map[string]float64) trace.Manifest {
+	m := s.Manifest()
+	m.Arch = string(arch)
+	m.Pattern = pattern
+	m.Seeds = seeds
+	m.WarmupCycles = run.Warmup
+	m.MeasureCycles = run.Measure
+	m.MeshK = lcfg.MeshK
+	m.Nodes = lcfg.Mesh().N()
+	m.Config = &lcfg
+	m.Metrics = metrics
+	return m
 }

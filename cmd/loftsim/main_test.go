@@ -9,13 +9,18 @@ import (
 	"loft/internal/config"
 	"loft/internal/core"
 	"loft/internal/probe"
+	"loft/internal/runio"
 	"loft/internal/trace"
 )
 
-func testManifest() trace.Manifest {
-	lcfg := config.PaperLOFT()
-	return newManifest("loft", "test", lcfg,
-		core.RunSpec{Seed: 1, Warmup: 10, Measure: 100}, []uint64{1}, map[string]float64{"packets": 1})
+// export runs the session's probe export to path, with the manifest loftsim
+// records.
+func export(pr *probe.Probe, path string) error {
+	s := &runio.Session{Tool: "loftsim", Probe: pr, ProbeOut: path}
+	return s.Export(func() trace.Manifest {
+		return newManifest(s, core.ArchLOFT, "test", config.PaperLOFT(),
+			core.RunSpec{Seed: 1, Warmup: 10, Measure: 100}, []uint64{1}, map[string]float64{"packets": 1})
+	})
 }
 
 // TestWriteProbeExtensionDispatch pins the -probe-out extension contract:
@@ -33,8 +38,8 @@ func TestWriteProbeExtensionDispatch(t *testing.T) {
 		"out.json":  `"traceEvents"`,
 	} {
 		path := filepath.Join(dir, name)
-		if err := writeRun(pr, nil, nil, path, testManifest()); err != nil {
-			t.Fatalf("writeRun(%s): %v", name, err)
+		if err := export(pr, path); err != nil {
+			t.Fatalf("export(%s): %v", name, err)
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -62,8 +67,8 @@ func TestWriteRunDirectory(t *testing.T) {
 	pr.Emit(1, probe.KindSpecHit, 0, 0, 0, 0)
 	pr.MaybeSample(1)
 	dir := filepath.Join(t.TempDir(), "run")
-	if err := writeRun(pr, nil, nil, dir+string(os.PathSeparator), testManifest()); err != nil {
-		t.Fatalf("writeRun(dir): %v", err)
+	if err := export(pr, dir+string(os.PathSeparator)); err != nil {
+		t.Fatalf("export(dir): %v", err)
 	}
 	m, err := trace.ReadManifest(dir)
 	if err != nil {

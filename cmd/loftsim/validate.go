@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"loft/internal/fault"
+	"loft/internal/runio"
 )
 
 // knownPatterns lists the synthetic patterns -pattern accepts.
@@ -35,9 +36,9 @@ type cliFlags struct {
 
 // validateFlags rejects flag combinations up front that would otherwise fail
 // deep inside the run or be silently ignored: unknown arch/pattern used to
-// surface only after traffic construction, a -fault plan alongside -gentrace
-// was dropped without a word, and an explicit -j on an observed seed sweep
-// was silently forced to one worker. Callers report the error and exit 2.
+// surface only after traffic construction and a -fault plan alongside
+// -gentrace was dropped without a word. The execution-flag rules are the
+// session's (runio.ValidateExec). Callers report the error and exit 2.
 func validateFlags(f cliFlags) error {
 	if f.Arch != "loft" && f.Arch != "gsf" {
 		return fmt.Errorf("unknown architecture %q (want loft or gsf)", f.Arch)
@@ -54,11 +55,12 @@ func validateFlags(f cliFlags) error {
 	if f.Seeds < 1 {
 		return fmt.Errorf("-seeds %d must be at least 1", f.Seeds)
 	}
-	if f.Workers < 0 {
-		return fmt.Errorf("-j %d is negative; use 0 for one worker per CPU", f.Workers)
+	sweeps := ""
+	if f.Seeds > 1 {
+		sweeps = "seed sweeps"
 	}
-	if f.NodeWorkers < 0 {
-		return fmt.Errorf("-jnode %d is negative; use 0 or 1 for the sequential engine", f.NodeWorkers)
+	if err := runio.ValidateExec(f.Workers, f.NodeWorkers, f.JSet, f.Observed, sweeps); err != nil {
+		return err
 	}
 	if f.GenTrace > 0 && f.Trace != "" {
 		return fmt.Errorf("-gentrace and -trace conflict: one writes a trace, the other replays one")
@@ -73,9 +75,6 @@ func validateFlags(f cliFlags) error {
 		if f.Trace != "" && f.Plan.HasAdversary() {
 			return fmt.Errorf("adversary faults cannot rate-scale a -trace replay (injections are fixed by the trace); use a synthetic pattern")
 		}
-	}
-	if f.Seeds > 1 && f.JSet && f.Workers > 1 && f.Observed {
-		return fmt.Errorf("-j %d conflicts with -probe/-audit/-perf: observed seed sweeps share one observer and run sequentially; drop -j or the observer flags", f.Workers)
 	}
 	return nil
 }

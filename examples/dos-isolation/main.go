@@ -25,13 +25,7 @@ func main() {
 		fmt.Printf("  %-9s %16s %16s %10s\n", "agg rate", "victim lat (cyc)", "agg lat (cyc)", "victim f/c")
 		for _, rate := range rates {
 			p := traffic.CaseStudyI(lcfg.Mesh(), 0.2, rate, lcfg.PacketFlits, lcfg.FrameFlits)
-			var res core.Result
-			var err error
-			if arch == core.ArchLOFT {
-				res, _, err = core.RunLOFT(lcfg, p, spec)
-			} else {
-				res, _, err = core.RunGSF(config.PaperGSF(), p, lcfg.FrameFlits, spec)
-			}
+			res, err := core.Run(arch, lcfg, p, spec)
 			if err != nil {
 				log.Fatal(err)
 			}

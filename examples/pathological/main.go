@@ -27,13 +27,7 @@ func main() {
 		row := fmt.Sprintf("%-9.2f", rate)
 		for _, arch := range []core.Arch{core.ArchGSF, core.ArchLOFT} {
 			p := traffic.CaseStudyII(lcfg.Mesh(), rate, lcfg.PacketFlits, lcfg.FrameFlits)
-			var res core.Result
-			var err error
-			if arch == core.ArchLOFT {
-				res, _, err = core.RunLOFT(lcfg, p, spec)
-			} else {
-				res, _, err = core.RunGSF(config.PaperGSF(), p, lcfg.FrameFlits, spec)
-			}
+			res, err := core.Run(arch, lcfg, p, spec)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -39,12 +39,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var res core.Result
-		if arch == core.ArchLOFT {
-			res, _, err = core.RunLOFT(cfg, p, spec)
-		} else {
-			res, _, err = core.RunGSF(config.PaperGSF(), p, cfg.FrameFlits, spec)
-		}
+		res, err := core.Run(arch, cfg, p, spec)
 		if err != nil {
 			log.Fatal(err)
 		}

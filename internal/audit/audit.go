@@ -202,7 +202,7 @@ func (a *Auditor) StartRun(totalCycles uint64) {
 
 // OnCycle advances the auditor's clock; on the configured periods it runs
 // the full invariant sweep and the publish callback. Called once per cycle
-// from the network tick, on the simulation thread.
+// from the harness's serial commit, on the simulation thread.
 func (a *Auditor) OnCycle(now uint64) {
 	if a == nil {
 		return
@@ -228,14 +228,6 @@ func (a *Auditor) FinishRun(now uint64) {
 	if a.publish != nil {
 		a.publish()
 	}
-}
-
-// NowCycle returns the auditor's clock (the last OnCycle/FinishRun time).
-func (a *Auditor) NowCycle() uint64 {
-	if a == nil {
-		return 0
-	}
-	return a.now
 }
 
 // violate records one audit failure.

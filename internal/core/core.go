@@ -5,15 +5,17 @@
 package core
 
 import (
+	"fmt"
+
 	"loft/internal/audit"
 	"loft/internal/config"
 	"loft/internal/fault"
 	"loft/internal/flit"
 	"loft/internal/gsf"
 	"loft/internal/loft"
+	"loft/internal/netsim"
 	"loft/internal/perfmon"
 	"loft/internal/probe"
-	"loft/internal/stats"
 	"loft/internal/traffic"
 )
 
@@ -120,7 +122,19 @@ type Result struct {
 	Retries        uint64 // fault-denied quanta that later crossed their link
 }
 
-func summarize(arch Arch, lat, latNet *stats.Latency, latFlow *stats.FlowLatency, thr *stats.Throughput, flows []flit.Flow, nodes int) Result {
+// run drives a freshly built network through spec and summarizes it: the
+// run loop, the audit bracket and the summary are the same for every
+// architecture because they only touch the harness.
+func run(arch Arch, net *netsim.Harness, p *traffic.Pattern, spec RunSpec) Result {
+	if spec.Audit != nil {
+		spec.Audit.StartRun(spec.Total())
+	}
+	runNetwork(net.Run, spec)
+	if spec.Audit != nil {
+		spec.Audit.FinishRun(net.Now())
+	}
+	net.Close()
+	lat, latNet, latFlow, thr := net.Latency(), net.NetLatency(), net.FlowLatency(), net.Throughput()
 	res := Result{
 		Arch:          arch,
 		AvgLatency:    lat.Mean(),
@@ -131,18 +145,34 @@ func summarize(arch Arch, lat, latNet *stats.Latency, latFlow *stats.FlowLatency
 		MaxNetLatency: latNet.Max(),
 		Packets:       lat.Count(),
 		TotalRate:     thr.Total(),
-		FlowRate:      make(map[flit.FlowID]float64, len(flows)),
-		FlowLatency:   make(map[flit.FlowID]float64, len(flows)),
-		NodeRate:      make(map[int]float64, nodes),
+		FlowRate:      make(map[flit.FlowID]float64, len(p.Flows)),
+		FlowLatency:   make(map[flit.FlowID]float64, len(p.Flows)),
+		NodeRate:      make(map[int]float64, p.Mesh.N()),
 	}
-	for _, f := range flows {
+	for _, f := range p.Flows {
 		res.FlowRate[f.ID] = thr.Flow(f.ID)
 		res.FlowLatency[f.ID] = latFlow.Mean(f.ID)
 	}
-	for n := 0; n < nodes; n++ {
+	for n := 0; n < p.Mesh.N(); n++ {
 		res.NodeRate[n] = thr.Node(n)
 	}
 	return res
+}
+
+// Run builds and runs the paper's configuration of arch on pattern p and
+// returns the result summary: LOFT as configured by lcfg, GSF with Table 1's
+// parameters and its budgets rescaled from lcfg's frame size. Callers that
+// need the network afterwards use RunLOFT or RunGSF.
+func Run(arch Arch, lcfg config.LOFT, p *traffic.Pattern, spec RunSpec) (res Result, err error) {
+	switch arch {
+	case ArchLOFT:
+		res, _, err = RunLOFT(lcfg, p, spec)
+	case ArchGSF:
+		res, _, err = RunGSF(config.PaperGSF(), p, lcfg.FrameFlits, spec)
+	default:
+		err = fmt.Errorf("core: unknown architecture %q", arch)
+	}
+	return res, err
 }
 
 // RunLOFT builds a LOFT network for cfg and pattern, runs it, and returns
@@ -152,15 +182,7 @@ func RunLOFT(cfg config.LOFT, p *traffic.Pattern, spec RunSpec) (Result, *loft.N
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if spec.Audit != nil {
-		spec.Audit.StartRun(spec.Total())
-	}
-	runNetwork(net.Run, spec)
-	if spec.Audit != nil {
-		spec.Audit.FinishRun(net.Now())
-	}
-	net.Close()
-	res := summarize(ArchLOFT, net.Latency(), net.NetLatency(), net.FlowLatency(), net.Throughput(), p.Flows, p.Mesh.N())
+	res := run(ArchLOFT, net.Harness, p, spec)
 	s := net.TotalStats()
 	res.SpecForward = s.SpecForwards
 	res.Resets = net.ResetCount()
@@ -179,15 +201,7 @@ func RunGSF(cfg config.GSF, p *traffic.Pattern, baseFrameFlits int, spec RunSpec
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if spec.Audit != nil {
-		spec.Audit.StartRun(spec.Total())
-	}
-	runNetwork(net.Run, spec)
-	if spec.Audit != nil {
-		spec.Audit.FinishRun(net.Now())
-	}
-	net.Close()
-	res := summarize(ArchGSF, net.Latency(), net.NetLatency(), net.FlowLatency(), net.Throughput(), p.Flows, p.Mesh.N())
+	res := run(ArchGSF, net.Harness, p, spec)
 	res.Drops = net.Drops()
 	return res, net, nil
 }

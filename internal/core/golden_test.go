@@ -207,7 +207,6 @@ func TestGolden(t *testing.T) {
 		for _, c := range goldenCases {
 			for _, seed := range []uint64{1, 2} {
 				for _, workers := range []int{1, 2} {
-					c, seed, workers := c, seed, workers
 					t.Run(fmt.Sprintf("%s/seed%d/workers%d", c.name, seed, workers), func(t *testing.T) {
 						t.Parallel()
 						lcfg := config.PaperLOFTSpec(c.spec)
@@ -248,7 +247,6 @@ func goldenObserved(t *testing.T, g *goldenStore) {
 		plan *fault.Plan
 	}{{"clean", nil}, {"chaos", chaos}} {
 		for _, workers := range []int{1, 2} {
-			c, workers := c, workers
 			t.Run(fmt.Sprintf("observed-%s/workers%d", c.name, workers), func(t *testing.T) {
 				t.Parallel()
 				lcfg := config.PaperLOFT()
@@ -274,6 +272,56 @@ func goldenObserved(t *testing.T, g *goldenStore) {
 				g.check(t, key+"/events.jsonl", hex.EncodeToString(events.Sum(nil)))
 				g.check(t, key+"/audit.json", sum(append(snap, '\n')))
 			})
+		}
+	}
+}
+
+// TestCloseThenRunRestarts pins the one Close contract both architectures
+// inherit from the harness: Close releases the engine's worker pool and a
+// later Run restarts it, so Run(a); Close(); Run(b) is Run(a+b) — under the
+// sequential engine, where Close has nothing to release, and the sharded one.
+func TestCloseThenRunRestarts(t *testing.T) {
+	const a, b = 400, 600
+	lcfg := config.PaperLOFT()
+	type network interface {
+		Run(n uint64)
+		Close()
+		Now() uint64
+	}
+	for _, arch := range []Arch{ArchLOFT, ArchGSF} {
+		for _, workers := range []int{1, 2} {
+			// build returns a fresh network and a digest of everything it has
+			// counted so far.
+			build := func() (network, func() string) {
+				p := uniform(0.2)(lcfg)
+				if arch == ArchGSF {
+					net, err := gsf.New(config.PaperGSF(), p, gsf.Options{Seed: 3, Warmup: 200, BaseFrameFlits: lcfg.FrameFlits, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return net, func() string { return digest(t, runDigest{run(arch, net.Harness, p, RunSpec{}), gsfCounters(net)}) }
+				}
+				net, err := loft.New(lcfg, p, loft.Options{Seed: 3, Warmup: 200, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return net, func() string { return digest(t, runDigest{run(arch, net.Harness, p, RunSpec{}), loftCounters(net)}) }
+			}
+			whole, wholeDigest := build()
+			whole.Run(a + b)
+			split, splitDigest := build()
+			split.Run(a)
+			split.Close()
+			split.Close() // idempotent
+			split.Run(b)
+			if split.Now() != a+b {
+				t.Fatalf("%s workers %d: split run stands at cycle %d, want %d", arch, workers, split.Now(), a+b)
+			}
+			// The digests summarize through run with an empty spec: zero more
+			// cycles, then Close — which both networks must also survive.
+			if w, s := wholeDigest(), splitDigest(); w != s {
+				t.Errorf("%s workers %d: Run(%d); Close(); Run(%d) digests %s, Run(%d) digests %s", arch, workers, a, b, s, a+b, w)
+			}
 		}
 	}
 }

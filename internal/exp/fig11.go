@@ -50,6 +50,12 @@ func Fig11(pattern string, o Options) (*Fig11Result, error) {
 	if o.Quick {
 		loads = thin(loads, 2)
 	}
+	return fig11Grid(pattern, loads, specs, o)
+}
+
+// fig11Grid runs one Fig. 11 panel over an explicit grid: GSF plus LOFT at
+// every speculative buffer size in specs, at every offered load in loads.
+func fig11Grid(pattern string, loads []float64, specs []int, o Options) (*Fig11Result, error) {
 	res := &Fig11Result{
 		Pattern:              pattern,
 		Archs:                []string{"GSF"},
@@ -63,7 +69,6 @@ func Fig11(pattern string, o Options) (*Fig11Result, error) {
 	// point. Patterns are read-only during runs, so every architecture at a
 	// load point shares the same one.
 	cfg := loftCfg(12)
-	gcfg := gsfCfg()
 	nodes := float64(cfg.Mesh().N())
 	specCfgs := make([]config.LOFT, len(specs))
 	for i, s := range specs {
@@ -82,14 +87,11 @@ func Fig11(pattern string, o Options) (*Fig11Result, error) {
 	archs := 1 + len(specs)
 	type cell struct{ lat, thr float64 }
 	cells, err := sweep.Run(o.workers(), len(loads)*archs, func(i int) (cell, error) {
-		p := patterns[i/archs]
-		var r core.Result
-		var err error
-		if a := i % archs; a == 0 {
-			r, _, err = core.RunGSF(gcfg, p, cfg.FrameFlits, o.runSpec())
-		} else {
-			r, _, err = core.RunLOFT(specCfgs[a-1], p, o.runSpec())
+		arch, lcfg := core.ArchGSF, cfg
+		if a := i % archs; a > 0 {
+			arch, lcfg = core.ArchLOFT, specCfgs[a-1]
 		}
+		r, err := core.Run(arch, lcfg, patterns[i/archs], o.runSpec())
 		if err != nil {
 			return cell{}, err
 		}

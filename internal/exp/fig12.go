@@ -31,17 +31,10 @@ func Fig12CaseI(arch core.Arch, o Options) ([]CaseIRow, error) {
 		rates = []float64{0.1, 0.4, 0.8}
 	}
 	cfg := loftCfg(12)
-	gcfg := gsfCfg()
 	return sweep.Run(o.workers(), len(rates), func(i int) (CaseIRow, error) {
 		rate := rates[i]
 		p := traffic.CaseStudyI(cfg.Mesh(), 0.2, rate, cfg.PacketFlits, cfg.FrameFlits)
-		var res core.Result
-		var err error
-		if arch == core.ArchGSF {
-			res, _, err = core.RunGSF(gcfg, p, cfg.FrameFlits, o.runSpec())
-		} else {
-			res, _, err = core.RunLOFT(cfg, p, o.runSpec())
-		}
+		res, err := core.Run(arch, cfg, p, o.runSpec())
 		if err != nil {
 			return CaseIRow{}, err
 		}

@@ -27,17 +27,10 @@ func Fig13CaseII(arch core.Arch, o Options) ([]CaseIIRow, error) {
 		rates = []float64{0.02, 0.16, 0.95}
 	}
 	cfg := loftCfg(12)
-	gcfg := gsfCfg()
 	return sweep.Run(o.workers(), len(rates), func(i int) (CaseIIRow, error) {
 		rate := rates[i]
 		p := traffic.CaseStudyII(cfg.Mesh(), rate, cfg.PacketFlits, cfg.FrameFlits)
-		var res core.Result
-		var err error
-		if arch == core.ArchGSF {
-			res, _, err = core.RunGSF(gcfg, p, cfg.FrameFlits, o.runSpec())
-		} else {
-			res, _, err = core.RunLOFT(cfg, p, o.runSpec())
-		}
+		res, err := core.Run(arch, cfg, p, o.runSpec())
 		if err != nil {
 			return CaseIIRow{}, err
 		}

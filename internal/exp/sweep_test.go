@@ -11,23 +11,30 @@ import (
 // the parallel experiment engine; go test ./internal/sweep -race covers the
 // pool itself.
 
+// TestFig11SweepDeterminism compares a corner of the Fig. 11a grid — a light
+// and a saturated load, speculation off and on, GSF beside them — which
+// reaches every code path the full grid does; the full grid is loftexp's.
 func TestFig11SweepDeterminism(t *testing.T) {
 	if raceEnabled {
-		// The full Fig. 11 grid is ~42 runs; under the race detector's
-		// slowdown that dwarfs the rest of the suite. TestFig10SweepDeterminism
-		// exercises the same shared-state surface under -race.
+		// Twelve 8k-cycle runs, two of them saturated, are minutes under the
+		// race detector; TestFig10SweepDeterminism exercises the same
+		// shared-state surface there.
 		t.Skip("skipped under -race; covered by TestFig10SweepDeterminism")
 	}
-	seq, err := Fig11("uniform", Options{Seed: 11, Quick: true, Workers: 1})
+	loads, specs := []float64{0.08, 0.56}, []int{0, 12}
+	seq, err := fig11Grid("uniform", loads, specs, Options{Seed: 11, Quick: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fig11("uniform", Options{Seed: 11, Quick: true, Workers: 8})
+	par, err := fig11Grid("uniform", loads, specs, Options{Seed: 11, Quick: true, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("Fig11 parallel run diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
+	}
+	if len(seq.Points) != len(loads) || len(seq.Archs) != 1+len(specs) {
+		t.Fatalf("grid shape %d loads x %d archs, want %d x %d", len(seq.Points), len(seq.Archs), len(loads), 1+len(specs))
 	}
 }
 

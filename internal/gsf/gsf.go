@@ -20,6 +20,7 @@ import (
 	"loft/internal/buffers"
 	"loft/internal/config"
 	"loft/internal/flit"
+	"loft/internal/netsim"
 	"loft/internal/perfmon"
 	"loft/internal/probe"
 	"loft/internal/route"
@@ -111,19 +112,18 @@ type node struct {
 	// linkBusy counts flits forwarded per mesh output (link utilization).
 	linkBusy [4]uint64
 
-	// probe is this node's staging view of net.probe; audit is this node's
-	// (possibly staging) auditor hook.
+	// slot is this node's staging slot in the harness (statistics
+	// observations); probe, audit and perf alias the slot's views of the
+	// shared probe and auditor and its stage timer.
+	slot  *netsim.Slot
 	probe *probe.Stage
 	audit *audit.Hook
-	// perf is this node's stage timer (nil when profiling is off);
-	// owner-local, so shard-local under the parallel engine.
-	perf *perfmon.Timer
-	// Effects on network-global state (frame census, throttle counter, stats
-	// collectors) always buffer here during the compute phase and replay at
-	// the cycle barrier in node-id order, under both engines.
+	perf  *perfmon.Timer
+	// Effects on GSF's own network-global state (frame census, throttle
+	// counter) buffer here during the compute phase; Network.commitFrames
+	// applies them at the cycle barrier, under both engines.
 	frameDeltas    []frameDelta
 	throttleStaged uint64
-	stagedObs      []gsfObs
 
 	drops uint64
 }
@@ -131,15 +131,6 @@ type node struct {
 // frameDelta is one deferred frame-census update.
 type frameDelta struct {
 	frame, delta int
-}
-
-// gsfObs is one deferred ejection observation: throughput always, packet
-// latencies when the flit is a tail.
-type gsfObs struct {
-	f        flit.Flit
-	injected uint64
-	now      uint64
-	tail     bool
 }
 
 type pktKey struct {
@@ -152,10 +143,7 @@ type pktProgress struct {
 	injected uint64
 }
 
-func newNode(id topo.NodeID, cfg config.GSF, net *Network) *node {
-	// Probe emissions and global-state effects always stage (see the field
-	// comments); the audit hook stages only when sharded because its staged
-	// ops are allocating closures.
+func newNode(id topo.NodeID, cfg config.GSF, net *Network, slot *netsim.Slot) *node {
 	n := &node{
 		id:       id,
 		net:      net,
@@ -163,9 +151,10 @@ func newNode(id topo.NodeID, cfg config.GSF, net *Network) *node {
 		flows:    make(map[flit.FlowID]*flowState),
 		injVC:    -1,
 		pktFlits: make(map[pktKey]pktProgress),
-		probe:    net.probe.NewStage(),
-		audit:    audit.NewHook(net.audit, net.workers > 1),
-		perf:     net.perf.Timer(),
+		slot:     slot,
+		probe:    slot.Probe,
+		audit:    slot.Audit,
+		perf:     slot.Perf,
 	}
 	for d := topo.North; d < topo.NumDirs; d++ {
 		n.vcs[d] = make([]*inputVC, cfg.VirtualChannels)
@@ -191,9 +180,6 @@ func newNode(id topo.NodeID, cfg config.GSF, net *Network) *node {
 
 // Tick advances this node one cycle (sim.Ticker): it drains the node's
 // traffic injector into the source queue, then runs the router pipeline.
-// Under the parallel engine every node is its own ticker; the sequential
-// Network ticker calls the same method in node-id order, so both paths
-// execute identical per-node work.
 //
 //loft:hotpath
 //loft:computephase
@@ -201,7 +187,7 @@ func (n *node) Tick(now uint64) {
 	if n.perf != nil {
 		n.perf.Begin(now)
 	}
-	for _, pkt := range n.net.injectors[n.id].Next(now) {
+	for _, pkt := range n.slot.Injector.Next(now) {
 		n.enqueue(pkt)
 	}
 	if n.perf != nil {
@@ -214,41 +200,6 @@ func (n *node) Tick(now uint64) {
 // replayed at the cycle barrier (frameCount is commit-only state).
 func (n *node) addFrame(frame, delta int) {
 	n.frameDeltas = append(n.frameDeltas, frameDelta{frame, delta})
-}
-
-// flushStaged commits this node's buffered cycle effects. Called by the
-// network's commit hook in node-id order, which reproduces one fixed
-// schedule byte for byte regardless of worker count.
-//
-//loft:hotpath
-//loft:commitphase
-func (n *node) flushStaged() {
-	for _, fd := range n.frameDeltas {
-		n.net.frameCount[fd.frame] += fd.delta
-	}
-	n.frameDeltas = n.frameDeltas[:0]
-	if n.throttleStaged > 0 {
-		n.net.throttleCycles.Add(n.throttleStaged)
-		n.throttleStaged = 0
-	}
-	for i := range n.stagedObs {
-		r := &n.stagedObs[i]
-		n.net.thr.Observe(r.f.Flow, int(r.f.Src), r.now)
-		if r.tail {
-			n.net.lat.Observe(r.f.Created, r.now+1)
-			n.net.latFlow.Observe(r.f.Flow, r.f.Created, r.now+1)
-			if r.f.Created >= n.net.latNet.Warmup() {
-				n.net.latNet.Observe(r.injected, r.now+1)
-			}
-		}
-	}
-	n.stagedObs = n.stagedObs[:0]
-	if n.probe != nil {
-		n.probe.FlushStage()
-	}
-	if n.audit != nil {
-		n.audit.Flush()
-	}
 }
 
 // tick advances one cycle: drain links, eject, switch, inject.
@@ -408,9 +359,9 @@ func indexOf(vcs []*inputVC, vc *inputVC) int {
 	panic("gsf: VC not found")
 }
 
-// eject delivers a flit to the local sink. Statistics observations stage
-// under the parallel engine (the collectors are network-global and
-// order-sensitive); per-packet reassembly state is node-local.
+// eject delivers a flit to the local sink. Statistics observations stage in
+// the harness slot (the collectors are network-global and order-sensitive);
+// per-packet reassembly state is node-local.
 func (n *node) eject(f flit.Flit, now uint64) {
 	key := pktKey{flow: f.Flow, seq: f.PktSeq}
 	prog := n.pktFlits[key]
@@ -418,13 +369,13 @@ func (n *node) eject(f flit.Flit, now uint64) {
 		prog.injected = f.Injected
 	}
 	prog.flits++
-	tail := f.Tail
-	n.stagedObs = append(n.stagedObs, gsfObs{f: f, injected: prog.injected, now: now, tail: tail})
-	if !tail {
+	n.slot.Flits(f.Flow, int(f.Src), 1, now)
+	if !f.Tail {
 		n.pktFlits[key] = prog
 		return
 	}
 	delete(n.pktFlits, key)
+	n.slot.Packet(f.Flow, f.Created, prog.injected, now+1)
 	if n.audit != nil {
 		n.audit.GSFPacketDone(f.Flow, f.PktSeq, prog.injected, now+1)
 	}

@@ -7,34 +7,22 @@ import (
 	"loft/internal/config"
 	"loft/internal/det"
 	"loft/internal/fault"
-	"loft/internal/flit"
+	"loft/internal/netsim"
 	"loft/internal/perfmon"
 	"loft/internal/probe"
 	"loft/internal/sim"
-	"loft/internal/stats"
 	"loft/internal/topo"
 	"loft/internal/traffic"
 )
 
-// Network is a complete GSF mesh driving a traffic pattern.
+// Network is a complete GSF mesh driving a traffic pattern. The engine, the
+// statistics collectors and the observers are the embedded harness's; this
+// type adds the GSF nodes, their wiring and the global frame barrier.
 type Network struct {
-	cfg     config.GSF
-	mesh    topo.Mesh
-	pattern *traffic.Pattern
-	nodes   []*node
-	engine  sim.Engine
-	par     *sim.ParallelKernel // non-nil when workers > 1
-	workers int
-	probe   *probe.Probe
-	audit   *audit.Auditor
-	// perf is the attached self-profiler (nil = off); perfT is the
-	// network-owned stage timer for the frame census and serial commit.
-	perf  *perfmon.Monitor
-	perfT *perfmon.Timer
-	// fault is the armed (adversary-only) fault plan, nil on clean runs.
-	fault *fault.Plan
-
-	injectors []*traffic.Injector
+	*netsim.Harness
+	cfg   config.GSF
+	mesh  topo.Mesh
+	nodes []*node
 
 	// Barrier / global frame state. Commit-only: the compute phase may read
 	// head (stable between barriers) but every write happens in the serial
@@ -50,14 +38,10 @@ type Network struct {
 	// throttleCycles counts source-stall cycles for the probe registry
 	// (events fire only on the stall edge).
 	throttleCycles *probe.Counter
-
-	lat     *stats.Latency // total latency (generation → delivery)
-	latNet  *stats.Latency // network latency (injection → delivery)
-	latFlow *stats.FlowLatency
-	thr     *stats.Throughput
 }
 
-// Options mirror the LOFT network options.
+// Options mirror netsim.Options field for field (documented there), plus
+// the frame size the reservations were computed against.
 type Options struct {
 	Seed   uint64
 	Warmup uint64
@@ -67,19 +51,10 @@ type Options struct {
 	BaseFrameFlits int
 	// Probe enables the observability layer when non-nil (frame rollover
 	// and source-throttle events, link-utilization gauges).
-	Probe *probe.Probe
-	// Audit enables runtime invariant checking and per-packet delay-bound
-	// conformance when non-nil. Auditing never changes simulation results.
-	Audit *audit.Auditor
-	// Workers selects the cycle engine: 0 or 1 runs the sequential kernel,
-	// N > 1 shards node ticking across N OS threads with a two-phase
-	// compute/commit step. Results are byte-identical either way (see
-	// DESIGN.md §13).
+	Probe   *probe.Probe
+	Audit   *audit.Auditor
 	Workers int
-	// Perf enables the self-profiler when non-nil (stage attribution,
-	// engine telemetry, occupancy gauges). Profiling never changes
-	// simulation results; see DESIGN.md §14.
-	Perf *perfmon.Monitor
+	Perf    *perfmon.Monitor
 	// Fault arms a fault-injection plan when non-nil. GSF models no
 	// link-level fault surfaces, so only adversary events are accepted —
 	// New rejects plans with any other kind; see DESIGN.md §16.
@@ -92,59 +67,24 @@ func New(cfg config.GSF, pattern *traffic.Pattern, opts Options) (*Network, erro
 		return nil, err
 	}
 	mesh := cfg.Mesh()
-	if pattern.Mesh.K != mesh.K {
-		return nil, fmt.Errorf("gsf: pattern mesh %d does not match config mesh %d", pattern.Mesh.K, mesh.K)
-	}
 	if opts.BaseFrameFlits <= 0 {
 		return nil, fmt.Errorf("gsf: BaseFrameFlits must be positive")
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
+	if !opts.Fault.Adversarial() {
+		return nil, fmt.Errorf("gsf: fault plan %q uses link-level faults; GSF supports adversary events only", opts.Fault)
 	}
-	net := &Network{
-		cfg:        cfg,
-		mesh:       mesh,
-		pattern:    pattern,
-		workers:    workers,
-		probe:      opts.Probe,
-		audit:      opts.Audit,
-		perf:       opts.Perf,
-		head:       0,
-		frameCount: make(map[int]int),
-		lat:        stats.NewLatencySeeded(opts.Warmup, opts.Seed),
-		latNet:     stats.NewLatencySeeded(opts.Warmup, opts.Seed),
-		latFlow:    stats.NewFlowLatency(opts.Warmup),
-		thr:        stats.NewThroughput(opts.Warmup),
+	opts.Audit.BeginGSF(cfg, mesh, pattern.Flows)
+	h, err := netsim.New(mesh, pattern, netsim.Options{Seed: opts.Seed, Warmup: opts.Warmup, Probe: opts.Probe,
+		Audit: opts.Audit, Workers: opts.Workers, Perf: opts.Perf, Fault: opts.Fault})
+	if err != nil {
+		return nil, err
 	}
-	if workers > 1 {
-		net.par = sim.NewParallelKernel(workers)
-		net.engine = net.par
-	} else {
-		net.engine = sim.NewKernel()
-	}
-	net.throttleCycles = net.probe.Registry().Counter("gsf.throttle.cycles")
+	net := &Network{Harness: h, cfg: cfg, mesh: mesh, frameCount: make(map[int]int)}
+	net.throttleCycles = opts.Probe.Registry().Counter("gsf.throttle.cycles")
 	for i := 0; i < mesh.N(); i++ {
-		net.nodes = append(net.nodes, newNode(topo.NodeID(i), cfg, net))
-		net.injectors = append(net.injectors, traffic.NewInjector(pattern, topo.NodeID(i), opts.Seed))
-	}
-	if opts.Fault != nil {
-		if !opts.Fault.Adversarial() {
-			return nil, fmt.Errorf("gsf: fault plan %q uses link-level faults; GSF supports adversary events only", opts.Fault)
-		}
-		if err := opts.Fault.Validate(mesh.N(), len(pattern.Flows)); err != nil {
-			return nil, err
-		}
-		net.fault = opts.Fault
-		if opts.Fault.HasAdversary() {
-			plan := opts.Fault
-			scale := func(id flit.FlowID, now uint64) float64 {
-				return plan.RateScale(int(id), now)
-			}
-			for _, in := range net.injectors {
-				in.SetRateScale(scale)
-			}
-		}
+		n := newNode(topo.NodeID(i), cfg, net, h.Slot(i))
+		net.nodes = append(net.nodes, n)
+		net.AddTicker(i, n)
 	}
 	// Install per-flow injection budgets at the sources, rescaled from the
 	// pattern's base frame to GSF's frame size. Best-effort mode carries no
@@ -161,42 +101,26 @@ func New(cfg config.GSF, pattern *traffic.Pattern, opts Options) (*Network, erro
 		src.flows[f.ID] = &flowState{id: f.ID, r: r, ifr: 1, c: r}
 	}
 	net.wire()
+	net.SetLinks("gsf", net.linkFlits)
+	net.OnCommit(perfmon.StageGSFFrame, net.commitFrames)
 	net.registerGauges()
-	net.registerPerfGauges()
+	// The self-profiler's occupancy gauges run in the serial commit, so
+	// reading shared state is safe (registration is a no-op without -perf).
+	opts.Perf.Gauge("gsf.srcq.flits", func() float64 { return float64(net.Backlog()) })
+	opts.Perf.Gauge("gsf.inflight.flits", func() float64 { return float64(net.InFlight()) })
 	net.bindAudit()
-	net.perfT = net.perf.Timer()
-	if workers > 1 {
-		net.perf.SetWorkers(workers)
-	}
-	if net.par != nil {
-		for i, n := range net.nodes {
-			net.par.AddTicker(i, n)
-		}
-		net.par.AddSerial(net.commitCycle)
-		if net.perf != nil {
-			net.par.SetPerf(net.perf.Engine(workers))
-		}
-	} else {
-		net.engine.(*sim.Kernel).Add(net)
-	}
 	return net, nil
 }
 
-// bindAudit registers the GSF-side conformance and invariant hooks. GSF has
-// no reservation tables to shadow, so the auditor only tracks per-packet
-// latency against analysis.DelayBoundGSF plus the head-frame flit census.
+// bindAudit registers the GSF-side invariant check. GSF has no reservation
+// tables to shadow, so beyond the per-packet latency conformance New armed
+// (against analysis.DelayBoundGSF) the auditor only tracks the head-frame
+// flit census.
 func (net *Network) bindAudit() {
-	aud := net.audit
+	aud := net.Audit()
 	if aud == nil {
 		return
 	}
-	aud.BeginGSF(net.cfg, net.mesh, net.pattern.Flows)
-	// Adversarial flows trade their delay-bound check for a throttle
-	// check, exactly as under LOFT (see loft.Network.bindAudit).
-	for _, q := range net.fault.Quarantines() {
-		aud.Quarantine(flit.FlowID(q.Flow), q.Cap)
-	}
-	aud.SetHeatmap(net.Heatmap)
 	aud.RegisterCheck("gsf.frame-count", func() error {
 		for _, frame := range det.Keys(net.frameCount) {
 			c := net.frameCount[frame]
@@ -211,65 +135,24 @@ func (net *Network) bindAudit() {
 	})
 }
 
-// registerGauges publishes per-link utilization (per-cycle flit rate) and
-// source-queue backlog gauges to the probe registry. The heatmap reads the
-// same counters, so `loftsim -heatmap` works for GSF exactly as for LOFT.
+// registerGauges publishes the source-queue backlog gauges next to the
+// harness's link rates. No-op when probing is disabled.
 func (net *Network) registerGauges() {
-	reg := net.probe.Registry()
+	reg := net.Probe().Registry()
 	if reg == nil {
 		return
 	}
 	for _, n := range net.nodes {
-		n := n
-		for d := topo.North; d < topo.Local; d++ {
-			d := d
-			if n.flitOut[d] == nil {
-				continue
-			}
-			reg.Rate(fmt.Sprintf("gsf.link.n%d.%s", n.id, d), func() float64 {
-				return float64(n.linkBusy[d])
-			})
-		}
 		reg.Gauge(fmt.Sprintf("gsf.srcq.n%d", n.id), func() float64 {
 			return float64(n.srcQueue.Len())
 		})
 	}
 }
 
-// registerPerfGauges publishes the self-profiler's occupancy gauges:
-// aggregate source-queue backlog and in-network flit census. Gauges run on
-// the coordinator, so reading shared state is safe. No-op when profiling is
-// off.
-func (net *Network) registerPerfGauges() {
-	if net.perf == nil {
-		return
-	}
-	net.perf.Gauge("gsf.srcq.flits", func() float64 {
-		total := 0
-		for _, n := range net.nodes {
-			total += n.srcQueue.Len()
-		}
-		return float64(total)
-	})
-	net.perf.Gauge("gsf.inflight.flits", func() float64 {
-		total := 0
-		for _, c := range net.frameCount {
-			total += c
-		}
-		return float64(total)
-	})
-}
-
+// wire creates the link registers between neighbors. Each register's
+// updater lives on the shard of the node that Writes it, so the update
+// phase touches only shard-local registers.
 func (net *Network) wire() {
-	// Each register's updater lives on the shard of the node that Writes it,
-	// so the commit phase touches only shard-local registers.
-	addUpdater := func(owner int, u sim.Updater) {
-		if net.par != nil {
-			net.par.AddUpdater(owner, u)
-		} else {
-			net.engine.(*sim.Kernel).AddUpdater(u)
-		}
-	}
 	for _, n := range net.nodes {
 		for d := topo.North; d < topo.Local; d++ {
 			nb, ok := net.mesh.Neighbor(n.id, d)
@@ -277,66 +160,37 @@ func (net *Network) wire() {
 				continue
 			}
 			fo := sim.NewReg[linkMsg](fmt.Sprintf("gsf.flit %d->%d", n.id, nb))
-			addUpdater(int(n.id), fo)
+			net.AddUpdater(int(n.id), fo)
 			n.flitOut[d] = fo
 			peer := net.nodes[nb]
 			opp := d.Opposite()
 			peer.flitIn[opp] = fo
 			co := sim.NewReg[creditMsg](fmt.Sprintf("gsf.cred %d->%d", nb, n.id))
-			addUpdater(int(nb), co)
+			net.AddUpdater(int(nb), co)
 			peer.credOut[opp] = co
 			n.credIn[d] = co
 		}
 	}
 }
 
-// Tick advances every node and the barrier controller (sim.Ticker, used by
-// the sequential kernel; the parallel engine ticks nodes directly and runs
-// commitCycle as its serial barrier hook). Nodes stage their global-state
-// effects even here, so the sequential cycle runs the same
-// compute-then-commit sequence as the parallel engine.
-//
-//loft:hotpath
-func (net *Network) Tick(now uint64) {
-	for _, n := range net.nodes {
-		n.Tick(now)
-	}
-	net.commitCycle(now)
-}
-
-// commitCycle is the serial commit half of a cycle (the parallel engine's
-// AddSerial hook, and the tail of the sequential Tick): it replays every
-// node's staged effects in node-id order, then advances the barrier
-// controller and the per-cycle observers.
+// commitFrames is the harness's per-cycle commit hook: it applies every
+// node's staged frame-census and throttle deltas, then advances the barrier
+// controller. Both are sums, so node order does not matter here.
 //
 //loft:hotpath
 //loft:commitphase
-func (net *Network) commitCycle(now uint64) {
-	if net.perfT != nil {
-		net.perfT.Begin(now)
-	}
+func (net *Network) commitFrames(now uint64) {
 	for _, n := range net.nodes {
-		n.flushStaged()
-	}
-	if net.perfT != nil {
-		net.perfT.Lap(perfmon.StageCommit)
+		for _, fd := range n.frameDeltas {
+			net.frameCount[fd.frame] += fd.delta
+		}
+		n.frameDeltas = n.frameDeltas[:0]
+		if n.throttleStaged > 0 {
+			net.throttleCycles.Add(n.throttleStaged)
+			n.throttleStaged = 0
+		}
 	}
 	net.tickBarrier(now)
-	if net.perfT != nil {
-		net.perfT.Lap(perfmon.StageGSFFrame)
-	}
-	if net.probe != nil {
-		net.probe.MaybeSample(now)
-	}
-	if net.audit != nil {
-		net.audit.OnCycle(now)
-	}
-	if net.perfT != nil {
-		net.perfT.Lap(perfmon.StageCommit)
-	}
-	if net.perf != nil {
-		net.perf.OnCycle(now)
-	}
 }
 
 // tickBarrier models the global barrier network: once no head-frame flit
@@ -351,8 +205,8 @@ func (net *Network) tickBarrier(now uint64) {
 		if net.barrier == 0 {
 			delete(net.frameCount, net.head)
 			net.head++
-			if net.probe != nil {
-				net.probe.Emit(now, probe.KindGSFFrameRoll, -1, -1, -1, uint64(net.head))
+			if pr := net.Probe(); pr != nil {
+				pr.Emit(now, probe.KindGSFFrameRoll, -1, -1, -1, uint64(net.head))
 			}
 		}
 		return
@@ -361,34 +215,6 @@ func (net *Network) tickBarrier(now uint64) {
 		net.barrier = net.cfg.BarrierDelay
 	}
 }
-
-// Run advances the simulation n cycles.
-func (net *Network) Run(n uint64) {
-	net.engine.Run(n)
-	net.thr.Close(net.engine.Now())
-}
-
-// Now returns the current cycle.
-func (net *Network) Now() uint64 { return net.engine.Now() }
-
-// Workers returns the configured worker count (1 = sequential engine).
-func (net *Network) Workers() int { return net.workers }
-
-// Close releases the cycle engine's worker pool. Safe to call for the
-// sequential engine too; the network must not be Run after Close.
-func (net *Network) Close() { net.engine.Close() }
-
-// Latency returns the total packet latency collector.
-func (net *Network) Latency() *stats.Latency { return net.lat }
-
-// NetLatency returns the network latency collector (injection to delivery).
-func (net *Network) NetLatency() *stats.Latency { return net.latNet }
-
-// FlowLatency returns the per-flow latency collector.
-func (net *Network) FlowLatency() *stats.FlowLatency { return net.latFlow }
-
-// Throughput returns the ejection throughput collector.
-func (net *Network) Throughput() *stats.Throughput { return net.thr }
 
 // Head returns the current head frame (diagnostics).
 func (net *Network) Head() int { return net.head }
@@ -420,34 +246,11 @@ func (net *Network) InFlight() int {
 	return total
 }
 
-// Probe returns the attached probe (nil when observability is disabled).
-func (net *Network) Probe() *probe.Probe { return net.probe }
-
-// Audit returns the attached auditor (nil when -audit is off).
-func (net *Network) Audit() *audit.Auditor { return net.audit }
-
-// LinkUtilization returns, for every live mesh output link, the fraction of
-// cycles it carried a flit over the run so far (links move at most one flit
-// per cycle).
-func (net *Network) LinkUtilization() map[topo.Link]float64 {
-	cycles := float64(net.engine.Now())
-	if cycles == 0 {
-		return nil
+// linkFlits reads one mesh output link's traffic counter for the harness's
+// utilization map and heatmap (links move at most one flit per cycle).
+func (net *Network) linkFlits(l topo.Link) (uint64, bool) {
+	if n := net.nodes[l.From]; l.D < topo.Local && n.flitOut[l.D] != nil {
+		return n.linkBusy[l.D], true
 	}
-	out := make(map[topo.Link]float64)
-	for _, n := range net.nodes {
-		for d := topo.North; d < topo.Local; d++ {
-			if n.flitOut[d] == nil {
-				continue
-			}
-			out[topo.Link{From: n.id, D: d}] = float64(n.linkBusy[d]) / cycles
-		}
-	}
-	return out
-}
-
-// Heatmap renders per-node link utilization as an ASCII grid (see
-// topo.RenderHeatmap).
-func (net *Network) Heatmap() string {
-	return topo.RenderHeatmap(net.mesh, net.LinkUtilization())
+	return 0, false
 }

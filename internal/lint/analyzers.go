@@ -45,11 +45,11 @@ var simulationPackages = []string{
 	"loft/internal/lsf",
 	"loft/internal/loft",
 	"loft/internal/gsf",
+	"loft/internal/netsim",
 	"loft/internal/sim",
 	"loft/internal/sweep",
 	"loft/internal/exp",
 	"loft/internal/traffic",
-	"loft/internal/tdm",
 	"loft/internal/core",
 }
 

@@ -19,9 +19,10 @@
 //   - lockdiscipline: struct fields annotated //loft:guardedby <mutex> may
 //     only be accessed while that mutex is held.
 //   - stagepurity: functions reachable from a parallel compute-phase entry
-//     point (//loft:computephase, or registered via ParallelKernel.AddTicker/
-//     AddUpdater) must not call serial-only sinks or write //loft:commitonly
-//     fields — all order-sensitive effects go through the staging buffers.
+//     point (//loft:computephase, or registered via AddTicker/AddUpdater on
+//     an engine or the netsim harness) must not call serial-only sinks or
+//     write //loft:commitonly fields — all order-sensitive effects go through
+//     the staging buffers.
 //   - allocbound: the compiler's own escape analysis (go build -gcflags=-m)
 //     must report no heap allocation inside the //loft:hotpath closure.
 //

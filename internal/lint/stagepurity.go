@@ -10,10 +10,10 @@ import (
 // contract structurally: code running inside the parallel compute phase must
 // not touch shared, order-sensitive state directly. The compute-phase entry
 // points are functions annotated //loft:computephase plus every concrete
-// Tick/Update method registered through sim.ParallelKernel.AddTicker/
-// AddUpdater; the analyzer closes over the static per-package call graph
-// from those seeds (a //loft:commitphase marker stops propagation — that is
-// the sanctioned serial side) and rejects, inside the closure:
+// Tick/Update method registered through AddTicker/AddUpdater on a sim engine
+// or on the netsim harness; the analyzer closes over the static per-package
+// call graph from those seeds (a //loft:commitphase marker stops propagation
+// — that is the sanctioned serial side) and rejects, inside the closure:
 //
 //   - calls to serial-only sinks: probe.Probe.Emit/EmitSeq/MaybeSample,
 //     probe.Stage.FlushStage, probe.Tracer.Emit, probe.Registry.Sample,
@@ -78,10 +78,10 @@ func stagepurityRun(pass *Pass) {
 			}
 		}
 	}
-	// Auto-seeding: anything this package registers on the parallel kernel
-	// runs in the compute phase whether or not its author remembered the
-	// annotation. AddTicker also registers the component's Update method when
-	// it has one (the kernel does the same type assertion).
+	// Auto-seeding: anything this package registers on an engine runs in the
+	// compute phase whether or not its author remembered the annotation.
+	// AddTicker also registers the component's Update method when it has one
+	// (the kernels do the same type assertion).
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -104,9 +104,11 @@ func stagepurityRun(pass *Pass) {
 	}
 }
 
-// parallelRegistration resolves a (*sim.ParallelKernel).AddTicker/AddUpdater
-// call to the concrete phase methods it registers, looked up on the static
-// type of the component argument.
+// parallelRegistration resolves an engine registration — AddTicker/AddUpdater
+// on either sim kernel, on the sim.Engine interface, or on the netsim.Harness
+// every network registers through (directly, or promoted through the
+// Network that embeds it) — to the concrete phase methods it registers,
+// looked up on the static type of the component argument.
 func parallelRegistration(pass *Pass, call *ast.CallExpr) []*types.Func {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || len(call.Args) < 2 {
@@ -116,8 +118,20 @@ func parallelRegistration(pass *Pass, call *ast.CallExpr) []*types.Func {
 	if !isMethod || selection.Kind() != types.MethodVal {
 		return nil
 	}
-	pkgPath, typeName, named := namedRecv(selection.Recv())
-	if !named || !strings.HasSuffix(pkgPath, "internal/sim") || typeName != "ParallelKernel" {
+	// The method's own receiver, not the selector operand's type: a promoted
+	// Harness method is selected on the embedding Network.
+	sig, _ := selection.Obj().Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return nil
+	}
+	pkgPath, typeName, named := namedRecv(sig.Recv().Type())
+	if !named {
+		return nil
+	}
+	switch {
+	case strings.HasSuffix(pkgPath, "internal/sim") && (typeName == "ParallelKernel" || typeName == "Kernel" || typeName == "Engine"):
+	case strings.HasSuffix(pkgPath, "internal/netsim") && typeName == "Harness":
+	default:
 		return nil
 	}
 	var methods []string

@@ -1,13 +1,14 @@
 // Package a is the stagepurity true-positive corpus: serial-only sinks and
 // //loft:commitonly writes reachable from parallel compute-phase entry
 // points, both annotated (//loft:computephase) and auto-seeded
-// (ParallelKernel.AddTicker).
+// (ParallelKernel.AddTicker, netsim.Harness.AddTicker).
 package a
 
 import (
 	"math/rand"
 
 	"loft/internal/audit"
+	"loft/internal/netsim"
 	"loft/internal/perfmon"
 	"loft/internal/probe"
 	"loft/internal/sim"
@@ -109,4 +110,22 @@ func (c *comp) Update(now uint64) {
 
 func wire(k *sim.ParallelKernel, c *comp) {
 	k.AddTicker(0, c)
+}
+
+// slotted is seeded through the network harness, the way every real network
+// registers its nodes: AddTicker is promoted from the embedded Harness.
+type slotted struct {
+	thr *stats.Throughput
+}
+
+func (c *slotted) Tick(now uint64) {
+	c.thr.ObserveN(0, 0, 1, now) // want `serial-only sink stats\.Throughput\.ObserveN called in the parallel compute phase \(reachable from compute-phase entry Tick\)`
+}
+
+type meshNet struct {
+	*netsim.Harness
+}
+
+func wireHarness(net *meshNet, c *slotted) {
+	net.AddTicker(0, c)
 }

@@ -163,8 +163,8 @@ func TestPaperConfigRuns(t *testing.T) {
 // verification of the incremental LSF bookkeeping (the O(1) last-zero
 // tracking against a full scan) enabled on every table.
 func TestVerifiedBookkeeping(t *testing.T) {
-	EnableVerify()
-	defer DisableVerify()
+	verifyLSF = true
+	defer func() { verifyLSF = false }()
 	cfg := smallCfg(8)
 	mesh := cfg.Mesh()
 	hot := topo.NodeID(mesh.N() - 1)

@@ -3,76 +3,33 @@ package loft
 import (
 	"fmt"
 
-	"loft/internal/audit"
 	"loft/internal/config"
 	"loft/internal/det"
 	"loft/internal/fault"
 	"loft/internal/flit"
 	"loft/internal/lsf"
+	"loft/internal/netsim"
 	"loft/internal/perfmon"
-	"loft/internal/probe"
 	"loft/internal/sim"
-	"loft/internal/stats"
 	"loft/internal/topo"
 	"loft/internal/traffic"
 )
 
-// Network is a complete LOFT mesh driving a traffic pattern.
+// Network is a complete LOFT mesh driving a traffic pattern. The engine,
+// the statistics collectors and the observers are the embedded harness's;
+// this type adds the LOFT nodes, their wiring and their reservations.
 type Network struct {
+	*netsim.Harness
 	cfg     config.LOFT
 	mesh    topo.Mesh
 	pattern *traffic.Pattern
 	nodes   []*Node
-	engine  sim.Engine
-	// par is the engine's parallel form (nil when sequential); workers is
-	// the resolved worker count (>= 1).
-	par     *sim.ParallelKernel
-	workers int
-	probe   *probe.Probe
-	audit   *audit.Auditor
-	// perf is the attached self-profiler (nil = off); perfT is the
-	// network-owned stage timer for serial-commit work.
-	perf  *perfmon.Monitor
-	perfT *perfmon.Timer
-	// fault is the armed fault plan (nil = clean run).
-	fault *fault.Plan
-
-	lat     *stats.Latency // total latency (generation → delivery)
-	latNet  *stats.Latency // network latency (injection → delivery)
-	latFlow *stats.FlowLatency
-	thr     *stats.Throughput
 }
 
-// Options tune a simulation run.
-type Options struct {
-	// Seed drives every traffic injector deterministically.
-	Seed uint64
-	// Warmup is the cycle before which packets are excluded from stats.
-	Warmup uint64
-	// Probe enables the observability layer when non-nil: event tracing at
-	// every scheduler and switch, plus periodic gauge sampling. Probing
-	// never changes simulation results.
-	Probe *probe.Probe
-	// Audit enables the runtime QoS auditor when non-nil: a per-packet
-	// flight recorder with delay-bound conformance checking plus scheduler
-	// invariant taps on every reservation table. Auditing never changes
-	// simulation results.
-	Audit *audit.Auditor
-	// Workers selects the cycle engine: 0 or 1 runs the sequential kernel,
-	// N > 1 shards node stepping across N workers (sim.ParallelKernel).
-	// Results are byte-identical either way; see DESIGN.md §13.
-	Workers int
-	// Perf enables the self-profiler when non-nil: per-stage wall-time
-	// attribution on every node, engine phase telemetry under the parallel
-	// kernel, and occupancy gauges. Profiling never changes simulation
-	// results; see DESIGN.md §14.
-	Perf *perfmon.Monitor
-	// Fault arms a deterministic fault-injection plan when non-nil: timed
-	// link-down windows, flit loss, credit stalls, router stalls and
-	// adversarial flows. Faulted runs stay byte-reproducible for a given
-	// (plan, seed) under any worker count; see DESIGN.md §16.
-	Fault *fault.Plan
-}
+// Options tune a simulation run. LOFT models every fault kind of a plan:
+// timed link-down windows, flit loss, credit stalls, router stalls and
+// adversarial flows.
+type Options = netsim.Options
 
 // New builds a LOFT network for the given configuration and traffic
 // pattern, installing the pattern's per-link flow reservations on every
@@ -85,82 +42,37 @@ func New(cfg config.LOFT, pattern *traffic.Pattern, opts Options) (*Network, err
 		return nil, err
 	}
 	mesh := cfg.Mesh()
-	if pattern.Mesh.K != mesh.K {
-		return nil, fmt.Errorf("loft: pattern mesh %d does not match config mesh %d", pattern.Mesh.K, mesh.K)
+	opts.Audit.BeginLOFT(cfg, mesh, pattern.Flows)
+	h, err := netsim.New(mesh, pattern, opts)
+	if err != nil {
+		return nil, err
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	net := &Network{
-		cfg:     cfg,
-		mesh:    mesh,
-		pattern: pattern,
-		workers: workers,
-		probe:   opts.Probe,
-		audit:   opts.Audit,
-		perf:    opts.Perf,
-		lat:     stats.NewLatencySeeded(opts.Warmup, opts.Seed),
-		latNet:  stats.NewLatencySeeded(opts.Warmup, opts.Seed),
-		latFlow: stats.NewFlowLatency(opts.Warmup),
-		thr:     stats.NewThroughput(opts.Warmup),
-	}
-	if workers > 1 {
-		net.par = sim.NewParallelKernel(workers)
-		net.engine = net.par
-	} else {
-		net.engine = sim.NewKernel()
-	}
+	net := &Network{Harness: h, cfg: cfg, mesh: mesh, pattern: pattern}
 	for i := 0; i < mesh.N(); i++ {
-		net.nodes = append(net.nodes, newNode(topo.NodeID(i), cfg, mesh, net))
+		n := newNode(topo.NodeID(i), cfg, mesh, h.Slot(i))
+		net.nodes = append(net.nodes, n)
+		net.AddTicker(i, n)
 	}
 	net.wire()
 	if err := net.installReservations(); err != nil {
 		return nil, err
 	}
-	for i, n := range net.nodes {
-		n.ni.setInjector(traffic.NewInjector(pattern, topo.NodeID(i), opts.Seed))
-	}
-	if err := net.armFault(opts.Fault, opts.Seed); err != nil {
-		return nil, err
-	}
+	net.armFault(opts.Fault, opts.Seed)
+	net.SetLinks("loft", net.linkFlits)
 	net.registerGauges()
-	net.registerPerfGauges()
+	net.registerPerfGauges(opts.Perf, opts.Fault)
 	net.bindAudit()
-	net.perfT = net.perf.Timer()
-	if workers > 1 {
-		net.perf.SetWorkers(workers)
-	}
-	if net.par != nil {
-		for i, n := range net.nodes {
-			net.par.AddTicker(i, n)
-		}
-		net.par.AddSerial(net.commitCycle)
-		if net.perf != nil {
-			net.par.SetPerf(net.perf.Engine(workers))
-		}
-	} else {
-		net.engine.(*sim.Kernel).Add(net)
-	}
 	return net, nil
 }
 
-// Close releases engine resources (the parallel worker pool). The network
-// stays usable: a later Run restarts the pool transparently.
-func (net *Network) Close() { net.engine.Close() }
-
-// armFault validates and compiles the fault plan: each node gets its own
-// runtime (nil when untargeted, preserving the clean fast path), adversary
-// events hook every injector's rate scale, and quarantines bind later in
-// bindAudit. No-op when no plan is given.
-func (net *Network) armFault(plan *fault.Plan, seed uint64) error {
+// armFault compiles the plan's link-level faults: each node gets its own
+// runtime (nil when untargeted, preserving the clean fast path). The
+// harness has already validated the plan and armed its adversaries. No-op
+// when no plan is given.
+func (net *Network) armFault(plan *fault.Plan, seed uint64) {
 	if plan == nil {
-		return nil
+		return
 	}
-	if err := plan.Validate(net.mesh.N(), len(net.pattern.Flows)); err != nil {
-		return err
-	}
-	net.fault = plan
 	srcFlows := make([][]int, net.mesh.N())
 	for _, f := range net.pattern.Flows {
 		srcFlows[f.Src] = append(srcFlows[f.Src], int(f.ID))
@@ -168,34 +80,17 @@ func (net *Network) armFault(plan *fault.Plan, seed uint64) error {
 	for i, n := range net.nodes {
 		n.fault = plan.Node(i, srcFlows[i], seed)
 	}
-	if plan.HasAdversary() {
-		scale := func(id flit.FlowID, now uint64) float64 {
-			return plan.RateScale(int(id), now)
-		}
-		for _, n := range net.nodes {
-			n.ni.injector.SetRateScale(scale)
-		}
-	}
-	return nil
 }
 
-// bindAudit arms the runtime QoS auditor for this run: per-flow delay
-// bounds from the pattern, invariant taps on every reservation table
+// bindAudit adds LOFT's own checks to the auditor New armed with the
+// pattern's per-flow delay bounds: invariant taps on every reservation table
 // (injection, mesh output and ejection links), the cross-layer quantum
-// conservation check, input-buffer occupancy bounds, and the live heatmap.
-// No-op when auditing is disabled.
+// conservation check and input-buffer occupancy bounds. No-op when auditing
+// is disabled.
 func (net *Network) bindAudit() {
-	aud := net.audit
+	aud := net.Audit()
 	if aud == nil {
 		return
-	}
-	aud.BeginLOFT(net.cfg, net.mesh, net.pattern.Flows)
-	// Quarantine the plan's adversarial flows: their delay-bound check is
-	// meaningless (they exceed their reservation on purpose), so the
-	// auditor instead asserts they are throttled to their cap — and every
-	// victim flow keeps its full per-packet bound conformance.
-	for _, q := range net.fault.Quarantines() {
-		aud.Quarantine(flit.FlowID(q.Flow), q.Cap)
 	}
 	for _, n := range net.nodes {
 		// Watch through the node's hook so tap violations stage with the
@@ -209,7 +104,6 @@ func (net *Network) bindAudit() {
 			n.audit.WatchTable(n.injTable, n.injTable.Name())
 		}
 	}
-	aud.SetHeatmap(net.Heatmap)
 	// The flight recorder's quantum ledger must agree with the nodes' own
 	// counters: every booked quantum was counted by an NI and every ejected
 	// quantum by a sink, with nothing lost or duplicated in between.
@@ -242,25 +136,18 @@ func (net *Network) bindAudit() {
 	})
 }
 
-// registerGauges publishes the sampled time series of the probe layer:
-// per-link utilization (per-cycle rate of flits forwarded), per-VC
-// look-ahead buffer occupancy, data input-buffer occupancy, and the fill of
-// every framed output reservation table. No-op when probing is disabled.
+// registerGauges publishes LOFT's sampled time series next to the harness's
+// link rates: per-VC look-ahead buffer occupancy, data input-buffer
+// occupancy, and the fill of every framed output reservation table. No-op
+// when probing is disabled.
 func (net *Network) registerGauges() {
-	reg := net.probe.Registry()
+	reg := net.Probe().Registry()
 	if reg == nil {
 		return
 	}
-	q := float64(net.cfg.QuantumFlits)
 	for _, n := range net.nodes {
-		n := n
 		for d := topo.North; d < topo.NumDirs; d++ {
-			d := d
-			if n.outTables[d] != nil {
-				reg.Rate(fmt.Sprintf("loft.link.n%d.%s", n.id, d), func() float64 {
-					return float64(n.linkBusy[d]) * q
-				})
-				t := n.outTables[d]
+			if t := n.outTables[d]; t != nil {
 				reg.Gauge(fmt.Sprintf("loft.table.n%d.%s", n.id, d), t.Occupancy)
 			}
 			ip := n.inputs[d]
@@ -268,7 +155,6 @@ func (net *Network) registerGauges() {
 				return float64(ip.nonspecUsed + ip.specUsed)
 			})
 			for v, vc := range n.la.vcs[d] {
-				vc := vc
 				reg.Gauge(fmt.Sprintf("loft.lavc.n%d.%s.vc%d", n.id, d, v), func() float64 {
 					return float64(vc.Len())
 				})
@@ -280,25 +166,16 @@ func (net *Network) registerGauges() {
 
 // registerPerfGauges publishes the self-profiler's occupancy gauges:
 // aggregate NI backlog and mean reservation-table fill. They poll shared
-// node state, which is safe because gauges run on the coordinator (the
-// serial hook under the parallel engine). No-op when profiling is off.
-func (net *Network) registerPerfGauges() {
-	if net.perf == nil {
-		return
-	}
-	net.perf.Gauge("loft.ni.backlog", func() float64 {
-		total := 0
-		for _, n := range net.nodes {
-			total += n.ni.backlog()
-		}
-		return float64(total)
-	})
-	if net.fault != nil {
-		net.perf.Gauge("loft.fault.active", func() float64 {
-			return float64(net.fault.ActiveAt(net.engine.Now()))
+// node state, which is safe because gauges run in the serial commit
+// (registration is a no-op when profiling is off).
+func (net *Network) registerPerfGauges(perf *perfmon.Monitor, plan *fault.Plan) {
+	perf.Gauge("loft.ni.backlog", func() float64 { return float64(net.Backlog()) })
+	if plan != nil {
+		perf.Gauge("loft.fault.active", func() float64 {
+			return float64(plan.ActiveAt(net.Now()))
 		})
 	}
-	net.perf.Gauge("loft.table.occupancy", func() float64 {
+	perf.Gauge("loft.table.occupancy", func() float64 {
 		var sum float64
 		var k int
 		for _, n := range net.nodes {
@@ -316,18 +193,11 @@ func (net *Network) registerPerfGauges() {
 }
 
 // wire creates the link registers between neighbors and registers every
-// register with the engine's update phase. Under the parallel engine a
-// register goes to the shard of the node that created it — any partition is
-// correct (barriers separate the phases), this one just balances load.
+// register with the engine's update phase, on the shard of the node that
+// created it.
 func (net *Network) wire() {
 	for i, n := range net.nodes {
-		reg := func(u sim.Updater) {
-			if net.par != nil {
-				net.par.AddUpdater(i, u)
-			} else {
-				net.engine.(*sim.Kernel).AddUpdater(u)
-			}
-		}
+		reg := func(u sim.Updater) { net.AddUpdater(i, u) }
 		reg(n.niData)
 		for d := topo.North; d < topo.Local; d++ {
 			nb, ok := net.mesh.Neighbor(n.id, d)
@@ -372,25 +242,13 @@ func (net *Network) wire() {
 func (net *Network) installReservations() error {
 	linkFlows := net.pattern.LinkFlows()
 	for _, link := range det.KeysFunc(linkFlows, topo.Link.Less) {
-		flows := linkFlows[link]
-		if link.D == topo.NumDirs { // injection link
-			table := net.nodes[link.From].injTable
-			for _, id := range flows {
-				r := net.pattern.Flow(id).Reservation / net.cfg.QuantumFlits
-				if r < 1 {
-					r = 1
-				}
-				if err := table.AddFlow(id, r); err != nil {
-					return err
-				}
+		table := net.nodes[link.From].injTable
+		if link.D != topo.NumDirs { // not the injection link
+			if table = net.nodes[link.From].outTables[link.D]; table == nil {
+				return fmt.Errorf("loft: pattern uses nonexistent link %s", link)
 			}
-			continue
 		}
-		table := net.nodes[link.From].outTables[link.D]
-		if table == nil {
-			return fmt.Errorf("loft: pattern uses nonexistent link %s", link)
-		}
-		for _, id := range flows {
+		for _, id := range linkFlows[link] {
 			r := net.pattern.Flow(id).Reservation / net.cfg.QuantumFlits
 			if r < 1 {
 				r = 1
@@ -402,94 +260,6 @@ func (net *Network) installReservations() error {
 	}
 	return nil
 }
-
-// Tick advances every node one cycle (sim.Ticker; sequential engine only —
-// the parallel engine registers nodes individually and runs commitCycle at
-// the barrier instead). Nodes stage their shared-state effects even here,
-// so the sequential cycle is the same compute-then-commit sequence the
-// parallel engine runs — one code path, one emission order.
-//
-//loft:hotpath
-func (net *Network) Tick(now uint64) {
-	for _, n := range net.nodes {
-		n.Tick(now)
-	}
-	net.commitCycle(now)
-}
-
-// commitCycle is the serial commit half of a cycle (the parallel engine's
-// AddSerial hook, and the tail of the sequential Tick): replay every node's
-// staged shared-state effects in node-id order, then run the per-cycle
-// observability work.
-//
-//loft:hotpath
-//loft:commitphase
-func (net *Network) commitCycle(now uint64) {
-	if net.perfT != nil {
-		net.perfT.Begin(now)
-	}
-	for _, n := range net.nodes {
-		n.flushStaged()
-	}
-	if net.probe != nil {
-		net.probe.MaybeSample(now)
-	}
-	if net.audit != nil {
-		net.audit.OnCycle(now)
-	}
-	if net.perfT != nil {
-		net.perfT.Lap(perfmon.StageCommit)
-	}
-	if net.perf != nil {
-		net.perf.OnCycle(now)
-	}
-}
-
-// Probe returns the attached probe (nil when observability is disabled).
-func (net *Network) Probe() *probe.Probe { return net.probe }
-
-// Audit returns the attached auditor (nil when auditing is disabled).
-func (net *Network) Audit() *audit.Auditor { return net.audit }
-
-// Run advances the simulation n cycles.
-func (net *Network) Run(n uint64) {
-	net.engine.Run(n)
-	net.thr.Close(net.engine.Now())
-}
-
-// Now returns the current cycle.
-func (net *Network) Now() uint64 { return net.engine.Now() }
-
-// Workers returns the resolved worker count (1 = sequential engine).
-func (net *Network) Workers() int { return net.workers }
-
-// observeFlits records throughput at ejection. A quantum ejects as a unit,
-// so the whole flit count lands in one ObserveN call.
-func (net *Network) observeFlits(q Quantum, now uint64) {
-	net.thr.ObserveN(q.ID.Flow, int(q.Src), q.Flits, now)
-}
-
-// observePacket records a completed packet's total and network latencies.
-func (net *Network) observePacket(q Quantum, injected, done uint64) {
-	net.lat.Observe(q.Created, done)
-	net.latFlow.Observe(q.ID.Flow, q.Created, done)
-	if q.Created >= net.latNet.Warmup() {
-		net.latNet.Observe(injected, done)
-	}
-}
-
-// Latency returns the total packet latency collector (generation to
-// delivery, including source queueing).
-func (net *Network) Latency() *stats.Latency { return net.lat }
-
-// NetLatency returns the network latency collector (injection to delivery).
-func (net *Network) NetLatency() *stats.Latency { return net.latNet }
-
-// FlowLatency returns the per-flow latency collector.
-func (net *Network) FlowLatency() *stats.FlowLatency { return net.latFlow }
-
-// Throughput returns the ejection throughput collector.
-func (net *Network) Throughput() *stats.Throughput { return net.thr }
 
 // Node returns node i (tests and diagnostics).
 func (net *Network) Node(i topo.NodeID) *Node { return net.nodes[i] }
@@ -525,16 +295,8 @@ func (net *Network) Backlog() int {
 
 // ResetCount sums local status resets across all tables (diagnostics).
 func (net *Network) ResetCount() uint64 {
-	var total uint64
-	for _, n := range net.nodes {
-		total += n.injTable.Stats().Resets
-		for d := topo.North; d < topo.NumDirs; d++ {
-			if n.outTables[d] != nil {
-				total += n.outTables[d].Stats().Resets
-			}
-		}
-	}
-	return total
+	out, inj := net.SchedulerTotals()
+	return out.Resets + inj.Resets
 }
 
 // SchedulerTotals aggregates lsf.Stats over all output tables plus all
@@ -559,35 +321,12 @@ func (net *Network) SchedulerTotals() (out, inj lsf.Stats) {
 	return out, inj
 }
 
-// EnableVerify turns on per-slot verification of incremental LSF
-// bookkeeping for all networks in this process (debug/test hook).
-func EnableVerify() { verifyLSF = true }
-
-// DisableVerify turns per-slot verification back off.
-func DisableVerify() { verifyLSF = false }
-
-// LinkUtilization returns, for every live output link (including ejection
-// links), the fraction of cycles it carried data over the run so far.
-func (net *Network) LinkUtilization() map[topo.Link]float64 {
-	cycles := float64(net.engine.Now())
-	if cycles == 0 {
-		return nil
+// linkFlits reads one output link's traffic counter for the harness's
+// utilization map and heatmap. LOFT models the ejection links too.
+func (net *Network) linkFlits(l topo.Link) (uint64, bool) {
+	n := net.nodes[l.From]
+	if n.outTables[l.D] == nil {
+		return 0, false
 	}
-	q := float64(net.cfg.QuantumFlits)
-	out := make(map[topo.Link]float64)
-	for _, n := range net.nodes {
-		for d := topo.North; d < topo.NumDirs; d++ {
-			if n.outTables[d] == nil {
-				continue
-			}
-			out[topo.Link{From: n.id, D: d}] = float64(n.linkBusy[d]) * q / cycles
-		}
-	}
-	return out
-}
-
-// Heatmap renders per-node link utilization as an ASCII grid (see
-// topo.RenderHeatmap).
-func (net *Network) Heatmap() string {
-	return topo.RenderHeatmap(net.mesh, net.LinkUtilization())
+	return n.linkBusy[l.D] * uint64(net.cfg.QuantumFlits), true
 }

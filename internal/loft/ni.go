@@ -44,12 +44,11 @@ type netIface struct {
 	rr       int
 }
 
-func (ni *netIface) init(n *Node) {
+func (ni *netIface) init(n *Node, injector *traffic.Injector) {
 	ni.n = n
+	ni.injector = injector
 	ni.byFlow = make(map[flit.FlowID]*flowQ)
 }
-
-func (ni *netIface) setInjector(in *traffic.Injector) { ni.injector = in }
 
 func (ni *netIface) flowQueue(id flit.FlowID) *flowQ {
 	if q, ok := ni.byFlow[id]; ok {
@@ -92,9 +91,6 @@ func (ni *netIface) backlog() int {
 // large source buffers (Table 2), so saturation shows up as drops and a
 // bounded queueing delay rather than an unbounded backlog.
 func (ni *netIface) generate(now uint64) {
-	if ni.injector == nil {
-		return
-	}
 	n := ni.n
 	q := n.cfg.QuantumFlits
 	limit := n.cfg.NIQueueFlits / q
@@ -341,9 +337,7 @@ func (s *sinkState) receive(q Quantum, spec bool, slot, departSlot, now uint64) 
 	// later is exact because increments address absolute slots.
 	s.pendVcred = append(s.pendVcred, departSlot+1)
 	s.applyReturns(now)
-	if n.net != nil {
-		n.observeFlits(q, now)
-	}
+	n.slot.Flits(q.ID.Flow, int(q.Src), q.Flits, now)
 	key := pktKey{flow: q.ID.Flow, seq: q.PktSeq}
 	prog := s.pending[key]
 	if prog.quanta == 0 || q.Injected < prog.injected {
@@ -355,13 +349,11 @@ func (s *sinkState) receive(q Quantum, spec bool, slot, departSlot, now uint64) 
 		return
 	}
 	delete(s.pending, key)
-	if n.net != nil {
-		// The packet completes when its last flit crosses the ejection
-		// link: the end of this slot.
-		done := (slot + 1) * uint64(n.cfg.QuantumFlits)
-		n.observePacket(q, prog.injected, done)
-		if n.audit != nil {
-			n.audit.LOFTPacketDone(q.ID.Flow, q.PktSeq, prog.injected, done)
-		}
+	// The packet completes when its last flit crosses the ejection link:
+	// the end of this slot.
+	done := (slot + 1) * uint64(n.cfg.QuantumFlits)
+	n.slot.Packet(q.ID.Flow, q.Created, prog.injected, done)
+	if n.audit != nil {
+		n.audit.LOFTPacketDone(q.ID.Flow, q.PktSeq, prog.injected, done)
 	}
 }

@@ -2,7 +2,6 @@ package loft
 
 import (
 	"fmt"
-	"sort"
 
 	"loft/internal/audit"
 	"loft/internal/buffers"
@@ -10,6 +9,7 @@ import (
 	"loft/internal/fault"
 	"loft/internal/flit"
 	"loft/internal/lsf"
+	"loft/internal/netsim"
 	"loft/internal/perfmon"
 	"loft/internal/probe"
 	"loft/internal/sim"
@@ -17,7 +17,7 @@ import (
 )
 
 // verifyLSF enables per-slot verification of incremental LSF bookkeeping
-// (set by tests and debug runs; expensive).
+// (set by tests; expensive).
 var verifyLSF = false
 
 // inEntry is one row of an input reservation table (Fig. 5 bottom): the
@@ -178,7 +178,6 @@ type Node struct {
 	id   topo.NodeID
 	cfg  config.LOFT
 	mesh topo.Mesh
-	net  *Network
 
 	// outTables are the framed output reservation tables for the four mesh
 	// outputs plus the ejection link (index topo.Local).
@@ -229,20 +228,15 @@ type Node struct {
 	// linkBusy counts quanta forwarded per output (link utilization).
 	linkBusy [topo.NumDirs]uint64
 
-	// probe is this node's staging view of net.probe (nil when observability
-	// is disabled): compute-phase emissions buffer locally and replay in
-	// node-id order at the cycle barrier, under both engines.
+	// slot is this node's staging slot in the harness: statistics
+	// observations made during the compute phase buffer there and replay in
+	// node-id order at the cycle barrier, under both engines. probe, audit
+	// and perf alias the slot's views of the shared probe and auditor and its
+	// stage timer (each nil when that observer is off).
+	slot  *netsim.Slot
 	probe *probe.Stage
-	// audit is this node's view of net.audit, staging under the parallel
-	// engine (nil when -audit is off).
 	audit *audit.Hook
-	// stagedObs buffers shared-state statistics observations made during the
-	// compute phase; commitCycle replays them via flushStaged.
-	stagedObs []obsRec
-
-	// perf is this node's stage timer (nil when profiling is off). It is
-	// owner-local state, so it stays shard-local under the parallel engine.
-	perf *perfmon.Timer
+	perf  *perfmon.Timer
 
 	// fault is this node's compiled fault-injection runtime (nil when no
 	// plan is armed or the plan does not target this node). All its state
@@ -251,14 +245,6 @@ type Node struct {
 	fault *fault.Node
 
 	stats NodeStats
-}
-
-// obsRec is one deferred statistics observation (see Node.observeFlits and
-// Node.observePacket).
-type obsRec struct {
-	q      Quantum
-	a, b   uint64 // flits: a=now; packet: a=injected, b=done
-	packet bool
 }
 
 // rrState is a rotating priority pointer over input ports. Iterate it as
@@ -271,16 +257,12 @@ func (r *rrState) dir(i int) topo.Dir { return topo.Dir((r.next + i) % int(topo.
 
 func (r *rrState) granted(d topo.Dir) { r.next = (int(d) + 1) % int(topo.NumDirs) }
 
-func newNode(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, net *Network) *Node {
-	// The node (and its tables, which capture n.probe below) always emits
-	// into a private staging view replayed at the cycle barrier: staging
-	// unconditionally keeps the compute phase free of shared-sink calls under
-	// both engines, which is what stagepurity proves. The audit hook still
-	// stages only when sharded — its staged ops are closures, so always-on
-	// staging would allocate on audited sequential runs for no benefit.
-	n := &Node{id: id, cfg: cfg, mesh: mesh, net: net,
-		probe: net.probe.NewStage(), audit: audit.NewHook(net.audit, net.workers > 1),
-		perf: net.perf.Timer()}
+func newNode(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsim.Slot) *Node {
+	// The node (and its tables, which capture n.probe below) only ever emits
+	// into the slot's private views, which the harness replays at the cycle
+	// barrier.
+	n := &Node{id: id, cfg: cfg, mesh: mesh,
+		slot: slot, probe: slot.Probe, audit: slot.Audit, perf: slot.Perf}
 	params := lsf.Params{
 		SlotsPerFrame: cfg.SlotsPerFrame(),
 		Frames:        cfg.FrameWindow,
@@ -321,7 +303,7 @@ func newNode(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, net *Network) *Nod
 		n.pendVcred[d] = n.vcredBuf[d][0]
 	}
 	n.la.init(n)
-	n.ni.init(n)
+	n.ni.init(n, slot.Injector)
 	n.sink.init(n)
 	return n
 }
@@ -795,43 +777,6 @@ func (n *Node) faultDeny(e *inEntry, o topo.Dir, now uint64) {
 	}
 }
 
-// observeFlits records ejection throughput, deferring to the cycle barrier
-// (the stats collectors are shared state the compute phase must not touch).
-func (n *Node) observeFlits(q Quantum, now uint64) {
-	n.stagedObs = append(n.stagedObs, obsRec{q: q, a: now})
-}
-
-// observePacket records a completed packet's latencies, deferring to the
-// cycle barrier.
-func (n *Node) observePacket(q Quantum, injected, done uint64) {
-	n.stagedObs = append(n.stagedObs, obsRec{q: q, a: injected, b: done, packet: true})
-}
-
-// flushStaged replays this node's deferred shared-state effects — stats
-// observations, probe events, audit operations — at the cycle barrier.
-// Replaying nodes in id order reproduces one fixed call sequence regardless
-// of worker count, which is what keeps parallel results byte-identical.
-//
-//loft:hotpath
-//loft:commitphase
-func (n *Node) flushStaged() {
-	for i := range n.stagedObs {
-		r := &n.stagedObs[i]
-		if r.packet {
-			n.net.observePacket(r.q, r.a, r.b)
-		} else {
-			n.net.observeFlits(r.q, r.a)
-		}
-	}
-	n.stagedObs = n.stagedObs[:0]
-	if n.probe != nil {
-		n.probe.FlushStage()
-	}
-	if n.audit != nil {
-		n.audit.Flush()
-	}
-}
-
 // Stats returns the node's counters.
 func (n *Node) Stats() NodeStats { return n.stats }
 
@@ -854,56 +799,3 @@ func (n *Node) ID() topo.NodeID { return n.id }
 
 // Backlog returns the number of quanta waiting in the NI (source backlog).
 func (n *Node) Backlog() int { return n.ni.backlog() }
-
-// Debug dumps scheduler state for diagnostics (used by cmd/perfcheck).
-func (n *Node) Debug() {
-	fmt.Printf("node %d: backlog=%d\n", n.id, n.Backlog())
-	for d := topo.North; d < topo.NumDirs; d++ {
-		if n.outTables[d] == nil {
-			continue
-		}
-		t := n.outTables[d]
-		st := t.Stats()
-		fmt.Printf("  out %s: req=%d sched=%d throttle=%d cond=%d skips=%d resets=%d outstanding=%d busy=%v\n",
-			d, st.Requests, st.Scheduled, st.Throttled, st.CondBlocks, st.FrameSkips, st.Resets, t.Outstanding(), !t.AllIdle())
-	}
-	st := n.injTable.Stats()
-	fmt.Printf("  inj: req=%d sched=%d throttle=%d outstanding=%d\n", st.Requests, st.Scheduled, st.Throttled, n.injTable.Outstanding())
-	for d := topo.North; d < topo.NumDirs; d++ {
-		for v, vc := range n.la.vcs[d] {
-			if vc.Len() > 0 {
-				head, _ := vc.Peek()
-				fmt.Printf("  la in=%s vc=%d len=%d headflow=%d headq=%d ready=%d out=%s arrive=%d\n",
-					d, v, vc.Len(), head.fl.Flow, head.fl.Quantum, head.readyAt, head.outDir, head.fl.DepartPrev)
-			}
-		}
-	}
-	for d := topo.North; d < topo.NumDirs; d++ {
-		var live []*inEntry
-		for _, bucket := range n.inputs[d].ring {
-			live = append(live, bucket...)
-		}
-		sort.Slice(live, func(i, j int) bool {
-			if live[i].q.ID.Flow != live[j].q.ID.Flow {
-				return live[i].q.ID.Flow < live[j].q.ID.Flow
-			}
-			return live[i].q.ID.Seq < live[j].q.ID.Seq
-		})
-		for _, e := range live {
-			fmt.Printf("  entry in=%s flow=%d q=%d arrive=%d booked=%v depart=%d arrived=%v\n",
-				d, e.q.ID.Flow, e.q.ID.Seq, e.arriveSlot, e.booked, e.departSlot, e.arrived)
-		}
-	}
-}
-
-// DebugTable prints one output table's scheduler counters (diagnostics).
-func (n *Node) DebugTable(d topo.Dir) {
-	t := n.outTables[d]
-	if t == nil {
-		fmt.Printf("node %d %s: no table\n", n.id, d)
-		return
-	}
-	s := t.Stats()
-	fmt.Printf("node %2d %s: sched=%6d throttle=%7d cond=%6d skips=%5d resets=%5d outstanding=%3d\n",
-		n.id, d, s.Scheduled, s.Throttled, s.CondBlocks, s.FrameSkips, s.Resets, t.Outstanding())
-}

@@ -1,0 +1,341 @@
+// Package netsim is the network harness every simulated architecture is
+// built on: the cycle engine, the traffic injectors, the four statistics
+// collectors with their warm-up rule, and the probe / audit / perfmon /
+// fault attachments. An architecture supplies nodes (sim.Tickers), the
+// registers wiring them, its reservations and optionally a per-cycle commit
+// hook; its Network embeds *Harness, so Run, Close, the collectors and the
+// latency definitions are the same code for every architecture.
+//
+// Every cycle runs compute → serial commit → register update under both
+// engines. Computing nodes stage shared-state effects into their Slot; the
+// commit replays the slots in node-id order, then runs the architecture's
+// hook, the probe sampler, the auditor and the profiler. That fixed order
+// keeps results byte-identical for any worker count.
+package netsim
+
+import (
+	"fmt"
+
+	"loft/internal/audit"
+	"loft/internal/fault"
+	"loft/internal/flit"
+	"loft/internal/perfmon"
+	"loft/internal/probe"
+	"loft/internal/sim"
+	"loft/internal/stats"
+	"loft/internal/topo"
+	"loft/internal/traffic"
+)
+
+// Options tune a simulation run, whatever the architecture.
+type Options struct {
+	// Seed drives every traffic injector deterministically.
+	Seed uint64
+	// Warmup is the cycle before which packets are excluded from stats.
+	Warmup uint64
+	// Probe enables the observability layer when non-nil: event tracing plus
+	// periodic gauge sampling.
+	Probe *probe.Probe
+	// Audit enables the runtime QoS auditor when non-nil: a per-packet
+	// flight recorder with delay-bound conformance checking plus the
+	// architecture's invariant taps.
+	Audit *audit.Auditor
+	// Workers selects the cycle engine: 0 or 1 runs the sequential kernel,
+	// N > 1 shards node stepping across N workers (sim.ParallelKernel).
+	// Results are byte-identical either way; see DESIGN.md §13.
+	Workers int
+	// Perf enables the self-profiler when non-nil: per-stage wall-time
+	// attribution on every node, engine phase telemetry under the parallel
+	// kernel, and occupancy gauges; see DESIGN.md §14. No observer ever
+	// changes simulation results.
+	Perf *perfmon.Monitor
+	// Fault arms a deterministic fault-injection plan when non-nil. The
+	// harness applies its adversarial flows; link-level faults are the
+	// architecture's to model. Faulted runs stay byte-reproducible for a
+	// given (plan, seed) under any worker count; see DESIGN.md §16.
+	Fault *fault.Plan
+}
+
+// Harness is the architecture-independent part of a simulated network.
+type Harness struct {
+	mesh   topo.Mesh
+	engine sim.Engine
+	probe  *probe.Probe
+	audit  *audit.Auditor
+	perf   *perfmon.Monitor
+	// perfT times the serial commit (nil when profiling is off).
+	perfT *perfmon.Timer
+
+	slots []Slot
+
+	hook      func(now uint64)
+	hookStage perfmon.Stage
+	linkFlits func(topo.Link) (uint64, bool)
+
+	lat     *stats.Latency // total latency (generation → delivery)
+	latNet  *stats.Latency // network latency (injection → delivery)
+	latFlow *stats.FlowLatency
+	thr     *stats.Throughput
+}
+
+// New builds the harness for one run of pattern on mesh: the engine chosen
+// by opts.Workers, one Slot per node, the collectors, and the plan's
+// adversaries armed on the injectors and quarantined in the auditor. The
+// architecture must have made its auditor Begin* call (which registers the
+// run's flows) before.
+func New(mesh topo.Mesh, pattern *traffic.Pattern, opts Options) (*Harness, error) {
+	if pattern.Mesh.K != mesh.K {
+		return nil, fmt.Errorf("netsim: pattern mesh %d does not match config mesh %d", pattern.Mesh.K, mesh.K)
+	}
+	if err := opts.Fault.Validate(mesh.N(), len(pattern.Flows)); err != nil {
+		return nil, err
+	}
+	h := &Harness{
+		mesh:    mesh,
+		probe:   opts.Probe,
+		audit:   opts.Audit,
+		perf:    opts.Perf,
+		lat:     stats.NewLatencySeeded(opts.Warmup, opts.Seed),
+		latNet:  stats.NewLatencySeeded(opts.Warmup, opts.Seed),
+		latFlow: stats.NewFlowLatency(opts.Warmup),
+		thr:     stats.NewThroughput(opts.Warmup),
+	}
+	// The one place an engine is chosen; everything else registers through
+	// sim.Engine.
+	if opts.Workers > 1 {
+		par := sim.NewParallelKernel(opts.Workers)
+		h.perf.SetWorkers(opts.Workers)
+		par.SetPerf(h.perf.Engine(opts.Workers))
+		h.engine = par
+	} else {
+		h.engine = sim.NewKernel()
+	}
+	h.engine.AddSerial(h.commit)
+	h.slots = make([]Slot, mesh.N())
+	for i := range h.slots {
+		// Probe emissions always stage, so the compute phase is free of
+		// shared-sink calls under both engines (what stagepurity proves). The
+		// audit hook stages only when sharded: its staged ops are closures,
+		// which would allocate on audited sequential runs for no benefit.
+		h.slots[i] = Slot{Probe: h.probe.NewStage(), Audit: audit.NewHook(h.audit, opts.Workers > 1), Perf: h.perf.Timer(),
+			Injector: traffic.NewInjector(pattern, topo.NodeID(i), opts.Seed)}
+	}
+	h.perfT = h.perf.Timer()
+	if opts.Fault.HasAdversary() {
+		scale := func(id flit.FlowID, now uint64) float64 {
+			return opts.Fault.RateScale(int(id), now)
+		}
+		for i := range h.slots {
+			h.slots[i].Injector.SetRateScale(scale)
+		}
+	}
+	// Adversarial flows are quarantined: their delay-bound check is
+	// meaningless (they exceed their reservation on purpose), so the auditor
+	// asserts instead that they are throttled to their cap, while every
+	// victim flow keeps its full per-packet bound.
+	for _, q := range opts.Fault.Quarantines() {
+		h.audit.Quarantine(flit.FlowID(q.Flow), q.Cap)
+	}
+	h.audit.SetHeatmap(h.Heatmap)
+	return h, nil
+}
+
+// Slot returns node i's slot.
+func (h *Harness) Slot(i int) *Slot { return &h.slots[i] }
+
+// AddTicker registers node i's compute-phase component; under the parallel
+// engine the node index is also its shard.
+func (h *Harness) AddTicker(i int, t sim.Ticker) { h.engine.AddTicker(i, t) }
+
+// AddUpdater registers a link register with the engine's update phase, on
+// node i's shard. Any partition is correct (barriers separate the phases);
+// keeping a register with the node that owns it balances the load.
+func (h *Harness) AddUpdater(i int, u sim.Updater) { h.engine.AddUpdater(i, u) }
+
+// OnCommit installs the architecture's per-cycle commit hook, run after the
+// slots are replayed and before the observers; its host time is attributed
+// to stage.
+func (h *Harness) OnCommit(stage perfmon.Stage, f func(now uint64)) {
+	h.hook, h.hookStage = f, stage
+}
+
+// SetLinks installs the reader of the architecture's link counters — the
+// flits a link has carried so far, or false for a link it does not model —
+// and publishes every modeled link's per-cycle flit rate to the probe
+// registry as <arch>.link.n<node>.<dir>. The heatmap reads the same
+// counters. Call it once the links are wired.
+func (h *Harness) SetLinks(arch string, f func(topo.Link) (uint64, bool)) {
+	h.linkFlits = f
+	reg := h.probe.Registry()
+	if reg == nil {
+		return
+	}
+	h.eachLink(func(l topo.Link, _ uint64) {
+		reg.Rate(fmt.Sprintf("%s.link.n%d.%s", arch, l.From, l.D), func() float64 {
+			flits, _ := f(l)
+			return float64(flits)
+		})
+	})
+}
+
+// eachLink visits every link the architecture models with its flit count.
+func (h *Harness) eachLink(visit func(l topo.Link, flits uint64)) {
+	for i := 0; i < h.mesh.N(); i++ {
+		for d := topo.North; d < topo.NumDirs; d++ {
+			l := topo.Link{From: topo.NodeID(i), D: d}
+			if flits, ok := h.linkFlits(l); ok {
+				visit(l, flits)
+			}
+		}
+	}
+}
+
+// commit is the serial half of a cycle (see the package comment for its
+// order).
+//
+//loft:hotpath
+//loft:commitphase
+func (h *Harness) commit(now uint64) {
+	if h.perfT != nil {
+		h.perfT.Begin(now)
+	}
+	for i := range h.slots {
+		h.slots[i].replay(h)
+	}
+	if h.hook != nil {
+		if h.perfT != nil {
+			h.perfT.Lap(perfmon.StageCommit)
+		}
+		h.hook(now)
+		if h.perfT != nil {
+			h.perfT.Lap(h.hookStage)
+		}
+	}
+	if h.probe != nil {
+		h.probe.MaybeSample(now)
+	}
+	if h.audit != nil {
+		h.audit.OnCycle(now)
+	}
+	if h.perfT != nil {
+		h.perfT.Lap(perfmon.StageCommit)
+	}
+	if h.perf != nil {
+		h.perf.OnCycle(now)
+	}
+}
+
+// Run advances the simulation n cycles.
+func (h *Harness) Run(n uint64) {
+	h.engine.Run(n)
+	h.thr.Close(h.engine.Now())
+}
+
+// Now returns the current cycle.
+func (h *Harness) Now() uint64 { return h.engine.Now() }
+
+// Close releases engine resources (the parallel worker pool). The network
+// stays usable: a later Run restarts the pool transparently.
+func (h *Harness) Close() { h.engine.Close() }
+
+// Probe returns the attached probe (nil when observability is disabled).
+func (h *Harness) Probe() *probe.Probe { return h.probe }
+
+// Audit returns the attached auditor (nil when auditing is disabled).
+func (h *Harness) Audit() *audit.Auditor { return h.audit }
+
+// Latency returns the total packet latency collector (generation to
+// delivery, including source queueing).
+func (h *Harness) Latency() *stats.Latency { return h.lat }
+
+// NetLatency returns the network latency collector (injection to delivery).
+func (h *Harness) NetLatency() *stats.Latency { return h.latNet }
+
+// FlowLatency returns the per-flow latency collector.
+func (h *Harness) FlowLatency() *stats.FlowLatency { return h.latFlow }
+
+// Throughput returns the ejection throughput collector.
+func (h *Harness) Throughput() *stats.Throughput { return h.thr }
+
+// LinkUtilization returns, for every link the architecture models, the
+// fraction of cycles it carried data over the run so far.
+func (h *Harness) LinkUtilization() map[topo.Link]float64 {
+	cycles := float64(h.engine.Now())
+	if cycles == 0 {
+		return nil
+	}
+	out := make(map[topo.Link]float64)
+	h.eachLink(func(l topo.Link, flits uint64) { out[l] = float64(flits) / cycles })
+	return out
+}
+
+// Heatmap renders per-node link utilization as an ASCII grid (see
+// topo.RenderHeatmap).
+func (h *Harness) Heatmap() string {
+	return topo.RenderHeatmap(h.mesh, h.LinkUtilization())
+}
+
+// Slot is what the harness gives one node: its traffic Injector and its
+// private window onto the shared observers and collectors. While computing,
+// the node emits into its own Probe and Audit views, times its stages on
+// its own Perf timer and stages statistics with Flits and Packet; the
+// harness replays all of it at the cycle barrier. Probe, Audit and Perf are
+// nil when the corresponding observer is off.
+type Slot struct {
+	Injector *traffic.Injector
+	Probe    *probe.Stage
+	Audit    *audit.Hook
+	Perf     *perfmon.Timer
+	obs      []observation
+}
+
+// observation is one staged statistics observation: flits ejected at cycle
+// at, or (packet) a completed packet created, injected and done.
+type observation struct {
+	flow              flit.FlowID
+	src, flits        int
+	created, injected uint64
+	at                uint64
+	packet            bool
+}
+
+// Flits stages the ejection of flits of flow, sourced at node src, at cycle
+// now.
+func (s *Slot) Flits(flow flit.FlowID, src, flits int, now uint64) {
+	s.obs = append(s.obs, observation{flow: flow, src: src, flits: flits, at: now})
+}
+
+// Packet stages a completed packet of flow: generated at created, entered
+// the network at injected, fully delivered at done.
+func (s *Slot) Packet(flow flit.FlowID, created, injected, done uint64) {
+	s.obs = append(s.obs, observation{flow: flow, created: created, injected: injected, at: done, packet: true})
+}
+
+// replay commits the slot's staged effects.
+//
+//loft:hotpath
+//loft:commitphase
+func (s *Slot) replay(h *Harness) {
+	for i := range s.obs {
+		o := &s.obs[i]
+		if !o.packet {
+			h.thr.ObserveN(o.flow, o.src, o.flits, o.at)
+			continue
+		}
+		h.lat.Observe(o.created, o.at)
+		h.latFlow.Observe(o.flow, o.created, o.at)
+		// Network latency follows the same warm-up rule as total latency: a
+		// packet counts when it was generated after warm-up, whenever it
+		// happened to be injected.
+		if o.created >= h.latNet.Warmup() {
+			h.latNet.Observe(o.injected, o.at)
+		}
+	}
+	s.obs = s.obs[:0]
+	if s.Probe != nil {
+		s.Probe.FlushStage()
+	}
+	if s.Audit != nil {
+		s.Audit.Flush()
+	}
+}

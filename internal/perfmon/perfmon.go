@@ -189,7 +189,7 @@ func (m *Monitor) Engine(workers int) *EngineTimer {
 }
 
 // Gauge registers a named occupancy/utilization gauge polled on sampled
-// cycles. fn runs on the coordinator (serial hook or sequential tick), so it
+// cycles. fn runs on the coordinator (the harness's serial commit), so it
 // may read shared network state; it must not allocate. Build-time only.
 func (m *Monitor) Gauge(name string, fn func() float64) {
 	if m == nil {
@@ -200,9 +200,9 @@ func (m *Monitor) Gauge(name string, fn func() float64) {
 
 // OnCycle advances the monitor by one simulated cycle: it maintains the
 // observed wall-time window and, on sampled cycles, polls the gauges. Call
-// it exactly once per cycle from the coordinator (the serial commit hook
-// under the parallel engine, the network tick otherwise). Call sites must
-// nil-guard the monitor (hookguard-enforced sink).
+// it exactly once per cycle from the coordinator (the harness's serial
+// commit, under either engine). Call sites must nil-guard the monitor
+// (hookguard-enforced sink).
 func (m *Monitor) OnCycle(now uint64) {
 	m.cycles++
 	t := int64(time.Since(m.base))

@@ -1,9 +1,11 @@
-// Package runio writes per-run artifact sets for the simulator CLIs: the
-// probe exporters' three file formats, the audit conformance snapshot, and
-// the run manifest with checksummed artifacts. Both loftsim and loftexp
-// dispatch -probe-out through it, keeping the legacy single-file extension
-// dispatch (probe.FormatForPath) and adding the directory form that
-// lofttrace consumes whole.
+// Package runio is what the simulator CLIs share. Session (session.go)
+// carries one invocation from flag parsing to exit code: the flags loftsim
+// and loftexp have in common, the observers built from them, the SIGINT
+// handler, the artifact export and the audit verdict. The rest of the
+// package writes the per-run artifact sets: the probe exporters' three file
+// formats, the audit conformance snapshot, the perf snapshot, and the run
+// manifest with checksummed artifacts — as a single file picked by extension
+// (probe.FormatForPath) or as the run directory lofttrace consumes whole.
 package runio
 
 import (

@@ -1,0 +1,311 @@
+package runio
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"os/signal"
+	"sync/atomic"
+
+	"loft/internal/audit"
+	"loft/internal/fault"
+	"loft/internal/perfmon"
+	"loft/internal/probe"
+	"loft/internal/profiles"
+	"loft/internal/runenv"
+	"loft/internal/trace"
+)
+
+// Session is what loftsim and loftexp have in common from flag parsing to
+// exit code: the seed, fault, observer, execution and profiling flags, the
+// observers built from them, the introspection server, the SIGINT handler,
+// the artifact export and the audit verdict. A CLI registers the shared
+// flags next to its own, then calls Load, Start, Export and Finish in that
+// order.
+type Session struct {
+	// Tool names the CLI in error prefixes and manifests.
+	Tool string
+	// SummaryNote qualifies the probe event summary's heading (a sweep's
+	// summary covers all its runs).
+	SummaryNote string
+
+	// Flag values.
+	Seed        uint64
+	Workers     int // -j as given; JSet tells an explicit 0 from the default
+	NodeWorkers int // -jnode
+	ProbeOut    string
+	AuditOut    string
+	JSet        bool
+
+	faultSpec                        string
+	probeOn, auditOn, perfOn         bool
+	probeSample, perfSample          uint64
+	probeEvents                      int
+	httpAddr, cpuProfile, memProfile string
+
+	// Plan is the loaded -fault plan (Load); the observers are built by
+	// Start. Each is nil when its flags are off.
+	Plan   *fault.Plan
+	Probe  *probe.Probe
+	Audit  *audit.Auditor
+	Perf   *perfmon.Monitor
+	Server *audit.Server
+
+	interrupted  atomic.Bool
+	stopCPU      func() // run-directory cpu.pprof, nil when not collected
+	stopProfiles func()
+}
+
+// Flags registers the flags both CLIs share on fs.
+func (s *Session) Flags(fs *flag.FlagSet) {
+	fs.Uint64Var(&s.Seed, "seed", 1, "deterministic traffic seed")
+	fs.StringVar(&s.faultSpec, "fault", "", "arm a deterministic fault-injection plan on every run: inline spec or a plan file (see DESIGN.md §16); faulted runs stay byte-reproducible per (plan, seed), GSF runs accept adversary-only plans")
+	fs.BoolVar(&s.probeOn, "probe", false, "enable the observability probe layer on every run")
+	fs.StringVar(&s.ProbeOut, "probe-out", "", "write probe data here: a directory (trailing /) gets all formats + manifest.json, else by extension (.jsonl events, .csv time series, otherwise Chrome trace JSON) with a sibling manifest; implies -probe")
+	fs.Uint64Var(&s.probeSample, "probe-sample", 256, "gauge sampling period in cycles (0 disables time series)")
+	fs.IntVar(&s.probeEvents, "probe-events", 1<<20, "event ring buffer capacity")
+	fs.BoolVar(&s.auditOn, "audit", false, "enable the runtime QoS auditor (invariant checks + delay-bound conformance) on every run; violations exit non-zero")
+	fs.StringVar(&s.AuditOut, "audit-out", "", "write the audit conformance snapshot JSON here, plus a sibling manifest; implies -audit")
+	fs.BoolVar(&s.perfOn, "perf", false, "enable the in-simulator profiler: per-stage cycle attribution, parallel-engine telemetry, flamegraph export (never changes results)")
+	fs.Uint64Var(&s.perfSample, "perf-sample", perfmon.DefaultSampleEvery, "profile every Nth cycle (1 = every cycle)")
+	fs.StringVar(&s.httpAddr, "http", "", "serve live introspection (/metrics, /audit, /perf, /debug/pprof) on this address, e.g. :8080; implies -audit")
+	fs.IntVar(&s.Workers, "j", 0, "concurrent simulations in a sweep (0 = one per CPU; observed sweeps are forced sequential)")
+	fs.IntVar(&s.NodeWorkers, "jnode", 0, "shard node ticking inside each simulation across this many OS threads (0 or 1 = sequential; results are byte-identical)")
+	fs.StringVar(&s.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&s.memProfile, "memprofile", "", "write a heap profile to this file at exit")
+}
+
+// Load finishes flag parsing: it loads the -fault plan and notes whether -j
+// was given. An error is a usage error (exit 2).
+func (s *Session) Load(fs *flag.FlagSet) error {
+	fs.Visit(func(f *flag.Flag) { s.JSet = s.JSet || f.Name == "j" })
+	if s.faultSpec == "" {
+		return nil
+	}
+	var err error
+	s.Plan, err = fault.Load(s.faultSpec)
+	return err
+}
+
+// Observed reports whether any observer flag is set. Observed sweeps share
+// one observer, so they run sequentially.
+func (s *Session) Observed() bool {
+	return s.probeOn || s.ProbeOut != "" || s.auditOn || s.AuditOut != "" || s.httpAddr != "" || s.perfOn
+}
+
+// ValidateExec rejects the execution-flag values both CLIs refuse up front:
+// negative worker counts, and an explicit -j on an observed sweep, which
+// used to be silently forced to one worker. sweeps names what the CLI fans
+// out ("" when this invocation runs a single simulation).
+func ValidateExec(workers, nodeWorkers int, jSet, observed bool, sweeps string) error {
+	if workers < 0 {
+		return fmt.Errorf("-j %d is negative; use 0 for one worker per CPU", workers)
+	}
+	if nodeWorkers < 0 {
+		return fmt.Errorf("-jnode %d is negative; use 0 or 1 for the sequential engine", nodeWorkers)
+	}
+	if sweeps != "" && jSet && workers > 1 && observed {
+		return fmt.Errorf("-j %d conflicts with -probe/-audit/-perf: observed %s share one observer and run sequentially; drop -j or the observer flags", workers, sweeps)
+	}
+	return nil
+}
+
+// BadUsage reports a usage error and exits 2.
+func (s *Session) BadUsage(err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", s.Tool, err)
+	os.Exit(2)
+}
+
+// Fatal reports a runtime error and exits 1.
+func (s *Session) Fatal(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
+}
+
+// Start builds what the flags ask for: the -cpuprofile/-memprofile
+// collectors, the observers, the introspection server (titled title) and
+// the SIGINT handler.
+func (s *Session) Start(title string) error {
+	var err error
+	if s.stopProfiles, err = profiles.Start(s.cpuProfile, s.memProfile); err != nil {
+		return err
+	}
+	if s.probeOn || s.ProbeOut != "" {
+		s.Probe = probe.New(probe.Config{EventCap: s.probeEvents, SampleEvery: s.probeSample})
+	}
+	if s.auditOn || s.AuditOut != "" || s.httpAddr != "" {
+		s.Audit = audit.New(audit.Config{})
+	}
+	if s.perfOn {
+		s.Perf = perfmon.New(perfmon.Config{SampleEvery: s.perfSample, Workers: s.NodeWorkers})
+	}
+	if s.httpAddr != "" {
+		if s.Server, err = audit.NewServer(s.httpAddr); err != nil {
+			return err
+		}
+		s.Server.SetTitle(title)
+		s.Audit.OnPublish(func() { s.Server.Publish(s.Probe, s.Audit, s.Perf) })
+		fmt.Fprintf(os.Stderr, "introspection server listening on %s\n", s.Server.URL())
+	}
+	// SIGINT requests a graceful stop: runs end at the next chunk boundary
+	// and every requested artifact is still flushed. A second SIGINT falls
+	// back to the default kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	go func() {
+		<-sig
+		s.interrupted.Store(true)
+		signal.Stop(sig)
+		fmt.Fprintln(os.Stderr, "interrupt: stopping at next chunk boundary, flushing snapshots (^C again to kill)")
+	}()
+	// A profiled run exporting a run directory also collects a pprof CPU
+	// profile there; Export stops it before the manifest checksums it.
+	if s.Perf != nil && s.perfDir() {
+		s.stopCPU, err = StartCPUProfile(s.ProbeOut)
+	}
+	return err
+}
+
+// perfDir reports whether the perf snapshot goes into a run directory
+// (otherwise the stage table prints to stdout).
+func (s *Session) perfDir() bool { return s.ProbeOut != "" && IsDirTarget(s.ProbeOut) }
+
+// Interrupted reports whether SIGINT arrived; it is the Stop poll of every
+// run.
+func (s *Session) Interrupted() bool { return s.interrupted.Load() }
+
+// Progress returns the sweep progress callback feeding the introspection
+// server, nil without -http.
+func (s *Session) Progress() func(done, total int) {
+	if s.Server == nil {
+		return nil
+	}
+	return s.Server.JobProgress
+}
+
+// Manifest returns the manifest fields every run records the same way:
+// tool, command line, environment provenance (from runenv, the only
+// sanctioned wall-clock read below the CLIs), engine workers and fault
+// plan. The CLI adds what it ran.
+func (s *Session) Manifest() trace.Manifest {
+	env := runenv.Capture()
+	return trace.Manifest{
+		ManifestVersion: trace.ManifestVersion,
+		Tool:            s.Tool,
+		Command:         os.Args,
+		CreatedUTC:      env.CreatedUTC,
+		GitRevision:     env.GitRevision,
+		HostCPUs:        env.NumCPU,
+		HostGoMaxProcs:  env.GoMaxProcs,
+		NodeWorkers:     s.NodeWorkers,
+		FaultPlan:       s.Plan.String(),
+	}
+}
+
+// Export writes the requested artifacts of the finished run(s): the probe
+// export and the -audit-out snapshot, each with the manifest that manifest
+// builds (called only when one of them is written), and the perf stage
+// table on stdout unless a run directory received it.
+func (s *Session) Export(manifest func() trace.Manifest) error {
+	if s.stopCPU != nil {
+		s.stopCPU()
+	}
+	if s.Probe != nil || s.AuditOut != "" {
+		m := manifest()
+		if s.Probe != nil {
+			if err := s.writeRun(m); err != nil {
+				return err
+			}
+		}
+		if s.AuditOut != "" {
+			if err := s.writeAuditOut(m); err != nil {
+				return err
+			}
+		}
+	}
+	if s.Perf != nil && !s.perfDir() {
+		s.Perf.Snapshot().WriteText(os.Stdout)
+	}
+	return nil
+}
+
+// writeRun exports the collected probe/audit/perf data. An empty -probe-out
+// prints the per-kind event summary; a directory path (existing, or spelled
+// with a trailing separator) receives the full run directory — all three
+// probe export formats, the audit snapshot, the perf snapshot + folded
+// stacks and the checksummed manifest; any other path keeps the single-file
+// extension dispatch (probe.FormatForPath) and gains a sibling
+// <path>.manifest.json. Ring drops are warned about on stderr either way.
+func (s *Session) writeRun(m trace.Manifest) error {
+	pr, path := s.Probe, s.ProbeOut
+	if d := pr.Tracer().Dropped(); d > 0 {
+		fmt.Fprintf(os.Stderr, "warning: probe ring overwrote %d oldest events; raise -probe-events for a complete trace\n", d)
+	}
+	if path == "" {
+		fmt.Printf("probe event summary%s:\n", s.SummaryNote)
+		for _, line := range pr.Summary() {
+			fmt.Printf("  %s\n", line)
+		}
+		return nil
+	}
+	if IsDirTarget(path) {
+		if err := WriteRunDir(path, pr, s.Audit, s.Perf, m); err != nil {
+			return err
+		}
+		fmt.Println(Describe(path, pr, s.Audit, s.Perf))
+		return nil
+	}
+	if err := WriteFileWithManifest(path, pr, m); err != nil {
+		return err
+	}
+	fmt.Printf("wrote probe data to %s (%d events retained, %d dropped) and %s.manifest.json\n",
+		path, pr.Tracer().Len(), pr.Tracer().Dropped(), path)
+	return nil
+}
+
+// writeAuditOut writes the audit conformance snapshot plus its sibling
+// manifest.
+func (s *Session) writeAuditOut(m trace.Manifest) error {
+	path := s.AuditOut
+	if err := WriteAuditSnapshot(path, s.Audit); err != nil {
+		return err
+	}
+	a, err := trace.FileArtifact(path)
+	if err != nil {
+		return err
+	}
+	m.Artifacts = []trace.Artifact{a}
+	if err := m.Write(path + ".manifest.json"); err != nil {
+		return err
+	}
+	fmt.Printf("wrote audit snapshot to %s (and %s.manifest.json)\n", path, path)
+	return nil
+}
+
+// Finish prints the auditor's verdict, releases the server and the
+// profilers, and returns the process exit code: 130 after SIGINT (the
+// partial artifacts were flushed), 1 on audit violations, else 0.
+func (s *Session) Finish() int {
+	clean := true
+	if s.Audit != nil {
+		for _, line := range s.Audit.Summary() {
+			fmt.Printf("  %s\n", line)
+		}
+		for _, v := range s.Audit.Violations() {
+			fmt.Fprintf(os.Stderr, "audit violation: %s\n", v)
+		}
+		clean = s.Audit.Err() == nil
+	}
+	if s.Server != nil {
+		s.Server.Close()
+	}
+	s.stopProfiles()
+	switch {
+	case s.Interrupted():
+		fmt.Fprintln(os.Stderr, "run interrupted; partial artifacts flushed")
+		return 130
+	case !clean:
+		return 1
+	}
+	return 0
+}

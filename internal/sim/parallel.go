@@ -9,8 +9,20 @@ import (
 
 // Engine is a simulation clock driver: the sequential Kernel and the
 // sharded ParallelKernel both implement it, so networks can be built
-// against either without caring which one steps them.
+// against either without caring which one steps them. Every cycle runs the
+// same three phases under both: all Ticks, then the serial hooks, then all
+// Updates.
 type Engine interface {
+	// AddTicker registers a compute-phase component (and its Update method,
+	// when it has one) on the given shard. Shards only partition work across
+	// workers; results do not depend on the assignment.
+	AddTicker(shard int, t Ticker)
+	// AddUpdater registers an update-phase-only component (e.g. a wire
+	// register) on the given shard.
+	AddUpdater(shard int, u Updater)
+	// AddSerial registers a hook run on one goroutine between the tick and
+	// update phases of every cycle, in registration order.
+	AddSerial(f func(now uint64))
 	// Now reports the current cycle (the next cycle Step will execute).
 	Now() uint64
 	// Step executes exactly one cycle.

@@ -186,11 +186,14 @@ func TestParallelKernelPropagatesWorkerPanic(t *testing.T) {
 }
 
 // TestParallelMatchesSequential drives the same component graph through both
-// kernels: a chain of registers where each stage consumes its predecessor's
-// previous-cycle output, the pattern every network in this repo is built on.
+// kernels through the Engine registration surface: a chain of registers where
+// each stage consumes its predecessor's previous-cycle output, the pattern
+// every network in this repo is built on, plus a serial hook that must see
+// every cycle once, after its ticks.
 func TestParallelMatchesSequential(t *testing.T) {
-	build := func(add func(Ticker), addU func(Updater)) (regs []*Reg[int], sums []*int) {
+	build := func(e Engine) (sums []*int) {
 		const stages = 6
+		var regs []*Reg[int]
 		for i := 0; i < stages; i++ {
 			regs = append(regs, NewReg[int]("r"))
 		}
@@ -200,7 +203,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			sum := new(int)
 			sums = append(sums, sum)
 			stage := i
-			add(tickFunc(func(now uint64) {
+			e.AddTicker(i, tickFunc(func(now uint64) {
 				if v, ok := in.Take(); ok {
 					*sum += v
 					out.Write(v + stage)
@@ -208,22 +211,27 @@ func TestParallelMatchesSequential(t *testing.T) {
 					out.Write(1)
 				}
 			}))
-			addU(out)
+			e.AddUpdater(i, out)
 		}
-		return regs, sums
+		// The serial hook folds the stage sums as they stand between the
+		// tick and update phases of each cycle.
+		fold := new(int)
+		sums = append(sums, fold)
+		e.AddSerial(func(now uint64) {
+			for _, s := range sums[:stages] {
+				*fold += *s * int(now+1)
+			}
+		})
+		return sums
 	}
 
 	seqK := NewKernel()
-	_, seqSums := build(seqK.Add, seqK.AddUpdater)
+	seqSums := build(seqK)
 	seqK.Run(200)
 
 	parK := NewParallelKernel(4)
 	defer parK.Close()
-	i := 0
-	_, parSums := build(
-		func(tk Ticker) { parK.AddTicker(i, tk); i++ },
-		func(u Updater) { parK.AddUpdater(i, u) },
-	)
+	parSums := build(parK)
 	parK.Run(200)
 
 	for j := range seqSums {

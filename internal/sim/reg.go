@@ -48,9 +48,6 @@ func (r *Reg[T]) Write(v T) {
 	r.next, r.nextOK = v, true
 }
 
-// CanWrite reports whether the next side is free this cycle.
-func (r *Reg[T]) CanWrite() bool { return !r.nextOK }
-
 // Update commits the next value. An unconsumed committed value is dropped;
 // receivers that need back-pressure must model it with credits, exactly as
 // the hardware does.

@@ -34,6 +34,7 @@ type Updater interface {
 type Kernel struct {
 	now      uint64
 	tickers  []Ticker
+	serial   []func(now uint64)
 	updaters []Updater
 }
 
@@ -52,8 +53,16 @@ func (k *Kernel) Add(t Ticker) {
 	}
 }
 
+// AddTicker implements Engine: one goroutine steps every component, so the
+// shard is ignored.
+func (k *Kernel) AddTicker(_ int, t Ticker) { k.Add(t) }
+
 // AddUpdater registers an update-phase-only component (e.g. a wire register).
-func (k *Kernel) AddUpdater(u Updater) { k.updaters = append(k.updaters, u) }
+func (k *Kernel) AddUpdater(_ int, u Updater) { k.updaters = append(k.updaters, u) }
+
+// AddSerial registers a hook run after every Tick and before any Update of a
+// cycle, in registration order — where ParallelKernel runs its serial hooks.
+func (k *Kernel) AddSerial(f func(now uint64)) { k.serial = append(k.serial, f) }
 
 // Step executes exactly one cycle.
 //
@@ -62,6 +71,9 @@ func (k *Kernel) Step() {
 	now := k.now
 	for _, t := range k.tickers {
 		t.Tick(now)
+	}
+	for _, f := range k.serial {
+		f(now)
 	}
 	for _, u := range k.updaters {
 		u.Update(now)

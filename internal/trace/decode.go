@@ -160,20 +160,6 @@ func ReadEventsFile(path string) ([]probe.Event, uint64, error) {
 	return ev, dropped, nil
 }
 
-// ReadSeriesFile is ReadSeriesCSV over a file path.
-func ReadSeriesFile(path string) ([]probe.Series, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s, err := ReadSeriesCSV(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return s, nil
-}
-
 // ReadAuditFile is ReadAuditSnapshot over a file path.
 func ReadAuditFile(path string) (*audit.Snapshot, error) {
 	f, err := os.Open(path)

@@ -49,18 +49,7 @@ func runObservedFault(t *testing.T, arch core.Arch, seed uint64, workers int, mo
 	pr := probe.New(probe.Config{SampleEvery: 256})
 	aud := audit.New(audit.Config{})
 	spec := core.RunSpec{Seed: seed, Warmup: 200, Measure: 1500, Probe: pr, Audit: aud, Workers: workers, Perf: mon, Fault: plan}
-	var (
-		res core.Result
-		err error
-	)
-	switch arch {
-	case core.ArchLOFT:
-		res, _, err = core.RunLOFT(cfg, p, spec)
-	case core.ArchGSF:
-		res, _, err = core.RunGSF(config.PaperGSF(), p, cfg.FrameFlits, spec)
-	default:
-		t.Fatalf("unknown arch %q", arch)
-	}
+	res, err := core.Run(arch, cfg, p, spec)
 	if err != nil {
 		t.Fatalf("%s seed %d workers %d: %v", arch, seed, workers, err)
 	}
