@@ -14,6 +14,7 @@ import (
 	"loft/internal/audit"
 	"loft/internal/config"
 	"loft/internal/fault"
+	"loft/internal/flit"
 	"loft/internal/gsf"
 	"loft/internal/loft"
 	"loft/internal/lsf"
@@ -233,45 +234,165 @@ type runDigest struct {
 	Counters any
 }
 
-// goldenObserved pins the observer artifacts of one clean and one chaotic
-// LOFT run: the probe event stream as events.jsonl carries it and the audit
-// snapshot as audit.json carries it. Replay order at the cycle barrier is
-// visible only here — the result summary is order-insensitive.
-func goldenObserved(t *testing.T, g *goldenStore) {
-	chaos, err := fault.Parse(goldenChaosPlan)
-	if err != nil {
-		t.Fatal(err)
+// observedCase is one run whose observer artifacts are pinned. prepare, when
+// set, runs on the freshly built LOFT network (and the auditor armed for it)
+// before the first cycle.
+type observedCase struct {
+	name    string
+	arch    Arch
+	pattern func(config.LOFT) *traffic.Pattern
+	plan    string // fault plan text, "" for an unfaulted run
+	// maxViolations sizes the retained violation log (0: the default 32).
+	maxViolations int
+	// alone reruns the case with only the auditor and with only the probe
+	// attached: each observer's artifact must equal the both-on digest.
+	alone   bool
+	prepare func(*loft.Network, *audit.Auditor)
+	// want checks the run exercised what the row exists to pin.
+	want func(*testing.T, Result, audit.Snapshot)
+}
+
+// corruptEveryTable arms f on every reservation table of the network, like
+// runCorrupted in the root parallel_test.go.
+func corruptEveryTable(f lsf.Fault) func(*loft.Network, *audit.Auditor) {
+	return func(net *loft.Network, _ *audit.Auditor) {
+		for i := 0; i < config.PaperLOFT().Mesh().N(); i++ {
+			for d := topo.Dir(0); d <= topo.NumDirs; d++ {
+				net.Node(topo.NodeID(i)).InjectTableFault(d, f)
+			}
+		}
 	}
-	for _, c := range []struct {
-		name string
-		plan *fault.Plan
-	}{{"clean", nil}, {"chaos", chaos}} {
+}
+
+func wantViolation(kind string, timeline bool) func(*testing.T, Result, audit.Snapshot) {
+	return func(t *testing.T, _ Result, s audit.Snapshot) {
+		for _, v := range s.ViolationLog {
+			if v.Kind == kind && (!timeline || len(v.Timeline) > 0) {
+				return
+			}
+		}
+		t.Fatalf("no %s violation (timeline wanted: %v) among %d logged", kind, timeline, len(s.ViolationLog))
+	}
+}
+
+// observedCases: a clean and a chaotic LOFT run; a GSF run, whose events
+// (gsf-throttle, gsf-frame-roll) and recorder path (head-flit injection,
+// packet completion, the frame-count check) differ from LOFT's — past
+// saturation, because Case Study I never throttles a GSF source within this
+// horizon, so its event stream would not show node order; a LOFT run
+// with one flow's delay bound forced low, which pins reconstructed hop
+// timelines; and a LOFT run on corrupted tables with every bound forced low,
+// where a node's invariant-tap violations and its flight-recorder verdicts
+// land in the same cycle — the violation log is the only place their
+// relative replay order shows. A node's packet completion (switch pass)
+// always precedes its taps (booking, look-ahead) within a cycle, and the
+// first shared node-cycle is violation 148, hence the longer log.
+var observedCases = []observedCase{
+	{name: "clean", arch: ArchLOFT, pattern: uniform(0.1), alone: true},
+	{name: "chaos", arch: ArchLOFT, pattern: uniform(0.1), plan: goldenChaosPlan, alone: true,
+		want: func(t *testing.T, res Result, _ audit.Snapshot) {
+			if res.FaultsInjected == 0 || res.Retries == 0 {
+				t.Fatalf("chaos run fired no faults: %+v", res)
+			}
+		}},
+	{name: "gsf", arch: ArchGSF, pattern: uniform(0.6),
+		want: func(t *testing.T, _ Result, s audit.Snapshot) {
+			if s.PacketsChecked == 0 || s.QuantaInjected == 0 {
+				t.Fatalf("GSF recorder saw no packets: %+v", s)
+			}
+		}},
+	{name: "bound", arch: ArchLOFT, pattern: caseI,
+		prepare: func(_ *loft.Network, aud *audit.Auditor) { aud.SetFlowBound(traffic.CaseStudyIVictim, 60) },
+		want:    wantViolation("delay-bound-exceeded", true)},
+	{name: "corrupt", arch: ArchLOFT, pattern: uniform(0.2), maxViolations: 512,
+		prepare: func(net *loft.Network, aud *audit.Auditor) {
+			corruptEveryTable(lsf.FaultDropSkipped)(net, aud)
+			for f := 0; f < config.PaperLOFT().Mesh().N(); f++ {
+				aud.SetFlowBound(flit.FlowID(f), 30)
+			}
+		},
+		want: func(t *testing.T, res Result, s audit.Snapshot) {
+			wantViolation("skipped-accounting", false)(t, res, s)
+			wantViolation("delay-bound-exceeded", true)(t, res, s)
+		}},
+}
+
+// runObserved builds c's network the way RunLOFT/RunGSF do, applies the
+// case's preparation and runs it.
+func runObserved(c observedCase, lcfg config.LOFT, spec RunSpec) (Result, any, error) {
+	p := c.pattern(lcfg)
+	if c.prepare == nil {
+		return runAny(c.arch, lcfg, p, spec)
+	}
+	net, err := loft.New(lcfg, p, loft.Options{Seed: spec.Seed, Warmup: spec.Warmup, Probe: spec.Probe, Audit: spec.Audit, Workers: spec.Workers, Fault: spec.Fault})
+	if err != nil {
+		return Result{}, nil, err
+	}
+	c.prepare(net, spec.Audit)
+	return run(ArchLOFT, net.Harness, p, spec), loftCounters(net), nil
+}
+
+// goldenObserved pins the observer artifacts of the observedCases: the probe
+// event stream as events.jsonl carries it and the full audit snapshot
+// (violation log and timelines included) as audit.json carries it. Replay
+// order at the cycle barrier is visible only here — the result summary is
+// order-insensitive. Rows marked alone also run with one observer at a time:
+// what an observer records must not depend on which others are attached.
+func goldenObserved(t *testing.T, g *goldenStore) {
+	for _, c := range observedCases {
+		observers := []string{"both"}
+		if c.alone {
+			observers = append(observers, "audit", "probe")
+		}
 		for _, workers := range []int{1, 2} {
-			t.Run(fmt.Sprintf("observed-%s/workers%d", c.name, workers), func(t *testing.T) {
-				t.Parallel()
-				lcfg := config.PaperLOFT()
-				pr := probe.New(probe.Config{SampleEvery: 256})
-				aud := audit.New(audit.Config{})
-				res, counters, err := runAny(ArchLOFT, lcfg, uniform(0.1)(lcfg), RunSpec{Seed: 1, Warmup: 200, Measure: 1300, Probe: pr, Audit: aud, Workers: workers, Fault: c.plan})
-				if err != nil {
-					t.Fatal(err)
+			for _, obs := range observers {
+				name := fmt.Sprintf("observed-%s/workers%d", c.name, workers)
+				if obs != "both" {
+					name += "/" + obs + "-only"
 				}
-				if c.plan != nil && (res.FaultsInjected == 0 || res.Retries == 0) {
-					t.Fatalf("chaos run fired no faults: %+v", res)
-				}
-				events := sha256.New()
-				if err := probe.WriteEventsJSONL(events, pr.Events(), pr.Tracer().Dropped()); err != nil {
-					t.Fatal(err)
-				}
-				snap, err := json.MarshalIndent(aud.Snapshot(), "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				key := "observed-" + c.name
-				g.check(t, key+"/result", digest(t, runDigest{res, counters}))
-				g.check(t, key+"/events.jsonl", hex.EncodeToString(events.Sum(nil)))
-				g.check(t, key+"/audit.json", sum(append(snap, '\n')))
-			})
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					var plan *fault.Plan
+					if c.plan != "" {
+						var err error
+						if plan, err = fault.Parse(c.plan); err != nil {
+							t.Fatal(err)
+						}
+					}
+					lcfg := config.PaperLOFT()
+					var pr *probe.Probe
+					var aud *audit.Auditor
+					if obs != "audit" {
+						pr = probe.New(probe.Config{SampleEvery: 256})
+					}
+					if obs != "probe" {
+						aud = audit.New(audit.Config{MaxViolations: c.maxViolations})
+					}
+					res, counters, err := runObserved(c, lcfg, RunSpec{Seed: 1, Warmup: 200, Measure: 1300, Probe: pr, Audit: aud, Workers: workers, Fault: plan})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c.want != nil {
+						c.want(t, res, aud.Snapshot())
+					}
+					key := "observed-" + c.name
+					g.check(t, key+"/result", digest(t, runDigest{res, counters}))
+					if pr != nil {
+						events := sha256.New()
+						if err := probe.WriteEventsJSONL(events, pr.Events(), pr.Tracer().Dropped()); err != nil {
+							t.Fatal(err)
+						}
+						g.check(t, key+"/events.jsonl", hex.EncodeToString(events.Sum(nil)))
+					}
+					if aud != nil {
+						snap, err := json.MarshalIndent(aud.Snapshot(), "", "  ")
+						if err != nil {
+							t.Fatal(err)
+						}
+						g.check(t, key+"/audit.json", sum(append(snap, '\n')))
+					}
+				})
+			}
 		}
 	}
 }
