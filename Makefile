@@ -56,12 +56,15 @@ fmt:
 # A short audited simulation under the race detector: the runtime QoS
 # auditor checks every scheduler invariant and delay bound and the command
 # exits non-zero on any violation. Both architectures run so the GSF-side
-# conformance hooks stay covered too.
+# conformance records stay covered too, and each runs again on two shards:
+# the auditor's records are staged per node under both engines, and the race
+# detector over two shards is what shows a node's stage is never touched by
+# another shard.
 audit-smoke:
-	$(GO) run -race ./cmd/loftsim -arch loft -pattern case1 -rate 0.6 \
-		-warmup 500 -cycles 2000 -audit
-	$(GO) run -race ./cmd/loftsim -arch gsf -pattern case1 -rate 0.6 \
-		-warmup 500 -cycles 2000 -audit
+	for arch in loft gsf; do for jnode in 1 2; do \
+		$(GO) run -race ./cmd/loftsim -arch $$arch -pattern case1 -rate 0.6 \
+			-warmup 500 -cycles 2000 -audit -jnode $$jnode || exit 1; \
+	done; done
 
 # A tiny simulation exporting a run directory, then the offline toolchain
 # over it: summary and decompose must parse the artifacts, and the run

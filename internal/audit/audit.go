@@ -33,6 +33,7 @@ import (
 
 	"loft/internal/flit"
 	"loft/internal/lsf"
+	"loft/internal/probe"
 )
 
 // Config sizes an Auditor.
@@ -111,7 +112,9 @@ type Auditor struct {
 	violations      []Violation
 	totalViolations uint64
 	sweeps          uint64
-	grantChecks     uint64
+	// grantChecks counts the per-grant checks of finished runs; the current
+	// run's are the sum of its tables' granted counters (grantChecksSoFar).
+	grantChecks uint64
 }
 
 // New returns an enabled auditor.
@@ -128,32 +131,45 @@ func (a *Auditor) Enabled() bool { return a != nil }
 func (a *Auditor) beginRun(arch string) {
 	a.arch = arch
 	a.runs++
+	a.grantChecks = a.grantChecksSoFar()
 	a.tables = nil
 	a.checks = nil
 	a.heatmap = nil
 	a.rec.reset()
 }
 
-// WatchTable attaches invariant taps to one LSF table. name identifies the
-// table in violations.
-func (a *Auditor) WatchTable(t *lsf.Table, name string) {
+// WatchTable attaches invariant taps to one LSF table of the node that
+// emits into stage. name identifies the table in violations. The taps read
+// live table state when they fire — deferring the reads would change what
+// they see — and run while the node computes, so they touch only the table's
+// own tableState; a violation they raise waits there, behind a
+// KindTapViolation marker in the stage that keeps its place among the node's
+// recorder records, until Record logs it at the cycle barrier.
+func (a *Auditor) WatchTable(t *lsf.Table, name string, stage *probe.Stage) {
 	if a == nil {
 		return
 	}
-	a.watchTable(t, name)
-}
-
-func (a *Auditor) watchTable(t *lsf.Table, name string) *tableState {
 	ts := &tableState{
-		a:             a,
 		t:             t,
 		name:          name,
+		stage:         stage,
+		index:         uint64(len(a.tables)),
 		shadowSkipped: make([]int, t.FrameCount()),
 		minEndCredit:  t.BufferCap(),
 	}
 	a.tables = append(a.tables, ts)
 	t.SetAudit(ts)
-	return ts
+}
+
+// grantChecksSoFar counts the O(1) admission checks run since New. Grants
+// are counted per table, by the node that owns it; summing here instead of
+// bumping a shared counter keeps the taps off shared state.
+func (a *Auditor) grantChecksSoFar() uint64 {
+	n := a.grantChecks
+	for _, ts := range a.tables {
+		n += ts.granted
+	}
+	return n
 }
 
 // RegisterCheck adds an architecture-specific invariant evaluated on every
@@ -279,13 +295,16 @@ func (a *Auditor) Err() error {
 // table's mutations within the single-threaded tick, so any divergence is a
 // real scheduler fault, not a race.
 type tableState struct {
-	a    *Auditor
 	t    *lsf.Table
 	name string
-	// h is set when the table belongs to a node running under a staging
-	// Hook: tap violations and grant-check counts are then buffered on the
-	// hook instead of hitting the shared Auditor during the compute phase.
-	h *Hook
+	// stage is the owning node's record stream and index this table's place
+	// in Auditor.tables: what a KindTapViolation marker carries. pending
+	// holds the violations raised since the last barrier, the first logged
+	// of them already handed to Record.
+	stage   *probe.Stage
+	index   uint64
+	pending []Violation
+	logged  int
 
 	// shadowOutstanding counts observed grants minus observed returns; it
 	// must always equal the table's Outstanding().
@@ -306,11 +325,6 @@ type tableState struct {
 func (ts *tableState) AuditGrant(f flit.FlowID, quantum, slot uint64, frame int) {
 	ts.granted++
 	ts.shadowOutstanding++
-	if ts.h != nil && ts.h.staging {
-		ts.h.grants++
-	} else {
-		ts.a.grantChecks++
-	}
 	end := ts.t.EndCredit()
 	if end < ts.minEndCredit {
 		ts.minEndCredit = end
@@ -335,16 +349,21 @@ func (ts *tableState) AuditGrant(f flit.FlowID, quantum, slot uint64, frame int)
 	}
 }
 
-// report raises one tap violation, staging it on the node's hook when the
-// table runs under a parallel shard. The violation's cycle stamp is applied
-// by violate at replay time, which happens before OnCycle advances the
-// clock — exactly the stamp the sequential tap would have produced.
+// report raises one tap violation: it joins the table's pending list and a
+// marker takes its place in the node's record stream. Record stamps the
+// cycle when it logs it, before OnCycle advances the clock.
 func (ts *tableState) report(v Violation) {
-	if ts.h != nil && ts.h.staging {
-		ts.h.ops = append(ts.h.ops, func(a *Auditor) { a.violate(v) })
-		return
+	ts.pending = append(ts.pending, v)
+	ts.stage.Emit(0, probe.KindTapViolation, -1, -1, -1, ts.index)
+}
+
+// tapViolation logs the oldest pending violation of table number index.
+func (a *Auditor) tapViolation(index uint64) {
+	ts := a.tables[index]
+	a.violate(ts.pending[ts.logged])
+	if ts.logged++; ts.logged == len(ts.pending) {
+		ts.pending, ts.logged = ts.pending[:0], 0
 	}
-	ts.a.violate(v)
 }
 
 // AuditFrameAdvance cross-checks the skipped(i) accounting the §4.2 anomaly

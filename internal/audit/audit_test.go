@@ -6,27 +6,31 @@ import (
 	"loft/internal/audit"
 	"loft/internal/config"
 	"loft/internal/core"
-	"loft/internal/flit"
 	"loft/internal/loft"
 	"loft/internal/lsf"
+	"loft/internal/probe"
 	"loft/internal/traffic"
 )
-
-func flitQID(f flit.FlowID, seq uint64) flit.QuantumID { return flit.QuantumID{Flow: f, Seq: seq} }
 
 // faultTable builds a small non-strict table under audit. Strict mode would
 // panic on the injected faults before the auditor sees them, which is
 // exactly the redundancy the auditor exists to provide for production
-// (non-strict) runs.
-func faultTable(t *testing.T) (*audit.Auditor, *lsf.Table) {
+// (non-strict) runs. barrier hands the auditor what the taps staged, as the
+// harness does once a cycle.
+func faultTable(t *testing.T) (aud *audit.Auditor, tb *lsf.Table, barrier func()) {
 	t.Helper()
-	aud := audit.New(audit.Config{})
-	tb := lsf.NewTable("faulty", lsf.Params{SlotsPerFrame: 4, Frames: 2, BufferQuanta: 4})
-	aud.WatchTable(tb, "faulty")
+	aud = audit.New(audit.Config{})
+	stage := probe.NewStage(aud.Kinds())
+	tb = lsf.NewTable("faulty", lsf.Params{SlotsPerFrame: 4, Frames: 2, BufferQuanta: 4})
+	aud.WatchTable(tb, "faulty", &stage)
 	if err := tb.AddFlow(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	return aud, tb
+	return aud, tb, func() {
+		for _, r := range stage.Drain() {
+			aud.Record(&r)
+		}
+	}
 }
 
 func violationKinds(aud *audit.Auditor) map[string]int {
@@ -41,13 +45,17 @@ func violationKinds(aud *audit.Auditor) map[string]int {
 // drops the skipped(i) accounting the §4.2 anomaly fix depends on, and
 // requires the auditor to flag it at the moment of the frame advance.
 func TestFaultDropSkippedCaught(t *testing.T) {
-	aud, tb := faultTable(t)
+	aud, tb, barrier := faultTable(t)
 	tb.InjectFault(lsf.FaultDropSkipped)
 	// minSlot 4 is in frame 1: the flow must abandon its full frame-0
 	// reservation (c=2), which the faulty table fails to record.
 	if _, ok := tb.Request(1, 0, 4); !ok {
 		t.Fatal("request denied")
 	}
+	if n := len(aud.Violations()); n != 0 {
+		t.Fatalf("%d violation(s) logged before the barrier", n)
+	}
+	barrier()
 	if violationKinds(aud)["skipped-accounting"] == 0 {
 		t.Fatalf("dropped skipped(i) update not caught; violations: %v", aud.Violations())
 	}
@@ -60,7 +68,7 @@ func TestFaultDropSkippedCaught(t *testing.T) {
 // acknowledged but the slot ledger is never incremented) and requires the
 // conservation check on the next grant to flag the divergence.
 func TestFaultLeakCreditCaught(t *testing.T) {
-	aud, tb := faultTable(t)
+	aud, tb, barrier := faultTable(t)
 	slot, ok := tb.Request(1, 0, 0)
 	if !ok {
 		t.Fatal("request denied")
@@ -70,6 +78,7 @@ func TestFaultLeakCreditCaught(t *testing.T) {
 	if _, ok := tb.Request(1, 1, 0); !ok {
 		t.Fatal("second request denied")
 	}
+	barrier()
 	if violationKinds(aud)["credit-conservation"] == 0 {
 		t.Fatalf("leaked credit not caught; violations: %v", aud.Violations())
 	}
@@ -78,7 +87,7 @@ func TestFaultLeakCreditCaught(t *testing.T) {
 // TestFaultFreeTableIsClean is the control: the same drive without faults
 // must not trip any check.
 func TestFaultFreeTableIsClean(t *testing.T) {
-	aud, tb := faultTable(t)
+	aud, tb, barrier := faultTable(t)
 	s0, ok := tb.Request(1, 0, 0)
 	if !ok {
 		t.Fatal("request denied")
@@ -90,6 +99,7 @@ func TestFaultFreeTableIsClean(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tb.Tick()
 	}
+	barrier()
 	aud.FinishRun(8)
 	if err := aud.Err(); err != nil {
 		t.Fatalf("clean drive flagged: %v", err)
@@ -226,10 +236,11 @@ func TestNilAuditorInert(t *testing.T) {
 	aud.SetHeatmap(func() string { return "" })
 	aud.OnPublish(func() {})
 	aud.SetFlowBound(0, 1)
-	aud.LOFTBook(flitQID(0, 0), 0, 0, 1, 0)
-	aud.LOFTInject(flitQID(0, 0), 8, 0, 0)
-	aud.GSFInject(0, 0, 0)
-	aud.GSFPacketDone(0, 0, 0, 1)
+	aud.WatchTable(nil, "x", nil)
+	aud.Record(&probe.Record{})
+	if aud.Kinds() != 0 {
+		t.Fatal("nil auditor wants records")
+	}
 	if aud.Violations() != nil || aud.Err() != nil || aud.Summary() != nil {
 		t.Fatal("nil auditor produced data")
 	}

@@ -8,6 +8,7 @@ import (
 	"loft/internal/config"
 	"loft/internal/det"
 	"loft/internal/flit"
+	"loft/internal/probe"
 	"loft/internal/stats"
 	"loft/internal/topo"
 )
@@ -67,6 +68,8 @@ type recorder struct {
 	// pktFlits is the architecture's packet size, for converting completed
 	// packet counts into accepted flit rates (quarantine throttle checks).
 	pktFlits int
+	// quantumFlits converts a LOFT booking's departure cycle back to slots.
+	quantumFlits uint64
 
 	bookedQuanta   uint64
 	injectedQuanta uint64
@@ -94,6 +97,7 @@ func (a *Auditor) BeginLOFT(cfg config.LOFT, m topo.Mesh, flows []flit.Flow) {
 	}
 	a.beginRun("loft")
 	a.rec.pktFlits = cfg.PacketFlits
+	a.rec.quantumFlits = uint64(cfg.QuantumFlits)
 	for _, f := range flows {
 		h := analysis.FlowHops(m, f)
 		a.rec.flows[f.ID] = &flowConf{
@@ -124,12 +128,57 @@ func (a *Auditor) BeginGSF(cfg config.GSF, m topo.Mesh, flows []flit.Flow) {
 	}
 }
 
-// LOFTBook records an injection-table grant: the birth of a quantum's
-// flight record.
-func (a *Auditor) LOFTBook(id flit.QuantumID, pktSeq uint64, node int32, depart, now uint64) {
+// Kinds returns the record kinds Record consumes for the architecture the
+// auditor is armed for (none for a nil auditor). A LOFT quantum is followed
+// from its injection-table booking (the NI's la-issue) through every hop; a
+// GSF packet from head-flit injection to completion.
+func (a *Auditor) Kinds() probe.KindSet {
+	switch {
+	case a == nil:
+		return 0
+	case a.arch == "gsf":
+		return probe.KindSetOf(probe.KindGSFInject, probe.KindPacketDone)
+	}
+	return probe.KindSetOf(probe.KindLAIssue, probe.KindReserve, probe.KindDataInject, probe.KindDataForward,
+		probe.KindEject, probe.KindPacketDone, probe.KindTapViolation)
+}
+
+// Record is the flight recorder's one entry point: the harness hands it, at
+// the cycle barrier and in emission order, every staged record whose kind
+// is in Kinds.
+func (a *Auditor) Record(r *probe.Record) {
 	if a == nil {
 		return
 	}
+	id := flit.QuantumID{Flow: flit.FlowID(r.Flow), Seq: r.Seq}
+	switch r.Kind {
+	case probe.KindLAIssue:
+		if r.Loc == int32(topo.NumDirs) {
+			a.book(id, r)
+		}
+	case probe.KindReserve:
+		a.hop(id, r, HopEvent{Link: r.Loc, Stage: "reserve", Slot: r.Arg})
+	case probe.KindDataInject:
+		a.rec.injectedQuanta++
+		a.rec.injectedFlits += r.Aux
+		a.hop(id, r, HopEvent{Link: int32(topo.NumDirs), Stage: "inject"})
+	case probe.KindDataForward:
+		a.hop(id, r, HopEvent{Link: r.Loc, Stage: "forward", Spec: r.Aux != 0})
+	case probe.KindEject:
+		a.eject(id, r)
+	case probe.KindGSFInject:
+		a.gsfInject(r)
+	case probe.KindPacketDone:
+		a.packetDone(r)
+	case probe.KindTapViolation:
+		a.tapViolation(r.Arg)
+	}
+}
+
+// book records an injection-table grant: the birth of a quantum's flight
+// record. The record's Arg is the booked departure in cycles, Aux the packet
+// sequence.
+func (a *Auditor) book(id flit.QuantumID, r *probe.Record) {
 	if _, dup := a.rec.quanta[id]; dup {
 		a.violate(Violation{Kind: "duplicate-booking", Flow: int32(id.Flow),
 			Detail: fmt.Sprintf("quantum %d of flow %d booked twice at the injection table", id.Seq, id.Flow)})
@@ -137,62 +186,40 @@ func (a *Auditor) LOFTBook(id flit.QuantumID, pktSeq uint64, node int32, depart,
 	}
 	a.rec.bookedQuanta++
 	a.rec.quanta[id] = &quantumRec{
-		pkt:  pktKey{id.Flow, pktSeq},
-		hops: []HopEvent{{Cycle: now, Node: node, Link: int32(topo.NumDirs), Stage: "book", Slot: depart}},
+		pkt: pktKey{id.Flow, r.Aux},
+		hops: []HopEvent{{Cycle: r.Cycle, Node: r.Node, Link: int32(topo.NumDirs), Stage: "book",
+			Slot: r.Arg / a.rec.quantumFlits}},
 	}
 }
 
-// LOFTReserve records a per-hop look-ahead reservation.
-func (a *Auditor) LOFTReserve(id flit.QuantumID, node, out int32, depart, now uint64) {
-	if a == nil {
-		return
-	}
+// hop appends one step — a per-hop look-ahead reservation, the data leaving
+// its NI, a switch traversal — to a quantum's timeline. Only a reservation
+// for a quantum that was never booked is an error: the data path is
+// cross-checked by the quantum ledger instead.
+func (a *Auditor) hop(id flit.QuantumID, r *probe.Record, h HopEvent) {
 	q := a.rec.quanta[id]
 	if q == nil {
-		a.violate(Violation{Kind: "reserve-unrecorded", Flow: int32(id.Flow),
-			Detail: fmt.Sprintf("look-ahead reservation for quantum %d of flow %d with no injection booking", id.Seq, id.Flow)})
+		if r.Kind == probe.KindReserve {
+			a.violate(Violation{Kind: "reserve-unrecorded", Flow: int32(id.Flow),
+				Detail: fmt.Sprintf("look-ahead reservation for quantum %d of flow %d with no injection booking", id.Seq, id.Flow)})
+		}
 		return
 	}
-	q.hops = append(q.hops, HopEvent{Cycle: now, Node: node, Link: out, Stage: "reserve", Slot: depart})
+	h.Cycle, h.Node = r.Cycle, r.Node
+	q.hops = append(q.hops, h)
 }
 
-// LOFTInject records the data quantum physically leaving its NI.
-func (a *Auditor) LOFTInject(id flit.QuantumID, flits int, node int32, now uint64) {
-	if a == nil {
-		return
-	}
-	a.rec.injectedQuanta++
-	a.rec.injectedFlits += uint64(flits)
-	if q := a.rec.quanta[id]; q != nil {
-		q.hops = append(q.hops, HopEvent{Cycle: now, Node: node, Link: int32(topo.NumDirs), Stage: "inject"})
-	}
-}
-
-// LOFTForward records one switch traversal (spec marks an ahead-of-schedule
-// speculative forward).
-func (a *Auditor) LOFTForward(id flit.QuantumID, node, out int32, spec bool, now uint64) {
-	if a == nil {
-		return
-	}
-	if q := a.rec.quanta[id]; q != nil {
-		q.hops = append(q.hops, HopEvent{Cycle: now, Node: node, Link: out, Stage: "forward", Spec: spec})
-	}
-}
-
-// LOFTEject folds an ejected quantum's timeline into its packet record.
-func (a *Auditor) LOFTEject(id flit.QuantumID, flits int, node int32, now uint64) {
-	if a == nil {
-		return
-	}
+// eject folds an ejected quantum's timeline into its packet record.
+func (a *Auditor) eject(id flit.QuantumID, r *probe.Record) {
 	a.rec.ejectedQuanta++
-	a.rec.ejectedFlits += uint64(flits)
+	a.rec.ejectedFlits += r.Aux
 	q := a.rec.quanta[id]
 	if q == nil {
 		a.violate(Violation{Kind: "eject-unrecorded", Flow: int32(id.Flow),
 			Detail: fmt.Sprintf("quantum %d of flow %d ejected with no flight record", id.Seq, id.Flow)})
 		return
 	}
-	q.hops = append(q.hops, HopEvent{Cycle: now, Node: node, Link: int32(topo.Local), Stage: "eject"})
+	q.hops = append(q.hops, HopEvent{Cycle: r.Cycle, Node: r.Node, Link: int32(topo.Local), Stage: "eject"})
 	delete(a.rec.quanta, id)
 	p := a.rec.packets[q.pkt]
 	if p == nil {
@@ -202,54 +229,36 @@ func (a *Auditor) LOFTEject(id flit.QuantumID, flits int, node int32, now uint64
 	p.hops = append(p.hops, q.hops...)
 }
 
-// LOFTPacketDone verdicts one completed packet: its network latency
-// (injection of the first quantum to ejection of the last) against the
-// flow's analytical bound. Exceeding the bound is a hard audit failure
-// carrying the packet's reconstructed hop-by-hop timeline.
-func (a *Auditor) LOFTPacketDone(flow flit.FlowID, pktSeq, injected, done uint64) {
-	if a == nil {
-		return
-	}
-	key := pktKey{flow, pktSeq}
-	p := a.rec.packets[key]
-	delete(a.rec.packets, key)
-	a.packetDone(flow, pktSeq, injected, done, p)
-}
-
-// GSFInject records a GSF packet's head-flit injection.
-func (a *Auditor) GSFInject(flow flit.FlowID, pktSeq, now uint64) {
-	if a == nil {
-		return
-	}
+// gsfInject records a GSF packet's head-flit injection.
+func (a *Auditor) gsfInject(r *probe.Record) {
 	a.rec.injectedQuanta++
-	key := pktKey{flow, pktSeq}
+	key := pktKey{flit.FlowID(r.Flow), r.Seq}
 	if _, dup := a.rec.packets[key]; dup {
-		a.violate(Violation{Kind: "duplicate-injection", Flow: int32(flow),
-			Detail: fmt.Sprintf("packet %d of flow %d injected twice", pktSeq, flow)})
+		a.violate(Violation{Kind: "duplicate-injection", Flow: r.Flow,
+			Detail: fmt.Sprintf("packet %d of flow %d injected twice", r.Seq, r.Flow)})
 		return
 	}
-	a.rec.packets[key] = &pktRec{hops: []HopEvent{{Cycle: now, Link: int32(topo.NumDirs), Stage: "inject"}}}
+	a.rec.packets[key] = &pktRec{hops: []HopEvent{{Cycle: r.Cycle, Link: int32(topo.NumDirs), Stage: "inject"}}}
 }
 
-// GSFPacketDone verdicts one completed GSF packet against the
-// path-independent GSF bound.
-func (a *Auditor) GSFPacketDone(flow flit.FlowID, pktSeq, injected, done uint64) {
-	if a == nil {
-		return
-	}
-	a.rec.ejectedQuanta++
+// packetDone verdicts one completed packet: its network latency (injection
+// of the first quantum or head flit to ejection of the last) against the
+// flow's analytical bound — the full-path LOFT bound or the
+// path-independent GSF one. Exceeding the bound is a hard audit failure
+// carrying the packet's reconstructed hop-by-hop timeline. A GSF packet is
+// also its own ejection: it must have a flight record.
+func (a *Auditor) packetDone(r *probe.Record) {
+	flow, pktSeq, injected, done := flit.FlowID(r.Flow), r.Seq, r.Arg, r.Cycle
 	key := pktKey{flow, pktSeq}
 	p := a.rec.packets[key]
 	delete(a.rec.packets, key)
-	if p == nil {
-		a.violate(Violation{Kind: "eject-unrecorded", Flow: int32(flow),
-			Detail: fmt.Sprintf("packet %d of flow %d ejected with no flight record", pktSeq, flow)})
+	if a.arch == "gsf" {
+		a.rec.ejectedQuanta++
+		if p == nil {
+			a.violate(Violation{Kind: "eject-unrecorded", Flow: int32(flow),
+				Detail: fmt.Sprintf("packet %d of flow %d ejected with no flight record", pktSeq, flow)})
+		}
 	}
-	a.packetDone(flow, pktSeq, injected, done, p)
-}
-
-// packetDone is the shared conformance verdict.
-func (a *Auditor) packetDone(flow flit.FlowID, pktSeq, injected, done uint64, p *pktRec) {
 	a.rec.packetsDone++
 	fc := a.rec.flows[flow]
 	if fc == nil {
@@ -409,7 +418,7 @@ func (a *Auditor) Snapshot() Snapshot {
 		InFlightQuanta:  len(a.rec.quanta),
 		InFlightPackets: len(a.rec.packets),
 		InvariantSweeps: a.sweeps,
-		GrantChecks:     a.grantChecks,
+		GrantChecks:     a.grantChecksSoFar(),
 		ViolationLog:    a.violations,
 	}
 	for _, id := range det.Keys(a.rec.flows) {

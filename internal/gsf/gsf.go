@@ -16,7 +16,6 @@ package gsf
 import (
 	"fmt"
 
-	"loft/internal/audit"
 	"loft/internal/buffers"
 	"loft/internal/config"
 	"loft/internal/flit"
@@ -26,6 +25,7 @@ import (
 	"loft/internal/route"
 	"loft/internal/sim"
 	"loft/internal/topo"
+	"loft/internal/traffic"
 )
 
 // linkMsg is one flit on a link, demultiplexed by downstream VC index.
@@ -112,13 +112,12 @@ type node struct {
 	// linkBusy counts flits forwarded per mesh output (link utilization).
 	linkBusy [4]uint64
 
-	// slot is this node's staging slot in the harness (statistics
-	// observations); probe, audit and perf alias the slot's views of the
-	// shared probe and auditor and its stage timer.
-	slot  *netsim.Slot
-	probe *probe.Stage
-	audit *audit.Hook
-	perf  *perfmon.Timer
+	// inj, obs and perf are the node's harness slot: its traffic injector,
+	// the record stream it reports simulated occurrences into (replayed at
+	// the cycle barrier) and its stage timer (nil when profiling is off).
+	inj  *traffic.Injector
+	obs  *probe.Stage
+	perf *perfmon.Timer
 	// Effects on GSF's own network-global state (frame census, throttle
 	// counter) buffer here during the compute phase; Network.commitFrames
 	// applies them at the cycle barrier, under both engines.
@@ -151,9 +150,8 @@ func newNode(id topo.NodeID, cfg config.GSF, net *Network, slot *netsim.Slot) *n
 		flows:    make(map[flit.FlowID]*flowState),
 		injVC:    -1,
 		pktFlits: make(map[pktKey]pktProgress),
-		slot:     slot,
-		probe:    slot.Probe,
-		audit:    slot.Audit,
+		inj:      slot.Injector,
+		obs:      &slot.Stage,
 		perf:     slot.Perf,
 	}
 	for d := topo.North; d < topo.NumDirs; d++ {
@@ -187,7 +185,7 @@ func (n *node) Tick(now uint64) {
 	if n.perf != nil {
 		n.perf.Begin(now)
 	}
-	for _, pkt := range n.slot.Injector.Next(now) {
+	for _, pkt := range n.inj.Next(now) {
 		n.enqueue(pkt)
 	}
 	if n.perf != nil {
@@ -359,8 +357,8 @@ func indexOf(vcs []*inputVC, vc *inputVC) int {
 	panic("gsf: VC not found")
 }
 
-// eject delivers a flit to the local sink. Statistics observations stage in
-// the harness slot (the collectors are network-global and order-sensitive);
+// eject delivers a flit to the local sink. The collectors and the auditor
+// are network-global and order-sensitive, so what they consume is staged;
 // per-packet reassembly state is node-local.
 func (n *node) eject(f flit.Flit, now uint64) {
 	key := pktKey{flow: f.Flow, seq: f.PktSeq}
@@ -369,15 +367,16 @@ func (n *node) eject(f flit.Flit, now uint64) {
 		prog.injected = f.Injected
 	}
 	prog.flits++
-	n.slot.Flits(f.Flow, int(f.Src), 1, now)
+	if n.obs.Wants(probe.KindEject) {
+		n.obs.EmitAux(now, probe.KindEject, int32(n.id), int32(f.Src), int32(f.Flow), 0, 0, 1)
+	}
 	if !f.Tail {
 		n.pktFlits[key] = prog
 		return
 	}
 	delete(n.pktFlits, key)
-	n.slot.Packet(f.Flow, f.Created, prog.injected, now+1)
-	if n.audit != nil {
-		n.audit.GSFPacketDone(f.Flow, f.PktSeq, prog.injected, now+1)
+	if n.obs.Wants(probe.KindPacketDone) {
+		n.obs.EmitAux(now+1, probe.KindPacketDone, int32(n.id), -1, int32(f.Flow), f.PktSeq, prog.injected, f.Created)
 	}
 }
 
@@ -447,8 +446,8 @@ func (n *node) inject(now uint64) {
 				n.throttleStaged++
 				if !fs.throttled {
 					fs.throttled = true
-					if n.probe != nil {
-						n.probe.Emit(now, probe.KindGSFThrottle, int32(n.id), -1, int32(fs.id), uint64(h))
+					if n.obs.Wants(probe.KindGSFThrottle) {
+						n.obs.Emit(now, probe.KindGSFThrottle, int32(n.id), -1, int32(fs.id), uint64(h))
 					}
 				}
 				return
@@ -463,8 +462,8 @@ func (n *node) inject(now uint64) {
 	f, _ := n.srcQueue.Pop()
 	f.Frame = frame
 	f.Injected = now
-	if n.audit != nil && f.Head {
-		n.audit.GSFInject(f.Flow, f.PktSeq, now)
+	if f.Head && n.obs.Wants(probe.KindGSFInject) {
+		n.obs.EmitSeq(now, probe.KindGSFInject, int32(n.id), -1, int32(f.Flow), f.PktSeq, 0)
 	}
 	if !vc.routed {
 		vc.outDir = topo.Local

@@ -9,19 +9,21 @@ import (
 
 // HookGuard returns the analyzer enforcing the hook-free disabled path: every
 // call to a probe/audit/perfmon sink method (probe.Probe.Emit/MaybeSample,
-// probe.Stage.Emit/FlushStage, probe.Tracer.Emit, the lsf.AuditSink
+// probe.Stage.Emit/EmitSeq/EmitAux, probe.Tracer.Emit, the lsf.AuditSink
 // interface, audit.Auditor taps, perfmon.Timer/EngineTimer laps and
-// Monitor.OnCycle) must be dominated by a nil check of its receiver. The sinks happen to be nil-receiver-safe today,
-// but the guard is what keeps an un-instrumented run from paying a call (and
-// pointer chase) per cycle — and keeps that guarantee when a sink later
-// grows state its methods dereference unconditionally. This is also what
-// makes -perf provably zero-overhead when disabled: the profiler's hot-path
-// entry points cannot be reached without a nil guard compiling to a single
-// predictable branch.
+// Monitor.OnCycle) must be dominated by a nil check of its receiver — or,
+// for a probe.Stage, by the receiver's own Wants(kind), the one branch that
+// asks whether any consumer wants the record. The sinks happen to be safe to
+// call unguarded today, but the guard is what keeps an un-instrumented run
+// from paying a call (and its argument evaluation) per occurrence — and
+// keeps that guarantee when a sink later grows state its methods dereference
+// unconditionally. This is also what makes -perf provably zero-overhead when
+// disabled: the profiler's hot-path entry points cannot be reached without a
+// nil guard compiling to a single predictable branch.
 func HookGuard() *Analyzer {
 	return &Analyzer{
 		Name:  "hookguard",
-		Doc:   "probe/audit/perfmon sink calls must be dominated by a nil check of the receiver",
+		Doc:   "probe/audit/perfmon sink calls must be dominated by a nil check of the receiver (or its Wants, for a stage)",
 		Match: matchPaths(simulationPackages, tracePackages),
 		Run:   hookguardRun,
 	}
@@ -39,9 +41,10 @@ func hookguardRun(pass *Pass) {
 }
 
 // guardWalker walks a function body tracking, per statement, the set of
-// expressions (rendered with types.ExprString) known non-nil at that point:
-// conjuncts of an enclosing `if x != nil`, the else-branch of `x == nil`, or
-// everything after a terminating `if x == nil { return/panic/... }`.
+// expressions (rendered with types.ExprString) known guarded at that point:
+// conjuncts `x != nil` or `x.Wants(k)` of an enclosing if, the else-branch of
+// `x == nil`, or everything after a terminating `if x == nil {
+// return/panic/... }`.
 type guardWalker struct {
 	pass *Pass
 }
@@ -67,7 +70,7 @@ func (w *guardWalker) stmt(s ast.Stmt, g map[string]bool) {
 			w.stmt(s.Init, g)
 		}
 		w.expr(s.Cond, g)
-		w.stmts(s.Body.List, cloneAdd(g, nilNeqExprs(s.Cond)...))
+		w.stmts(s.Body.List, cloneAdd(g, w.guardExprs(s.Cond)...))
 		if s.Else != nil {
 			eg := g
 			if x, ok := nilEqExpr(s.Cond); ok {
@@ -160,9 +163,10 @@ func (w *guardWalker) checkCall(call *ast.CallExpr, g map[string]bool) {
 	w.pass.Reportf(call.Pos(), "sink call %s on unguarded receiver %s: dominate it with `if %s != nil { ... }` so a run without hooks stays hook-free", sink, key, key)
 }
 
-// auditorSinkMethods are the audit.Auditor tap names outside the LOFT*/GSF*
-// prefix families.
+// auditorSinkMethods are the audit.Auditor taps: the per-record entry of the
+// flight recorder and the run/cycle clock.
 var auditorSinkMethods = map[string]bool{
+	"Record":    true,
 	"OnCycle":   true,
 	"StartRun":  true,
 	"FinishRun": true,
@@ -193,21 +197,14 @@ func sinkReceiver(pass *Pass, call *ast.CallExpr) (recv ast.Expr, sink string, o
 	switch {
 	case strings.HasSuffix(pkgPath, "internal/lsf") && typeName == "AuditSink":
 		return sel.X, "lsf.AuditSink." + name, true
-	case strings.HasSuffix(pkgPath, "internal/probe") && typeName == "Probe" && (name == "Emit" || name == "EmitSeq" || name == "MaybeSample"):
+	case strings.HasSuffix(pkgPath, "internal/probe") && typeName == "Probe" && (name == "Emit" || name == "MaybeSample"):
 		return sel.X, "probe.Probe." + name, true
-	case strings.HasSuffix(pkgPath, "internal/probe") && typeName == "Stage" && (name == "Emit" || name == "EmitSeq" || name == "FlushStage"):
+	case strings.HasSuffix(pkgPath, "internal/probe") && typeName == "Stage" && (name == "Emit" || name == "EmitSeq" || name == "EmitAux"):
 		return sel.X, "probe.Stage." + name, true
 	case strings.HasSuffix(pkgPath, "internal/probe") && typeName == "Tracer" && name == "Emit":
 		return sel.X, "probe.Tracer." + name, true
-	case strings.HasSuffix(pkgPath, "internal/audit") && typeName == "Auditor" &&
-		(auditorSinkMethods[name] || strings.HasPrefix(name, "LOFT") || strings.HasPrefix(name, "GSF") || strings.HasPrefix(name, "Audit")):
+	case strings.HasSuffix(pkgPath, "internal/audit") && typeName == "Auditor" && auditorSinkMethods[name]:
 		return sel.X, "audit.Auditor." + name, true
-	case strings.HasSuffix(pkgPath, "internal/audit") && typeName == "Hook" &&
-		(name == "Flush" || name == "WatchTable" || strings.HasPrefix(name, "LOFT") || strings.HasPrefix(name, "GSF")):
-		// audit.Hook forwards the Auditor taps (possibly staged); the
-		// disabled path must skip the forwarder for the same reason it skips
-		// the auditor itself.
-		return sel.X, "audit.Hook." + name, true
 	case strings.HasSuffix(pkgPath, "internal/perfmon") && typeName == "Timer" && (name == "Begin" || name == "Lap"):
 		return sel.X, "perfmon.Timer." + name, true
 	case strings.HasSuffix(pkgPath, "internal/perfmon") && typeName == "EngineTimer" &&
@@ -222,12 +219,18 @@ func sinkReceiver(pass *Pass, call *ast.CallExpr) (recv ast.Expr, sink string, o
 	return nil, "", false
 }
 
-// nilNeqExprs collects the expressions compared `!= nil` in the &&-conjuncts
-// of cond.
-func nilNeqExprs(cond ast.Expr) []string {
+// guardExprs collects, from the &&-conjuncts of cond, the expressions
+// compared `!= nil` and the stages asked `x.Wants(k)`.
+func (w *guardWalker) guardExprs(cond ast.Expr) []string {
 	var out []string
 	var walk func(e ast.Expr)
 	walk = func(e ast.Expr) {
+		if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+			if x, ok := w.wantsReceiver(call); ok {
+				out = append(out, x)
+			}
+			return
+		}
 		b, ok := ast.Unparen(e).(*ast.BinaryExpr)
 		if !ok {
 			return
@@ -244,6 +247,24 @@ func nilNeqExprs(cond ast.Expr) []string {
 	}
 	walk(cond)
 	return out
+}
+
+// wantsReceiver reports whether call is probe.Stage.Wants, returning the
+// rendering of the stage asked.
+func (w *guardWalker) wantsReceiver(call *ast.CallExpr) (string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Wants" {
+		return "", false
+	}
+	selection, isMethod := w.pass.Info.Selections[sel]
+	if !isMethod {
+		return "", false
+	}
+	pkgPath, typeName, named := namedRecv(selection.Recv())
+	if !named || !strings.HasSuffix(pkgPath, "internal/probe") || typeName != "Stage" {
+		return "", false
+	}
+	return types.ExprString(ast.Unparen(sel.X)), true
 }
 
 // nilEqExpr reports whether cond is exactly `x == nil` (or `nil == x`),

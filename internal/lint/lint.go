@@ -12,8 +12,8 @@
 //     order can leak into results (the parallel-sweep ≡ sequential
 //     byte-identity contract).
 //   - hookguard: every probe/audit sink call must be dominated by a nil
-//     check of its receiver (the "un-audited run takes the exact same hot
-//     path" guarantee).
+//     check of its receiver, or a stage emission by the stage's Wants (the
+//     "un-audited run takes the exact same hot path" guarantee).
 //   - hotpath: functions reachable from a //loft:hotpath cycle entry point
 //     must not format, log, or allocate per call.
 //   - lockdiscipline: struct fields annotated //loft:guardedby <mutex> may

@@ -15,14 +15,14 @@ import (
 // call graph from those seeds (a //loft:commitphase marker stops propagation
 // — that is the sanctioned serial side) and rejects, inside the closure:
 //
-//   - calls to serial-only sinks: probe.Probe.Emit/EmitSeq/MaybeSample,
-//     probe.Stage.FlushStage, probe.Tracer.Emit, probe.Registry.Sample,
-//     probe.Counter.Inc/Add, the audit.Auditor taps, audit.Hook.Flush, the
+//   - calls to serial-only sinks: probe.Probe.Emit/MaybeSample,
+//     probe.Stage.Drain, probe.Tracer.Emit, probe.Registry.Sample,
+//     probe.Counter.Inc/Add, the audit.Auditor taps (Record among them), the
 //     shared stats reservoir mutators (Latency/FlowLatency/Throughput/
 //     Histogram observations consume per-run RNG draws in call order), and
 //     perfmon.Monitor.OnCycle. The staged surfaces — probe.Stage.Emit/
-//     EmitSeq, the audit.Hook forwarders, per-node delta buffers — stay
-//     allowed: they buffer locally and replay at the barrier;
+//     EmitSeq/EmitAux, per-node delta buffers — stay allowed: they buffer
+//     locally and replay at the barrier;
 //   - the global math/rand generators (also caught by determinism, but a
 //     compute-phase draw additionally breaks cross-worker replay);
 //   - writes to struct fields annotated //loft:commitonly (assignment,
@@ -226,7 +226,7 @@ func checkComputeFunc(pass *Pass, fd *ast.FuncDecl, seed *types.Func, fields map
 				return true
 			}
 			if sink, ok := serialOnlySink(pass, n); ok {
-				pass.Reportf(n.Pos(), "serial-only sink %s called in the parallel compute phase (reachable from compute-phase entry %s): emit through the staged surface (probe.Stage, audit.Hook, per-node buffers) and replay it from the commit phase", sink, seed.Name())
+				pass.Reportf(n.Pos(), "serial-only sink %s called in the parallel compute phase (reachable from compute-phase entry %s): emit through the staged surface (probe.Stage, per-node buffers) and replay it from the commit phase", sink, seed.Name())
 			}
 		}
 		return true
@@ -283,9 +283,9 @@ func serialOnlySink(pass *Pass, call *ast.CallExpr) (string, bool) {
 	}
 	name := sel.Sel.Name
 	switch {
-	case strings.HasSuffix(pkgPath, "internal/probe") && typeName == "Probe" && (name == "Emit" || name == "EmitSeq" || name == "MaybeSample"):
+	case strings.HasSuffix(pkgPath, "internal/probe") && typeName == "Probe" && (name == "Emit" || name == "MaybeSample"):
 		return "probe.Probe." + name, true
-	case strings.HasSuffix(pkgPath, "internal/probe") && typeName == "Stage" && name == "FlushStage":
+	case strings.HasSuffix(pkgPath, "internal/probe") && typeName == "Stage" && name == "Drain":
 		return "probe.Stage." + name, true
 	case strings.HasSuffix(pkgPath, "internal/probe") && typeName == "Tracer" && name == "Emit":
 		return "probe.Tracer." + name, true
@@ -293,11 +293,8 @@ func serialOnlySink(pass *Pass, call *ast.CallExpr) (string, bool) {
 		return "probe.Registry." + name, true
 	case strings.HasSuffix(pkgPath, "internal/probe") && typeName == "Counter" && (name == "Inc" || name == "Add"):
 		return "probe.Counter." + name, true
-	case strings.HasSuffix(pkgPath, "internal/audit") && typeName == "Auditor" &&
-		(auditorSinkMethods[name] || strings.HasPrefix(name, "LOFT") || strings.HasPrefix(name, "GSF") || strings.HasPrefix(name, "Audit")):
+	case strings.HasSuffix(pkgPath, "internal/audit") && typeName == "Auditor" && auditorSinkMethods[name]:
 		return "audit.Auditor." + name, true
-	case strings.HasSuffix(pkgPath, "internal/audit") && typeName == "Hook" && name == "Flush":
-		return "audit.Hook." + name, true
 	case strings.HasSuffix(pkgPath, "internal/stats") && typeName == "Latency" && name == "Observe":
 		return "stats.Latency." + name, true
 	case strings.HasSuffix(pkgPath, "internal/stats") && typeName == "FlowLatency" && name == "Observe":

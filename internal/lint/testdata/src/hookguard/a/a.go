@@ -15,23 +15,27 @@ type router struct {
 	trc   *probe.Tracer
 	aud   lsf.AuditSink
 	live  *audit.Auditor
-	hook  *audit.Hook
 	perf  *perfmon.Timer
 	eng   *perfmon.EngineTimer
 	mon   *perfmon.Monitor
 }
 
 func (r *router) tick(now uint64) {
-	r.probe.Emit(now, probe.KindReserveGrant, 0, 0, 0, 0)     // want `sink call probe\.Probe\.Emit on unguarded receiver r\.probe`
-	r.probe.EmitSeq(now, probe.KindLAIssue, 0, 0, 0, 1, 0)    // want `sink call probe\.Probe\.EmitSeq on unguarded receiver`
-	r.probe.MaybeSample(now)                                  // want `sink call probe\.Probe\.MaybeSample on unguarded receiver`
-	r.stage.Emit(now, probe.KindReserveGrant, 0, 0, 0, 0)     // want `sink call probe\.Stage\.Emit on unguarded receiver r\.stage`
-	r.stage.EmitSeq(now, probe.KindDataInject, 0, 0, 0, 1, 0) // want `sink call probe\.Stage\.EmitSeq on unguarded receiver`
-	r.stage.FlushStage()                                      // want `sink call probe\.Stage\.FlushStage on unguarded receiver`
-	r.trc.Emit(probe.Event{})                                 // want `sink call probe\.Tracer\.Emit on unguarded receiver`
-	r.live.OnCycle(now)                                       // want `sink call audit\.Auditor\.OnCycle on unguarded receiver`
-	r.hook.GSFInject(0, 0, now)                               // want `sink call audit\.Hook\.GSFInject on unguarded receiver`
-	r.hook.Flush()                                            // want `sink call audit\.Hook\.Flush on unguarded receiver`
+	r.probe.Emit(now, probe.KindReserveGrant, 0, 0, 0, 0)        // want `sink call probe\.Probe\.Emit on unguarded receiver r\.probe`
+	r.probe.MaybeSample(now)                                     // want `sink call probe\.Probe\.MaybeSample on unguarded receiver`
+	r.stage.Emit(now, probe.KindReserveGrant, 0, 0, 0, 0)        // want `sink call probe\.Stage\.Emit on unguarded receiver r\.stage`
+	r.stage.EmitSeq(now, probe.KindDataInject, 0, 0, 0, 1, 0)    // want `sink call probe\.Stage\.EmitSeq on unguarded receiver`
+	r.stage.EmitAux(now, probe.KindDataInject, 0, 0, 0, 1, 0, 8) // want `sink call probe\.Stage\.EmitAux on unguarded receiver`
+	r.trc.Emit(probe.Event{})                                    // want `sink call probe\.Tracer\.Emit on unguarded receiver`
+	r.live.OnCycle(now)                                          // want `sink call audit\.Auditor\.OnCycle on unguarded receiver`
+	r.live.Record(&probe.Record{})                               // want `sink call audit\.Auditor\.Record on unguarded receiver`
+}
+
+// Another stage's Wants does not dominate this one's emission.
+func (r *router) wrongStage(other *probe.Stage, now uint64) {
+	if other.Wants(probe.KindEject) {
+		r.stage.EmitAux(now, probe.KindEject, 0, 0, 0, 0, 0, 1) // want `sink call probe\.Stage\.EmitAux on unguarded receiver r\.stage`
+	}
 }
 
 func (r *router) profile(now uint64) {

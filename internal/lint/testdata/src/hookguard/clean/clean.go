@@ -1,5 +1,6 @@
 // Package clean is the hookguard clean-negative corpus: every sink call is
-// dominated by a nil check of its receiver.
+// dominated by a nil check of its receiver, or a stage emission by the
+// stage's own Wants.
 package clean
 
 import (
@@ -15,7 +16,6 @@ type router struct {
 	trc     *probe.Tracer
 	aud     lsf.AuditSink
 	live    *audit.Auditor
-	hook    *audit.Hook
 	perf    *perfmon.Timer
 	eng     *perfmon.EngineTimer
 	mon     *perfmon.Monitor
@@ -29,15 +29,23 @@ func (r *router) tick(now uint64) {
 	}
 	if r.stage != nil {
 		r.stage.EmitSeq(now, probe.KindDataInject, 0, 0, 0, 1, 0)
-		r.stage.FlushStage()
 	}
 	if r.live != nil {
 		r.live.OnCycle(now)
+		r.live.Record(&probe.Record{})
 	}
-	if r.hook != nil {
-		r.hook.GSFInject(0, 0, now)
-		r.hook.Flush()
+}
+
+// A stage's Wants is its one-branch guard, alone or as a conjunct; draining
+// a stage is the owner's commit-side job, not a per-occurrence sink.
+func (r *router) wanted(now uint64, head bool) {
+	if r.stage.Wants(probe.KindEject) {
+		r.stage.EmitAux(now, probe.KindEject, 0, 0, 0, 0, 0, 1)
 	}
+	if head && r.stage.Wants(probe.KindGSFInject) {
+		r.stage.EmitSeq(now, probe.KindGSFInject, 0, -1, 0, 1, 0)
+	}
+	_ = r.stage.Drain()
 }
 
 // Conjunct of an && chain.

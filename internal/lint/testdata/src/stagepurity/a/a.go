@@ -32,7 +32,6 @@ type node struct {
 	ctr   *probe.Counter
 	stage *probe.Stage
 	aud   *audit.Auditor
-	hook  *audit.Hook
 	lat   *stats.Latency
 	thr   *stats.Throughput
 	hist  *stats.Histogram
@@ -44,9 +43,9 @@ type node struct {
 //loft:computephase
 func (n *node) Tick(now uint64) {
 	n.probe.Emit(now, probe.KindReserveGrant, 0, 0, 0, 0) // want `serial-only sink probe\.Probe\.Emit called in the parallel compute phase \(reachable from compute-phase entry Tick\)`
-	n.stage.FlushStage()                                  // want `serial-only sink probe\.Stage\.FlushStage called in the parallel compute phase`
+	_ = n.stage.Drain()                                   // want `serial-only sink probe\.Stage\.Drain called in the parallel compute phase`
 	n.trc.Emit(probe.Event{})                             // want `serial-only sink probe\.Tracer\.Emit called in the parallel compute phase`
-	n.hook.Flush()                                        // want `serial-only sink audit\.Hook\.Flush called in the parallel compute phase`
+	n.aud.Record(&probe.Record{})                         // want `serial-only sink audit\.Auditor\.Record called in the parallel compute phase`
 	n.net.head = int(now)                                 // want `write to //loft:commitonly field head in the parallel compute phase`
 	n.net.barrier--                                       // want `write to //loft:commitonly field barrier in the parallel compute phase`
 	n.net.frameCount[0]++                                 // want `write to //loft:commitonly field frameCount in the parallel compute phase`
@@ -75,7 +74,9 @@ func (n *node) observe(now uint64) {
 //loft:commitphase
 func (n *node) commit(now uint64) {
 	n.net.head = int(now)
-	n.stage.FlushStage()
+	for _, r := range n.stage.Drain() {
+		n.aud.Record(&r)
+	}
 	n.probe.Emit(now, probe.KindReserveGrant, 0, 0, 0, 0)
 }
 
@@ -89,8 +90,8 @@ type faultGate struct {
 
 //loft:computephase
 func (g *faultGate) Tick(now uint64) {
-	g.probe.EmitSeq(now, probe.KindReserveGrant, 0, 0, 0, 0, 0) // want `serial-only sink probe\.Probe\.EmitSeq called in the parallel compute phase \(reachable from compute-phase entry Tick\)`
-	g.net.head++                                                // want `write to //loft:commitonly field head in the parallel compute phase`
+	g.probe.Emit(now, probe.KindReserveGrant, 0, 0, 0, 0) // want `serial-only sink probe\.Probe\.Emit called in the parallel compute phase \(reachable from compute-phase entry Tick\)`
+	g.net.head++                                          // want `write to //loft:commitonly field head in the parallel compute phase`
 }
 
 // comp is seeded without any annotation: wire registers it on the parallel

@@ -23,7 +23,7 @@ type node struct {
 	net         *fabric
 	probe       *probe.Probe
 	stage       *probe.Stage
-	hook        *audit.Hook
+	live        *audit.Auditor
 	aud         lsf.AuditSink
 	perf        *perfmon.Timer
 	lat         *stats.Latency
@@ -31,16 +31,17 @@ type node struct {
 	rng         *sim.RNG
 }
 
-// Tick stages: probe.Stage buffers locally, audit.Hook forwarders stage in
-// parallel mode, lsf.AuditSink taps route through the hook, perfmon timers
-// never feed results, commit-only fields are only read, and census changes
-// accumulate in a per-node delta slice for the commit phase to apply.
+// Tick stages: probe.Stage buffers locally — probe events and the auditor's
+// recorder operations alike — lsf.AuditSink taps leave their violations
+// behind a marker in it, perfmon timers never feed results, commit-only
+// fields are only read, and census changes accumulate in a per-node delta
+// slice for the commit phase to apply.
 //
 //loft:computephase
 func (n *node) Tick(now uint64) {
 	n.stage.Emit(now, probe.KindReserveGrant, 0, 0, 0, 0)
 	n.stage.EmitSeq(now, probe.KindDataInject, 0, 0, 0, 1, 0)
-	n.hook.GSFInject(0, 0, now)
+	n.stage.EmitAux(now, probe.KindPacketDone, 0, -1, 0, 1, now, now)
 	n.aud.AuditGrant(0, 1, now, 0)
 	n.perf.Begin(now)
 	if n.net.head > 0 { // reading commit-only state is fine between barriers
@@ -55,8 +56,9 @@ func (n *node) Tick(now uint64) {
 //
 //loft:commitphase
 func (n *node) commit(now uint64) {
-	n.stage.FlushStage()
-	n.hook.Flush()
+	for _, r := range n.stage.Drain() {
+		n.live.Record(&r)
+	}
 	n.lat.Observe(0, now)
 	for _, h := range n.frameDeltas {
 		n.net.frameCount[h]++

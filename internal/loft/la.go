@@ -197,8 +197,8 @@ func (la *laRouter) process(now uint64) {
 		entry := won.entry // written by accept; skips the map lookup
 		entry.booked = true
 		entry.departSlot = depart
-		if n.audit != nil {
-			n.audit.LOFTReserve(flit.QuantumID{Flow: won.fl.Flow, Seq: won.fl.Quantum}, int32(n.id), int32(o), depart, now)
+		if n.obs.Wants(probe.KindReserve) {
+			n.obs.EmitSeq(now, probe.KindReserve, int32(n.id), int32(o), int32(won.fl.Flow), won.fl.Quantum, depart)
 		}
 		if entry.arrived {
 			n.inputs[d].avail = append(n.inputs[d].avail, entry)
@@ -216,8 +216,8 @@ func (la *laRouter) process(now uint64) {
 			fl.DepartPrev = depart
 			n.laOut[o].Write(fl)
 			la.credits[o].Consume()
-			if n.probe != nil {
-				n.probe.EmitSeq(now, probe.KindLAIssue, int32(n.id), int32(o), int32(fl.Flow), fl.Quantum, depart*uint64(n.cfg.QuantumFlits))
+			if n.obs.Wants(probe.KindLAIssue) {
+				n.obs.EmitSeq(now, probe.KindLAIssue, int32(n.id), int32(o), int32(fl.Flow), fl.Quantum, depart*uint64(n.cfg.QuantumFlits))
 			}
 		}
 		la.pool = append(la.pool, won)

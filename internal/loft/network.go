@@ -93,16 +93,12 @@ func (net *Network) bindAudit() {
 		return
 	}
 	for _, n := range net.nodes {
-		// Watch through the node's hook so tap violations stage with the
-		// rest of the node's audit traffic under the parallel engine.
-		if n.audit != nil {
-			for d := topo.North; d < topo.NumDirs; d++ {
-				if t := n.outTables[d]; t != nil {
-					n.audit.WatchTable(t, t.Name())
-				}
+		for d := topo.North; d < topo.NumDirs; d++ {
+			if t := n.outTables[d]; t != nil {
+				aud.WatchTable(t, t.Name(), n.obs)
 			}
-			n.audit.WatchTable(n.injTable, n.injTable.Name())
 		}
+		aud.WatchTable(n.injTable, n.injTable.Name(), n.obs)
 	}
 	// The flight recorder's quantum ledger must agree with the nodes' own
 	// counters: every booked quantum was counted by an NI and every ejected

@@ -159,11 +159,8 @@ func (ni *netIface) book(now uint64) {
 		pq.booked = true
 		pq.departSlot = depart
 		n.stats.InjectedQuanta++
-		if n.probe != nil {
-			n.probe.EmitSeq(now, probe.KindLAIssue, int32(n.id), int32(topo.NumDirs), int32(fq.id), pq.q.ID.Seq, depart*uint64(n.cfg.QuantumFlits))
-		}
-		if n.audit != nil {
-			n.audit.LOFTBook(pq.q.ID, pq.q.PktSeq, int32(n.id), depart, now)
+		if n.obs.Wants(probe.KindLAIssue) {
+			n.obs.EmitAux(now, probe.KindLAIssue, int32(n.id), int32(topo.NumDirs), int32(fq.id), pq.q.ID.Seq, depart*uint64(n.cfg.QuantumFlits), pq.q.PktSeq)
 		}
 		n.la.accept(flit.Lookahead{
 			Dst:        pq.q.Dst,
@@ -224,8 +221,8 @@ func (ni *netIface) forward(slot, now uint64) {
 		best.faultDenied = true
 		n.stats.FaultsInjected++
 		n.stats.FlitsLost += uint64(best.q.Flits)
-		if n.probe != nil {
-			n.probe.EmitSeq(now, probe.KindFaultLoss, int32(n.id), int32(topo.NumDirs), int32(best.q.ID.Flow), best.q.ID.Seq, uint64(best.q.Flits))
+		if n.obs.Wants(probe.KindFaultLoss) {
+			n.obs.EmitSeq(now, probe.KindFaultLoss, int32(n.id), int32(topo.NumDirs), int32(best.q.ID.Flow), best.q.ID.Seq, uint64(best.q.Flits))
 		}
 		return
 	}
@@ -242,8 +239,8 @@ func (ni *netIface) forward(slot, now uint64) {
 	if best.faultDenied {
 		best.faultDenied = false
 		n.stats.Retries++
-		if n.probe != nil {
-			n.probe.EmitSeq(now, probe.KindFaultRetry, int32(n.id), int32(topo.NumDirs), int32(best.q.ID.Flow), best.q.ID.Seq, best.departSlot*uint64(n.cfg.QuantumFlits))
+		if n.obs.Wants(probe.KindFaultRetry) {
+			n.obs.EmitSeq(now, probe.KindFaultRetry, int32(n.id), int32(topo.NumDirs), int32(best.q.ID.Flow), best.q.ID.Seq, best.departSlot*uint64(n.cfg.QuantumFlits))
 		}
 	}
 	// Pop by copying down instead of re-slicing off the front: the queue
@@ -254,11 +251,8 @@ func (ni *netIface) forward(slot, now uint64) {
 	q.Injected = now
 	copy(bestFlow.queue, bestFlow.queue[1:])
 	bestFlow.queue = bestFlow.queue[:len(bestFlow.queue)-1]
-	if n.probe != nil {
-		n.probe.EmitSeq(now, probe.KindDataInject, int32(n.id), int32(topo.NumDirs), int32(q.ID.Flow), q.ID.Seq, depart*uint64(n.cfg.QuantumFlits))
-	}
-	if n.audit != nil {
-		n.audit.LOFTInject(q.ID, q.Flits, int32(n.id), now)
+	if n.obs.Wants(probe.KindDataInject) {
+		n.obs.EmitAux(now, probe.KindDataInject, int32(n.id), int32(topo.NumDirs), int32(q.ID.Flow), q.ID.Seq, depart*uint64(n.cfg.QuantumFlits), uint64(q.Flits))
 	}
 	n.niData.Write(dataMsg{Q: q, Spec: spec, Depart: depart})
 }
@@ -320,8 +314,8 @@ func (s *sinkState) receive(q Quantum, spec bool, slot, departSlot, now uint64) 
 	n := s.n
 	n.stats.EjectedQuanta++
 	n.stats.EjectedFlits += uint64(q.Flits)
-	if n.audit != nil {
-		n.audit.LOFTEject(q.ID, q.Flits, int32(n.id), now)
+	if n.obs.Wants(probe.KindEject) {
+		n.obs.EmitAux(now, probe.KindEject, int32(n.id), int32(q.Src), int32(q.ID.Flow), q.ID.Seq, 0, uint64(q.Flits))
 	}
 	// The quantum drains at link rate: its buffer slot frees next slot.
 	if spec {
@@ -337,7 +331,6 @@ func (s *sinkState) receive(q Quantum, spec bool, slot, departSlot, now uint64) 
 	// later is exact because increments address absolute slots.
 	s.pendVcred = append(s.pendVcred, departSlot+1)
 	s.applyReturns(now)
-	n.slot.Flits(q.ID.Flow, int(q.Src), q.Flits, now)
 	key := pktKey{flow: q.ID.Flow, seq: q.PktSeq}
 	prog := s.pending[key]
 	if prog.quanta == 0 || q.Injected < prog.injected {
@@ -352,8 +345,7 @@ func (s *sinkState) receive(q Quantum, spec bool, slot, departSlot, now uint64) 
 	// The packet completes when its last flit crosses the ejection link:
 	// the end of this slot.
 	done := (slot + 1) * uint64(n.cfg.QuantumFlits)
-	n.slot.Packet(q.ID.Flow, q.Created, prog.injected, done)
-	if n.audit != nil {
-		n.audit.LOFTPacketDone(q.ID.Flow, q.PktSeq, prog.injected, done)
+	if n.obs.Wants(probe.KindPacketDone) {
+		n.obs.EmitAux(done, probe.KindPacketDone, int32(n.id), -1, int32(q.ID.Flow), q.PktSeq, prog.injected, q.Created)
 	}
 }

@@ -3,7 +3,6 @@ package loft
 import (
 	"fmt"
 
-	"loft/internal/audit"
 	"loft/internal/buffers"
 	"loft/internal/config"
 	"loft/internal/fault"
@@ -228,15 +227,14 @@ type Node struct {
 	// linkBusy counts quanta forwarded per output (link utilization).
 	linkBusy [topo.NumDirs]uint64
 
-	// slot is this node's staging slot in the harness: statistics
-	// observations made during the compute phase buffer there and replay in
-	// node-id order at the cycle barrier, under both engines. probe, audit
-	// and perf alias the slot's views of the shared probe and auditor and its
-	// stage timer (each nil when that observer is off).
-	slot  *netsim.Slot
-	probe *probe.Stage
-	audit *audit.Hook
-	perf  *perfmon.Timer
+	// obs is the node's record stream, the stage of its harness slot:
+	// everything the node reports about the simulation — probe events, the
+	// auditor's recorder operations, statistics observations — is staged
+	// there while it computes and replayed in node-id order at the cycle
+	// barrier, under both engines. perf is the slot's stage timer (nil when
+	// profiling is off).
+	obs  *probe.Stage
+	perf *perfmon.Timer
 
 	// fault is this node's compiled fault-injection runtime (nil when no
 	// plan is armed or the plan does not target this node). All its state
@@ -258,11 +256,7 @@ func (r *rrState) dir(i int) topo.Dir { return topo.Dir((r.next + i) % int(topo.
 func (r *rrState) granted(d topo.Dir) { r.next = (int(d) + 1) % int(topo.NumDirs) }
 
 func newNode(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsim.Slot) *Node {
-	// The node (and its tables, which capture n.probe below) only ever emits
-	// into the slot's private views, which the harness replays at the cycle
-	// barrier.
-	n := &Node{id: id, cfg: cfg, mesh: mesh,
-		slot: slot, probe: slot.Probe, audit: slot.Audit, perf: slot.Perf}
+	n := &Node{id: id, cfg: cfg, mesh: mesh, obs: &slot.Stage, perf: slot.Perf}
 	params := lsf.Params{
 		SlotsPerFrame: cfg.SlotsPerFrame(),
 		Frames:        cfg.FrameWindow,
@@ -283,13 +277,15 @@ func newNode(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsim.Slot)
 		}
 	}
 	n.injTable = lsf.NewTable(fmt.Sprintf("n%d.inject", id), params)
-	if n.probe != nil {
+	// The tables emit traced kinds only, so they hold the stage only when a
+	// tracer consumes those.
+	if n.obs.Wants(probe.KindReserveGrant) {
 		for d := topo.North; d < topo.NumDirs; d++ {
 			if n.outTables[d] != nil {
-				n.outTables[d].SetProbe(n.probe, int32(id), int32(d), cfg.QuantumFlits)
+				n.outTables[d].SetProbe(n.obs, int32(id), int32(d), cfg.QuantumFlits)
 			}
 		}
-		n.injTable.SetProbe(n.probe, int32(id), int32(topo.NumDirs), cfg.QuantumFlits)
+		n.injTable.SetProbe(n.obs, int32(id), int32(topo.NumDirs), cfg.QuantumFlits)
 	}
 	n.niCredNonSpec = buffers.NewCredits(fmt.Sprintf("n%d.ni.nonspec", id), cfg.BufferQuanta())
 	n.niCredSpec = buffers.NewCredits(fmt.Sprintf("n%d.ni.spec", id), cfg.SpecQuanta())
@@ -370,21 +366,20 @@ func (n *Node) Tick(now uint64) {
 //loft:hotpath
 func (n *Node) faultTick(now uint64) {
 	for _, e := range n.fault.Edges(now) {
-		if n.probe == nil {
-			continue
-		}
 		kind := probe.KindFaultDown
 		if e.Up {
 			kind = probe.KindFaultUp
 		}
-		dir, flow := int32(-1), int32(-1)
-		if e.Ev.Kind != fault.RouterStall && e.Ev.Kind != fault.Adversary {
-			dir = int32(e.Ev.Dir)
+		if n.obs.Wants(kind) {
+			dir, flow := int32(-1), int32(-1)
+			if e.Ev.Kind != fault.RouterStall && e.Ev.Kind != fault.Adversary {
+				dir = int32(e.Ev.Dir)
+			}
+			if e.Ev.Kind == fault.Adversary {
+				flow = int32(e.Ev.Flow)
+			}
+			n.obs.EmitSeq(now, kind, int32(n.id), dir, flow, uint64(e.Ev.Kind), e.Ev.To)
 		}
-		if e.Ev.Kind == fault.Adversary {
-			flow = int32(e.Ev.Flow)
-		}
-		n.probe.EmitSeq(now, kind, int32(n.id), dir, flow, uint64(e.Ev.Kind), e.Ev.To)
 	}
 }
 
@@ -611,16 +606,16 @@ func (n *Node) forwardData(slot, now uint64) {
 				if e == nil || e.outDir != o {
 					continue
 				}
-				if n.probe != nil {
-					n.probe.EmitSeq(now, probe.KindSpecAttempt, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, e.q.ID.Seq)
+				if n.obs.Wants(probe.KindSpecAttempt) {
+					n.obs.EmitSeq(now, probe.KindSpecAttempt, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, e.q.ID.Seq)
 				}
 				if n.canForward(o, e) {
 					winner, winnerIn = e, d
 					n.outRR[o].granted(d)
 					break
 				}
-				if n.probe != nil {
-					n.probe.EmitSeq(now, probe.KindSpecAbort, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, e.q.ID.Seq)
+				if n.obs.Wants(probe.KindSpecAbort) {
+					n.obs.EmitSeq(now, probe.KindSpecAbort, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, e.q.ID.Seq)
 				}
 			}
 		}
@@ -674,8 +669,8 @@ func (n *Node) forward(o, in topo.Dir, e *inEntry, slot, now uint64) {
 		// A fault denied this quantum earlier; this crossing is its retry.
 		e.faultDenied = false
 		n.stats.Retries++
-		if n.probe != nil {
-			n.probe.EmitSeq(now, probe.KindFaultRetry, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, e.departSlot*uint64(n.cfg.QuantumFlits))
+		if n.obs.Wants(probe.KindFaultRetry) {
+			n.obs.EmitSeq(now, probe.KindFaultRetry, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, e.departSlot*uint64(n.cfg.QuantumFlits))
 		}
 	}
 	spec := n.classify(o, e, slot)
@@ -690,12 +685,16 @@ func (n *Node) forward(o, in topo.Dir, e *inEntry, slot, now uint64) {
 		n.stats.SchedForwards++
 	} else {
 		n.stats.SpecForwards++
-		if n.probe != nil {
-			n.probe.EmitSeq(now, probe.KindSpecHit, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, e.departSlot*uint64(n.cfg.QuantumFlits))
+		if n.obs.Wants(probe.KindSpecHit) {
+			n.obs.EmitSeq(now, probe.KindSpecHit, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, e.departSlot*uint64(n.cfg.QuantumFlits))
 		}
 	}
-	if n.probe != nil {
-		n.probe.EmitSeq(now, probe.KindDataForward, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, e.departSlot*uint64(n.cfg.QuantumFlits))
+	if n.obs.Wants(probe.KindDataForward) {
+		var aux uint64
+		if spec {
+			aux = 1
+		}
+		n.obs.EmitAux(now, probe.KindDataForward, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, e.departSlot*uint64(n.cfg.QuantumFlits), aux)
 	}
 	n.linkBusy[o]++
 	// Vacate this node's input buffer and return its real credit.
@@ -724,9 +723,6 @@ func (n *Node) forward(o, in topo.Dir, e *inEntry, slot, now uint64) {
 		n.credSpec[o].Consume()
 	} else {
 		n.credNonSpec[o].Consume()
-	}
-	if n.audit != nil {
-		n.audit.LOFTForward(e.q.ID, int32(n.id), int32(o), spec, now)
 	}
 	// The entry retires here; copy what outlives it before recycling.
 	q, departSlot := e.q, e.departSlot
@@ -772,8 +768,8 @@ func (n *Node) faultDeny(e *inEntry, o topo.Dir, now uint64) {
 	e.faultDenied = true
 	n.stats.FaultsInjected++
 	n.stats.FlitsLost += uint64(e.q.Flits)
-	if n.probe != nil {
-		n.probe.EmitSeq(now, probe.KindFaultLoss, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, uint64(e.q.Flits))
+	if n.obs.Wants(probe.KindFaultLoss) {
+		n.obs.EmitSeq(now, probe.KindFaultLoss, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, uint64(e.q.Flits))
 	}
 }
 

@@ -32,9 +32,6 @@ import (
 	"loft/internal/probe"
 )
 
-// TraceName enables throttle tracing for the named table (debug hook).
-var TraceName string
-
 // Params sizes a Table.
 type Params struct {
 	// SlotsPerFrame is F in quantum slots (frame size in flits / Q).
@@ -137,11 +134,12 @@ type Table struct {
 	version uint64
 	stats   Stats
 
-	// Probe context (nil when observability is disabled). Event timestamps
-	// are slot times scaled to cycles by slotCycles so LSF events align
-	// with the cycle-granular events of the surrounding network. The table
-	// holds a staging view because it ticks inside the compute phase: events
-	// buffer locally and the owning node replays them at the cycle barrier.
+	// Probe context: the owning node's record stream, set only when a
+	// tracer consumes the (all traced) kinds the table emits, so nil is the
+	// one-branch guard. Event timestamps are slot times scaled to cycles by
+	// slotCycles so LSF events align with the cycle-granular events of the
+	// surrounding network. The table ticks inside the compute phase: its
+	// records are staged and the harness replays them at the cycle barrier.
 	probe        *probe.Stage
 	pNode, pLink int32
 	slotCycles   uint64
@@ -177,9 +175,10 @@ func NewTable(name string, p Params) *Table {
 // Name returns the table's diagnostic name.
 func (t *Table) Name() string { return t.name }
 
-// SetProbe attaches an observability staging view. node and link identify
-// this table in traces; cyclesPerSlot converts the table's slot times into
-// cycles for event timestamps. A nil stage keeps instrumentation disabled.
+// SetProbe attaches the record stream the table's events are staged in.
+// node and link identify this table in traces; cyclesPerSlot converts the
+// table's slot times into cycles for event timestamps. A nil stage keeps
+// instrumentation disabled.
 func (t *Table) SetProbe(p *probe.Stage, node, link int32, cyclesPerSlot int) {
 	t.probe = p
 	t.pNode = node
@@ -278,7 +277,8 @@ func (t *Table) timeOf(p int) uint64 {
 //
 // Tick runs inside the parallel compute phase (each table belongs to one
 // node's shard), so everything it reaches must stage its shared-state
-// effects — the AuditSink taps route through the staged audit.Hook.
+// effects — an AuditSink tap's violation waits behind a marker in the node's
+// record stream.
 //
 //loft:hotpath
 //loft:computephase
@@ -419,9 +419,6 @@ func (t *Table) Request(f flit.FlowID, quantum uint64, minSlot uint64) (uint64, 
 			if t.probe != nil {
 				t.emit(probe.KindReserveDeny, int32(f), quantum, quantum)
 			}
-			if TraceName != "" && t.name == TraceName && t.stats.Throttled%500 == 0 {
-				t.traceThrottle(f, quantum, st, minSlot)
-			}
 			return 0, false
 		}
 		// Advancing abandons the unused reservation: record it in the
@@ -439,16 +436,6 @@ func (t *Table) Request(f flit.FlowID, quantum uint64, minSlot uint64) (uint64, 
 		st.ifr = next
 		t.stats.FrameSkips++
 	}
-}
-
-// traceThrottle prints one -tracetable line for a throttled request. Kept
-// out of Request so the hot path carries only the guarded call: formatting
-// here is sampled (every 500th throttle) and explicitly cold.
-//
-//loft:coldpath
-func (t *Table) traceThrottle(f flit.FlowID, quantum uint64, st *flowState, minSlot uint64) {
-	fmt.Printf("TRACE %s now=%d cp=%d hf=%d flow=%d q=%d IF=%d C=%d minSlot=%d lastZero=%d endCredit=%d\n",
-		t.name, t.now, t.cp, t.hf(), f, quantum, st.ifr, st.c, minSlot, t.lastZero, t.slots[(t.cp-1+t.wt)%t.wt].credit)
 }
 
 // trySchedule is Algorithm 2: scan frame f for a valid slot (not busy,

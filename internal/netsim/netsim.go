@@ -7,10 +7,12 @@
 // latency definitions are the same code for every architecture.
 //
 // Every cycle runs compute → serial commit → register update under both
-// engines. Computing nodes stage shared-state effects into their Slot; the
-// commit replays the slots in node-id order, then runs the architecture's
-// hook, the probe sampler, the auditor and the profiler. That fixed order
-// keeps results byte-identical for any worker count.
+// engines. A computing node reports what happens in it as records staged in
+// its Slot; the commit replays the slots in node-id order, each slot's
+// records in emission order and each record to the consumers whose kind set
+// holds it, then runs the architecture's hook, the probe sampler, the
+// auditor and the profiler. That fixed order keeps results and artifacts
+// byte-identical for any worker count and any combination of observers.
 package netsim
 
 import (
@@ -63,6 +65,10 @@ type Harness struct {
 	probe  *probe.Probe
 	audit  *audit.Auditor
 	perf   *perfmon.Monitor
+	// tracer is the probe's (nil without one); audited the kinds the
+	// auditor's recorder consumes (empty without one).
+	tracer  *probe.Tracer
+	audited probe.KindSet
 	// perfT times the serial commit (nil when profiling is off).
 	perfT *perfmon.Timer
 
@@ -95,6 +101,8 @@ func New(mesh topo.Mesh, pattern *traffic.Pattern, opts Options) (*Harness, erro
 		probe:   opts.Probe,
 		audit:   opts.Audit,
 		perf:    opts.Perf,
+		tracer:  opts.Probe.Tracer(),
+		audited: opts.Audit.Kinds(),
 		lat:     stats.NewLatencySeeded(opts.Warmup, opts.Seed),
 		latNet:  stats.NewLatencySeeded(opts.Warmup, opts.Seed),
 		latFlow: stats.NewFlowLatency(opts.Warmup),
@@ -111,13 +119,15 @@ func New(mesh topo.Mesh, pattern *traffic.Pattern, opts Options) (*Harness, erro
 		h.engine = sim.NewKernel()
 	}
 	h.engine.AddSerial(h.commit)
+	// Every node stages what some consumer wants and nothing else: an
+	// unobserved run stages only the two kinds the collectors read.
+	want := collected | h.audited
+	if h.tracer != nil {
+		want |= probe.TracedKinds
+	}
 	h.slots = make([]Slot, mesh.N())
 	for i := range h.slots {
-		// Probe emissions always stage, so the compute phase is free of
-		// shared-sink calls under both engines (what stagepurity proves). The
-		// audit hook stages only when sharded: its staged ops are closures,
-		// which would allocate on audited sequential runs for no benefit.
-		h.slots[i] = Slot{Probe: h.probe.NewStage(), Audit: audit.NewHook(h.audit, opts.Workers > 1), Perf: h.perf.Timer(),
+		h.slots[i] = Slot{Stage: probe.NewStage(want), Perf: h.perf.Timer(),
 			Injector: traffic.NewInjector(pattern, topo.NodeID(i), opts.Seed)}
 	}
 	h.perfT = h.perf.Timer()
@@ -190,8 +200,11 @@ func (h *Harness) eachLink(visit func(l topo.Link, flits uint64)) {
 	}
 }
 
+// collected are the kinds the statistics collectors read.
+var collected = probe.KindSetOf(probe.KindEject, probe.KindPacketDone)
+
 // commit is the serial half of a cycle (see the package comment for its
-// order).
+// order). It is the one place staged records are replayed.
 //
 //loft:hotpath
 //loft:commitphase
@@ -200,7 +213,30 @@ func (h *Harness) commit(now uint64) {
 		h.perfT.Begin(now)
 	}
 	for i := range h.slots {
-		h.slots[i].replay(h)
+		recs := h.slots[i].Stage.Drain()
+		for j := range recs {
+			r := &recs[j]
+			if h.tracer != nil && probe.TracedKinds.Has(r.Kind) {
+				h.tracer.Emit(r.Event)
+			}
+			if h.audit != nil && h.audited.Has(r.Kind) {
+				h.audit.Record(r)
+			}
+			switch r.Kind {
+			case probe.KindEject:
+				h.thr.ObserveN(flit.FlowID(r.Flow), int(r.Loc), int(r.Aux), r.Cycle)
+			case probe.KindPacketDone:
+				created, injected, done := r.Aux, r.Arg, r.Cycle
+				h.lat.Observe(created, done)
+				h.latFlow.Observe(flit.FlowID(r.Flow), created, done)
+				// Network latency follows the same warm-up rule as total
+				// latency: a packet counts when it was generated after
+				// warm-up, whenever it happened to be injected.
+				if created >= h.latNet.Warmup() {
+					h.latNet.Observe(injected, done)
+				}
+			}
+		}
 	}
 	if h.hook != nil {
 		if h.perfT != nil {
@@ -275,67 +311,13 @@ func (h *Harness) Heatmap() string {
 	return topo.RenderHeatmap(h.mesh, h.LinkUtilization())
 }
 
-// Slot is what the harness gives one node: its traffic Injector and its
-// private window onto the shared observers and collectors. While computing,
-// the node emits into its own Probe and Audit views, times its stages on
-// its own Perf timer and stages statistics with Flits and Packet; the
-// harness replays all of it at the cycle barrier. Probe, Audit and Perf are
-// nil when the corresponding observer is off.
+// Slot is what the harness gives one node: its traffic Injector, the Stage
+// it reports simulated occurrences into while computing — probe events, the
+// auditor's recorder operations and statistics observations alike; the
+// harness replays them at the cycle barrier — and its Perf stage timer (nil
+// when profiling is off).
 type Slot struct {
 	Injector *traffic.Injector
-	Probe    *probe.Stage
-	Audit    *audit.Hook
+	Stage    probe.Stage
 	Perf     *perfmon.Timer
-	obs      []observation
-}
-
-// observation is one staged statistics observation: flits ejected at cycle
-// at, or (packet) a completed packet created, injected and done.
-type observation struct {
-	flow              flit.FlowID
-	src, flits        int
-	created, injected uint64
-	at                uint64
-	packet            bool
-}
-
-// Flits stages the ejection of flits of flow, sourced at node src, at cycle
-// now.
-func (s *Slot) Flits(flow flit.FlowID, src, flits int, now uint64) {
-	s.obs = append(s.obs, observation{flow: flow, src: src, flits: flits, at: now})
-}
-
-// Packet stages a completed packet of flow: generated at created, entered
-// the network at injected, fully delivered at done.
-func (s *Slot) Packet(flow flit.FlowID, created, injected, done uint64) {
-	s.obs = append(s.obs, observation{flow: flow, created: created, injected: injected, at: done, packet: true})
-}
-
-// replay commits the slot's staged effects.
-//
-//loft:hotpath
-//loft:commitphase
-func (s *Slot) replay(h *Harness) {
-	for i := range s.obs {
-		o := &s.obs[i]
-		if !o.packet {
-			h.thr.ObserveN(o.flow, o.src, o.flits, o.at)
-			continue
-		}
-		h.lat.Observe(o.created, o.at)
-		h.latFlow.Observe(o.flow, o.created, o.at)
-		// Network latency follows the same warm-up rule as total latency: a
-		// packet counts when it was generated after warm-up, whenever it
-		// happened to be injected.
-		if o.created >= h.latNet.Warmup() {
-			h.latNet.Observe(o.injected, o.at)
-		}
-	}
-	s.obs = s.obs[:0]
-	if s.Probe != nil {
-		s.Probe.FlushStage()
-	}
-	if s.Audit != nil {
-		s.Audit.Flush()
-	}
 }

@@ -4,8 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"loft/internal/audit"
+	"loft/internal/config"
 	"loft/internal/fault"
-	"loft/internal/flit"
 	"loft/internal/perfmon"
 	"loft/internal/probe"
 	"loft/internal/topo"
@@ -16,15 +17,19 @@ import (
 // one ejected flit per cycle, and every fourth cycle a completed packet that
 // was generated three cycles ago and injected only now.
 type echo struct {
-	id   int
-	slot *Slot
+	id  int32
+	obs *probe.Stage
 }
 
 func (e *echo) Tick(now uint64) {
-	e.slot.Probe.Emit(now, probe.KindSpecHit, int32(e.id), -1, -1, 0)
-	e.slot.Flits(flit.FlowID(e.id), e.id, 1, now)
-	if now%4 == 1 && now > 1 {
-		e.slot.Packet(flit.FlowID(e.id), now-3, now, now+1)
+	if e.obs.Wants(probe.KindSpecHit) {
+		e.obs.Emit(now, probe.KindSpecHit, e.id, -1, -1, 0)
+	}
+	if e.obs.Wants(probe.KindEject) {
+		e.obs.EmitAux(now, probe.KindEject, e.id, e.id, e.id, 0, 0, 1)
+	}
+	if now%4 == 1 && now > 1 && e.obs.Wants(probe.KindPacketDone) {
+		e.obs.EmitAux(now+1, probe.KindPacketDone, e.id, -1, e.id, now, now, now-3)
 	}
 }
 
@@ -39,42 +44,160 @@ func build(t *testing.T, workers int) (*Harness, *probe.Probe) {
 		t.Fatal(err)
 	}
 	for i := 0; i < mesh.N(); i++ {
-		h.AddTicker(i, &echo{id: i, slot: h.Slot(i)})
+		h.AddTicker(i, &echo{id: int32(i), obs: &h.Slot(i).Stage})
 	}
 	h.SetLinks("echo", func(l topo.Link) (uint64, bool) { return h.Now(), l.D == topo.East })
 	h.OnCommit(perfmon.StageGSFFrame, func(now uint64) { pr.Emit(now, probe.KindGSFFrameRoll, -1, -1, -1, 0) })
 	return h, pr
 }
 
+// mixed stages, every cycle, one record per consumer and one nobody wants:
+// a traced event, a LOFT hop reservation (no consumer under a GSF auditor), a
+// completed packet with no recorded injection — so the recorder logs one
+// violation per record, in the order it saw them — whose latency makes the
+// collectors' float sum depend on the order too: node 0's 2^53 swallows the
+// later nodes' ones, and would not if it were added last.
+type mixed struct {
+	id  int32
+	obs *probe.Stage
+}
+
+func mixedLatency(id int32) uint64 {
+	if id == 0 {
+		return 1 << 53
+	}
+	return 1
+}
+
+func (m *mixed) Tick(now uint64) {
+	if m.obs.Wants(probe.KindSpecHit) {
+		m.obs.Emit(now, probe.KindSpecHit, m.id, -1, -1, 0)
+	}
+	if m.obs.Wants(probe.KindReserve) {
+		m.obs.EmitSeq(now, probe.KindReserve, m.id, 0, m.id, now, 0)
+	}
+	if m.obs.Wants(probe.KindPacketDone) {
+		m.obs.EmitAux(now+mixedLatency(m.id), probe.KindPacketDone, m.id, -1, m.id, now, now, now)
+	}
+}
+
 // TestCommitOrder pins the serial commit: node slots replay in id order,
 // then the architecture's hook runs, every cycle, whatever the engine.
 func TestCommitOrder(t *testing.T) {
-	var sequential []probe.Event
-	for _, workers := range []int{1, 4} {
-		h, pr := build(t, workers)
-		h.Run(6)
-		h.Close()
-		h.Run(6) // a closed harness restarts
-		events := pr.Events()
-		if len(events) != 12*10 {
-			t.Fatalf("workers %d: %d events, want 12 cycles x (9 nodes + hook)", workers, len(events))
-		}
-		for i, e := range events {
-			cycle, pos := uint64(i/10), int32(i%10)
-			want := probe.Event{Cycle: cycle, Kind: probe.KindSpecHit, Node: pos, Loc: -1, Flow: -1}
-			if pos == 9 {
-				want = probe.Event{Cycle: cycle, Kind: probe.KindGSFFrameRoll, Node: -1, Loc: -1, Flow: -1}
+	t.Run("engines", func(t *testing.T) {
+		var sequential []probe.Event
+		for _, workers := range []int{1, 4} {
+			h, pr := build(t, workers)
+			h.Run(6)
+			h.Close()
+			h.Run(6) // a closed harness restarts
+			events := pr.Events()
+			if len(events) != 12*10 {
+				t.Fatalf("workers %d: %d events, want 12 cycles x (9 nodes + hook)", workers, len(events))
 			}
-			if e != want {
-				t.Fatalf("workers %d: event %d is %+v, want %+v", workers, i, e, want)
+			for i, e := range events {
+				cycle, pos := uint64(i/10), int32(i%10)
+				want := probe.Event{Cycle: cycle, Kind: probe.KindSpecHit, Node: pos, Loc: -1, Flow: -1}
+				if pos == 9 {
+					want = probe.Event{Cycle: cycle, Kind: probe.KindGSFFrameRoll, Node: -1, Loc: -1, Flow: -1}
+				}
+				if e != want {
+					t.Fatalf("workers %d: event %d is %+v, want %+v", workers, i, e, want)
+				}
+			}
+			if workers == 1 {
+				sequential = events
+			} else if !reflect.DeepEqual(sequential, events) {
+				t.Errorf("workers %d: event stream differs from the sequential engine's", workers)
 			}
 		}
-		if workers == 1 {
-			sequential = events
-		} else if !reflect.DeepEqual(sequential, events) {
-			t.Errorf("workers %d: event stream differs from the sequential engine's", workers)
+	})
+
+	// One stream, three consumers: each sees exactly the records of its own
+	// kinds, in node-id order, whoever else is attached.
+	t.Run("one-stream", func(t *testing.T) {
+		const cycles = 5
+		mesh := topo.NewMesh(3)
+		pattern := traffic.Uniform(mesh, 0.1, 4, 256)
+		for _, workers := range []int{1, 4} {
+			pr := probe.New(probe.Config{})
+			aud := audit.New(audit.Config{MaxViolations: cycles * mesh.N()})
+			gcfg := config.PaperGSF()
+			gcfg.BestEffort = true // no delay bound for node 0's latency to exceed
+			aud.BeginGSF(gcfg, mesh, pattern.Flows)
+			h, err := New(mesh, pattern, Options{Seed: 1, Probe: pr, Audit: aud, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < mesh.N(); i++ {
+				h.AddTicker(i, &mixed{id: int32(i), obs: &h.Slot(i).Stage})
+			}
+			var wantSum float64
+			for i := 0; i < cycles*mesh.N(); i++ {
+				wantSum += float64(mixedLatency(int32(i % mesh.N())))
+			}
+			h.Run(cycles)
+			h.Close()
+			events := pr.Events()
+			if len(events) != cycles*mesh.N() {
+				t.Fatalf("workers %d: tracer holds %d events, want %d (the traced kind only)", workers, len(events), cycles*mesh.N())
+			}
+			log := aud.Violations()
+			if len(log) != cycles*mesh.N() || aud.Snapshot().PacketsChecked != uint64(len(log)) {
+				t.Fatalf("workers %d: recorder logged %d violations over %d packets, want %d of each", workers, len(log), aud.Snapshot().PacketsChecked, cycles*mesh.N())
+			}
+			for i := range events {
+				if e := events[i]; e.Kind != probe.KindSpecHit || e.Node != int32(i%mesh.N()) {
+					t.Fatalf("workers %d: event %d is %+v, want a spec-hit of node %d", workers, i, e, i%mesh.N())
+				}
+				if v := log[i]; v.Kind != "eject-unrecorded" || v.Flow != int32(i%mesh.N()) {
+					t.Fatalf("workers %d: violation %d is %+v, want flow %d's unrecorded packet", workers, i, v, i%mesh.N())
+				}
+			}
+			if got := h.Latency().Mean() * float64(h.Latency().Count()); got != wantSum {
+				t.Errorf("workers %d: collectors summed latencies to %v, want %v (node-id order)", workers, got, wantSum)
+			}
 		}
-	}
+
+		// Without observers a stage wants the collectors' kinds and nothing
+		// else, so that is all a guarded node stages.
+		h, err := New(mesh, pattern, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		(&mixed{obs: &h.Slot(0).Stage}).Tick(0)
+		(&echo{obs: &h.Slot(0).Stage}).Tick(0)
+		recs := h.Slot(0).Stage.Drain()
+		if len(recs) != 2 || recs[0].Kind != probe.KindPacketDone || recs[1].Kind != probe.KindEject {
+			t.Errorf("unobserved stage kept %+v, want one packet-done and one eject", recs)
+		}
+	})
+
+	// Staging a recorder record and replaying it costs no allocation (the
+	// records are values in a buffer that keeps its backing array).
+	t.Run("staging-allocs", func(t *testing.T) {
+		mesh := topo.NewMesh(3)
+		pattern := traffic.Uniform(mesh, 0.1, 4, 256)
+		aud := audit.New(audit.Config{})
+		aud.BeginLOFT(config.PaperLOFT(), mesh, pattern.Flows)
+		h, err := New(mesh, pattern, Options{Audit: aud})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := &h.Slot(4).Stage
+		allocs := testing.AllocsPerRun(10, func() {
+			for seq := uint64(0); seq < 128; seq++ {
+				obs.EmitAux(0, probe.KindDataInject, 4, int32(topo.NumDirs), 4, seq, 0, 8)
+			}
+			h.commit(0)
+		})
+		if _, injected, _ := aud.RecorderCounts(); injected != 11*128 {
+			t.Fatalf("recorder counted %d injections, want %d", injected, 11*128)
+		}
+		if allocs != 0 {
+			t.Errorf("staging and replaying 128 recorder records allocates %.0f times, want 0", allocs)
+		}
+	})
 }
 
 // TestCollectorsShareTheWarmupRule pins the latency definitions every

@@ -43,7 +43,9 @@ const (
 	KindLocalReset
 	// KindLAIssue: a look-ahead flit was issued onto a look-ahead link (or
 	// launched by the NI). Loc = output direction, Arg = booked departure
-	// slot on the previous link.
+	// slot on the previous link. The NI's launch (Loc = topo.NumDirs) is the
+	// quantum's injection-table booking; its record carries Aux = packet
+	// sequence.
 	KindLAIssue
 	// KindVCreditGrant: a virtual credit returned to an upstream table was
 	// granted (applied to its slot ledger). Loc = upstream direction, Arg =
@@ -67,14 +69,15 @@ const (
 	KindGSFThrottle
 	// KindDataInject: a data quantum physically left its NI into the
 	// router's local input port. Loc = injection link, Seq = quantum
-	// sequence, Arg = booked injection cycle. Together with
-	// KindDataForward this makes per-quantum latency decomposition
+	// sequence, Arg = booked injection cycle, record Aux = flits. Together
+	// with KindDataForward this makes per-quantum latency decomposition
 	// possible offline (internal/trace).
 	KindDataInject
 	// KindDataForward: a data quantum crossed a switch output (Loc =
 	// output direction; topo.Local = ejection into the sink). Seq =
 	// quantum sequence, Arg = booked departure cycle on that link — a
-	// forward with Cycle < Arg was speculative (ahead of schedule).
+	// forward with Cycle < Arg was speculative (ahead of schedule). Record
+	// Aux = 1 when it went into the downstream speculative buffer.
 	KindDataForward
 	// KindFaultDown: a fault.Plan window armed on this node. Loc = target
 	// direction (-1 for router stalls and adversary flows), Flow = target
@@ -93,6 +96,29 @@ const (
 	KindFaultRetry
 
 	numKinds
+)
+
+// Untraced kinds: occurrences only the auditor or the statistics collectors
+// consume. They travel through a Stage like the traced kinds above but never
+// reach a Tracer, events.jsonl, Tracer.Count or Probe.Summary.
+const (
+	// KindReserve: a look-ahead flit booked its quantum's departure at a
+	// hop. Loc = output direction, Seq = quantum sequence, Arg = booked
+	// departure slot (slot units).
+	KindReserve Kind = numKinds + iota
+	// KindEject: data entered a sink. Loc = the flow's source node, Seq =
+	// quantum sequence (LOFT only), Aux = flits ejected.
+	KindEject
+	// KindGSFInject: a GSF packet's head flit entered the network. Seq =
+	// packet sequence.
+	KindGSFInject
+	// KindPacketDone: a packet's last flit reached its sink at Cycle. Seq =
+	// packet sequence, Arg = the cycle it entered the network, Aux = the
+	// cycle it was generated.
+	KindPacketDone
+	// KindTapViolation: an invariant tap raised a violation, which waits in
+	// the pending list of the auditor's table number Arg.
+	KindTapViolation
 )
 
 var kindNames = [numKinds]string{
@@ -247,8 +273,8 @@ type Config struct {
 // disabled state: every method is nil-receiver safe and components keep
 // their *Probe unconditionally, so instrumentation points need no flags.
 //
-// A Probe is a serial-only sink: Emit, EmitSeq and MaybeSample mutate the
-// shared tracer and registry, so they may only run on the coordinator
+// A Probe is a serial-only sink: Emit and MaybeSample mutate the shared
+// tracer and registry, so they may only run on the coordinator
 // (commit-phase) side of a cycle. Compute-phase code emits through a Stage
 // instead — the distinction is a separate type precisely so the stagepurity
 // analyzer can tell the two apart statically.
@@ -258,54 +284,78 @@ type Probe struct {
 	sampleEvery uint64
 }
 
-// Stage is a per-node staging buffer over a parent probe. Events emitted
-// through the stage are buffered locally (no shared state is touched during
-// the compute phase) until FlushStage replays them into the parent tracer
-// at the cycle barrier, preserving emission order. A nil *Stage is the
-// disabled state, mirroring the nil-*Probe convention.
+// Record is one staged occurrence: an Event plus one kind-specific word the
+// tracer never stores (see the kind comments). Like Event it is fixed-size
+// and pointer-free.
+type Record struct {
+	Event
+	Aux uint64
+}
+
+// KindSet is a set of kinds, traced or not.
+type KindSet uint32
+
+// TracedKinds is the set a Tracer consumes.
+const TracedKinds = KindSet(1)<<numKinds - 1
+
+// KindSetOf returns the set holding ks.
+func KindSetOf(ks ...Kind) KindSet {
+	var s KindSet
+	for _, k := range ks {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Has reports whether k is in the set.
+func (s KindSet) Has(k Kind) bool { return s>>k&1 != 0 }
+
+// Stage is the per-node staging buffer for everything a node reports about
+// the simulation: the node appends records while it computes (no shared
+// state is touched), and the owner of the stage drains them at the cycle
+// barrier and routes each to the consumers whose kind set holds it. The
+// stage knows which kinds some consumer wants, and every call site guards
+// its emission with one branch — Wants(k), or a nil check where the stage
+// pointer is only set when the kinds emitted there are wanted — so nothing
+// else is staged, and nothing is computed for a record nobody takes. (The
+// hookguard analyzer holds the simulation packages to the guard; an
+// unguarded, unwanted record would be staged and dropped at replay.)
 type Stage struct {
-	parent *Probe
-	staged []Event
+	want KindSet
+	recs []Record
 }
 
-// NewStage returns a staging view of the probe for one node. A nil probe
-// returns a nil stage.
-func (p *Probe) NewStage() *Stage {
-	if p == nil {
-		return nil
-	}
-	return &Stage{parent: p}
-}
+// NewStage returns a stage whose consumers want the kinds in want.
+func NewStage(want KindSet) Stage { return Stage{want: want} }
 
-// Emit buffers one event in the stage (no-op when disabled).
+// Wants reports whether some consumer wants kind k.
+func (s *Stage) Wants(k Kind) bool { return s.want.Has(k) }
+
+// Emit stages one record.
 func (s *Stage) Emit(cycle uint64, k Kind, node, loc, flow int32, arg uint64) {
-	if s == nil {
-		return
-	}
-	s.staged = append(s.staged, Event{Cycle: cycle, Kind: k, Node: node, Loc: loc, Flow: flow, Arg: arg})
+	s.EmitAux(cycle, k, node, loc, flow, 0, arg, 0)
 }
 
-// EmitSeq buffers one event carrying a per-flow quantum sequence (no-op when
-// disabled).
+// EmitSeq stages one record carrying a per-flow quantum sequence. The
+// data-path kinds use it so offline analysis can reassemble exact
+// per-quantum timelines.
 func (s *Stage) EmitSeq(cycle uint64, k Kind, node, loc, flow int32, seq, arg uint64) {
-	if s == nil {
-		return
-	}
-	s.staged = append(s.staged, Event{Cycle: cycle, Kind: k, Node: node, Loc: loc, Flow: flow, Seq: seq, Arg: arg})
+	s.EmitAux(cycle, k, node, loc, flow, seq, arg, 0)
 }
 
-// FlushStage replays the buffered events into the parent tracer, in emission
-// order, and empties the stage (the backing array is kept, so steady-state
-// cycles stop reallocating). Serial-only: networks call it from the commit
-// phase in node-id order. No-op on a nil stage.
-func (s *Stage) FlushStage() {
-	if s == nil {
-		return
-	}
-	for _, e := range s.staged {
-		s.parent.tracer.Emit(e)
-	}
-	s.staged = s.staged[:0]
+// EmitAux stages one record carrying a sequence and the kind's aux word.
+func (s *Stage) EmitAux(cycle uint64, k Kind, node, loc, flow int32, seq, arg, aux uint64) {
+	s.recs = append(s.recs, Record{Event{Cycle: cycle, Kind: k, Node: node, Loc: loc, Flow: flow, Seq: seq, Arg: arg}, aux})
+}
+
+// Drain returns the staged records in emission order and empties the stage;
+// the slice is valid until the next emission (the backing array is kept, so
+// steady-state cycles stop reallocating). Serial-only: the harness calls it
+// from the commit phase, in node-id order.
+func (s *Stage) Drain() []Record {
+	recs := s.recs
+	s.recs = s.recs[:0]
+	return recs
 }
 
 // New returns an enabled probe.
@@ -330,16 +380,6 @@ func (p *Probe) Emit(cycle uint64, k Kind, node, loc, flow int32, arg uint64) {
 		return
 	}
 	p.tracer.Emit(Event{Cycle: cycle, Kind: k, Node: node, Loc: loc, Flow: flow, Arg: arg})
-}
-
-// EmitSeq records one event carrying a per-flow quantum sequence (no-op when
-// disabled). The data-path kinds use it so offline analysis can reassemble
-// exact per-quantum timelines. Serial-only, like Emit.
-func (p *Probe) EmitSeq(cycle uint64, k Kind, node, loc, flow int32, seq, arg uint64) {
-	if p == nil {
-		return
-	}
-	p.tracer.Emit(Event{Cycle: cycle, Kind: k, Node: node, Loc: loc, Flow: flow, Seq: seq, Arg: arg})
 }
 
 // Tracer returns the underlying tracer (nil when disabled).
