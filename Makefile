@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-sweep par-smoke vet fmt lint lint-test check audit-smoke trace-smoke perf-smoke chaos-smoke bench-module bench bench-save bench-check bench-probe
+.PHONY: build test race race-sweep par-smoke vet fmt lint lint-test check audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module bench bench-save bench-check bench-probe
 
 build:
 	$(GO) build ./...
@@ -114,6 +114,14 @@ chaos-smoke:
 	cmp "$$dir/a/audit.json" "$$dir/b/audit.json"; \
 	rm -rf "$$dir"
 
+# Ten seconds of coverage-guided fuzzing of the LSF reservation table:
+# FuzzTableOps runs lsf.Table in lock-step with the plain reference table of
+# internal/lsf/reftable_test.go over arbitrary operation sequences, and any
+# divergence fails the target and leaves its input under
+# internal/lsf/testdata/fuzz, where `go test` replays it from then on.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzTableOps$$' -fuzztime 10s -parallel 2 ./internal/lsf
+
 # The frozen benchmark (bench/, its own module with `replace loft => ../`)
 # is invisible to the root `go build ./...`, yet it constructs loft.Options,
 # gsf.Options, core.RunSpec and exp.Options with keyed literals and
@@ -122,7 +130,7 @@ chaos-smoke:
 bench-module:
 	cd bench && $(GO) vet . && $(GO) test .
 
-check: build vet fmt lint test race-sweep par-smoke race audit-smoke trace-smoke perf-smoke chaos-smoke bench-module
+check: build vet fmt lint test race-sweep par-smoke race audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -22,11 +22,21 @@
 // inherits the credit of the previously farthest slot, continuing the
 // cumulative sums across the ring seam.
 //
+// The ring is stored as dense columns indexed by ring position rather than
+// as one record per slot: an int32 credit column, a busy bitset of 64 slots
+// per word, and owner words that are meaningful only under a set busy bit.
+// The credit walks are then straight loops over one int32 slice, and the
+// busy scans (the first booked slot, the first free slot of a frame) are
+// trailing-zero counts over the bitset words.
+//
 // All quantities in this package are in quantum slots, not flits.
 package lsf
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"loft/internal/flit"
 	"loft/internal/probe"
@@ -63,6 +73,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("lsf: frame window %d < 2", p.Frames)
 	case p.BufferQuanta < p.SlotsPerFrame:
 		return fmt.Errorf("lsf: buffer %d quanta < frame %d slots violates the Theorem I precondition", p.BufferQuanta, p.SlotsPerFrame)
+	case p.BufferQuanta > math.MaxInt32:
+		return fmt.Errorf("lsf: buffer %d quanta overflows the int32 credit column", p.BufferQuanta)
 	}
 	return nil
 }
@@ -71,12 +83,6 @@ func (p Params) Validate() error {
 type Owner struct {
 	Flow    flit.FlowID
 	Quantum uint64
-}
-
-type slotState struct {
-	busy   bool
-	owner  Owner
-	credit int
 }
 
 type flowState struct {
@@ -103,21 +109,31 @@ type Stats struct {
 
 // Table is one framed output reservation table with its scheduler state.
 type Table struct {
-	p       Params
-	name    string
-	wt      int // total slots = SlotsPerFrame * Frames
-	slots   []slotState
-	cp      int    // ring index of the current slot
-	now     uint64 // absolute slot time of the current slot
-	skipped []int  // per-frame yielded reservations (quanta)
-	// flows is a dense table indexed by flit.FlowID (traffic assigns flow
-	// ids contiguously from zero, so the table stays small); nil entries are
-	// unregistered flows. The per-request lookup is the hottest read in the
-	// simulator, and a slice index beats the previous map access.
-	flows       []*flowState
-	flowList    []*flowState // registration-ordered view of live flows
-	sumR        int          // admission accounting: Σ R_ij over contending flows
-	outstanding int          // scheduled quanta minus returned virtual credits
+	p    Params
+	name string
+	wt   int // total slots = SlotsPerFrame * Frames
+	// The reservation table proper, one column per field, indexed by ring
+	// position: credit[i] is slot i's virtual credit, bit i%64 of busy[i/64]
+	// its busy flag, and own[2i], own[2i+1] the flow and quantum holding it.
+	// The owner words are valid only while the busy bit is set, so freeing a
+	// slot clears one bit. credit shares its allocation with skipped, busy
+	// with own.
+	credit  []int32
+	busy    []uint64
+	own     []uint64
+	cp      int     // ring index of the current slot
+	hf      int     // head frame: the frame holding cp (Algorithm 3's HF)
+	now     uint64  // absolute slot time of the current slot
+	skipped []int32 // per-frame yielded reservations (quanta)
+	// flows holds the contending flows' state by value in registration
+	// order; index maps a flit.FlowID (traffic assigns ids contiguously from
+	// zero, so it stays small) to its position in flows plus one, 0 for an
+	// unregistered id. The per-request lookup is the hottest read in the
+	// simulator.
+	flows       []flowState
+	index       []int32
+	sumR        int // admission accounting: Σ R_ij over contending flows
+	outstanding int // scheduled quanta minus returned virtual credits
 	busyCount   int
 	// lastZero is the largest window offset whose slot has zero credit
 	// (-1 when none): bookings are only safe strictly above it. Maintained
@@ -158,17 +174,22 @@ func NewTable(name string, p Params) *Table {
 		panic(err)
 	}
 	wt := p.SlotsPerFrame * p.Frames
+	nw := (wt + 63) / 64
+	ints := make([]int32, wt+p.Frames)
+	words := make([]uint64, nw+2*wt)
 	t := &Table{
-		p:       p,
-		name:    name,
-		wt:      wt,
-		slots:   make([]slotState, wt),
-		skipped: make([]int, p.Frames),
+		p:        p,
+		name:     name,
+		wt:       wt,
+		credit:   ints[:wt:wt],
+		skipped:  ints[wt:],
+		busy:     words[:nw:nw],
+		own:      words[nw:],
+		lastZero: -1,
 	}
-	for i := range t.slots {
-		t.slots[i].credit = p.BufferQuanta
+	for i := range t.credit {
+		t.credit[i] = int32(p.BufferQuanta)
 	}
-	t.lastZero = -1
 	return t
 }
 
@@ -200,10 +221,10 @@ func (t *Table) Stats() Stats { return t.stats }
 
 // flow returns flow id's state, or nil when unregistered.
 func (t *Table) flow(id flit.FlowID) *flowState {
-	if id < 0 || int(id) >= len(t.flows) {
+	if uint(id) >= uint(len(t.index)) || t.index[id] == 0 {
 		return nil
 	}
-	return t.flows[id]
+	return &t.flows[t.index[id]-1]
 }
 
 // AddFlow registers a contending flow with reservation r quanta per frame.
@@ -222,13 +243,12 @@ func (t *Table) AddFlow(id flit.FlowID, r int) error {
 		return fmt.Errorf("lsf: ΣR %d+%d exceeds frame size %d on %s", t.sumR, r, t.p.SlotsPerFrame, t.name)
 	}
 	t.sumR += r
-	// Initialize: IF ← HF, C ← R (Algorithm 1 lines 1-2).
-	st := &flowState{r: r, ifr: t.hf(), c: r}
-	for int(id) >= len(t.flows) {
-		t.flows = append(t.flows, nil)
+	if n := int(id) + 1; n > len(t.index) {
+		t.index = slices.Grow(t.index, n-len(t.index))[:n]
 	}
-	t.flows[id] = st
-	t.flowList = append(t.flowList, st)
+	// Initialize: IF ← HF, C ← R (Algorithm 1 lines 1-2).
+	t.flows = append(t.flows, flowState{r: r, ifr: t.hf, c: r})
+	t.index[id] = int32(len(t.flows))
 	return nil
 }
 
@@ -246,12 +266,8 @@ func (t *Table) Reservation(id flit.FlowID) int {
 // NowSlot returns the absolute time of the current slot.
 func (t *Table) NowSlot() uint64 { return t.now }
 
-// hf derives the head frame from the current-slot pointer: Algorithm 3
-// advances HF every F ticks, which is exactly the frame containing CP.
-func (t *Table) hf() int { return t.cp / t.p.SlotsPerFrame }
-
 // HeadFrame returns the head frame index (exported for tests/diagnostics).
-func (t *Table) HeadFrame() int { return t.hf() }
+func (t *Table) HeadFrame() int { return t.hf }
 
 // ring returns the ring index of absolute slot time s, which must lie in
 // the live window [now, now+WT).
@@ -260,12 +276,27 @@ func (t *Table) ring(s uint64) int {
 	if d >= uint64(t.wt) {
 		panic(fmt.Sprintf("lsf: slot %d outside window [%d,%d) on %s", s, t.now, t.now+uint64(t.wt), t.name))
 	}
-	return (t.cp + int(d)) % t.wt
+	p := t.cp + int(d)
+	if p >= t.wt {
+		p -= t.wt
+	}
+	return p
 }
 
-// timeOf returns the absolute slot time of ring index p.
-func (t *Table) timeOf(p int) uint64 {
-	return t.now + uint64((p-t.cp+t.wt)%t.wt)
+// last returns the ring index of the farthest slot in the window.
+func (t *Table) last() int {
+	if t.cp == 0 {
+		return t.wt - 1
+	}
+	return t.cp - 1
+}
+
+// bit locates ring index p's busy flag: its word in busy and its mask.
+func bit(p int) (int, uint64) { return p >> 6, 1 << uint(p&63) }
+
+// owner returns the owner words of ring index p as an Owner.
+func (t *Table) owner(p int) Owner {
+	return Owner{Flow: flit.FlowID(t.own[2*p]), Quantum: t.own[2*p+1]}
 }
 
 // Tick advances the current-slot pointer by one slot (Algorithm 3). The
@@ -285,17 +316,14 @@ func (t *Table) timeOf(p int) uint64 {
 func (t *Table) Tick() {
 	t.version++
 	old := t.cp
-	prevLast := (t.cp - 1 + t.wt) % t.wt
-	inherited := t.slots[prevLast].credit
-	t.cp = (t.cp + 1) % t.wt
+	inherited := t.credit[t.last()]
 	t.now++
 	// Recycle the expired slot into the farthest-future position.
-	if t.slots[old].busy {
+	if w, b := bit(old); t.busy[w]&b != 0 {
+		t.busy[w] &^= b
 		t.busyCount--
 	}
-	t.slots[old].busy = false
-	t.slots[old].owner = Owner{}
-	t.slots[old].credit = inherited
+	t.credit[old] = inherited
 	// Window offsets shift down by one; the recycled slot becomes the
 	// farthest offset.
 	if t.lastZero >= 0 {
@@ -304,21 +332,28 @@ func (t *Table) Tick() {
 	if inherited == 0 {
 		t.lastZero = t.wt - 1
 	}
-	if t.cp%t.p.SlotsPerFrame == 0 {
-		oldHF := (t.cp/t.p.SlotsPerFrame - 1 + t.p.Frames) % t.p.Frames
-		for _, st := range t.flowList {
-			if st.ifr == oldHF {
-				st.ifr = (oldHF + 1) % t.p.Frames
-				st.c = minInt(st.r, st.c+st.r)
-			}
+	t.cp++
+	if t.cp < (t.hf+1)*t.p.SlotsPerFrame {
+		return
+	}
+	// CP crossed a frame edge: the head frame advances.
+	oldHF := t.hf
+	t.hf++
+	if t.cp == t.wt {
+		t.cp, t.hf = 0, 0
+	}
+	for i := range t.flows {
+		if st := &t.flows[i]; st.ifr == oldHF {
+			st.ifr = t.hf
+			st.c = min(st.r, st.c+st.r)
 		}
-		t.skipped[oldHF] = 0
-		if t.probe != nil {
-			t.emit(probe.KindFrameRecycle, -1, 0, uint64(t.hf()))
-		}
-		if t.aud != nil {
-			t.aud.AuditRecycle(oldHF)
-		}
+	}
+	t.skipped[oldHF] = 0
+	if t.probe != nil {
+		t.emit(probe.KindFrameRecycle, -1, 0, uint64(t.hf))
+	}
+	if t.aud != nil {
+		t.aud.AuditRecycle(oldHF)
 	}
 }
 
@@ -343,13 +378,14 @@ func (t *Table) Tick() {
 // trySchedule enforces the non-negative-credit invariant constructively.
 // The skipped counters are still maintained for accounting and diagnostics.
 func (t *Table) conditionOne(self *flowState, f int) bool {
-	if !t.p.Yield || f == t.hf() {
+	if !t.p.Yield || f == t.hf {
 		return true
 	}
-	rank := (f - t.hf() + t.p.Frames) % t.p.Frames
-	headStart := t.now - uint64(t.cp%t.p.SlotsPerFrame)
+	rank := (f - t.hf + t.p.Frames) % t.p.Frames
+	headStart := t.now - uint64(t.cp-t.hf*t.p.SlotsPerFrame)
 	ahead := 0
-	for _, st := range t.flowList {
+	for i := range t.flows {
+		st := &t.flows[i]
 		if st == self || !st.active {
 			continue
 		}
@@ -357,12 +393,11 @@ func (t *Table) conditionOne(self *flowState, f int) bool {
 		if st.lastReq+uint64(t.p.SlotsPerFrame) < headStart {
 			continue
 		}
-		if (st.ifr-t.hf()+t.p.Frames)%t.p.Frames < rank {
+		if (st.ifr-t.hf+t.p.Frames)%t.p.Frames < rank {
 			ahead += st.c
 		}
 	}
-	endCredit := t.slots[(t.cp-1+t.wt)%t.wt].credit
-	return endCredit > ahead
+	return int(t.credit[t.last()]) > ahead
 }
 
 // Request runs the injection procedure of Algorithm 1 for one quantum of
@@ -414,7 +449,7 @@ func (t *Table) Request(f flit.FlowID, quantum uint64, minSlot uint64) (uint64, 
 			}
 		}
 		next := (st.ifr + 1) % t.p.Frames
-		if next == t.hf() {
+		if next == t.hf {
 			t.stats.Throttled++
 			if t.probe != nil {
 				t.emit(probe.KindReserveDeny, int32(f), quantum, quantum)
@@ -424,7 +459,7 @@ func (t *Table) Request(f flit.FlowID, quantum uint64, minSlot uint64) (uint64, 
 		// Advancing abandons the unused reservation: record it in the
 		// skipped counter of the frame being left (§4.2).
 		if t.fault != FaultDropSkipped {
-			t.skipped[st.ifr] += st.c
+			t.skipped[st.ifr] += int32(st.c)
 		}
 		if t.probe != nil {
 			t.emit(probe.KindFrameSkip, int32(f), quantum, uint64(st.c))
@@ -432,7 +467,7 @@ func (t *Table) Request(f flit.FlowID, quantum uint64, minSlot uint64) (uint64, 
 		if t.aud != nil {
 			t.aud.AuditFrameAdvance(f, st.ifr, st.c)
 		}
-		st.c = minInt(st.r, st.c+st.r)
+		st.c = min(st.r, st.c+st.r)
 		st.ifr = next
 		t.stats.FrameSkips++
 	}
@@ -447,40 +482,46 @@ func (t *Table) Request(f flit.FlowID, quantum uint64, minSlot uint64) (uint64, 
 // overbooking anomaly of §4.2 for head-frame bookings where condition (1)
 // does not apply.
 func (t *Table) trySchedule(fl flit.FlowID, quantum uint64, f int, minSlot uint64, minValid int) (uint64, bool) {
-	start := f * t.p.SlotsPerFrame
-	if f == t.hf() {
-		start = (t.cp + 1) % t.wt
+	// Frame f is the ring interval [lo, end): contiguous, so its window
+	// offsets are p-cp, plus WT for a frame behind CP in the ring. The head
+	// frame's scan starts one past CP.
+	lo, end := f*t.p.SlotsPerFrame, (f+1)*t.p.SlotsPerFrame
+	wrap := 0
+	if f == t.hf {
+		lo = t.cp + 1
+	} else if f < t.hf {
+		wrap = t.wt
 	}
-	end := ((f + 1) % t.p.Frames) * t.p.SlotsPerFrame
 	// Jump directly to the first offset satisfying both the safety
 	// threshold and the arrival constraint; scanning below it is futile.
-	startOff := (start - t.cp + t.wt) % t.wt
-	endOff := (end - 1 - t.cp + t.wt) % t.wt // frame's last slot offset
-	minOff := startOff
-	if minValid > minOff {
-		minOff = minValid
-	}
+	minOff := max(lo-t.cp+wrap, minValid)
 	if minSlot > t.now {
 		if d := int(minSlot - t.now); d > minOff {
 			minOff = d
 		}
 	}
-	if minOff > endOff {
-		return 0, false
-	}
-	start = (t.cp + minOff) % t.wt
-	for p := start; p != end; p = (p + 1) % t.wt {
-		s := &t.slots[p]
-		if s.busy || s.credit <= 0 {
+	// Find the first free slot from there to the frame end, a bitset word
+	// at a time. A free slot can still lack credit: FaultLeakCredit leaves
+	// zero-credit slots above the safety threshold by design.
+	for p := t.cp + minOff - wrap; p < end; p++ {
+		free := ^t.busy[p>>6] >> uint(p&63)
+		if free == 0 {
+			p |= 63
 			continue
 		}
-		tm := t.timeOf(p)
-		s.busy = true
-		s.owner = Owner{Flow: fl, Quantum: quantum}
+		if p += bits.TrailingZeros64(free); p >= end {
+			break
+		}
+		if t.credit[p] <= 0 {
+			continue
+		}
+		w, b := bit(p)
+		t.busy[w] |= b
+		t.own[2*p], t.own[2*p+1] = uint64(fl), quantum
 		t.busyCount++
-		t.consumeCredits(p)
+		t.consumeCredits(p, p-t.cp+wrap)
 		t.outstanding++
-		return tm, true
+		return t.now + uint64(p-t.cp+wrap), true
 	}
 	return 0, false
 }
@@ -490,58 +531,51 @@ func (t *Table) trySchedule(fl flit.FlowID, quantum uint64, f int, minSlot uint6
 // slot (credits are non-negative by the Theorem I invariant).
 func (t *Table) firstSafeOffset() int { return t.lastZero + 1 }
 
-// consumeCredits decrements the virtual credit of every slot from ring
-// index p to the window end (cumulative occupancy of the downstream buffer
-// from the departure slot onward). The ring suffix is walked as two linear
-// array segments with the loop bodies written out directly: this and
-// ReturnCredit are the two hottest loops in the whole simulator, and the
-// previous closure-based iterator (an indirect call per slot) dominated
-// CPU profiles.
-func (t *Table) consumeCredits(p int) {
-	from := (p - t.cp + t.wt) % t.wt
-	slots := t.slots
-	lastZero := t.lastZero
-	start := t.cp + from
-	off := from
-	if start < t.wt {
-		for idx := start; idx < t.wt; idx++ {
-			slots[idx].credit--
-			if c := slots[idx].credit; c <= 0 {
-				if c < 0 {
-					t.creditUnderflow(&slots[idx])
-				}
-				if off > lastZero {
-					lastZero = off
-				}
-			}
-			off++
-		}
-		start, off = 0, t.wt-t.cp
-	} else {
-		start -= t.wt
+// suffix returns the credit column from ring index p to the window end as
+// at most two contiguous segments.
+func (t *Table) suffix(p int) (a, b []int32) {
+	if p < t.cp {
+		return t.credit[p:t.cp], nil
 	}
-	for idx := start; idx < t.cp; idx++ {
-		slots[idx].credit--
-		if c := slots[idx].credit; c <= 0 {
-			if c < 0 {
-				t.creditUnderflow(&slots[idx])
+	return t.credit[p:], t.credit[:t.cp]
+}
+
+// consumeCredits decrements the virtual credit of every slot from ring
+// index p, at window offset off, to the window end (cumulative occupancy of
+// the downstream buffer from the departure slot onward). This and
+// ReturnCredit are the two hottest loops in the simulator: each walks the
+// suffix as plain loops over the credit column, the loop bodies written out
+// with the clamp pushed to a cold helper.
+func (t *Table) consumeCredits(p, off int) {
+	a, b := t.suffix(p)
+	lastZero := t.lastZero
+	for i := range a {
+		if a[i]--; a[i] <= 0 {
+			if a[i] < 0 {
+				t.creditUnderflow(&a[i])
 			}
-			if off > lastZero {
-				lastZero = off
-			}
+			lastZero = max(lastZero, off+i)
 		}
-		off++
+	}
+	off += len(a)
+	for i := range b {
+		if b[i]--; b[i] <= 0 {
+			if b[i] < 0 {
+				t.creditUnderflow(&b[i])
+			}
+			lastZero = max(lastZero, off+i)
+		}
 	}
 	t.lastZero = lastZero
 }
 
-// creditUnderflow is the cold path of consumeSlot: a booking drove a credit
-// negative, which strict mode treats as a Theorem I violation.
-func (t *Table) creditUnderflow(s *slotState) {
+// creditUnderflow is the cold path of consumeCredits: a booking drove a
+// credit negative, which strict mode treats as a Theorem I violation.
+func (t *Table) creditUnderflow(c *int32) {
 	if t.p.Strict {
 		panic(fmt.Sprintf("lsf: negative virtual credit on %s (Theorem I violation)", t.name))
 	}
-	s.credit = 0
+	*c = 0
 	t.stats.CreditClamps++
 }
 
@@ -564,38 +598,32 @@ func (t *Table) ReturnCredit(tag uint64) {
 		t.finishReturn(from, tag)
 		return
 	}
-	start := t.cp + from
-	if start < t.wt {
-		for idx := start; idx < t.wt; idx++ {
-			t.returnSlot(idx)
-		}
-		start = 0
-	} else {
-		start -= t.wt
+	p := t.cp + from
+	if p >= t.wt {
+		p -= t.wt
 	}
-	for idx := start; idx < t.cp; idx++ {
-		t.returnSlot(idx)
+	a, b := t.suffix(p)
+	bn := int32(t.p.BufferQuanta)
+	for i := range a {
+		if a[i]++; a[i] > bn {
+			t.creditOverflow(&a[i])
+		}
+	}
+	for i := range b {
+		if b[i]++; b[i] > bn {
+			t.creditOverflow(&b[i])
+		}
 	}
 	t.finishReturn(from, tag)
 }
 
-// returnSlot increments one slot's credit during a credit return. Kept
-// small enough to inline into ReturnCredit's loops.
-func (t *Table) returnSlot(idx int) {
-	s := &t.slots[idx]
-	s.credit++
-	if s.credit > t.p.BufferQuanta {
-		t.creditOverflow(s)
-	}
-}
-
-// creditOverflow is the cold path of returnSlot: a return drove a credit
+// creditOverflow is the cold path of ReturnCredit: a return drove a credit
 // above the downstream buffer capacity.
-func (t *Table) creditOverflow(s *slotState) {
+func (t *Table) creditOverflow(c *int32) {
 	if t.p.Strict {
 		panic(fmt.Sprintf("lsf: virtual credit above capacity on %s", t.name))
 	}
-	s.credit = t.p.BufferQuanta
+	*c = int32(t.p.BufferQuanta)
 	t.stats.CreditClamps++
 }
 
@@ -606,7 +634,11 @@ func (t *Table) finishReturn(from int, tag uint64) {
 	if t.lastZero >= from {
 		t.lastZero = -1
 		for i := from - 1; i >= 0; i-- {
-			if t.slots[(t.cp+i)%t.wt].credit == 0 {
+			p := t.cp + i
+			if p >= t.wt {
+				p -= t.wt
+			}
+			if t.credit[p] == 0 {
 				t.lastZero = i
 				break
 			}
@@ -632,11 +664,11 @@ func (t *Table) finishReturn(from int, tag uint64) {
 //loft:hotpath
 func (t *Table) ClearBusy(s uint64) {
 	p := t.ring(s)
-	if !t.slots[p].busy {
+	w, b := bit(p)
+	if t.busy[w]&b == 0 {
 		panic(fmt.Sprintf("lsf: clearing idle slot %d on %s", s, t.name))
 	}
-	t.slots[p].busy = false
-	t.slots[p].owner = Owner{}
+	t.busy[w] &^= b
 	t.busyCount--
 	t.version++
 }
@@ -646,12 +678,15 @@ func (t *Table) ClearBusy(s uint64) {
 //loft:hotpath
 func (t *Table) BusyAt(s uint64) (Owner, bool) {
 	p := t.ring(s)
-	return t.slots[p].owner, t.slots[p].busy
+	if w, b := bit(p); t.busy[w]&b == 0 {
+		return Owner{}, false
+	}
+	return t.owner(p), true
 }
 
 // CreditAt returns the virtual credit of the slot at absolute time s
 // (diagnostics and tests).
-func (t *Table) CreditAt(s uint64) int { return t.slots[t.ring(s)].credit }
+func (t *Table) CreditAt(s uint64) int { return int(t.credit[t.ring(s)]) }
 
 // FirstScheduled returns the earliest booked slot in the window, if any.
 // The LOFT data router uses it to classify a forwarded quantum as in-order
@@ -662,17 +697,26 @@ func (t *Table) FirstScheduled() (Owner, uint64, bool) {
 	if t.busyCount == 0 {
 		return Owner{}, 0, false
 	}
-	for idx := t.cp; idx < t.wt; idx++ {
-		if t.slots[idx].busy {
-			return t.slots[idx].owner, t.now + uint64(idx-t.cp), true
+	// Scan the busy words in window order from CP's: its bits at or after
+	// CP first, then the following words round the ring, then its bits
+	// behind CP. Some bit is set, so the scan ends.
+	w0 := t.cp >> 6
+	behind := uint64(1)<<uint(t.cp&63) - 1
+	w, m := w0, t.busy[w0]&^behind
+	for m == 0 {
+		if w++; w == len(t.busy) {
+			w = 0
+		}
+		if m = t.busy[w]; w == w0 {
+			m &= behind
 		}
 	}
-	for idx := 0; idx < t.cp; idx++ {
-		if t.slots[idx].busy {
-			return t.slots[idx].owner, t.now + uint64(idx+t.wt-t.cp), true
-		}
+	p := w<<6 + bits.TrailingZeros64(m)
+	off := p - t.cp
+	if off < 0 {
+		off += t.wt
 	}
-	return Owner{}, 0, false
+	return t.owner(p), t.now + uint64(off), true
 }
 
 // AllIdle reports whether no slot is booked (§4.3.2 reset precondition).
@@ -696,16 +740,15 @@ func (t *Table) Outstanding() int { return t.outstanding }
 // have verified the trigger conditions (AllIdle, downstream buffer empty,
 // Outstanding() == 0).
 func (t *Table) Reset() {
-	t.cp = 0
-	for i := range t.slots {
-		t.slots[i] = slotState{credit: t.p.BufferQuanta}
+	t.cp, t.hf = 0, 0
+	for i := range t.credit {
+		t.credit[i] = int32(t.p.BufferQuanta)
 	}
-	for i := range t.skipped {
-		t.skipped[i] = 0
-	}
-	for _, st := range t.flowList {
-		st.ifr = 0
-		st.c = st.r
+	clear(t.busy)
+	clear(t.skipped)
+	for i := range t.flows {
+		t.flows[i].ifr = 0
+		t.flows[i].c = t.flows[i].r
 	}
 	t.outstanding = 0
 	t.busyCount = 0
@@ -731,7 +774,7 @@ func (t *Table) FlowState(id flit.FlowID) (ifr, c, r int, ok bool) {
 }
 
 // Skipped returns skipped(f) for tests and diagnostics.
-func (t *Table) Skipped(f int) int { return t.skipped[f] }
+func (t *Table) Skipped(f int) int { return int(t.skipped[f]) }
 
 // WindowSlots returns WT.
 func (t *Table) WindowSlots() int { return t.wt }
@@ -745,19 +788,12 @@ func (t *Table) BookedSlots() int { return t.busyCount }
 // queue-occupancy gauges both report.
 func (t *Table) Occupancy() float64 { return float64(t.busyCount) / float64(t.wt) }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // VerifyZero recomputes the last zero-credit offset by scan and panics on
 // divergence from the incremental lastZero (test/debug hook).
 func (t *Table) VerifyZero() {
 	want := -1
 	for i := t.wt - 1; i >= 0; i-- {
-		if t.slots[(t.cp+i)%t.wt].credit <= 0 {
+		if t.credit[(t.cp+i)%t.wt] <= 0 {
 			want = i
 			break
 		}

@@ -1,6 +1,8 @@
 package lsf
 
 import (
+	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -18,6 +20,7 @@ func newYieldTable(t *testing.T, f, wf, bn int) *Table {
 }
 
 func TestParamsValidate(t *testing.T) {
+	maxCredit := math.MaxInt32 // a variable, so maxCredit+1 is no constant overflow where int is 32 bits
 	cases := []struct {
 		name string
 		p    Params
@@ -28,6 +31,8 @@ func TestParamsValidate(t *testing.T) {
 		{"window 1", Params{SlotsPerFrame: 4, Frames: 1, BufferQuanta: 4}, false},
 		{"small buffer", Params{SlotsPerFrame: 8, Frames: 2, BufferQuanta: 7}, false},
 		{"buffer equals frame", Params{SlotsPerFrame: 8, Frames: 2, BufferQuanta: 8}, true},
+		{"buffer fills int32", Params{SlotsPerFrame: 8, Frames: 2, BufferQuanta: maxCredit}, true},
+		{"buffer overflows int32", Params{SlotsPerFrame: 8, Frames: 2, BufferQuanta: maxCredit + 1}, false},
 	}
 	for _, c := range cases {
 		if err := c.p.Validate(); (err == nil) != c.ok {
@@ -51,6 +56,34 @@ func TestNewTableInitialState(t *testing.T) {
 		if _, busy := tb.BusyAt(s); busy {
 			t.Fatalf("slot %d busy at init", s)
 		}
+	}
+}
+
+var allocSink *Table
+
+// TestNewTableAllocs pins the table's allocation floor: NewTable makes the
+// Table, one array backing the credit column and skipped, and one backing
+// the busy bitset and owner words. Registering flows grows the flow state
+// and its id index geometrically, not by one object per flow: one object
+// per (flow, table) was half of a paper-configuration loft.New's mallocs.
+func TestNewTableAllocs(t *testing.T) {
+	p := Params{SlotsPerFrame: 128, Frames: 2, BufferQuanta: 128}
+	if n := testing.AllocsPerRun(20, func() { allocSink = NewTable("allocs", p) }); n > 3 {
+		t.Errorf("NewTable: %.0f allocations, want at most 3", n)
+	}
+	const flows = 128
+	n := testing.AllocsPerRun(20, func() {
+		allocSink = NewTable("allocs", p)
+		for id := 0; id < flows; id++ {
+			if err := allocSink.AddFlow(flit.FlowID(id), 1); err != nil {
+				panic(err)
+			}
+		}
+	})
+	// Each doubling of the two slices costs one allocation, or two where the
+	// race detector keeps slices.Grow's temporary.
+	if limit := 3 + 3*bits.Len(flows); n > float64(limit) {
+		t.Errorf("NewTable + %d AddFlow: %.0f allocations, want at most %d", flows, n, limit)
 	}
 }
 
