@@ -45,6 +45,9 @@ type goldenCase struct {
 	// tweak, when set, edits the paper configuration before the pattern is
 	// built from it.
 	tweak func(*config.LOFT)
+	// gsf, when set, is the configuration a GSF row runs instead of
+	// config.PaperGSF.
+	gsf func() config.GSF
 }
 
 func uniform(rate float64) func(config.LOFT) *traffic.Pattern {
@@ -74,16 +77,27 @@ func hotspot(c config.LOFT) *traffic.Pattern {
 // index 150 = 2·64+22. With WF = 3 and no local reset (spec 0) the ring
 // wraps through three frames. (Uniform traffic at 0.3 or 0.6 with F = 300
 // hashes like the paper configuration, so Case Study I carries that row.)
+//
+// Two GSF rows leave the paper's router. The wormhole row tags every flit
+// with frame 0, so scan order alone decides each arbitration. The two-VC row
+// runs out of free downstream VCs and sizes the per-node VC storage away
+// from 6×5.
 var goldenCases = []goldenCase{
-	{"loft-uniform-0.05", ArchLOFT, 12, uniform(0.05), 500, 2500, nil},
-	{"loft-uniform-0.6", ArchLOFT, 12, uniform(0.6), 300, 1200, nil},
-	{"loft-hotspot", ArchLOFT, 12, hotspot, 500, 2500, nil},
-	{"loft-case1", ArchLOFT, 12, caseI, 500, 2500, nil},
-	{"loft-spec0-uniform-0.012", ArchLOFT, 0, uniform(0.012), 500, 2500, nil},
-	{"gsf-uniform-0.6", ArchGSF, 12, uniform(0.6), 300, 1200, nil},
-	{"gsf-case1", ArchGSF, 12, caseI, 300, 1200, nil},
-	{"loft-case1-f300", ArchLOFT, 12, caseI, 500, 2500, func(c *config.LOFT) { c.FrameFlits, c.CentralBufFlits = 300, 300 }},
-	{"loft-spec0-wf3", ArchLOFT, 0, uniform(0.05), 500, 2500, func(c *config.LOFT) { c.FrameWindow = 3 }},
+	{"loft-uniform-0.05", ArchLOFT, 12, uniform(0.05), 500, 2500, nil, nil},
+	{"loft-uniform-0.6", ArchLOFT, 12, uniform(0.6), 300, 1200, nil, nil},
+	{"loft-hotspot", ArchLOFT, 12, hotspot, 500, 2500, nil, nil},
+	{"loft-case1", ArchLOFT, 12, caseI, 500, 2500, nil, nil},
+	{"loft-spec0-uniform-0.012", ArchLOFT, 0, uniform(0.012), 500, 2500, nil, nil},
+	{"gsf-uniform-0.6", ArchGSF, 12, uniform(0.6), 300, 1200, nil, nil},
+	{"gsf-case1", ArchGSF, 12, caseI, 300, 1200, nil, nil},
+	{"loft-case1-f300", ArchLOFT, 12, caseI, 500, 2500, func(c *config.LOFT) { c.FrameFlits, c.CentralBufFlits = 300, 300 }, nil},
+	{"loft-spec0-wf3", ArchLOFT, 0, uniform(0.05), 500, 2500, func(c *config.LOFT) { c.FrameWindow = 3 }, nil},
+	{"gsf-wormhole-0.3", ArchGSF, 12, uniform(0.3), 300, 1200, nil, config.PaperWormhole},
+	{"gsf-vc2-0.6", ArchGSF, 12, uniform(0.6), 300, 1200, nil, func() config.GSF {
+		c := config.PaperGSF()
+		c.VirtualChannels, c.VCDepth = 2, 3
+		return c
+	}},
 }
 
 // goldenChaosPlan arms every fault kind inside the observed run's horizon.
@@ -96,10 +110,11 @@ adversary    flow=1  factor=3 cap=1 from=400
 `
 
 // runAny runs either architecture the way every CLI does and returns the
-// result plus the architecture's own end-of-run counters.
-func runAny(arch Arch, lcfg config.LOFT, p *traffic.Pattern, spec RunSpec) (Result, any, error) {
+// result plus the architecture's own end-of-run counters. A GSF run uses
+// gcfg; its reservations are scaled from lcfg's frame.
+func runAny(arch Arch, lcfg config.LOFT, gcfg config.GSF, p *traffic.Pattern, spec RunSpec) (Result, any, error) {
 	if arch == ArchGSF {
-		res, net, err := RunGSF(config.PaperGSF(), p, lcfg.FrameFlits, spec)
+		res, net, err := RunGSF(gcfg, p, lcfg.FrameFlits, spec)
 		if err != nil {
 			return res, nil, err
 		}
@@ -226,7 +241,11 @@ func TestGolden(t *testing.T) {
 						if c.tweak != nil {
 							c.tweak(&lcfg)
 						}
-						res, counters, err := runAny(c.arch, lcfg, c.pattern(lcfg), RunSpec{Seed: seed, Warmup: c.warmup, Measure: c.measure, Workers: workers})
+						gcfg := config.PaperGSF()
+						if c.gsf != nil {
+							gcfg = c.gsf()
+						}
+						res, counters, err := runAny(c.arch, lcfg, gcfg, c.pattern(lcfg), RunSpec{Seed: seed, Warmup: c.warmup, Measure: c.measure, Workers: workers})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -337,7 +356,7 @@ var observedCases = []observedCase{
 func runObserved(c observedCase, lcfg config.LOFT, spec RunSpec) (Result, any, error) {
 	p := c.pattern(lcfg)
 	if c.prepare == nil {
-		return runAny(c.arch, lcfg, p, spec)
+		return runAny(c.arch, lcfg, config.PaperGSF(), p, spec)
 	}
 	net, err := loft.New(lcfg, p, loft.Options{Seed: spec.Seed, Warmup: spec.Warmup, Probe: spec.Probe, Audit: spec.Audit, Workers: spec.Workers, Fault: spec.Fault})
 	if err != nil {
