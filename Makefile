@@ -114,13 +114,16 @@ chaos-smoke:
 	cmp "$$dir/a/audit.json" "$$dir/b/audit.json"; \
 	rm -rf "$$dir"
 
-# Ten seconds of coverage-guided fuzzing of the LSF reservation table:
+# Ten seconds of coverage-guided fuzzing per lock-step reference:
 # FuzzTableOps runs lsf.Table in lock-step with the plain reference table of
-# internal/lsf/reftable_test.go over arbitrary operation sequences, and any
-# divergence fails the target and leaves its input under
-# internal/lsf/testdata/fuzz, where `go test` replays it from then on.
+# internal/lsf/reftable_test.go over arbitrary operation sequences, and
+# FuzzGSFArbitration runs GSF's candidate-list arbitration against the
+# nested scans of internal/gsf/arbitration_test.go over arbitrary small
+# configurations. Any divergence fails the target and leaves its input under
+# the package's testdata/fuzz, where `go test` replays it from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTableOps$$' -fuzztime 10s -parallel 2 ./internal/lsf
+	$(GO) test -run '^$$' -fuzz '^FuzzGSFArbitration$$' -fuzztime 10s -parallel 2 ./internal/gsf
 
 # The frozen benchmark (bench/, its own module with `replace loft => ../`)
 # is invisible to the root `go build ./...`, yet it constructs loft.Options,

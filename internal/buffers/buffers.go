@@ -61,13 +61,13 @@ func (f *FIFO[T]) Pop() (T, bool) {
 	return v, true
 }
 
-// Peek returns the oldest item without removing it.
-func (f *FIFO[T]) Peek() (T, bool) {
-	var zero T
+// Front returns the oldest item in place, or nil when the FIFO is empty. The
+// pointer aliases the FIFO's storage, which the next Pop clears.
+func (f *FIFO[T]) Front() *T {
 	if f.count == 0 {
-		return zero, false
+		return nil
 	}
-	return f.buf[f.head], true
+	return &f.buf[f.head]
 }
 
 // At returns the i-th oldest item (0 = head). It panics when out of range.

@@ -49,18 +49,58 @@ func TestFIFOOverflowPanics(t *testing.T) {
 	f.Push(2)
 }
 
-func TestFIFOPeekAt(t *testing.T) {
+func TestFIFOFrontAt(t *testing.T) {
 	f := NewFIFO[int]("t", 4)
 	f.Push(10)
 	f.Push(20)
-	if v, _ := f.Peek(); v != 10 {
-		t.Fatalf("Peek = %d", v)
+	if p := f.Front(); p == nil || *p != 10 {
+		t.Fatalf("Front = %v", p)
 	}
-	if f.At(1) != 20 {
-		t.Fatalf("At(1) = %d", f.At(1))
+	if f.At(0) != 10 || f.At(1) != 20 {
+		t.Fatalf("At(0), At(1) = %d, %d", f.At(0), f.At(1))
 	}
 	if f.Len() != 2 {
-		t.Fatal("peek consumed items")
+		t.Fatal("Front or At consumed items")
+	}
+}
+
+func TestFIFOFrontEmpty(t *testing.T) {
+	f := NewFIFO[int]("t", 2)
+	if f.Front() != nil {
+		t.Fatal("Front of a new FIFO is not nil")
+	}
+	f.Push(1)
+	f.Pop()
+	if f.Front() != nil {
+		t.Fatal("Front of a drained FIFO is not nil")
+	}
+	if NewFIFO[int]("zero", 0).Front() != nil {
+		t.Fatal("Front of a zero-capacity FIFO is not nil")
+	}
+}
+
+// TestFIFOFrontFollowsHead checks, across wraparound, that Front points at
+// the value the next Pop returns and that a write through it is what Pop
+// returns.
+func TestFIFOFrontFollowsHead(t *testing.T) {
+	f := NewFIFO[int]("t", 3)
+	next := 0
+	for round := 0; round < 10; round++ {
+		for f.Free() > 0 {
+			f.Push(next)
+			next++
+		}
+		for i := 0; i < 2; i++ {
+			p := f.Front()
+			if p == nil || *p != f.At(0) {
+				t.Fatalf("round %d: Front = %v, At(0) = %d", round, p, f.At(0))
+			}
+			*p += 1000
+			want := *p
+			if v, ok := f.Pop(); !ok || v != want {
+				t.Fatalf("round %d: Pop = (%d,%v), Front held %d", round, v, ok, want)
+			}
+		}
 	}
 }
 

@@ -50,9 +50,14 @@ type vcEntry struct {
 // inputVC is one virtual channel of an input port.
 type inputVC struct {
 	fifo   *buffers.FIFO[vcEntry]
+	dir    topo.Dir // input port
+	idx    int      // index within the port (the upstream router's VC number)
 	outDir topo.Dir
 	routed bool
 	downVC int // allocated VC at the next router; -1 when unallocated
+	// pkt reassembles the packet this VC ejects. A VC carries one packet at
+	// a time, so its flits eject in order from one VC.
+	pkt pktProgress
 }
 
 // downVCState is the upstream-side bookkeeping of one downstream VC.
@@ -89,10 +94,16 @@ type flowState struct {
 
 // node is one GSF mesh node: router, source queue, sink.
 type node struct {
-	id   topo.NodeID
-	net  *Network
-	vcs  [topo.NumDirs][]*inputVC // Local = injection port
-	outs [topo.NumDirs]*outPort   // Local = ejection (modeled creditless)
+	id  topo.NodeID
+	net *Network
+	// vcs holds every input VC, port by port in N, E, S, W, Local order
+	// (Local = injection port); port slices it.
+	vcs []inputVC
+	// cand lists, per output, the VCs whose ready head competes for it this
+	// cycle, in vcs order (gather). Each list is carved from one backing
+	// array with room for every VC, so appending never reallocates.
+	cand [topo.NumDirs][]*inputVC
+	outs [topo.NumDirs]*outPort // Local = ejection (modeled creditless)
 
 	srcQueue *buffers.FIFO[flit.Flit]
 	flows    map[flit.FlowID]*flowState
@@ -106,8 +117,6 @@ type node struct {
 	// pendCredSet marks occupancy (value storage — no per-flit allocation).
 	pendCred    [4]creditMsg
 	pendCredSet [4]bool
-
-	pktFlits map[pktKey]pktProgress
 
 	// linkBusy counts flits forwarded per mesh output (link utilization).
 	linkBusy [4]uint64
@@ -132,11 +141,6 @@ type frameDelta struct {
 	frame, delta int
 }
 
-type pktKey struct {
-	flow flit.FlowID
-	seq  uint64
-}
-
 type pktProgress struct {
 	flits    int
 	injected uint64
@@ -149,17 +153,20 @@ func newNode(id topo.NodeID, cfg config.GSF, net *Network, slot *netsim.Slot) *n
 		srcQueue: buffers.NewFIFO[flit.Flit](fmt.Sprintf("gsf.n%d.src", id), cfg.SourceQueue),
 		flows:    make(map[flit.FlowID]*flowState),
 		injVC:    -1,
-		pktFlits: make(map[pktKey]pktProgress),
 		inj:      slot.Injector,
 		obs:      &slot.Stage,
 		perf:     slot.Perf,
 	}
+	all := int(topo.NumDirs) * cfg.VirtualChannels
+	n.vcs = make([]inputVC, all)
+	cand := make([]*inputVC, int(topo.NumDirs)*all)
 	for d := topo.North; d < topo.NumDirs; d++ {
-		n.vcs[d] = make([]*inputVC, cfg.VirtualChannels)
-		for v := range n.vcs[d] {
-			n.vcs[d][v] = &inputVC{
-				fifo:   buffers.NewFIFO[vcEntry](fmt.Sprintf("gsf.n%d.%s.vc%d", id, d, v), cfg.VCDepth),
-				downVC: -1,
+		n.cand[d] = cand[int(d)*all : int(d)*all : int(d+1)*all]
+		port := n.port(d)
+		for v := range port {
+			port[v] = inputVC{
+				fifo: buffers.NewFIFO[vcEntry](fmt.Sprintf("gsf.n%d.%s.vc%d", id, d, v), cfg.VCDepth),
+				dir:  d, idx: v, downVC: -1,
 			}
 		}
 		if d == topo.Local {
@@ -202,35 +209,12 @@ func (n *node) addFrame(frame, delta int) {
 
 // tick advances one cycle: drain links, eject, switch, inject.
 func (n *node) tick(now uint64) {
-	cfg := n.net.cfg
-	for d := 0; d < 4; d++ {
-		if n.flitIn[d] != nil {
-			if msg, ok := n.flitIn[d].Take(); ok {
-				vc := n.vcs[d][msg.VC]
-				if !vc.routed {
-					vc.outDir = topo.Local
-					if msg.F.Dst != n.id {
-						vc.outDir = route.XY(n.net.mesh, n.id, msg.F.Dst)
-					}
-					vc.routed = true
-				}
-				vc.fifo.Push(vcEntry{f: msg.F, readyAt: now + uint64(cfg.PipeStages) - 1})
-			}
-		}
-		if n.credIn[d] != nil {
-			if msg, ok := n.credIn[d].Take(); ok {
-				out := n.outs[d]
-				out.down[msg.VC].credits++
-				if msg.Tail {
-					out.down[msg.VC].allocated = false
-				}
-			}
-		}
-	}
+	n.drain(now)
+	n.gather(now)
 	if n.perf != nil {
 		n.perf.Lap(perfmon.StageDrain)
 	}
-	n.allocateVCs(now)
+	n.allocateVCs()
 	if n.perf != nil {
 		n.perf.Lap(perfmon.StageVCAlloc)
 	}
@@ -253,10 +237,62 @@ func (n *node) tick(now uint64) {
 	}
 }
 
+// drain takes this cycle's flit and credit off every input link.
+func (n *node) drain(now uint64) {
+	for d := 0; d < 4; d++ {
+		if n.flitIn[d] != nil {
+			if msg, ok := n.flitIn[d].Take(); ok {
+				vc := &n.port(topo.Dir(d))[msg.VC]
+				if !vc.routed {
+					vc.outDir = topo.Local
+					if msg.F.Dst != n.id {
+						vc.outDir = route.XY(n.net.mesh, n.id, msg.F.Dst)
+					}
+					vc.routed = true
+				}
+				vc.fifo.Push(vcEntry{f: msg.F, readyAt: now + uint64(n.net.cfg.PipeStages) - 1})
+			}
+		}
+		if n.credIn[d] != nil {
+			if msg, ok := n.credIn[d].Take(); ok {
+				out := n.outs[d]
+				out.down[msg.VC].credits++
+				if msg.Tail {
+					out.down[msg.VC].allocated = false
+				}
+			}
+		}
+	}
+}
+
+// port returns input port d's VCs.
+func (n *node) port(d topo.Dir) []inputVC {
+	v := n.net.cfg.VirtualChannels
+	return n.vcs[int(d)*v : int(d+1)*v]
+}
+
+// gather lists every routed VC whose head flit is ready under the output it
+// is routed to. Arbitration touches only these lists, so it sees each VC
+// once per cycle instead of once per output; vcs order keeps the tie-break.
+func (n *node) gather(now uint64) {
+	for o := range n.cand {
+		n.cand[o] = n.cand[o][:0]
+	}
+	for i := range n.vcs {
+		vc := &n.vcs[i]
+		if head := vc.fifo.Front(); head != nil && vc.routed && head.readyAt <= now {
+			n.cand[vc.outDir] = append(n.cand[vc.outDir], vc)
+		}
+	}
+}
+
 // allocateVCs performs VC allocation: per output port, the oldest-frame
 // head flit awaiting a downstream VC gets a free one (one per cycle per
 // output; a VC is granted only when empty, per the one-packet rule).
-func (n *node) allocateVCs(now uint64) {
+// Outputs are served N, E, S, W; among equal frames the first candidate in
+// input order N, E, S, W, Local, then VC index, wins (strict <), and that
+// order is behaviour.
+func (n *node) allocateVCs() {
 	for o := topo.North; o < topo.Local; o++ {
 		out := n.outs[o]
 		if out == nil {
@@ -267,15 +303,13 @@ func (n *node) allocateVCs(now uint64) {
 			continue
 		}
 		var best *inputVC
-		for d := topo.North; d < topo.NumDirs; d++ {
-			for _, vc := range n.vcs[d] {
-				head, ok := vc.fifo.Peek()
-				if !ok || !vc.routed || vc.outDir != o || vc.downVC >= 0 || !head.f.Head || head.readyAt > now {
-					continue
-				}
-				if best == nil || head.f.Frame < mustPeek(best).f.Frame {
-					best = vc
-				}
+		for _, vc := range n.cand[o] {
+			head := vc.fifo.Front()
+			if vc.downVC >= 0 || !head.f.Head {
+				continue
+			}
+			if best == nil || head.f.Frame < mustPeek(best).f.Frame {
+				best = vc
 			}
 		}
 		if best != nil {
@@ -285,9 +319,9 @@ func (n *node) allocateVCs(now uint64) {
 	}
 }
 
-func mustPeek(vc *inputVC) vcEntry {
-	e, ok := vc.fifo.Peek()
-	if !ok {
+func mustPeek(vc *inputVC) *vcEntry {
+	e := vc.fifo.Front()
+	if e == nil {
 		panic("gsf: peek on empty VC")
 	}
 	return e
@@ -295,7 +329,10 @@ func mustPeek(vc *inputVC) vcEntry {
 
 // switchFlits performs switch allocation and traversal: per output port the
 // oldest-frame ready flit with credits wins; each input port sends at most
-// one flit per cycle (single crossbar input).
+// one flit per cycle (single crossbar input). Outputs are served N, E, S, W,
+// Local; among equal frames the first candidate in input order N, E, S, W,
+// Local, then VC index, wins (strict <), and that order is behaviour. Only
+// the winner changes state, and it is on no later output's list.
 func (n *node) switchFlits(now uint64) {
 	var usedInput [topo.NumDirs]bool
 	for o := topo.North; o < topo.NumDirs; o++ {
@@ -303,43 +340,36 @@ func (n *node) switchFlits(now uint64) {
 			continue
 		}
 		var best *inputVC
-		var bestDir topo.Dir
-		for d := topo.North; d < topo.NumDirs; d++ {
-			if usedInput[d] {
+		for _, vc := range n.cand[o] {
+			if usedInput[vc.dir] {
 				continue
 			}
-			for _, vc := range n.vcs[d] {
-				head, ok := vc.fifo.Peek()
-				if !ok || !vc.routed || vc.outDir != o || head.readyAt > now {
+			if o != topo.Local {
+				if vc.downVC < 0 || n.outs[o].down[vc.downVC].credits == 0 {
 					continue
 				}
-				if o != topo.Local {
-					if vc.downVC < 0 || n.outs[o].down[vc.downVC].credits == 0 {
-						continue
-					}
-				}
-				if best == nil || head.f.Frame < mustPeek(best).f.Frame {
-					best, bestDir = vc, d
-				}
+			}
+			if best == nil || vc.fifo.Front().f.Frame < mustPeek(best).f.Frame {
+				best = vc
 			}
 		}
 		if best == nil {
 			continue
 		}
-		usedInput[bestDir] = true
+		usedInput[best.dir] = true
 		e, _ := best.fifo.Pop()
 		if o == topo.Local {
-			n.eject(e.f, now)
+			n.eject(&best.pkt, e.f, now)
 			n.addFrame(e.f.Frame, -1) // the flit left the network
 		} else {
 			n.outs[o].down[best.downVC].credits--
 			n.flitOut[o].Write(linkMsg{F: e.f, VC: best.downVC})
 			n.linkBusy[o]++
 		}
-		if bestDir != topo.Local {
+		if best.dir != topo.Local {
 			// Return the credit; tail also frees the VC upstream.
-			n.pendCred[bestDir] = creditMsg{VC: indexOf(n.vcs[bestDir], best), Tail: e.f.Tail}
-			n.pendCredSet[bestDir] = true
+			n.pendCred[best.dir] = creditMsg{VC: best.idx, Tail: e.f.Tail}
+			n.pendCredSet[best.dir] = true
 		}
 		if e.f.Tail {
 			best.routed = false
@@ -348,21 +378,10 @@ func (n *node) switchFlits(now uint64) {
 	}
 }
 
-func indexOf(vcs []*inputVC, vc *inputVC) int {
-	for i := range vcs {
-		if vcs[i] == vc {
-			return i
-		}
-	}
-	panic("gsf: VC not found")
-}
-
 // eject delivers a flit to the local sink. The collectors and the auditor
 // are network-global and order-sensitive, so what they consume is staged;
-// per-packet reassembly state is node-local.
-func (n *node) eject(f flit.Flit, now uint64) {
-	key := pktKey{flow: f.Flow, seq: f.PktSeq}
-	prog := n.pktFlits[key]
+// prog, the ejecting VC's reassembly state, is node-local.
+func (n *node) eject(prog *pktProgress, f flit.Flit, now uint64) {
 	if prog.flits == 0 || f.Injected < prog.injected {
 		prog.injected = f.Injected
 	}
@@ -371,10 +390,9 @@ func (n *node) eject(f flit.Flit, now uint64) {
 		n.obs.EmitAux(now, probe.KindEject, int32(n.id), int32(f.Src), int32(f.Flow), 0, 0, 1)
 	}
 	if !f.Tail {
-		n.pktFlits[key] = prog
 		return
 	}
-	delete(n.pktFlits, key)
+	prog.flits = 0
 	if n.obs.Wants(probe.KindPacketDone) {
 		n.obs.EmitAux(now+1, probe.KindPacketDone, int32(n.id), -1, int32(f.Flow), f.PktSeq, prog.injected, f.Created)
 	}
@@ -404,8 +422,8 @@ func (n *node) enqueue(p flit.Packet) {
 // best-effort mode the budget and frame machinery are skipped: flits are
 // injected whenever a VC is free, giving a plain wormhole network.
 func (n *node) inject(now uint64) {
-	head, ok := n.srcQueue.Peek()
-	if !ok {
+	head := n.srcQueue.Front()
+	if head == nil {
 		return
 	}
 	cfg := n.net.cfg
@@ -413,11 +431,12 @@ func (n *node) inject(now uint64) {
 	if fs == nil && !cfg.BestEffort {
 		panic(fmt.Sprintf("gsf: node %d: flow %d has no reservation", n.id, head.Flow))
 	}
+	local := n.port(topo.Local)
 	if head.Head && n.injVC < 0 {
 		// A head flit needs an empty, unallocated local-input VC
 		// (one-packet-per-VC rule).
-		for v, vc := range n.vcs[topo.Local] {
-			if vc.fifo.Empty() && !vc.routed {
+		for v := range local {
+			if local[v].fifo.Empty() && !local[v].routed {
 				n.injVC = v
 				break
 			}
@@ -426,7 +445,7 @@ func (n *node) inject(now uint64) {
 	if n.injVC < 0 {
 		return // no VC available: stall
 	}
-	vc := n.vcs[topo.Local][n.injVC]
+	vc := &local[n.injVC]
 	if vc.fifo.Full() {
 		return
 	}

@@ -25,6 +25,32 @@ func mustNet(t *testing.T, cfg config.GSF, p *traffic.Pattern, seed, warmup uint
 	return net
 }
 
+var allocSink *Network
+
+// TestNewAllocs pins the construction floor of a paper-configuration network:
+// each node's 30 input VCs share one array and its five candidate lists
+// another, where they were 30 separate objects. Most of what remains is the
+// VC queues and their formatted names, about 120 mallocs per node.
+func TestNewAllocs(t *testing.T) {
+	if raceEnabled {
+		// sync.Pool drops fmt's pooled printers at random under the race
+		// detector, so the count does not repeat.
+		t.Skip("allocation count not reproducible under -race")
+	}
+	cfg := config.PaperGSF()
+	p := traffic.Uniform(cfg.Mesh(), 0.6, cfg.PacketFlits, 256)
+	n := testing.AllocsPerRun(5, func() {
+		var err error
+		if allocSink, err = New(cfg, p, Options{Seed: 1, BaseFrameFlits: 256}); err != nil {
+			panic(err)
+		}
+	})
+	const limit = 8000
+	if n > limit {
+		t.Errorf("gsf.New: %.0f allocations, want at most %d", n, limit)
+	}
+}
+
 func TestGSFSingleFlowDelivers(t *testing.T) {
 	cfg := smallGSF()
 	p := traffic.SingleFlow(cfg.Mesh(), 0, 15, 0.1, cfg.PacketFlits, 32)

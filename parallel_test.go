@@ -16,6 +16,7 @@ import (
 	"loft/internal/config"
 	"loft/internal/core"
 	"loft/internal/fault"
+	"loft/internal/gsf"
 	loftnet "loft/internal/loft"
 	"loft/internal/lsf"
 	"loft/internal/perfmon"
@@ -277,6 +278,21 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		}
 		if snap := mon.Snapshot(); snap.SampledCycles == 0 {
 			t.Fatal("profiler attached but sampled no cycles")
+		}
+	})
+
+	// GSF past saturation: the per-output candidate lists are carved from
+	// storage sized in gsf.New, so arbitrating allocates nothing either.
+	t.Run("gsf", func(t *testing.T) {
+		gnet, err := gsf.New(config.PaperGSF(), trafficUniform(cfg, 0.6), gsf.Options{Seed: 1, Warmup: 1 << 30, BaseFrameFlits: cfg.FrameFlits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gnet.Close()
+		gnet.Run(4000)
+		avg := testing.AllocsPerRun(10, func() { gnet.Run(500) })
+		if avg != 0 {
+			t.Fatalf("GSF steady state allocates: %.1f allocs per 500-cycle chunk, want 0", avg)
 		}
 	})
 }
