@@ -82,6 +82,13 @@ func hotspot(c config.LOFT) *traffic.Pattern {
 // with frame 0, so scan order alone decides each arbitration. The two-VC row
 // runs out of free downstream VCs and sizes the per-node VC storage away
 // from 6×5.
+//
+// Two LOFT rows leave the paper's look-ahead router (3 VCs × 4 flits, 3
+// stages). With one 2-flit VC per input the look-ahead buffers fill: the NI
+// finds no local space to book into and outputs run out of downstream
+// look-ahead credits. With four 1-flit VCs and one stage, ties in the
+// shortest-VC choice are the rule and a flit may arbitrate in the cycle it
+// arrives.
 var goldenCases = []goldenCase{
 	{"loft-uniform-0.05", ArchLOFT, 12, uniform(0.05), 500, 2500, nil, nil},
 	{"loft-uniform-0.6", ArchLOFT, 12, uniform(0.6), 300, 1200, nil, nil},
@@ -98,6 +105,8 @@ var goldenCases = []goldenCase{
 		c.VirtualChannels, c.VCDepth = 2, 3
 		return c
 	}},
+	{"loft-la1x2-0.6", ArchLOFT, 12, uniform(0.6), 300, 1200, func(c *config.LOFT) { c.LAVirtualChannels, c.LAVCDepth = 1, 2 }, nil},
+	{"loft-la4x1-s1-0.3", ArchLOFT, 12, uniform(0.3), 300, 1200, func(c *config.LOFT) { c.LAVirtualChannels, c.LAVCDepth, c.LAStages = 4, 1, 1 }, nil},
 }
 
 // goldenChaosPlan arms every fault kind inside the observed run's horizon.
