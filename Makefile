@@ -118,12 +118,15 @@ chaos-smoke:
 # FuzzTableOps runs lsf.Table in lock-step with the plain reference table of
 # internal/lsf/reftable_test.go over arbitrary operation sequences, and
 # FuzzGSFArbitration runs GSF's candidate-list arbitration against the
-# nested scans of internal/gsf/arbitration_test.go over arbitrary small
+# nested scans of internal/gsf/arbitration_test.go, and FuzzLookaheadOrder
+# LOFT's per-output look-ahead lists against the per-VC FIFOs and nested
+# scans of internal/loft/laorder_test.go, over arbitrary small
 # configurations. Any divergence fails the target and leaves its input under
 # the package's testdata/fuzz, where `go test` replays it from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTableOps$$' -fuzztime 10s -parallel 2 ./internal/lsf
 	$(GO) test -run '^$$' -fuzz '^FuzzGSFArbitration$$' -fuzztime 10s -parallel 2 ./internal/gsf
+	$(GO) test -run '^$$' -fuzz '^FuzzLookaheadOrder$$' -fuzztime 10s -parallel 2 ./internal/loft
 
 # The frozen benchmark (bench/, its own module with `replace loft => ../`)
 # is invisible to the root `go build ./...`, yet it constructs loft.Options,

@@ -78,28 +78,6 @@ func (f *FIFO[T]) At(i int) T {
 	return f.buf[(f.head+i)%f.cap]
 }
 
-// RemoveFunc removes the first item for which match returns true, preserving
-// order of the rest, and reports whether anything was removed.
-func (f *FIFO[T]) RemoveFunc(match func(T) bool) (T, bool) {
-	var zero T
-	for i := 0; i < f.count; i++ {
-		idx := (f.head + i) % f.cap
-		if match(f.buf[idx]) {
-			v := f.buf[idx]
-			// Shift the tail segment one slot toward the head.
-			for j := i; j < f.count-1; j++ {
-				a := (f.head + j) % f.cap
-				b := (f.head + j + 1) % f.cap
-				f.buf[a] = f.buf[b]
-			}
-			f.buf[(f.head+f.count-1)%f.cap] = zero
-			f.count--
-			return v, true
-		}
-	}
-	return zero, false
-}
-
 // Credits tracks credit-based flow control toward one downstream buffer.
 type Credits struct {
 	avail int

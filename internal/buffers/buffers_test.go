@@ -1,9 +1,6 @@
 package buffers
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestFIFOOrder(t *testing.T) {
 	f := NewFIFO[int]("t", 4)
@@ -101,71 +98,6 @@ func TestFIFOFrontFollowsHead(t *testing.T) {
 				t.Fatalf("round %d: Pop = (%d,%v), Front held %d", round, v, ok, want)
 			}
 		}
-	}
-}
-
-func TestFIFORemoveFunc(t *testing.T) {
-	f := NewFIFO[int]("t", 5)
-	for _, v := range []int{1, 2, 3, 4} {
-		f.Push(v)
-	}
-	v, ok := f.RemoveFunc(func(x int) bool { return x == 3 })
-	if !ok || v != 3 {
-		t.Fatalf("RemoveFunc = (%d,%v)", v, ok)
-	}
-	var rest []int
-	for {
-		v, ok := f.Pop()
-		if !ok {
-			break
-		}
-		rest = append(rest, v)
-	}
-	if len(rest) != 3 || rest[0] != 1 || rest[1] != 2 || rest[2] != 4 {
-		t.Fatalf("order after removal: %v", rest)
-	}
-	if _, ok := f.RemoveFunc(func(int) bool { return true }); ok {
-		t.Fatal("removed from empty FIFO")
-	}
-}
-
-func TestFIFORemoveFuncQuick(t *testing.T) {
-	// Property: removing an element preserves the relative order of the
-	// rest, across wraparound states.
-	if err := quick.Check(func(ops []uint8, target uint8) bool {
-		f := NewFIFO[int]("q", 8)
-		var model []int
-		n := 0
-		for _, op := range ops {
-			if op%2 == 0 && !f.Full() {
-				f.Push(n)
-				model = append(model, n)
-				n++
-			} else if !f.Empty() {
-				f.Pop()
-				model = model[1:]
-			}
-		}
-		if len(model) == 0 {
-			return true
-		}
-		tgt := model[int(target)%len(model)]
-		f.RemoveFunc(func(x int) bool { return x == tgt })
-		var want []int
-		for _, v := range model {
-			if v != tgt {
-				want = append(want, v)
-			}
-		}
-		for _, w := range want {
-			v, ok := f.Pop()
-			if !ok || v != w {
-				return false
-			}
-		}
-		return f.Empty()
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -117,6 +117,8 @@ func (c LOFT) Validate() error {
 		return fmt.Errorf("config: speculative switching enabled with zero speculative buffer")
 	case c.LAVirtualChannels < 1 || c.LAVCDepth < 1:
 		return fmt.Errorf("config: look-ahead network needs at least one VC slot")
+	case c.LAStages < 1:
+		return fmt.Errorf("config: look-ahead router pipeline stages %d < 1", c.LAStages)
 	}
 	return nil
 }

@@ -15,6 +15,7 @@ type laEnt struct {
 	fl      flit.Lookahead
 	entry   *inEntry // the input reservation entry written on accept
 	inDir   topo.Dir
+	vc      int // VC index within inDir
 	outDir  topo.Dir
 	readyAt uint64 // cycle the flit has passed RC/VA and may arbitrate
 	// failVersion suppresses re-requests until the output table changes
@@ -28,11 +29,15 @@ type laEnt struct {
 // output-scheduling stage that runs the LSF injection procedure.
 type laRouter struct {
 	n *Node
-	// vcs[d] are the input VCs for direction d (topo.Local = from the NI).
-	vcs [topo.NumDirs][]*buffers.FIFO[*laEnt]
-	// pending[o] counts buffered look-ahead flits routed to output o, so
-	// idle outputs are skipped without scanning the VCs.
-	pending [topo.NumDirs]int
+	// vcLen[d][v] is the occupancy of VC v on input d (topo.Local = from the
+	// NI); the five rows are carved from one array.
+	vcLen [topo.NumDirs][]int
+	// byOut[o] lists the buffered look-ahead flits routed to output o,
+	// sorted by input direction, then VC index, then arrival: the order in
+	// which a scan over inputs, their VCs and the VCs' FIFO positions meets
+	// them. The lists are carved from one backing array, each with room for
+	// all look-ahead buffering, so inserting never allocates.
+	byOut [topo.NumDirs][]*laEnt
 	// credits[o] tracks free look-ahead buffer slots at the neighbor
 	// reached through output o (aggregate over its VCs).
 	credits [4]*buffers.Credits
@@ -64,22 +69,24 @@ func newEnt() *laEnt {
 
 func (la *laRouter) init(n *Node) {
 	la.n = n
+	vcs := n.cfg.LAVirtualChannels
 	// Every live laEnt occupies a VC slot, so total look-ahead buffering
-	// bounds the pool exactly: seeding it here makes allocEnt heap-free.
-	ents := make([]laEnt, n.cfg.LAVirtualChannels*n.cfg.LAVCDepth*int(topo.NumDirs))
+	// bounds the pool and each output list exactly.
+	total := vcs * n.cfg.LAVCDepth * int(topo.NumDirs)
+	ents := make([]laEnt, total)
 	la.pool = make([]*laEnt, len(ents))
 	for i := range ents {
 		la.pool[i] = &ents[i]
 	}
+	lens := make([]int, vcs*int(topo.NumDirs))
+	lists := make([]*laEnt, total*int(topo.NumDirs))
 	for d := topo.North; d < topo.NumDirs; d++ {
-		la.vcs[d] = make([]*buffers.FIFO[*laEnt], n.cfg.LAVirtualChannels)
-		for v := range la.vcs[d] {
-			la.vcs[d][v] = buffers.NewFIFO[*laEnt](fmt.Sprintf("n%d.la.%s.vc%d", n.id, d, v), n.cfg.LAVCDepth)
-		}
+		la.vcLen[d] = lens[int(d)*vcs : (int(d)+1)*vcs : (int(d)+1)*vcs]
+		la.byOut[d] = lists[int(d)*total : int(d)*total : (int(d)+1)*total]
 	}
 	for o := 0; o < 4; o++ {
 		if _, ok := n.mesh.Neighbor(n.id, topo.Dir(o)); ok {
-			la.credits[o] = buffers.NewCredits(fmt.Sprintf("n%d.la.%s", n.id, topo.Dir(o)), n.cfg.LAVirtualChannels*n.cfg.LAVCDepth)
+			la.credits[o] = buffers.NewCredits(fmt.Sprintf("n%d.la.%s", n.id, topo.Dir(o)), vcs*n.cfg.LAVCDepth)
 		}
 	}
 }
@@ -88,9 +95,9 @@ func (la *laRouter) init(n *Node) {
 // by the NI before booking, so a booked quantum always gets its look-ahead
 // flit injected in the same cycle).
 func (la *laRouter) freeLocal() int {
-	free := 0
-	for _, vc := range la.vcs[topo.Local] {
-		free += vc.Free()
+	free := len(la.vcLen[topo.Local]) * la.n.cfg.LAVCDepth
+	for _, l := range la.vcLen[topo.Local] {
+		free -= l
 	}
 	return free
 }
@@ -99,18 +106,17 @@ func (la *laRouter) freeLocal() int {
 // scheduling procedure happens here: the flit writes its quantum's identity
 // and expected arrival into the input reservation table before entering the
 // router pipeline.
-func (la *laRouter) accept(fl flit.Lookahead, d topo.Dir, now uint64) {
+func (la *laRouter) accept(fl *flit.Lookahead, d topo.Dir, now uint64) {
 	n := la.n
 	outDir := topo.Local
 	if fl.Dst != n.id {
 		outDir = route.XY(n.mesh, n.id, fl.Dst)
 	}
-	qid := flit.QuantumID{Flow: fl.Flow, Seq: fl.Quantum}
 	ip := n.inputs[d]
 	entry := ip.alloc()
 	*entry = inEntry{
 		q: Quantum{
-			ID:  qid,
+			ID:  flit.QuantumID{Flow: fl.Flow, Seq: fl.Quantum},
 			Src: fl.Src, Dst: fl.Dst,
 			Flits:   fl.Flits,
 			Created: fl.Created,
@@ -120,22 +126,33 @@ func (la *laRouter) accept(fl flit.Lookahead, d topo.Dir, now uint64) {
 	}
 	ip.insert(entry, n.id)
 	// Pick the shortest VC with space; flow control guarantees one exists.
-	var best *buffers.FIFO[*laEnt]
-	for _, vc := range la.vcs[d] {
-		if vc.Full() {
-			continue
-		}
-		if best == nil || vc.Len() < best.Len() {
-			best = vc
+	lens, depth := la.vcLen[d], n.cfg.LAVCDepth
+	best := -1
+	for v, l := range lens {
+		if l < depth && (best < 0 || l < lens[best]) {
+			best = v
 		}
 	}
-	if best == nil {
+	if best < 0 {
 		panic(fmt.Sprintf("loft: node %d: look-ahead buffer overflow on input %s", n.id, d))
 	}
+	lens[best]++
 	ent := la.allocEnt()
-	*ent = laEnt{fl: fl, entry: entry, inDir: d, outDir: outDir, readyAt: now + uint64(n.cfg.LAStages) - 1}
-	best.Push(ent)
-	la.pending[outDir]++
+	// Filled field by field: a composite literal would zero and copy the
+	// whole record.
+	ent.fl, ent.entry, ent.inDir, ent.vc, ent.outDir = *fl, entry, d, best, outDir
+	ent.readyAt, ent.failVersion = now+uint64(n.cfg.LAStages)-1, 0
+	// Insert after the last flit of a lower or equal (input, VC): the list
+	// stays in scan order with this flit last of its VC.
+	list := la.byOut[outDir]
+	i := len(list)
+	for i > 0 && (list[i-1].inDir > d || list[i-1].inDir == d && list[i-1].vc > best) {
+		i--
+	}
+	list = list[:len(list)+1]
+	copy(list[i+1:], list[i:])
+	list[i] = ent
+	la.byOut[outDir] = list
 }
 
 // process runs one cycle of look-ahead switching: per output port, at most
@@ -152,53 +169,57 @@ func (la *laRouter) accept(fl flit.Lookahead, d topo.Dir, now uint64) {
 // and that head-of-line blocking compounds into starvation of long-path
 // flows at every merge point. Flits of throttled flows stay buffered and
 // retry when the table state changes (version gating avoids busy-wait).
+//
+// Output o's list is in scan order from input 0; starting at its first flit
+// from input rr[o] or later and wrapping gives the rotating input priority.
 func (la *laRouter) process(now uint64) {
 	n := la.n
 	for o := topo.North; o < topo.NumDirs; o++ {
-		table := n.outTables[o]
-		if table == nil || la.pending[o] == 0 {
+		table, list := n.outTables[o], la.byOut[o]
+		if table == nil || len(list) == 0 {
 			continue
 		}
 		if o != topo.Local && la.credits[o].Available() == 0 {
 			continue // no look-ahead buffer downstream
 		}
 		version := table.Version()
-		var won *laEnt
-		var wonVC *buffers.FIFO[*laEnt]
-		var depart uint64
-	inputs:
-		for i := 0; i < int(topo.NumDirs); i++ {
-			d := topo.Dir((la.rr[o] + i) % int(topo.NumDirs))
-			for _, vc := range la.vcs[d] {
-				for j := 0; j < vc.Len(); j++ {
-					ent := vc.At(j)
-					if ent.outDir != o || ent.readyAt > now || ent.failVersion == version {
-						continue
-					}
-					slot, booked := table.Request(ent.fl.Flow, ent.fl.Quantum, ent.arriveSlotPlusPipe())
-					if !booked {
-						ent.failVersion = version
-						continue
-					}
-					won, wonVC, depart = ent, vc, slot
-					la.rr[o] = (int(d) + 1) % int(topo.NumDirs)
-					break inputs
-				}
-			}
+		start := 0
+		for start < len(list) && int(list[start].inDir) < la.rr[o] {
+			start++
 		}
-		if won == nil {
+		won := -1
+		var depart uint64
+		for k := range list {
+			i := start + k
+			if i >= len(list) {
+				i -= len(list)
+			}
+			ent := list[i]
+			if ent.readyAt > now || ent.failVersion == version {
+				continue
+			}
+			slot, booked := table.Request(ent.fl.Flow, ent.fl.Quantum, ent.arriveSlotPlusPipe())
+			if !booked {
+				ent.failVersion = version
+				continue
+			}
+			won, depart = i, slot
+			la.rr[o] = (int(ent.inDir) + 1) % int(topo.NumDirs)
+			break
+		}
+		if won < 0 {
 			continue
 		}
-		if _, ok := wonVC.RemoveFunc(func(e *laEnt) bool { return e == won }); !ok {
-			panic("loft: booked look-ahead flit missing from its VC")
-		}
-		la.pending[o]--
-		d := won.inDir
-		entry := won.entry // written by accept; skips the map lookup
+		ent := list[won]
+		copy(list[won:], list[won+1:])
+		la.byOut[o] = list[:len(list)-1]
+		d := ent.inDir
+		la.vcLen[d][ent.vc]--
+		entry := ent.entry // written by accept; skips the slab lookup
 		entry.booked = true
 		entry.departSlot = depart
 		if n.obs.Wants(probe.KindReserve) {
-			n.obs.EmitSeq(now, probe.KindReserve, int32(n.id), int32(o), int32(won.fl.Flow), won.fl.Quantum, depart)
+			n.obs.EmitSeq(now, probe.KindReserve, int32(n.id), int32(o), int32(ent.fl.Flow), ent.fl.Quantum, depart)
 		}
 		if entry.arrived {
 			n.inputs[d].avail = append(n.inputs[d].avail, entry)
@@ -212,7 +233,7 @@ func (la *laRouter) process(now uint64) {
 			n.pendLaCred[d]++ // freed look-ahead VC slot
 		}
 		if o != topo.Local {
-			fl := won.fl
+			fl := ent.fl
 			fl.DepartPrev = depart
 			n.laOut[o].Write(fl)
 			la.credits[o].Consume()
@@ -220,7 +241,7 @@ func (la *laRouter) process(now uint64) {
 				n.obs.EmitSeq(now, probe.KindLAIssue, int32(n.id), int32(o), int32(fl.Flow), fl.Quantum, depart*uint64(n.cfg.QuantumFlits))
 			}
 		}
-		la.pool = append(la.pool, won)
+		la.pool = append(la.pool, ent)
 	}
 }
 
@@ -228,4 +249,4 @@ func (la *laRouter) process(now uint64) {
 // this look-ahead flit leads: its arrival slot plus one slot of router
 // pipeline (§5.1.2's 3-stage data router spans at most one 2-cycle slot
 // beyond arrival).
-func (e laEnt) arriveSlotPlusPipe() uint64 { return e.fl.DepartPrev + 2 }
+func (e *laEnt) arriveSlotPlusPipe() uint64 { return e.fl.DepartPrev + 2 }

@@ -28,6 +28,32 @@ func mustNet(t *testing.T, cfg config.LOFT, p *traffic.Pattern, seed uint64, war
 	return net
 }
 
+var allocSink *Network
+
+// TestNewAllocs pins the construction floor of a paper-configuration network:
+// each node's look-ahead buffering is four arrays (flit records, their pool,
+// VC counts, output lists) and each input slab one entry array. Most of
+// what remains is reservation tables, registers and formatted names.
+func TestNewAllocs(t *testing.T) {
+	if raceEnabled {
+		// sync.Pool drops fmt's pooled printers at random under the race
+		// detector, so the count does not repeat.
+		t.Skip("allocation count not reproducible under -race")
+	}
+	cfg := config.PaperLOFT()
+	p := traffic.Uniform(cfg.Mesh(), 0.6, cfg.PacketFlits, cfg.FrameFlits)
+	n := testing.AllocsPerRun(5, func() {
+		var err error
+		if allocSink, err = New(cfg, p, Options{Seed: 1}); err != nil {
+			panic(err)
+		}
+	})
+	const limit = 16000
+	if n > limit {
+		t.Errorf("loft.New: %.0f allocations, want at most %d", n, limit)
+	}
+}
+
 func TestSingleFlowDelivers(t *testing.T) {
 	cfg := smallCfg(12)
 	p := traffic.SingleFlow(cfg.Mesh(), 0, 15, 0.1, cfg.PacketFlits, cfg.FrameFlits)

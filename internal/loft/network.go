@@ -150,9 +150,10 @@ func (net *Network) registerGauges() {
 			reg.Gauge(fmt.Sprintf("loft.buf.n%d.%s", n.id, d), func() float64 {
 				return float64(ip.nonspecUsed + ip.specUsed)
 			})
-			for v, vc := range n.la.vcs[d] {
+			lens := n.la.vcLen[d]
+			for v := range lens {
 				reg.Gauge(fmt.Sprintf("loft.lavc.n%d.%s.vc%d", n.id, d, v), func() float64 {
-					return float64(vc.Len())
+					return float64(lens[v])
 				})
 			}
 		}

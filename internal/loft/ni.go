@@ -162,7 +162,7 @@ func (ni *netIface) book(now uint64) {
 		if n.obs.Wants(probe.KindLAIssue) {
 			n.obs.EmitAux(now, probe.KindLAIssue, int32(n.id), int32(topo.NumDirs), int32(fq.id), pq.q.ID.Seq, depart*uint64(n.cfg.QuantumFlits), pq.q.PktSeq)
 		}
-		n.la.accept(flit.Lookahead{
+		n.la.accept(&flit.Lookahead{
 			Dst:        pq.q.Dst,
 			Flow:       pq.q.ID.Flow,
 			Quantum:    pq.q.ID.Seq,

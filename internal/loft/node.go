@@ -34,6 +34,9 @@ type inEntry struct {
 	// faultDenied marks a quantum whose forward was denied by an active
 	// fault; its eventual successful forward counts as a retry.
 	faultDenied bool
+	// next links the entry into its slab chain while live and into the free
+	// list once retired.
+	next *inEntry
 }
 
 // inputPort is one data-network input port: the input reservation table plus
@@ -41,18 +44,18 @@ type inEntry struct {
 // buffers (Fig. 9).
 //
 // The reservation table is a dense slab keyed by arrival slot: wire
-// messages carry the upstream booking slot, so ring[arriveSlot & (len-1)]
-// resolves an entry without hashing or map allocation. A bucket normally
-// holds zero or one entries; it can hold more, because speculative forwards
-// clear their table slot early and let the upstream link re-book the same
-// absolute slot while the first quantum's entry is still live (and because
-// distant slots are congruent modulo the ring size). Buckets and retired
-// entries keep their backing storage, so the steady state allocates
-// nothing.
+// messages carry the upstream booking slot, so the chain at
+// ring[arriveSlot & (portSlots-1)] resolves an entry without hashing or map
+// allocation. A chain normally holds zero or one entries; it can hold more,
+// because speculative forwards clear their table slot early and let the
+// upstream link re-book the same absolute slot while the first quantum's
+// entry is still live (and because distant slots are congruent modulo
+// portSlots). Entries link through inEntry.next, into a chain while live and
+// into the free list once retired, so the steady state allocates nothing.
 type inputPort struct {
 	dir  topo.Dir
-	ring [][]*inEntry // buckets indexed by arriveSlot & (len-1)
-	free []*inEntry   // retired entries for reuse
+	ring [portSlots]*inEntry // chain heads indexed by arriveSlot & (portSlots-1)
+	free *inEntry            // retired entries for reuse
 	// avail lists entries that are booked AND physically arrived — the
 	// switching candidates — so per-slot arbitration does not scan the
 	// whole input reservation table.
@@ -61,35 +64,30 @@ type inputPort struct {
 	specUsed    int
 }
 
-// portSlots sizes the input slab. The live-entry count is bounded by buffer
-// occupancy plus in-flight look-aheads (both small); spreading them over
-// the reservation window's worth of buckets keeps chains at length 0 or 1.
+// portSlots is the number of slab chains, a power of two. The live-entry
+// count is bounded by buffer occupancy plus in-flight look-aheads (both
+// small); spreading them over the reservation window's worth of chains keeps
+// chains at length 0 or 1.
 const portSlots = 64
 
 func newInputPort(d topo.Dir) *inputPort {
-	// Preallocate bucket capacity, the entry pool and the candidate list so
-	// first-time high-water marks (bucket depth 2+, a new live-entry
-	// maximum) do not allocate mid-run; alloc() still falls back to the heap
-	// if a pathological workload exceeds the pool.
-	const bucketCap = 8
-	backing := make([]*inEntry, portSlots*bucketCap)
-	ring := make([][]*inEntry, portSlots)
-	for i := range ring {
-		ring[i] = backing[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
-	}
+	// Preallocate the entry pool and the candidate list so a new live-entry
+	// maximum does not allocate mid-run; alloc() still falls back to the
+	// heap if a pathological workload exceeds the pool.
+	ip := &inputPort{dir: d, avail: make([]*inEntry, 0, portSlots)}
 	pool := make([]inEntry, 2*portSlots)
-	free := make([]*inEntry, len(pool))
 	for i := range pool {
-		free[i] = &pool[i]
+		pool[i].next = ip.free
+		ip.free = &pool[i]
 	}
-	return &inputPort{dir: d, ring: ring, free: free, avail: make([]*inEntry, 0, portSlots)}
+	return ip
 }
 
-// alloc returns a recycled entry or a fresh one.
+// alloc returns a recycled entry or a fresh one. The caller overwrites the
+// whole entry, next included.
 func (ip *inputPort) alloc() *inEntry {
-	if k := len(ip.free); k > 0 {
-		e := ip.free[k-1]
-		ip.free = ip.free[:k-1]
+	if e := ip.free; e != nil {
+		ip.free = e.next
 		return e
 	}
 	return ip.allocSlow()
@@ -109,7 +107,7 @@ func (ip *inputPort) allocSlow() *inEntry {
 // lookup returns the live entry for quantum qid expecting arrival slot s,
 // or nil.
 func (ip *inputPort) lookup(s uint64, qid flit.QuantumID) *inEntry {
-	for _, e := range ip.ring[s&uint64(len(ip.ring)-1)] {
+	for e := ip.ring[s&(portSlots-1)]; e != nil; e = e.next {
 		if e.arriveSlot == s && e.q.ID == qid {
 			return e
 		}
@@ -117,27 +115,28 @@ func (ip *inputPort) lookup(s uint64, qid flit.QuantumID) *inEntry {
 	return nil
 }
 
-// insert places a fresh entry, panicking on a duplicate quantum identity
-// (the check the old map performed on its key).
+// insert places a fresh entry at the head of its chain, panicking on a
+// duplicate quantum identity in the chain. lookup matches on (arriveSlot,
+// quantum), unique among live entries, so the order within a chain is not
+// behaviour.
 func (ip *inputPort) insert(e *inEntry, nodeID topo.NodeID) {
-	i := e.arriveSlot & uint64(len(ip.ring)-1)
-	for _, old := range ip.ring[i] {
+	head := &ip.ring[e.arriveSlot&(portSlots-1)]
+	for old := *head; old != nil; old = old.next {
 		if old.q.ID == e.q.ID {
 			panic(fmt.Sprintf("loft: node %d: duplicate look-ahead for %+v", nodeID, e.q.ID))
 		}
 	}
-	ip.ring[i] = append(ip.ring[i], e)
+	e.next = *head
+	*head = e
 }
 
-// remove retires a live entry into the free pool.
+// remove unlinks a live entry and retires it into the free list.
 func (ip *inputPort) remove(e *inEntry) {
-	i := e.arriveSlot & uint64(len(ip.ring)-1)
-	b := ip.ring[i]
-	for j, x := range b {
-		if x == e {
-			b[j] = b[len(b)-1]
-			ip.ring[i] = b[:len(b)-1]
-			ip.free = append(ip.free, e)
+	for p := &ip.ring[e.arriveSlot&(portSlots-1)]; *p != nil; p = &(*p).next {
+		if *p == e {
+			*p = e.next
+			e.next = ip.free
+			ip.free = e
 			return
 		}
 	}
@@ -435,7 +434,7 @@ func (n *Node) drain(now uint64) {
 	for d := 0; d < 4; d++ {
 		if n.laIn[d] != nil {
 			if fl, ok := n.laIn[d].Take(); ok {
-				n.la.accept(fl, topo.Dir(d), now)
+				n.la.accept(&fl, topo.Dir(d), now)
 			}
 		}
 	}
