@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-sweep par-smoke vet fmt lint lint-test check audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module bench bench-save bench-check bench-probe
+.PHONY: build test race race-sweep par-smoke vet fmt lint lint-test check audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module bench
 
 build:
 	$(GO) build ./...
@@ -114,19 +114,23 @@ chaos-smoke:
 	cmp "$$dir/a/audit.json" "$$dir/b/audit.json"; \
 	rm -rf "$$dir"
 
-# Ten seconds of coverage-guided fuzzing per lock-step reference:
-# FuzzTableOps runs lsf.Table in lock-step with the plain reference table of
-# internal/lsf/reftable_test.go over arbitrary operation sequences, and
-# FuzzGSFArbitration runs GSF's candidate-list arbitration against the
-# nested scans of internal/gsf/arbitration_test.go, and FuzzLookaheadOrder
-# LOFT's per-output look-ahead lists against the per-VC FIFOs and nested
-# scans of internal/loft/laorder_test.go, over arbitrary small
-# configurations. Any divergence fails the target and leaves its input under
-# the package's testdata/fuzz, where `go test` replays it from then on.
+# Ten seconds of coverage-guided fuzzing per target. Three run an optimized
+# structure in lock-step with its plain reference: FuzzTableOps runs
+# lsf.Table beside the reference table of internal/lsf/reftable_test.go over
+# arbitrary operation sequences, FuzzGSFArbitration runs GSF's
+# candidate-list arbitration against the nested scans of
+# internal/gsf/arbitration_test.go, and FuzzLookaheadOrder LOFT's per-output
+# look-ahead lists against the per-VC FIFOs and nested scans of
+# internal/loft/laorder_test.go, over arbitrary small configurations.
+# FuzzFaultPlan feeds arbitrary text to the fault-plan parser, which must
+# reject it or accept a plan of finite values that round-trips exactly. Any
+# failure leaves its input under the package's testdata/fuzz, where `go
+# test` replays it from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTableOps$$' -fuzztime 10s -parallel 2 ./internal/lsf
 	$(GO) test -run '^$$' -fuzz '^FuzzGSFArbitration$$' -fuzztime 10s -parallel 2 ./internal/gsf
 	$(GO) test -run '^$$' -fuzz '^FuzzLookaheadOrder$$' -fuzztime 10s -parallel 2 ./internal/loft
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s -parallel 2 ./internal/fault
 
 # The frozen benchmark (bench/, its own module with `replace loft => ../`)
 # is invisible to the root `go build ./...`, yet it constructs loft.Options,
@@ -141,20 +145,3 @@ check: build vet fmt lint test race-sweep par-smoke race audit-smoke trace-smoke
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Record the engineering benchmarks' headline metrics in BENCH_<date>.json.
-bench-save:
-	scripts/bench.sh
-
-# Re-run the engineering benchmarks against the recorded baseline: the
-# probe-off, audit-off, perf-off and fault-off paths and raw simulator
-# speed must not regress more than 2% (best of -count repetitions, so one
-# descheduled run cannot flake the gate).
-BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-bench-check:
-	@test -n "$(BASELINE)" || { echo "no BENCH_*.json baseline recorded; run make bench-save"; exit 1; }
-	LOFT_BENCH_BASELINE=$(BASELINE) $(GO) test -run '^$$' \
-		-bench 'BenchmarkSimulatorSpeed|BenchmarkProbeOverhead|BenchmarkAuditOverhead|BenchmarkPerfmonOverhead|BenchmarkFaultOverhead|BenchmarkSteadyStateAllocs' -benchtime 10x -count 3 .
-
-# Probe-layer overhead: "off" must stay within 2% of the pre-probe simulator.
-bench-probe:
-	$(GO) test -run xxx -bench BenchmarkProbeOverhead -benchtime 5x .

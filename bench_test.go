@@ -5,21 +5,12 @@
 package loft
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"sort"
 	"testing"
 
 	"loft/internal/analysis"
-	"loft/internal/audit"
 	"loft/internal/config"
 	"loft/internal/core"
 	"loft/internal/exp"
-	"loft/internal/fault"
-	loftnet "loft/internal/loft"
-	"loft/internal/perfmon"
-	"loft/internal/probe"
 	"loft/internal/topo"
 	"loft/internal/traffic"
 )
@@ -210,315 +201,6 @@ func BenchmarkAblationSpecBuffer(b *testing.B) {
 				lat = res.AvgNetLatency
 			}
 			b.ReportMetric(lat, "net-latency-cyc")
-		})
-	}
-}
-
-// baselineGuard asserts a measured metric has not fallen more than
-// allowedPct below the value recorded for name in the JSON baseline file
-// named by the LOFT_BENCH_BASELINE environment variable (written by
-// scripts/bench.sh / make bench-save). With the variable unset the guard is
-// a no-op, keeping ordinary test runs machine-independent; `make
-// bench-check` sets it to the committed BENCH_<date>.json.
-//
-// The assertion is best-of-N: each call records the measurement, and
-// TestMain compares the best repetition per benchmark against the floor
-// after all -count repetitions have run, so one descheduled run on a shared
-// machine cannot fail a benchmark whose best run meets the bar.
-func baselineGuard(b *testing.B, name string, got, allowedPct float64) {
-	if os.Getenv("LOFT_BENCH_BASELINE") == "" {
-		return
-	}
-	if best, ok := baselineBest[name]; !ok || got > best {
-		baselineBest[name] = got
-	}
-	baselineTol[name] = allowedPct
-}
-
-// baselineGuardLow is baselineGuard for lower-is-better metrics (allocation
-// counts): the best repetition is the minimum, and bench-check fails when
-// the best run exceeds the recorded baseline by more than allowedPct (a zero
-// baseline tolerates nothing).
-func baselineGuardLow(b *testing.B, name string, got, allowedPct float64) {
-	if os.Getenv("LOFT_BENCH_BASELINE") == "" {
-		return
-	}
-	if best, ok := baselineBest[name]; !ok || got < best {
-		baselineBest[name] = got
-	}
-	baselineTol[name] = allowedPct
-	baselineLow[name] = true
-}
-
-var (
-	baselineBest = map[string]float64{}
-	baselineTol  = map[string]float64{}
-	baselineLow  = map[string]bool{}
-)
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if code == 0 {
-		if err := checkBaseline(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-func checkBaseline() error {
-	path := os.Getenv("LOFT_BENCH_BASELINE")
-	if path == "" || len(baselineBest) == 0 {
-		return nil
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %v", err)
-	}
-	var base map[string]float64
-	if err := json.Unmarshal(blob, &base); err != nil {
-		return fmt.Errorf("baseline %s: %v", path, err)
-	}
-	names := make([]string, 0, len(baselineBest))
-	for name := range baselineBest {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		got := baselineBest[name]
-		want, ok := base[name]
-		if !ok {
-			return fmt.Errorf("baseline %s has no entry %q", path, name)
-		}
-		tol := baselineTol[name]
-		if baselineLow[name] {
-			if got > want*(1+tol/100) {
-				return fmt.Errorf("%s regressed: best run %g vs baseline %g (lower is better, allowed +%.1f%%)",
-					name, got, want, tol)
-			}
-		} else if got < want*(1-tol/100) {
-			return fmt.Errorf("%s regressed: best run %.0f vs baseline %.0f (-%.1f%%, allowed %.1f%%)",
-				name, got, want, 100*(1-got/want), tol)
-		}
-	}
-	return nil
-}
-
-// primeRun performs one short untimed run of the overhead workload so every
-// timed region starts from the same warmed allocator and cache state.
-// Without it the first sub-benchmark of an off/on pair pays the process
-// warmup and the comparison skews — the very inversion bench.sh warns about.
-func primeRun(b *testing.B, cfg config.LOFT, p *traffic.Pattern) {
-	b.Helper()
-	if _, _, err := core.RunLOFT(cfg, p, core.RunSpec{Seed: 1, Warmup: 0, Measure: 2000}); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSimulatorSpeed measures raw simulation throughput (cycles/sec)
-// of the LOFT model on the paper configuration — an engineering metric, not
-// a paper artifact.
-func BenchmarkSimulatorSpeed(b *testing.B) {
-	cfg := config.PaperLOFT()
-	p := trafficUniform(cfg, 0.2)
-	primeRun(b, cfg, p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.RunLOFT(cfg, p, core.RunSpec{Seed: 1, Warmup: 0, Measure: 2000}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	cps := float64(2000*b.N) / b.Elapsed().Seconds()
-	b.ReportMetric(cps, "sim-cycles/sec")
-	baselineGuard(b, "BenchmarkSimulatorSpeed", cps, 2)
-}
-
-// BenchmarkParallelSpeed measures simulation throughput of the sharded
-// two-phase cycle engine across worker counts on the 8x8 paper
-// configuration. workers=1 is the sequential kernel; the speedup of the
-// other rows is machine-dependent (bounded by available cores), so the
-// numbers are recorded in the bench baseline but not regression-guarded.
-func BenchmarkParallelSpeed(b *testing.B) {
-	cfg := config.PaperLOFT()
-	p := trafficUniform(cfg, 0.2)
-	primeRun(b, cfg, p)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.RunLOFT(cfg, p, core.RunSpec{Seed: 1, Warmup: 0, Measure: 2000, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			cps := float64(2000*b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(cps, "sim-cycles/sec")
-		})
-	}
-}
-
-// BenchmarkSteadyStateAllocs pins the simulator's steady-state allocation
-// rate: once past the startup transient a LOFT run must not allocate at
-// all. The metric is allocations per 50-cycle chunk; the baseline records 0
-// and bench-check fails on any increase.
-func BenchmarkSteadyStateAllocs(b *testing.B) {
-	cfg := config.PaperLOFT()
-	p := trafficUniform(cfg, 0.2)
-	// Warmup beyond the horizon keeps stats collectors on their early-return
-	// branches (as in TestSteadyStateZeroAlloc).
-	net, err := loftnet.New(cfg, p, loftnet.Options{Seed: 1, Warmup: 1 << 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer net.Close()
-	net.Run(4000)
-	avg := testing.AllocsPerRun(10, func() { net.Run(50) })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Run(50)
-	}
-	b.ReportMetric(avg, "steady-allocs/chunk")
-	baselineGuardLow(b, "BenchmarkSteadyStateAllocs", avg, 0)
-}
-
-// BenchmarkProbeOverhead measures the observability layer's cost on the
-// acceptance workload (20k-cycle uniform LOFT at the paper scale): "off"
-// must stay within 2% of the pre-probe simulator (the disabled path is a
-// handful of nil checks), "on" shows the full tracing+sampling cost.
-func BenchmarkProbeOverhead(b *testing.B) {
-	cfg := config.PaperLOFT()
-	// One shared pattern: both modes must time the exact same workload, and
-	// the priming run warms the harness before either mode is measured.
-	p := trafficUniform(cfg, 0.2)
-	for _, mode := range []string{"off", "on"} {
-		b.Run(mode, func(b *testing.B) {
-			primeRun(b, cfg, p)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var pr *probe.Probe
-				if mode == "on" {
-					pr = probe.New(probe.Config{SampleEvery: 256})
-				}
-				spec := core.RunSpec{Seed: 1, Warmup: 0, Measure: 20000, Probe: pr}
-				if _, _, err := core.RunLOFT(cfg, p, spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-			cps := float64(20000*b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(cps, "sim-cycles/sec")
-			if mode == "off" {
-				baselineGuard(b, "BenchmarkProbeOverhead/off", cps, 2)
-			}
-		})
-	}
-}
-
-// BenchmarkPerfmonOverhead measures the self-profiler's cost on the same
-// workload as BenchmarkProbeOverhead: "off" must stay within 2% of the
-// un-profiled simulator (the disabled path is the hookguard-enforced nil
-// checks), "on" shows the cost of sampled stage timers at the default
-// sampling period.
-func BenchmarkPerfmonOverhead(b *testing.B) {
-	cfg := config.PaperLOFT()
-	p := trafficUniform(cfg, 0.2)
-	for _, mode := range []string{"off", "on"} {
-		b.Run(mode, func(b *testing.B) {
-			primeRun(b, cfg, p)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var mon *perfmon.Monitor
-				if mode == "on" {
-					mon = perfmon.New(perfmon.Config{SampleEvery: perfmon.DefaultSampleEvery})
-				}
-				spec := core.RunSpec{Seed: 1, Warmup: 0, Measure: 20000, Perf: mon}
-				if _, _, err := core.RunLOFT(cfg, p, spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-			cps := float64(20000*b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(cps, "sim-cycles/sec")
-			if mode == "off" {
-				baselineGuard(b, "BenchmarkPerfmonOverhead/off", cps, 2)
-			}
-		})
-	}
-}
-
-// BenchmarkAuditOverhead measures the runtime QoS auditor's cost on the
-// same workload as BenchmarkProbeOverhead: "off" must stay within 2% of
-// the un-audited simulator (the disabled path is nil checks on the probe
-// and audit hooks), "on" shows the full shadow-accounting + flight-recorder
-// cost.
-func BenchmarkAuditOverhead(b *testing.B) {
-	cfg := config.PaperLOFT()
-	p := trafficUniform(cfg, 0.2)
-	for _, mode := range []string{"off", "on"} {
-		b.Run(mode, func(b *testing.B) {
-			primeRun(b, cfg, p)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var aud *audit.Auditor
-				if mode == "on" {
-					aud = audit.New(audit.Config{})
-				}
-				spec := core.RunSpec{Seed: 1, Warmup: 0, Measure: 20000, Audit: aud}
-				if _, _, err := core.RunLOFT(cfg, p, spec); err != nil {
-					b.Fatal(err)
-				}
-				if err := aud.Err(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			cps := float64(20000*b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(cps, "sim-cycles/sec")
-			if mode == "off" {
-				baselineGuard(b, "BenchmarkAuditOverhead/off", cps, 2)
-			}
-		})
-	}
-}
-
-// BenchmarkFaultOverhead measures the fault-injection layer's cost on the
-// same workload as BenchmarkProbeOverhead: "off" must stay within 2% of the
-// fault-free simulator (no plan armed leaves every node's fault pointer nil,
-// so the hot path pays only nil checks), "on" arms a five-kind chaos plan
-// and shows the full gating + retry cost.
-func BenchmarkFaultOverhead(b *testing.B) {
-	cfg := config.PaperLOFT()
-	p := trafficUniform(cfg, 0.2)
-	plan, err := fault.Parse(`
-		link-down    node=7  dir=south from=5000 to=7000
-		flit-loss    node=3  dir=east  rate=0.2 from=2000 to=15000
-		credit-stall node=15 dir=west  from=8000 to=8200
-		router-stall node=9  from=9000 to=9050
-		adversary    flow=1  factor=3 cap=1 from=4000`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []string{"off", "on"} {
-		b.Run(mode, func(b *testing.B) {
-			primeRun(b, cfg, p)
-			b.ResetTimer()
-			var faults uint64
-			for i := 0; i < b.N; i++ {
-				spec := core.RunSpec{Seed: 1, Warmup: 0, Measure: 20000}
-				if mode == "on" {
-					spec.Fault = plan
-				}
-				res, _, err := core.RunLOFT(cfg, p, spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				faults = res.FaultsInjected
-			}
-			if mode == "on" && faults == 0 {
-				b.Fatal("chaos plan armed but no faults fired")
-			}
-			cps := float64(20000*b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(cps, "sim-cycles/sec")
-			if mode == "off" {
-				baselineGuard(b, "BenchmarkFaultOverhead/off", cps, 2)
-			}
 		})
 	}
 }

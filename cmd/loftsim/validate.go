@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 
 	"loft/internal/fault"
 	"loft/internal/runio"
@@ -46,8 +47,8 @@ func validateFlags(f cliFlags) error {
 	if f.Trace == "" && f.GenTrace <= 0 && !knownPatterns[f.Pattern] {
 		return fmt.Errorf("unknown pattern %q (want uniform, hotspot, case1, case2, neighbor or transpose)", f.Pattern)
 	}
-	if f.Rate < 0 {
-		return fmt.Errorf("-rate %g is negative; offered load is in flits/cycle/node", f.Rate)
+	if math.IsNaN(f.Rate) || math.IsInf(f.Rate, 0) || f.Rate < 0 {
+		return fmt.Errorf("-rate %g must be a finite, non-negative offered load in flits/cycle/node", f.Rate)
 	}
 	if f.GenTrace < 0 {
 		return fmt.Errorf("-gentrace %d is negative; give the number of packets to generate", f.GenTrace)

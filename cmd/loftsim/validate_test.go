@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -99,6 +100,8 @@ func TestValidateFlagsRejects(t *testing.T) {
 		{"unknown arch", func(f *cliFlags) { f.Arch = "mesh" }, "unknown architecture"},
 		{"unknown pattern", func(f *cliFlags) { f.Pattern = "tornado" }, "unknown pattern"},
 		{"negative rate", func(f *cliFlags) { f.Rate = -0.1 }, "-rate"},
+		{"NaN rate", func(f *cliFlags) { f.Rate = math.NaN() }, "-rate NaN"},
+		{"infinite rate", func(f *cliFlags) { f.Rate = math.Inf(1) }, "-rate +Inf"},
 		{"negative gentrace", func(f *cliFlags) { f.GenTrace = -1 }, "-gentrace"},
 		{"zero seeds", func(f *cliFlags) { f.Seeds = 0 }, "-seeds"},
 		{"negative j", func(f *cliFlags) { f.Workers = -1 }, "-j -1"},

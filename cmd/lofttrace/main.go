@@ -1,18 +1,16 @@
 // Command lofttrace analyses the artifacts the simulators export: it
 // decodes probe event dumps, decomposes per-quantum latency into its
 // mechanism components, summarizes run manifests, renders perfmon
-// self-profiles, and diffs runs against each other (or BENCH_*.json
-// baselines against each other) with regression thresholds.
+// self-profiles, and diffs runs against each other with regression
+// thresholds.
 //
 //	lofttrace summary   <run-dir | manifest.json | events.jsonl>
 //	lofttrace decompose [-slot-cycles N] [-flow N] [-json] <run-dir | events.jsonl>
 //	lofttrace perf      [-json] <run-dir | perf.json>
 //	lofttrace perf      -diff [-threshold PCT] [-json] <base> <new>
 //	lofttrace diff      [-threshold PCT] [-all] [-json] <base> <new>
-//	lofttrace trend     [-threshold PCT] [-json] <metrics.json ...>
 //
-// diff and trend accept run directories, manifest files, or flat
-// name → value JSON files (the BENCH_*.json format). diff exits 1 when a
+// diff takes two run directories or manifest files. It exits 1 when a
 // direction-aware metric regressed beyond the threshold, so it gates CI;
 // a run diffed against itself reports zero changed metrics and exits 0.
 //
@@ -27,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,8 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		code, err = cmdPerf(args[1:], stdout)
 	case "diff":
 		code, err = cmdDiff(args[1:], stdout)
-	case "trend":
-		code, err = cmdTrend(args[1:], stdout)
 	case "-h", "-help", "--help", "help":
 		usage(stdout)
 	default:
@@ -81,7 +78,6 @@ func usage(w io.Writer) {
   lofttrace perf      [-json] <run-dir | perf.json>
   lofttrace perf      -diff [-threshold PCT] [-json] <base> <new>
   lofttrace diff      [-threshold PCT] [-all] [-json] <base> <new>
-  lofttrace trend     [-threshold PCT] [-json] <metrics.json ...>
 `)
 }
 
@@ -395,6 +391,9 @@ func cmdPerf(args []string, stdout io.Writer) (int, error) {
 		if fs.NArg() != 2 {
 			return 2, fmt.Errorf("expected <base> <new>, got %d arguments", fs.NArg())
 		}
+		if err := checkThreshold(*threshold); err != nil {
+			return 2, err
+		}
 		base, err := perfmon.ReadSnapshot(fs.Arg(0))
 		if err != nil {
 			return 2, err
@@ -470,31 +469,20 @@ func cmdDiff(args []string, stdout io.Writer) (int, error) {
 	if fs.NArg() != 2 {
 		return 2, fmt.Errorf("expected <base> <new>, got %d arguments", fs.NArg())
 	}
-	base, err := trace.LoadMetrics(fs.Arg(0))
+	if err := checkThreshold(*threshold); err != nil {
+		return 2, err
+	}
+	base, err := trace.ReadManifest(fs.Arg(0))
 	if err != nil {
 		return 2, err
 	}
-	cur, err := trace.LoadMetrics(fs.Arg(1))
+	cur, err := trace.ReadManifest(fs.Arg(1))
 	if err != nil {
 		return 2, err
 	}
-	var rep *trace.DiffReport
-	if base.Manifest != nil && cur.Manifest != nil {
-		rep, err = trace.DiffManifests(base.Manifest, cur.Manifest, base.Label, cur.Label, *threshold)
-		if err != nil {
-			return 2, err
-		}
-	} else {
-		rep = &trace.DiffReport{Base: base.Label, New: cur.Label, ThresholdPct: *threshold,
-			Deltas: trace.DiffMetrics(base.Metrics, cur.Metrics, *threshold)}
-		for _, d := range rep.Deltas {
-			if d.Changed() {
-				rep.Changed++
-			}
-			if d.Breach {
-				rep.Breaches++
-			}
-		}
+	rep, err := trace.DiffManifests(base, cur, fs.Arg(0), fs.Arg(1), *threshold)
+	if err != nil {
+		return 2, err
 	}
 	if *asJSON {
 		enc := json.NewEncoder(stdout)
@@ -533,45 +521,12 @@ func cmdDiff(args []string, stdout io.Writer) (int, error) {
 	return 0, nil
 }
 
-func cmdTrend(args []string, stdout io.Writer) (int, error) {
-	fs := flag.NewFlagSet("trend", flag.ContinueOnError)
-	threshold := fs.Float64("threshold", 2, "relative change (%) beyond which a bad-direction drift is a regression")
-	asJSON := fs.Bool("json", false, "emit the report as JSON")
-	if err := fs.Parse(args); err != nil {
-		return 2, nil
+// checkThreshold rejects a -threshold the breach test cannot apply: every
+// comparison against NaN is false and none can exceed +Inf, so either would
+// pass any regression, and a negative one would flag every change.
+func checkThreshold(pct float64) error {
+	if math.IsNaN(pct) || math.IsInf(pct, 0) || pct < 0 {
+		return fmt.Errorf("-threshold %g must be a finite, non-negative percentage", pct)
 	}
-	t, err := trace.TrendFromFiles(fs.Args(), *threshold)
-	if err != nil {
-		return 2, err
-	}
-	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(t); err != nil {
-			return 2, err
-		}
-	} else {
-		fmt.Fprintf(stdout, "trend across %d baselines: %s\n", len(t.Labels), strings.Join(t.Labels, " -> "))
-		for _, row := range t.Rows {
-			mark := " "
-			if row.Regressed {
-				mark = "!"
-			}
-			vals := make([]string, len(row.Values))
-			for i, v := range row.Values {
-				if v == nil {
-					vals[i] = "-"
-				} else {
-					vals[i] = fmt.Sprintf("%g", *v)
-				}
-			}
-			fmt.Fprintf(stdout, " %s %-34s %s  (%+.2f%%, %s)\n",
-				mark, row.Name, strings.Join(vals, " -> "), row.ChangePct, row.Direction)
-		}
-		fmt.Fprintf(stdout, "%d regression(s) beyond %.1f%%\n", t.Regressions, t.ThresholdPct)
-	}
-	if t.Regressions > 0 {
-		return 1, nil
-	}
-	return 0, nil
+	return nil
 }

@@ -213,8 +213,8 @@ func TestDiffBreachExitCode(t *testing.T) {
 		}
 		return p
 	}
-	base := write("base.json", `{"avg_latency_cycles": 100}`)
-	worse := write("worse.json", `{"avg_latency_cycles": 150}`)
+	base := write("base.json", `{"manifest_version":1,"metrics":{"avg_latency_cycles":100}}`)
+	worse := write("worse.json", `{"manifest_version":1,"metrics":{"avg_latency_cycles":150}}`)
 	code, out, _ := runCLI(t, "diff", base, worse)
 	if code != 1 {
 		t.Errorf("50%% latency regression: code=%d, want 1\n%s", code, out)
@@ -230,28 +230,27 @@ func TestDiffBreachExitCode(t *testing.T) {
 	if code, _, _ := runCLI(t, "diff", worse, base); code != 0 {
 		t.Error("latency improvement: want exit 0")
 	}
+	// A bare name → value map is not a run manifest.
+	flat := write("flat.json", `{"avg_latency_cycles": 100}`)
+	if code, _, errOut := runCLI(t, "diff", flat, base); code != 2 || !strings.Contains(errOut, "not a run manifest") {
+		t.Errorf("flat metric map: code=%d stderr=%q, want exit 2 naming the format", code, errOut)
+	}
+	// A threshold the breach test cannot apply would let the regression
+	// above through; it is rejected instead.
+	for _, bad := range []string{"NaN", "+Inf", "-Inf", "-1"} {
+		if code, _, errOut := runCLI(t, "diff", "-threshold", bad, base, worse); code != 2 || !strings.Contains(errOut, "-threshold") {
+			t.Errorf("diff -threshold %s: code=%d stderr=%q, want exit 2", bad, code, errOut)
+		}
+	}
 }
 
-func TestTrendExitCodes(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
+// TestPerfDiffRejectsBadThreshold: perf -diff gates on the same threshold
+// test as diff, so it rejects the same unusable values.
+func TestPerfDiffRejectsBadThreshold(t *testing.T) {
+	dir := writeTestRun(t, 12)
+	for _, bad := range []string{"NaN", "+Inf", "-Inf", "-1"} {
+		if code, _, errOut := runCLI(t, "perf", "-diff", "-threshold", bad, dir, dir); code != 2 || !strings.Contains(errOut, "-threshold") {
+			t.Errorf("perf -diff -threshold %s: code=%d stderr=%q, want exit 2", bad, code, errOut)
 		}
-		return p
-	}
-	a := write("BENCH_a.json", `{"BenchmarkSimulatorSpeed": 6000}`)
-	b := write("BENCH_b.json", `{"BenchmarkSimulatorSpeed": 6100}`)
-	down := write("BENCH_c.json", `{"BenchmarkSimulatorSpeed": 4000}`)
-	if code, out, _ := runCLI(t, "trend", a, b); code != 0 {
-		t.Errorf("flat trend: code=%d\n%s", code, out)
-	}
-	code, out, _ := runCLI(t, "trend", a, b, down)
-	if code != 1 || !strings.Contains(out, "1 regression(s)") {
-		t.Errorf("regressing trend: code=%d\n%s", code, out)
-	}
-	if code, _, _ := runCLI(t, "trend", a); code != 2 {
-		t.Error("single-file trend: want exit 2")
 	}
 }

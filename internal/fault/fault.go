@@ -19,6 +19,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -236,11 +237,11 @@ func parseEvent(fields []string) (Event, error) {
 		case "flow":
 			ev.Flow, err = strconv.Atoi(val)
 		case "rate":
-			ev.Rate, err = strconv.ParseFloat(val, 64)
+			ev.Rate, err = parseFinite(val)
 		case "factor":
-			ev.Factor, err = strconv.ParseFloat(val, 64)
+			ev.Factor, err = parseFinite(val)
 		case "cap":
-			ev.Cap, err = strconv.ParseFloat(val, 64)
+			ev.Cap, err = parseFinite(val)
 		case "from":
 			ev.From, err = strconv.ParseUint(val, 10, 64)
 		case "to":
@@ -253,6 +254,16 @@ func parseEvent(fields []string) (Event, error) {
 		}
 	}
 	return ev, ev.check(seen)
+}
+
+// parseFinite parses a float field and rejects NaN and ±Inf, which the
+// range checks in check cannot catch: NaN fails every comparison.
+func parseFinite(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		return 0, fmt.Errorf("%s is not a finite number", s)
+	}
+	return f, err
 }
 
 // check enforces per-kind required and forbidden fields at parse time, so

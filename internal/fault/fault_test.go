@@ -1,21 +1,29 @@
 package fault
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
+// roundTripSpec exercises every kind, both separators and a comment.
+const roundTripSpec = `
+	# chaos plan for the dos-isolation scenario
+	link-down node=23 dir=south from=2000 to=2600
+	flit-loss node=55 dir=south rate=0.02 from=1000 to=5000; router-stall node=7 from=3000 to=3064
+	credit-stall node=15 dir=east from=100 to=400
+	adversary flow=1 factor=4 cap=0.5 from=0
+`
+
+// chaosSmokeSpec is the five-kind plan `make chaos-smoke` runs.
+const chaosSmokeSpec = "link-down node=7 dir=south from=700 to=900; flit-loss node=3 dir=east rate=0.3 from=600 to=1800; " +
+	"credit-stall node=15 dir=south from=1000 to=1060; router-stall node=9 from=1200 to=1210; adversary flow=1 factor=3 cap=0.6 from=800"
+
 func TestParseRoundTrip(t *testing.T) {
-	spec := `
-		# chaos plan for the dos-isolation scenario
-		link-down node=23 dir=south from=2000 to=2600
-		flit-loss node=55 dir=south rate=0.02 from=1000 to=5000; router-stall node=7 from=3000 to=3064
-		credit-stall node=15 dir=east from=100 to=400
-		adversary flow=1 factor=4 cap=0.5 from=0
-	`
-	p, err := Parse(spec)
+	p, err := Parse(roundTripSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +74,12 @@ func TestParseErrors(t *testing.T) {
 		{"adversary flow=1 factor=0 from=0", "must be positive"},
 		{"adversary flow=1 factor=2 cap=0 from=0", "must be positive"},
 		{"adversary flow=1 factor=2 node=3 from=0", "does not take node="},
+		{"adversary flow=0 factor=NaN from=0", `field "factor=NaN": NaN is not a finite number`},
+		{"adversary flow=0 factor=+Inf from=0", `field "factor=+Inf": +Inf is not a finite number`},
+		{"adversary flow=0 factor=2 cap=NaN from=0", `field "cap=NaN": NaN is not a finite number`},
+		{"adversary flow=0 factor=2 cap=Inf from=0", `field "cap=Inf": Inf is not a finite number`},
+		{"flit-loss node=1 dir=east rate=NaN from=0", `field "rate=NaN": NaN is not a finite number`},
+		{"flit-loss node=1 dir=east rate=-Inf from=0", `field "rate=-Inf": -Inf is not a finite number`},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -322,4 +336,33 @@ func TestAdversarialClassification(t *testing.T) {
 	if !nilPlan.Adversarial() || nilPlan.HasAdversary() || nilPlan.ActiveAt(0) != 0 {
 		t.Error("nil plan classification wrong")
 	}
+}
+
+// FuzzFaultPlan: Parse either rejects its input or returns a plan whose
+// floats are finite and whose canonical form parses back to an identical
+// plan. It never panics.
+func FuzzFaultPlan(f *testing.F) {
+	f.Add(roundTripSpec)
+	f.Add(chaosSmokeSpec)
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		for _, e := range p.Events {
+			for _, v := range []float64{e.Rate, e.Factor, e.Cap} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("Parse(%q) accepted a non-finite value: %+v", spec, e)
+				}
+			}
+		}
+		canon := p.String()
+		p2, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("canonical form %q of %q does not re-parse: %v", canon, spec, err)
+		}
+		if !reflect.DeepEqual(p, p2) {
+			t.Fatalf("round trip of %q changed the plan:\n  %#v\n  %#v", spec, p.Events, p2.Events)
+		}
+	})
 }

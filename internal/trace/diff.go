@@ -38,15 +38,12 @@ var lowerBetter = []string{
 }
 
 var higherBetter = []string{
-	"throughput", "packets", "saved", "cycles/sec", "flits", "benchmark",
-	"util",
+	"throughput", "packets", "saved", "cycles/sec", "flits", "util",
 }
 
 // MetricDirection classifies a metric name. Latencies, waits, deny/skip/
 // abort/drop counts, delay-bound margins and violations regress upward;
 // throughput, packet counts and speculation savings regress downward.
-// BENCH_*.json entries (Benchmark* names) record rate-style headline
-// metrics (e.g. sim-cycles/sec), so they default to higher-is-better.
 func MetricDirection(name string) Direction {
 	n := strings.ToLower(name)
 	for _, s := range lowerBetter {

@@ -17,7 +17,6 @@ func TestMetricDirection(t *testing.T) {
 		"throughput_flits_per_cycle":    HigherIsBetter,
 		"packets":                       HigherIsBetter,
 		"decomp_mean_spec_saved_cycles": HigherIsBetter,
-		"BenchmarkSimulatorSpeed":       HigherIsBetter,
 		"decomp_mean_hops":              Neutral,
 	}
 	for name, want := range cases {

@@ -29,9 +29,8 @@ type Artifact struct {
 // full configuration, seeds, topology, environment provenance (wall time
 // and git revision — captured by internal/runenv, outside the
 // determinism-checked packages), headline metrics, and the checksummed
-// artifact list. Metrics is a flat name → value map so the differ and the
-// BENCH_*.json trend reader share one comparison path; encoding/json
-// serializes map keys sorted, keeping manifests byte-stable.
+// artifact list. Metrics is the flat name → value map DiffMetrics compares;
+// encoding/json serializes map keys sorted, keeping manifests byte-stable.
 type Manifest struct {
 	ManifestVersion int      `json:"manifest_version"`
 	Tool            string   `json:"tool"`

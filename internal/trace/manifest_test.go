@@ -89,90 +89,3 @@ func TestFileArtifact(t *testing.T) {
 		t.Errorf("sha256 = %s", a.SHA256)
 	}
 }
-
-func TestLoadMetricsFormats(t *testing.T) {
-	dir := t.TempDir()
-	// Flat BENCH-style file.
-	flat := filepath.Join(dir, "BENCH_test.json")
-	if err := os.WriteFile(flat, []byte(`{"BenchmarkSimulatorSpeed": 6431}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := LoadMetrics(flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Manifest != nil || s.Metrics["BenchmarkSimulatorSpeed"] != 6431 {
-		t.Errorf("flat source = %+v", s)
-	}
-	// Run directory with a manifest.
-	run := filepath.Join(dir, "run")
-	if err := os.MkdirAll(run, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	m := Manifest{ManifestVersion: ManifestVersion, Tool: "loftsim",
-		Metrics: map[string]float64{"packets": 7}}
-	if err := m.Write(filepath.Join(run, ManifestName)); err != nil {
-		t.Fatal(err)
-	}
-	s, err = LoadMetrics(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Manifest == nil || s.Metrics["packets"] != 7 {
-		t.Errorf("manifest source = %+v", s)
-	}
-	// Garbage is neither.
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`[1,2,3]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadMetrics(bad); err == nil {
-		t.Error("want error for non-metric JSON")
-	}
-}
-
-func TestTrendFromFiles(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	a := write("BENCH_a.json", `{"BenchmarkSimulatorSpeed": 6000, "only_a": 1}`)
-	b := write("BENCH_b.json", `{"BenchmarkSimulatorSpeed": 6200}`)
-	c := write("BENCH_c.json", `{"BenchmarkSimulatorSpeed": 5000, "only_c": 2}`)
-	tr, err := TrendFromFiles([]string{a, b, c}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Labels) != 3 || tr.Labels[0] != "BENCH_a.json" {
-		t.Errorf("labels = %v", tr.Labels)
-	}
-	var speed *TrendRow
-	for i := range tr.Rows {
-		if tr.Rows[i].Name == "BenchmarkSimulatorSpeed" {
-			speed = &tr.Rows[i]
-		}
-	}
-	if speed == nil {
-		t.Fatal("no BenchmarkSimulatorSpeed row")
-	}
-	// 6000 -> 5000 on a higher-is-better benchmark metric: regression.
-	if !speed.Regressed || speed.First != 6000 || speed.Last != 5000 {
-		t.Errorf("speed row = %+v", speed)
-	}
-	if tr.Regressions != 1 {
-		t.Errorf("regressions = %d, want 1", tr.Regressions)
-	}
-	// Metrics absent from some files align as nulls, no spurious regression.
-	for _, r := range tr.Rows {
-		if r.Name == "only_a" && (len(r.Values) != 3 || r.Values[1] != nil || r.Regressed) {
-			t.Errorf("only_a row = %+v", r)
-		}
-	}
-	if _, err := TrendFromFiles([]string{a}, 5); err == nil {
-		t.Error("want error for a single file")
-	}
-}
