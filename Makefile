@@ -35,7 +35,7 @@ vet:
 	$(GO) vet ./...
 
 # The repo's own analyzers (cmd/loftcheck): determinism, hookguard, hotpath,
-# lockdiscipline, stagepurity, allocbound. -strict also rejects //lint:ignore
+# stagepurity, allocbound. -strict also rejects //lint:ignore
 # suppressions, so the simulation packages stay at zero diagnostics AND zero
 # suppressions. allocbound replays `go build -gcflags=-m=2` from the build
 # cache, so a warm run costs milliseconds.

@@ -1,6 +1,6 @@
 // Command loftcheck runs the repo's custom static analyzers (internal/lint)
-// over the module: determinism, hookguard, hotpath, lockdiscipline,
-// stagepurity, allocbound.
+// over the module: determinism, hookguard, hotpath, stagepurity,
+// allocbound.
 //
 // Usage:
 //

@@ -93,8 +93,8 @@ func TestBrokenModuleJSON(t *testing.T) {
 	if d.Analyzer != "determinism" || d.File != filepath.Join("internal", "lsf", "bad.go") || d.Line <= 0 || d.Col <= 0 {
 		t.Errorf("diagnostic fields wrong: %+v", d)
 	}
-	if len(doc.Analyzers) != 6 {
-		t.Errorf("envelope names %d analyzers, want 6: %v", len(doc.Analyzers), doc.Analyzers)
+	if len(doc.Analyzers) != 5 {
+		t.Errorf("envelope names %d analyzers, want 5: %v", len(doc.Analyzers), doc.Analyzers)
 	}
 }
 
@@ -146,7 +146,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\n%s", code, out)
 	}
-	for _, name := range []string{"determinism", "hookguard", "hotpath", "lockdiscipline", "stagepurity", "allocbound"} {
+	for _, name := range []string{"determinism", "hookguard", "hotpath", "stagepurity", "allocbound"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}

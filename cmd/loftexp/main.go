@@ -35,11 +35,11 @@ func main() {
 	if err := validateExpFlags(*which, s.Workers, s.NodeWorkers, s.JSet, s.Observed(), s.Plan); err != nil {
 		s.BadUsage(err)
 	}
-	if err := s.Start("loftexp " + *which); err != nil {
+	if err := s.Start(); err != nil {
 		s.Fatal(err)
 	}
 
-	o := exp.Options{Seed: s.Seed, Quick: *quick, Workers: s.Workers, NodeWorkers: s.NodeWorkers, Probe: s.Probe, Audit: s.Audit, Perf: s.Perf, Stop: s.Interrupted, Fault: s.Plan, Progress: s.Progress()}
+	o := exp.Options{Seed: s.Seed, Quick: *quick, Workers: s.Workers, NodeWorkers: s.NodeWorkers, Probe: s.Probe, Audit: s.Audit, Perf: s.Perf, Stop: s.Interrupted, Fault: s.Plan}
 	report := map[string]any{}
 
 	runners := []struct {
@@ -111,10 +111,9 @@ var (
 
 // validateExpFlags rejects flag combinations up front that would otherwise
 // fail mid-sweep or be silently ignored: an unknown -exp used to surface only
-// after the introspection server was already listening and a link-level
-// fault plan would abort a GSF run halfway through an experiment. The
-// execution-flag rules are the session's (runio.ValidateExec). Callers
-// report the error and exit 2.
+// after the profilers had started and a link-level fault plan would abort a
+// GSF run halfway through an experiment. The execution-flag rules are the
+// session's (runio.ValidateExec). Callers report the error and exit 2.
 func validateExpFlags(which string, workers, nodeWorkers int, jSet, observed bool, plan *fault.Plan) error {
 	known := which == "all"
 	for _, n := range expNames {

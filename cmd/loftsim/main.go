@@ -11,14 +11,13 @@
 // With -probe the observability layer traces scheduler, switch and frame
 // events and samples link/buffer/table gauges every -probe-sample cycles.
 // -probe-out picks the exporter by extension: .jsonl writes the event dump,
-// .csv the sampled time series, anything else (conventionally .json) a
-// Chrome trace_event file loadable at https://ui.perfetto.dev, .prom a
-// Prometheus text-format snapshot. Without -probe-out a per-kind event
-// summary is printed. A directory path (existing, or spelled with a
-// trailing /) writes a full run directory instead — events.jsonl,
-// series.csv, trace.json, audit.json when auditing, and manifest.json
-// recording the configuration, seeds, environment and artifact checksums —
-// which cmd/lofttrace decomposes and diffs offline. Single-file exports
+// .csv the sampled time series, .json a Chrome trace_event file loadable at
+// https://ui.perfetto.dev; any other file name is refused. Without
+// -probe-out a per-kind event summary is printed. A directory path
+// (existing, or spelled with a trailing /) writes a full run directory
+// instead — events.jsonl, series.csv, trace.json, audit.json when auditing,
+// and manifest.json recording the configuration, seeds, environment and
+// artifact checksums — which cmd/lofttrace decomposes and diffs offline. Single-file exports
 // gain a sibling <path>.manifest.json; -audit-out writes the audit
 // conformance snapshot the same way.
 //
@@ -35,9 +34,7 @@
 // flit/credit conservation and the admission inequality on every grant,
 // records each packet's hop-by-hop flight timeline, and verifies delivered
 // latencies against the paper's analytical delay bounds. Violations are
-// printed and make the run exit non-zero. -http serves live introspection
-// (/metrics, /audit, /perf, a progress page, /debug/pprof) during the run
-// and implies -audit.
+// printed and make the run exit non-zero.
 //
 // With -perf the simulator profiles itself: cheap monotonic stage timers
 // attribute wall time to each router pipeline stage and each parallel-engine
@@ -89,8 +86,9 @@ func main() {
 	}
 	if err := validateFlags(cliFlags{
 		Arch: *arch, Pattern: *pattern, Trace: *replay, GenTrace: *genTrace,
-		Rate: *rate, Seeds: *seeds, Workers: s.Workers, JSet: s.JSet,
-		NodeWorkers: s.NodeWorkers, Observed: s.Observed(), Plan: s.Plan,
+		Rate: *rate, Spec: *spec, Seeds: *seeds, Verbose: *verbose, Heatmap: *heatmap,
+		Workers: s.Workers, JSet: s.JSet, NodeWorkers: s.NodeWorkers,
+		Observed: s.Observed(), Plan: s.Plan,
 	}); err != nil {
 		s.BadUsage(err)
 	}
@@ -144,7 +142,7 @@ func main() {
 	if err := s.Plan.Validate(mesh.N(), len(p.Flows)); err != nil {
 		s.BadUsage(err)
 	}
-	if err := s.Start(fmt.Sprintf("loftsim %s / %s", *arch, p.Name)); err != nil {
+	if err := s.Start(); err != nil {
 		s.Fatal(err)
 	}
 
@@ -221,15 +219,11 @@ func runSeeds(s *runio.Session, arch core.Arch, lcfg config.LOFT, p *traffic.Pat
 	if s.Observed() {
 		workers = 1 // runs share one probe/auditor/monitor: keep them sequential
 	}
-	var opts []sweep.Option
-	if progress := s.Progress(); progress != nil {
-		opts = append(opts, sweep.WithProgress(progress))
-	}
 	results, err := sweep.Run(workers, n, func(i int) (core.Result, error) {
 		spec := run
 		spec.Seed = run.Seed + uint64(i)
 		return core.Run(arch, lcfg, p, spec)
-	}, opts...)
+	})
 	if err != nil {
 		return err
 	}

@@ -34,7 +34,6 @@ func TestWriteProbeExtensionDispatch(t *testing.T) {
 	for name, sniff := range map[string]string{
 		"out.jsonl": `"kind":"spec-hit"`,
 		"out.csv":   "series,cycle,value",
-		"out.prom":  "# TYPE probe_events_total counter",
 		"out.json":  `"traceEvents"`,
 	} {
 		path := filepath.Join(dir, name)

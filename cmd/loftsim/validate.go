@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"loft/internal/config"
 	"loft/internal/fault"
 	"loft/internal/runio"
 )
@@ -27,7 +28,10 @@ type cliFlags struct {
 	Trace       string // -trace replay file, "" when synthetic
 	GenTrace    int
 	Rate        float64
+	Spec        int // -spec, the LOFT speculative buffer in flits
 	Seeds       int
+	Verbose     bool // -v
+	Heatmap     bool // -heatmap
 	Workers     int  // -j as given
 	JSet        bool // -j appeared on the command line
 	NodeWorkers int
@@ -37,9 +41,11 @@ type cliFlags struct {
 
 // validateFlags rejects flag combinations up front that would otherwise fail
 // deep inside the run or be silently ignored: unknown arch/pattern used to
-// surface only after traffic construction and a -fault plan alongside
-// -gentrace was dropped without a word. The execution-flag rules are the
-// session's (runio.ValidateExec). Callers report the error and exit 2.
+// surface only after traffic construction, a negative -spec only after the
+// profilers had started, and a -fault plan alongside -gentrace, or -v and
+// -heatmap alongside -seeds, were dropped without a word. The execution-flag
+// rules are the session's (runio.ValidateExec). Callers report the error and
+// exit 2.
 func validateFlags(f cliFlags) error {
 	if f.Arch != "loft" && f.Arch != "gsf" {
 		return fmt.Errorf("unknown architecture %q (want loft or gsf)", f.Arch)
@@ -53,8 +59,17 @@ func validateFlags(f cliFlags) error {
 	if f.GenTrace < 0 {
 		return fmt.Errorf("-gentrace %d is negative; give the number of packets to generate", f.GenTrace)
 	}
+	if err := config.PaperLOFTSpec(f.Spec).Validate(); err != nil {
+		return fmt.Errorf("-spec %d: %w", f.Spec, err)
+	}
 	if f.Seeds < 1 {
 		return fmt.Errorf("-seeds %d must be at least 1", f.Seeds)
+	}
+	if f.Seeds > 1 && f.Verbose {
+		return fmt.Errorf("-v has no effect with -seeds %d: per-flow rates are printed for a single run only", f.Seeds)
+	}
+	if f.Seeds > 1 && f.Heatmap {
+		return fmt.Errorf("-heatmap has no effect with -seeds %d: the heatmap is printed for a single run only", f.Seeds)
 	}
 	sweeps := ""
 	if f.Seeds > 1 {

@@ -20,7 +20,7 @@ func mustPlan(t *testing.T, spec string) *fault.Plan {
 // base returns a flag set that passes validation; each test case mutates one
 // aspect of it.
 func base() cliFlags {
-	return cliFlags{Arch: "loft", Pattern: "uniform", Rate: 0.1, Seeds: 1}
+	return cliFlags{Arch: "loft", Pattern: "uniform", Rate: 0.1, Spec: 12, Seeds: 1}
 }
 
 // TestValidateFlagsAccepts pins combinations that must keep working: the
@@ -64,6 +64,13 @@ func TestValidateFlagsAccepts(t *testing.T) {
 			f.Observed = true
 			return f
 		}(),
+		"spec 0 disables speculation": func() cliFlags { f := base(); f.Spec = 0; return f }(),
+		"-v and -heatmap on a single run": func() cliFlags {
+			f := base()
+			f.Verbose = true
+			f.Heatmap = true
+			return f
+		}(),
 		"explicit -j sweep without observers": func() cliFlags {
 			f := base()
 			f.Seeds = 4
@@ -103,7 +110,10 @@ func TestValidateFlagsRejects(t *testing.T) {
 		{"NaN rate", func(f *cliFlags) { f.Rate = math.NaN() }, "-rate NaN"},
 		{"infinite rate", func(f *cliFlags) { f.Rate = math.Inf(1) }, "-rate +Inf"},
 		{"negative gentrace", func(f *cliFlags) { f.GenTrace = -1 }, "-gentrace"},
+		{"negative spec", func(f *cliFlags) { f.Spec = -3 }, "-spec -3: config: negative speculative buffer"},
 		{"zero seeds", func(f *cliFlags) { f.Seeds = 0 }, "-seeds"},
+		{"-v on a seed sweep", func(f *cliFlags) { f.Seeds = 2; f.Verbose = true }, "-v has no effect"},
+		{"-heatmap on a seed sweep", func(f *cliFlags) { f.Seeds = 2; f.Heatmap = true }, "-heatmap has no effect"},
 		{"negative j", func(f *cliFlags) { f.Workers = -1 }, "-j -1"},
 		{"negative jnode", func(f *cliFlags) { f.NodeWorkers = -2 }, "-jnode"},
 		{"gentrace with trace", func(f *cliFlags) { f.GenTrace = 10; f.Trace = "x.trace" }, "conflict"},

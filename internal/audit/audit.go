@@ -1,6 +1,5 @@
 // Package audit is the runtime QoS auditor: a per-packet flight recorder
-// with delay-bound conformance checking, a scheduler invariant auditor, and
-// a live HTTP introspection server.
+// with delay-bound conformance checking and a scheduler invariant auditor.
 //
 // The paper's claims are *guarantees* — Theorem I's per-flow delay bound
 // and the condition-(1)/skipped(i) safety argument — so the auditor checks
@@ -20,9 +19,9 @@
 //     full-window sweep of credit bounds and busy-slot consistency, plus
 //     architecture-registered checks (flit conservation, buffer occupancy,
 //     GSF frame accounting).
-//   - The introspection server (server.go) publishes /metrics (Prometheus
-//     text), /audit (JSON snapshot of this package's state), a progress/
-//     heatmap page, and net/http/pprof.
+//
+// Snapshot (recorder.go) is the auditor's whole verdict; the CLIs write it as
+// audit.json (-audit-out, or a run directory's -probe-out).
 //
 // All Auditor methods are nil-receiver safe: a disabled auditor costs the
 // simulator one pointer test per hook site.
@@ -45,9 +44,6 @@ type Config struct {
 	// MaxViolations caps the retained violation log (the total count is
 	// always exact). 0 means the default (32).
 	MaxViolations int
-	// PublishEvery is the cycle period of the publish callback (the HTTP
-	// server snapshot). 0 means the default (4096).
-	PublishEvery uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -56,9 +52,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxViolations == 0 {
 		c.MaxViolations = 32
-	}
-	if c.PublishEvery == 0 {
-		c.PublishEvery = 4096
 	}
 	return c
 }
@@ -102,10 +95,8 @@ type Auditor struct {
 	now         uint64
 	totalCycles uint64 // current run's planned length (StartRun)
 
-	tables  []*tableState
-	checks  []namedCheck
-	heatmap func() string
-	publish func()
+	tables []*tableState
+	checks []namedCheck
 
 	rec recorder
 
@@ -134,7 +125,6 @@ func (a *Auditor) beginRun(arch string) {
 	a.grantChecks = a.grantChecksSoFar()
 	a.tables = nil
 	a.checks = nil
-	a.heatmap = nil
 	a.rec.reset()
 }
 
@@ -181,33 +171,7 @@ func (a *Auditor) RegisterCheck(name string, fn func() error) {
 	a.checks = append(a.checks, namedCheck{name, fn})
 }
 
-// SetHeatmap attaches a live link-utilization renderer for the HTTP page.
-func (a *Auditor) SetHeatmap(fn func() string) {
-	if a == nil {
-		return
-	}
-	a.heatmap = fn
-}
-
-// Heatmap renders the attached heatmap ("" when none). Must be called from
-// the simulation thread (it reads live network state).
-func (a *Auditor) Heatmap() string {
-	if a == nil || a.heatmap == nil {
-		return ""
-	}
-	return a.heatmap()
-}
-
-// OnPublish attaches a callback invoked from the simulation thread every
-// cfg.PublishEvery cycles and at run end (the HTTP server's snapshot hook).
-func (a *Auditor) OnPublish(fn func()) {
-	if a == nil {
-		return
-	}
-	a.publish = fn
-}
-
-// StartRun records the planned run length (for progress reporting).
+// StartRun records the planned run length (the snapshot's total_cycles).
 func (a *Auditor) StartRun(totalCycles uint64) {
 	if a == nil {
 		return
@@ -216,9 +180,9 @@ func (a *Auditor) StartRun(totalCycles uint64) {
 	a.now = 0
 }
 
-// OnCycle advances the auditor's clock; on the configured periods it runs
-// the full invariant sweep and the publish callback. Called once per cycle
-// from the harness's serial commit, on the simulation thread.
+// OnCycle advances the auditor's clock; every CheckEvery cycles it runs the
+// full invariant sweep. Called once per cycle from the harness's serial
+// commit, on the simulation thread.
 func (a *Auditor) OnCycle(now uint64) {
 	if a == nil {
 		return
@@ -227,13 +191,10 @@ func (a *Auditor) OnCycle(now uint64) {
 	if now > 0 && now%a.cfg.CheckEvery == 0 {
 		a.sweep()
 	}
-	if a.publish != nil && now > 0 && now%a.cfg.PublishEvery == 0 {
-		a.publish()
-	}
 }
 
-// FinishRun runs a final sweep, the quarantine throttle checks and a
-// publish at the end of a run.
+// FinishRun runs a final sweep and the quarantine throttle checks at the end
+// of a run.
 func (a *Auditor) FinishRun(now uint64) {
 	if a == nil {
 		return
@@ -241,9 +202,6 @@ func (a *Auditor) FinishRun(now uint64) {
 	a.now = now
 	a.sweep()
 	a.checkQuarantines()
-	if a.publish != nil {
-		a.publish()
-	}
 }
 
 // violate records one audit failure.

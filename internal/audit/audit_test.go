@@ -233,8 +233,6 @@ func TestNilAuditorInert(t *testing.T) {
 	aud.OnCycle(50)
 	aud.FinishRun(100)
 	aud.RegisterCheck("x", func() error { return nil })
-	aud.SetHeatmap(func() string { return "" })
-	aud.OnPublish(func() {})
 	aud.SetFlowBound(0, 1)
 	aud.WatchTable(nil, "x", nil)
 	aud.Record(&probe.Record{})

@@ -377,7 +377,7 @@ type FlowConformance struct {
 	AcceptedRate float64 `json:"accepted_rate,omitempty"`
 }
 
-// Snapshot is the JSON conformance snapshot served at /audit.
+// Snapshot is the JSON conformance snapshot written as audit.json.
 type Snapshot struct {
 	Arch            string            `json:"arch"`
 	Cycle           uint64            `json:"cycle"`

@@ -12,7 +12,6 @@ func All() []*Analyzer {
 		Determinism(),
 		HookGuard(),
 		HotPath(),
-		LockDiscipline(),
 		StagePurity(),
 		AllocBound(),
 	}
@@ -54,7 +53,7 @@ var simulationPackages = []string{
 }
 
 // observabilityPackages additionally feed exported artifacts (JSONL/CSV
-// traces, Prometheus text, audit snapshots, heatmaps) that goldens and
+// traces, Chrome trace JSON, audit snapshots, heatmaps) that goldens and
 // baseline diffs compare byte-for-byte, so their iteration order matters
 // just as much.
 var observabilityPackages = []string{

@@ -21,7 +21,6 @@ var corpusAnalyzers = []struct {
 	{"determinism", Determinism},
 	{"hookguard", HookGuard},
 	{"hotpath", HotPath},
-	{"lockdiscipline", LockDiscipline},
 	{"stagepurity", StagePurity},
 	{"allocbound", AllocBound},
 }

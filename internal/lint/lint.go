@@ -16,8 +16,6 @@
 //     "un-audited run takes the exact same hot path" guarantee).
 //   - hotpath: functions reachable from a //loft:hotpath cycle entry point
 //     must not format, log, or allocate per call.
-//   - lockdiscipline: struct fields annotated //loft:guardedby <mutex> may
-//     only be accessed while that mutex is held.
 //   - stagepurity: functions reachable from a parallel compute-phase entry
 //     point (//loft:computephase, or registered via AddTicker/AddUpdater on
 //     an engine or the netsim harness) must not call serial-only sinks or

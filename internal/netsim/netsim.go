@@ -146,7 +146,6 @@ func New(mesh topo.Mesh, pattern *traffic.Pattern, opts Options) (*Harness, erro
 	for _, q := range opts.Fault.Quarantines() {
 		h.audit.Quarantine(flit.FlowID(q.Flow), q.Cap)
 	}
-	h.audit.SetHeatmap(h.Heatmap)
 	return h, nil
 }
 

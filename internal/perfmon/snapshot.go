@@ -61,8 +61,8 @@ type GaugeStat struct {
 	Samples uint64  `json:"samples"`
 }
 
-// Snapshot is the exportable profile: what perf.json holds, what the audit
-// server serves on /perf, and what `lofttrace perf` renders. Field order is
+// Snapshot is the exportable profile: what perf.json holds, what the -perf
+// stage table prints, and what `lofttrace perf` renders. Field order is
 // fixed and maps are avoided so the JSON encoding is deterministic given
 // the same measurements.
 type Snapshot struct {

@@ -154,24 +154,22 @@ const (
 	FormatJSONL
 	// FormatCSV is the sampled time series in long form.
 	FormatCSV
-	// FormatPrometheus is the Prometheus text exposition format.
-	FormatPrometheus
 )
 
 // FormatForPath picks the exporter from a file extension: .jsonl → events,
-// .csv → time series, .prom → Prometheus text, anything else → Chrome
-// trace. Both CLIs dispatch -probe-out through this.
-func FormatForPath(path string) Format {
+// .csv → time series, .json → Chrome trace. Any other path is an error, so a
+// mistyped run directory is refused instead of becoming a trace file. Both
+// CLIs dispatch a single-file -probe-out through this.
+func FormatForPath(path string) (Format, error) {
 	switch {
 	case strings.HasSuffix(path, ".jsonl"):
-		return FormatJSONL
+		return FormatJSONL, nil
 	case strings.HasSuffix(path, ".csv"):
-		return FormatCSV
-	case strings.HasSuffix(path, ".prom"):
-		return FormatPrometheus
-	default:
-		return FormatChromeTrace
+		return FormatCSV, nil
+	case strings.HasSuffix(path, ".json"):
+		return FormatChromeTrace, nil
 	}
+	return 0, fmt.Errorf("no probe exporter for %q: want .jsonl (events), .csv (time series) or .json (Chrome trace)", path)
 }
 
 // Export writes the probe's data in the given format, propagating the
@@ -182,8 +180,6 @@ func Export(w io.Writer, p *Probe, f Format) error {
 		return WriteEventsJSONL(w, p.Events(), p.Tracer().Dropped())
 	case FormatCSV:
 		return WriteSeriesCSV(w, p.Series())
-	case FormatPrometheus:
-		return WritePrometheus(w, p)
 	default:
 		return WriteChromeTrace(w, p.Events(), p.Series(), p.Tracer().Dropped())
 	}

@@ -42,8 +42,8 @@ const (
 
 // IsDirTarget reports whether path names a run directory rather than a
 // single artifact file: an existing directory, or a path spelled with a
-// trailing separator. Extension dispatch keeps working for every other
-// path, so `-probe-out trace.jsonl` and `-probe-out runs/a/` coexist.
+// trailing separator. Every other path goes through extension dispatch, so
+// `-probe-out trace.jsonl` and `-probe-out runs/a/` coexist.
 func IsDirTarget(path string) bool {
 	if strings.HasSuffix(path, "/") || strings.HasSuffix(path, string(os.PathSeparator)) {
 		return true
@@ -109,7 +109,11 @@ func WriteRunDir(dir string, pr *probe.Probe, aud *audit.Auditor, mon *perfmon.M
 // WriteFileWithManifest writes one artifact through the extension-dispatch
 // path and a sibling <path>.manifest.json checksumming it.
 func WriteFileWithManifest(path string, pr *probe.Probe, m trace.Manifest) error {
-	if err := writeExport(path, pr, probe.FormatForPath(path)); err != nil {
+	f, err := probe.FormatForPath(path)
+	if err != nil {
+		return err
+	}
+	if err := writeExport(path, pr, f); err != nil {
 		return err
 	}
 	a, err := trace.FileArtifact(path)
@@ -121,7 +125,7 @@ func WriteFileWithManifest(path string, pr *probe.Probe, m trace.Manifest) error
 }
 
 // WriteAuditSnapshot writes the auditor's conformance snapshot as indented
-// JSON (the same document the introspection server serves at /audit).
+// JSON, the document trace.ReadAuditFile reads back.
 func WriteAuditSnapshot(path string, aud *audit.Auditor) error {
 	blob, err := json.MarshalIndent(aud.Snapshot(), "", "  ")
 	if err != nil {
@@ -131,9 +135,8 @@ func WriteAuditSnapshot(path string, aud *audit.Auditor) error {
 }
 
 // WritePerfSnapshot writes the monitor's snapshot into dir twice: PerfFile
-// as indented JSON (the same document the introspection server serves at
-// /perf, and what `lofttrace perf` reads back) and FoldedFile as folded
-// stacks for flamegraph viewers.
+// as indented JSON (what `lofttrace perf` reads back) and FoldedFile as
+// folded stacks for flamegraph viewers.
 func WritePerfSnapshot(dir string, mon *perfmon.Monitor) error {
 	snap := mon.Snapshot()
 	blob, err := json.MarshalIndent(snap, "", "  ")

@@ -18,10 +18,9 @@ import (
 
 // Session is what loftsim and loftexp have in common from flag parsing to
 // exit code: the seed, fault, observer, execution and profiling flags, the
-// observers built from them, the introspection server, the SIGINT handler,
-// the artifact export and the audit verdict. A CLI registers the shared
-// flags next to its own, then calls Load, Start, Export and Finish in that
-// order.
+// observers built from them, the SIGINT handler, the artifact export and the
+// audit verdict. A CLI registers the shared flags next to its own, then
+// calls Load, Start, Export and Finish in that order.
 type Session struct {
 	// Tool names the CLI in error prefixes and manifests.
 	Tool string
@@ -37,19 +36,18 @@ type Session struct {
 	AuditOut    string
 	JSet        bool
 
-	faultSpec                        string
-	probeOn, auditOn, perfOn         bool
-	probeSample, perfSample          uint64
-	probeEvents                      int
-	httpAddr, cpuProfile, memProfile string
+	faultSpec                string
+	probeOn, auditOn, perfOn bool
+	probeSample, perfSample  uint64
+	probeEvents              int
+	cpuProfile, memProfile   string
 
 	// Plan is the loaded -fault plan (Load); the observers are built by
 	// Start. Each is nil when its flags are off.
-	Plan   *fault.Plan
-	Probe  *probe.Probe
-	Audit  *audit.Auditor
-	Perf   *perfmon.Monitor
-	Server *audit.Server
+	Plan  *fault.Plan
+	Probe *probe.Probe
+	Audit *audit.Auditor
+	Perf  *perfmon.Monitor
 
 	interrupted  atomic.Bool
 	stopCPU      func() // run-directory cpu.pprof, nil when not collected
@@ -61,24 +59,29 @@ func (s *Session) Flags(fs *flag.FlagSet) {
 	fs.Uint64Var(&s.Seed, "seed", 1, "deterministic traffic seed")
 	fs.StringVar(&s.faultSpec, "fault", "", "arm a deterministic fault-injection plan on every run: inline spec or a plan file (see DESIGN.md §16); faulted runs stay byte-reproducible per (plan, seed), GSF runs accept adversary-only plans")
 	fs.BoolVar(&s.probeOn, "probe", false, "enable the observability probe layer on every run")
-	fs.StringVar(&s.ProbeOut, "probe-out", "", "write probe data here: a directory (trailing /) gets all formats + manifest.json, else by extension (.jsonl events, .csv time series, otherwise Chrome trace JSON) with a sibling manifest; implies -probe")
+	fs.StringVar(&s.ProbeOut, "probe-out", "", "write probe data here: a directory (trailing /) gets all formats + manifest.json, else by extension (.jsonl events, .csv time series, .json Chrome trace; any other path is refused) with a sibling manifest; implies -probe")
 	fs.Uint64Var(&s.probeSample, "probe-sample", 256, "gauge sampling period in cycles (0 disables time series)")
 	fs.IntVar(&s.probeEvents, "probe-events", 1<<20, "event ring buffer capacity")
 	fs.BoolVar(&s.auditOn, "audit", false, "enable the runtime QoS auditor (invariant checks + delay-bound conformance) on every run; violations exit non-zero")
 	fs.StringVar(&s.AuditOut, "audit-out", "", "write the audit conformance snapshot JSON here, plus a sibling manifest; implies -audit")
 	fs.BoolVar(&s.perfOn, "perf", false, "enable the in-simulator profiler: per-stage cycle attribution, parallel-engine telemetry, flamegraph export (never changes results)")
 	fs.Uint64Var(&s.perfSample, "perf-sample", perfmon.DefaultSampleEvery, "profile every Nth cycle (1 = every cycle)")
-	fs.StringVar(&s.httpAddr, "http", "", "serve live introspection (/metrics, /audit, /perf, /debug/pprof) on this address, e.g. :8080; implies -audit")
 	fs.IntVar(&s.Workers, "j", 0, "concurrent simulations in a sweep (0 = one per CPU; observed sweeps are forced sequential)")
 	fs.IntVar(&s.NodeWorkers, "jnode", 0, "shard node ticking inside each simulation across this many OS threads (0 or 1 = sequential; results are byte-identical)")
 	fs.StringVar(&s.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&s.memProfile, "memprofile", "", "write a heap profile to this file at exit")
 }
 
-// Load finishes flag parsing: it loads the -fault plan and notes whether -j
+// Load finishes flag parsing: it checks that -probe-out names a run
+// directory or a known extension, loads the -fault plan and notes whether -j
 // was given. An error is a usage error (exit 2).
 func (s *Session) Load(fs *flag.FlagSet) error {
 	fs.Visit(func(f *flag.Flag) { s.JSet = s.JSet || f.Name == "j" })
+	if s.ProbeOut != "" && !IsDirTarget(s.ProbeOut) {
+		if _, err := probe.FormatForPath(s.ProbeOut); err != nil {
+			return fmt.Errorf("-probe-out: %w, or a run directory spelled with a trailing /", err)
+		}
+	}
 	if s.faultSpec == "" {
 		return nil
 	}
@@ -90,7 +93,7 @@ func (s *Session) Load(fs *flag.FlagSet) error {
 // Observed reports whether any observer flag is set. Observed sweeps share
 // one observer, so they run sequentially.
 func (s *Session) Observed() bool {
-	return s.probeOn || s.ProbeOut != "" || s.auditOn || s.AuditOut != "" || s.httpAddr != "" || s.perfOn
+	return s.probeOn || s.ProbeOut != "" || s.auditOn || s.AuditOut != "" || s.perfOn
 }
 
 // ValidateExec rejects the execution-flag values both CLIs refuse up front:
@@ -123,9 +126,8 @@ func (s *Session) Fatal(err error) {
 }
 
 // Start builds what the flags ask for: the -cpuprofile/-memprofile
-// collectors, the observers, the introspection server (titled title) and
-// the SIGINT handler.
-func (s *Session) Start(title string) error {
+// collectors, the observers and the SIGINT handler.
+func (s *Session) Start() error {
 	var err error
 	if s.stopProfiles, err = profiles.Start(s.cpuProfile, s.memProfile); err != nil {
 		return err
@@ -133,19 +135,11 @@ func (s *Session) Start(title string) error {
 	if s.probeOn || s.ProbeOut != "" {
 		s.Probe = probe.New(probe.Config{EventCap: s.probeEvents, SampleEvery: s.probeSample})
 	}
-	if s.auditOn || s.AuditOut != "" || s.httpAddr != "" {
+	if s.auditOn || s.AuditOut != "" {
 		s.Audit = audit.New(audit.Config{})
 	}
 	if s.perfOn {
 		s.Perf = perfmon.New(perfmon.Config{SampleEvery: s.perfSample, Workers: s.NodeWorkers})
-	}
-	if s.httpAddr != "" {
-		if s.Server, err = audit.NewServer(s.httpAddr); err != nil {
-			return err
-		}
-		s.Server.SetTitle(title)
-		s.Audit.OnPublish(func() { s.Server.Publish(s.Probe, s.Audit, s.Perf) })
-		fmt.Fprintf(os.Stderr, "introspection server listening on %s\n", s.Server.URL())
 	}
 	// SIGINT requests a graceful stop: runs end at the next chunk boundary
 	// and every requested artifact is still flushed. A second SIGINT falls
@@ -173,15 +167,6 @@ func (s *Session) perfDir() bool { return s.ProbeOut != "" && IsDirTarget(s.Prob
 // Interrupted reports whether SIGINT arrived; it is the Stop poll of every
 // run.
 func (s *Session) Interrupted() bool { return s.interrupted.Load() }
-
-// Progress returns the sweep progress callback feeding the introspection
-// server, nil without -http.
-func (s *Session) Progress() func(done, total int) {
-	if s.Server == nil {
-		return nil
-	}
-	return s.Server.JobProgress
-}
 
 // Manifest returns the manifest fields every run records the same way:
 // tool, command line, environment provenance (from runenv, the only
@@ -282,9 +267,9 @@ func (s *Session) writeAuditOut(m trace.Manifest) error {
 	return nil
 }
 
-// Finish prints the auditor's verdict, releases the server and the
-// profilers, and returns the process exit code: 130 after SIGINT (the
-// partial artifacts were flushed), 1 on audit violations, else 0.
+// Finish prints the auditor's verdict, stops the profilers and returns the
+// process exit code: 130 after SIGINT (the partial artifacts were flushed),
+// 1 on audit violations, else 0.
 func (s *Session) Finish() int {
 	clean := true
 	if s.Audit != nil {
@@ -295,9 +280,6 @@ func (s *Session) Finish() int {
 			fmt.Fprintf(os.Stderr, "audit violation: %s\n", v)
 		}
 		clean = s.Audit.Err() == nil
-	}
-	if s.Server != nil {
-		s.Server.Close()
 	}
 	s.stopProfiles()
 	switch {

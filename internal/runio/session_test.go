@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"loft/internal/config"
@@ -81,11 +82,11 @@ func TestSessionProfiledRunDirectory(t *testing.T) {
 	if !s.Observed() {
 		t.Fatal("-perf -probe-out is an observed run")
 	}
-	if err := s.Start("test"); err != nil {
+	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Probe == nil || s.Perf == nil || s.Audit != nil || s.Server != nil {
-		t.Fatalf("observers built: probe %v perf %v audit %v server %v", s.Probe != nil, s.Perf != nil, s.Audit != nil, s.Server != nil)
+	if s.Probe == nil || s.Perf == nil || s.Audit != nil {
+		t.Fatalf("observers built: probe %v perf %v audit %v", s.Probe != nil, s.Perf != nil, s.Audit != nil)
 	}
 	cfg := config.PaperLOFT()
 	_, err := core.Run(core.ArchLOFT, cfg, testPattern(cfg), core.RunSpec{Seed: s.Seed, Warmup: 100, Measure: 900,
@@ -126,5 +127,34 @@ func TestSessionProfiledRunDirectory(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, AuditFile)); err == nil {
 		t.Errorf("%s written without -audit", AuditFile)
+	}
+}
+
+// TestSessionLoadRejectsProbeOut pins the -probe-out contract Load enforces
+// before any run starts: a run directory (trailing separator, or an existing
+// directory) or a .jsonl/.csv/.json file. Any other name used to be written
+// as Chrome trace JSON, so `-probe-out runs/a` produced a file named a.
+func TestSessionLoadRejectsProbeOut(t *testing.T) {
+	dir := t.TempDir()
+	for _, ok := range []string{"x.jsonl", "x.csv", "x.json", "runs/a/", dir} {
+		sessionFlags(t, "loftsim", "-probe-out", ok)
+	}
+	for _, bad := range []string{"x.prom", "runs/a", "trace"} {
+		s := &Session{Tool: "loftsim"}
+		fs := flag.NewFlagSet("loftsim", flag.ContinueOnError)
+		s.Flags(fs)
+		if err := fs.Parse([]string{"-probe-out", bad}); err != nil {
+			t.Fatal(err)
+		}
+		err := s.Load(fs)
+		if err == nil {
+			t.Errorf("-probe-out %s: Load accepted it", bad)
+			continue
+		}
+		for _, want := range []string{".jsonl", ".csv", ".json", "trailing /"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("-probe-out %s: error %q does not mention %s", bad, err, want)
+			}
+		}
 	}
 }

@@ -105,7 +105,7 @@ type ParallelKernel struct {
 	// re-raises the first one after the barrier so a scheduler fault aborts
 	// the run exactly as it does sequentially.
 	//
-	//loft:guardedby mu
+	// Guarded by mu: shards that panic in the same step append concurrently.
 	panics []workerPanic
 }
 

@@ -185,6 +185,35 @@ func TestParallelKernelPropagatesWorkerPanic(t *testing.T) {
 	k.Run(10)
 }
 
+// TestParallelKernelConcurrentWorkerPanics panics on two shards in the same
+// cycle. Both workers record their panic at once, which is what keeps k.mu
+// in runShard's recover honest under the race detector; the coordinator must
+// re-raise one of them, naming its shard, and leave the pool closed.
+func TestParallelKernelConcurrentWorkerPanics(t *testing.T) {
+	k := NewParallelKernel(2)
+	k.AddTicker(0, &panicker{at: 3})
+	k.AddTicker(1, &panicker{at: 3})
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		k.Run(10)
+		return nil
+	}()
+	s, ok := r.(string)
+	if !ok {
+		t.Fatalf("recovered %v, want the coordinator's re-raised panic", r)
+	}
+	if !strings.Contains(s, "cycle 3") || !strings.Contains(s, "boom") ||
+		!strings.Contains(s, "shard 0 ") && !strings.Contains(s, "shard 1 ") {
+		t.Fatalf("panic %q does not name shard 0 or 1, cycle 3 and the cause", s)
+	}
+	if k.running || k.work != nil {
+		t.Fatal("kernel still running after re-raising a worker panic")
+	}
+	if len(k.panics) != 0 {
+		t.Fatalf("%d captured panics left behind", len(k.panics))
+	}
+}
+
 // TestParallelMatchesSequential drives the same component graph through both
 // kernels through the Engine registration surface: a chain of registers where
 // each stage consumes its predecessor's previous-cycle output, the pattern

@@ -29,7 +29,7 @@ import (
 // count to be delivered before an earlier one).
 type progress struct {
 	mu   sync.Mutex
-	done int //loft:guardedby mu
+	done int // guarded by mu
 
 	total int
 	fn    func(done, total int)

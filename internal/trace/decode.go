@@ -136,8 +136,8 @@ func ReadSeriesCSV(r io.Reader) ([]probe.Series, error) {
 	return out, nil
 }
 
-// ReadAuditSnapshot decodes an audit conformance snapshot (the JSON served
-// at /audit and written by -audit-out / run directories).
+// ReadAuditSnapshot decodes an audit conformance snapshot (the JSON written
+// by -audit-out and into run directories as audit.json).
 func ReadAuditSnapshot(r io.Reader) (*audit.Snapshot, error) {
 	var s audit.Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
