@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-sweep par-smoke vet fmt lint lint-test check audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module bench
+.PHONY: build test race race-sweep par-smoke vet fmt lint check audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module bench
 
 build:
 	$(GO) build ./...
@@ -34,18 +34,11 @@ par-smoke:
 vet:
 	$(GO) vet ./...
 
-# The repo's own analyzers (cmd/loftcheck): determinism, hookguard, hotpath,
-# stagepurity, allocbound. -strict also rejects //lint:ignore
-# suppressions, so the simulation packages stay at zero diagnostics AND zero
-# suppressions. allocbound replays `go build -gcflags=-m=2` from the build
-# cache, so a warm run costs milliseconds.
+# The repo's own analyzers (cmd/loftcheck): determinism, hookguard,
+# stagepurity. -strict also rejects //lint:ignore suppressions, so the
+# simulation packages stay at zero diagnostics AND zero suppressions.
 lint:
 	$(GO) run ./cmd/loftcheck -strict ./...
-
-# The analyzer framework's own tests (golden corpora, loader failure paths,
-# suppression accounting) under the race detector.
-lint-test:
-	$(GO) test -race ./internal/lint/ ./cmd/loftcheck/
 
 fmt:
 	@out="$$(gofmt -l .)"; \

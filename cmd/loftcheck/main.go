@@ -1,6 +1,5 @@
 // Command loftcheck runs the repo's custom static analyzers (internal/lint)
-// over the module: determinism, hookguard, hotpath, stagepurity,
-// allocbound.
+// over the module: determinism, hookguard, stagepurity.
 //
 // Usage:
 //
@@ -53,10 +52,9 @@ func run() int {
 
 	analyzers := lint.All()
 	if *runSel != "" {
-		var unknown string
-		analyzers, unknown = lint.ByName(strings.Split(*runSel, ","))
-		if unknown != "" {
-			fmt.Fprintf(os.Stderr, "loftcheck: unknown analyzer %q (try -list)\n", unknown)
+		var err error
+		if analyzers, err = lint.ByName(strings.Split(*runSel, ",")); err != nil {
+			fmt.Fprintf(os.Stderr, "loftcheck: -run: %v\n", err)
 			return 2
 		}
 	}

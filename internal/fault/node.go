@@ -124,8 +124,6 @@ func (n *Node) sortEdges() {
 // Edges returns the fault window boundaries crossing at cycle now. The
 // cursor only moves forward: calls must be made with non-decreasing cycles
 // (one per node tick). The returned slice aliases the precompiled timeline.
-//
-//loft:hotpath
 func (n *Node) Edges(now uint64) []Edge {
 	for n.next < len(n.edges) && n.edges[n.next].Cycle < now {
 		n.next++
@@ -140,8 +138,6 @@ func (n *Node) Edges(now uint64) []Edge {
 }
 
 // LinkDown reports whether output direction d is inside a link-down window.
-//
-//loft:hotpath
 func (n *Node) LinkDown(d int, now uint64) bool {
 	for _, e := range n.down[d] {
 		if e.active(now) {
@@ -156,8 +152,6 @@ func (n *Node) LinkDown(d int, now uint64) bool {
 // only for attempts that actually reach the link — both functions of this
 // node's own deterministic tick sequence, so draws replay identically under
 // any worker count.
-//
-//loft:hotpath
 func (n *Node) LoseFlit(d int, now uint64) bool {
 	for _, e := range n.loss[d] {
 		if e.active(now) && n.rng.Bernoulli(e.Rate) {
@@ -170,15 +164,11 @@ func (n *Node) LoseFlit(d int, now uint64) bool {
 // DenyForward reports whether a forward through direction d at cycle now is
 // denied by an active fault — a link-down window (checked first, no RNG
 // draw) or a flit-loss draw.
-//
-//loft:hotpath
 func (n *Node) DenyForward(d int, now uint64) bool {
 	return n.LinkDown(d, now) || n.LoseFlit(d, now)
 }
 
 // RouterStalled reports whether the node's switch pass is frozen at now.
-//
-//loft:hotpath
 func (n *Node) RouterStalled(now uint64) bool {
 	for _, e := range n.router {
 		if e.active(now) {
@@ -190,8 +180,6 @@ func (n *Node) RouterStalled(now uint64) bool {
 
 // StallCredits reports whether credit returns arriving on direction d's
 // reverse channel are withheld at cycle now.
-//
-//loft:hotpath
 func (n *Node) StallCredits(d int, now uint64) bool {
 	for _, e := range n.stall[d] {
 		if e.active(now) {
@@ -204,8 +192,6 @@ func (n *Node) StallCredits(d int, now uint64) bool {
 // DeferCredits withholds a batch of virtual-credit tags for direction d.
 // The tags are copied: wire messages alias the sender's double-buffered
 // accumulators, which recycle one cycle later.
-//
-//loft:hotpath
 func (n *Node) DeferCredits(d int, tags []uint64) {
 	n.deferred[d] = append(n.deferred[d], tags...)
 }
@@ -216,8 +202,6 @@ func (n *Node) DeferCredits(d int, tags []uint64) {
 // Late application is exact — lsf.Table.ReturnCredit treats a stale tag as
 // a whole-window increment and new slots inherit cumulative credit, so each
 // deferred return still counts exactly once.
-//
-//loft:hotpath
 func (n *Node) ReleaseCredits(d int, now uint64) []uint64 {
 	q := n.deferred[d]
 	if len(q) == 0 || n.StallCredits(d, now) {

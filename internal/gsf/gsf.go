@@ -186,7 +186,6 @@ func newNode(id topo.NodeID, cfg config.GSF, net *Network, slot *netsim.Slot) *n
 // Tick advances this node one cycle (sim.Ticker): it drains the node's
 // traffic injector into the source queue, then runs the router pipeline.
 //
-//loft:hotpath
 //loft:computephase
 func (n *node) Tick(now uint64) {
 	if n.perf != nil {

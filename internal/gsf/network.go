@@ -177,7 +177,6 @@ func (net *Network) wire() {
 // node's staged frame-census and throttle deltas, then advances the barrier
 // controller. Both are sums, so node order does not matter here.
 //
-//loft:hotpath
 //loft:commitphase
 func (net *Network) commitFrames(now uint64) {
 	for _, n := range net.nodes {

@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -11,30 +13,28 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism(),
 		HookGuard(),
-		HotPath(),
 		StagePurity(),
-		AllocBound(),
 	}
 }
 
-// ByName returns the named analyzers, or nil with the unknown name when one
-// does not exist.
-func ByName(names []string) ([]*Analyzer, string) {
+// ByName returns the named analyzers in order. An empty, repeated or
+// unknown name is an error.
+func ByName(names []string) ([]*Analyzer, error) {
+	all := All()
 	var out []*Analyzer
-	for _, n := range names {
-		found := false
-		for _, a := range All() {
-			if a.Name == n {
-				out = append(out, a)
-				found = true
-				break
-			}
+	for i, n := range names {
+		k := slices.IndexFunc(all, func(a *Analyzer) bool { return a.Name == n })
+		switch {
+		case n == "":
+			return nil, fmt.Errorf("empty analyzer name in %q", strings.Join(names, ","))
+		case slices.Contains(names[:i], n):
+			return nil, fmt.Errorf("analyzer %q named twice", n)
+		case k < 0:
+			return nil, fmt.Errorf("unknown analyzer %q (try -list)", n)
 		}
-		if !found {
-			return nil, n
-		}
+		out = append(out, all[k])
 	}
-	return out, ""
+	return out, nil
 }
 
 // simulationPackages are the packages whose execution must be bit-exact

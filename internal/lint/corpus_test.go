@@ -20,9 +20,7 @@ var corpusAnalyzers = []struct {
 }{
 	{"determinism", Determinism},
 	{"hookguard", HookGuard},
-	{"hotpath", HotPath},
 	{"stagepurity", StagePurity},
-	{"allocbound", AllocBound},
 }
 
 func TestCorpus(t *testing.T) {
@@ -38,17 +36,7 @@ func TestCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("load %s: %v", dir, err)
 				}
-				a := ca.mk()
-				var escapes escapeIndex
-				if a.NeedsEscapes {
-					// Corpus packages sit under testdata/ (invisible to ./...
-					// wildcards), so the index is built from the explicit dir.
-					escapes, err = buildEscapeIndex(ld.root, []string{"./internal/lint/" + filepath.ToSlash(dir)})
-					if err != nil {
-						t.Fatalf("escape index for %s: %v", dir, err)
-					}
-				}
-				active, suppressed := runPackage(pkg, []*Analyzer{a}, true, escapes)
+				active, suppressed := runPackage(pkg, []*Analyzer{ca.mk()}, true)
 				if len(suppressed) != 0 {
 					t.Errorf("corpus package %s has suppressions; corpora must pin findings with want comments", dir)
 				}

@@ -3,6 +3,8 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -20,7 +22,7 @@ func loadSuppressCorpus(t *testing.T) (active, suppressed []Diagnostic) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	return runPackage(pkg, []*Analyzer{Determinism()}, true, nil)
+	return runPackage(pkg, []*Analyzer{Determinism()}, true)
 }
 
 func TestSuppressions(t *testing.T) {
@@ -72,10 +74,35 @@ func TestSuppressionForUnknownAnalyzerNotReportedUnused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	active, _ := runPackage(pkg, []*Analyzer{HookGuard()}, true, nil)
+	active, _ := runPackage(pkg, []*Analyzer{HookGuard()}, true)
 	for _, d := range active {
 		if strings.Contains(d.Message, "unused //lint:ignore") {
 			t.Errorf("ignore for an analyzer outside this run reported unused: %s", d)
+		}
+	}
+}
+
+func TestSuppressionNamingNoAnalyzerReported(t *testing.T) {
+	// A directive for an analyzer that does not exist can never suppress
+	// anything; it is reported whichever analyzers the run selects.
+	dir := t.TempDir()
+	src := "package p\n\n//lint:ignore nosuchanalyzer reason\nvar x = 1\n"
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ld, err := newLoader(".")
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	pkg, err := ld.loadDir("corpus/unknownignore", dir)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	for _, as := range [][]*Analyzer{All(), {HookGuard()}} {
+		active, _ := runPackage(pkg, as, true)
+		if len(active) != 1 || active[0].Analyzer != "lint" || active[0].Pos.Line != 3 ||
+			!strings.Contains(active[0].Message, `unknown analyzer "nosuchanalyzer"`) {
+			t.Errorf("want one lint diagnostic on line 3 naming the unknown analyzer, got %v", active)
 		}
 	}
 }
@@ -152,12 +179,23 @@ func TestWriteJSONEmptyDiagnosticsIsArray(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	as, unknown := ByName([]string{"hotpath", "determinism"})
-	if unknown != "" || len(as) != 2 || as[0].Name != "hotpath" || as[1].Name != "determinism" {
-		t.Errorf("ByName returned %v (unknown=%q)", as, unknown)
+	as, err := ByName([]string{"stagepurity", "determinism"})
+	if err != nil || len(as) != 2 || as[0].Name != "stagepurity" || as[1].Name != "determinism" {
+		t.Errorf("ByName returned %v (err=%v)", as, err)
 	}
-	if _, unknown := ByName([]string{"nosuch"}); unknown != "nosuch" {
-		t.Errorf("unknown analyzer not reported, got %q", unknown)
+	for _, tc := range []struct {
+		names []string
+		want  string
+	}{
+		{[]string{"nosuch"}, `unknown analyzer "nosuch"`},
+		{[]string{"determinism", ""}, "empty analyzer name"},
+		{[]string{""}, "empty analyzer name"},
+		{[]string{"determinism", "determinism"}, `analyzer "determinism" named twice`},
+	} {
+		as, err := ByName(tc.names)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || as != nil {
+			t.Errorf("ByName(%q) = %v, %v; want error containing %q", tc.names, as, err, tc.want)
+		}
 	}
 }
 

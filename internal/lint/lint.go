@@ -14,15 +14,14 @@
 //   - hookguard: every probe/audit sink call must be dominated by a nil
 //     check of its receiver, or a stage emission by the stage's Wants (the
 //     "un-audited run takes the exact same hot path" guarantee).
-//   - hotpath: functions reachable from a //loft:hotpath cycle entry point
-//     must not format, log, or allocate per call.
 //   - stagepurity: functions reachable from a parallel compute-phase entry
 //     point (//loft:computephase, or registered via AddTicker/AddUpdater on
 //     an engine or the netsim harness) must not call serial-only sinks or
 //     write //loft:commitonly fields — all order-sensitive effects go through
 //     the staging buffers.
-//   - allocbound: the compiler's own escape analysis (go build -gcflags=-m)
-//     must report no heap allocation inside the //loft:hotpath closure.
+//
+// The zero-allocation steady state is not proved here: the root package's
+// TestSteadyStateZeroAlloc measures it over a table of real runs.
 //
 // Diagnostics carry file:line:col positions and can be suppressed — with a
 // mandatory reason — by a `//lint:ignore <analyzer> <reason>` comment on the
@@ -36,6 +35,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"os/exec"
 	"regexp"
 	"sort"
 	"strings"
@@ -55,10 +55,6 @@ type Analyzer struct {
 	Match func(importPath string) bool
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
-	// NeedsEscapes marks analyzers consuming the compiler escape-analysis
-	// index; the driver builds it once per run when any selected analyzer
-	// sets it, and fails the run (not the package) if the build breaks.
-	NeedsEscapes bool
 }
 
 // Pass carries one package's typed syntax to an analyzer.
@@ -70,9 +66,6 @@ type Pass struct {
 
 	analyzer *Analyzer
 	diags    *[]Diagnostic
-	// escapes is the run-wide escape-analysis index (nil unless a selected
-	// analyzer declared NeedsEscapes), keyed by module-root-relative file.
-	escapes escapeIndex
 }
 
 // Reportf records one diagnostic at pos.
@@ -165,9 +158,8 @@ func collectIgnores(fset *token.FileSet, f *ast.File, diags *[]Diagnostic) map[i
 }
 
 // runPackage executes every applicable analyzer over one loaded package and
-// returns its active and suppressed diagnostics. escapes may be nil when no
-// selected analyzer needs the escape-analysis index.
-func runPackage(pkg *Package, analyzers []*Analyzer, bypassMatch bool, escapes escapeIndex) (active, suppressed []Diagnostic) {
+// returns its active and suppressed diagnostics.
+func runPackage(pkg *Package, analyzers []*Analyzer, bypassMatch bool) (active, suppressed []Diagnostic) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		if !bypassMatch && a.Match != nil && !a.Match(pkg.Pkg.Path()) {
@@ -180,7 +172,6 @@ func runPackage(pkg *Package, analyzers []*Analyzer, bypassMatch bool, escapes e
 			Info:     pkg.Info,
 			analyzer: a,
 			diags:    &diags,
-			escapes:  escapes,
 		}
 		a.Run(pass)
 	}
@@ -203,17 +194,27 @@ func runPackage(pkg *Package, analyzers []*Analyzer, bypassMatch bool, escapes e
 		suppressed = append(suppressed, d)
 	}
 	// Unused directives are diagnostics too: a stale ignore hides nothing
-	// today but will silently swallow a real finding tomorrow.
+	// today but will silently swallow a real finding tomorrow. One naming no
+	// analyzer at all can never be used, whichever analyzers this run selects.
 	for _, file := range ignores {
 		for _, dirs := range file {
 			for _, dir := range dirs {
-				if !dir.used && analyzerKnown(analyzers, dir.analyzer) {
-					active = append(active, Diagnostic{
-						Analyzer: "lint",
-						Pos:      token.Position{Filename: dir.file, Line: dir.line},
-						Message:  fmt.Sprintf("unused //lint:ignore %s directive (no diagnostic to suppress)", dir.analyzer),
-					})
+				var msg string
+				switch {
+				case dir.used:
+					continue
+				case !analyzerKnown(All(), dir.analyzer):
+					msg = fmt.Sprintf("//lint:ignore names unknown analyzer %q", dir.analyzer)
+				case analyzerKnown(analyzers, dir.analyzer):
+					msg = fmt.Sprintf("unused //lint:ignore %s directive (no diagnostic to suppress)", dir.analyzer)
+				default:
+					continue
 				}
+				active = append(active, Diagnostic{
+					Analyzer: "lint",
+					Pos:      token.Position{Filename: dir.file, Line: dir.line},
+					Message:  msg,
+				})
 			}
 		}
 	}
@@ -289,16 +290,6 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var escapes escapeIndex
-	for _, a := range analyzers {
-		if a.NeedsEscapes {
-			escapes, err = buildEscapeIndex(ld.root, cfg.Patterns)
-			if err != nil {
-				return Result{}, err
-			}
-			break
-		}
-	}
 	var res Result
 	for _, a := range analyzers {
 		res.Analyzers = append(res.Analyzers, a.Name)
@@ -310,7 +301,7 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, err
 		}
 		res.Packages++
-		active, suppressed := runPackage(pkg, analyzers, false, escapes)
+		active, suppressed := runPackage(pkg, analyzers, false)
 		res.Diagnostics = append(res.Diagnostics, active...)
 		res.Suppressed = append(res.Suppressed, suppressed...)
 	}
@@ -319,6 +310,18 @@ func Run(cfg Config) (Result, error) {
 	sortDiags(res.Diagnostics)
 	sortDiags(res.Suppressed)
 	return res, nil
+}
+
+// headRevision returns the repo's HEAD commit, best effort: empty outside a
+// git checkout or when git is unavailable.
+func headRevision(root string) string {
+	cmd := exec.Command("git", "rev-parse", "HEAD")
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(out))
 }
 
 // WriteText renders a result in the conventional file:line:col format.

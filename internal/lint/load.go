@@ -220,8 +220,7 @@ func (ld *loader) loadFiles(importPath, dir string, goFiles []string) (*Package,
 }
 
 // rel renders path relative to the module root when possible: diagnostics
-// then read the same from any working directory inside the repo, and the
-// labels line up with the compiler's root-relative escape-analysis output.
+// then read the same from any working directory inside the repo.
 func (ld *loader) rel(path string) string {
 	abs, err := filepath.Abs(path)
 	if err != nil {

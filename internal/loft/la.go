@@ -58,10 +58,9 @@ func (la *laRouter) allocEnt() *laEnt {
 }
 
 // newEnt is the refill path. init seeds the pool to the exact live bound, so
-// this only runs if that bound is ever wrong; out of line so the heap
-// allocation stays off the Tick closure.
+// this only runs if that bound is ever wrong; out of line so the slow path
+// stays out of allocEnt's inlined fast path.
 //
-//loft:coldpath
 //go:noinline
 func newEnt() *laEnt {
 	return new(laEnt)

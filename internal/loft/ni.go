@@ -59,9 +59,8 @@ func (ni *netIface) flowQueue(id flit.FlowID) *flowQ {
 
 // newFlowQueue builds a flow's queue on its first packet. A run sees each
 // flow once, so this is setup amortized over the whole run; out of line so
-// the allocations stay off the Tick closure.
+// the slow path stays out of flowQueue's inlined fast path.
 //
-//loft:coldpath
 //go:noinline
 func (ni *netIface) newFlowQueue(id flit.FlowID) *flowQ {
 	q := &flowQ{id: id}

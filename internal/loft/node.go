@@ -94,11 +94,9 @@ func (ip *inputPort) alloc() *inEntry {
 }
 
 // allocSlow is the pool-exhausted fallback: it heap-allocates, which only a
-// pathological workload reaches, so it is kept out of line (and out of the
-// zero-alloc hot-path closure) to stop the allocation from being inlined
-// into alloc's steady-state callers.
+// pathological workload reaches, so it is kept out of line: the slow path
+// stays out of the fast path inlined into alloc's steady-state callers.
 //
-//loft:coldpath
 //go:noinline
 func (ip *inputPort) allocSlow() *inEntry {
 	return new(inEntry)
@@ -310,7 +308,6 @@ func (n *Node) slotOf(c uint64) uint64 { return c / uint64(n.cfg.QuantumFlits) }
 // ordering; all cross-node communication flows through registers, so node
 // iteration order does not affect results.
 //
-//loft:hotpath
 //loft:computephase
 func (n *Node) Tick(now uint64) {
 	if n.perf != nil {
@@ -361,8 +358,6 @@ func (n *Node) Tick(now uint64) {
 // as probe timeline events, so a chaos run's trace shows exactly when each
 // fault armed and lifted. The edge cursor must advance every cycle even
 // with probing off, hence the single guarded emission inside the loop.
-//
-//loft:hotpath
 func (n *Node) faultTick(now uint64) {
 	for _, e := range n.fault.Edges(now) {
 		kind := probe.KindFaultDown
@@ -385,8 +380,6 @@ func (n *Node) faultTick(now uint64) {
 // frameTick is the per-slot reservation-table maintenance that precedes the
 // slot's switch pass: table ticks, deferred ejection credit returns, local
 // status resets and (in debug runs) ledger verification.
-//
-//loft:hotpath
 func (n *Node) frameTick(now uint64) {
 	if now > 0 {
 		n.injTable.Tick()
@@ -761,8 +754,6 @@ func (n *Node) flush(uint64) {
 // faultDeny records a fault-denied forward through output o: the quantum
 // keeps its buffer slot and reservation entry, so the overdue/emergent path
 // retries it on a later slot; the lost transmission is accounted.
-//
-//loft:hotpath
 func (n *Node) faultDeny(e *inEntry, o topo.Dir, now uint64) {
 	e.faultDenied = true
 	n.stats.FaultsInjected++

@@ -311,7 +311,6 @@ func (t *Table) owner(p int) Owner {
 // effects — an AuditSink tap's violation waits behind a marker in the node's
 // record stream.
 //
-//loft:hotpath
 //loft:computephase
 func (t *Table) Tick() {
 	t.version++
@@ -412,7 +411,6 @@ func (t *Table) conditionOne(self *flowState, f int) bool {
 // Like Tick, Request runs inside the parallel compute phase, called from
 // the owning node's look-ahead router during its shard's tick.
 //
-//loft:hotpath
 //loft:computephase
 func (t *Table) Request(f flit.FlowID, quantum uint64, minSlot uint64) (uint64, bool) {
 	st := t.flow(f)
@@ -582,8 +580,6 @@ func (t *Table) creditUnderflow(c *int32) {
 // ReturnCredit applies a virtual credit return tagged with the downstream
 // departure slot: every live slot at or after the tag gains one credit.
 // Tags at or before the current slot increment the whole window.
-//
-//loft:hotpath
 func (t *Table) ReturnCredit(tag uint64) {
 	from := 0
 	if tag > t.now {
@@ -660,8 +656,6 @@ func (t *Table) finishReturn(from int, tag uint64) {
 // ClearBusy releases the booked slot at absolute time s after its quantum
 // was forwarded (possibly early, by speculative switching). Virtual credits
 // are not restored: the quantum still occupies the downstream buffer.
-//
-//loft:hotpath
 func (t *Table) ClearBusy(s uint64) {
 	p := t.ring(s)
 	w, b := bit(p)
@@ -674,8 +668,6 @@ func (t *Table) ClearBusy(s uint64) {
 }
 
 // BusyAt reports the owner of the slot at absolute time s.
-//
-//loft:hotpath
 func (t *Table) BusyAt(s uint64) (Owner, bool) {
 	p := t.ring(s)
 	if w, b := bit(p); t.busy[w]&b == 0 {
@@ -691,8 +683,6 @@ func (t *Table) CreditAt(s uint64) int { return int(t.credit[t.ring(s)]) }
 // FirstScheduled returns the earliest booked slot in the window, if any.
 // The LOFT data router uses it to classify a forwarded quantum as in-order
 // (→ non-speculative buffer) or out-of-order (→ speculative buffer).
-//
-//loft:hotpath
 func (t *Table) FirstScheduled() (Owner, uint64, bool) {
 	if t.busyCount == 0 {
 		return Owner{}, 0, false

@@ -205,7 +205,6 @@ var collected = probe.KindSetOf(probe.KindEject, probe.KindPacketDone)
 // commit is the serial half of a cycle (see the package comment for its
 // order). It is the one place staged records are replayed.
 //
-//loft:hotpath
 //loft:commitphase
 func (h *Harness) commit(now uint64) {
 	if h.perfT != nil {

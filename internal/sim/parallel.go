@@ -154,8 +154,6 @@ func (k *ParallelKernel) AddSerial(f func(now uint64)) {
 }
 
 // start launches the worker pool.
-//
-//loft:coldpath
 func (k *ParallelKernel) start() {
 	k.work = make([]chan struct{}, len(k.shards))
 	for i := range k.shards {
@@ -191,8 +189,6 @@ func (k *ParallelKernel) worker(i int, ch <-chan struct{}) {
 // runShard executes one phase of one shard. It is the per-cycle worker-side
 // hot path: the whole compute phase of every node in the shard runs under
 // this frame.
-//
-//loft:hotpath
 func (k *ParallelKernel) runShard(i int) {
 	defer k.wg.Done()
 	defer func() {
@@ -227,8 +223,6 @@ func (k *ParallelKernel) runShard(i int) {
 
 // dispatch releases every worker for the current phase and waits for the
 // barrier.
-//
-//loft:hotpath
 func (k *ParallelKernel) dispatch() {
 	k.wg.Add(len(k.work))
 	for _, ch := range k.work {
@@ -256,8 +250,6 @@ func (k *ParallelKernel) checkPanics() {
 
 // Step executes exactly one cycle: parallel tick, barrier, serial hooks,
 // parallel update, barrier.
-//
-//loft:hotpath
 func (k *ParallelKernel) Step() {
 	if !k.running {
 		k.start()

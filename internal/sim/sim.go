@@ -65,8 +65,6 @@ func (k *Kernel) AddUpdater(_ int, u Updater) { k.updaters = append(k.updaters, 
 func (k *Kernel) AddSerial(f func(now uint64)) { k.serial = append(k.serial, f) }
 
 // Step executes exactly one cycle.
-//
-//loft:hotpath
 func (k *Kernel) Step() {
 	now := k.now
 	for _, t := range k.tickers {

@@ -187,8 +187,6 @@ func (in *Injector) nextSeq(id flit.FlowID) uint64 {
 // generator).
 // The returned slice is only valid until the next call: it aliases a
 // scratch buffer owned by the injector.
-//
-//loft:hotpath
 func (in *Injector) Next(now uint64) []flit.Packet {
 	out := in.scratch[:0]
 	if in.p.Trace != nil {
