@@ -28,8 +28,10 @@ race-sweep:
 # The chaos goldens extend the same contract to faulted runs: a five-kind
 # fault plan and lsf table corruptions must stay byte-identical across
 # worker counts while the auditor still catches the injected damage.
+# TestParallelKernelRegParity takes, on one shard, the register a neighbour
+# on another shard wrote the cycle before, with one barrier per cycle.
 par-smoke:
-	$(GO) test -race -run 'TestParallelDeterminism|TestParallelGSFDeterminism|TestPerfmonByteIdentity|TestChaosPlanParallelDeterminism|TestInjectFaultParallelDeterminism' -count=1 .
+	$(GO) test -race -run 'TestParallelDeterminism|TestParallelGSFDeterminism|TestPerfmonByteIdentity|TestChaosPlanParallelDeterminism|TestInjectFaultParallelDeterminism|TestParallelKernelRegParity' -count=1 . ./internal/sim
 
 vet:
 	$(GO) vet ./...

@@ -235,8 +235,8 @@ func switched(n *node, pre []inputVC, before arbSnapshot) ([topo.NumDirs]grant, 
 }
 
 // stepChecked runs one cycle of net the way Tick and the harness do (compute
-// every node, replay, commit frames, update links), with the reference
-// arbitration checked at every node between the drain and the injection.
+// every node, replay, commit frames), with the reference arbitration checked
+// at every node between the drain and the injection.
 func stepChecked(net *Network, now uint64) error {
 	for _, n := range net.nodes {
 		for _, pkt := range n.inj.Next(now) {
@@ -274,7 +274,7 @@ func stepChecked(net *Network, now uint64) error {
 		n.inject(now)
 		for d := 0; d < 4; d++ {
 			if n.pendCredSet[d] {
-				n.credOut[d].Write(n.pendCred[d])
+				n.credOut[d].Write(now, n.pendCred[d])
 				n.pendCredSet[d] = false
 			}
 		}
@@ -283,14 +283,6 @@ func stepChecked(net *Network, now uint64) error {
 		n.obs.Drain()
 	}
 	net.commitFrames(now)
-	for _, n := range net.nodes {
-		for d := 0; d < 4; d++ {
-			if n.flitOut[d] != nil {
-				n.flitOut[d].Update(now)
-				n.credOut[d].Update(now)
-			}
-		}
-	}
 	return nil
 }
 

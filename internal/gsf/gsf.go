@@ -227,7 +227,7 @@ func (n *node) tick(now uint64) {
 	}
 	for d := 0; d < 4; d++ {
 		if n.pendCredSet[d] {
-			n.credOut[d].Write(n.pendCred[d])
+			n.credOut[d].Write(now, n.pendCred[d])
 			n.pendCredSet[d] = false
 		}
 	}
@@ -240,7 +240,7 @@ func (n *node) tick(now uint64) {
 func (n *node) drain(now uint64) {
 	for d := 0; d < 4; d++ {
 		if n.flitIn[d] != nil {
-			if msg, ok := n.flitIn[d].Take(); ok {
+			if msg, ok := n.flitIn[d].Take(now); ok {
 				vc := &n.port(topo.Dir(d))[msg.VC]
 				if !vc.routed {
 					vc.outDir = topo.Local
@@ -253,7 +253,7 @@ func (n *node) drain(now uint64) {
 			}
 		}
 		if n.credIn[d] != nil {
-			if msg, ok := n.credIn[d].Take(); ok {
+			if msg, ok := n.credIn[d].Take(now); ok {
 				out := n.outs[d]
 				out.down[msg.VC].credits++
 				if msg.Tail {
@@ -362,7 +362,7 @@ func (n *node) switchFlits(now uint64) {
 			n.addFrame(e.f.Frame, -1) // the flit left the network
 		} else {
 			n.outs[o].down[best.downVC].credits--
-			n.flitOut[o].Write(linkMsg{F: e.f, VC: best.downVC})
+			n.flitOut[o].Write(now, linkMsg{F: e.f, VC: best.downVC})
 			n.linkBusy[o]++
 		}
 		if best.dir != topo.Local {

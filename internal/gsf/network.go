@@ -149,9 +149,7 @@ func (net *Network) registerGauges() {
 	}
 }
 
-// wire creates the link registers between neighbors. Each register's
-// updater lives on the shard of the node that Writes it, so the update
-// phase touches only shard-local registers.
+// wire creates the link registers between neighbors.
 func (net *Network) wire() {
 	for _, n := range net.nodes {
 		for d := topo.North; d < topo.Local; d++ {
@@ -160,13 +158,11 @@ func (net *Network) wire() {
 				continue
 			}
 			fo := sim.NewReg[linkMsg](fmt.Sprintf("gsf.flit %d->%d", n.id, nb))
-			net.AddUpdater(int(n.id), fo)
 			n.flitOut[d] = fo
 			peer := net.nodes[nb]
 			opp := d.Opposite()
 			peer.flitIn[opp] = fo
 			co := sim.NewReg[creditMsg](fmt.Sprintf("gsf.cred %d->%d", nb, n.id))
-			net.AddUpdater(int(nb), co)
 			peer.credOut[opp] = co
 			n.credIn[d] = co
 		}

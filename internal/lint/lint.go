@@ -15,10 +15,11 @@
 //     check of its receiver, or a stage emission by the stage's Wants (the
 //     "un-audited run takes the exact same hot path" guarantee).
 //   - stagepurity: functions reachable from a parallel compute-phase entry
-//     point (//loft:computephase, or registered via AddTicker/AddUpdater on
-//     an engine or the netsim harness) must not call serial-only sinks or
-//     write //loft:commitonly fields — all order-sensitive effects go through
-//     the staging buffers.
+//     point (//loft:computephase, or a Tick registered via AddTicker on an
+//     engine or the netsim harness) must not call serial-only sinks or write
+//     //loft:commitonly fields — all order-sensitive effects go through the
+//     staging buffers. A cycle has one compute phase and then the serial
+//     hooks; link registers need no commit step in between.
 //
 // The zero-allocation steady state is not proved here: the root package's
 // TestSteadyStateZeroAlloc measures it over a table of real runs.

@@ -10,8 +10,8 @@ import (
 // contract structurally: code running inside the parallel compute phase must
 // not touch shared, order-sensitive state directly. The compute-phase entry
 // points are functions annotated //loft:computephase plus every concrete
-// Tick/Update method registered through AddTicker/AddUpdater on a sim engine
-// or on the netsim harness; the analyzer closes over the static per-package
+// Tick method registered through AddTicker on a sim engine or on the netsim
+// harness; the analyzer closes over the static per-package
 // call graph from those seeds (a //loft:commitphase marker stops propagation
 // — that is the sanctioned serial side) and rejects, inside the closure:
 //
@@ -80,16 +80,10 @@ func stagepurityRun(pass *Pass) {
 	}
 	// Auto-seeding: anything this package registers on an engine runs in the
 	// compute phase whether or not its author remembered the annotation.
-	// AddTicker also registers the component's Update method when it has one
-	// (the kernels do the same type assertion).
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			for _, m := range parallelRegistration(pass, call) {
-				addSeed(m)
+			if call, ok := n.(*ast.CallExpr); ok {
+				addSeed(parallelRegistration(pass, call))
 			}
 			return true
 		})
@@ -104,14 +98,14 @@ func stagepurityRun(pass *Pass) {
 	}
 }
 
-// parallelRegistration resolves an engine registration — AddTicker/AddUpdater
-// on either sim kernel, on the sim.Engine interface, or on the netsim.Harness
+// parallelRegistration resolves an engine registration — AddTicker on
+// either sim kernel, on the sim.Engine interface, or on the netsim.Harness
 // every network registers through (directly, or promoted through the
-// Network that embeds it) — to the concrete phase methods it registers,
+// Network that embeds it) — to the concrete Tick method it registers,
 // looked up on the static type of the component argument.
-func parallelRegistration(pass *Pass, call *ast.CallExpr) []*types.Func {
+func parallelRegistration(pass *Pass, call *ast.CallExpr) *types.Func {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || len(call.Args) < 2 {
+	if !ok || sel.Sel.Name != "AddTicker" || len(call.Args) < 2 {
 		return nil
 	}
 	selection, isMethod := pass.Info.Selections[sel]
@@ -134,27 +128,15 @@ func parallelRegistration(pass *Pass, call *ast.CallExpr) []*types.Func {
 	default:
 		return nil
 	}
-	var methods []string
-	switch sel.Sel.Name {
-	case "AddTicker":
-		methods = []string{"Tick", "Update"}
-	case "AddUpdater":
-		methods = []string{"Update"}
-	default:
-		return nil
-	}
 	tv, ok := pass.Info.Types[call.Args[1]]
 	if !ok || tv.Type == nil {
 		return nil
 	}
-	var out []*types.Func
-	for _, m := range methods {
-		obj, _, _ := types.LookupFieldOrMethod(tv.Type, true, pass.Pkg, m)
-		if fn, ok := obj.(*types.Func); ok && fn.Pkg() == pass.Pkg {
-			out = append(out, fn)
-		}
+	obj, _, _ := types.LookupFieldOrMethod(tv.Type, true, pass.Pkg, "Tick")
+	if fn, ok := obj.(*types.Func); ok && fn.Pkg() == pass.Pkg {
+		return fn
 	}
-	return out
+	return nil
 }
 
 // commitOnlyFields collects the struct fields annotated //loft:commitonly.

@@ -39,13 +39,13 @@ func (r *router) wrongStage(other *probe.Stage, now uint64) {
 }
 
 func (r *router) profile(now uint64) {
-	r.perf.Begin(now)                             // want `sink call perfmon\.Timer\.Begin on unguarded receiver r\.perf`
-	r.perf.Lap(perfmon.StageBooking)              // want `sink call perfmon\.Timer\.Lap on unguarded receiver`
-	r.eng.CycleStart(now)                         // want `sink call perfmon\.EngineTimer\.CycleStart on unguarded receiver`
-	r.eng.PhaseDone(perfmon.PhaseTick)            // want `sink call perfmon\.EngineTimer\.PhaseDone on unguarded receiver`
-	start := r.eng.WorkerStart()                  // want `sink call perfmon\.EngineTimer\.WorkerStart on unguarded receiver`
-	r.eng.WorkerDone(0, perfmon.PhaseTick, start) // want `sink call perfmon\.EngineTimer\.WorkerDone on unguarded receiver`
-	r.mon.OnCycle(now)                            // want `sink call perfmon\.Monitor\.OnCycle on unguarded receiver`
+	r.perf.Begin(now)                  // want `sink call perfmon\.Timer\.Begin on unguarded receiver r\.perf`
+	r.perf.Lap(perfmon.StageBooking)   // want `sink call perfmon\.Timer\.Lap on unguarded receiver`
+	r.eng.CycleStart(now)              // want `sink call perfmon\.EngineTimer\.CycleStart on unguarded receiver`
+	r.eng.PhaseDone(perfmon.PhaseTick) // want `sink call perfmon\.EngineTimer\.PhaseDone on unguarded receiver`
+	start := r.eng.WorkerStart()       // want `sink call perfmon\.EngineTimer\.WorkerStart on unguarded receiver`
+	r.eng.WorkerDone(0, start)         // want `sink call perfmon\.EngineTimer\.WorkerDone on unguarded receiver`
+	r.mon.OnCycle(now)                 // want `sink call perfmon\.Monitor\.OnCycle on unguarded receiver`
 }
 
 func (r *router) grant(slot uint64) {

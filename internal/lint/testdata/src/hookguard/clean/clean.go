@@ -109,7 +109,7 @@ func (r *router) shard(now uint64) {
 		return
 	}
 	start := r.eng.WorkerStart()
-	r.eng.WorkerDone(0, perfmon.PhaseTick, start)
+	r.eng.WorkerDone(0, start)
 }
 
 // Handle-style calls (Registry/Counter, Monitor.Timer/Engine/Gauge/

@@ -95,18 +95,13 @@ func (g *faultGate) Tick(now uint64) {
 }
 
 // comp is seeded without any annotation: wire registers it on the parallel
-// kernel, so both its Tick and its Update run in the compute phase.
+// kernel, so its Tick runs in the compute phase.
 type comp struct {
 	probe *probe.Probe
-	lat   *stats.Latency
 }
 
 func (c *comp) Tick(now uint64) {
 	c.probe.Emit(now, probe.KindReserveGrant, 0, 0, 0, 0) // want `serial-only sink probe\.Probe\.Emit called in the parallel compute phase \(reachable from compute-phase entry Tick\)`
-}
-
-func (c *comp) Update(now uint64) {
-	c.lat.Observe(0, now) // want `serial-only sink stats\.Latency\.Observe called in the parallel compute phase \(reachable from compute-phase entry Update\)`
 }
 
 func wire(k *sim.ParallelKernel, c *comp) {

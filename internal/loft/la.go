@@ -234,7 +234,7 @@ func (la *laRouter) process(now uint64) {
 		if o != topo.Local {
 			fl := ent.fl
 			fl.DepartPrev = depart
-			n.laOut[o].Write(fl)
+			n.laOut[o].Write(now, fl)
 			la.credits[o].Consume()
 			if n.obs.Wants(probe.KindLAIssue) {
 				n.obs.EmitSeq(now, probe.KindLAIssue, int32(n.id), int32(o), int32(fl.Flow), fl.Quantum, depart*uint64(n.cfg.QuantumFlits))

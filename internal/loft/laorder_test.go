@@ -226,7 +226,7 @@ func (r *refLA) checkProcess(n *Node, now uint64) error {
 }
 
 // stepChecked runs one cycle of net the way Tick and the harness do (every
-// node's compute phase, the stage replay, the register updates), with the
+// node's compute phase, then the stage replay), with the
 // reference mirrored and checked after each node's accepts and bookings.
 // The network runs without faults, probe, audit or profiler.
 func stepChecked(net *Network, refs []*refLA, now uint64) error {
@@ -253,16 +253,6 @@ func stepChecked(net *Network, refs []*refLA, now uint64) error {
 	}
 	for _, n := range net.nodes {
 		n.obs.Drain()
-		n.niData.Update(now)
-		for d := 0; d < 4; d++ {
-			if n.dataOut[d] != nil {
-				n.dataOut[d].Update(now)
-				n.laOut[d].Update(now)
-				n.vcredIn[d].Update(now)
-				n.rcredIn[d].Update(now)
-				n.laCredIn[d].Update(now)
-			}
-		}
 	}
 	return nil
 }

@@ -189,13 +189,9 @@ func (net *Network) registerPerfGauges(perf *perfmon.Monitor, plan *fault.Plan) 
 	})
 }
 
-// wire creates the link registers between neighbors and registers every
-// register with the engine's update phase, on the shard of the node that
-// created it.
+// wire creates the link registers between neighbors.
 func (net *Network) wire() {
-	for i, n := range net.nodes {
-		reg := func(u sim.Updater) { net.AddUpdater(i, u) }
-		reg(n.niData)
+	for _, n := range net.nodes {
 		for d := topo.North; d < topo.Local; d++ {
 			nb, ok := net.mesh.Neighbor(n.id, d)
 			if !ok {
@@ -204,8 +200,6 @@ func (net *Network) wire() {
 			// Forward-direction registers owned by n toward nb.
 			n.dataOut[d] = sim.NewReg[dataMsg](fmt.Sprintf("data %d->%d", n.id, nb))
 			n.laOut[d] = sim.NewReg[flit.Lookahead](fmt.Sprintf("la %d->%d", n.id, nb))
-			reg(n.dataOut[d])
-			reg(n.laOut[d])
 			peer := net.nodes[nb]
 			opp := d.Opposite()
 			peer.dataIn[opp] = n.dataOut[d]
@@ -214,9 +208,6 @@ func (net *Network) wire() {
 			vc := sim.NewReg[vcredMsg](fmt.Sprintf("vcred %d->%d", nb, n.id))
 			rc := sim.NewReg[rcredMsg](fmt.Sprintf("rcred %d->%d", nb, n.id))
 			lc := sim.NewReg[laCredMsg](fmt.Sprintf("lacred %d->%d", nb, n.id))
-			reg(vc)
-			reg(rc)
-			reg(lc)
 			peer.vcredOut[opp] = vc
 			peer.rcredOut[opp] = rc
 			peer.laCredOut[opp] = lc

@@ -253,7 +253,7 @@ func (ni *netIface) forward(slot, now uint64) {
 	if n.obs.Wants(probe.KindDataInject) {
 		n.obs.EmitAux(now, probe.KindDataInject, int32(n.id), int32(topo.NumDirs), int32(q.ID.Flow), q.ID.Seq, depart*uint64(n.cfg.QuantumFlits), uint64(q.Flits))
 	}
-	n.niData.Write(dataMsg{Q: q, Spec: spec, Depart: depart})
+	n.niData.Write(now, dataMsg{Q: q, Spec: spec, Depart: depart})
 }
 
 // sinkState is the destination PE model: it consumes one flit per cycle

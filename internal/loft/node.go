@@ -426,17 +426,17 @@ func (n *Node) drain(now uint64) {
 	}
 	for d := 0; d < 4; d++ {
 		if n.laIn[d] != nil {
-			if fl, ok := n.laIn[d].Take(); ok {
-				n.la.accept(&fl, topo.Dir(d), now)
+			if fl, ok := n.laIn[d].Take(now); ok {
+				n.la.accept(fl, topo.Dir(d), now)
 			}
 		}
 	}
-	if msg, ok := n.niData.Take(); ok {
+	if msg, ok := n.niData.Take(now); ok {
 		n.receiveData(topo.Local, msg, now)
 	}
 	for d := 0; d < 4; d++ {
 		if n.dataIn[d] != nil {
-			if msg, ok := n.dataIn[d].Take(); ok {
+			if msg, ok := n.dataIn[d].Take(now); ok {
 				n.receiveData(topo.Dir(d), msg, now)
 			}
 		}
@@ -449,7 +449,7 @@ func (n *Node) drain(now uint64) {
 					n.outTables[d].ReturnCredit(tag)
 				}
 			}
-			if msg, ok := n.vcredIn[d].Take(); ok {
+			if msg, ok := n.vcredIn[d].Take(now); ok {
 				if n.fault != nil && n.fault.StallCredits(d, now) {
 					n.fault.DeferCredits(d, msg.Tags)
 					n.stats.FaultsInjected++
@@ -461,7 +461,7 @@ func (n *Node) drain(now uint64) {
 			}
 		}
 		if n.rcredIn[d] != nil {
-			if msg, ok := n.rcredIn[d].Take(); ok {
+			if msg, ok := n.rcredIn[d].Take(now); ok {
 				for i := 0; i < msg.NonSpec; i++ {
 					n.credNonSpec[d].Return()
 				}
@@ -471,7 +471,7 @@ func (n *Node) drain(now uint64) {
 			}
 		}
 		if n.laCredIn[d] != nil {
-			if msg, ok := n.laCredIn[d].Take(); ok {
+			if msg, ok := n.laCredIn[d].Take(now); ok {
 				for i := 0; i < msg.N; i++ {
 					n.la.credits[d].Return()
 				}
@@ -484,7 +484,7 @@ func (n *Node) drain(now uint64) {
 // wire message carries the upstream booking slot, so the reservation entry
 // (written by the look-ahead flit at arrival slot Depart+1) resolves with
 // one slab index.
-func (n *Node) receiveData(d topo.Dir, msg dataMsg, now uint64) {
+func (n *Node) receiveData(d topo.Dir, msg *dataMsg, now uint64) {
 	ip := n.inputs[d]
 	e := ip.lookup(msg.Depart+1, msg.Q.ID)
 	if e == nil {
@@ -723,11 +723,11 @@ func (n *Node) forward(o, in topo.Dir, e *inEntry, slot, now uint64) {
 		n.sink.receive(q, spec, slot, departSlot, now)
 		return
 	}
-	n.dataOut[o].Write(dataMsg{Q: q, Spec: spec, Depart: departSlot})
+	n.dataOut[o].Write(now, dataMsg{Q: q, Spec: spec, Depart: departSlot})
 }
 
 // flush writes the per-cycle accumulators to their registers.
-func (n *Node) flush(uint64) {
+func (n *Node) flush(now uint64) {
 	for d := 0; d < 4; d++ {
 		if len(n.pendVcred[d]) > 0 {
 			// Send the filled buffer as-is and flip to the other one: the
@@ -735,17 +735,17 @@ func (n *Node) flush(uint64) {
 			// side can touch it again, so no copy is needed.
 			sel := n.vcredSel[d]
 			n.vcredBuf[d][sel] = n.pendVcred[d]
-			n.vcredOut[d].Write(vcredMsg{Tags: n.pendVcred[d]})
+			n.vcredOut[d].Write(now, vcredMsg{Tags: n.pendVcred[d]})
 			sel ^= 1
 			n.vcredSel[d] = sel
 			n.pendVcred[d] = n.vcredBuf[d][sel][:0]
 		}
 		if n.pendRcred[d] != (rcredMsg{}) {
-			n.rcredOut[d].Write(n.pendRcred[d])
+			n.rcredOut[d].Write(now, n.pendRcred[d])
 			n.pendRcred[d] = rcredMsg{}
 		}
 		if n.pendLaCred[d] > 0 {
-			n.laCredOut[d].Write(laCredMsg{N: n.pendLaCred[d]})
+			n.laCredOut[d].Write(now, laCredMsg{N: n.pendLaCred[d]})
 			n.pendLaCred[d] = 0
 		}
 	}

@@ -6,13 +6,14 @@
 // hook; its Network embeds *Harness, so Run, Close, the collectors and the
 // latency definitions are the same code for every architecture.
 //
-// Every cycle runs compute → serial commit → register update under both
-// engines. A computing node reports what happens in it as records staged in
-// its Slot; the commit replays the slots in node-id order, each slot's
-// records in emission order and each record to the consumers whose kind set
-// holds it, then runs the architecture's hook, the probe sampler, the
-// auditor and the profiler. That fixed order keeps results and artifacts
-// byte-identical for any worker count and any combination of observers.
+// Every cycle runs compute → serial commit under both engines; link
+// registers need no commit of their own (see sim.Reg). A computing node
+// reports what happens in it as records staged in its Slot; the commit
+// replays the slots in node-id order, each slot's records in emission order
+// and each record to the consumers whose kind set holds it, then runs the
+// architecture's hook, the probe sampler, the auditor and the profiler.
+// That fixed order keeps results and artifacts byte-identical for any
+// worker count and any combination of observers.
 package netsim
 
 import (
@@ -43,8 +44,9 @@ type Options struct {
 	// architecture's invariant taps.
 	Audit *audit.Auditor
 	// Workers selects the cycle engine: 0 or 1 runs the sequential kernel,
-	// N > 1 shards node stepping across N workers (sim.ParallelKernel).
-	// Results are byte-identical either way; see DESIGN.md §13.
+	// N > 1 shards node stepping across N workers (sim.ParallelKernel),
+	// capped at one worker per node. Results are byte-identical either way;
+	// see DESIGN.md §13.
 	Workers int
 	// Perf enables the self-profiler when non-nil: per-stage wall-time
 	// attribution on every node, engine phase telemetry under the parallel
@@ -110,10 +112,10 @@ func New(mesh topo.Mesh, pattern *traffic.Pattern, opts Options) (*Harness, erro
 	}
 	// The one place an engine is chosen; everything else registers through
 	// sim.Engine.
-	if opts.Workers > 1 {
-		par := sim.NewParallelKernel(opts.Workers)
-		h.perf.SetWorkers(opts.Workers)
-		par.SetPerf(h.perf.Engine(opts.Workers))
+	if workers := min(opts.Workers, mesh.N()); workers > 1 {
+		par := sim.NewParallelKernel(workers)
+		h.perf.SetWorkers(workers)
+		par.SetPerf(h.perf.Engine(workers))
 		h.engine = par
 	} else {
 		h.engine = sim.NewKernel()
@@ -155,11 +157,6 @@ func (h *Harness) Slot(i int) *Slot { return &h.slots[i] }
 // AddTicker registers node i's compute-phase component; under the parallel
 // engine the node index is also its shard.
 func (h *Harness) AddTicker(i int, t sim.Ticker) { h.engine.AddTicker(i, t) }
-
-// AddUpdater registers a link register with the engine's update phase, on
-// node i's shard. Any partition is correct (barriers separate the phases);
-// keeping a register with the node that owns it balances the load.
-func (h *Harness) AddUpdater(i int, u sim.Updater) { h.engine.AddUpdater(i, u) }
 
 // OnCommit installs the architecture's per-cycle commit hook, run after the
 // slots are replayed and before the observers; its host time is attributed

@@ -9,6 +9,7 @@ import (
 	"loft/internal/fault"
 	"loft/internal/perfmon"
 	"loft/internal/probe"
+	"loft/internal/sim"
 	"loft/internal/topo"
 	"loft/internal/traffic"
 )
@@ -245,5 +246,28 @@ func TestNewRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := New(mesh, traffic.Uniform(mesh, 0.1, 4, 256), Options{Fault: plan}); err == nil {
 		t.Error("plan naming flow 99 accepted on a nine-flow pattern")
+	}
+}
+
+// TestWorkersCappedAtNodes: a worker per node is the most the parallel
+// engine can use, so -jnode 100 on a 9-node mesh runs nine workers and the
+// profiler reports nine. It used to start 100, barriering 91 empty shards
+// every cycle.
+func TestWorkersCappedAtNodes(t *testing.T) {
+	mesh := topo.NewMesh(3)
+	mon := perfmon.New(perfmon.Config{SampleEvery: 1})
+	h, err := New(mesh, traffic.Uniform(mesh, 0.1, 4, 256), Options{Seed: 1, Workers: 100, Perf: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, ok := h.engine.(*sim.ParallelKernel)
+	if !ok {
+		t.Fatalf("engine %T, want *sim.ParallelKernel", h.engine)
+	}
+	if par.Workers() != mesh.N() {
+		t.Errorf("Workers() = %d, want %d", par.Workers(), mesh.N())
+	}
+	if got := mon.Snapshot().Host.Workers; got != mesh.N() {
+		t.Errorf("profiler reports %d workers, want %d", got, mesh.N())
 	}
 }

@@ -50,10 +50,9 @@ func TestMonitorZeroAllocSteadyState(t *testing.T) {
 		tm.Begin(now)
 		tm.Lap(StageDrain)
 		tm.Lap(StageSwitch)
-		e.WorkerDone(0, PhaseTick, start)
+		e.WorkerDone(0, start)
 		e.PhaseDone(PhaseTick)
 		e.PhaseDone(PhaseSerial)
-		e.PhaseDone(PhaseUpdate)
 		m.OnCycle(now)
 		now++
 	}
@@ -64,21 +63,17 @@ func TestMonitorZeroAllocSteadyState(t *testing.T) {
 }
 
 func TestEngineTelemetryAndMetrics(t *testing.T) {
-	m := New(Config{SampleEvery: 1, Workers: 2})
+	m := New(Config{SampleEvery: 1})
+	m.SetWorkers(2)
 	e := m.Engine(2)
 	for now := uint64(0); now < 8; now++ {
 		e.CycleStart(now)
 		for w := 0; w < 2; w++ {
 			start := e.WorkerStart()
-			e.WorkerDone(w, PhaseTick, start)
+			e.WorkerDone(w, start)
 		}
 		e.PhaseDone(PhaseTick)
 		e.PhaseDone(PhaseSerial)
-		for w := 0; w < 2; w++ {
-			start := e.WorkerStart()
-			e.WorkerDone(w, PhaseUpdate, start)
-		}
-		e.PhaseDone(PhaseUpdate)
 		m.OnCycle(now)
 	}
 	s := m.Snapshot()
@@ -101,7 +96,8 @@ func TestEngineTelemetryAndMetrics(t *testing.T) {
 }
 
 func TestSnapshotRoundTripAndRender(t *testing.T) {
-	m := New(Config{SampleEvery: 1, Workers: 2})
+	m := New(Config{SampleEvery: 1})
+	m.SetWorkers(2)
 	tm := m.Timer()
 	e := m.Engine(2)
 	for now := uint64(0); now < 4; now++ {
@@ -110,10 +106,9 @@ func TestSnapshotRoundTripAndRender(t *testing.T) {
 		tm.Begin(now)
 		tm.Lap(StageBooking)
 		tm.Lap(StageLookahead)
-		e.WorkerDone(0, PhaseTick, start)
+		e.WorkerDone(0, start)
 		e.PhaseDone(PhaseTick)
 		e.PhaseDone(PhaseSerial)
-		e.PhaseDone(PhaseUpdate)
 		m.OnCycle(now)
 	}
 	s := m.Snapshot()

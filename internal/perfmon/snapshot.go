@@ -33,23 +33,21 @@ type StageStat struct {
 	Count uint64 `json:"count"`
 }
 
-// WorkerStat is one parallel-engine worker's busy time per phase.
+// WorkerStat is one parallel-engine worker's busy time in the tick phase.
 type WorkerStat struct {
-	Worker      int    `json:"worker"`
-	TickNanos   uint64 `json:"tick_nanos"`
-	UpdateNanos uint64 `json:"update_nanos"`
-	Phases      uint64 `json:"phases"`
+	Worker    int    `json:"worker"`
+	TickNanos uint64 `json:"tick_nanos"`
+	Phases    uint64 `json:"phases"`
 }
 
 // EngineStat is the ParallelKernel telemetry: coordinator wall time per
 // phase and per-worker busy time. Barrier wait for worker w is
-// (TickWallNanos - w.TickNanos) + (UpdateWallNanos - w.UpdateNanos).
+// TickWallNanos - w.TickNanos.
 type EngineStat struct {
 	Workers         int          `json:"workers"`
 	SampledCycles   uint64       `json:"sampled_cycles"`
 	TickWallNanos   uint64       `json:"tick_wall_nanos"`
 	SerialWallNanos uint64       `json:"serial_wall_nanos"`
-	UpdateWallNanos uint64       `json:"update_wall_nanos"`
 	PerWorker       []WorkerStat `json:"per_worker"`
 }
 
@@ -113,16 +111,10 @@ func (m *Monitor) Snapshot() *Snapshot {
 			SampledCycles:   e.cycles,
 			TickWallNanos:   e.wall[PhaseTick],
 			SerialWallNanos: e.wall[PhaseSerial],
-			UpdateWallNanos: e.wall[PhaseUpdate],
 		}
 		for i := range e.workers {
 			w := &e.workers[i]
-			es.PerWorker = append(es.PerWorker, WorkerStat{
-				Worker:      i,
-				TickNanos:   w.busy[PhaseTick],
-				UpdateNanos: w.busy[PhaseUpdate],
-				Phases:      w.n[PhaseTick] + w.n[PhaseUpdate],
-			})
+			es.PerWorker = append(es.PerWorker, WorkerStat{Worker: i, TickNanos: w.busy, Phases: w.n})
 		}
 		s.Engine = es
 	}
@@ -166,10 +158,10 @@ func (s *Snapshot) Metrics() map[string]float64 {
 		}
 	}
 	if e := s.Engine; e != nil && e.SampledCycles > 0 {
-		wall := e.TickWallNanos + e.UpdateWallNanos
+		wall := e.TickWallNanos
 		var maxBusy, sumBusy uint64
 		for _, w := range e.PerWorker {
-			busy := w.TickNanos + w.UpdateNanos
+			busy := w.TickNanos
 			sumBusy += busy
 			if busy > maxBusy {
 				maxBusy = busy
@@ -206,10 +198,7 @@ func (s *Snapshot) WriteFolded(w io.Writer) error {
 		return nil
 	}
 	for _, ws := range e.PerWorker {
-		if err := foldWorker(w, "tick", ws.Worker, ws.TickNanos, e.TickWallNanos); err != nil {
-			return err
-		}
-		if err := foldWorker(w, "update", ws.Worker, ws.UpdateNanos, e.UpdateWallNanos); err != nil {
+		if err := foldWorker(w, ws.Worker, ws.TickNanos, e.TickWallNanos); err != nil {
 			return err
 		}
 	}
@@ -221,14 +210,14 @@ func (s *Snapshot) WriteFolded(w io.Writer) error {
 	return nil
 }
 
-func foldWorker(w io.Writer, phase string, worker int, busy, wall uint64) error {
+func foldWorker(w io.Writer, worker int, busy, wall uint64) error {
 	if busy > 0 {
-		if _, err := fmt.Fprintf(w, "sim;engine;%s;w%d;busy %d\n", phase, worker, busy); err != nil {
+		if _, err := fmt.Fprintf(w, "sim;engine;tick;w%d;busy %d\n", worker, busy); err != nil {
 			return err
 		}
 	}
 	if wall > busy {
-		if _, err := fmt.Fprintf(w, "sim;engine;%s;w%d;barrier-wait %d\n", phase, worker, wall-busy); err != nil {
+		if _, err := fmt.Fprintf(w, "sim;engine;tick;w%d;barrier-wait %d\n", worker, wall-busy); err != nil {
 			return err
 		}
 	}
@@ -262,13 +251,13 @@ func (s *Snapshot) WriteText(w io.Writer) {
 	}
 	if e := s.Engine; e != nil {
 		fmt.Fprintf(w, "\nengine: %d workers over %d sampled cycles\n", e.Workers, e.SampledCycles)
-		fmt.Fprintf(w, "  phase wall: tick %s, serial %s, update %s\n",
-			fmtNanos(e.TickWallNanos), fmtNanos(e.SerialWallNanos), fmtNanos(e.UpdateWallNanos))
-		wall := e.TickWallNanos + e.UpdateWallNanos
+		fmt.Fprintf(w, "  phase wall: tick %s, serial %s\n",
+			fmtNanos(e.TickWallNanos), fmtNanos(e.SerialWallNanos))
+		wall := e.TickWallNanos
 		fmt.Fprintf(w, "  %-7s %12s %7s %14s\n", "WORKER", "BUSY", "UTIL", "BARRIER-WAIT")
 		var maxBusy, sumBusy uint64
 		for _, ws := range e.PerWorker {
-			busy := ws.TickNanos + ws.UpdateNanos
+			busy := ws.TickNanos
 			sumBusy += busy
 			if busy > maxBusy {
 				maxBusy = busy

@@ -72,11 +72,18 @@ func (s *Session) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&s.memProfile, "memprofile", "", "write a heap profile to this file at exit")
 }
 
-// Load finishes flag parsing: it checks that -probe-out names a run
-// directory or a known extension, loads the -fault plan and notes whether -j
-// was given. An error is a usage error (exit 2).
+// Load finishes flag parsing: it checks that -probe-events and -perf-sample
+// are at least 1 and that -probe-out names a run directory or a known
+// extension, loads the -fault plan and notes whether -j was given. An error
+// is a usage error (exit 2).
 func (s *Session) Load(fs *flag.FlagSet) error {
 	fs.Visit(func(f *flag.Flag) { s.JSet = s.JSet || f.Name == "j" })
+	if s.probeEvents < 1 {
+		return fmt.Errorf("-probe-events %d: the event ring needs at least one slot", s.probeEvents)
+	}
+	if s.perfSample < 1 {
+		return fmt.Errorf("-perf-sample %d: profile every Nth cycle with N at least 1 (1 = every cycle)", s.perfSample)
+	}
 	if s.ProbeOut != "" && !IsDirTarget(s.ProbeOut) {
 		if _, err := probe.FormatForPath(s.ProbeOut); err != nil {
 			return fmt.Errorf("-probe-out: %w, or a run directory spelled with a trailing /", err)
@@ -139,7 +146,7 @@ func (s *Session) Start() error {
 		s.Audit = audit.New(audit.Config{})
 	}
 	if s.perfOn {
-		s.Perf = perfmon.New(perfmon.Config{SampleEvery: s.perfSample, Workers: s.NodeWorkers})
+		s.Perf = perfmon.New(perfmon.Config{SampleEvery: s.perfSample})
 	}
 	// SIGINT requests a graceful stop: runs end at the next chunk boundary
 	// and every requested artifact is still flushed. A second SIGINT falls

@@ -158,3 +158,25 @@ func TestSessionLoadRejectsProbeOut(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionLoadRejectsCounts: -probe-events and -perf-sample below 1 are
+// usage errors. Both used to be replaced silently, by a 1,048,576-event ring
+// and by a sample every 64 cycles.
+func TestSessionLoadRejectsCounts(t *testing.T) {
+	sessionFlags(t, "loftsim", "-probe-events", "1", "-perf-sample", "1")
+	for _, bad := range [][]string{
+		{"-probe-events", "0"},
+		{"-probe-events", "-5"},
+		{"-perf-sample", "0"},
+	} {
+		s := &Session{Tool: "loftsim"}
+		fs := flag.NewFlagSet("loftsim", flag.ContinueOnError)
+		s.Flags(fs)
+		if err := fs.Parse(bad); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Load(fs); err == nil || !strings.Contains(err.Error(), bad[0]+" "+bad[1]) {
+			t.Errorf("%s %s: Load returned %v, want an error naming the value", bad[0], bad[1], err)
+		}
+	}
+}

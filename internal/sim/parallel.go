@@ -10,18 +10,14 @@ import (
 // Engine is a simulation clock driver: the sequential Kernel and the
 // sharded ParallelKernel both implement it, so networks can be built
 // against either without caring which one steps them. Every cycle runs the
-// same three phases under both: all Ticks, then the serial hooks, then all
-// Updates.
+// same way under both: all Ticks, then the serial hooks.
 type Engine interface {
-	// AddTicker registers a compute-phase component (and its Update method,
-	// when it has one) on the given shard. Shards only partition work across
-	// workers; results do not depend on the assignment.
+	// AddTicker registers a compute-phase component on the given shard.
+	// Shards only partition work across workers; results do not depend on
+	// the assignment.
 	AddTicker(shard int, t Ticker)
-	// AddUpdater registers an update-phase-only component (e.g. a wire
-	// register) on the given shard.
-	AddUpdater(shard int, u Updater)
-	// AddSerial registers a hook run on one goroutine between the tick and
-	// update phases of every cycle, in registration order.
+	// AddSerial registers a hook run on one goroutine after the ticks of
+	// every cycle, in registration order.
 	AddSerial(f func(now uint64))
 	// Now reports the current cycle (the next cycle Step will execute).
 	Now() uint64
@@ -42,54 +38,37 @@ var (
 	_ Engine = (*ParallelKernel)(nil)
 )
 
-// shard is one worker's partition of the component lists.
-type shard struct {
-	tickers  []Ticker
-	updaters []Updater
-}
-
-// Worker phases. The coordinator writes phase between barriers; workers
-// read it after the dispatch channel send, which establishes the required
-// happens-before edge.
-const (
-	phaseTick = iota
-	phaseUpdate
-)
-
 // workerPanic is one captured worker panic, re-raised by the coordinator.
 type workerPanic struct {
 	shard int
 	value any
 }
 
-// ParallelKernel advances the same two-phase cycle as Kernel but shards the
-// tickers and updaters across a bounded pool of persistent workers. Each
-// cycle runs as
+// ParallelKernel advances the same cycle as Kernel but shards the tickers
+// across a bounded pool of persistent workers. Each cycle runs as
 //
-//	tick phase (parallel)  — every shard ticks its components for cycle t
-//	barrier                — all shards done
-//	serial hooks           — deterministic merge/commit work (staged probe
-//	                         events, audit ops, stats observations, global
-//	                         controllers), in registration order
-//	update phase (parallel) — every shard commits its registers
-//	barrier                — all shards done; t becomes t+1
+//	tick phase (parallel) — every shard ticks its components for cycle t
+//	barrier               — all shards done
+//	serial hooks          — deterministic merge/commit work (staged probe
+//	                        events, audit ops, stats observations, global
+//	                        controllers), in registration order; t becomes t+1
 //
 // The contract that makes this sound is the one Kernel already documents:
-// a Tick may only read register state committed in earlier cycles and only
-// write the "next" side of registers it owns, so tickers in different
-// shards never touch the same memory during a phase. Anything that must
-// observe cross-shard state (shared statistics, global frame barriers,
-// probe/audit sinks) runs in the serial hooks between the phases, where the
+// a Tick may only take register values written in earlier cycles and
+// write registers for later ones. A register keeps the two in different
+// slots, so a writer on one shard and a reader on another never touch the
+// same memory within a cycle, and the barrier orders them across cycles.
+// Anything that must observe cross-shard state (shared statistics, global
+// frame barriers, probe/audit sinks) runs in the serial hooks, where the
 // per-shard staging buffers are replayed in a fixed order — which is how
 // results stay byte-identical to the sequential kernel for any worker
 // count.
 type ParallelKernel struct {
 	now    uint64
-	shards []shard
+	shards [][]Ticker // one worker's partition of the tickers each
 	serial []func(now uint64)
 
 	running bool
-	phase   int
 	cycle   uint64
 	work    []chan struct{}
 	wg      sync.WaitGroup
@@ -97,7 +76,7 @@ type ParallelKernel struct {
 
 	// perf is the kernel's telemetry hook (nil = off). The coordinator
 	// arms it between barriers and workers read it only inside a dispatched
-	// phase, so it needs no synchronization beyond the existing barriers.
+	// tick phase, so it needs no synchronization beyond the barrier.
 	perf *perfmon.EngineTimer
 
 	mu sync.Mutex
@@ -115,7 +94,7 @@ func NewParallelKernel(workers int) *ParallelKernel {
 	if workers < 1 {
 		workers = 1
 	}
-	return &ParallelKernel{shards: make([]shard, workers)}
+	return &ParallelKernel{shards: make([][]Ticker, workers)}
 }
 
 // Workers returns the worker count.
@@ -126,29 +105,18 @@ func (k *ParallelKernel) Now() uint64 { return k.now }
 
 // AddTicker registers a compute-phase component on the given shard.
 func (k *ParallelKernel) AddTicker(sh int, t Ticker) {
-	s := &k.shards[sh%len(k.shards)]
-	s.tickers = append(s.tickers, t)
-	if u, ok := t.(Updater); ok {
-		s.updaters = append(s.updaters, u)
-	}
-}
-
-// AddUpdater registers an update-phase-only component (e.g. a wire
-// register) on the given shard. The shard only balances load: barriers
-// separate the phases, so any partition of the updaters is correct.
-func (k *ParallelKernel) AddUpdater(sh int, u Updater) {
-	s := &k.shards[sh%len(k.shards)]
-	s.updaters = append(s.updaters, u)
+	i := sh % len(k.shards)
+	k.shards[i] = append(k.shards[i], t)
 }
 
 // SetPerf attaches an engine telemetry timer (nil detaches). Must be called
 // before the first Step, alongside component registration.
 func (k *ParallelKernel) SetPerf(t *perfmon.EngineTimer) { k.perf = t }
 
-// AddSerial registers a hook run between the tick barrier and the update
-// phase, on the coordinator goroutine, in registration order. Networks use
-// it to replay per-shard staging buffers deterministically and to run
-// global per-cycle controllers.
+// AddSerial registers a hook run after the tick barrier, on the
+// coordinator goroutine, in registration order. Networks use it to replay
+// per-shard staging buffers deterministically and to run global per-cycle
+// controllers.
 func (k *ParallelKernel) AddSerial(f func(now uint64)) {
 	k.serial = append(k.serial, f)
 }
@@ -186,7 +154,7 @@ func (k *ParallelKernel) worker(i int, ch <-chan struct{}) {
 	}
 }
 
-// runShard executes one phase of one shard. It is the per-cycle worker-side
+// runShard executes one shard's tick phase. It is the per-cycle worker-side
 // hot path: the whole compute phase of every node in the shard runs under
 // this frame.
 func (k *ParallelKernel) runShard(i int) {
@@ -202,26 +170,16 @@ func (k *ParallelKernel) runShard(i int) {
 	if k.perf != nil {
 		start = k.perf.WorkerStart()
 	}
-	sh := &k.shards[i]
 	now := k.cycle
-	if k.phase == phaseTick {
-		for _, t := range sh.tickers {
-			t.Tick(now)
-		}
-		if k.perf != nil {
-			k.perf.WorkerDone(i, perfmon.PhaseTick, start)
-		}
-		return
-	}
-	for _, u := range sh.updaters {
-		u.Update(now)
+	for _, t := range k.shards[i] {
+		t.Tick(now)
 	}
 	if k.perf != nil {
-		k.perf.WorkerDone(i, perfmon.PhaseUpdate, start)
+		k.perf.WorkerDone(i, start)
 	}
 }
 
-// dispatch releases every worker for the current phase and waits for the
+// dispatch releases every worker for the tick phase and waits for the
 // barrier.
 func (k *ParallelKernel) dispatch() {
 	k.wg.Add(len(k.work))
@@ -248,8 +206,7 @@ func (k *ParallelKernel) checkPanics() {
 	}
 }
 
-// Step executes exactly one cycle: parallel tick, barrier, serial hooks,
-// parallel update, barrier.
+// Step executes exactly one cycle: parallel tick, barrier, serial hooks.
 func (k *ParallelKernel) Step() {
 	if !k.running {
 		k.start()
@@ -258,7 +215,6 @@ func (k *ParallelKernel) Step() {
 	if k.perf != nil {
 		k.perf.CycleStart(k.now)
 	}
-	k.phase = phaseTick
 	k.dispatch()
 	if k.perf != nil {
 		k.perf.PhaseDone(perfmon.PhaseTick)
@@ -268,11 +224,6 @@ func (k *ParallelKernel) Step() {
 	}
 	if k.perf != nil {
 		k.perf.PhaseDone(perfmon.PhaseSerial)
-	}
-	k.phase = phaseUpdate
-	k.dispatch()
-	if k.perf != nil {
-		k.perf.PhaseDone(perfmon.PhaseUpdate)
 	}
 	k.now++
 }

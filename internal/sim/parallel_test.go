@@ -18,8 +18,8 @@ func TestParallelKernelStepsComponents(t *testing.T) {
 	}
 	k.Run(10)
 	for i, c := range cs {
-		if c.ticks != 10 || c.updates != 10 {
-			t.Fatalf("shard %d: ticks=%d updates=%d, want 10,10", i, c.ticks, c.updates)
+		if c.ticks != 10 {
+			t.Fatalf("shard %d: ticks=%d, want 10", i, c.ticks)
 		}
 		if c.lastNow != 9 {
 			t.Fatalf("shard %d: lastNow=%d, want 9", i, c.lastNow)
@@ -40,8 +40,8 @@ func TestParallelKernelClampsWorkers(t *testing.T) {
 	k.Run(1)
 }
 
-// phaseProbe records the global order of tick, serial, and update callbacks
-// so the two barriers can be asserted.
+// phaseProbe records the global order of tick and serial callbacks so the
+// barrier can be asserted.
 type phaseProbe struct {
 	seq *[]string // written only under the kernel's phase structure
 	mu  chan struct{}
@@ -54,8 +54,7 @@ func (p *phaseProbe) record(s string) {
 	<-p.mu
 }
 
-func (p *phaseProbe) Tick(now uint64)   { p.record("tick:" + p.tag) }
-func (p *phaseProbe) Update(now uint64) { p.record("update:" + p.tag) }
+func (p *phaseProbe) Tick(now uint64) { p.record("tick:" + p.tag) }
 
 func TestParallelKernelPhaseOrdering(t *testing.T) {
 	k := NewParallelKernel(3)
@@ -68,10 +67,13 @@ func TestParallelKernelPhaseOrdering(t *testing.T) {
 	k.AddSerial(func(now uint64) { seq = append(seq, "serial-a") })
 	k.AddSerial(func(now uint64) { seq = append(seq, "serial-b") })
 	k.Step()
-	if len(seq) != 8 {
-		t.Fatalf("got %d events, want 8: %v", len(seq), seq)
+	k.Step()
+	cycle := []string{"tick", "tick", "tick", "serial-a", "serial-b"}
+	want := append(cycle, cycle...)
+	if len(seq) != len(want) {
+		t.Fatalf("got %d events, want %d: %v", len(seq), len(want), seq)
 	}
-	for i, want := range []string{"tick", "tick", "tick", "serial-a", "serial-b", "update", "update", "update"} {
+	for i, want := range want {
 		if !strings.HasPrefix(seq[i], want) {
 			t.Fatalf("event %d = %q, want prefix %q (full: %v)", i, seq[i], want, seq)
 		}
@@ -108,8 +110,8 @@ func TestParallelKernelCloseRestarts(t *testing.T) {
 
 // TestParallelKernelMoreWorkersThanComponents covers degenerate sharding:
 // a pool wider than the component population leaves some shards permanently
-// empty, and those workers must still rendezvous at both barriers every
-// cycle without stalling or double-stepping the populated shards.
+// empty, and those workers must still rendezvous at the barrier every cycle
+// without stalling or double-stepping the populated shards.
 func TestParallelKernelMoreWorkersThanComponents(t *testing.T) {
 	k := NewParallelKernel(8)
 	defer k.Close()
@@ -122,8 +124,8 @@ func TestParallelKernelMoreWorkersThanComponents(t *testing.T) {
 	k.AddSerial(func(now uint64) { serial++ })
 	k.Run(25)
 	for i, c := range cs {
-		if c.ticks != 25 || c.updates != 25 {
-			t.Fatalf("shard %d: ticks=%d updates=%d, want 25,25", i, c.ticks, c.updates)
+		if c.ticks != 25 {
+			t.Fatalf("shard %d: ticks=%d, want 25", i, c.ticks)
 		}
 	}
 	if serial != 25 || k.Now() != 25 {
@@ -138,7 +140,7 @@ func TestParallelKernelMoreWorkersThanComponents(t *testing.T) {
 }
 
 func TestParallelKernelPerfTelemetry(t *testing.T) {
-	m := perfmon.New(perfmon.Config{SampleEvery: 1, Workers: 2})
+	m := perfmon.New(perfmon.Config{SampleEvery: 1})
 	k := NewParallelKernel(2)
 	defer k.Close()
 	k.SetPerf(m.Engine(k.Workers()))
@@ -155,8 +157,8 @@ func TestParallelKernelPerfTelemetry(t *testing.T) {
 		t.Fatalf("engine stat: %+v", s.Engine)
 	}
 	for _, w := range s.Engine.PerWorker {
-		if w.Phases != 20 { // 10 tick + 10 update phases each
-			t.Fatalf("worker %d saw %d phases, want 20", w.Worker, w.Phases)
+		if w.Phases != 10 {
+			t.Fatalf("worker %d saw %d tick phases, want 10", w.Worker, w.Phases)
 		}
 	}
 }
@@ -233,17 +235,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 			sums = append(sums, sum)
 			stage := i
 			e.AddTicker(i, tickFunc(func(now uint64) {
-				if v, ok := in.Take(); ok {
-					*sum += v
-					out.Write(v + stage)
+				if v, ok := in.Take(now); ok {
+					*sum += *v
+					out.Write(now, *v+stage)
 				} else if now == 0 && stage == 0 {
-					out.Write(1)
+					out.Write(now, 1)
 				}
 			}))
-			e.AddUpdater(i, out)
 		}
-		// The serial hook folds the stage sums as they stand between the
-		// tick and update phases of each cycle.
+		// The serial hook folds the stage sums as they stand after the
+		// ticks of each cycle.
 		fold := new(int)
 		sums = append(sums, fold)
 		e.AddSerial(func(now uint64) {
@@ -273,3 +274,39 @@ func TestParallelMatchesSequential(t *testing.T) {
 type tickFunc func(now uint64)
 
 func (f tickFunc) Tick(now uint64) { f(now) }
+
+// TestParallelKernelRegParity runs a ring of components in which each takes,
+// every cycle, the value its neighbour on another shard wrote the cycle
+// before, while writing its own for the next. The taker and the writer of
+// one register run concurrently in every tick phase, on the two parity
+// slots, with only the one barrier per cycle between them; under -race this
+// is the test that the slots never overlap.
+func TestParallelKernelRegParity(t *testing.T) {
+	for _, workers := range []int{2, 3} {
+		const n, cycles = 6, 300
+		k := NewParallelKernel(workers)
+		regs := make([]*Reg[uint64], n)
+		for i := range regs {
+			regs[i] = NewReg[uint64]("ring")
+		}
+		bad := make([]int, n)
+		for i := 0; i < n; i++ {
+			in, out, id := regs[(i+n-1)%n], regs[i], uint64(i)
+			k.AddTicker(i, tickFunc(func(now uint64) {
+				p, ok := in.Take(now)
+				want := (id+n-1)%n*cycles + now - 1
+				if now > 0 && (!ok || *p != want) {
+					bad[id]++
+				}
+				out.Write(now, id*cycles+now)
+			}))
+		}
+		k.Run(cycles)
+		k.Close()
+		for i, b := range bad {
+			if b != 0 {
+				t.Errorf("workers=%d: component %d took a wrong or missing value in %d cycles", workers, i, b)
+			}
+		}
+	}
+}

@@ -2,63 +2,53 @@ package sim
 
 // Reg is a one-entry pipeline register carrying values of type T across a
 // cycle boundary. A value written during Tick of cycle n becomes readable
-// during Tick of cycle n+1. Reg models a wire/latch with one cycle of
-// latency; links between routers are built from them.
+// during Tick of cycle n+1, and only then: a value nobody takes in that
+// cycle is gone. Reg models a wire/latch with one cycle of latency; links
+// between routers are built from them.
+//
+// The register needs no commit step. It holds two slots indexed by cycle
+// parity, each stamped with the cycle in which it may be read: a write in
+// cycle n fills slot (n+1)&1 and a read in cycle n looks at slot n&1, so
+// the writer and the reader of one cycle never touch the same slot.
 //
 // A Reg holds at most one value per cycle. Writing twice in the same cycle
 // panics: it indicates a structural hazard in the model (two drivers on one
 // wire), which must be resolved by arbitration in the writer.
 type Reg[T any] struct {
-	cur, next  T
-	curOK      bool
-	nextOK     bool
-	name       string
-	unconsumed bool // cur was not Taken before the next Update
+	slot [2]T
+	at   [2]uint64 // cycle in which slot[i] is readable; noCycle when empty
+	name string
 }
 
+// noCycle stamps an empty slot: no cycle ever reaches it.
+const noCycle = ^uint64(0)
+
 // NewReg returns an empty register. The name is used in hazard panics.
-func NewReg[T any](name string) *Reg[T] { return &Reg[T]{name: name} }
+func NewReg[T any](name string) *Reg[T] {
+	return &Reg[T]{at: [2]uint64{noCycle, noCycle}, name: name}
+}
 
 // Name returns the register's diagnostic name.
 func (r *Reg[T]) Name() string { return r.name }
 
-// Peek returns the committed value, if any, without consuming it.
-func (r *Reg[T]) Peek() (T, bool) { return r.cur, r.curOK }
-
-// Full reports whether a committed value is present.
-func (r *Reg[T]) Full() bool { return r.curOK }
-
-// Take consumes and returns the committed value. The second result is false
-// when the register is empty.
-func (r *Reg[T]) Take() (T, bool) {
-	v, ok := r.cur, r.curOK
-	if ok {
-		var zero T
-		r.cur, r.curOK = zero, false
+// Take consumes the value written in cycle now-1. It returns a pointer into
+// the register, valid until the end of cycle now, and false when nothing
+// was written.
+func (r *Reg[T]) Take(now uint64) (*T, bool) {
+	i := now & 1
+	if r.at[i] != now {
+		return nil, false
 	}
-	return v, ok
+	r.at[i] = noCycle
+	return &r.slot[i], true
 }
 
-// Write stores v on the next side of the register. It panics when the next
-// side is already occupied, signalling two drivers in the same cycle.
-func (r *Reg[T]) Write(v T) {
-	if r.nextOK {
+// Write stores v for reading in cycle now+1. It panics when a value was
+// already written in cycle now, signalling two drivers in the same cycle.
+func (r *Reg[T]) Write(now uint64, v T) {
+	i := (now + 1) & 1
+	if r.at[i] == now+1 {
 		panic("sim: double write to register " + r.name)
 	}
-	r.next, r.nextOK = v, true
+	r.slot[i], r.at[i] = v, now+1
 }
-
-// Update commits the next value. An unconsumed committed value is dropped;
-// receivers that need back-pressure must model it with credits, exactly as
-// the hardware does.
-func (r *Reg[T]) Update(uint64) {
-	r.unconsumed = r.curOK
-	r.cur, r.curOK = r.next, r.nextOK
-	var zero T
-	r.next, r.nextOK = zero, false
-}
-
-// DroppedLast reports whether the previous Update discarded an unconsumed
-// value. Integration tests use it as an assertion hook: in a correctly
-// credited design no value is ever dropped.
-func (r *Reg[T]) DroppedLast() bool { return r.unconsumed }

@@ -7,20 +7,18 @@ import (
 
 type counter struct {
 	ticks   int
-	updates int
 	lastNow uint64
 }
 
-func (c *counter) Tick(now uint64)   { c.ticks++; c.lastNow = now }
-func (c *counter) Update(now uint64) { c.updates++ }
+func (c *counter) Tick(now uint64) { c.ticks++; c.lastNow = now }
 
 func TestKernelStepsComponents(t *testing.T) {
 	k := NewKernel()
 	c := &counter{}
 	k.Add(c)
 	k.Run(10)
-	if c.ticks != 10 || c.updates != 10 {
-		t.Fatalf("ticks=%d updates=%d, want 10,10", c.ticks, c.updates)
+	if c.ticks != 10 {
+		t.Fatalf("ticks=%d, want 10", c.ticks)
 	}
 	if k.Now() != 10 || c.lastNow != 9 {
 		t.Fatalf("Now=%d lastNow=%d", k.Now(), c.lastNow)
@@ -40,48 +38,99 @@ func TestKernelRunUntil(t *testing.T) {
 	}
 }
 
-func TestRegOneCycleLatency(t *testing.T) {
-	r := NewReg[int]("t")
-	if _, ok := r.Peek(); ok {
-		t.Fatal("fresh register not empty")
-	}
-	r.Write(42)
-	if _, ok := r.Peek(); ok {
-		t.Fatal("write visible before update")
-	}
-	r.Update(0)
-	v, ok := r.Take()
-	if !ok || v != 42 {
-		t.Fatalf("Take = (%d,%v), want (42,true)", v, ok)
-	}
-	if _, ok := r.Take(); ok {
-		t.Fatal("double take")
-	}
-}
-
 func TestRegDoubleWritePanics(t *testing.T) {
 	r := NewReg[int]("t")
-	r.Write(1)
+	r.Write(0, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double write did not panic")
 		}
 	}()
-	r.Write(2)
+	r.Write(0, 2)
 }
 
-func TestRegDropDetection(t *testing.T) {
-	r := NewReg[int]("t")
-	r.Write(1)
-	r.Update(0)
-	// Value not taken before next update: dropped.
-	r.Write(2)
-	r.Update(1)
-	if !r.DroppedLast() {
-		t.Fatal("drop not detected")
+// refReg is the two-phase register the stamped Reg replaced: Write fills a
+// next side that Update commits at the end of every cycle, dropping a
+// committed value nobody took. TestRegLockStep holds Reg to it.
+type refReg[T any] struct {
+	cur, next     T
+	curOK, nextOK bool
+	name          string
+}
+
+func (r *refReg[T]) Take() (T, bool) {
+	v, ok := r.cur, r.curOK
+	if ok {
+		var zero T
+		r.cur, r.curOK = zero, false
 	}
-	if v, _ := r.Take(); v != 2 {
-		t.Fatalf("got %d, want 2", v)
+	return v, ok
+}
+
+func (r *refReg[T]) Write(v T) {
+	if r.nextOK {
+		panic("sim: double write to register " + r.name)
+	}
+	r.next, r.nextOK = v, true
+}
+
+func (r *refReg[T]) Update() {
+	r.cur, r.curOK = r.next, r.nextOK
+	var zero T
+	r.next, r.nextOK = zero, false
+}
+
+// panics reports whether f panics, and with what.
+func panics(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestRegLockStep drives Reg and refReg with the same random program of
+// writes, takes and cycle ends. It requires the same taken values and the
+// same double-write panics, and that a value nobody took in the cycle after
+// its write cannot be taken in the cycle after that.
+func TestRegLockStep(t *testing.T) {
+	check := func(prog []byte) bool {
+		r := NewReg[int]("lockstep")
+		ref := &refReg[int]{name: "lockstep"}
+		var now uint64
+		for i, op := range prog {
+			switch op % 4 {
+			case 0:
+				v := int(op>>2) + i
+				got, want := panics(func() { r.Write(now, v) }), panics(func() { ref.Write(v) })
+				if got != want {
+					t.Logf("op %d cycle %d: Write panicked with %v, reference with %v", i, now, got, want)
+					return false
+				}
+			case 1, 2:
+				p, ok := r.Take(now)
+				v, wantOK := ref.Take()
+				if ok != wantOK || ok && *p != v {
+					t.Logf("op %d cycle %d: Take = (%v, %v), reference (%d, %v)", i, now, p, ok, v, wantOK)
+					return false
+				}
+			case 3:
+				dropped := ref.curOK && !ref.nextOK
+				ref.Update()
+				now++
+				if !dropped {
+					continue
+				}
+				// The reference holds nothing now, so this probe keeps the
+				// two in step.
+				if p, ok := r.Take(now); ok {
+					t.Logf("op %d: value %d untaken in cycle %d still readable in cycle %d", i, *p, now-1, now)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -124,7 +124,7 @@ func TestPerfmonByteIdentity(t *testing.T) {
 			t.Fatalf("%s: bare run delivered no packets", arch)
 		}
 		for _, workers := range []int{1, 2} {
-			mon := perfmon.New(perfmon.Config{SampleEvery: 1, Workers: workers})
+			mon := perfmon.New(perfmon.Config{SampleEvery: 1})
 			prof := runObservedPerf(t, arch, 1, workers, mon)
 			checkIdentical(t, arch, 1, workers, bare, prof)
 			snap := mon.Snapshot()
