@@ -11,6 +11,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector. This is also the compute-phase
+# purity gate: every workers2 row of TestGolden (both architectures, and the
+# observed rows with probe, auditor and fault plan attached) runs two shards
+# at once, so a node Tick that writes shared state — a collector, the tracer,
+# the auditor, a commit-only field, a shared counter — instead of staging it
+# is reported as a data race (DESIGN.md §15).
 race:
 	$(GO) test -race ./...
 
@@ -36,9 +42,10 @@ par-smoke:
 vet:
 	$(GO) vet ./...
 
-# The repo's own analyzers (cmd/loftcheck): determinism, hookguard,
-# stagepurity. -strict also rejects //lint:ignore suppressions, so the
-# simulation packages stay at zero diagnostics AND zero suppressions.
+# The repo's own analyzer (cmd/loftcheck): determinism, which keeps wall
+# clocks, global RNGs, environment reads and order-leaking map iteration out
+# of the simulation packages. -strict also rejects //lint:ignore
+# suppressions, so they stay at zero diagnostics AND zero suppressions.
 lint:
 	$(GO) run ./cmd/loftcheck -strict ./...
 

@@ -1,5 +1,6 @@
-// Command loftcheck runs the repo's custom static analyzers (internal/lint)
-// over the module: determinism, hookguard, stagepurity.
+// Command loftcheck runs the repo's static analyzer (internal/lint) over the
+// module: determinism, which keeps wall clocks, global RNGs, environment
+// reads and order-leaking map iteration out of the simulation packages.
 //
 // Usage:
 //
@@ -17,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"loft/internal/lint"
 )
@@ -30,8 +30,7 @@ func run() int {
 	fs := flag.NewFlagSet("loftcheck", flag.ContinueOnError)
 	var (
 		jsonOut = fs.Bool("json", false, "emit diagnostics as a JSON document instead of file:line:col text")
-		list    = fs.Bool("list", false, "list the available analyzers and exit")
-		runSel  = fs.String("run", "", "comma-separated analyzer names to run (default: all)")
+		list    = fs.Bool("list", false, "list the analyzers and exit")
 		strict  = fs.Bool("strict", false, "also fail when //lint:ignore suppressions are present")
 		dir     = fs.String("C", "", "directory to locate the module from (default: working directory)")
 	)
@@ -50,19 +49,9 @@ func run() int {
 		return 0
 	}
 
-	analyzers := lint.All()
-	if *runSel != "" {
-		var err error
-		if analyzers, err = lint.ByName(strings.Split(*runSel, ",")); err != nil {
-			fmt.Fprintf(os.Stderr, "loftcheck: -run: %v\n", err)
-			return 2
-		}
-	}
-
 	res, err := lint.Run(lint.Config{
-		Patterns:  fs.Args(),
-		Analyzers: analyzers,
-		Dir:       *dir,
+		Patterns: fs.Args(),
+		Dir:      *dir,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loftcheck: %v\n", err)

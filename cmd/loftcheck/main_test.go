@@ -93,8 +93,8 @@ func TestBrokenModuleJSON(t *testing.T) {
 	if d.Analyzer != "determinism" || d.File != filepath.Join("internal", "lsf", "bad.go") || d.Line <= 0 || d.Col <= 0 {
 		t.Errorf("diagnostic fields wrong: %+v", d)
 	}
-	if len(doc.Analyzers) != 3 {
-		t.Errorf("envelope names %d analyzers, want 3: %v", len(doc.Analyzers), doc.Analyzers)
+	if len(doc.Analyzers) != 1 || doc.Analyzers[0] != "determinism" {
+		t.Errorf("envelope names analyzers %v, want [determinism]", doc.Analyzers)
 	}
 }
 
@@ -113,14 +113,6 @@ func TestSuppressedModuleCleanByDefaultRejectedByStrict(t *testing.T) {
 	}
 }
 
-func TestRunSelectsAnalyzers(t *testing.T) {
-	// hookguard alone must not see the determinism violation.
-	out, code := runBin(t, "-run", "hookguard", "-C", "testdata/brokenmod", "./...")
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0\n%s", code, out)
-	}
-}
-
 func TestNoMatchPatternIsRunError(t *testing.T) {
 	out, code := runBin(t, "./nonexistent/...")
 	if code != 2 {
@@ -131,34 +123,12 @@ func TestNoMatchPatternIsRunError(t *testing.T) {
 	}
 }
 
-func TestUnknownAnalyzerIsUsageError(t *testing.T) {
-	for _, tc := range []struct{ run, want string }{
-		{"nosuch", "unknown analyzer"},
-		{"determinism,", "empty analyzer name"},
-		{",", "empty analyzer name"},
-		{"determinism,determinism", "named twice"},
-	} {
-		out, code := runBin(t, "-run", tc.run, "./...")
-		if code != 2 {
-			t.Errorf("-run %q: exit code = %d, want 2\n%s", tc.run, code, out)
-		}
-		if !strings.Contains(out, tc.want) {
-			t.Errorf("-run %q: output lacks %q:\n%s", tc.run, tc.want, out)
-		}
-	}
-}
-
 func TestListAnalyzers(t *testing.T) {
 	out, code := runBin(t, "-list")
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\n%s", code, out)
 	}
-	for _, name := range []string{"determinism", "hookguard", "stagepurity"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list output missing %s:\n%s", name, out)
-		}
-	}
-	if n := strings.Count(out, "\n"); n != 3 {
-		t.Errorf("-list printed %d lines, want 3:\n%s", n, out)
+	if !strings.HasPrefix(out, "determinism ") || strings.Count(out, "\n") != 1 {
+		t.Errorf("-list must print the determinism analyzer alone:\n%s", out)
 	}
 }

@@ -86,7 +86,7 @@ func main() {
 	}
 	if err := validateFlags(cliFlags{
 		Arch: *arch, Pattern: *pattern, Trace: *replay, GenTrace: *genTrace,
-		Rate: *rate, Spec: *spec, Seeds: *seeds, Verbose: *verbose, Heatmap: *heatmap,
+		Rate: *rate, Cycles: *cycles, Spec: *spec, Seeds: *seeds, Verbose: *verbose, Heatmap: *heatmap,
 		Workers: s.Workers, JSet: s.JSet, NodeWorkers: s.NodeWorkers,
 		Observed: s.Observed(), Plan: s.Plan,
 	}); err != nil {

@@ -28,7 +28,8 @@ type cliFlags struct {
 	Trace       string // -trace replay file, "" when synthetic
 	GenTrace    int
 	Rate        float64
-	Spec        int // -spec, the LOFT speculative buffer in flits
+	Cycles      uint64 // -cycles, the measured window
+	Spec        int    // -spec, the LOFT speculative buffer in flits
 	Seeds       int
 	Verbose     bool // -v
 	Heatmap     bool // -heatmap
@@ -43,9 +44,9 @@ type cliFlags struct {
 // deep inside the run or be silently ignored: unknown arch/pattern used to
 // surface only after traffic construction, a negative -spec only after the
 // profilers had started, and a -fault plan alongside -gentrace, or -v and
-// -heatmap alongside -seeds, were dropped without a word. The execution-flag
-// rules are the session's (runio.ValidateExec). Callers report the error and
-// exit 2.
+// -heatmap alongside -seeds, were dropped without a word, and -cycles 0
+// printed an all-zero summary and exited 0. The execution-flag rules are the
+// session's (runio.ValidateExec). Callers report the error and exit 2.
 func validateFlags(f cliFlags) error {
 	if f.Arch != "loft" && f.Arch != "gsf" {
 		return fmt.Errorf("unknown architecture %q (want loft or gsf)", f.Arch)
@@ -55,6 +56,9 @@ func validateFlags(f cliFlags) error {
 	}
 	if math.IsNaN(f.Rate) || math.IsInf(f.Rate, 0) || f.Rate < 0 {
 		return fmt.Errorf("-rate %g must be a finite, non-negative offered load in flits/cycle/node", f.Rate)
+	}
+	if f.Cycles == 0 {
+		return fmt.Errorf("-cycles 0 measures nothing; give the measured window in cycles")
 	}
 	if f.GenTrace < 0 {
 		return fmt.Errorf("-gentrace %d is negative; give the number of packets to generate", f.GenTrace)

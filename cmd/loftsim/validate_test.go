@@ -20,7 +20,7 @@ func mustPlan(t *testing.T, spec string) *fault.Plan {
 // base returns a flag set that passes validation; each test case mutates one
 // aspect of it.
 func base() cliFlags {
-	return cliFlags{Arch: "loft", Pattern: "uniform", Rate: 0.1, Spec: 12, Seeds: 1}
+	return cliFlags{Arch: "loft", Pattern: "uniform", Rate: 0.1, Cycles: 20000, Spec: 12, Seeds: 1}
 }
 
 // TestValidateFlagsAccepts pins combinations that must keep working: the
@@ -109,6 +109,7 @@ func TestValidateFlagsRejects(t *testing.T) {
 		{"negative rate", func(f *cliFlags) { f.Rate = -0.1 }, "-rate"},
 		{"NaN rate", func(f *cliFlags) { f.Rate = math.NaN() }, "-rate NaN"},
 		{"infinite rate", func(f *cliFlags) { f.Rate = math.Inf(1) }, "-rate +Inf"},
+		{"zero cycles", func(f *cliFlags) { f.Cycles = 0 }, "-cycles 0"},
 		{"negative gentrace", func(f *cliFlags) { f.GenTrace = -1 }, "-gentrace"},
 		{"negative spec", func(f *cliFlags) { f.Spec = -3 }, "-spec -3: config: negative speculative buffer"},
 		{"zero seeds", func(f *cliFlags) { f.Seeds = 0 }, "-seeds"},

@@ -8,11 +8,12 @@ import (
 
 // Wire encoding of look-ahead flits (§5.1.1): the paper packs destination
 // (6 bits), flow number (6 bits), quantum number (10 bits) and departure time
-// (10 bits) into a 32-bit payload carried on a 64-bit look-ahead link. We
-// reproduce that layout exactly; the codec is exercised by the router model
-// so that field-width truncation behaves like the hardware (times and
-// quantum numbers wrap modulo 2^10 and are reconstructed against the current
-// cycle at the receiver).
+// (10 bits) into a 32-bit payload carried on a 64-bit look-ahead link. This
+// file is a stand-alone transcription of that layout, checked by its test:
+// the router model passes Lookahead values over its links and never calls
+// the codec. It pins how field-width truncation behaves in the hardware
+// (times and quantum numbers wrap modulo 2^10 and are reconstructed against
+// the current cycle at the receiver).
 const (
 	dstBits     = 6
 	flowBits    = 6

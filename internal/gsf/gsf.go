@@ -185,18 +185,12 @@ func newNode(id topo.NodeID, cfg config.GSF, net *Network, slot *netsim.Slot) *n
 
 // Tick advances this node one cycle (sim.Ticker): it drains the node's
 // traffic injector into the source queue, then runs the router pipeline.
-//
-//loft:computephase
 func (n *node) Tick(now uint64) {
-	if n.perf != nil {
-		n.perf.Begin(now)
-	}
+	n.perf.Begin(now)
 	for _, pkt := range n.inj.Next(now) {
 		n.enqueue(pkt)
 	}
-	if n.perf != nil {
-		n.perf.Lap(perfmon.StageBooking)
-	}
+	n.perf.Lap(perfmon.StageBooking)
 	n.tick(now)
 }
 
@@ -210,30 +204,20 @@ func (n *node) addFrame(frame, delta int) {
 func (n *node) tick(now uint64) {
 	n.drain(now)
 	n.gather(now)
-	if n.perf != nil {
-		n.perf.Lap(perfmon.StageDrain)
-	}
+	n.perf.Lap(perfmon.StageDrain)
 	n.allocateVCs()
-	if n.perf != nil {
-		n.perf.Lap(perfmon.StageVCAlloc)
-	}
+	n.perf.Lap(perfmon.StageVCAlloc)
 	n.switchFlits(now)
-	if n.perf != nil {
-		n.perf.Lap(perfmon.StageSwitch)
-	}
+	n.perf.Lap(perfmon.StageSwitch)
 	n.inject(now)
-	if n.perf != nil {
-		n.perf.Lap(perfmon.StageBooking)
-	}
+	n.perf.Lap(perfmon.StageBooking)
 	for d := 0; d < 4; d++ {
 		if n.pendCredSet[d] {
 			n.credOut[d].Write(now, n.pendCred[d])
 			n.pendCredSet[d] = false
 		}
 	}
-	if n.perf != nil {
-		n.perf.Lap(perfmon.StageFlush)
-	}
+	n.perf.Lap(perfmon.StageFlush)
 }
 
 // drain takes this cycle's flit and credit off every input link.

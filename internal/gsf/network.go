@@ -26,14 +26,12 @@ type Network struct {
 
 	// Barrier / global frame state. Commit-only: the compute phase may read
 	// head (stable between barriers) but every write happens in the serial
-	// commit phase — nodes stage census updates as frameDeltas instead.
-	//
-	//loft:commitonly
-	head int // H: the head frame (absolute)
-	//loft:commitonly
+	// commit phase — nodes stage census updates as frameDeltas instead. A
+	// compute-phase write is a data race on the two-worker goldens under
+	// -race.
+	head       int // H: the head frame (absolute)
 	frameCount map[int]int
-	//loft:commitonly
-	barrier int // countdown; 0 = idle
+	barrier    int // countdown; 0 = idle
 
 	// throttleCycles counts source-stall cycles for the probe registry
 	// (events fire only on the stall edge).
@@ -172,8 +170,6 @@ func (net *Network) wire() {
 // commitFrames is the harness's per-cycle commit hook: it applies every
 // node's staged frame-census and throttle deltas, then advances the barrier
 // controller. Both are sums, so node order does not matter here.
-//
-//loft:commitphase
 func (net *Network) commitFrames(now uint64) {
 	for _, n := range net.nodes {
 		for _, fd := range n.frameDeltas {

@@ -10,33 +10,24 @@ import (
 
 // The corpus harness: each analyzer has a true-positive package (a) whose
 // findings are pinned by `// want "regexp"` comments, and a clean-negative
-// package (clean) that must produce nothing. Packages are loaded through the
-// same loader as real runs, with Match bypassed so import paths don't
-// matter.
-
-var corpusAnalyzers = []struct {
-	name string
-	mk   func() *Analyzer
-}{
-	{"determinism", Determinism},
-	{"hookguard", HookGuard},
-	{"stagepurity", StagePurity},
-}
+// package (clean) that must produce nothing, under testdata/src/<name>.
+// Packages are loaded through the same loader as real runs, with Match
+// bypassed so import paths don't matter.
 
 func TestCorpus(t *testing.T) {
 	ld, err := newLoader(".")
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	for _, ca := range corpusAnalyzers {
+	for _, a := range All() {
 		for _, variant := range []string{"a", "clean"} {
-			t.Run(ca.name+"/"+variant, func(t *testing.T) {
-				dir := filepath.Join("testdata", "src", ca.name, variant)
-				pkg, err := ld.loadDir("corpus/"+ca.name+"/"+variant, dir)
+			t.Run(a.Name+"/"+variant, func(t *testing.T) {
+				dir := filepath.Join("testdata", "src", a.Name, variant)
+				pkg, err := ld.loadDir("corpus/"+a.Name+"/"+variant, dir)
 				if err != nil {
 					t.Fatalf("load %s: %v", dir, err)
 				}
-				active, suppressed := runPackage(pkg, []*Analyzer{ca.mk()}, true)
+				active, suppressed := runPackage(pkg, true)
 				if len(suppressed) != 0 {
 					t.Errorf("corpus package %s has suppressions; corpora must pin findings with want comments", dir)
 				}

@@ -22,7 +22,7 @@ func loadSuppressCorpus(t *testing.T) (active, suppressed []Diagnostic) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	return runPackage(pkg, []*Analyzer{Determinism()}, true)
+	return runPackage(pkg, true)
 }
 
 func TestSuppressions(t *testing.T) {
@@ -61,30 +61,9 @@ func TestSuppressions(t *testing.T) {
 	}
 }
 
-func TestSuppressionForUnknownAnalyzerNotReportedUnused(t *testing.T) {
-	// When only hookguard runs, the determinism ignores in the suppress
-	// corpus are for an analyzer not in this run — they must not be
-	// reported as unused (a partial -run must not invalidate directives
-	// belonging to the full run).
-	ld, err := newLoader(".")
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	pkg, err := ld.loadDir("corpus/suppress", "testdata/src/suppress")
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	active, _ := runPackage(pkg, []*Analyzer{HookGuard()}, true)
-	for _, d := range active {
-		if strings.Contains(d.Message, "unused //lint:ignore") {
-			t.Errorf("ignore for an analyzer outside this run reported unused: %s", d)
-		}
-	}
-}
-
 func TestSuppressionNamingNoAnalyzerReported(t *testing.T) {
 	// A directive for an analyzer that does not exist can never suppress
-	// anything; it is reported whichever analyzers the run selects.
+	// anything; it is reported as such, not as merely unused.
 	dir := t.TempDir()
 	src := "package p\n\n//lint:ignore nosuchanalyzer reason\nvar x = 1\n"
 	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
@@ -98,12 +77,10 @@ func TestSuppressionNamingNoAnalyzerReported(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	for _, as := range [][]*Analyzer{All(), {HookGuard()}} {
-		active, _ := runPackage(pkg, as, true)
-		if len(active) != 1 || active[0].Analyzer != "lint" || active[0].Pos.Line != 3 ||
-			!strings.Contains(active[0].Message, `unknown analyzer "nosuchanalyzer"`) {
-			t.Errorf("want one lint diagnostic on line 3 naming the unknown analyzer, got %v", active)
-		}
+	active, _ := runPackage(pkg, true)
+	if len(active) != 1 || active[0].Analyzer != "lint" || active[0].Pos.Line != 3 ||
+		!strings.Contains(active[0].Message, `unknown analyzer "nosuchanalyzer"`) {
+		t.Errorf("want one lint diagnostic on line 3 naming the unknown analyzer, got %v", active)
 	}
 }
 
@@ -175,27 +152,6 @@ func TestWriteJSONEmptyDiagnosticsIsArray(t *testing.T) {
 	}
 	if doc["clean"] != true {
 		t.Errorf("clean=%v, want true", doc["clean"])
-	}
-}
-
-func TestByName(t *testing.T) {
-	as, err := ByName([]string{"stagepurity", "determinism"})
-	if err != nil || len(as) != 2 || as[0].Name != "stagepurity" || as[1].Name != "determinism" {
-		t.Errorf("ByName returned %v (err=%v)", as, err)
-	}
-	for _, tc := range []struct {
-		names []string
-		want  string
-	}{
-		{[]string{"nosuch"}, `unknown analyzer "nosuch"`},
-		{[]string{"determinism", ""}, "empty analyzer name"},
-		{[]string{""}, "empty analyzer name"},
-		{[]string{"determinism", "determinism"}, `analyzer "determinism" named twice`},
-	} {
-		as, err := ByName(tc.names)
-		if err == nil || !strings.Contains(err.Error(), tc.want) || as != nil {
-			t.Errorf("ByName(%q) = %v, %v; want error containing %q", tc.names, as, err, tc.want)
-		}
 	}
 }
 

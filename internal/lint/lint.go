@@ -1,28 +1,26 @@
 // Package lint is loftcheck's analyzer framework: a stdlib-only static
-// analysis driver (go/ast, go/parser, go/token, go/types) that proves the
-// repo's engineering invariants at build time instead of observing them at
-// run time.
+// analysis driver (go/ast, go/parser, go/token, go/types) for the one
+// invariant the runtime checks cannot see.
 //
 // The framework loads packages from source, type-checks them against export
-// data produced by the go tool (load.go), and runs a set of repo-specific
-// analyzers over the typed syntax trees:
+// data produced by the go tool (load.go), and runs one repo-specific
+// analyzer over the typed syntax trees:
 //
 //   - determinism: simulation packages must not consult wall-clock time,
 //     the global math/rand generators, or iterate maps where the iteration
 //     order can leak into results (the parallel-sweep ≡ sequential
-//     byte-identity contract).
-//   - hookguard: every probe/audit sink call must be dominated by a nil
-//     check of its receiver, or a stage emission by the stage's Wants (the
-//     "un-audited run takes the exact same hot path" guarantee).
-//   - stagepurity: functions reachable from a parallel compute-phase entry
-//     point (//loft:computephase, or a Tick registered via AddTicker on an
-//     engine or the netsim harness) must not call serial-only sinks or write
-//     //loft:commitonly fields — all order-sensitive effects go through the
-//     staging buffers. A cycle has one compute phase and then the serial
-//     hooks; link registers need no commit step in between.
+//     byte-identity contract). A wall-clock read or an unseeded draw can
+//     agree with every stored golden on the day it lands, so only a static
+//     check catches it.
 //
-// The zero-allocation steady state is not proved here: the root package's
-// TestSteadyStateZeroAlloc measures it over a table of real runs.
+// The other engineering contracts are checked at run time. The observer
+// sinks (perfmon timers and monitor, probe stages, tracer and probe, the
+// auditor) are no-ops on a nil handle or an unwanted kind, so a missing
+// call-site guard costs argument evaluation, never a record. Compute-phase
+// purity — no shared, order-sensitive write from a node's Tick — is what
+// `go test -race` reports on the two-worker goldens (make race). The
+// zero-allocation steady state is measured by the root package's
+// TestSteadyStateZeroAlloc over a table of real runs.
 //
 // Diagnostics carry file:line:col positions and can be suppressed — with a
 // mandatory reason — by a `//lint:ignore <analyzer> <reason>` comment on the
@@ -160,9 +158,9 @@ func collectIgnores(fset *token.FileSet, f *ast.File, diags *[]Diagnostic) map[i
 
 // runPackage executes every applicable analyzer over one loaded package and
 // returns its active and suppressed diagnostics.
-func runPackage(pkg *Package, analyzers []*Analyzer, bypassMatch bool) (active, suppressed []Diagnostic) {
+func runPackage(pkg *Package, bypassMatch bool) (active, suppressed []Diagnostic) {
 	var diags []Diagnostic
-	for _, a := range analyzers {
+	for _, a := range All() {
 		if !bypassMatch && a.Match != nil && !a.Match(pkg.Pkg.Path()) {
 			continue
 		}
@@ -196,20 +194,16 @@ func runPackage(pkg *Package, analyzers []*Analyzer, bypassMatch bool) (active, 
 	}
 	// Unused directives are diagnostics too: a stale ignore hides nothing
 	// today but will silently swallow a real finding tomorrow. One naming no
-	// analyzer at all can never be used, whichever analyzers this run selects.
+	// analyzer at all can never be used.
 	for _, file := range ignores {
 		for _, dirs := range file {
 			for _, dir := range dirs {
-				var msg string
-				switch {
-				case dir.used:
+				if dir.used {
 					continue
-				case !analyzerKnown(All(), dir.analyzer):
+				}
+				msg := fmt.Sprintf("unused //lint:ignore %s directive (no diagnostic to suppress)", dir.analyzer)
+				if !analyzerKnown(dir.analyzer) {
 					msg = fmt.Sprintf("//lint:ignore names unknown analyzer %q", dir.analyzer)
-				case analyzerKnown(analyzers, dir.analyzer):
-					msg = fmt.Sprintf("unused //lint:ignore %s directive (no diagnostic to suppress)", dir.analyzer)
-				default:
-					continue
 				}
 				active = append(active, Diagnostic{
 					Analyzer: "lint",
@@ -224,8 +218,8 @@ func runPackage(pkg *Package, analyzers []*Analyzer, bypassMatch bool) (active, 
 	return active, suppressed
 }
 
-func analyzerKnown(analyzers []*Analyzer, name string) bool {
-	for _, a := range analyzers {
+func analyzerKnown(name string) bool {
+	for _, a := range All() {
 		if a.Name == name {
 			return true
 		}
@@ -268,21 +262,15 @@ type Config struct {
 	// Patterns are go-tool package patterns (e.g. "./...") resolved relative
 	// to the module root.
 	Patterns []string
-	// Analyzers to run; defaults to All() when empty.
-	Analyzers []*Analyzer
 	// Dir is the module root; "" means: locate go.mod upward from the
 	// working directory.
 	Dir string
 }
 
-// Run loads every package matching cfg.Patterns and executes the analyzers.
+// Run loads every package matching cfg.Patterns and executes every analyzer.
 // A non-nil error means the analysis itself could not run (load or type
 // failure) — distinct from a clean run that found diagnostics.
 func Run(cfg Config) (Result, error) {
-	analyzers := cfg.Analyzers
-	if len(analyzers) == 0 {
-		analyzers = All()
-	}
 	ld, err := newLoader(cfg.Dir)
 	if err != nil {
 		return Result{}, err
@@ -292,7 +280,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	var res Result
-	for _, a := range analyzers {
+	for _, a := range All() {
 		res.Analyzers = append(res.Analyzers, a.Name)
 	}
 	res.Revision = headRevision(ld.root)
@@ -302,7 +290,7 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, err
 		}
 		res.Packages++
-		active, suppressed := runPackage(pkg, analyzers, false)
+		active, suppressed := runPackage(pkg, false)
 		res.Diagnostics = append(res.Diagnostics, active...)
 		res.Suppressed = append(res.Suppressed, suppressed...)
 	}

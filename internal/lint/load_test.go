@@ -94,7 +94,7 @@ func TestTargetsNoMatchIsError(t *testing.T) {
 }
 
 func TestRunNoMatchIsError(t *testing.T) {
-	_, err := Run(Config{Patterns: []string{"./nonexistent/..."}, Analyzers: []*Analyzer{Determinism()}})
+	_, err := Run(Config{Patterns: []string{"./nonexistent/..."}})
 	if err == nil {
 		t.Fatal("Run with a no-match pattern succeeded")
 	}

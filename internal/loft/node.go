@@ -307,24 +307,16 @@ func (n *Node) slotOf(c uint64) uint64 { return c / uint64(n.cfg.QuantumFlits) }
 // Tick advances the node by one cycle. See the package comment for phase
 // ordering; all cross-node communication flows through registers, so node
 // iteration order does not affect results.
-//
-//loft:computephase
 func (n *Node) Tick(now uint64) {
-	if n.perf != nil {
-		n.perf.Begin(now)
-	}
+	n.perf.Begin(now)
 	if n.fault != nil {
 		n.faultTick(now)
 	}
 	n.drain(now)
-	if n.perf != nil {
-		n.perf.Lap(perfmon.StageDrain)
-	}
+	n.perf.Lap(perfmon.StageDrain)
 	if now%uint64(n.cfg.QuantumFlits) == 0 {
 		n.frameTick(now)
-		if n.perf != nil {
-			n.perf.Lap(perfmon.StageFrame)
-		}
+		n.perf.Lap(perfmon.StageFrame)
 		slot := n.slotOf(now)
 		if n.fault != nil && n.fault.RouterStalled(now) {
 			// The switch pass freezes for this slot; bookings and
@@ -335,23 +327,15 @@ func (n *Node) Tick(now uint64) {
 			n.forwardData(slot, now)
 			n.ni.forward(slot, now)
 		}
-		if n.perf != nil {
-			n.perf.Lap(perfmon.StageSwitch)
-		}
+		n.perf.Lap(perfmon.StageSwitch)
 	}
 	n.ni.generate(now)
 	n.ni.book(now)
-	if n.perf != nil {
-		n.perf.Lap(perfmon.StageBooking)
-	}
+	n.perf.Lap(perfmon.StageBooking)
 	n.la.process(now)
-	if n.perf != nil {
-		n.perf.Lap(perfmon.StageLookahead)
-	}
+	n.perf.Lap(perfmon.StageLookahead)
 	n.flush(now)
-	if n.perf != nil {
-		n.perf.Lap(perfmon.StageFlush)
-	}
+	n.perf.Lap(perfmon.StageFlush)
 }
 
 // faultTick replays the armed plan's window boundaries crossing this cycle

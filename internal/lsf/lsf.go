@@ -310,8 +310,6 @@ func (t *Table) owner(p int) Owner {
 // node's shard), so everything it reaches must stage its shared-state
 // effects — an AuditSink tap's violation waits behind a marker in the node's
 // record stream.
-//
-//loft:computephase
 func (t *Table) Tick() {
 	t.version++
 	old := t.cp
@@ -348,9 +346,7 @@ func (t *Table) Tick() {
 		}
 	}
 	t.skipped[oldHF] = 0
-	if t.probe != nil {
-		t.emit(probe.KindFrameRecycle, -1, 0, uint64(t.hf))
-	}
+	t.emit(probe.KindFrameRecycle, -1, 0, uint64(t.hf))
 	if t.aud != nil {
 		t.aud.AuditRecycle(oldHF)
 	}
@@ -410,8 +406,6 @@ func (t *Table) conditionOne(self *flowState, f int) bool {
 //
 // Like Tick, Request runs inside the parallel compute phase, called from
 // the owning node's look-ahead router during its shard's tick.
-//
-//loft:computephase
 func (t *Table) Request(f flit.FlowID, quantum uint64, minSlot uint64) (uint64, bool) {
 	st := t.flow(f)
 	if st == nil {
@@ -431,9 +425,7 @@ func (t *Table) Request(f flit.FlowID, quantum uint64, minSlot uint64) (uint64, 
 				if slot, ok := t.trySchedule(f, quantum, st.ifr, minSlot, minValid); ok {
 					st.c--
 					t.stats.Scheduled++
-					if t.probe != nil {
-						t.emit(probe.KindReserveGrant, int32(f), quantum, slot*t.slotCycles)
-					}
+					t.emit(probe.KindReserveGrant, int32(f), quantum, slot*t.slotCycles)
 					if t.aud != nil {
 						t.aud.AuditGrant(f, quantum, slot, st.ifr)
 					}
@@ -441,17 +433,13 @@ func (t *Table) Request(f flit.FlowID, quantum uint64, minSlot uint64) (uint64, 
 				}
 			} else {
 				t.stats.CondBlocks++
-				if t.probe != nil {
-					t.emit(probe.KindCondBlock, int32(f), quantum, uint64(st.ifr))
-				}
+				t.emit(probe.KindCondBlock, int32(f), quantum, uint64(st.ifr))
 			}
 		}
 		next := (st.ifr + 1) % t.p.Frames
 		if next == t.hf {
 			t.stats.Throttled++
-			if t.probe != nil {
-				t.emit(probe.KindReserveDeny, int32(f), quantum, quantum)
-			}
+			t.emit(probe.KindReserveDeny, int32(f), quantum, quantum)
 			return 0, false
 		}
 		// Advancing abandons the unused reservation: record it in the
@@ -459,9 +447,7 @@ func (t *Table) Request(f flit.FlowID, quantum uint64, minSlot uint64) (uint64, 
 		if t.fault != FaultDropSkipped {
 			t.skipped[st.ifr] += int32(st.c)
 		}
-		if t.probe != nil {
-			t.emit(probe.KindFrameSkip, int32(f), quantum, uint64(st.c))
-		}
+		t.emit(probe.KindFrameSkip, int32(f), quantum, uint64(st.c))
 		if t.aud != nil {
 			t.aud.AuditFrameAdvance(f, st.ifr, st.c)
 		}
@@ -645,9 +631,7 @@ func (t *Table) finishReturn(from int, tag uint64) {
 		panic(fmt.Sprintf("lsf: more credit returns than bookings on %s", t.name))
 	}
 	t.version++
-	if t.probe != nil {
-		t.emit(probe.KindVCreditGrant, -1, 0, tag*t.slotCycles)
-	}
+	t.emit(probe.KindVCreditGrant, -1, 0, tag*t.slotCycles)
 	if t.aud != nil {
 		t.aud.AuditReturn(tag)
 	}
@@ -746,9 +730,7 @@ func (t *Table) Reset() {
 	t.dirty = false
 	t.version++
 	t.stats.Resets++
-	if t.probe != nil {
-		t.emit(probe.KindLocalReset, -1, 0, 0)
-	}
+	t.emit(probe.KindLocalReset, -1, 0, 0)
 	if t.aud != nil {
 		t.aud.AuditReset()
 	}

@@ -201,12 +201,8 @@ var collected = probe.KindSetOf(probe.KindEject, probe.KindPacketDone)
 
 // commit is the serial half of a cycle (see the package comment for its
 // order). It is the one place staged records are replayed.
-//
-//loft:commitphase
 func (h *Harness) commit(now uint64) {
-	if h.perfT != nil {
-		h.perfT.Begin(now)
-	}
+	h.perfT.Begin(now)
 	for i := range h.slots {
 		recs := h.slots[i].Stage.Drain()
 		for j := range recs {
@@ -234,13 +230,9 @@ func (h *Harness) commit(now uint64) {
 		}
 	}
 	if h.hook != nil {
-		if h.perfT != nil {
-			h.perfT.Lap(perfmon.StageCommit)
-		}
+		h.perfT.Lap(perfmon.StageCommit)
 		h.hook(now)
-		if h.perfT != nil {
-			h.perfT.Lap(h.hookStage)
-		}
+		h.perfT.Lap(h.hookStage)
 	}
 	if h.probe != nil {
 		h.probe.MaybeSample(now)
@@ -248,12 +240,8 @@ func (h *Harness) commit(now uint64) {
 	if h.audit != nil {
 		h.audit.OnCycle(now)
 	}
-	if h.perfT != nil {
-		h.perfT.Lap(perfmon.StageCommit)
-	}
-	if h.perf != nil {
-		h.perf.OnCycle(now)
-	}
+	h.perfT.Lap(perfmon.StageCommit)
+	h.perf.OnCycle(now)
 }
 
 // Run advances the simulation n cycles.

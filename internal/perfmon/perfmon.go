@@ -4,10 +4,11 @@
 //
 // The design mirrors the probe/audit observability layers: components hold a
 // possibly-nil handle (*Timer per node, *EngineTimer on the ParallelKernel,
-// *Monitor on the network) and every call into it is dominated by a nil
-// check, which the hookguard analyzer enforces. A nil handle therefore costs
-// one predictable branch per call site — the simulator is provably unchanged
-// when profiling is off.
+// *Monitor on the network) and call it unconditionally. Every per-cycle
+// method is an inlinable wrapper that tests the handle for nil before
+// calling its body, so a nil handle costs one predictable branch per call
+// site and no call — the simulator is unchanged when profiling is off
+// (TestDisabledMonitorIsInert pins the no-ops).
 //
 // When profiling is on, cost is bounded by sampling: timers read the
 // monotonic clock only on cycles where now % SampleEvery == 0, and
@@ -196,9 +197,14 @@ func (m *Monitor) Gauge(name string, fn func() float64) {
 // OnCycle advances the monitor by one simulated cycle: it maintains the
 // observed wall-time window and, on sampled cycles, polls the gauges. Call
 // it exactly once per cycle from the coordinator (the harness's serial
-// commit, under either engine). Call sites must nil-guard the monitor
-// (hookguard-enforced sink).
+// commit, under either engine). A no-op on a nil monitor.
 func (m *Monitor) OnCycle(now uint64) {
+	if m != nil {
+		m.onCycle(now)
+	}
+}
+
+func (m *Monitor) onCycle(now uint64) {
 	m.cycles++
 	t := int64(time.Since(m.base))
 	if !m.started {
@@ -235,9 +241,18 @@ type Timer struct {
 	count  [numStages]uint64
 }
 
-// Begin arms the timer for this cycle when the cycle is sampled. Call sites
-// must nil-guard the timer (hookguard-enforced sink).
+// Begin arms the timer for this cycle when the cycle is sampled. A no-op on
+// a nil timer.
 func (t *Timer) Begin(now uint64) {
+	if t != nil {
+		t.begin(now)
+	}
+}
+
+// Out of line so that the nil-checking wrapper stays inlinable.
+//
+//go:noinline
+func (t *Timer) begin(now uint64) {
 	if now%t.every != 0 {
 		t.active = false
 		return
@@ -247,9 +262,14 @@ func (t *Timer) Begin(now uint64) {
 }
 
 // Lap attributes the wall time since the previous mark to stage s and
-// re-marks. A no-op when the cycle is not sampled. Call sites must
-// nil-guard the timer (hookguard-enforced sink).
+// re-marks. A no-op when the cycle is not sampled or the timer is nil.
 func (t *Timer) Lap(s Stage) {
+	if t != nil {
+		t.lap(s)
+	}
+}
+
+func (t *Timer) lap(s Stage) {
 	if !t.active {
 		return
 	}
@@ -285,9 +305,18 @@ type EngineTimer struct {
 }
 
 // CycleStart arms the engine timer when cycle `now` is sampled. The
-// coordinator calls it before the first dispatch of the cycle. Call sites
-// must nil-guard the timer (hookguard-enforced sink).
+// coordinator calls it before the first dispatch of the cycle. A no-op on a
+// nil timer.
 func (e *EngineTimer) CycleStart(now uint64) {
+	if e != nil {
+		e.cycleStart(now)
+	}
+}
+
+// Out of line so that the nil-checking wrapper stays inlinable.
+//
+//go:noinline
+func (e *EngineTimer) cycleStart(now uint64) {
 	if now%e.every != 0 {
 		e.active = false
 		return
@@ -297,9 +326,15 @@ func (e *EngineTimer) CycleStart(now uint64) {
 }
 
 // PhaseDone attributes the coordinator wall time since the previous mark to
-// phase p. The serial phase closes the sampled cycle. Call sites must
-// nil-guard the timer (hookguard-enforced sink).
+// phase p. The serial phase closes the sampled cycle. A no-op on a nil
+// timer.
 func (e *EngineTimer) PhaseDone(p Phase) {
+	if e != nil {
+		e.phaseDone(p)
+	}
+}
+
+func (e *EngineTimer) phaseDone(p Phase) {
 	if !e.active {
 		return
 	}
@@ -312,9 +347,15 @@ func (e *EngineTimer) PhaseDone(p Phase) {
 }
 
 // WorkerStart returns a start mark for the calling worker's tick phase, or
-// -1 when the cycle is not sampled. Call sites must nil-guard the timer
-// (hookguard-enforced sink).
+// -1 when the cycle is not sampled or the timer is nil.
 func (e *EngineTimer) WorkerStart() int64 {
+	if e == nil {
+		return -1
+	}
+	return e.workerStart()
+}
+
+func (e *EngineTimer) workerStart() int64 {
 	if !e.active {
 		return -1
 	}
@@ -322,9 +363,14 @@ func (e *EngineTimer) WorkerStart() int64 {
 }
 
 // WorkerDone accumulates the calling worker's tick-phase busy time since
-// `start` (from WorkerStart; a no-op when start < 0). Call sites must
-// nil-guard the timer (hookguard-enforced sink).
+// `start` (from WorkerStart; a no-op when start < 0 or the timer is nil).
 func (e *EngineTimer) WorkerDone(i int, start int64) {
+	if e != nil {
+		e.workerDone(i, start)
+	}
+}
+
+func (e *EngineTimer) workerDone(i int, start int64) {
 	if start < 0 || i >= len(e.workers) {
 		return
 	}

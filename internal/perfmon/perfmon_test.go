@@ -153,6 +153,9 @@ func TestSnapshotRoundTripAndRender(t *testing.T) {
 	}
 }
 
+// TestDisabledMonitorIsInert pins the disabled state's contract: call sites
+// hold possibly-nil handles and call them unguarded, so every method on a
+// nil monitor, timer or engine timer must be a safe no-op.
 func TestDisabledMonitorIsInert(t *testing.T) {
 	var m *Monitor
 	if m.Snapshot() != nil || m.Timer() != nil || m.Engine(4) != nil {
@@ -160,6 +163,18 @@ func TestDisabledMonitorIsInert(t *testing.T) {
 	}
 	m.SetWorkers(4)
 	m.Gauge("x", func() float64 { return 0 })
+	m.OnCycle(0)
+	var tm *Timer
+	tm.Begin(0)
+	tm.Lap(StageDrain)
+	var e *EngineTimer
+	e.CycleStart(0)
+	if start := e.WorkerStart(); start >= 0 {
+		t.Fatalf("nil engine timer WorkerStart = %d, want a negative mark", start)
+	}
+	e.WorkerDone(0, 0)
+	e.PhaseDone(PhaseTick)
+	e.PhaseDone(PhaseSerial)
 	var s *Snapshot
 	if s.Metrics() != nil {
 		t.Fatal("nil snapshot must yield nil metrics")

@@ -276,8 +276,8 @@ type Config struct {
 // A Probe is a serial-only sink: Emit and MaybeSample mutate the shared
 // tracer and registry, so they may only run on the coordinator
 // (commit-phase) side of a cycle. Compute-phase code emits through a Stage
-// instead — the distinction is a separate type precisely so the stagepurity
-// analyzer can tell the two apart statically.
+// instead; a compute-phase call into the Probe is a data race that `go test
+// -race` reports on the two-worker goldens.
 type Probe struct {
 	tracer      *Tracer
 	reg         *Registry
@@ -314,12 +314,11 @@ func (s KindSet) Has(k Kind) bool { return s>>k&1 != 0 }
 // the simulation: the node appends records while it computes (no shared
 // state is touched), and the owner of the stage drains them at the cycle
 // barrier and routes each to the consumers whose kind set holds it. The
-// stage knows which kinds some consumer wants, and every call site guards
-// its emission with one branch — Wants(k), or a nil check where the stage
-// pointer is only set when the kinds emitted there are wanted — so nothing
-// else is staged, and nothing is computed for a record nobody takes. (The
-// hookguard analyzer holds the simulation packages to the guard; an
-// unguarded, unwanted record would be staged and dropped at replay.)
+// stage knows which kinds some consumer wants and stages nothing else.
+// Call sites whose arguments take real work to compute guard the emission
+// with Wants(k), or with a nil check where the stage pointer is only set
+// when the kinds emitted there are wanted; a call site without the guard
+// costs its argument evaluation and a call, never a staged record.
 type Stage struct {
 	want KindSet
 	recs []Record
@@ -343,8 +342,12 @@ func (s *Stage) EmitSeq(cycle uint64, k Kind, node, loc, flow int32, seq, arg ui
 	s.EmitAux(cycle, k, node, loc, flow, seq, arg, 0)
 }
 
-// EmitAux stages one record carrying a sequence and the kind's aux word.
+// EmitAux stages one record carrying a sequence and the kind's aux word,
+// when some consumer wants kind k.
 func (s *Stage) EmitAux(cycle uint64, k Kind, node, loc, flow int32, seq, arg, aux uint64) {
+	if !s.want.Has(k) {
+		return
+	}
 	s.recs = append(s.recs, Record{Event{Cycle: cycle, Kind: k, Node: node, Loc: loc, Flow: flow, Seq: seq, Arg: arg}, aux})
 }
 

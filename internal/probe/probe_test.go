@@ -53,6 +53,19 @@ func TestNilProbeIsInert(t *testing.T) {
 	if tr.Len() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer recorded events")
 	}
+	// A stage stages only the kinds some consumer wants, whichever emitter
+	// is called: an unguarded call site costs a call, never a record.
+	st := NewStage(KindSetOf(KindEject))
+	st.Emit(1, KindReserveGrant, 0, 0, 0, 0)
+	st.EmitSeq(1, KindDataInject, 0, 0, 0, 1, 0)
+	st.EmitAux(1, KindPacketDone, 0, 0, 0, 1, 0, 8)
+	if recs := st.Drain(); len(recs) != 0 {
+		t.Fatalf("stage staged %d unwanted records: %v", len(recs), recs)
+	}
+	st.EmitAux(2, KindEject, 3, 0, 1, 0, 0, 4)
+	if recs := st.Drain(); len(recs) != 1 || recs[0].Kind != KindEject || recs[0].Aux != 4 {
+		t.Fatalf("stage dropped a wanted record: %v", recs)
+	}
 }
 
 func TestRegistrySampling(t *testing.T) {

@@ -166,17 +166,12 @@ func (k *ParallelKernel) runShard(i int) {
 			k.mu.Unlock()
 		}
 	}()
-	var start int64
-	if k.perf != nil {
-		start = k.perf.WorkerStart()
-	}
+	start := k.perf.WorkerStart()
 	now := k.cycle
 	for _, t := range k.shards[i] {
 		t.Tick(now)
 	}
-	if k.perf != nil {
-		k.perf.WorkerDone(i, start)
-	}
+	k.perf.WorkerDone(i, start)
 }
 
 // dispatch releases every worker for the tick phase and waits for the
@@ -212,19 +207,13 @@ func (k *ParallelKernel) Step() {
 		k.start()
 	}
 	k.cycle = k.now
-	if k.perf != nil {
-		k.perf.CycleStart(k.now)
-	}
+	k.perf.CycleStart(k.now)
 	k.dispatch()
-	if k.perf != nil {
-		k.perf.PhaseDone(perfmon.PhaseTick)
-	}
+	k.perf.PhaseDone(perfmon.PhaseTick)
 	for _, f := range k.serial {
 		f(k.cycle)
 	}
-	if k.perf != nil {
-		k.perf.PhaseDone(perfmon.PhaseSerial)
-	}
+	k.perf.PhaseDone(perfmon.PhaseSerial)
 	k.now++
 }
 

@@ -1,9 +1,9 @@
 // Package trace is the offline half of the observability layer: decoders
-// for the artifacts the probe and audit layers export (JSONL event dumps,
-// CSV time series, audit conformance snapshots), a per-quantum latency
-// decomposition engine that replays the event stream, run manifests tying a
-// run's artifacts to its full configuration, and cross-run regression
-// diffing. Command lofttrace is the CLI over this package.
+// for the artifacts the probe and audit layers export (JSONL event dumps and
+// audit conformance snapshots), a per-quantum latency decomposition engine
+// that replays the event stream, run manifests tying a run's artifacts to
+// its full configuration, and cross-run regression diffing. Command
+// lofttrace is the CLI over this package.
 //
 // The package never touches a live simulator: every analysis consumes only
 // exported files, so results are reproducible from the artifacts alone and
@@ -13,12 +13,10 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"loft/internal/audit"
 	"loft/internal/probe"
@@ -87,53 +85,6 @@ func ReadEventsJSONL(r io.Reader) ([]probe.Event, uint64, error) {
 		return nil, 0, fmt.Errorf("events line %d: %v", lineNo+1, err)
 	}
 	return events, dropped, nil
-}
-
-// ReadSeriesCSV decodes the long-form CSV that probe.WriteSeriesCSV emits
-// (header "series,cycle,value") back into per-series sample slices, in
-// first-appearance order.
-func ReadSeriesCSV(r io.Reader) ([]probe.Series, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 3
-	header, err := cr.Read()
-	if err == io.EOF {
-		return nil, fmt.Errorf("series: empty input (missing header)")
-	}
-	if err != nil {
-		return nil, fmt.Errorf("series: %v", err)
-	}
-	if header[0] != "series" || header[1] != "cycle" || header[2] != "value" {
-		return nil, fmt.Errorf("series: unexpected header %v (want series,cycle,value)", header)
-	}
-	idx := make(map[string]int)
-	var out []probe.Series
-	lineNo := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("series: %v", err)
-		}
-		lineNo++
-		cycle, err := strconv.ParseUint(rec[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("series line %d: bad cycle %q", lineNo, rec[1])
-		}
-		val, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("series line %d: bad value %q", lineNo, rec[2])
-		}
-		i, ok := idx[rec[0]]
-		if !ok {
-			i = len(out)
-			idx[rec[0]] = i
-			out = append(out, probe.Series{Name: rec[0]})
-		}
-		out[i].Samples = append(out[i].Samples, probe.Sample{Cycle: cycle, Value: val})
-	}
-	return out, nil
 }
 
 // ReadAuditSnapshot decodes an audit conformance snapshot (the JSON written

@@ -80,40 +80,6 @@ func TestEventsJSONLErrors(t *testing.T) {
 	}
 }
 
-func TestSeriesCSVRoundTrip(t *testing.T) {
-	series := []probe.Series{
-		{Name: "link_util", Samples: []probe.Sample{{Cycle: 0, Value: 0.5}, {Cycle: 256, Value: 0.75}}},
-		{Name: "buf_occ", Samples: []probe.Sample{{Cycle: 0, Value: 12}}},
-	}
-	var buf bytes.Buffer
-	if err := probe.WriteSeriesCSV(&buf, series); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSeriesCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, series) {
-		t.Errorf("round trip diverged:\n got %+v\nwant %+v", got, series)
-	}
-}
-
-func TestSeriesCSVErrors(t *testing.T) {
-	for _, c := range []struct{ name, input, wantErr string }{
-		{"empty", "", "missing header"},
-		{"bad header", "a,b,c\n", "unexpected header"},
-		{"bad cycle", "series,cycle,value\ns,xyz,1\n", "bad cycle"},
-		{"bad value", "series,cycle,value\ns,1,zap\n", "bad value"},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := ReadSeriesCSV(strings.NewReader(c.input))
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("err = %v, want substring %q", err, c.wantErr)
-			}
-		})
-	}
-}
-
 func TestReadAuditSnapshot(t *testing.T) {
 	in := `{"arch":"loft","cycle":2500,"clean":true,"flows":[{"flow":3,"hops":2,"bound_cycles":500,"worst_observed_cycles":120}]}`
 	s, err := ReadAuditSnapshot(strings.NewReader(in))
