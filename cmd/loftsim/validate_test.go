@@ -112,6 +112,8 @@ func TestValidateFlagsRejects(t *testing.T) {
 		{"zero cycles", func(f *cliFlags) { f.Cycles = 0 }, "-cycles 0"},
 		{"negative gentrace", func(f *cliFlags) { f.GenTrace = -1 }, "-gentrace"},
 		{"negative spec", func(f *cliFlags) { f.Spec = -3 }, "-spec -3: config: negative speculative buffer"},
+		{"odd spec", func(f *cliFlags) { f.Spec = 3 }, "-spec 3: config: speculative buffer 3 not a quantum multiple"},
+		{"one-flit spec", func(f *cliFlags) { f.Spec = 1 }, "-spec 1: config: speculative buffer 1 not a quantum multiple"},
 		{"zero seeds", func(f *cliFlags) { f.Seeds = 0 }, "-seeds"},
 		{"-v on a seed sweep", func(f *cliFlags) { f.Seeds = 2; f.Verbose = true }, "-v has no effect"},
 		{"-heatmap on a seed sweep", func(f *cliFlags) { f.Seeds = 2; f.Heatmap = true }, "-heatmap has no effect"},

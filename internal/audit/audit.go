@@ -95,8 +95,9 @@ type Auditor struct {
 	now         uint64
 	totalCycles uint64 // current run's planned length (StartRun)
 
-	tables []*tableState
-	checks []namedCheck
+	tables  []*tableState
+	credits []int // checkTable's window read, reused across tables
+	checks  []namedCheck
 
 	rec recorder
 
@@ -362,16 +363,11 @@ func (a *Auditor) checkTable(ts *tableState) {
 	bn := t.BufferCap()
 	now := t.NowSlot()
 	minC, maxC, busy := bn, 0, 0
-	for i := 0; i < t.WindowSlots(); i++ {
-		s := now + uint64(i)
-		c := t.CreditAt(s)
-		if c < minC {
-			minC = c
-		}
-		if c > maxC {
-			maxC = c
-		}
-		if _, b := t.BusyAt(s); b {
+	a.credits = t.AppendCredits(a.credits[:0])
+	for i, c := range a.credits {
+		minC = min(minC, c)
+		maxC = max(maxC, c)
+		if _, b := t.BusyAt(now + uint64(i)); b {
 			busy++
 		}
 	}

@@ -111,8 +111,12 @@ func (c LOFT) Validate() error {
 	case c.CentralBufFlits < c.FrameFlits:
 		// §4.2/Theorem I: the anomaly fix requires input buffer ≥ F flits.
 		return fmt.Errorf("config: central buffer %d smaller than frame size %d breaks Theorem I", c.CentralBufFlits, c.FrameFlits)
+	case c.CentralBufFlits%c.QuantumFlits != 0:
+		return fmt.Errorf("config: central buffer %d not a quantum multiple", c.CentralBufFlits)
 	case c.SpecBufFlits < 0:
 		return fmt.Errorf("config: negative speculative buffer")
+	case c.SpecBufFlits%c.QuantumFlits != 0:
+		return fmt.Errorf("config: speculative buffer %d not a quantum multiple", c.SpecBufFlits)
 	case c.SpeculativeSwitching && c.SpecBufFlits == 0:
 		return fmt.Errorf("config: speculative switching enabled with zero speculative buffer")
 	case c.LAVirtualChannels < 1 || c.LAVCDepth < 1:

@@ -68,6 +68,9 @@ func TestLOFTValidateRejectsBadConfigs(t *testing.T) {
 		func(c *LOFT) { c.FrameWindow = 1 },
 		func(c *LOFT) { c.CentralBufFlits = 128 }, // < frame: breaks Theorem I
 		func(c *LOFT) { c.SpecBufFlits = -1 },
+		func(c *LOFT) { c.CentralBufFlits = 257 }, // not a quantum multiple
+		func(c *LOFT) { c.SpecBufFlits = 3 },      // not a quantum multiple
+		func(c *LOFT) { c.SpecBufFlits = 1 },      // floors to a zero-quantum buffer
 		func(c *LOFT) { c.LAVCDepth = 0 },
 		func(c *LOFT) { c.LAStages = 0 },  // readyAt = now-1 underflows at cycle 0
 		func(c *LOFT) { c.LAStages = -2 }, // early flits never become ready

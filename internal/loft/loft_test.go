@@ -186,8 +186,9 @@ func TestPaperConfigRuns(t *testing.T) {
 }
 
 // TestVerifiedBookkeeping runs a contended workload with per-slot
-// verification of the incremental LSF bookkeeping (the O(1) last-zero
-// tracking against a full scan) enabled on every table.
+// verification of the incremental LSF bookkeeping enabled on every table:
+// lsf.Table.VerifyZero checks the credit steps and breakpoints, the O(1)
+// last-zero tracking against a full scan, and the live-flow list.
 func TestVerifiedBookkeeping(t *testing.T) {
 	verifyLSF = true
 	defer func() { verifyLSF = false }()

@@ -550,16 +550,21 @@ func (ip *inputPort) dropAvail(e *inEntry) {
 // output port an emergent candidate (booked to depart this slot or overdue)
 // always wins; otherwise, with speculative switching enabled, a round-robin
 // arbiter picks among candidates with downstream buffer space, forwarding
-// them ahead of schedule.
+// them ahead of schedule. An output no candidate targets has nothing to
+// arbitrate and is skipped.
 func (n *Node) forwardData(slot, now uint64) {
 	var cands [topo.NumDirs]*inEntry
+	var targets uint8 // bit o: some candidate leaves through output o
 	for d := topo.North; d < topo.NumDirs; d++ {
-		cands[d] = n.inputs[d].candidate()
+		if cands[d] = n.inputs[d].candidate(); cands[d] != nil {
+			targets |= 1 << cands[d].outDir
+		}
 	}
-	for o := topo.North; o < topo.NumDirs; o++ {
-		if n.outTables[o] == nil {
+	for o := topo.North; targets != 0; o++ {
+		if targets&(1<<o) == 0 {
 			continue
 		}
+		targets &^= 1 << o
 		// Emergent pass: the earliest overdue-or-due candidate for o.
 		var winner *inEntry
 		var winnerIn topo.Dir

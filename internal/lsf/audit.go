@@ -40,7 +40,7 @@ func (t *Table) FrameCount() int { return t.p.Frames }
 // EndCredit() == BufferCap() - Outstanding() (and ≥ 0) is the constructive
 // form of the condition-(1)/Theorem-I admission inequality the auditor
 // checks at every grant.
-func (t *Table) EndCredit() int { return int(t.credit[t.last()]) }
+func (t *Table) EndCredit() int { return t.end }
 
 // Fault selects a deliberate bookkeeping corruption, used by the runtime
 // auditor's tests to prove a broken scheduler is caught. FaultNone (the

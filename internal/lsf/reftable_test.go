@@ -440,6 +440,9 @@ func (r *refTable) diff(tb *Table, ids []flit.FlowID) error {
 	case tb.Dirty() != r.dirty:
 		return fmt.Errorf("Dirty() = %v, reference %v", tb.Dirty(), r.dirty)
 	}
+	if msg := recovered(tb.VerifyZero); msg != nil {
+		return fmt.Errorf("VerifyZero: %v", msg)
+	}
 	for f := 0; f < r.p.Frames; f++ {
 		if tb.Skipped(f) != r.skipped[f] {
 			return fmt.Errorf("Skipped(%d) = %d, reference %d", f, tb.Skipped(f), r.skipped[f])
@@ -506,10 +509,16 @@ var lockStepShapes = []struct{ F, WF int }{{6, 2}, {75, 2}, {128, 2}, {4, 4}, {2
 var lockStepFlows = []flit.FlowID{0, 3, 7, 12, 40}
 
 // lockStepConfig decodes a configuration byte: shape, strict or clamping,
-// yield on or off, the armed Fault, and whether BN exceeds F.
+// yield on or off, the armed Fault, and whether BN exceeds F. Bits 5–6 pick
+// the Fault; their fourth value arms none and sets BN = 4·F instead, where
+// credits stay far above zero for long stretches and a window holds few
+// breakpoints.
 func lockStepConfig(cfg uint8) (Params, Fault, string) {
 	sh := lockStepShapes[int(cfg&7)%len(lockStepShapes)]
 	p := Params{SlotsPerFrame: sh.F, Frames: sh.WF, BufferQuanta: sh.F, Strict: cfg&8 != 0, Yield: cfg&16 != 0}
+	if cfg>>5&3 == 3 {
+		p.BufferQuanta = 4 * sh.F
+	}
 	if cfg&128 != 0 {
 		p.BufferQuanta += 2
 	}
@@ -548,14 +557,13 @@ func encodeOps(ops []tableOp) []byte {
 }
 
 // panics runs f and reports whether it panicked.
-func panics(f func()) (p bool) {
-	defer func() {
-		if recover() != nil {
-			p = true
-		}
-	}()
+func panics(f func()) bool { return recovered(f) != nil }
+
+// recovered runs f and returns the value it panicked with, nil if none.
+func recovered(f func()) (v any) {
+	defer func() { v = recover() }()
 	f()
-	return false
+	return nil
 }
 
 // lockStep drives a Table and the reference through the same operations —
@@ -715,10 +723,11 @@ var errStop = errors.New("both panicked")
 
 // TestLockStepReference drives the Table and refTable through random
 // operation sequences for every shape, in strict and clamping mode, with the
-// yield condition on and off, under each Fault, at BN = F and BN = F+2.
+// yield condition on and off, under each Fault at BN = F and BN = F+2, and
+// unfaulted at BN = 4·F and 4·F+2.
 func TestLockStepReference(t *testing.T) {
 	for cfg := 0; cfg < 256; cfg++ {
-		if cfg&7 >= len(lockStepShapes) || (cfg>>5&3) == 3 {
+		if cfg&7 >= len(lockStepShapes) {
 			continue // duplicate encodings
 		}
 		_, _, name := lockStepConfig(uint8(cfg))
@@ -743,7 +752,7 @@ func TestLockStepReference(t *testing.T) {
 func FuzzTableOps(f *testing.F) {
 	rnd := rand.New(rand.NewSource(1))
 	for cfg := 0; cfg < 256; cfg++ {
-		if cfg&7 >= len(lockStepShapes) || (cfg>>5&3) == 3 {
+		if cfg&7 >= len(lockStepShapes) {
 			continue
 		}
 		ops := tableOps{}.Generate(rnd, 40).Interface().(tableOps)
