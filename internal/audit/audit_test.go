@@ -6,6 +6,7 @@ import (
 	"loft/internal/audit"
 	"loft/internal/config"
 	"loft/internal/core"
+	"loft/internal/gsf"
 	"loft/internal/loft"
 	"loft/internal/lsf"
 	"loft/internal/probe"
@@ -219,6 +220,46 @@ func TestDelayBoundViolationTimeline(t *testing.T) {
 	summary := aud.Summary()
 	if len(summary) == 0 || summary[len(summary)-1][:11] != "audit: FAIL" {
 		t.Fatalf("summary does not report failure: %v", summary)
+	}
+}
+
+// TestGSFTimelineInjectNode forces every Case Study I flow's bound low on a
+// GSF run and checks that each reconstructed timeline starts at its flow's
+// source: two of the three sources are not node 0.
+func TestGSFTimelineInjectNode(t *testing.T) {
+	lcfg := config.PaperLOFTSpec(12)
+	p := caseIPattern(lcfg)
+	aud := audit.New(audit.Config{MaxViolations: 256})
+	net, err := gsf.New(config.PaperGSF(), p, gsf.Options{Seed: 1, BaseFrameFlits: lcfg.FrameFlits, Audit: aud})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range p.Flows {
+		aud.SetFlowBound(f.ID, 1)
+	}
+	aud.StartRun(2000)
+	net.Run(2000)
+	aud.FinishRun(net.Now())
+	net.Close()
+	src := map[int32]int32{}
+	for _, f := range p.Flows {
+		src[int32(f.ID)] = int32(f.Src)
+	}
+	checked := map[int32]bool{}
+	for _, v := range aud.Violations() {
+		if v.Kind != "delay-bound-exceeded" {
+			continue
+		}
+		if len(v.Timeline) == 0 || v.Timeline[0].Stage != "inject" {
+			t.Fatalf("flow %d packet %d: timeline does not start with its injection: %+v", v.Flow, v.Packet, v.Timeline)
+		}
+		if got := v.Timeline[0].Node; got != src[v.Flow] {
+			t.Fatalf("flow %d packet %d injected at node %d, want its source %d", v.Flow, v.Packet, got, src[v.Flow])
+		}
+		checked[v.Flow] = true
+	}
+	if len(checked) != len(p.Flows) {
+		t.Fatalf("timelines checked for flows %v, want all %d", checked, len(p.Flows))
 	}
 }
 
