@@ -296,8 +296,8 @@ type runDigest struct {
 }
 
 // observedCase is one run whose observer artifacts are pinned. prepare, when
-// set, runs on the freshly built LOFT network (and the auditor armed for it)
-// before the first cycle.
+// set, runs on the freshly built network (and the auditor armed for it)
+// before the first cycle; a GSF case gets a nil LOFT network.
 type observedCase struct {
 	name    string
 	arch    Arch
@@ -342,7 +342,9 @@ func wantViolation(kind string, timeline bool) func(*testing.T, Result, audit.Sn
 // saturation, because Case Study I never throttles a GSF source within this
 // horizon, so its event stream would not show node order; a LOFT run
 // with one flow's delay bound forced low, which pins reconstructed hop
-// timelines; and a LOFT run on corrupted tables with every bound forced low,
+// timelines; a GSF run with every flow's bound forced low, which pins GSF
+// timelines (each packet's head-flit injection) over a whole run of packets
+// whose flight records are recycled; and a LOFT run on corrupted tables with every bound forced low,
 // where a node's invariant-tap violations and its flight-recorder verdicts
 // land in the same cycle — the violation log is the only place their
 // relative replay order shows. A node's packet completion (switch pass)
@@ -365,6 +367,13 @@ var observedCases = []observedCase{
 	{name: "bound", arch: ArchLOFT, pattern: caseI,
 		prepare: func(_ *loft.Network, aud *audit.Auditor) { aud.SetFlowBound(traffic.CaseStudyIVictim, 60) },
 		want:    wantViolation("delay-bound-exceeded", true)},
+	{name: "gsf-bound", arch: ArchGSF, pattern: uniform(0.2),
+		prepare: func(_ *loft.Network, aud *audit.Auditor) {
+			for f := 0; f < config.PaperLOFT().Mesh().N(); f++ {
+				aud.SetFlowBound(flit.FlowID(f), 45)
+			}
+		},
+		want: wantViolation("delay-bound-exceeded", true)},
 	{name: "corrupt", arch: ArchLOFT, pattern: uniform(0.2), maxViolations: 512,
 		prepare: func(net *loft.Network, aud *audit.Auditor) {
 			corruptEveryTable(lsf.FaultDropSkipped)(net, aud)
@@ -384,6 +393,16 @@ func runObserved(c observedCase, lcfg config.LOFT, spec RunSpec) (Result, any, e
 	p := c.pattern(lcfg)
 	if c.prepare == nil {
 		return runAny(c.arch, lcfg, config.PaperGSF(), p, spec)
+	}
+	if c.arch == ArchGSF {
+		net, err := gsf.New(config.PaperGSF(), p, gsf.Options{Seed: spec.Seed, Warmup: spec.Warmup, BaseFrameFlits: lcfg.FrameFlits, Probe: spec.Probe, Audit: spec.Audit, Workers: spec.Workers, Fault: spec.Fault})
+		if err != nil {
+			return Result{}, nil, err
+		}
+		c.prepare(nil, spec.Audit)
+		res := run(ArchGSF, net.Harness, p, spec)
+		res.Drops = net.Drops()
+		return res, gsfCounters(net), nil
 	}
 	net, err := loft.New(lcfg, p, loft.Options{Seed: spec.Seed, Warmup: spec.Warmup, Probe: spec.Probe, Audit: spec.Audit, Workers: spec.Workers, Fault: spec.Fault})
 	if err != nil {
