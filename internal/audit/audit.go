@@ -11,7 +11,8 @@
 //     switch traversal to ejection, and verdicts every completed packet's
 //     network latency against its flow's analytical delay bound. A GS
 //     packet over its bound is a hard audit failure carrying the
-//     reconstructed hop-by-hop timeline.
+//     reconstructed hop-by-hop timeline. Records come from a slab and are
+//     recycled when their packet completes: steady state allocates nothing.
 //   - The invariant auditor (this file) taps every LSF table through
 //     lsf.AuditSink: shadow grant/return/skipped accounting, the
 //     condition-(1)/Theorem-I admission inequality at every grant (window-

@@ -288,9 +288,11 @@ func requireParallel(t *testing.T, h *netsim.Harness) {
 // pass and overdue/emergent forwarding, every fault kind, the tracer, the
 // parallel engine, the statistics collectors, the profiler and GSF's frame
 // arbitration. A Warmup beyond the simulated horizon keeps the collectors on
-// their early-return branch except in the loft-0.2-collect row. Audited
-// runs are left out: the flight recorder stores one record per packet by
-// design.
+// their early-return branch except in the loft-0.2-collect row. The
+// loft-0.2-audited row arms the auditor: the flight recorder takes each
+// quantum's record from a recycled slab. No GSF row is audited: past
+// saturation the number of GSF packets in flight still sets new peaks after
+// 4000 cycles, and each new peak takes a fresh slab record.
 func zeroAllocRows(t *testing.T) []zeroAllocRow {
 	cfg := config.PaperLOFT()
 	const never = 1 << 30
@@ -335,6 +337,7 @@ func zeroAllocRows(t *testing.T) []zeroAllocRow {
 	mon := perfmon.New(perfmon.Config{SampleEvery: 1})
 	// Tracer only: the time-series sampler grows its series by design.
 	pr := probe.New(probe.Config{EventCap: 4096})
+	aud := audit.New(audit.Config{})
 	return []zeroAllocRow{
 		loftRow("loft-0.2", 0.2, loftnet.Options{Warmup: never}, nil),
 		loftRow("perf-enabled", 0.2, loftnet.Options{Warmup: never, Perf: mon}, func(*loftnet.Network) []counter {
@@ -360,6 +363,10 @@ func zeroAllocRows(t *testing.T) []zeroAllocRow {
 				{"latency observations", net.Latency().Count},
 				{"throughput flits", net.Throughput().TotalFlits},
 			}
+		}),
+		// The flight recorder recycles its slab records and their hop lists.
+		loftRow("loft-0.2-audited", 0.2, loftnet.Options{Warmup: never, Audit: aud}, func(*loftnet.Network) []counter {
+			return []counter{{"packets checked", func() uint64 { return aud.Snapshot().PacketsChecked }}}
 		}),
 		// The per-output candidate lists are carved from storage sized in
 		// gsf.New, so arbitrating past saturation allocates nothing.
