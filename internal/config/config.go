@@ -102,6 +102,9 @@ func (c LOFT) Validate() error {
 		return fmt.Errorf("config: mesh dimension %d < 2", c.MeshK)
 	case c.QuantumFlits < 1:
 		return fmt.Errorf("config: quantum size %d < 1", c.QuantumFlits)
+	case c.FrameFlits < c.QuantumFlits:
+		// A frame of no whole quantum slot leaves no table to build.
+		return fmt.Errorf("config: frame size %d smaller than one quantum (%d flits)", c.FrameFlits, c.QuantumFlits)
 	case c.FrameFlits%c.QuantumFlits != 0:
 		return fmt.Errorf("config: frame size %d not a quantum multiple", c.FrameFlits)
 	case c.PacketFlits%c.QuantumFlits != 0:

@@ -64,7 +64,10 @@ func TestLOFTValidateRejectsBadConfigs(t *testing.T) {
 	cases := []func(*LOFT){
 		func(c *LOFT) { c.MeshK = 1 },
 		func(c *LOFT) { c.FrameFlits = 255 }, // not a quantum multiple
-		func(c *LOFT) { c.PacketFlits = 3 },  // not a quantum multiple
+		func(c *LOFT) { c.FrameFlits = 0 },   // no slot per frame
+		func(c *LOFT) { c.FrameFlits = -256 },
+		func(c *LOFT) { c.FrameFlits = 1 },  // below one quantum
+		func(c *LOFT) { c.PacketFlits = 3 }, // not a quantum multiple
 		func(c *LOFT) { c.FrameWindow = 1 },
 		func(c *LOFT) { c.CentralBufFlits = 128 }, // < frame: breaks Theorem I
 		func(c *LOFT) { c.SpecBufFlits = -1 },
