@@ -3,7 +3,11 @@
 // pair used by the LOFT data network (§4.3.1, Fig. 9).
 package buffers
 
-import "fmt"
+import (
+	"fmt"
+
+	"loft/internal/label"
+)
 
 // FIFO is a bounded first-in first-out queue.
 type FIFO[T any] struct {
@@ -79,19 +83,23 @@ func (f *FIFO[T]) At(i int) T {
 }
 
 // Credits tracks credit-based flow control toward one downstream buffer.
+// Owners embed their counters and set each up with Init.
 type Credits struct {
 	avail int
 	cap   int
-	name  string
+	name  label.Label
 }
 
-// NewCredits returns a counter initialized to the downstream capacity.
-func NewCredits(name string, capacity int) *Credits {
+// Init sets the counter to the downstream capacity, every credit home.
+func (c *Credits) Init(name label.Label, capacity int) {
 	if capacity < 0 {
 		panic("buffers: negative credit capacity")
 	}
-	return &Credits{avail: capacity, cap: capacity, name: name}
+	*c = Credits{avail: capacity, cap: capacity, name: name}
 }
+
+// Name returns the counter's diagnostic name.
+func (c *Credits) Name() string { return c.name.String() }
 
 // Available returns the current credit count.
 func (c *Credits) Available() int { return c.avail }
@@ -102,7 +110,7 @@ func (c *Credits) Cap() int { return c.cap }
 // Consume spends one credit; it panics when none remain.
 func (c *Credits) Consume() {
 	if c.avail == 0 {
-		panic("buffers: credit underflow on " + c.name)
+		panic("buffers: credit underflow on " + c.Name())
 	}
 	c.avail--
 }
@@ -111,7 +119,7 @@ func (c *Credits) Consume() {
 // more returns than sends).
 func (c *Credits) Return() {
 	if c.avail == c.cap {
-		panic("buffers: credit overflow on " + c.name)
+		panic("buffers: credit overflow on " + c.Name())
 	}
 	c.avail++
 }

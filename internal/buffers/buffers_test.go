@@ -1,6 +1,10 @@
 package buffers
 
-import "testing"
+import (
+	"testing"
+
+	"loft/internal/label"
+)
 
 func TestFIFOOrder(t *testing.T) {
 	f := NewFIFO[int]("t", 4)
@@ -101,8 +105,14 @@ func TestFIFOFrontFollowsHead(t *testing.T) {
 	}
 }
 
+func newCredits(name string, capacity int) *Credits {
+	c := new(Credits)
+	c.Init(label.Fixed(name), capacity)
+	return c
+}
+
 func TestCredits(t *testing.T) {
-	c := NewCredits("t", 2)
+	c := newCredits("t", 2)
 	if !c.AtCap() || c.Available() != 2 {
 		t.Fatal("bad init")
 	}
@@ -118,17 +128,17 @@ func TestCredits(t *testing.T) {
 }
 
 func TestCreditUnderflowPanics(t *testing.T) {
-	c := NewCredits("t", 0)
+	c := newCredits("t", 0)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("underflow did not panic")
+		if r := recover(); r != "buffers: credit underflow on t" {
+			t.Fatalf("underflow panicked with %v", r)
 		}
 	}()
 	c.Consume()
 }
 
 func TestCreditOverflowPanics(t *testing.T) {
-	c := NewCredits("t", 1)
+	c := newCredits("t", 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("overflow did not panic")

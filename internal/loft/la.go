@@ -5,6 +5,7 @@ import (
 
 	"loft/internal/buffers"
 	"loft/internal/flit"
+	"loft/internal/label"
 	"loft/internal/probe"
 	"loft/internal/route"
 	"loft/internal/topo"
@@ -39,8 +40,9 @@ type laRouter struct {
 	// all look-ahead buffering, so inserting never allocates.
 	byOut [topo.NumDirs][]*laEnt
 	// credits[o] tracks free look-ahead buffer slots at the neighbor
-	// reached through output o (aggregate over its VCs).
-	credits [4]*buffers.Credits
+	// reached through output o (aggregate over its VCs); unused at mesh
+	// edges.
+	credits [4]buffers.Credits
 	rr      [topo.NumDirs]int // rotating priority per output over input dirs
 	// pool recycles laEnt records between accept and process, keeping the
 	// steady state allocation-free.
@@ -85,7 +87,7 @@ func (la *laRouter) init(n *Node) {
 	}
 	for o := 0; o < 4; o++ {
 		if _, ok := n.mesh.Neighbor(n.id, topo.Dir(o)); ok {
-			la.credits[o] = buffers.NewCredits(fmt.Sprintf("n%d.la.%s", n.id, topo.Dir(o)), vcs*n.cfg.LAVCDepth)
+			la.credits[o].Init(label.New(laCreditName, int(n.id), o), vcs*n.cfg.LAVCDepth)
 		}
 	}
 }
@@ -111,7 +113,7 @@ func (la *laRouter) accept(fl *flit.Lookahead, d topo.Dir, now uint64) {
 	if fl.Dst != n.id {
 		outDir = route.XY(n.mesh, n.id, fl.Dst)
 	}
-	ip := n.inputs[d]
+	ip := &n.inputs[d]
 	entry := ip.alloc()
 	*entry = inEntry{
 		q: Quantum{

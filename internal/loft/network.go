@@ -7,6 +7,7 @@ import (
 	"loft/internal/det"
 	"loft/internal/fault"
 	"loft/internal/flit"
+	"loft/internal/label"
 	"loft/internal/lsf"
 	"loft/internal/netsim"
 	"loft/internal/perfmon"
@@ -38,7 +39,8 @@ func New(cfg config.LOFT, pattern *traffic.Pattern, opts Options) (*Network, err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := pattern.Validate(cfg.FrameFlits); err != nil {
+	linkFlows := pattern.LinkFlows()
+	if err := pattern.ValidateLinks(linkFlows, cfg.FrameFlits); err != nil {
 		return nil, err
 	}
 	mesh := cfg.Mesh()
@@ -48,13 +50,16 @@ func New(cfg config.LOFT, pattern *traffic.Pattern, opts Options) (*Network, err
 		return nil, err
 	}
 	net := &Network{Harness: h, cfg: cfg, mesh: mesh, pattern: pattern}
-	for i := 0; i < mesh.N(); i++ {
-		n := newNode(topo.NodeID(i), cfg, mesh, h.Slot(i))
-		net.nodes = append(net.nodes, n)
+	slab := make([]Node, mesh.N())
+	net.nodes = make([]*Node, mesh.N())
+	for i := range slab {
+		n := &slab[i]
+		n.init(topo.NodeID(i), cfg, mesh, h.Slot(i), linkFlows)
+		net.nodes[i] = n
 		net.AddTicker(i, n)
 	}
 	net.wire()
-	if err := net.installReservations(); err != nil {
+	if err := net.installReservations(linkFlows); err != nil {
 		return nil, err
 	}
 	net.armFault(opts.Fault, opts.Seed)
@@ -117,7 +122,7 @@ func (net *Network) bindAudit() {
 	aud.RegisterCheck("loft.input-buffers", func() error {
 		for _, n := range net.nodes {
 			for d := topo.North; d < topo.NumDirs; d++ {
-				ip := n.inputs[d]
+				ip := &n.inputs[d]
 				if ip.nonspecUsed < 0 || ip.nonspecUsed > net.cfg.BufferQuanta() {
 					return fmt.Errorf("n%d.%s non-speculative occupancy %d outside [0,%d]",
 						n.id, d, ip.nonspecUsed, net.cfg.BufferQuanta())
@@ -146,7 +151,7 @@ func (net *Network) registerGauges() {
 			if t := n.outTables[d]; t != nil {
 				reg.Gauge(fmt.Sprintf("loft.table.n%d.%s", n.id, d), t.Occupancy)
 			}
-			ip := n.inputs[d]
+			ip := &n.inputs[d]
 			reg.Gauge(fmt.Sprintf("loft.buf.n%d.%s", n.id, d), func() float64 {
 				return float64(ip.nonspecUsed + ip.specUsed)
 			})
@@ -189,31 +194,44 @@ func (net *Network) registerPerfGauges(perf *perfmon.Monitor, plan *fault.Plan) 
 	})
 }
 
-// wire creates the link registers between neighbors.
+// wire connects neighbors with link registers, each kind taken from one
+// slab with one register per directed mesh link.
 func (net *Network) wire() {
+	links := 0
+	for _, n := range net.nodes {
+		for d := topo.North; d < topo.Local; d++ {
+			if _, ok := net.mesh.Neighbor(n.id, d); ok {
+				links++
+			}
+		}
+	}
+	data := make([]sim.Reg[dataMsg], links)
+	la := make([]sim.Reg[flit.Lookahead], links)
+	vcred := make([]sim.Reg[vcredMsg], links)
+	rcred := make([]sim.Reg[rcredMsg], links)
+	lacred := make([]sim.Reg[laCredMsg], links)
+	i := 0
 	for _, n := range net.nodes {
 		for d := topo.North; d < topo.Local; d++ {
 			nb, ok := net.mesh.Neighbor(n.id, d)
 			if !ok {
 				continue
 			}
-			// Forward-direction registers owned by n toward nb.
-			n.dataOut[d] = sim.NewReg[dataMsg](fmt.Sprintf("data %d->%d", n.id, nb))
-			n.laOut[d] = sim.NewReg[flit.Lookahead](fmt.Sprintf("la %d->%d", n.id, nb))
+			from, to := int(n.id), int(nb)
+			// Forward-direction registers written by n toward nb.
+			data[i].Init(label.New(dataName, from, to))
+			la[i].Init(label.New(laName, from, to))
+			n.dataOut[d], n.laOut[d] = &data[i], &la[i]
 			peer := net.nodes[nb]
 			opp := d.Opposite()
-			peer.dataIn[opp] = n.dataOut[d]
-			peer.laIn[opp] = n.laOut[d]
-			// Reverse-direction credit registers owned by nb's input side.
-			vc := sim.NewReg[vcredMsg](fmt.Sprintf("vcred %d->%d", nb, n.id))
-			rc := sim.NewReg[rcredMsg](fmt.Sprintf("rcred %d->%d", nb, n.id))
-			lc := sim.NewReg[laCredMsg](fmt.Sprintf("lacred %d->%d", nb, n.id))
-			peer.vcredOut[opp] = vc
-			peer.rcredOut[opp] = rc
-			peer.laCredOut[opp] = lc
-			n.vcredIn[d] = vc
-			n.rcredIn[d] = rc
-			n.laCredIn[d] = lc
+			peer.dataIn[opp], peer.laIn[opp] = &data[i], &la[i]
+			// Reverse-direction credit registers written by nb's input side.
+			vcred[i].Init(label.New(vcredName, to, from))
+			rcred[i].Init(label.New(rcredName, to, from))
+			lacred[i].Init(label.New(laCredName, to, from))
+			peer.vcredOut[opp], peer.rcredOut[opp], peer.laCredOut[opp] = &vcred[i], &rcred[i], &lacred[i]
+			n.vcredIn[d], n.rcredIn[d], n.laCredIn[d] = &vcred[i], &rcred[i], &lacred[i]
+			i++
 		}
 	}
 }
@@ -226,9 +244,10 @@ func (net *Network) wire() {
 // status resets when the source is underusing its share), keeping the
 // look-ahead network lightly loaded as the paper assumes. Without this
 // pacing, sources flood the look-ahead VCs with unschedulable flits whose
-// head-of-line blocking starves distant flows.
-func (net *Network) installReservations() error {
-	linkFlows := net.pattern.LinkFlows()
+// head-of-line blocking starves distant flows. linkFlows is the
+// pattern's LinkFlows, which also sized every node's tables, so registering
+// allocates nothing.
+func (net *Network) installReservations(linkFlows map[topo.Link][]flit.FlowID) error {
 	for _, link := range det.KeysFunc(linkFlows, topo.Link.Less) {
 		table := net.nodes[link.From].injTable
 		if link.D != topo.NumDirs { // not the injection link

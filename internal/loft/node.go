@@ -7,6 +7,7 @@ import (
 	"loft/internal/config"
 	"loft/internal/fault"
 	"loft/internal/flit"
+	"loft/internal/label"
 	"loft/internal/lsf"
 	"loft/internal/netsim"
 	"loft/internal/perfmon"
@@ -52,6 +53,8 @@ type inEntry struct {
 // entry is still live (and because distant slots are congruent modulo
 // portSlots). Entries link through inEntry.next, into a chain while live and
 // into the free list once retired, so the steady state allocates nothing.
+// A node embeds its five ports and cuts their entry pools and candidate
+// lists from one array each.
 type inputPort struct {
 	dir  topo.Dir
 	ring [portSlots]*inEntry // chain heads indexed by arriveSlot & (portSlots-1)
@@ -70,17 +73,16 @@ type inputPort struct {
 // chains at length 0 or 1.
 const portSlots = 64
 
-func newInputPort(d topo.Dir) *inputPort {
-	// Preallocate the entry pool and the candidate list so a new live-entry
-	// maximum does not allocate mid-run; alloc() still falls back to the
-	// heap if a pathological workload exceeds the pool.
-	ip := &inputPort{dir: d, avail: make([]*inEntry, 0, portSlots)}
-	pool := make([]inEntry, 2*portSlots)
+// init sets up the port with its entry pool and the backing of its
+// candidate list. Both are sized so a new live-entry maximum does not
+// allocate mid-run; alloc() still falls back to the heap if a pathological
+// workload exceeds the pool, and append if one exceeds the list.
+func (ip *inputPort) init(d topo.Dir, pool []inEntry, avail []*inEntry) {
+	ip.dir, ip.avail = d, avail
 	for i := range pool {
 		pool[i].next = ip.free
 		ip.free = &pool[i]
 	}
-	return ip
 }
 
 // alloc returns a recycled entry or a fresh one. The caller overwrites the
@@ -176,12 +178,16 @@ type Node struct {
 	mesh topo.Mesh
 
 	// outTables are the framed output reservation tables for the four mesh
-	// outputs plus the ejection link (index topo.Local).
+	// outputs plus the ejection link (index topo.Local), nil at mesh edges.
 	outTables [topo.NumDirs]*lsf.Table
 	// injTable schedules the NI→router injection link.
 	injTable *lsf.Table
+	// tables holds the node's tables themselves, built by one
+	// lsf.NewTables: the mesh outputs that exist, the ejection table, then
+	// the injection table.
+	tables []lsf.Table
 
-	inputs [topo.NumDirs]*inputPort // topo.Local = from the NI
+	inputs [topo.NumDirs]inputPort // topo.Local = from the NI
 
 	la   laRouter
 	ni   netIface
@@ -189,26 +195,29 @@ type Node struct {
 
 	// Real credits toward each downstream input buffer pair (§4.3.1's
 	// actual-credit signals). Index by output dir; Local tracks the sink.
-	credNonSpec [topo.NumDirs]*buffers.Credits
-	credSpec    [topo.NumDirs]*buffers.Credits
+	// Only the outputs with a table use theirs.
+	credNonSpec [topo.NumDirs]buffers.Credits
+	credSpec    [topo.NumDirs]buffers.Credits
 	// NI-side real credits toward the router's local input port.
-	niCredNonSpec, niCredSpec *buffers.Credits
+	niCredNonSpec, niCredSpec buffers.Credits
 
-	// Link registers. Out registers are owned by this node; in registers
-	// alias the neighbor's out registers. Nil at mesh edges.
+	// Link registers, taken from the network's slab of each kind (see
+	// wire). Out registers are written by this node; in registers alias the
+	// neighbor's out registers. Nil at mesh edges.
 	dataOut, dataIn     [4]*sim.Reg[dataMsg]
 	laOut, laIn         [4]*sim.Reg[flit.Lookahead]
 	vcredOut, vcredIn   [4]*sim.Reg[vcredMsg]
 	rcredOut, rcredIn   [4]*sim.Reg[rcredMsg]
 	laCredOut, laCredIn [4]*sim.Reg[laCredMsg]
 	// niData carries quanta from the NI into the router local input port.
-	niData *sim.Reg[dataMsg]
+	niData sim.Reg[dataMsg]
 
 	// Per-cycle accumulators flushed into the out registers. pendVcred[d]
 	// always aliases vcredBuf[d][vcredSel[d]]: flush sends the filled buffer
 	// on the wire and flips to the other one, so neither side copies. The
 	// consumer finishes reading one cycle after the send, a full cycle
-	// before the same buffer can be reused.
+	// before the same buffer can be reused. The eight buffers are cut from
+	// one array.
 	pendVcred  [4][]uint64
 	vcredBuf   [4][2][]uint64
 	vcredSel   [4]uint8
@@ -252,8 +261,11 @@ func (r *rrState) dir(i int) topo.Dir { return topo.Dir((r.next + i) % int(topo.
 
 func (r *rrState) granted(d topo.Dir) { r.next = (int(d) + 1) % int(topo.NumDirs) }
 
-func newNode(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsim.Slot) *Node {
-	n := &Node{id: id, cfg: cfg, mesh: mesh, obs: &slot.Stage, perf: slot.Perf}
+// init builds node id in place. linkFlows lists the flows the network will
+// register on each link (traffic.Pattern.LinkFlows), which sizes the node's
+// reservation tables so that installing them allocates nothing.
+func (n *Node) init(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsim.Slot, linkFlows map[topo.Link][]flit.FlowID) {
+	*n = Node{id: id, cfg: cfg, mesh: mesh, obs: &slot.Stage, perf: slot.Perf}
 	params := lsf.Params{
 		SlotsPerFrame: cfg.SlotsPerFrame(),
 		Frames:        cfg.FrameWindow,
@@ -261,44 +273,69 @@ func newNode(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsim.Slot)
 		Strict:        true,
 		Yield:         cfg.YieldCondition,
 	}
-	for d := topo.North; d < topo.NumDirs; d++ {
-		n.inputs[d] = newInputPort(d)
-		if d == topo.Local {
-			n.outTables[d] = lsf.NewTable(fmt.Sprintf("n%d.eject", id), params)
-		} else if _, ok := mesh.Neighbor(id, d); ok {
-			n.outTables[d] = lsf.NewTable(fmt.Sprintf("n%d.%s", id, d), params)
+	// One spec per table: the mesh outputs with a neighbor and the ejection
+	// link (in direction order), then the injection link.
+	var specs [topo.NumDirs + 1]lsf.Spec
+	var dirs [topo.NumDirs + 1]topo.Dir
+	k := 0
+	for d := topo.North; d <= topo.NumDirs; d++ {
+		if _, ok := mesh.Neighbor(id, d); d < topo.Local && !ok {
+			continue
 		}
-		if n.outTables[d] != nil {
-			n.credNonSpec[d] = buffers.NewCredits(fmt.Sprintf("n%d.%s.nonspec", id, d), cfg.BufferQuanta())
-			n.credSpec[d] = buffers.NewCredits(fmt.Sprintf("n%d.%s.spec", id, d), cfg.SpecQuanta())
+		flows := linkFlows[topo.Link{From: id, D: d}]
+		ids := 0
+		for _, f := range flows {
+			ids = max(ids, int(f)+1)
 		}
+		specs[k] = lsf.Spec{Name: label.New(tableName, int(id), int(d)), Flows: len(flows), IDs: ids}
+		dirs[k] = d
+		k++
 	}
-	n.injTable = lsf.NewTable(fmt.Sprintf("n%d.inject", id), params)
+	n.tables = lsf.NewTables(params, specs[:k])
+	for i, d := range dirs[:k] {
+		if d == topo.NumDirs {
+			n.injTable = &n.tables[i]
+			continue
+		}
+		n.outTables[d] = &n.tables[i]
+		n.credNonSpec[d].Init(label.New(nonspecName, int(id), int(d)), cfg.BufferQuanta())
+		n.credSpec[d].Init(label.New(specName, int(id), int(d)), cfg.SpecQuanta())
+	}
 	// The tables emit traced kinds only, so they hold the stage only when a
 	// tracer consumes those.
 	if n.obs.Wants(probe.KindReserveGrant) {
-		for d := topo.North; d < topo.NumDirs; d++ {
-			if n.outTables[d] != nil {
-				n.outTables[d].SetProbe(n.obs, int32(id), int32(d), cfg.QuantumFlits)
-			}
+		for i, d := range dirs[:k] {
+			n.tables[i].SetProbe(n.obs, int32(id), int32(d), cfg.QuantumFlits)
 		}
-		n.injTable.SetProbe(n.obs, int32(id), int32(topo.NumDirs), cfg.QuantumFlits)
 	}
-	n.niCredNonSpec = buffers.NewCredits(fmt.Sprintf("n%d.ni.nonspec", id), cfg.BufferQuanta())
-	n.niCredSpec = buffers.NewCredits(fmt.Sprintf("n%d.ni.spec", id), cfg.SpecQuanta())
-	n.niData = sim.NewReg[dataMsg](fmt.Sprintf("n%d.nidata", id))
+	pool := make([]inEntry, int(topo.NumDirs)*2*portSlots)
+	avail := make([]*inEntry, int(topo.NumDirs)*portSlots)
+	for d := topo.North; d < topo.NumDirs; d++ {
+		n.inputs[d].init(d, carve(&pool, 2*portSlots), carve(&avail, portSlots)[:0])
+	}
+	n.niCredNonSpec.Init(label.New(nonspecName, int(id), int(topo.NumDirs)), cfg.BufferQuanta())
+	n.niCredSpec.Init(label.New(specName, int(id), int(topo.NumDirs)), cfg.SpecQuanta())
+	n.niData.Init(label.New(niDataName, int(id), 0))
+	// A cycle books at most one quantum per output table, so at most
+	// NumDirs virtual credits can accrue for a single input direction before
+	// flush drains them; sized up so steady state never grows.
+	tags := make([]uint64, 4*2*2*int(topo.NumDirs))
 	for d := 0; d < 4; d++ {
-		// A cycle books at most one quantum per output table, so at most
-		// NumDirs virtual credits can accrue for a single input direction
-		// before flush drains them; sized up so steady state never grows.
-		n.vcredBuf[d][0] = make([]uint64, 0, 2*int(topo.NumDirs))
-		n.vcredBuf[d][1] = make([]uint64, 0, 2*int(topo.NumDirs))
+		n.vcredBuf[d][0] = carve(&tags, 2*int(topo.NumDirs))[:0]
+		n.vcredBuf[d][1] = carve(&tags, 2*int(topo.NumDirs))[:0]
 		n.pendVcred[d] = n.vcredBuf[d][0]
 	}
 	n.la.init(n)
 	n.ni.init(n, slot.Injector)
 	n.sink.init(n)
-	return n
+}
+
+// carve cuts the next k elements off *buf, capped at k so that growing the
+// piece reallocates instead of running into its neighbour.
+func carve[T any](buf *[]T, k int) []T {
+	s := (*buf)[:k:k]
+	*buf = (*buf)[k:]
+	return s
 }
 
 // slotOf returns the quantum slot containing cycle c.
@@ -469,7 +506,7 @@ func (n *Node) drain(now uint64) {
 // (written by the look-ahead flit at arrival slot Depart+1) resolves with
 // one slab index.
 func (n *Node) receiveData(d topo.Dir, msg *dataMsg, now uint64) {
-	ip := n.inputs[d]
+	ip := &n.inputs[d]
 	e := ip.lookup(msg.Depart+1, msg.Q.ID)
 	if e == nil {
 		panic(fmt.Sprintf("loft: node %d input %s: quantum %+v arrived without a look-ahead entry", n.id, d, msg.Q.ID))
@@ -679,7 +716,7 @@ func (n *Node) forward(o, in topo.Dir, e *inEntry, slot, now uint64) {
 	}
 	n.linkBusy[o]++
 	// Vacate this node's input buffer and return its real credit.
-	ip := n.inputs[in]
+	ip := &n.inputs[in]
 	ip.dropAvail(e)
 	if e.inSpec {
 		ip.specUsed--

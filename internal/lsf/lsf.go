@@ -48,6 +48,7 @@ import (
 	"slices"
 
 	"loft/internal/flit"
+	"loft/internal/label"
 	"loft/internal/probe"
 )
 
@@ -124,7 +125,7 @@ type Stats struct {
 // Table is one framed output reservation table with its scheduler state.
 type Table struct {
 	p    Params
-	name string
+	name label.Label
 	wt   int // total slots = SlotsPerFrame * Frames
 	// The reservation table proper, one column per field, indexed by ring
 	// position: bit i%64 of busy[i/64] is slot i's busy flag and own[2i],
@@ -135,8 +136,9 @@ type Table struct {
 	// end the credit at the window end; delta[i] is slot i's credit minus
 	// the credit of the slot before it in window order, and bit i%64 of
 	// bp[i/64] is set exactly when delta[i] != 0. delta[cp] is always 0,
-	// and end == base + Σ delta. delta shares its allocation with skipped;
-	// busy, bp and own share one.
+	// and end == base + Σ delta. NewTables cuts delta, skipped and index
+	// from one int32 array and busy, bp and own from one uint64 array, each
+	// shared by every table built in the same call.
 	base, end int
 	delta     []int32
 	bp        []uint64
@@ -195,34 +197,74 @@ type Table struct {
 	fault Fault
 }
 
-// NewTable returns an empty table. It panics on invalid params (a
-// configuration bug, validated earlier by config).
-func NewTable(name string, p Params) *Table {
+// Spec describes one table of NewTables: its name and the flows it will
+// register, as their number and one more than their largest id. AddFlow
+// within the spec allocates nothing; past it the flow state grows.
+type Spec struct {
+	Name  label.Label
+	Flows int
+	IDs   int
+}
+
+// NewTables returns one empty table per spec, all sharing three arrays: the
+// credit steps, skipped counters and flow-id indexes of every table are cut
+// from one int32 array, the busy, breakpoint and owner words from one uint64
+// array, and the flow state from one array. A LOFT node holds its tables
+// this way, so building them costs four allocations however many flows they
+// carry. It panics on invalid params (a configuration bug, validated earlier
+// by config).
+func NewTables(p Params, specs []Spec) []Table {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	wt := p.SlotsPerFrame * p.Frames
 	nw := (wt + 63) / 64
-	ints := make([]int32, wt+p.Frames)
-	words := make([]uint64, 2*nw+2*wt)
-	return &Table{
-		p:        p,
-		name:     name,
-		wt:       wt,
-		base:     p.BufferQuanta,
-		end:      p.BufferQuanta,
-		delta:    ints[:wt:wt],
-		skipped:  ints[wt:],
-		busy:     words[:nw:nw],
-		bp:       words[nw : 2*nw : 2*nw],
-		own:      words[2*nw:],
-		live:     -1,
-		lastZero: -1,
+	nInts, nFlows := 0, 0
+	for _, s := range specs {
+		nInts += wt + p.Frames + s.IDs
+		nFlows += s.Flows
 	}
+	ints := make([]int32, nInts)
+	words := make([]uint64, len(specs)*(2*nw+2*wt))
+	flows := make([]flowState, nFlows)
+	tables := make([]Table, len(specs))
+	for i, s := range specs {
+		tables[i] = Table{
+			p:        p,
+			name:     s.Name,
+			wt:       wt,
+			base:     p.BufferQuanta,
+			end:      p.BufferQuanta,
+			delta:    carve(&ints, wt),
+			skipped:  carve(&ints, p.Frames),
+			index:    carve(&ints, s.IDs),
+			busy:     carve(&words, nw),
+			bp:       carve(&words, nw),
+			own:      carve(&words, 2*wt),
+			flows:    carve(&flows, s.Flows)[:0],
+			live:     -1,
+			lastZero: -1,
+		}
+	}
+	return tables
+}
+
+// carve cuts the next n elements off *buf, capped at n so that growing the
+// piece reallocates instead of running into its neighbour.
+func carve[T any](buf *[]T, n int) []T {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
+}
+
+// NewTable returns one empty table: the one-spec case of NewTables, with
+// flow state that grows as flows register.
+func NewTable(name string, p Params) *Table {
+	return &NewTables(p, []Spec{{Name: label.Fixed(name)}})[0]
 }
 
 // Name returns the table's diagnostic name.
-func (t *Table) Name() string { return t.name }
+func (t *Table) Name() string { return t.name.String() }
 
 // SetProbe attaches the record stream the table's events are staged in.
 // node and link identify this table in traces; cyclesPerSlot converts the
@@ -259,16 +301,16 @@ func (t *Table) flow(id flit.FlowID) *flowState {
 // It enforces the LSF admission constraint Σ R_ij ≤ F.
 func (t *Table) AddFlow(id flit.FlowID, r int) error {
 	if r < 1 {
-		return fmt.Errorf("lsf: flow %d reservation %d < 1 quantum on %s", id, r, t.name)
+		return fmt.Errorf("lsf: flow %d reservation %d < 1 quantum on %s", id, r, t.Name())
 	}
 	if id < 0 {
-		return fmt.Errorf("lsf: negative flow id %d on %s", id, t.name)
+		return fmt.Errorf("lsf: negative flow id %d on %s", id, t.Name())
 	}
 	if t.flow(id) != nil {
-		return fmt.Errorf("lsf: flow %d registered twice on %s", id, t.name)
+		return fmt.Errorf("lsf: flow %d registered twice on %s", id, t.Name())
 	}
 	if t.sumR+r > t.p.SlotsPerFrame {
-		return fmt.Errorf("lsf: ΣR %d+%d exceeds frame size %d on %s", t.sumR, r, t.p.SlotsPerFrame, t.name)
+		return fmt.Errorf("lsf: ΣR %d+%d exceeds frame size %d on %s", t.sumR, r, t.p.SlotsPerFrame, t.Name())
 	}
 	t.sumR += r
 	if n := int(id) + 1; n > len(t.index) {
@@ -303,7 +345,7 @@ func (t *Table) HeadFrame() int { return t.hf }
 func (t *Table) ring(s uint64) int {
 	d := s - t.now
 	if d >= uint64(t.wt) {
-		panic(fmt.Sprintf("lsf: slot %d outside window [%d,%d) on %s", s, t.now, t.now+uint64(t.wt), t.name))
+		panic(fmt.Sprintf("lsf: slot %d outside window [%d,%d) on %s", s, t.now, t.now+uint64(t.wt), t.Name()))
 	}
 	return t.at(int(d))
 }
@@ -508,7 +550,7 @@ func (t *Table) state(st *flowState) (ifr, c int) {
 func (t *Table) Request(f flit.FlowID, quantum uint64, minSlot uint64) (uint64, bool) {
 	st := t.flow(f)
 	if st == nil {
-		panic(fmt.Sprintf("lsf: request from unregistered flow %d on %s", f, t.name))
+		panic(fmt.Sprintf("lsf: request from unregistered flow %d on %s", f, t.Name()))
 	}
 	t.stats.Requests++
 	t.dirty = true
@@ -636,9 +678,9 @@ func (t *Table) settle(off, c int) {
 		if v := min(max(c, 0), t.p.BufferQuanta); v != c {
 			switch {
 			case t.p.Strict && c < 0:
-				panic(fmt.Sprintf("lsf: negative virtual credit on %s (Theorem I violation)", t.name))
+				panic(fmt.Sprintf("lsf: negative virtual credit on %s (Theorem I violation)", t.Name()))
 			case t.p.Strict:
-				panic(fmt.Sprintf("lsf: virtual credit above capacity on %s", t.name))
+				panic(fmt.Sprintf("lsf: virtual credit above capacity on %s", t.Name()))
 			}
 			t.shift(off, v-c)
 			if next < t.wt {
@@ -665,7 +707,7 @@ func (t *Table) ReturnCredit(tag uint64) {
 	from := 0
 	if tag > t.now {
 		if tag >= t.now+uint64(t.wt) {
-			panic(fmt.Sprintf("lsf: credit return tag %d beyond window on %s", tag, t.name))
+			panic(fmt.Sprintf("lsf: credit return tag %d beyond window on %s", tag, t.Name()))
 		}
 		from = int(tag - t.now)
 	}
@@ -700,7 +742,7 @@ func (t *Table) finishReturn(from int, tag uint64) {
 	}
 	t.outstanding--
 	if t.outstanding < 0 {
-		panic(fmt.Sprintf("lsf: more credit returns than bookings on %s", t.name))
+		panic(fmt.Sprintf("lsf: more credit returns than bookings on %s", t.Name()))
 	}
 	t.version++
 	t.emit(probe.KindVCreditGrant, -1, 0, tag*t.slotCycles)
@@ -716,7 +758,7 @@ func (t *Table) ClearBusy(s uint64) {
 	p := t.ring(s)
 	w, b := bit(p)
 	if t.busy[w]&b == 0 {
-		panic(fmt.Sprintf("lsf: clearing idle slot %d on %s", s, t.name))
+		panic(fmt.Sprintf("lsf: clearing idle slot %d on %s", s, t.Name()))
 	}
 	t.busy[w] &^= b
 	t.busyCount--
@@ -842,7 +884,7 @@ func (t *Table) Occupancy() float64 { return float64(t.busyCount) / float64(t.wt
 // purpose, so they are not checked under it.
 func (t *Table) VerifyZero() {
 	fail := func(format string, args ...any) {
-		panic(fmt.Sprintf("lsf: %s on %s (outstanding=%d)", fmt.Sprintf(format, args...), t.name, t.outstanding))
+		panic(fmt.Sprintf("lsf: %s on %s (outstanding=%d)", fmt.Sprintf(format, args...), t.Name(), t.outstanding))
 	}
 	if t.delta[t.cp] != 0 {
 		fail("step %d at the current slot", t.delta[t.cp])

@@ -1,5 +1,7 @@
 package sim
 
+import "loft/internal/label"
+
 // Reg is a one-entry pipeline register carrying values of type T across a
 // cycle boundary. A value written during Tick of cycle n becomes readable
 // during Tick of cycle n+1, and only then: a value nobody takes in that
@@ -17,7 +19,7 @@ package sim
 type Reg[T any] struct {
 	slot [2]T
 	at   [2]uint64 // cycle in which slot[i] is readable; noCycle when empty
-	name string
+	name label.Label
 }
 
 // noCycle stamps an empty slot: no cycle ever reaches it.
@@ -25,11 +27,20 @@ const noCycle = ^uint64(0)
 
 // NewReg returns an empty register. The name is used in hazard panics.
 func NewReg[T any](name string) *Reg[T] {
-	return &Reg[T]{at: [2]uint64{noCycle, noCycle}, name: name}
+	r := new(Reg[T])
+	r.Init(label.Fixed(name))
+	return r
+}
+
+// Init empties r and names it: the in-place form of NewReg, for owners that
+// take their registers from one slab. A register must be initialized before
+// use: the zero Reg reads as written for cycle 0.
+func (r *Reg[T]) Init(name label.Label) {
+	*r = Reg[T]{at: [2]uint64{noCycle, noCycle}, name: name}
 }
 
 // Name returns the register's diagnostic name.
-func (r *Reg[T]) Name() string { return r.name }
+func (r *Reg[T]) Name() string { return r.name.String() }
 
 // Take consumes the value written in cycle now-1. It returns a pointer into
 // the register, valid until the end of cycle now, and false when nothing
@@ -48,7 +59,7 @@ func (r *Reg[T]) Take(now uint64) (*T, bool) {
 func (r *Reg[T]) Write(now uint64, v T) {
 	i := (now + 1) & 1
 	if r.at[i] == now+1 {
-		panic("sim: double write to register " + r.name)
+		panic("sim: double write to register " + r.Name())
 	}
 	r.slot[i], r.at[i] = v, now+1
 }

@@ -78,41 +78,82 @@ func (p *Pattern) SetFlowRate(id flit.FlowID, rate float64) {
 }
 
 // LinkFlows returns, for every link, the flows whose reservations are
-// installed on it. For path-based patterns these are the XY-path links of
-// each flow plus its injection link; for AllLinks patterns every flow is
-// installed everywhere it could appear.
+// installed on it, in flow order. For path-based patterns these are the
+// XY-path links of each flow plus its injection link; for AllLinks patterns
+// every flow is installed everywhere it could appear, so every mesh and
+// ejection link shares one list of all flows. The lists share storage:
+// callers must not modify them.
 func (p *Pattern) LinkFlows() map[topo.Link][]flit.FlowID {
-	out := make(map[topo.Link][]flit.FlowID)
-	add := func(l topo.Link, f flit.FlowID) { out[l] = append(out[l], f) }
-	if p.AllLinks {
-		for _, f := range p.Flows {
-			for n := 0; n < p.Mesh.N(); n++ {
-				for d := topo.North; d < topo.NumDirs; d++ {
-					if d == topo.Local {
-						add(topo.EjectionLink(topo.NodeID(n)), f.ID)
-						continue
-					}
-					if _, ok := p.Mesh.Neighbor(topo.NodeID(n), d); ok {
-						add(topo.Link{From: topo.NodeID(n), D: d}, f.ID)
-					}
-				}
-			}
-			add(topo.InjectionLink(f.Src), f.ID)
+	// Every (link, flow) pair is visited twice: once to count each link's
+	// flows, once to fill lists cut from one array at their final lengths.
+	// pos[s+1] counts link slot s, then pos[s] becomes its start, and the
+	// fill advances it to its end, which is the next slot's start.
+	const dirs = int(topo.NumDirs) + 1
+	slots := p.Mesh.N() * dirs
+	pos := make([]int, slots+1)
+	p.eachLinkFlow(func(l topo.Link, _ flit.FlowID) { pos[int(l.From)*dirs+int(l.D)+1]++ })
+	links := 0
+	for s := 1; s <= slots; s++ {
+		if pos[s] > 0 {
+			links++
 		}
-		return out
+		pos[s] += pos[s-1]
 	}
-	for _, f := range p.Flows {
-		add(topo.InjectionLink(f.Src), f.ID)
-		for _, l := range route.Path(p.Mesh, f.Src, f.Dst) {
-			add(l, f.ID)
+	flat := make([]flit.FlowID, pos[slots])
+	p.eachLinkFlow(func(l topo.Link, f flit.FlowID) {
+		s := int(l.From)*dirs + int(l.D)
+		flat[pos[s]] = f
+		pos[s]++
+	})
+	var all []flit.FlowID
+	if p.AllLinks && len(p.Flows) > 0 {
+		links += p.Mesh.N() * int(topo.NumDirs)
+		all = make([]flit.FlowID, len(p.Flows))
+		for i, f := range p.Flows {
+			all[i] = f.ID
+		}
+	}
+	out := make(map[topo.Link][]flit.FlowID, links)
+	start := 0
+	for s := 0; s < slots; s++ {
+		if end := pos[s]; end > start {
+			out[topo.Link{From: topo.NodeID(s / dirs), D: topo.Dir(s % dirs)}] = flat[start:end:end]
+			start = end
+		}
+	}
+	for n := 0; all != nil && n < p.Mesh.N(); n++ {
+		for d := topo.North; d < topo.NumDirs; d++ {
+			if _, ok := p.Mesh.Neighbor(topo.NodeID(n), d); ok || d == topo.Local {
+				out[topo.Link{From: topo.NodeID(n), D: d}] = all
+			}
 		}
 	}
 	return out
 }
 
+// eachLinkFlow calls fn for every (link, flow) pair that LinkFlows lists
+// separately, in flow order: each flow's injection link, then, unless the
+// pattern installs every flow on every mesh and ejection link, its XY path.
+func (p *Pattern) eachLinkFlow(fn func(topo.Link, flit.FlowID)) {
+	for _, f := range p.Flows {
+		fn(topo.InjectionLink(f.Src), f.ID)
+		if p.AllLinks {
+			continue
+		}
+		for _, l := range route.Path(p.Mesh, f.Src, f.Dst) {
+			fn(l, f.ID)
+		}
+	}
+}
+
 // Validate checks the LSF admission constraint ΣR_ij ≤ F on every link.
 func (p *Pattern) Validate(frameFlits int) error {
-	linkFlows := p.LinkFlows()
+	return p.ValidateLinks(p.LinkFlows(), frameFlits)
+}
+
+// ValidateLinks is Validate over linkFlows, which must be p.LinkFlows(): a
+// caller that needs the lists anyway builds them once for both.
+func (p *Pattern) ValidateLinks(linkFlows map[topo.Link][]flit.FlowID, frameFlits int) error {
 	for _, l := range det.KeysFunc(linkFlows, topo.Link.Less) {
 		sum := 0
 		for _, id := range linkFlows[l] {
