@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+
+	"loft/internal/label"
 )
 
 type counter struct {
@@ -47,6 +50,32 @@ func TestRegDoubleWritePanics(t *testing.T) {
 		}
 	}()
 	r.Write(0, 2)
+}
+
+// TestRegInit checks registers taken from a slab: Init empties a register
+// exactly as NewReg does, where the zero Reg reads as written for cycle 0,
+// and names it through its label.
+func TestRegInit(t *testing.T) {
+	slab := make([]Reg[int], 2)
+	slab[0].Init(label.New(func(a, b int) string { return fmt.Sprintf("data %d->%d", a, b) }, 3, 4))
+	for now := uint64(0); now < 3; now++ {
+		if _, ok := slab[0].Take(now); ok {
+			t.Fatalf("initialized register reads a value at cycle %d", now)
+		}
+	}
+	if _, ok := slab[1].Take(0); !ok {
+		t.Fatal("zero register reads empty at cycle 0: Init's reason is gone")
+	}
+	if got := slab[0].Name(); got != "data 3->4" {
+		t.Fatalf("Name() = %q", got)
+	}
+	defer func() {
+		if r := recover(); r != "sim: double write to register data 3->4" {
+			t.Fatalf("double write panicked with %v", r)
+		}
+	}()
+	slab[0].Write(5, 1)
+	slab[0].Write(5, 2)
 }
 
 // refReg is the two-phase register the stamped Reg replaced: Write fills a
