@@ -3,11 +3,14 @@
 
 GO ?= go
 
-.PHONY: build test race race-sweep par-smoke vet fmt lint check audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module bench
+.PHONY: build test race race-sweep par-smoke vet fmt check audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module bench
 
 build:
 	$(GO) build ./...
 
+# Also the determinism gate: internal/lint's TestModule checks every package
+# for wall clocks, global RNGs, environment reads and order-leaking map
+# iteration, and fails listing each finding.
 test:
 	$(GO) test ./...
 
@@ -41,13 +44,6 @@ par-smoke:
 
 vet:
 	$(GO) vet ./...
-
-# The repo's own analyzer (cmd/loftcheck): determinism, which keeps wall
-# clocks, global RNGs, environment reads and order-leaking map iteration out
-# of the simulation packages. -strict also rejects //lint:ignore
-# suppressions, so they stay at zero diagnostics AND zero suppressions.
-lint:
-	$(GO) run ./cmd/loftcheck -strict ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -142,7 +138,7 @@ fuzz-smoke:
 bench-module:
 	cd bench && $(GO) vet . && $(GO) test .
 
-check: build vet fmt lint test race-sweep par-smoke race audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module
+check: build vet fmt test race-sweep par-smoke race audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module
 
 bench:
 	$(GO) test -bench=. -benchmem

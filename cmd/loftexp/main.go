@@ -8,12 +8,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"loft/internal/analysis"
 	"loft/internal/config"
 	"loft/internal/core"
+	"loft/internal/det"
 	"loft/internal/exp"
 	"loft/internal/fault"
 	"loft/internal/runio"
@@ -193,12 +193,7 @@ func fig11(pattern string, o exp.Options) (any, error) {
 		fmt.Println()
 	}
 	fmt.Println("saturation throughput normalized to GSF:")
-	keys := make([]string, 0, len(res.SaturationThroughput))
-	for a := range res.SaturationThroughput {
-		keys = append(keys, a)
-	}
-	sort.Strings(keys)
-	for _, a := range keys {
+	for _, a := range det.Keys(res.SaturationThroughput) {
 		fmt.Printf("  %-14s %.3f\n", a, res.SaturationThroughput[a])
 	}
 	return res, nil

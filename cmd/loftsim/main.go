@@ -52,10 +52,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"loft/internal/config"
 	"loft/internal/core"
+	"loft/internal/det"
 	"loft/internal/runio"
 	"loft/internal/stats"
 	"loft/internal/sweep"
@@ -196,12 +196,7 @@ func main() {
 		s.Fatal(err)
 	}
 	if *verbose {
-		ids := make([]int, 0, len(res.FlowRate))
-		for id := range res.FlowRate {
-			ids = append(ids, int(id))
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
+		for _, id := range det.Keys(res.FlowRate) {
 			f := p.Flows[id]
 			fmt.Printf("  flow %2d %2d->%2d : %.5f flits/cycle, %.1f cycles\n",
 				id, f.Src, f.Dst, res.FlowRate[f.ID], res.FlowLatency[f.ID])

@@ -3,11 +3,12 @@
 // Go randomizes map iteration order per run, so any map range whose body
 // order reaches simulation state, output bytes, or returned values breaks
 // the repo's byte-identity contracts (parallel sweep ≡ sequential run,
-// probe/audit exports stable across reruns). The determinism analyzer in
-// internal/lint flags such ranges in simulation packages; the fix is to
-// iterate over det.Keys (or det.KeysFunc for non-ordered key types), which
-// materializes the key set and sorts it. This package is the single blessed
-// place where a raw map range is allowed to feed an ordered result.
+// probe/audit exports stable across reruns). The determinism check in
+// internal/lint flags such ranges in every package of the module; the fix
+// is to iterate over det.Keys (or det.KeysFunc for non-ordered key types),
+// which materializes the key set and sorts it. This package is the single
+// blessed place where a raw map range is allowed to feed an ordered result,
+// and so one of the check's three exempt packages.
 package det
 
 import (

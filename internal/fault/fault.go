@@ -21,9 +21,10 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
+
+	"loft/internal/det"
 )
 
 // Kind enumerates the fault surfaces a Plan can target.
@@ -396,10 +397,9 @@ func (p *Plan) Quarantines() []Quarantine {
 		}
 	}
 	out := make([]Quarantine, 0, len(caps))
-	for f, c := range caps {
-		out = append(out, Quarantine{Flow: f, Cap: c})
+	for _, f := range det.Keys(caps) {
+		out = append(out, Quarantine{Flow: f, Cap: caps[f]})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Flow < out[j].Flow })
 	return out
 }
 

@@ -8,38 +8,33 @@ import (
 	"testing"
 )
 
-// The corpus harness: each analyzer has a true-positive package (a) whose
-// findings are pinned by `// want "regexp"` comments, and a clean-negative
-// package (clean) that must produce nothing, under testdata/src/<name>.
-// Packages are loaded through the same loader as real runs, with Match
-// bypassed so import paths don't matter.
+// The corpus harness: a true-positive package (a) whose findings are pinned
+// by `// want "regexp"` comments, and a clean-negative package (clean) that
+// must produce nothing, under testdata/src/determinism. Packages are loaded
+// through the same loader as Module, and Check runs on them whatever their
+// import path.
 
 func TestCorpus(t *testing.T) {
 	ld, err := newLoader(".")
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	for _, a := range All() {
-		for _, variant := range []string{"a", "clean"} {
-			t.Run(a.Name+"/"+variant, func(t *testing.T) {
-				dir := filepath.Join("testdata", "src", a.Name, variant)
-				pkg, err := ld.loadDir("corpus/"+a.Name+"/"+variant, dir)
-				if err != nil {
-					t.Fatalf("load %s: %v", dir, err)
-				}
-				active, suppressed := runPackage(pkg, true)
-				if len(suppressed) != 0 {
-					t.Errorf("corpus package %s has suppressions; corpora must pin findings with want comments", dir)
-				}
-				checkWants(t, pkg, active)
-				if variant == "clean" && len(active) != 0 {
-					t.Errorf("clean corpus produced %d diagnostics", len(active))
-				}
-				if variant == "a" && len(active) == 0 {
-					t.Errorf("true-positive corpus produced no diagnostics")
-				}
-			})
-		}
+	for _, variant := range []string{"a", "clean"} {
+		t.Run("determinism/"+variant, func(t *testing.T) {
+			dir := filepath.Join("testdata", "src", "determinism", variant)
+			pkg, err := ld.loadDir("corpus/determinism/"+variant, dir)
+			if err != nil {
+				t.Fatalf("load %s: %v", dir, err)
+			}
+			diags := Check(pkg)
+			checkWants(t, pkg, diags)
+			if variant == "clean" && len(diags) != 0 {
+				t.Errorf("clean corpus produced %d diagnostics", len(diags))
+			}
+			if variant == "a" && len(diags) == 0 {
+				t.Errorf("true-positive corpus produced no diagnostics")
+			}
+		})
 	}
 }
 

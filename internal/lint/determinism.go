@@ -1,13 +1,74 @@
+// Package lint holds the repo's one static check, determinism: results and
+// exported artifacts must be functions of (config, seed) alone, so no
+// package may consult a wall clock, a global math/rand generator or the
+// environment, or range over a map where the iteration order can escape the
+// loop. A wall-clock read or an unseeded draw can agree with every stored
+// golden on the day it lands, so only a static check catches it.
+//
+// Check runs it over one package loaded from source and type-checked
+// against export data produced by the go tool (load.go), stdlib only.
+// Module runs it over every package of the module except the exempt set,
+// and TestModule does that inside `go test ./...`. The contracts checked at
+// run time instead are listed in DESIGN.md §11.
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
+	"slices"
 )
 
-// Determinism returns the analyzer enforcing the byte-identity contract of
-// the simulation and observability packages: results and exported artifacts
-// must be functions of (config, seed) alone. It flags
+// exempt are the only packages that may read wall time or range maps raw:
+// runenv stamps run manifests with the host's clock and revision, perfmon
+// times host-side stages, and det is where the sorted map walk lives.
+// Neither clock feeds simulation state, so profiled runs stay
+// byte-identical. Every other package, including new ones, is checked.
+var exempt = []string{
+	"loft/internal/det",
+	"loft/internal/perfmon",
+	"loft/internal/runenv",
+}
+
+// Diagnostic is one finding, positioned for editors (file:line:col).
+type Diagnostic struct {
+	Pos     token.Position
+	Message string
+}
+
+func (d Diagnostic) String() string {
+	return fmt.Sprintf("%s:%d:%d: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message)
+}
+
+// Module checks every package `go list ./...` finds in the module containing
+// dir, except the exempt set. A non-nil error means the check itself could
+// not run (a load or type failure), as distinct from findings.
+func Module(dir string) ([]Diagnostic, error) {
+	ld, err := newLoader(dir)
+	if err != nil {
+		return nil, err
+	}
+	targets, err := ld.targets()
+	if err != nil {
+		return nil, err
+	}
+	var out []Diagnostic
+	for _, t := range targets {
+		if slices.Contains(exempt, t.ImportPath) {
+			continue
+		}
+		pkg, err := ld.loadFiles(t.ImportPath, t.Dir, t.GoFiles)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Check(pkg)...)
+	}
+	return out, nil
+}
+
+// Check reports every construct of pkg that can make a
+// result depend on something other than (config, seed):
 //
 //   - wall-clock reads (time.Now/Since/Until): cycle counts and seeded RNGs
 //     are the only clocks a simulator may consult;
@@ -21,15 +82,32 @@ import (
 //     order. Iterate det.Keys(m) (internal/det) instead;
 //   - environment reads (os.Getenv/LookupEnv/Environ): results must not
 //     depend on the invoking shell. internal/runenv is the one sanctioned
-//     environment reader below the CLIs, and it is absent from every
-//     checked-package list.
-func Determinism() *Analyzer {
-	return &Analyzer{
-		Name:  "determinism",
-		Doc:   "forbid wall clocks, global RNGs, env reads, and order-dependent map iteration in simulation packages",
-		Match: matchPaths(simulationPackages, observabilityPackages, tracePackages),
-		Run:   determinismRun,
+//     environment reader.
+func Check(pkg *Package) []Diagnostic {
+	c := &checker{fset: pkg.Fset, info: pkg.Info}
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				c.checkForbiddenFunc(n)
+			case *ast.RangeStmt:
+				c.checkMapRange(n)
+			}
+			return true
+		})
 	}
+	return c.diags
+}
+
+// checker collects the findings of one Check.
+type checker struct {
+	fset  *token.FileSet
+	info  *types.Info
+	diags []Diagnostic
+}
+
+func (c *checker) reportf(pos token.Pos, format string, args ...any) {
+	c.diags = append(c.diags, Diagnostic{Pos: c.fset.Position(pos), Message: fmt.Sprintf(format, args...)})
 }
 
 // randConstructors are the math/rand top-level functions that build local
@@ -42,22 +120,8 @@ var randConstructors = map[string]bool{
 	"NewChaCha8": true,
 }
 
-func determinismRun(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				checkForbiddenFunc(pass, n)
-			case *ast.RangeStmt:
-				checkMapRange(pass, n)
-			}
-			return true
-		})
-	}
-}
-
-func checkForbiddenFunc(pass *Pass, id *ast.Ident) {
-	fn := usedFunc(pass.Info, id)
+func (c *checker) checkForbiddenFunc(id *ast.Ident) {
+	fn := usedFunc(c.info, id)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -69,16 +133,16 @@ func checkForbiddenFunc(pass *Pass, id *ast.Ident) {
 	case "time":
 		switch fn.Name() {
 		case "Now", "Since", "Until":
-			pass.Reportf(id.Pos(), "call to time.%s in a simulation package: results must depend on (config, seed) only; use cycle counts", fn.Name())
+			c.reportf(id.Pos(), "call to time.%s: results must depend on (config, seed) only; use cycle counts", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
 		if !randConstructors[fn.Name()] {
-			pass.Reportf(id.Pos(), "use of global %s.%s: the process-wide stream breaks sweep determinism; draw from a per-run seeded RNG (internal/sim.RNG)", fn.Pkg().Name(), fn.Name())
+			c.reportf(id.Pos(), "use of global %s.%s: the process-wide stream breaks sweep determinism; draw from a per-run seeded RNG (internal/sim.RNG)", fn.Pkg().Name(), fn.Name())
 		}
 	case "os":
 		switch fn.Name() {
 		case "Getenv", "LookupEnv", "Environ":
-			pass.Reportf(id.Pos(), "call to os.%s in a simulation package: environment reads make results depend on the invoking shell; internal/runenv is the sanctioned environment reader", fn.Name())
+			c.reportf(id.Pos(), "call to os.%s: environment reads make results depend on the invoking shell; internal/runenv is the sanctioned environment reader", fn.Name())
 		}
 	}
 }
@@ -87,8 +151,8 @@ func checkForbiddenFunc(pass *Pass, id *ast.Ident) {
 // order-dependent when iteration order can escape the loop: an append to
 // state declared outside the loop, a channel send, an output call, or a
 // return whose value derives from the iteration.
-func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
-	tv, ok := pass.Info.Types[rng.X]
+func (c *checker) checkMapRange(rng *ast.RangeStmt) {
+	tv, ok := c.info.Types[rng.X]
 	if !ok {
 		return
 	}
@@ -102,7 +166,7 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 	tainted := make(map[types.Object]bool)
 	addDef := func(e ast.Expr) {
 		if id, ok := e.(*ast.Ident); ok {
-			if obj := pass.Info.Defs[id]; obj != nil {
+			if obj := c.info.Defs[id]; obj != nil {
 				tainted[obj] = true
 			}
 		}
@@ -111,38 +175,39 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 	addDef(rng.Value)
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
-			if obj := pass.Info.Defs[id]; obj != nil {
+			if obj := c.info.Defs[id]; obj != nil {
 				tainted[obj] = true
 			}
 		}
 		return true
 	})
 
-	keyObj := rangeVarObj(pass.Info, rng.Key)
+	var keyObj types.Object
+	if id, ok := rng.Key.(*ast.Ident); ok {
+		keyObj = c.info.Defs[id]
+	}
 
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:
-			pass.Reportf(n.Pos(), "channel send inside map iteration: delivery order follows Go's randomized map order; iterate det.Keys instead")
+			c.reportf(n.Pos(), "channel send inside map iteration: delivery order follows Go's randomized map order; iterate det.Keys instead")
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
-				if refsTainted(pass.Info, res, tainted) {
-					pass.Reportf(n.Pos(), "return value depends on which map entry is visited first; iterate det.Keys instead")
+				if refsTainted(c.info, res, tainted) {
+					c.reportf(n.Pos(), "return value depends on which map entry is visited first; iterate det.Keys instead")
 					break
 				}
 			}
 		case *ast.CallExpr:
-			if isBuiltin(pass.Info, n, "append") {
-				if dest := appendDest(n); dest != nil && escapesLoop(pass.Info, dest, tainted, keyObj) {
-					pass.Reportf(n.Pos(), "append inside map iteration builds a slice in randomized map order; iterate det.Keys instead")
+			if isBuiltin(c.info, n, "append") {
+				if len(n.Args) > 0 && escapesLoop(c.info, ast.Unparen(n.Args[0]), tainted, keyObj) {
+					c.reportf(n.Pos(), "append inside map iteration builds a slice in randomized map order; iterate det.Keys instead")
 				}
 				return true
 			}
-			if path, name := pkgFuncPath(pass.Info, n); path == "fmt" && outputFmtFuncs[name] {
-				pass.Reportf(n.Pos(), "output written inside map iteration follows Go's randomized map order; iterate det.Keys instead")
-			}
-			if isBuiltin(pass.Info, n, "print") || isBuiltin(pass.Info, n, "println") {
-				pass.Reportf(n.Pos(), "output written inside map iteration follows Go's randomized map order; iterate det.Keys instead")
+			path, name := pkgFuncPath(c.info, n)
+			if path == "fmt" && outputFmtFuncs[name] || isBuiltin(c.info, n, "print") || isBuiltin(c.info, n, "println") {
+				c.reportf(n.Pos(), "output written inside map iteration follows Go's randomized map order; iterate det.Keys instead")
 			}
 		}
 		return true
@@ -154,22 +219,6 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 var outputFmtFuncs = map[string]bool{
 	"Print": true, "Printf": true, "Println": true,
 	"Fprint": true, "Fprintf": true, "Fprintln": true,
-}
-
-func rangeVarObj(info *types.Info, e ast.Expr) types.Object {
-	if id, ok := e.(*ast.Ident); ok {
-		return info.Defs[id]
-	}
-	return nil
-}
-
-// appendDest returns the expression receiving the append (its first
-// argument).
-func appendDest(call *ast.CallExpr) ast.Expr {
-	if len(call.Args) == 0 {
-		return nil
-	}
-	return ast.Unparen(call.Args[0])
 }
 
 // escapesLoop reports whether an append destination outlives the loop body
@@ -217,4 +266,58 @@ func refsObject(info *types.Info, e ast.Expr, want types.Object) bool {
 		return !found
 	})
 	return found
+}
+
+// usedFunc resolves an identifier to the function object it uses, if any.
+func usedFunc(info *types.Info, id *ast.Ident) *types.Func {
+	if obj, ok := info.Uses[id]; ok {
+		if fn, ok := obj.(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
+}
+
+// calleeFunc resolves a call expression to its static callee: a package
+// function, or a method on a concrete (non-interface) receiver. Interface
+// dispatch and indirect calls through function values return nil.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return usedFunc(info, fun)
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			if sel.Kind() != types.MethodVal {
+				return nil
+			}
+			if types.IsInterface(sel.Recv()) {
+				return nil
+			}
+			fn, _ := sel.Obj().(*types.Func)
+			return fn
+		}
+		// Qualified identifier (pkg.Func).
+		return usedFunc(info, fun.Sel)
+	}
+	return nil
+}
+
+// isBuiltin reports whether the call invokes the named builtin.
+func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
+}
+
+// pkgFuncPath returns the import path and name of the package-level
+// function (or method) a call resolves to, or "" when unresolvable.
+func pkgFuncPath(info *types.Info, call *ast.CallExpr) (path, name string) {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return "", ""
+	}
+	return fn.Pkg().Path(), fn.Name()
 }

@@ -25,7 +25,7 @@ type Package struct {
 	Info  *types.Info
 }
 
-// target describes one package to analyze, as reported by the go tool.
+// target describes one package to check, as reported by the go tool.
 type target struct {
 	ImportPath string
 	Dir        string
@@ -40,15 +40,14 @@ var extraStdPackages = []string{"fmt", "log", "math/rand", "sync", "time"}
 // loader type-checks packages from source against export data produced by
 // the go tool. One `go list -export -deps` invocation builds the import
 // universe (compiled export data for every dependency, stdlib included);
-// each analyzed package is then parsed and type-checked from its .go files,
-// so analyzers see full syntax plus full type information without any
+// each checked package is then parsed and type-checked from its .go files,
+// so Check sees full syntax plus full type information without any
 // non-stdlib dependency.
 type loader struct {
-	root     string // module root (directory containing go.mod)
-	fset     *token.FileSet
-	imp      types.Importer
-	exports  map[string]string // import path -> export data file
-	universe []string          // patterns the universe was built from
+	root    string // module root (directory containing go.mod)
+	fset    *token.FileSet
+	imp     types.Importer
+	exports map[string]string // import path -> export data file
 }
 
 // findModuleRoot walks upward from dir to the directory containing go.mod.
@@ -70,9 +69,6 @@ func findModuleRoot(dir string) (string, error) {
 }
 
 func newLoader(dir string) (*loader, error) {
-	if dir == "" {
-		dir = "."
-	}
 	root, err := findModuleRoot(dir)
 	if err != nil {
 		return nil, err
@@ -92,17 +88,28 @@ func newLoader(dir string) (*loader, error) {
 	return ld, nil
 }
 
-// goList runs the go tool in the module root and returns its stdout.
-func (ld *loader) goList(args ...string) ([]byte, error) {
+// goList runs `go list -json=...` in the module root and decodes every
+// package it prints.
+func goList[T any](root string, args ...string) ([]T, error) {
 	cmd := exec.Command("go", append([]string{"list"}, args...)...)
-	cmd.Dir = ld.root
+	cmd.Dir = root
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
 		return nil, fmt.Errorf("lint: go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 	}
-	return out, nil
+	var pkgs []T
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p T
+		if err := dec.Decode(&p); err == io.EOF {
+			return pkgs, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("lint: decoding go list output: %v", err)
+		}
+		pkgs = append(pkgs, p)
+	}
 }
 
 // buildUniverse records export data for every dependency of the module plus
@@ -111,60 +118,41 @@ func (ld *loader) goList(args ...string) ([]byte, error) {
 // later only if something actually imports them.
 func (ld *loader) buildUniverse() error {
 	args := append([]string{"-e", "-export", "-deps", "-json=ImportPath,Export", "./..."}, extraStdPackages...)
-	out, err := ld.goList(args...)
+	pkgs, err := goList[struct{ ImportPath, Export string }](ld.root, args...)
 	if err != nil {
 		return err
 	}
 	ld.exports = make(map[string]string)
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var m struct{ ImportPath, Export string }
-		if err := dec.Decode(&m); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("lint: decoding go list output: %v", err)
-		}
-		if m.Export != "" {
-			ld.exports[m.ImportPath] = m.Export
+	for _, p := range pkgs {
+		if p.Export != "" {
+			ld.exports[p.ImportPath] = p.Export
 		}
 	}
 	return nil
 }
 
-// targets resolves package patterns to the list of packages to analyze,
-// sorted by import path.
-func (ld *loader) targets(patterns []string) ([]target, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	args := append([]string{"-json=ImportPath,Dir,GoFiles"}, patterns...)
-	out, err := ld.goList(args...)
+// targets lists the module's packages (`go list ./...`) sorted by import
+// path. A module without any is an error: a check over nothing must not
+// read as clean.
+func (ld *loader) targets() ([]target, error) {
+	all, err := goList[target](ld.root, "-json=ImportPath,Dir,GoFiles", "./...")
 	if err != nil {
 		return nil, err
 	}
 	var ts []target
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var t target
-		if err := dec.Decode(&t); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("lint: decoding go list output: %v", err)
-		}
+	for _, t := range all {
 		if len(t.GoFiles) > 0 {
 			ts = append(ts, t)
 		}
+	}
+	if len(ts) == 0 {
+		return nil, fmt.Errorf("lint: go list ./... matched no packages in %s", ld.root)
 	}
 	sort.Slice(ts, func(i, j int) bool { return ts[i].ImportPath < ts[j].ImportPath })
 	return ts, nil
 }
 
-// load parses and type-checks one target from source.
-func (ld *loader) load(t target) (*Package, error) {
-	return ld.loadFiles(t.ImportPath, t.Dir, t.GoFiles)
-}
-
-// LoadDir parses and type-checks every non-test .go file of dir as a single
+// loadDir parses and type-checks every non-test .go file of dir as a single
 // package with the given import path. The corpus harness uses it to load
 // testdata packages the go tool refuses to enumerate.
 func (ld *loader) loadDir(importPath, dir string) (*Package, error) {
@@ -187,6 +175,7 @@ func (ld *loader) loadDir(importPath, dir string) (*Package, error) {
 	return ld.loadFiles(importPath, dir, files)
 }
 
+// loadFiles parses and type-checks goFiles of dir as the package importPath.
 func (ld *loader) loadFiles(importPath, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, gf := range goFiles {
@@ -208,8 +197,6 @@ func (ld *loader) loadFiles(importPath, dir string, goFiles []string) (*Package,
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: ld.imp}
 	pkg, err := conf.Check(importPath, ld.fset, files, info)

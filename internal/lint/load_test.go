@@ -80,25 +80,16 @@ func TestLoadEmptyDirIsError(t *testing.T) {
 }
 
 func TestTargetsNoMatchIsError(t *testing.T) {
-	ld, err := newLoader(".")
-	if err != nil {
-		t.Fatalf("loader: %v", err)
+	// A module whose ./... matches nothing must fail Module, not pass it.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module empty\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	_, err = ld.targets([]string{"./nonexistent/..."})
+	_, err := Module(dir)
 	if err == nil {
-		t.Fatal("pattern matching nothing succeeded")
+		t.Fatal("Module over a module without packages succeeded")
 	}
-	if !strings.Contains(err.Error(), "./nonexistent/...") {
-		t.Errorf("error does not echo the pattern: %v", err)
-	}
-}
-
-func TestRunNoMatchIsError(t *testing.T) {
-	_, err := Run(Config{Patterns: []string{"./nonexistent/..."}})
-	if err == nil {
-		t.Fatal("Run with a no-match pattern succeeded")
-	}
-	if !strings.Contains(err.Error(), "./nonexistent/...") {
-		t.Errorf("error does not echo the pattern: %v", err)
+	if !strings.Contains(err.Error(), "./...") || !strings.Contains(err.Error(), "matched no packages") {
+		t.Errorf("error does not say ./... matched nothing: %v", err)
 	}
 }

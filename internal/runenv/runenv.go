@@ -1,10 +1,9 @@
 // Package runenv captures the nondeterministic facts of the execution
 // environment — wall-clock time, git revision and host parallelism — that
-// run manifests record for provenance. It is deliberately the only package below the CLIs
-// allowed to read a wall clock: the simulation, observability and trace
-// packages are determinism-checked (internal/lint) and must stay functions
-// of (config, seed), while a manifest's whole point is to say when and from
-// which tree a run happened.
+// run manifests record for provenance. It is one of the three packages the
+// determinism check (internal/lint) exempts, with perfmon and det: every
+// other package must stay a function of (config, seed), while a manifest's
+// whole point is to say when and from which tree a run happened.
 package runenv
 
 import (
