@@ -70,7 +70,7 @@ audit-smoke:
 trace-smoke:
 	@dir="$$(mktemp -d)"; set -e; \
 	$(GO) run ./cmd/loftsim -arch loft -pattern case1 -rate 0.6 \
-		-warmup 200 -cycles 1500 -audit -probe-out "$$dir/run/"; \
+		-warmup 200 -cycles 1500 -audit -probe -out "$$dir/run"; \
 	$(GO) run ./cmd/lofttrace summary "$$dir/run" > /dev/null; \
 	$(GO) run ./cmd/lofttrace decompose "$$dir/run" > /dev/null; \
 	$(GO) run ./cmd/lofttrace diff "$$dir/run" "$$dir/run"; \
@@ -79,14 +79,14 @@ trace-smoke:
 # A profiled simulation on the parallel engine exporting a run directory,
 # then the perf toolchain over it: the stage-attribution table and the
 # shard-utilization report must render, the folded flamegraph must be
-# non-empty, and the run perf-diffed against itself must report zero
-# regression breaches and exit 0.
+# non-empty, and the run diffed against itself (perf metrics included) must
+# report zero regression breaches and exit 0.
 perf-smoke:
 	@dir="$$(mktemp -d)"; set -e; \
 	$(GO) run ./cmd/loftsim -arch loft -pattern uniform -rate 0.2 \
-		-warmup 200 -cycles 1500 -jnode 2 -perf -probe -probe-out "$$dir/run/"; \
+		-warmup 200 -cycles 1500 -jnode 2 -perf -probe -out "$$dir/run"; \
 	$(GO) run ./cmd/lofttrace perf "$$dir/run"; \
-	$(GO) run ./cmd/lofttrace perf -diff "$$dir/run" "$$dir/run"; \
+	$(GO) run ./cmd/lofttrace diff "$$dir/run" "$$dir/run"; \
 	test -s "$$dir/run/perf.folded"; \
 	rm -rf "$$dir"
 
@@ -105,9 +105,9 @@ chaos-smoke:
 	done; \
 	dir="$$(mktemp -d)"; \
 	$(GO) run ./cmd/loftsim -pattern case1 -rate 0.6 -warmup 500 \
-		-cycles 2000 -fault "$$plan" -audit -probe-out "$$dir/a/"; \
+		-cycles 2000 -fault "$$plan" -audit -probe -out "$$dir/a"; \
 	$(GO) run ./cmd/loftsim -pattern case1 -rate 0.6 -warmup 500 \
-		-cycles 2000 -jnode 4 -fault "$$plan" -audit -probe-out "$$dir/b/"; \
+		-cycles 2000 -jnode 4 -fault "$$plan" -audit -probe -out "$$dir/b"; \
 	cmp "$$dir/a/events.jsonl" "$$dir/b/events.jsonl"; \
 	cmp "$$dir/a/audit.json" "$$dir/b/audit.json"; \
 	rm -rf "$$dir"

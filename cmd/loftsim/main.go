@@ -5,21 +5,19 @@
 //	loftsim -arch loft -pattern uniform -rate 0.3 -cycles 20000
 //	loftsim -arch gsf  -pattern hotspot -rate 0.01
 //	loftsim -arch loft -pattern case1 -rate 0.6 -spec 8 -v
-//	loftsim -arch loft -pattern case1 -rate 0.6 -probe -probe-out trace.json
+//	loftsim -arch loft -pattern case1 -rate 0.6 -probe -out runs/case1
 //	loftsim -arch loft -pattern case1 -rate 0.6 -fault chaos.plan -audit
 //
 // With -probe the observability layer traces scheduler, switch and frame
-// events and samples link/buffer/table gauges every -probe-sample cycles.
-// -probe-out picks the exporter by extension: .jsonl writes the event dump,
-// .csv the sampled time series, .json a Chrome trace_event file loadable at
-// https://ui.perfetto.dev; any other file name is refused. Without
-// -probe-out a per-kind event summary is printed. A directory path
-// (existing, or spelled with a trailing /) writes a full run directory
-// instead — events.jsonl, series.csv, trace.json, audit.json when auditing,
-// and manifest.json recording the configuration, seeds, environment and
-// artifact checksums — which cmd/lofttrace decomposes and diffs offline. Single-file exports
-// gain a sibling <path>.manifest.json; -audit-out writes the audit
-// conformance snapshot the same way.
+// events and samples link/buffer/table gauges every -probe-sample cycles;
+// a per-kind event summary is printed. -out DIR writes a run directory
+// instead: manifest.json recording the configuration, seeds, environment,
+// result metrics and artifact checksums, plus the files of each attached
+// observer — events.jsonl (the event dump), series.csv (the sampled time
+// series) and trace.json (a Chrome trace_event file loadable at
+// https://ui.perfetto.dev) from -probe, audit.json from -audit, perf.json
+// and perf.folded from -perf. cmd/lofttrace summarizes, decomposes and
+// diffs run directories offline.
 //
 // With -fault the simulator arms a deterministic fault-injection plan —
 // timed link-down windows, flit loss, credit stalls, router stalls and
@@ -39,9 +37,10 @@
 // With -perf the simulator profiles itself: cheap monotonic stage timers
 // attribute wall time to each router pipeline stage and each parallel-engine
 // phase on a sampled subset of cycles (-perf-sample). Profiling never
-// changes simulation results. A run-directory -probe-out additionally
-// receives perf.json, perf.folded (load in any flamegraph viewer) and a
-// cpu.pprof; otherwise the stage-attribution table prints to stdout.
+// changes simulation results. With -out the run directory receives
+// perf.json and perf.folded (load in any flamegraph viewer); otherwise the
+// stage-attribution table prints to stdout. -cpuprofile adds a pprof CPU
+// profile wherever it is pointed.
 //
 // SIGINT stops the run gracefully at the next chunk boundary: all requested
 // artifacts — probe exports, audit and perf snapshots, manifest — are

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"loft/internal/config"
@@ -13,60 +11,25 @@ import (
 	"loft/internal/trace"
 )
 
-// export runs the session's probe export to path, with the manifest loftsim
-// records.
-func export(pr *probe.Probe, path string) error {
-	s := &runio.Session{Tool: "loftsim", Probe: pr, ProbeOut: path}
+// export runs the session's export into run directory dir, with the
+// manifest loftsim records.
+func export(pr *probe.Probe, dir string) error {
+	s := &runio.Session{Tool: "loftsim", Probe: pr, Out: dir}
 	return s.Export(func() trace.Manifest {
 		return newManifest(s, core.ArchLOFT, "test", config.PaperLOFT(),
 			core.RunSpec{Seed: 1, Warmup: 10, Measure: 100}, []uint64{1}, map[string]float64{"packets": 1})
 	})
 }
 
-// TestWriteProbeExtensionDispatch pins the -probe-out extension contract:
-// each suffix selects its exporter and produces that format's signature,
-// and every single-file export gains a sibling manifest checksumming it.
-func TestWriteProbeExtensionDispatch(t *testing.T) {
-	pr := probe.New(probe.Config{EventCap: 8, SampleEvery: 1})
-	pr.Emit(1, probe.KindSpecHit, 0, 0, 0, 0)
-	pr.MaybeSample(1)
-	dir := t.TempDir()
-	for name, sniff := range map[string]string{
-		"out.jsonl": `"kind":"spec-hit"`,
-		"out.csv":   "series,cycle,value",
-		"out.json":  `"traceEvents"`,
-	} {
-		path := filepath.Join(dir, name)
-		if err := export(pr, path); err != nil {
-			t.Fatalf("export(%s): %v", name, err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(data), sniff) {
-			t.Errorf("%s missing %q:\n%s", name, sniff, data)
-		}
-		m, err := trace.ReadManifest(path + ".manifest.json")
-		if err != nil {
-			t.Fatalf("sibling manifest for %s: %v", name, err)
-		}
-		if len(m.Artifacts) != 1 || m.Artifacts[0].Name != name {
-			t.Errorf("%s manifest artifacts = %+v, want the exported file", name, m.Artifacts)
-		}
-	}
-}
-
-// TestWriteRunDirectory pins the run-directory contract: a trailing
-// separator (the directory need not exist yet) selects directory mode,
-// which writes the three probe export formats plus a manifest whose
-// artifact checksums match the files on disk.
+// TestWriteRunDirectory pins the run-directory contract: -out (the
+// directory need not exist yet) writes the three probe export formats plus
+// a manifest whose artifact checksums match the files on disk.
 func TestWriteRunDirectory(t *testing.T) {
 	pr := probe.New(probe.Config{EventCap: 8, SampleEvery: 1})
 	pr.Emit(1, probe.KindSpecHit, 0, 0, 0, 0)
 	pr.MaybeSample(1)
 	dir := filepath.Join(t.TempDir(), "run")
-	if err := export(pr, dir+string(os.PathSeparator)); err != nil {
+	if err := export(pr, dir); err != nil {
 		t.Fatalf("export(dir): %v", err)
 	}
 	m, err := trace.ReadManifest(dir)
@@ -85,7 +48,7 @@ func TestWriteRunDirectory(t *testing.T) {
 			t.Errorf("artifact %s checksum drifted: manifest %+v, disk %+v", a.Name, a, got)
 		}
 	}
-	ev, _, err := trace.ReadEventsFile(filepath.Join(dir, "events.jsonl"))
+	ev, _, err := trace.ReadEventsFile(filepath.Join(dir, trace.EventsFile))
 	if err != nil {
 		t.Fatal(err)
 	}

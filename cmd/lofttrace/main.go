@@ -1,23 +1,23 @@
-// Command lofttrace analyses the artifacts the simulators export: it
-// decodes probe event dumps, decomposes per-quantum latency into its
-// mechanism components, summarizes run manifests, renders perfmon
-// self-profiles, and diffs runs against each other with regression
-// thresholds.
+// Command lofttrace analyses the run directories the simulators write with
+// -out DIR: it summarizes the run manifest and the probe event dump,
+// decomposes per-quantum latency into its mechanism components, renders
+// perfmon self-profiles, and diffs runs against each other with regression
+// thresholds. Every argument is a run directory; a file is a usage error.
 //
-//	lofttrace summary   <run-dir | manifest.json | events.jsonl>
-//	lofttrace decompose [-slot-cycles N] [-flow N] [-json] <run-dir | events.jsonl>
-//	lofttrace perf      [-json] <run-dir | perf.json>
-//	lofttrace perf      -diff [-threshold PCT] [-json] <base> <new>
-//	lofttrace diff      [-threshold PCT] [-all] [-json] <base> <new>
+//	lofttrace summary   <run-dir>
+//	lofttrace decompose [-flow N] [-json] <run-dir>
+//	lofttrace perf      [-json] <run-dir>
+//	lofttrace diff      [-threshold PCT] [-all] [-json] <base-dir> <new-dir>
 //
-// diff takes two run directories or manifest files. It exits 1 when a
-// direction-aware metric regressed beyond the threshold, so it gates CI;
-// a run diffed against itself reports zero changed metrics and exits 0.
-//
+// decompose reads events.jsonl, which only a -probe run writes; its slot
+// length is the manifest's QuantumFlits, else the paper configuration's.
 // perf renders the stage-attribution table and per-worker shard-utilization
-// report of a -perf-enabled run; perf -diff compares two profiled runs with
-// the same direction-aware differ (stage ns/cycle and shard imbalance
-// regress upward, worker utilization downward).
+// report from perf.json, which only a -perf run writes.
+//
+// diff compares the two manifests' metrics, perf metrics included. It exits
+// 1 when a direction-aware metric regressed beyond the threshold, so it
+// gates CI; a run diffed against itself reports zero changed metrics and
+// exits 0.
 package main
 
 import (
@@ -28,8 +28,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 
+	"loft/internal/config"
 	"loft/internal/det"
 	"loft/internal/fault"
 	"loft/internal/perfmon"
@@ -50,13 +50,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	code := 0
 	switch args[0] {
 	case "summary":
-		code, err = cmdSummary(args[1:], stdout)
+		code, err = cmdSummary(args[1:], stdout, stderr)
 	case "decompose":
-		code, err = cmdDecompose(args[1:], stdout)
+		code, err = cmdDecompose(args[1:], stdout, stderr)
 	case "perf":
-		code, err = cmdPerf(args[1:], stdout)
+		code, err = cmdPerf(args[1:], stdout, stderr)
 	case "diff":
-		code, err = cmdDiff(args[1:], stdout)
+		code, err = cmdDiff(args[1:], stdout, stderr)
 	case "-h", "-help", "--help", "help":
 		usage(stdout)
 	default:
@@ -73,61 +73,72 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
-  lofttrace summary   <run-dir | manifest.json | events.jsonl>
-  lofttrace decompose [-slot-cycles N] [-flow N] [-json] <run-dir | events.jsonl>
-  lofttrace perf      [-json] <run-dir | perf.json>
-  lofttrace perf      -diff [-threshold PCT] [-json] <base> <new>
-  lofttrace diff      [-threshold PCT] [-all] [-json] <base> <new>
+  lofttrace summary   <run-dir>
+  lofttrace decompose [-flow N] [-json] <run-dir>
+  lofttrace perf      [-json] <run-dir>
+  lofttrace diff      [-threshold PCT] [-all] [-json] <base-dir> <new-dir>
 `)
 }
 
-// resolveEvents maps a target to its events file: a directory holds
-// events.jsonl, anything else is the events file itself.
-func resolveEvents(target string) string {
-	if st, err := os.Stat(target); err == nil && st.IsDir() {
-		return filepath.Join(target, "events.jsonl")
+// runDirs checks that every target is a run directory, the only input
+// lofttrace reads.
+func runDirs(targets ...string) error {
+	for _, t := range targets {
+		st, err := os.Stat(t)
+		if err != nil {
+			return err
+		}
+		if !st.IsDir() {
+			return fmt.Errorf("%s is a file; lofttrace reads run directories (loftsim/loftexp -out DIR)", t)
+		}
 	}
-	return target
+	return nil
 }
 
-// targetSlotCycles picks the decomposition's slot length: an explicit flag
-// wins, a run directory's manifest supplies its config, and the paper
-// configuration's 2-cycle quantum slot is the fallback.
-func targetSlotCycles(target string, flagVal uint64) uint64 {
-	if flagVal > 0 {
-		return flagVal
+// runFile returns the path of one observer's file in run directory dir, or
+// an error naming the observer flag the run was started without.
+func runFile(dir, name, observer string) (string, error) {
+	path := filepath.Join(dir, name)
+	if _, err := os.Stat(path); err != nil {
+		return "", fmt.Errorf("%s has no %s: the run had no %s", dir, name, observer)
 	}
-	if m, err := trace.ReadManifest(target); err == nil && m.Config != nil && m.Config.QuantumFlits > 0 {
-		return uint64(m.Config.QuantumFlits)
-	}
-	return 2
+	return path, nil
 }
 
-func cmdSummary(args []string, stdout io.Writer) (int, error) {
+// oneRunDir returns the single run directory argument of a parsed
+// subcommand.
+func oneRunDir(fs *flag.FlagSet) (string, error) {
+	if fs.NArg() != 1 {
+		return "", fmt.Errorf("expected one run directory, got %d arguments", fs.NArg())
+	}
+	return fs.Arg(0), runDirs(fs.Arg(0))
+}
+
+func cmdSummary(args []string, stdout, stderr io.Writer) (int, error) {
 	fs := flag.NewFlagSet("summary", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2, nil
 	}
-	if fs.NArg() != 1 {
-		return 2, fmt.Errorf("expected one target, got %d", fs.NArg())
+	dir, err := oneRunDir(fs)
+	if err != nil {
+		return 2, err
 	}
-	target := fs.Arg(0)
-	printedManifest := false
-	if m, err := trace.ReadManifest(target); err == nil {
-		printManifest(stdout, m)
-		printedManifest = true
+	m, err := trace.ReadManifest(dir)
+	if err != nil {
+		return 2, err
 	}
-	events := resolveEvents(target)
-	if st, err := os.Stat(events); err == nil && !st.IsDir() && strings.HasSuffix(events, ".jsonl") {
-		ev, dropped, err := trace.ReadEventsFile(events)
-		if err != nil {
-			return 2, err
-		}
-		printEventSummary(stdout, ev, dropped)
-		printFaultTimeline(stdout, ev)
-	} else if !printedManifest {
-		return 2, fmt.Errorf("%s: no manifest and no events file found", target)
+	printManifest(stdout, m)
+	events := filepath.Join(dir, trace.EventsFile)
+	if _, err := os.Stat(events); err != nil {
+		return 0, nil
 	}
+	ev, dropped, err := trace.ReadEventsFile(events)
+	if err != nil {
+		return 2, err
+	}
+	printEventSummary(stdout, ev, dropped)
+	printFaultTimeline(stdout, ev)
 	return 0, nil
 }
 
@@ -271,23 +282,31 @@ type hopJSON struct {
 	MaxWait  uint64  `json:"max_wait_cycles"`
 }
 
-func cmdDecompose(args []string, stdout io.Writer) (int, error) {
+func cmdDecompose(args []string, stdout, stderr io.Writer) (int, error) {
 	fs := flag.NewFlagSet("decompose", flag.ContinueOnError)
-	slot := fs.Uint64("slot-cycles", 0, "cycles per quantum slot (default: manifest QuantumFlits, else 2)")
+	fs.SetOutput(stderr)
 	flow := fs.Int("flow", -1, "restrict the per-flow table to this flow id")
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2, nil
 	}
-	if fs.NArg() != 1 {
-		return 2, fmt.Errorf("expected one target, got %d", fs.NArg())
-	}
-	target := fs.Arg(0)
-	ev, dropped, err := trace.ReadEventsFile(resolveEvents(target))
+	dir, err := oneRunDir(fs)
 	if err != nil {
 		return 2, err
 	}
-	slotCycles := targetSlotCycles(target, *slot)
+	events, err := runFile(dir, trace.EventsFile, "-probe")
+	if err != nil {
+		return 2, err
+	}
+	ev, dropped, err := trace.ReadEventsFile(events)
+	if err != nil {
+		return 2, err
+	}
+	// The slot length is the run's quantum, else the paper configuration's.
+	slotCycles := uint64(config.PaperLOFT().QuantumFlits)
+	if m, err := trace.ReadManifest(dir); err == nil && m.Config != nil && m.Config.QuantumFlits > 0 {
+		slotCycles = uint64(m.Config.QuantumFlits)
+	}
 	d, err := trace.Decompose(ev, slotCycles, dropped)
 	if err != nil {
 		return 2, err
@@ -376,76 +395,24 @@ func cmdDecompose(args []string, stdout io.Writer) (int, error) {
 	return 0, nil
 }
 
-// cmdPerf renders a perfmon snapshot (stage-attribution table, per-worker
-// shard-utilization report, gauges) or, with -diff, compares two profiled
-// runs' derived perf metrics with the direction-aware differ.
-func cmdPerf(args []string, stdout io.Writer) (int, error) {
+// cmdPerf renders a run's perfmon snapshot: the stage-attribution table,
+// the per-worker shard-utilization report and the gauges.
+func cmdPerf(args []string, stdout, stderr io.Writer) (int, error) {
 	fs := flag.NewFlagSet("perf", flag.ContinueOnError)
-	diff := fs.Bool("diff", false, "compare two profiled runs instead of rendering one")
-	threshold := fs.Float64("threshold", 10, "with -diff: relative change (%) beyond which a bad-direction delta is a breach")
-	asJSON := fs.Bool("json", false, "emit the snapshot (or diff report) as JSON")
+	fs.SetOutput(stderr)
+	asJSON := fs.Bool("json", false, "emit the snapshot as JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2, nil
 	}
-	if *diff {
-		if fs.NArg() != 2 {
-			return 2, fmt.Errorf("expected <base> <new>, got %d arguments", fs.NArg())
-		}
-		if err := checkThreshold(*threshold); err != nil {
-			return 2, err
-		}
-		base, err := perfmon.ReadSnapshot(fs.Arg(0))
-		if err != nil {
-			return 2, err
-		}
-		cur, err := perfmon.ReadSnapshot(fs.Arg(1))
-		if err != nil {
-			return 2, err
-		}
-		rep := &trace.DiffReport{Base: fs.Arg(0), New: fs.Arg(1), ThresholdPct: *threshold,
-			Deltas: trace.DiffMetrics(base.Metrics(), cur.Metrics(), *threshold)}
-		for _, d := range rep.Deltas {
-			if d.Changed() {
-				rep.Changed++
-			}
-			if d.Breach {
-				rep.Breaches++
-			}
-		}
-		if *asJSON {
-			enc := json.NewEncoder(stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				return 2, err
-			}
-		} else {
-			fmt.Fprintf(stdout, "perf diff %s -> %s (threshold %.1f%%)\n", rep.Base, rep.New, rep.ThresholdPct)
-			for _, d := range rep.Deltas {
-				mark := " "
-				if d.Breach {
-					mark = "!"
-				}
-				switch d.OnlyIn {
-				case "base":
-					fmt.Fprintf(stdout, " %s %-34s %12.4g -> (absent)\n", mark, d.Name, d.Base)
-				case "new":
-					fmt.Fprintf(stdout, " %s %-34s (absent) -> %.4g\n", mark, d.Name, d.New)
-				default:
-					fmt.Fprintf(stdout, " %s %-34s %12.4g -> %-12.4g %+7.2f%% (%s)\n",
-						mark, d.Name, d.Base, d.New, d.RelPct, d.Direction)
-				}
-			}
-			fmt.Fprintf(stdout, "%d metric(s) changed, %d regression breach(es)\n", rep.Changed, rep.Breaches)
-		}
-		if rep.Breaches > 0 {
-			return 1, nil
-		}
-		return 0, nil
+	dir, err := oneRunDir(fs)
+	if err != nil {
+		return 2, err
 	}
-	if fs.NArg() != 1 {
-		return 2, fmt.Errorf("expected one target, got %d", fs.NArg())
+	path, err := runFile(dir, trace.PerfFile, "-perf")
+	if err != nil {
+		return 2, err
 	}
-	snap, err := perfmon.ReadSnapshot(fs.Arg(0))
+	snap, err := perfmon.ReadSnapshot(path)
 	if err != nil {
 		return 2, err
 	}
@@ -458,8 +425,9 @@ func cmdPerf(args []string, stdout io.Writer) (int, error) {
 	return 0, nil
 }
 
-func cmdDiff(args []string, stdout io.Writer) (int, error) {
+func cmdDiff(args []string, stdout, stderr io.Writer) (int, error) {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	threshold := fs.Float64("threshold", 2, "relative change (%) beyond which a bad-direction delta is a breach")
 	all := fs.Bool("all", false, "print unchanged metrics too")
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
@@ -467,9 +435,12 @@ func cmdDiff(args []string, stdout io.Writer) (int, error) {
 		return 2, nil
 	}
 	if fs.NArg() != 2 {
-		return 2, fmt.Errorf("expected <base> <new>, got %d arguments", fs.NArg())
+		return 2, fmt.Errorf("expected <base-dir> <new-dir>, got %d arguments", fs.NArg())
 	}
 	if err := checkThreshold(*threshold); err != nil {
+		return 2, err
+	}
+	if err := runDirs(fs.Arg(0), fs.Arg(1)); err != nil {
 		return 2, err
 	}
 	base, err := trace.ReadManifest(fs.Arg(0))

@@ -117,7 +117,7 @@ func TestDecomposeOnRunDirectory(t *testing.T) {
 			t.Errorf("decompose output missing %q:\n%s", want, out)
 		}
 	}
-	// The manifest supplies slot-cycles; the header must show the config's
+	// The manifest supplies the slot length; the header must show the config's
 	// QuantumFlits, not the fallback.
 	if !strings.Contains(out, "slot = 2 cycles") {
 		t.Errorf("decompose did not pick up slot cycles from the manifest:\n%s", out)
@@ -147,7 +147,7 @@ func TestPerfOnRunDirectory(t *testing.T) {
 		t.Errorf("perf -json: code=%d out=%s", code, jsonOut)
 	}
 	// The folded-stack flamegraph export sits next to the snapshot.
-	folded, err := os.ReadFile(filepath.Join(dir, runio.FoldedFile))
+	folded, err := os.ReadFile(filepath.Join(dir, trace.FoldedFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,20 +156,6 @@ func TestPerfOnRunDirectory(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, "perf", filepath.Join(dir, "nope")); code != 2 {
 		t.Error("perf on a missing target: want exit 2")
-	}
-}
-
-// TestPerfDiffSelfIsZero: a profiled run perf-diffed against itself has no
-// breaches (values are wall times, so they only compare equal against the
-// same snapshot — which is exactly what CI's self-check does).
-func TestPerfDiffSelfIsZero(t *testing.T) {
-	dir := writeTestRun(t, 12)
-	code, out, errOut := runCLI(t, "perf", "-diff", dir, dir)
-	if code != 0 {
-		t.Fatalf("perf self-diff: code=%d stderr=%s", code, errOut)
-	}
-	if !strings.Contains(out, "0 regression breach(es)") {
-		t.Errorf("perf self-diff not clean:\n%s", out)
 	}
 }
 
@@ -205,16 +191,19 @@ func TestDiffSpecOnVsOff(t *testing.T) {
 }
 
 func TestDiffBreachExitCode(t *testing.T) {
-	dir := t.TempDir()
+	// write makes a run directory whose manifest.json holds body.
 	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+		dir := filepath.Join(t.TempDir(), name)
+		if err := os.Mkdir(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		return p
+		if err := os.WriteFile(filepath.Join(dir, trace.ManifestName), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
 	}
-	base := write("base.json", `{"manifest_version":1,"metrics":{"avg_latency_cycles":100}}`)
-	worse := write("worse.json", `{"manifest_version":1,"metrics":{"avg_latency_cycles":150}}`)
+	base := write("base", `{"manifest_version":1,"metrics":{"avg_latency_cycles":100}}`)
+	worse := write("worse", `{"manifest_version":1,"metrics":{"avg_latency_cycles":150}}`)
 	code, out, _ := runCLI(t, "diff", base, worse)
 	if code != 1 {
 		t.Errorf("50%% latency regression: code=%d, want 1\n%s", code, out)
@@ -231,7 +220,7 @@ func TestDiffBreachExitCode(t *testing.T) {
 		t.Error("latency improvement: want exit 0")
 	}
 	// A bare name → value map is not a run manifest.
-	flat := write("flat.json", `{"avg_latency_cycles": 100}`)
+	flat := write("flat", `{"avg_latency_cycles": 100}`)
 	if code, _, errOut := runCLI(t, "diff", flat, base); code != 2 || !strings.Contains(errOut, "not a run manifest") {
 		t.Errorf("flat metric map: code=%d stderr=%q, want exit 2 naming the format", code, errOut)
 	}
@@ -244,13 +233,43 @@ func TestDiffBreachExitCode(t *testing.T) {
 	}
 }
 
-// TestPerfDiffRejectsBadThreshold: perf -diff gates on the same threshold
-// test as diff, so it rejects the same unusable values.
-func TestPerfDiffRejectsBadThreshold(t *testing.T) {
-	dir := writeTestRun(t, 12)
-	for _, bad := range []string{"NaN", "+Inf", "-Inf", "-1"} {
-		if code, _, errOut := runCLI(t, "perf", "-diff", "-threshold", bad, dir, dir); code != 2 || !strings.Contains(errOut, "-threshold") {
-			t.Errorf("perf -diff -threshold %s: code=%d stderr=%q, want exit 2", bad, code, errOut)
+// TestRunDirectoryErrors: lofttrace reads run directories only, and a run
+// directory lacking an observer's file is an error naming the flag the run
+// was started without, not a bare "no such file".
+func TestRunDirectoryErrors(t *testing.T) {
+	full := writeTestRun(t, 12)
+	bare := filepath.Join(t.TempDir(), "bare")
+	m := trace.Manifest{ManifestVersion: trace.ManifestVersion, Tool: "loftsim",
+		Metrics: map[string]float64{"packets": 1}}
+	if err := runio.WriteRunDir(bare, nil, nil, nil, m); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(full, trace.EventsFile)
+	cases := []struct {
+		args []string
+		want string // in stderr; "" for a clean exit 0
+	}{
+		{[]string{"summary", bare}, ""},
+		{[]string{"diff", bare, bare}, ""},
+		{[]string{"decompose", bare}, "the run had no -probe"},
+		{[]string{"perf", bare}, "the run had no -perf"},
+		{[]string{"summary", file}, "lofttrace reads run directories"},
+		{[]string{"decompose", file}, "lofttrace reads run directories"},
+		{[]string{"perf", file}, "lofttrace reads run directories"},
+		{[]string{"diff", full, file}, "lofttrace reads run directories"},
+		{[]string{"diff", filepath.Join(full, trace.ManifestName), full}, "lofttrace reads run directories"},
+		{[]string{"perf", "-diff", full, full}, "flag provided but not defined: -diff"},
+	}
+	for _, c := range cases {
+		code, _, errOut := runCLI(t, c.args...)
+		if c.want == "" {
+			if code != 0 {
+				t.Errorf("%q: code=%d stderr=%q, want exit 0", c.args, code, errOut)
+			}
+			continue
+		}
+		if code != 2 || !strings.Contains(errOut, c.want) {
+			t.Errorf("%q: code=%d stderr=%q, want exit 2 saying %q", c.args, code, errOut, c.want)
 		}
 	}
 }

@@ -22,7 +22,7 @@
 //     GSF frame accounting).
 //
 // Snapshot (recorder.go) is the auditor's whole verdict; the CLIs write it as
-// audit.json (-audit-out, or a run directory's -probe-out).
+// audit.json into the -out run directory.
 //
 // All Auditor methods are nil-receiver safe: a disabled auditor costs the
 // simulator one pointer test per hook site.

@@ -118,11 +118,11 @@ func TestSnapshotRoundTripAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), data, 0o644); err != nil {
+	path := filepath.Join(dir, "perf.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Dir-aware load.
-	got, err := ReadSnapshot(dir)
+	got, err := ReadSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestDisabledMonitorIsInert(t *testing.T) {
 
 func TestReadSnapshotRejectsWrongSchema(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, SnapshotFile)
+	path := filepath.Join(dir, "perf.json")
 	if err := os.WriteFile(path, []byte(`{"schema": 99}`), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -5,15 +5,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 )
 
 // SnapshotSchema versions perf.json. Bump on breaking changes to Snapshot.
 const SnapshotSchema = 1
-
-// SnapshotFile is the canonical perf.json basename inside run directories.
-const SnapshotFile = "perf.json"
 
 // Host is the host-parallelism context a profile was collected under —
 // without it a shard-utilization report from a 1-CPU container reads like a
@@ -298,12 +294,9 @@ func fmtNanos(n uint64) string {
 	}
 }
 
-// ReadSnapshot loads a perf.json — from the file itself or from a run
-// directory containing one.
+// ReadSnapshot loads a snapshot written as JSON (a run directory's
+// perf.json).
 func ReadSnapshot(path string) (*Snapshot, error) {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		path = filepath.Join(path, SnapshotFile)
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

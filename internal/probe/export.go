@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // jsonlEvent is the JSONL wire form of an Event. internal/trace decodes it
@@ -142,45 +141,4 @@ func WriteChromeTrace(w io.Writer, events []Event, series []Series, dropped uint
 		return err
 	}
 	return bw.Flush()
-}
-
-// Format selects a probe exporter.
-type Format int
-
-const (
-	// FormatChromeTrace is Chrome trace_event JSON (Perfetto).
-	FormatChromeTrace Format = iota
-	// FormatJSONL is one JSON event per line.
-	FormatJSONL
-	// FormatCSV is the sampled time series in long form.
-	FormatCSV
-)
-
-// FormatForPath picks the exporter from a file extension: .jsonl → events,
-// .csv → time series, .json → Chrome trace. Any other path is an error, so a
-// mistyped run directory is refused instead of becoming a trace file. Both
-// CLIs dispatch a single-file -probe-out through this.
-func FormatForPath(path string) (Format, error) {
-	switch {
-	case strings.HasSuffix(path, ".jsonl"):
-		return FormatJSONL, nil
-	case strings.HasSuffix(path, ".csv"):
-		return FormatCSV, nil
-	case strings.HasSuffix(path, ".json"):
-		return FormatChromeTrace, nil
-	}
-	return 0, fmt.Errorf("no probe exporter for %q: want .jsonl (events), .csv (time series) or .json (Chrome trace)", path)
-}
-
-// Export writes the probe's data in the given format, propagating the
-// tracer's drop count to the exporters that record it.
-func Export(w io.Writer, p *Probe, f Format) error {
-	switch f {
-	case FormatJSONL:
-		return WriteEventsJSONL(w, p.Events(), p.Tracer().Dropped())
-	case FormatCSV:
-		return WriteSeriesCSV(w, p.Series())
-	default:
-		return WriteChromeTrace(w, p.Events(), p.Series(), p.Tracer().Dropped())
-	}
 }

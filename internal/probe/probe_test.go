@@ -257,44 +257,3 @@ func TestKindNamesComplete(t *testing.T) {
 		}
 	}
 }
-
-// TestFormatForPath pins the single-file -probe-out dispatch: three known
-// suffixes, and an error for every other path, which used to fall through
-// to Chrome trace JSON (a mistyped run directory became a trace file).
-func TestFormatForPath(t *testing.T) {
-	cases := map[string]Format{
-		"x.jsonl":     FormatJSONL,
-		"x.csv":       FormatCSV,
-		"x.json":      FormatChromeTrace,
-		"a.b/c.jsonl": FormatJSONL,
-	}
-	for path, want := range cases {
-		if got, err := FormatForPath(path); err != nil || got != want {
-			t.Errorf("FormatForPath(%q) = %v, %v; want %v", path, got, err, want)
-		}
-	}
-	for _, path := range []string{"trace", "x.prom", "runs/a", "x.json.gz"} {
-		if _, err := FormatForPath(path); err == nil || !strings.Contains(err.Error(), ".jsonl") {
-			t.Errorf("FormatForPath(%q) = %v, want an error naming the known suffixes", path, err)
-		}
-	}
-}
-
-func TestExportDispatch(t *testing.T) {
-	p := New(Config{EventCap: 8, SampleEvery: 1})
-	p.Emit(1, KindSpecHit, 0, 0, 0, 0)
-	p.MaybeSample(1)
-	for f, sniff := range map[Format]string{
-		FormatJSONL:       `"kind":"spec-hit"`,
-		FormatCSV:         "series,cycle,value",
-		FormatChromeTrace: `"traceEvents"`,
-	} {
-		var buf bytes.Buffer
-		if err := Export(&buf, p, f); err != nil {
-			t.Fatalf("Export(%v): %v", f, err)
-		}
-		if !strings.Contains(buf.String(), sniff) {
-			t.Errorf("Export(%v) output missing %q", f, sniff)
-		}
-	}
-}

@@ -2,15 +2,14 @@
 // carries one invocation from flag parsing to exit code: the flags loftsim
 // and loftexp have in common, the observers built from them, the SIGINT
 // handler, the artifact export and the audit verdict. The rest of the
-// package writes the per-run artifact sets: the probe exporters' three file
-// formats, the audit conformance snapshot, the perf snapshot, and the run
-// manifest with checksummed artifacts — as a single file picked by extension
-// (probe.FormatForPath) or as the run directory lofttrace consumes whole.
+// package writes the run directory that -out names and lofttrace reads: the
+// files of each attached observer and the manifest that checksums them.
 package runio
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,85 +18,47 @@ import (
 	"loft/internal/core"
 	"loft/internal/perfmon"
 	"loft/internal/probe"
-	"loft/internal/profiles"
 	"loft/internal/trace"
 )
 
-// File names inside a run directory.
-const (
-	EventsFile = "events.jsonl"
-	SeriesFile = "series.csv"
-	ChromeFile = "trace.json"
-	AuditFile  = "audit.json"
-	// PerfFile is the perfmon snapshot (stage attribution, engine telemetry,
-	// gauges); FoldedFile is the same data as folded stacks for flamegraph
-	// viewers; CPUProfileFile is an optional pprof CPU profile. Perf files
-	// carry wall-time values, so they are nondeterministic by design and
-	// excluded from byte-identity comparisons (manifest checksums still pin
-	// them).
-	PerfFile       = perfmon.SnapshotFile
-	FoldedFile     = "perf.folded"
-	CPUProfileFile = "cpu.pprof"
-)
-
-// IsDirTarget reports whether path names a run directory rather than a
-// single artifact file: an existing directory, or a path spelled with a
-// trailing separator. Every other path goes through extension dispatch, so
-// `-probe-out trace.jsonl` and `-probe-out runs/a/` coexist.
-func IsDirTarget(path string) bool {
-	if strings.HasSuffix(path, "/") || strings.HasSuffix(path, string(os.PathSeparator)) {
-		return true
-	}
-	st, err := os.Stat(path)
-	return err == nil && st.IsDir()
+// runFile is one artifact of a run directory and the writer of its bytes.
+type runFile struct {
+	name  string
+	write func(io.Writer) error
 }
 
-// WriteRunDir writes a full run directory: events.jsonl, series.csv and
-// trace.json from the probe (when attached), audit.json from the auditor
-// (when attached), perf.json and perf.folded from the perfmon monitor (when
-// attached), and manifest.json with every artifact checksummed. A cpu.pprof
-// left in the directory by StartCPUProfile is checksummed too. The
+// WriteRunDir writes a run directory: events.jsonl, series.csv and
+// trace.json from the probe, audit.json from the auditor, and perf.json and
+// perf.folded from the perfmon monitor, each when its observer is attached
+// (non-nil), then manifest.json checksumming every one of them. The
 // manifest's Artifacts field is filled here; everything else comes from the
 // caller.
 func WriteRunDir(dir string, pr *probe.Probe, aud *audit.Auditor, mon *perfmon.Monitor, m trace.Manifest) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	var names []string
+	var files []runFile
 	if pr != nil {
-		exports := []struct {
-			name   string
-			format probe.Format
-		}{
-			{EventsFile, probe.FormatJSONL},
-			{SeriesFile, probe.FormatCSV},
-			{ChromeFile, probe.FormatChromeTrace},
-		}
-		for _, e := range exports {
-			if err := writeExport(filepath.Join(dir, e.name), pr, e.format); err != nil {
-				return err
-			}
-			names = append(names, e.name)
-		}
+		events, series, dropped := pr.Events(), pr.Series(), pr.Tracer().Dropped()
+		files = append(files,
+			runFile{trace.EventsFile, func(w io.Writer) error { return probe.WriteEventsJSONL(w, events, dropped) }},
+			runFile{trace.SeriesFile, func(w io.Writer) error { return probe.WriteSeriesCSV(w, series) }},
+			runFile{trace.ChromeFile, func(w io.Writer) error { return probe.WriteChromeTrace(w, events, series, dropped) }})
 	}
 	if aud != nil {
-		if err := WriteAuditSnapshot(filepath.Join(dir, AuditFile), aud); err != nil {
-			return err
-		}
-		names = append(names, AuditFile)
+		files = append(files, runFile{trace.AuditFile, jsonWriter(aud.Snapshot())})
 	}
 	if mon != nil {
-		if err := WritePerfSnapshot(dir, mon); err != nil {
-			return err
-		}
-		names = append(names, PerfFile, FoldedFile)
-	}
-	if _, err := os.Stat(filepath.Join(dir, CPUProfileFile)); err == nil {
-		names = append(names, CPUProfileFile)
+		snap := mon.Snapshot()
+		files = append(files, runFile{trace.PerfFile, jsonWriter(snap)}, runFile{trace.FoldedFile, snap.WriteFolded})
 	}
 	m.Artifacts = m.Artifacts[:0]
-	for _, name := range names {
-		a, err := trace.FileArtifact(filepath.Join(dir, name))
+	for _, f := range files {
+		path := filepath.Join(dir, f.name)
+		if err := writeFile(path, f.write); err != nil {
+			return err
+		}
+		a, err := trace.FileArtifact(path)
 		if err != nil {
 			return err
 		}
@@ -106,77 +67,28 @@ func WriteRunDir(dir string, pr *probe.Probe, aud *audit.Auditor, mon *perfmon.M
 	return m.Write(filepath.Join(dir, trace.ManifestName))
 }
 
-// WriteFileWithManifest writes one artifact through the extension-dispatch
-// path and a sibling <path>.manifest.json checksumming it.
-func WriteFileWithManifest(path string, pr *probe.Probe, m trace.Manifest) error {
-	f, err := probe.FormatForPath(path)
-	if err != nil {
+// jsonWriter writes v as indented JSON with a trailing newline.
+func jsonWriter(v any) func(io.Writer) error {
+	return func(w io.Writer) error {
+		blob, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(append(blob, '\n'))
 		return err
 	}
-	if err := writeExport(path, pr, f); err != nil {
-		return err
-	}
-	a, err := trace.FileArtifact(path)
-	if err != nil {
-		return err
-	}
-	m.Artifacts = []trace.Artifact{a}
-	return m.Write(path + ".manifest.json")
 }
 
-// WriteAuditSnapshot writes the auditor's conformance snapshot as indented
-// JSON, the document trace.ReadAuditFile reads back.
-func WriteAuditSnapshot(path string, aud *audit.Auditor) error {
-	blob, err := json.MarshalIndent(aud.Snapshot(), "", "  ")
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
-// WritePerfSnapshot writes the monitor's snapshot into dir twice: PerfFile
-// as indented JSON (what `lofttrace perf` reads back) and FoldedFile as
-// folded stacks for flamegraph viewers.
-func WritePerfSnapshot(dir string, mon *perfmon.Monitor) error {
-	snap := mon.Snapshot()
-	blob, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, PerfFile), append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, FoldedFile))
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteFolded(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-// StartCPUProfile begins a pprof CPU profile into dir/CPUProfileFile,
-// creating dir if needed. The returned stop function must run before
-// WriteRunDir so the profile's final bytes are what the manifest checksums.
-func StartCPUProfile(dir string) (stop func(), err error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return profiles.Start(filepath.Join(dir, CPUProfileFile), "")
-}
-
-func writeExport(path string, pr *probe.Probe, f probe.Format) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := probe.Export(file, pr, f); err != nil {
-		file.Close()
-		return err
-	}
-	return file.Close()
 }
 
 // Metrics assembles the manifest metric map from a run summary and the
@@ -242,13 +154,13 @@ func Describe(dir string, pr *probe.Probe, aud *audit.Auditor, mon *perfmon.Moni
 	parts := []string{}
 	if pr != nil {
 		parts = append(parts, fmt.Sprintf("%s/%s/%s (%d events retained, %d dropped)",
-			EventsFile, SeriesFile, ChromeFile, pr.Tracer().Len(), pr.Tracer().Dropped()))
+			trace.EventsFile, trace.SeriesFile, trace.ChromeFile, pr.Tracer().Len(), pr.Tracer().Dropped()))
 	}
 	if aud != nil {
-		parts = append(parts, AuditFile)
+		parts = append(parts, trace.AuditFile)
 	}
 	if mon != nil {
-		parts = append(parts, fmt.Sprintf("%s/%s", PerfFile, FoldedFile))
+		parts = append(parts, fmt.Sprintf("%s/%s", trace.PerfFile, trace.FoldedFile))
 	}
 	parts = append(parts, trace.ManifestName)
 	return fmt.Sprintf("wrote run directory %s: %s", dir, strings.Join(parts, ", "))

@@ -1,6 +1,7 @@
 package runio
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,29 +14,6 @@ import (
 	"loft/internal/trace"
 	"loft/internal/traffic"
 )
-
-func TestIsDirTarget(t *testing.T) {
-	dir := t.TempDir()
-	plain := filepath.Join(dir, "plain")
-	if err := os.WriteFile(plain, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		path string
-		want bool
-	}{
-		{dir, true},                              // existing directory
-		{dir + string(os.PathSeparator), true},   // trailing separator
-		{filepath.Join(dir, "new") + "/", true},  // nonexistent, spelled as a dir
-		{filepath.Join(dir, "out.jsonl"), false}, // nonexistent file path
-		{plain, false},                           // existing regular file
-	}
-	for _, c := range cases {
-		if got := IsDirTarget(c.path); got != c.want {
-			t.Errorf("IsDirTarget(%q) = %v, want %v", c.path, got, c.want)
-		}
-	}
-}
 
 func testPattern(cfg config.LOFT) *traffic.Pattern {
 	return traffic.Uniform(cfg.Mesh(), 0.2, cfg.PacketFlits, cfg.FrameFlits)
@@ -95,7 +73,7 @@ func TestWriteRunDirWithPerf(t *testing.T) {
 	if err := WriteRunDir(dir, nil, nil, mon, m); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := perfmon.ReadSnapshot(dir)
+	snap, err := perfmon.ReadSnapshot(filepath.Join(dir, trace.PerfFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +91,13 @@ func TestWriteRunDirWithPerf(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	if !names[PerfFile] || !names[FoldedFile] {
-		t.Fatalf("artifacts = %+v, want %s and %s", got.Artifacts, PerfFile, FoldedFile)
+	if !names[trace.PerfFile] || !names[trace.FoldedFile] {
+		t.Fatalf("artifacts = %+v, want %s and %s", got.Artifacts, trace.PerfFile, trace.FoldedFile)
 	}
 	if got.Metrics["perf sampled cycles"] == 0 {
 		t.Errorf("manifest metrics missing perf summary: %v", got.Metrics)
 	}
-	folded, err := os.ReadFile(filepath.Join(dir, FoldedFile))
+	folded, err := os.ReadFile(filepath.Join(dir, trace.FoldedFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +121,15 @@ func TestWriteRunDirAuditOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Artifacts) != 1 || m.Artifacts[0].Name != AuditFile {
-		t.Fatalf("artifacts = %+v, want just %s", m.Artifacts, AuditFile)
+	if len(m.Artifacts) != 1 || m.Artifacts[0].Name != trace.AuditFile {
+		t.Fatalf("artifacts = %+v, want just %s", m.Artifacts, trace.AuditFile)
 	}
-	s, err := trace.ReadAuditFile(filepath.Join(dir, AuditFile))
+	blob, err := os.ReadFile(filepath.Join(dir, trace.AuditFile))
 	if err != nil {
+		t.Fatal(err)
+	}
+	var s audit.Snapshot
+	if err := json.Unmarshal(blob, &s); err != nil {
 		t.Fatal(err)
 	}
 	if s.Arch == "" || s.PacketsChecked == 0 {

@@ -30,10 +30,9 @@ type Session struct {
 
 	// Flag values.
 	Seed        uint64
-	Workers     int // -j as given; JSet tells an explicit 0 from the default
-	NodeWorkers int // -jnode
-	ProbeOut    string
-	AuditOut    string
+	Workers     int    // -j as given; JSet tells an explicit 0 from the default
+	NodeWorkers int    // -jnode
+	Out         string // -out: the run directory, "" when none is written
 	JSet        bool
 
 	faultSpec                string
@@ -50,7 +49,6 @@ type Session struct {
 	Perf  *perfmon.Monitor
 
 	interrupted  atomic.Bool
-	stopCPU      func() // run-directory cpu.pprof, nil when not collected
 	stopProfiles func()
 }
 
@@ -59,13 +57,12 @@ func (s *Session) Flags(fs *flag.FlagSet) {
 	fs.Uint64Var(&s.Seed, "seed", 1, "deterministic traffic seed")
 	fs.StringVar(&s.faultSpec, "fault", "", "arm a deterministic fault-injection plan on every run: inline spec or a plan file (see DESIGN.md §16); faulted runs stay byte-reproducible per (plan, seed), GSF runs accept adversary-only plans")
 	fs.BoolVar(&s.probeOn, "probe", false, "enable the observability probe layer on every run")
-	fs.StringVar(&s.ProbeOut, "probe-out", "", "write probe data here: a directory (trailing /) gets all formats + manifest.json, else by extension (.jsonl events, .csv time series, .json Chrome trace; any other path is refused) with a sibling manifest; implies -probe")
 	fs.Uint64Var(&s.probeSample, "probe-sample", 256, "gauge sampling period in cycles (0 disables time series)")
 	fs.IntVar(&s.probeEvents, "probe-events", 1<<20, "event ring buffer capacity")
 	fs.BoolVar(&s.auditOn, "audit", false, "enable the runtime QoS auditor (invariant checks + delay-bound conformance) on every run; violations exit non-zero")
-	fs.StringVar(&s.AuditOut, "audit-out", "", "write the audit conformance snapshot JSON here, plus a sibling manifest; implies -audit")
 	fs.BoolVar(&s.perfOn, "perf", false, "enable the in-simulator profiler: per-stage cycle attribution, parallel-engine telemetry, flamegraph export (never changes results)")
 	fs.Uint64Var(&s.perfSample, "perf-sample", perfmon.DefaultSampleEvery, "profile every Nth cycle (1 = every cycle)")
+	fs.StringVar(&s.Out, "out", "", "write a run directory here: manifest.json plus the files of each attached observer (-probe: events.jsonl, series.csv, trace.json; -audit: audit.json; -perf: perf.json, perf.folded)")
 	fs.IntVar(&s.Workers, "j", 0, "concurrent simulations in a sweep (0 = one per CPU; observed sweeps are forced sequential)")
 	fs.IntVar(&s.NodeWorkers, "jnode", 0, "shard node ticking inside each simulation across this many OS threads (0 or 1 = sequential; results are byte-identical)")
 	fs.StringVar(&s.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -73,9 +70,9 @@ func (s *Session) Flags(fs *flag.FlagSet) {
 }
 
 // Load finishes flag parsing: it checks that -probe-events and -perf-sample
-// are at least 1 and that -probe-out names a run directory or a known
-// extension, loads the -fault plan and notes whether -j was given. An error
-// is a usage error (exit 2).
+// are at least 1 and that -out does not name an existing file, loads the
+// -fault plan and notes whether -j was given. An error is a usage error
+// (exit 2).
 func (s *Session) Load(fs *flag.FlagSet) error {
 	fs.Visit(func(f *flag.Flag) { s.JSet = s.JSet || f.Name == "j" })
 	if s.probeEvents < 1 {
@@ -84,10 +81,8 @@ func (s *Session) Load(fs *flag.FlagSet) error {
 	if s.perfSample < 1 {
 		return fmt.Errorf("-perf-sample %d: profile every Nth cycle with N at least 1 (1 = every cycle)", s.perfSample)
 	}
-	if s.ProbeOut != "" && !IsDirTarget(s.ProbeOut) {
-		if _, err := probe.FormatForPath(s.ProbeOut); err != nil {
-			return fmt.Errorf("-probe-out: %w, or a run directory spelled with a trailing /", err)
-		}
+	if st, err := os.Stat(s.Out); err == nil && !st.IsDir() {
+		return fmt.Errorf("-out %s is a file; -out names a run directory", s.Out)
 	}
 	if s.faultSpec == "" {
 		return nil
@@ -100,7 +95,7 @@ func (s *Session) Load(fs *flag.FlagSet) error {
 // Observed reports whether any observer flag is set. Observed sweeps share
 // one observer, so they run sequentially.
 func (s *Session) Observed() bool {
-	return s.probeOn || s.ProbeOut != "" || s.auditOn || s.AuditOut != "" || s.perfOn
+	return s.probeOn || s.auditOn || s.perfOn
 }
 
 // ValidateExec rejects the execution-flag values both CLIs refuse up front:
@@ -139,10 +134,10 @@ func (s *Session) Start() error {
 	if s.stopProfiles, err = profiles.Start(s.cpuProfile, s.memProfile); err != nil {
 		return err
 	}
-	if s.probeOn || s.ProbeOut != "" {
+	if s.probeOn {
 		s.Probe = probe.New(probe.Config{EventCap: s.probeEvents, SampleEvery: s.probeSample})
 	}
-	if s.auditOn || s.AuditOut != "" {
+	if s.auditOn {
 		s.Audit = audit.New(audit.Config{})
 	}
 	if s.perfOn {
@@ -159,17 +154,8 @@ func (s *Session) Start() error {
 		signal.Stop(sig)
 		fmt.Fprintln(os.Stderr, "interrupt: stopping at next chunk boundary, flushing snapshots (^C again to kill)")
 	}()
-	// A profiled run exporting a run directory also collects a pprof CPU
-	// profile there; Export stops it before the manifest checksums it.
-	if s.Perf != nil && s.perfDir() {
-		s.stopCPU, err = StartCPUProfile(s.ProbeOut)
-	}
-	return err
+	return nil
 }
-
-// perfDir reports whether the perf snapshot goes into a run directory
-// (otherwise the stage table prints to stdout).
-func (s *Session) perfDir() bool { return s.ProbeOut != "" && IsDirTarget(s.ProbeOut) }
 
 // Interrupted reports whether SIGINT arrived; it is the Stop poll of every
 // run.
@@ -194,83 +180,32 @@ func (s *Session) Manifest() trace.Manifest {
 	}
 }
 
-// Export writes the requested artifacts of the finished run(s): the probe
-// export and the -audit-out snapshot, each with the manifest that manifest
-// builds (called only when one of them is written), and the perf stage
-// table on stdout unless a run directory received it.
+// Export writes what the finished run(s) collected. With -out it writes
+// the run directory, whose manifest the manifest function builds; without
+// it the probe's per-kind event summary and the perf stage table print to
+// stdout. A probe ring that overflowed is warned about on stderr either way.
 func (s *Session) Export(manifest func() trace.Manifest) error {
-	if s.stopCPU != nil {
-		s.stopCPU()
-	}
-	if s.Probe != nil || s.AuditOut != "" {
-		m := manifest()
-		if s.Probe != nil {
-			if err := s.writeRun(m); err != nil {
-				return err
-			}
-		}
-		if s.AuditOut != "" {
-			if err := s.writeAuditOut(m); err != nil {
-				return err
-			}
+	if s.Probe != nil {
+		if d := s.Probe.Tracer().Dropped(); d > 0 {
+			fmt.Fprintf(os.Stderr, "warning: probe ring overwrote %d oldest events; raise -probe-events for a complete trace\n", d)
 		}
 	}
-	if s.Perf != nil && !s.perfDir() {
-		s.Perf.Snapshot().WriteText(os.Stdout)
-	}
-	return nil
-}
-
-// writeRun exports the collected probe/audit/perf data. An empty -probe-out
-// prints the per-kind event summary; a directory path (existing, or spelled
-// with a trailing separator) receives the full run directory — all three
-// probe export formats, the audit snapshot, the perf snapshot + folded
-// stacks and the checksummed manifest; any other path keeps the single-file
-// extension dispatch (probe.FormatForPath) and gains a sibling
-// <path>.manifest.json. Ring drops are warned about on stderr either way.
-func (s *Session) writeRun(m trace.Manifest) error {
-	pr, path := s.Probe, s.ProbeOut
-	if d := pr.Tracer().Dropped(); d > 0 {
-		fmt.Fprintf(os.Stderr, "warning: probe ring overwrote %d oldest events; raise -probe-events for a complete trace\n", d)
-	}
-	if path == "" {
-		fmt.Printf("probe event summary%s:\n", s.SummaryNote)
-		for _, line := range pr.Summary() {
-			fmt.Printf("  %s\n", line)
-		}
-		return nil
-	}
-	if IsDirTarget(path) {
-		if err := WriteRunDir(path, pr, s.Audit, s.Perf, m); err != nil {
+	if s.Out != "" {
+		if err := WriteRunDir(s.Out, s.Probe, s.Audit, s.Perf, manifest()); err != nil {
 			return err
 		}
-		fmt.Println(Describe(path, pr, s.Audit, s.Perf))
+		fmt.Println(Describe(s.Out, s.Probe, s.Audit, s.Perf))
 		return nil
 	}
-	if err := WriteFileWithManifest(path, pr, m); err != nil {
-		return err
+	if s.Probe != nil {
+		fmt.Printf("probe event summary%s:\n", s.SummaryNote)
+		for _, line := range s.Probe.Summary() {
+			fmt.Printf("  %s\n", line)
+		}
 	}
-	fmt.Printf("wrote probe data to %s (%d events retained, %d dropped) and %s.manifest.json\n",
-		path, pr.Tracer().Len(), pr.Tracer().Dropped(), path)
-	return nil
-}
-
-// writeAuditOut writes the audit conformance snapshot plus its sibling
-// manifest.
-func (s *Session) writeAuditOut(m trace.Manifest) error {
-	path := s.AuditOut
-	if err := WriteAuditSnapshot(path, s.Audit); err != nil {
-		return err
+	if s.Perf != nil {
+		s.Perf.Snapshot().WriteText(os.Stdout)
 	}
-	a, err := trace.FileArtifact(path)
-	if err != nil {
-		return err
-	}
-	m.Artifacts = []trace.Artifact{a}
-	if err := m.Write(path + ".manifest.json"); err != nil {
-		return err
-	}
-	fmt.Printf("wrote audit snapshot to %s (and %s.manifest.json)\n", path, path)
 	return nil
 }
 

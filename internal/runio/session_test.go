@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -72,33 +73,77 @@ func TestSessionMessagesNameRegisteredFlags(t *testing.T) {
 	}
 }
 
-// TestSessionProfiledRunDirectory drives a session the way `loftexp -perf
-// -probe-out dir/` does and checks the run directory README promises: the
-// perf snapshot, the folded stacks and a cpu.pprof that was stopped before
-// the manifest checksummed it. Only loftsim used to collect the profile.
-func TestSessionProfiledRunDirectory(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "run")
-	s, _ := sessionFlags(t, "loftexp", "-perf", "-perf-sample", "8", "-jnode", "2", "-probe-out", dir+"/")
-	if !s.Observed() {
-		t.Fatal("-perf -probe-out is an observed run")
+// TestSessionFlagSet pins the shared flag vocabulary both CLIs register:
+// one -out for every artifact, observer flags that choose what is
+// collected, and the execution and profiling flags.
+func TestSessionFlagSet(t *testing.T) {
+	_, fs := sessionFlags(t, "loftsim")
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{"audit", "cpuprofile", "fault", "j", "jnode", "memprofile", "out",
+		"perf", "perf-sample", "probe", "probe-events", "probe-sample", "seed"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("shared flags %q, want %q", got, want)
 	}
+}
+
+// runSession drives s the way both CLIs do after Load: Start, one small LOFT
+// run with the observers the flags built, Export with the session's
+// manifest, and Finish, whose exit code it returns.
+func runSession(t *testing.T, s *Session) int {
+	t.Helper()
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Probe == nil || s.Perf == nil || s.Audit != nil {
-		t.Fatalf("observers built: probe %v perf %v audit %v", s.Probe != nil, s.Perf != nil, s.Audit != nil)
-	}
 	cfg := config.PaperLOFT()
 	_, err := core.Run(core.ArchLOFT, cfg, testPattern(cfg), core.RunSpec{Seed: s.Seed, Warmup: 100, Measure: 900,
-		Probe: s.Probe, Perf: s.Perf, Workers: s.NodeWorkers, Stop: s.Interrupted})
+		Probe: s.Probe, Audit: s.Audit, Perf: s.Perf, Workers: s.NodeWorkers, Stop: s.Interrupted})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Export(s.Manifest); err != nil {
 		t.Fatal(err)
 	}
-	if code := s.Finish(); code != 0 {
+	return s.Finish()
+}
+
+// artifactNames returns the names the manifest of run directory dir
+// checksums, after checking each checksum against the file on disk.
+func artifactNames(t *testing.T, dir string) []string {
+	t.Helper()
+	m, err := trace.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, a := range m.Artifacts {
+		disk, err := trace.FileArtifact(filepath.Join(dir, a.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if disk.SHA256 != a.SHA256 || disk.Bytes == 0 {
+			t.Errorf("%s: manifest %+v, disk %+v — written after the manifest, or empty", a.Name, a, disk)
+		}
+		names = append(names, a.Name)
+	}
+	return names
+}
+
+// TestSessionProfiledRunDirectory drives a session the way `loftexp -probe
+// -perf -out dir` does and checks the run directory README promises: the
+// probe's three files, the perf snapshot and the folded stacks, each
+// checksummed by a manifest that records the tool and node workers.
+func TestSessionProfiledRunDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	s, _ := sessionFlags(t, "loftexp", "-probe", "-perf", "-perf-sample", "8", "-jnode", "2", "-out", dir)
+	if !s.Observed() {
+		t.Fatal("-probe -perf is an observed run")
+	}
+	if code := runSession(t, s); code != 0 {
 		t.Fatalf("exit code %d, want 0", code)
+	}
+	if s.Probe == nil || s.Perf == nil || s.Audit != nil {
+		t.Fatalf("observers built: probe %v perf %v audit %v", s.Probe != nil, s.Perf != nil, s.Audit != nil)
 	}
 	m, err := trace.ReadManifest(dir)
 	if err != nil {
@@ -107,55 +152,74 @@ func TestSessionProfiledRunDirectory(t *testing.T) {
 	if m.Tool != "loftexp" || m.NodeWorkers != 2 {
 		t.Errorf("manifest base: tool %q, node workers %d", m.Tool, m.NodeWorkers)
 	}
-	got := map[string]trace.Artifact{}
-	for _, a := range m.Artifacts {
-		got[a.Name] = a
-	}
-	for _, name := range []string{EventsFile, SeriesFile, ChromeFile, PerfFile, FoldedFile, CPUProfileFile} {
-		a, ok := got[name]
-		if !ok {
-			t.Errorf("run directory manifest lacks %s: %+v", name, m.Artifacts)
-			continue
-		}
-		disk, err := trace.FileArtifact(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if disk.SHA256 != a.SHA256 || disk.Bytes == 0 {
-			t.Errorf("%s: manifest %+v, disk %+v — written after the manifest, or empty", name, a, disk)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, AuditFile)); err == nil {
-		t.Errorf("%s written without -audit", AuditFile)
+	want := []string{trace.EventsFile, trace.SeriesFile, trace.ChromeFile, trace.PerfFile, trace.FoldedFile}
+	if got := artifactNames(t, dir); !reflect.DeepEqual(got, want) {
+		t.Errorf("artifacts %q, want %q", got, want)
 	}
 }
 
-// TestSessionLoadRejectsProbeOut pins the -probe-out contract Load enforces
-// before any run starts: a run directory (trailing separator, or an existing
-// directory) or a .jsonl/.csv/.json file. Any other name used to be written
-// as Chrome trace JSON, so `-probe-out runs/a` produced a file named a.
-func TestSessionLoadRejectsProbeOut(t *testing.T) {
-	dir := t.TempDir()
-	for _, ok := range []string{"x.jsonl", "x.csv", "x.json", "runs/a/", dir} {
-		sessionFlags(t, "loftsim", "-probe-out", ok)
+// TestSessionOutWithoutObservers: -out chooses where artifacts go and
+// collects nothing itself. With no observer flag the run is unobserved and
+// its directory holds the manifest alone.
+func TestSessionOutWithoutObservers(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	s, _ := sessionFlags(t, "loftsim", "-out", dir)
+	if s.Observed() {
+		t.Fatal("-out alone attaches no observer")
 	}
-	for _, bad := range []string{"x.prom", "runs/a", "trace"} {
-		s := &Session{Tool: "loftsim"}
-		fs := flag.NewFlagSet("loftsim", flag.ContinueOnError)
-		s.Flags(fs)
-		if err := fs.Parse([]string{"-probe-out", bad}); err != nil {
-			t.Fatal(err)
-		}
-		err := s.Load(fs)
-		if err == nil {
-			t.Errorf("-probe-out %s: Load accepted it", bad)
-			continue
-		}
-		for _, want := range []string{".jsonl", ".csv", ".json", "trailing /"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("-probe-out %s: error %q does not mention %s", bad, err, want)
-			}
-		}
+	if code := runSession(t, s); code != 0 {
+		t.Fatalf("exit code %d, want 0", code)
+	}
+	if got := artifactNames(t, dir); len(got) != 0 {
+		t.Errorf("artifacts %q, want none", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != trace.ManifestName {
+		t.Errorf("run directory holds %v, want %s alone", entries, trace.ManifestName)
+	}
+}
+
+// TestSessionCPUProfileWithPerfOut: -cpuprofile beside -perf and a run
+// directory used to start a second pprof CPU profile for the directory's
+// own cpu.pprof and exit 1 ("cpu profiling already in use"). The run
+// directory collects no CPU profile now, so both flags work together.
+func TestSessionCPUProfileWithPerfOut(t *testing.T) {
+	tmp := t.TempDir()
+	cpu, dir := filepath.Join(tmp, "cpu.pprof"), filepath.Join(tmp, "run")
+	s, _ := sessionFlags(t, "loftsim", "-cpuprofile", cpu, "-perf", "-out", dir)
+	if code := runSession(t, s); code != 0 {
+		t.Fatalf("exit code %d, want 0", code)
+	}
+	if st, err := os.Stat(cpu); err != nil || st.Size() == 0 {
+		t.Errorf("-cpuprofile %s: %v, want a non-empty profile", cpu, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, trace.PerfFile)); err != nil {
+		t.Errorf("run directory lacks %s: %v", trace.PerfFile, err)
+	}
+}
+
+// TestSessionLoadRejectsOutFile: -out names a run directory, existing or
+// not. An existing regular file is refused before any run starts.
+func TestSessionLoadRejectsOutFile(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "x.json")
+	if err := os.WriteFile(file, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, ok := range []string{dir, filepath.Join(dir, "new"), filepath.Join(dir, "new") + "/"} {
+		sessionFlags(t, "loftsim", "-out", ok)
+	}
+	s := &Session{Tool: "loftsim"}
+	fs := flag.NewFlagSet("loftsim", flag.ContinueOnError)
+	s.Flags(fs)
+	if err := fs.Parse([]string{"-out", file}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(fs); err == nil || !strings.Contains(err.Error(), "run directory") {
+		t.Errorf("-out %s: Load returned %v, want an error saying -out names a run directory", file, err)
 	}
 }
 

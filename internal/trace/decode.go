@@ -1,9 +1,9 @@
-// Package trace is the offline half of the observability layer: decoders
-// for the artifacts the probe and audit layers export (JSONL event dumps and
-// audit conformance snapshots), a per-quantum latency decomposition engine
-// that replays the event stream, run manifests tying a run's artifacts to
-// its full configuration, and cross-run regression diffing. Command
-// lofttrace is the CLI over this package.
+// Package trace is the offline half of the observability layer: the file
+// names of a run directory, the decoder for the probe's JSONL event dump, a
+// per-quantum latency decomposition engine that replays the event stream,
+// run manifests tying a run's artifacts to its full configuration, and
+// cross-run regression diffing. Command lofttrace is the CLI over this
+// package; it reads run directories only.
 //
 // The package never touches a live simulator: every analysis consumes only
 // exported files, so results are reproducible from the artifacts alone and
@@ -18,7 +18,6 @@ import (
 	"io"
 	"os"
 
-	"loft/internal/audit"
 	"loft/internal/probe"
 )
 
@@ -87,16 +86,6 @@ func ReadEventsJSONL(r io.Reader) ([]probe.Event, uint64, error) {
 	return events, dropped, nil
 }
 
-// ReadAuditSnapshot decodes an audit conformance snapshot (the JSON written
-// by -audit-out and into run directories as audit.json).
-func ReadAuditSnapshot(r io.Reader) (*audit.Snapshot, error) {
-	var s audit.Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("audit snapshot: %v", err)
-	}
-	return &s, nil
-}
-
 // ReadEventsFile is ReadEventsJSONL over a file path.
 func ReadEventsFile(path string) ([]probe.Event, uint64, error) {
 	f, err := os.Open(path)
@@ -109,18 +98,4 @@ func ReadEventsFile(path string) ([]probe.Event, uint64, error) {
 		return nil, 0, fmt.Errorf("%s: %v", path, err)
 	}
 	return ev, dropped, nil
-}
-
-// ReadAuditFile is ReadAuditSnapshot over a file path.
-func ReadAuditFile(path string) (*audit.Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s, err := ReadAuditSnapshot(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return s, nil
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"loft/internal/audit"
 	"loft/internal/probe"
 )
 
@@ -78,23 +77,4 @@ func TestEventsJSONLErrors(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestReadAuditSnapshot(t *testing.T) {
-	in := `{"arch":"loft","cycle":2500,"clean":true,"flows":[{"flow":3,"hops":2,"bound_cycles":500,"worst_observed_cycles":120}]}`
-	s, err := ReadAuditSnapshot(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Arch != "loft" || s.Cycle != 2500 || !s.Clean {
-		t.Errorf("snapshot = %+v", s)
-	}
-	if len(s.Flows) != 1 || s.Flows[0].Bound != 500 {
-		t.Errorf("flows = %+v", s.Flows)
-	}
-	if _, err := ReadAuditSnapshot(strings.NewReader("not json")); err == nil {
-		t.Error("malformed snapshot: want error")
-	}
-	var zero audit.Snapshot
-	_ = zero // the decode target is the real audit type, not a local mirror
 }

@@ -33,8 +33,8 @@ func (d Direction) String() string {
 // lowerBetter/higherBetter classify metric names by substring; the first
 // matching list wins, so "deny" beats the "rate" in "reserve_deny_rate".
 var lowerBetter = []string{
-	"latency", "wait", "deny", "skip", "abort", "drop", "margin",
-	"reset", "violation", "incomplete", "ns/op", "ns/cycle", "imbalance",
+	"latency", "wait", "deny", "skip", "abort", "drop", "margin", "lost",
+	"reset", "violation", "incomplete", "total_cycles", "ns/op", "ns/cycle", "imbalance",
 }
 
 var higherBetter = []string{
@@ -42,7 +42,8 @@ var higherBetter = []string{
 }
 
 // MetricDirection classifies a metric name. Latencies, waits, deny/skip/
-// abort/drop counts, delay-bound margins and violations regress upward;
+// abort/drop counts, lost flits, decomposed quantum totals, delay-bound
+// margins and violations regress upward;
 // throughput, packet counts and speculation savings regress downward.
 func MetricDirection(name string) Direction {
 	n := strings.ToLower(name)

@@ -14,6 +14,9 @@ func TestMetricDirection(t *testing.T) {
 		"reserve_deny_rate":             LowerIsBetter,
 		"delay_bound_margin_pct":        LowerIsBetter,
 		"decomp_incomplete":             LowerIsBetter,
+		"flits_lost":                    LowerIsBetter,
+		"decomp_mean_total_cycles":      LowerIsBetter,
+		"decomp_max_total_cycles":       LowerIsBetter,
 		"throughput_flits_per_cycle":    HigherIsBetter,
 		"packets":                       HigherIsBetter,
 		"decomp_mean_spec_saved_cycles": HigherIsBetter,

@@ -14,8 +14,23 @@ import (
 // ManifestVersion is the current manifest schema version.
 const ManifestVersion = 1
 
-// ManifestName is the manifest's file name inside a run directory.
-const ManifestName = "manifest.json"
+// File names inside a run directory. Every run directory holds
+// ManifestName; the other files come from the observers the run attached:
+// the probe writes EventsFile, SeriesFile and ChromeFile, the auditor
+// AuditFile, and the perfmon monitor PerfFile (stage attribution, engine
+// telemetry, gauges) and FoldedFile (the same data as folded stacks for
+// flamegraph viewers). The perf files carry wall-time values, so they are
+// nondeterministic by design and left out of byte-identity comparisons;
+// the manifest still checksums them.
+const (
+	ManifestName = "manifest.json"
+	EventsFile   = "events.jsonl"
+	SeriesFile   = "series.csv"
+	ChromeFile   = "trace.json"
+	AuditFile    = "audit.json"
+	PerfFile     = "perf.json"
+	FoldedFile   = "perf.folded"
+)
 
 // Artifact is one exported file of a run, pinned by checksum so a manifest
 // certifies exactly which bytes the analyses below it consumed.
@@ -66,12 +81,9 @@ type Manifest struct {
 	Artifacts []Artifact         `json:"artifacts,omitempty"`
 }
 
-// ReadManifest loads a manifest from path; a directory path reads the
-// ManifestName inside it.
-func ReadManifest(path string) (*Manifest, error) {
-	if st, err := os.Stat(path); err == nil && st.IsDir() {
-		path = filepath.Join(path, ManifestName)
-	}
+// ReadManifest loads the manifest of run directory dir.
+func ReadManifest(dir string) (*Manifest, error) {
+	path := filepath.Join(dir, ManifestName)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

@@ -34,15 +34,12 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := m.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	// Reading the directory resolves to its manifest.json.
-	for _, target := range []string{path, dir} {
-		got, err := ReadManifest(target)
-		if err != nil {
-			t.Fatalf("ReadManifest(%s): %v", target, err)
-		}
-		if !reflect.DeepEqual(*got, m) {
-			t.Errorf("round trip via %s diverged:\n got %+v\nwant %+v", target, *got, m)
-		}
+	got, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*got, m) {
+		t.Errorf("round trip diverged:\n got %+v\nwant %+v", *got, m)
 	}
 	// Byte-stable: writing the same manifest twice yields identical bytes.
 	first, err := os.ReadFile(path)
@@ -62,11 +59,11 @@ func TestManifestRoundTrip(t *testing.T) {
 }
 
 func TestReadManifestRejectsNewerVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), ManifestName)
-	if err := os.WriteFile(path, []byte(`{"manifest_version": 9999}`), 0o644); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(`{"manifest_version": 9999}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadManifest(path)
+	_, err := ReadManifest(dir)
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("err = %v, want unsupported-version error", err)
 	}
