@@ -136,6 +136,15 @@ router-stall node=9  from=600 to=608
 adversary    flow=1  factor=3 cap=1 from=400
 `
 
+// goldenNIChaosPlan faults the links at the two ends of a node's datapath:
+// the NI's injection link loses and drops transmissions, and the sink holds
+// back the ejection table's credits. goldenChaosPlan faults only mesh links.
+const goldenNIChaosPlan = `
+link-down    node=5  dir=inject from=300 to=400
+flit-loss    node=6  dir=inject rate=0.5 from=250 to=1200
+credit-stall node=12 dir=eject  from=500 to=560
+`
+
 // runAny runs either architecture the way every CLI does and returns the
 // result plus the architecture's own end-of-run counters. A GSF run uses
 // gcfg; its reservations are scaled from lcfg's frame.
@@ -336,7 +345,8 @@ func wantViolation(kind string, timeline bool) func(*testing.T, Result, audit.Sn
 	}
 }
 
-// observedCases: a clean and a chaotic LOFT run; a GSF run, whose events
+// observedCases: a clean and a chaotic LOFT run; a LOFT run whose faults
+// sit on the injection and ejection links; a GSF run, whose events
 // (gsf-throttle, gsf-frame-roll) and recorder path (head-flit injection,
 // packet completion, the frame-count check) differ from LOFT's — past
 // saturation, because Case Study I never throttles a GSF source within this
@@ -356,6 +366,12 @@ var observedCases = []observedCase{
 		want: func(t *testing.T, res Result, _ audit.Snapshot) {
 			if res.FaultsInjected == 0 || res.Retries == 0 {
 				t.Fatalf("chaos run fired no faults: %+v", res)
+			}
+		}},
+	{name: "chaos-ni", arch: ArchLOFT, pattern: uniform(0.1), plan: goldenNIChaosPlan,
+		want: func(t *testing.T, res Result, _ audit.Snapshot) {
+			if res.FaultsInjected == 0 || res.Retries == 0 {
+				t.Fatalf("NI chaos run: %d faults, %d retries; want both > 0", res.FaultsInjected, res.Retries)
 			}
 		}},
 	{name: "gsf", arch: ArchGSF, pattern: uniform(0.6),
