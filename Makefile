@@ -93,12 +93,15 @@ perf-smoke:
 # Graceful degradation under a full five-kind fault plan, audited, across
 # three seeds and under the race detector: victim flows must keep every
 # delay bound and the adversary must stay inside its quarantine cap, so the
-# command exits non-zero on any violation. Then the same chaotic run is
+# command exits non-zero on any violation. Besides mesh links, the plan
+# downs and drops transmissions on the aggressors' injection links (nodes
+# 48 and 56) and stalls the hotspot sink's ejection credits (node 63), so
+# the NI and the sink take their faulted forward and credit paths too. Then the same chaotic run is
 # exported sequentially and with -jnode 4 and the probe event stream and
 # audit snapshot must be byte-identical — fault injection may not perturb
 # the parallel engine's determinism contract.
 chaos-smoke:
-	@set -e; plan='link-down node=7 dir=south from=700 to=900; flit-loss node=3 dir=east rate=0.3 from=600 to=1800; credit-stall node=15 dir=south from=1000 to=1060; router-stall node=9 from=1200 to=1210; adversary flow=1 factor=3 cap=0.6 from=800'; \
+	@set -e; plan='link-down node=7 dir=south from=700 to=900; flit-loss node=3 dir=east rate=0.3 from=600 to=1800; credit-stall node=15 dir=south from=1000 to=1060; router-stall node=9 from=1200 to=1210; adversary flow=1 factor=3 cap=0.6 from=800; link-down node=48 dir=inject from=900 to=1000; flit-loss node=56 dir=inject rate=0.3 from=700 to=1700; credit-stall node=63 dir=eject from=1300 to=1340'; \
 	for seed in 1 2 3; do \
 		$(GO) run -race ./cmd/loftsim -pattern case1 -rate 0.6 \
 			-warmup 500 -cycles 2000 -seed $$seed -fault "$$plan" -audit; \

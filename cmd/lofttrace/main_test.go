@@ -182,7 +182,7 @@ func TestDiffSpecOnVsOff(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("spec on-vs-off diff with huge threshold: code=%d\n%s", code, out)
 	}
-	if !strings.Contains(out, "config: SpeculativeSwitching: true -> false") {
+	if !strings.Contains(out, "config: SpecBufFlits: 12 -> 0") {
 		t.Errorf("diff missing the speculation config change:\n%s", out)
 	}
 	if !strings.Contains(out, "decomp_") {

@@ -34,13 +34,8 @@ type LOFT struct {
 	// NIQueueFlits bounds the per-node source backlog. LOFT needs no large
 	// source queues (Table 2 has none); packets arriving to a full queue
 	// are dropped, which bounds saturation latency exactly as GSF's finite
-	// source queue does.
+	// source queue does. It holds at least one packet, in whole quanta.
 	NIQueueFlits int
-
-	// Optimizations (§4.3). The paper treats spec-buffer size 0 as "all
-	// optimizations off"; NewLOFT* constructors enforce that coupling.
-	SpeculativeSwitching bool
-	LocalStatusReset     bool
 
 	// YieldCondition enables the buffer-yield admission policy derived
 	// from the paper's condition (1). Off by default (see internal/lsf and
@@ -72,11 +67,16 @@ func PaperLOFTSpec(spec int) LOFT {
 		LAStages:          3,
 		LAFlitBits:        64,
 		NIQueueFlits:      256,
-
-		SpeculativeSwitching: spec > 0,
-		LocalStatusReset:     spec > 0,
 	}
 }
+
+// SpeculativeSwitching reports whether the speculative flit switching of
+// §4.3.1 is on. The paper treats a zero speculative buffer as "all
+// optimizations off", so both §4.3 optimizations follow SpecBufFlits.
+func (c LOFT) SpeculativeSwitching() bool { return c.SpecBufFlits > 0 }
+
+// LocalStatusReset reports whether the local status reset of §4.3.2 is on.
+func (c LOFT) LocalStatusReset() bool { return c.SpecBufFlits > 0 }
 
 // SlotsPerFrame returns F in quantum slots (the reservation-table frame
 // span; 128 with the paper parameters — Table 1's "time window size").
@@ -120,8 +120,10 @@ func (c LOFT) Validate() error {
 		return fmt.Errorf("config: negative speculative buffer")
 	case c.SpecBufFlits%c.QuantumFlits != 0:
 		return fmt.Errorf("config: speculative buffer %d not a quantum multiple", c.SpecBufFlits)
-	case c.SpeculativeSwitching && c.SpecBufFlits == 0:
-		return fmt.Errorf("config: speculative switching enabled with zero speculative buffer")
+	case c.NIQueueFlits < c.PacketFlits:
+		return fmt.Errorf("config: NI queue %d smaller than one packet (%d flits)", c.NIQueueFlits, c.PacketFlits)
+	case c.NIQueueFlits%c.QuantumFlits != 0:
+		return fmt.Errorf("config: NI queue %d not a quantum multiple", c.NIQueueFlits)
 	case c.LAVirtualChannels < 1 || c.LAVCDepth < 1:
 		return fmt.Errorf("config: look-ahead network needs at least one VC slot")
 	case c.LAStages < 1:

@@ -37,14 +37,14 @@ func TestPaperLOFTMatchesTable1(t *testing.T) {
 
 func TestSpecZeroDisablesOptimizations(t *testing.T) {
 	c := PaperLOFTSpec(0)
-	if c.SpeculativeSwitching || c.LocalStatusReset {
+	if c.SpeculativeSwitching() || c.LocalStatusReset() {
 		t.Fatal("spec=0 must disable §4.3 optimizations")
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	c16 := PaperLOFTSpec(16)
-	if !c16.SpeculativeSwitching || !c16.LocalStatusReset {
+	if !c16.SpeculativeSwitching() || !c16.LocalStatusReset() {
 		t.Fatal("spec=16 must enable §4.3 optimizations")
 	}
 }
@@ -75,8 +75,12 @@ func TestLOFTValidateRejectsBadConfigs(t *testing.T) {
 		func(c *LOFT) { c.SpecBufFlits = 3 },      // not a quantum multiple
 		func(c *LOFT) { c.SpecBufFlits = 1 },      // floors to a zero-quantum buffer
 		func(c *LOFT) { c.LAVCDepth = 0 },
-		func(c *LOFT) { c.LAStages = 0 },  // readyAt = now-1 underflows at cycle 0
-		func(c *LOFT) { c.LAStages = -2 }, // early flits never become ready
+		func(c *LOFT) { c.LAStages = 0 },      // readyAt = now-1 underflows at cycle 0
+		func(c *LOFT) { c.LAStages = -2 },     // early flits never become ready
+		func(c *LOFT) { c.NIQueueFlits = 1 },  // below one packet
+		func(c *LOFT) { c.NIQueueFlits = 0 },  // no packet ever fits
+		func(c *LOFT) { c.NIQueueFlits = -4 }, // no packet ever fits
+		func(c *LOFT) { c.NIQueueFlits = 5 },  // not a quantum multiple
 	}
 	for i, mutate := range cases {
 		c := PaperLOFT()

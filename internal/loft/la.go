@@ -228,7 +228,7 @@ func (la *laRouter) process(now uint64) {
 		// Step 4 (§3.2): the input scheduler returns the virtual credit
 		// to the previous router, tagged with the booked departure.
 		if d == topo.Local {
-			n.injTable.ReturnCredit(depart)
+			n.outTables[topo.NumDirs].ReturnCredit(depart)
 		} else {
 			n.pendVcred[d] = append(n.pendVcred[d], depart)
 			n.pendLaCred[d]++ // freed look-ahead VC slot

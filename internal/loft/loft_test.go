@@ -122,7 +122,7 @@ func TestConservationNoLossNoDuplication(t *testing.T) {
 
 func TestSpecZeroDisablesOptimizations(t *testing.T) {
 	cfg := smallCfg(0)
-	if cfg.SpeculativeSwitching || cfg.LocalStatusReset {
+	if cfg.SpeculativeSwitching() || cfg.LocalStatusReset() {
 		t.Fatal("spec=0 must disable §4.3 optimizations")
 	}
 	p := traffic.SingleFlow(cfg.Mesh(), 0, 3, 0.05, cfg.PacketFlits, cfg.FrameFlits)

@@ -24,7 +24,7 @@ func TestComponentNames(t *testing.T) {
 	net := mustNet(t, cfg, traffic.Uniform(cfg.Mesh(), 0.1, cfg.PacketFlits, cfg.FrameFlits), 1, 0)
 	var b strings.Builder
 	for _, n := range net.nodes {
-		fmt.Fprintf(&b, "table %s\n", n.injTable.Name())
+		fmt.Fprintf(&b, "table %s\n", n.outTables[topo.NumDirs].Name())
 		for d := topo.North; d < topo.NumDirs; d++ {
 			if n.outTables[d] != nil {
 				fmt.Fprintf(&b, "table %s\n", n.outTables[d].Name())
@@ -32,8 +32,8 @@ func TestComponentNames(t *testing.T) {
 				fmt.Fprintf(&b, "credit %s\n", underflowName(&n.credSpec[d]))
 			}
 		}
-		fmt.Fprintf(&b, "credit %s\n", underflowName(&n.niCredNonSpec))
-		fmt.Fprintf(&b, "credit %s\n", underflowName(&n.niCredSpec))
+		fmt.Fprintf(&b, "credit %s\n", underflowName(&n.credNonSpec[topo.NumDirs]))
+		fmt.Fprintf(&b, "credit %s\n", underflowName(&n.credSpec[topo.NumDirs]))
 		for o := topo.North; o < topo.Local; o++ {
 			if _, ok := n.mesh.Neighbor(n.id, o); ok {
 				fmt.Fprintf(&b, "credit %s\n", underflowName(&n.la.credits[o]))

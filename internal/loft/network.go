@@ -98,12 +98,11 @@ func (net *Network) bindAudit() {
 		return
 	}
 	for _, n := range net.nodes {
-		for d := topo.North; d < topo.NumDirs; d++ {
-			if t := n.outTables[d]; t != nil {
+		for _, t := range n.outTables {
+			if t != nil {
 				aud.WatchTable(t, t.Name(), n.obs)
 			}
 		}
-		aud.WatchTable(n.injTable, n.injTable.Name(), n.obs)
 	}
 	// The flight recorder's quantum ledger must agree with the nodes' own
 	// counters: every booked quantum was counted by an NI and every ejected
@@ -162,7 +161,7 @@ func (net *Network) registerGauges() {
 				})
 			}
 		}
-		reg.Gauge(fmt.Sprintf("loft.table.n%d.inject", n.id), n.injTable.Occupancy)
+		reg.Gauge(fmt.Sprintf("loft.table.n%d.inject", n.id), n.outTables[topo.NumDirs].Occupancy)
 	}
 }
 
@@ -181,14 +180,10 @@ func (net *Network) registerPerfGauges(perf *perfmon.Monitor, plan *fault.Plan) 
 		var sum float64
 		var k int
 		for _, n := range net.nodes {
-			sum += n.injTable.Occupancy()
-			k++
-			for d := topo.North; d < topo.NumDirs; d++ {
-				if t := n.outTables[d]; t != nil {
-					sum += t.Occupancy()
-					k++
-				}
+			for i := range n.tables {
+				sum += n.tables[i].Occupancy()
 			}
+			k += len(n.tables)
 		}
 		return sum / float64(k)
 	})
@@ -249,11 +244,9 @@ func (net *Network) wire() {
 // allocates nothing.
 func (net *Network) installReservations(linkFlows map[topo.Link][]flit.FlowID) error {
 	for _, link := range det.KeysFunc(linkFlows, topo.Link.Less) {
-		table := net.nodes[link.From].injTable
-		if link.D != topo.NumDirs { // not the injection link
-			if table = net.nodes[link.From].outTables[link.D]; table == nil {
-				return fmt.Errorf("loft: pattern uses nonexistent link %s", link)
-			}
+		table := net.nodes[link.From].outTables[link.D]
+		if table == nil {
+			return fmt.Errorf("loft: pattern uses nonexistent link %s", link)
 		}
 		for _, id := range linkFlows[link] {
 			r := net.pattern.Flow(id).Reservation / net.cfg.QuantumFlits
@@ -318,10 +311,10 @@ func (net *Network) SchedulerTotals() (out, inj lsf.Stats) {
 		dst.Resets += s.Resets
 	}
 	for _, n := range net.nodes {
-		add(&inj, n.injTable.Stats())
-		for d := topo.North; d < topo.NumDirs; d++ {
-			if n.outTables[d] != nil {
-				add(&out, n.outTables[d].Stats())
+		add(&inj, n.outTables[topo.NumDirs].Stats())
+		for _, t := range n.outTables[:topo.NumDirs] {
+			if t != nil {
+				add(&out, t.Stats())
 			}
 		}
 	}

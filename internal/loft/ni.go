@@ -67,11 +67,7 @@ func (ni *netIface) newFlowQueue(id flit.FlowID) *flowQ {
 	// The NI queue is bounded to NIQueueFlits across all flows (generate
 	// drops beyond it), so one flow can hold at most that many quanta;
 	// reserving the bound keeps steady-state enqueues allocation-free.
-	if limit := ni.n.cfg.NIQueueFlits / ni.n.cfg.QuantumFlits; limit > 0 {
-		q.queue = make([]pendQuantum, 0, limit)
-	} else {
-		q.queue = make([]pendQuantum, 0, 16)
-	}
+	q.queue = make([]pendQuantum, 0, ni.n.cfg.NIQueueFlits/ni.n.cfg.QuantumFlits)
 	ni.byFlow[id] = q
 	ni.flows = append(ni.flows, q)
 	return q
@@ -94,7 +90,7 @@ func (ni *netIface) generate(now uint64) {
 	q := n.cfg.QuantumFlits
 	limit := n.cfg.NIQueueFlits / q
 	for _, pkt := range ni.injector.Next(now) {
-		if limit > 0 && ni.backlog()+(pkt.Flits+q-1)/q > limit {
+		if ni.backlog()+(pkt.Flits+q-1)/q > limit {
 			n.stats.Drops++
 			continue
 		}
@@ -132,6 +128,7 @@ func (ni *netIface) book(now uint64) {
 		return
 	}
 	slot := n.slotOf(now)
+	t := n.outTables[topo.NumDirs]
 	for i := 0; i < len(ni.flows); i++ {
 		fq := ni.flows[(ni.rr+i)%len(ni.flows)]
 		// The first unbooked quantum; bookings are in order per flow.
@@ -145,12 +142,12 @@ func (ni *netIface) book(now uint64) {
 		if pq == nil {
 			continue
 		}
-		if fq.failVersion == n.injTable.Version() {
+		if fq.failVersion == t.Version() {
 			continue // denied at this table state already
 		}
-		depart, ok := n.injTable.Request(fq.id, pq.q.ID.Seq, slot+1)
+		depart, ok := t.Request(fq.id, pq.q.ID.Seq, slot+1)
 		if !ok {
-			fq.failVersion = n.injTable.Version()
+			fq.failVersion = t.Version()
 			continue // throttled: the flow's reservations are exhausted
 		}
 		fq.failVersion = 0
@@ -175,9 +172,10 @@ func (ni *netIface) book(now uint64) {
 }
 
 // forward moves one booked quantum per slot from the NI into the router's
-// local input port, at its booked slot (emergent) or ahead of schedule
-// under speculative switching — the injection link follows the same §4.3.1
-// rules as any router output.
+// local input port. The injection link is the node's output topo.NumDirs and
+// follows the §4.3.1 rules of every output: the earliest booked quantum
+// crosses at its slot (emergent) or, under speculative switching, ahead of
+// it.
 func (ni *netIface) forward(slot, now uint64) {
 	n := ni.n
 	var best *pendQuantum
@@ -195,53 +193,20 @@ func (ni *netIface) forward(slot, now uint64) {
 		return
 	}
 	emergent := best.departSlot <= slot
-	if !emergent && !n.cfg.SpeculativeSwitching {
+	if !emergent && !n.cfg.SpeculativeSwitching() {
 		return
 	}
-	spec := false
-	if !emergent {
-		owner, _, ok := n.injTable.FirstScheduled()
-		spec = !ok || owner.Flow != best.q.ID.Flow || owner.Quantum != best.q.ID.Seq
-	}
-	if spec {
-		if n.niCredSpec.Available() == 0 {
-			return
-		}
-	} else if n.niCredNonSpec.Available() == 0 {
+	spec := n.classify(topo.NumDirs, best.q.ID, best.departSlot, slot)
+	if !n.canForward(topo.NumDirs, spec) {
 		if emergent {
 			n.stats.EmergentDenied++
 		}
 		return
 	}
-	if n.fault != nil && n.fault.DenyForward(fault.DirInject, now) {
-		// The injection link eats the transmission before any state
-		// changed: the booking stays live, the quantum stays queued, and
-		// once its slot passes the emergent path retries it.
-		best.faultDenied = true
-		n.stats.FaultsInjected++
-		n.stats.FlitsLost += uint64(best.q.Flits)
-		if n.obs.Wants(probe.KindFaultLoss) {
-			n.obs.EmitSeq(now, probe.KindFaultLoss, int32(n.id), int32(topo.NumDirs), int32(best.q.ID.Flow), best.q.ID.Seq, uint64(best.q.Flits))
-		}
+	if n.faultDeny(topo.NumDirs, &best.q, &best.faultDenied, now) {
 		return
 	}
-	if best.departSlot >= n.injTable.NowSlot() {
-		if owner, busy := n.injTable.BusyAt(best.departSlot); busy && owner.Flow == best.q.ID.Flow && owner.Quantum == best.q.ID.Seq {
-			n.injTable.ClearBusy(best.departSlot)
-		}
-	}
-	if spec {
-		n.niCredSpec.Consume()
-	} else {
-		n.niCredNonSpec.Consume()
-	}
-	if best.faultDenied {
-		best.faultDenied = false
-		n.stats.Retries++
-		if n.obs.Wants(probe.KindFaultRetry) {
-			n.obs.EmitSeq(now, probe.KindFaultRetry, int32(n.id), int32(topo.NumDirs), int32(best.q.ID.Flow), best.q.ID.Seq, best.departSlot*uint64(n.cfg.QuantumFlits))
-		}
-	}
+	n.depart(topo.NumDirs, &best.q, best.departSlot, spec, &best.faultDenied, now)
 	// Pop by copying down instead of re-slicing off the front: the queue
 	// keeps its backing array, so steady-state generate/forward cycles stop
 	// reallocating. best aliases queue[0] — copy it out first.

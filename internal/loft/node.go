@@ -177,14 +177,14 @@ type Node struct {
 	cfg  config.LOFT
 	mesh topo.Mesh
 
-	// outTables are the framed output reservation tables for the four mesh
-	// outputs plus the ejection link (index topo.Local), nil at mesh edges.
-	outTables [topo.NumDirs]*lsf.Table
-	// injTable schedules the NI→router injection link.
-	injTable *lsf.Table
+	// outTables are the framed output reservation tables, indexed by
+	// output port: the four mesh outputs (nil at mesh edges), the ejection
+	// link (topo.Local) and the NI→router injection link (topo.NumDirs),
+	// which the NI schedules and forwards through like any router output.
+	outTables [topo.NumDirs + 1]*lsf.Table
 	// tables holds the node's tables themselves, built by one
-	// lsf.NewTables: the mesh outputs that exist, the ejection table, then
-	// the injection table.
+	// lsf.NewTables: the injection table, then the mesh outputs that exist
+	// and the ejection table. frameTick ticks them in this order.
 	tables []lsf.Table
 
 	inputs [topo.NumDirs]inputPort // topo.Local = from the NI
@@ -193,13 +193,12 @@ type Node struct {
 	ni   netIface
 	sink sinkState
 
-	// Real credits toward each downstream input buffer pair (§4.3.1's
-	// actual-credit signals). Index by output dir; Local tracks the sink.
-	// Only the outputs with a table use theirs.
-	credNonSpec [topo.NumDirs]buffers.Credits
-	credSpec    [topo.NumDirs]buffers.Credits
-	// NI-side real credits toward the router's local input port.
-	niCredNonSpec, niCredSpec buffers.Credits
+	// Real credits toward each output's downstream input buffer pair
+	// (§4.3.1's actual-credit signals), indexed like outTables: Local
+	// tracks the sink, NumDirs the router's local input port. Only the
+	// outputs with a table use theirs.
+	credNonSpec [topo.NumDirs + 1]buffers.Credits
+	credSpec    [topo.NumDirs + 1]buffers.Credits
 
 	// Link registers, taken from the network's slab of each kind (see
 	// wire). Out registers are written by this node; in registers alias the
@@ -218,15 +217,17 @@ type Node struct {
 	// consumer finishes reading one cycle after the send, a full cycle
 	// before the same buffer can be reused. The eight buffers are cut from
 	// one array.
-	pendVcred  [4][]uint64
-	vcredBuf   [4][2][]uint64
-	vcredSel   [4]uint8
-	pendRcred  [4]rcredMsg
+	pendVcred [4][]uint64
+	vcredBuf  [4][2][]uint64
+	vcredSel  [4]uint8
+	// pendRcred[d] gathers the real credits freed at input d this cycle:
+	// flush sends the mesh inputs' upstream, and the next drain returns
+	// Local's to the injection link (output topo.NumDirs).
+	pendRcred  [topo.NumDirs]rcredMsg
 	pendLaCred [4]int
-	// pendSinkRet and pendNIRet return real credits one cycle after a
-	// quantum leaves the sink/local input.
+	// pendSinkRet returns the ejection link's real credits one cycle after
+	// a quantum leaves the sink.
 	pendSinkRet rcredMsg
-	pendNIRet   rcredMsg
 
 	outRR [topo.NumDirs]rrState
 
@@ -273,12 +274,13 @@ func (n *Node) init(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsi
 		Strict:        true,
 		Yield:         cfg.YieldCondition,
 	}
-	// One spec per table: the mesh outputs with a neighbor and the ejection
-	// link (in direction order), then the injection link.
+	// One spec per table: the injection link, then the mesh outputs with a
+	// neighbor and the ejection link in direction order.
 	var specs [topo.NumDirs + 1]lsf.Spec
 	var dirs [topo.NumDirs + 1]topo.Dir
 	k := 0
-	for d := topo.North; d <= topo.NumDirs; d++ {
+	for i := topo.North; i <= topo.NumDirs; i++ {
+		d := (i + topo.NumDirs) % (topo.NumDirs + 1)
 		if _, ok := mesh.Neighbor(id, d); d < topo.Local && !ok {
 			continue
 		}
@@ -293,10 +295,6 @@ func (n *Node) init(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsi
 	}
 	n.tables = lsf.NewTables(params, specs[:k])
 	for i, d := range dirs[:k] {
-		if d == topo.NumDirs {
-			n.injTable = &n.tables[i]
-			continue
-		}
 		n.outTables[d] = &n.tables[i]
 		n.credNonSpec[d].Init(label.New(nonspecName, int(id), int(d)), cfg.BufferQuanta())
 		n.credSpec[d].Init(label.New(specName, int(id), int(d)), cfg.SpecQuanta())
@@ -313,8 +311,6 @@ func (n *Node) init(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsi
 	for d := topo.North; d < topo.NumDirs; d++ {
 		n.inputs[d].init(d, carve(&pool, 2*portSlots), carve(&avail, portSlots)[:0])
 	}
-	n.niCredNonSpec.Init(label.New(nonspecName, int(id), int(topo.NumDirs)), cfg.BufferQuanta())
-	n.niCredSpec.Init(label.New(specName, int(id), int(topo.NumDirs)), cfg.SpecQuanta())
 	n.niData.Init(label.New(niDataName, int(id), 0))
 	// A cycle books at most one quantum per output table, so at most
 	// NumDirs virtual credits can accrue for a single input direction before
@@ -403,23 +399,17 @@ func (n *Node) faultTick(now uint64) {
 // status resets and (in debug runs) ledger verification.
 func (n *Node) frameTick(now uint64) {
 	if now > 0 {
-		n.injTable.Tick()
-		for d := topo.North; d < topo.NumDirs; d++ {
-			if n.outTables[d] != nil {
-				n.outTables[d].Tick()
-			}
+		for i := range n.tables {
+			n.tables[i].Tick()
 		}
 		n.sink.applyReturns(now)
 	}
-	if n.cfg.LocalStatusReset {
+	if n.cfg.LocalStatusReset() {
 		n.maybeReset()
 	}
 	if verifyLSF {
-		n.injTable.VerifyZero()
-		for d := topo.North; d < topo.NumDirs; d++ {
-			if n.outTables[d] != nil {
-				n.outTables[d].VerifyZero()
-			}
+		for i := range n.tables {
+			n.tables[i].VerifyZero()
 		}
 	}
 }
@@ -427,23 +417,13 @@ func (n *Node) frameTick(now uint64) {
 // drain consumes every incoming register. Look-ahead flits are drained
 // before data so a quantum always finds its input reservation entry.
 func (n *Node) drain(now uint64) {
-	if n.pendSinkRet.NonSpec > 0 || n.pendSinkRet.Spec > 0 {
-		for i := 0; i < n.pendSinkRet.NonSpec; i++ {
-			n.credNonSpec[topo.Local].Return()
-		}
-		for i := 0; i < n.pendSinkRet.Spec; i++ {
-			n.credSpec[topo.Local].Return()
-		}
+	if n.pendSinkRet != (rcredMsg{}) {
+		n.returnCredits(topo.Local, n.pendSinkRet)
 		n.pendSinkRet = rcredMsg{}
 	}
-	if n.pendNIRet.NonSpec > 0 || n.pendNIRet.Spec > 0 {
-		for i := 0; i < n.pendNIRet.NonSpec; i++ {
-			n.niCredNonSpec.Return()
-		}
-		for i := 0; i < n.pendNIRet.Spec; i++ {
-			n.niCredSpec.Return()
-		}
-		n.pendNIRet = rcredMsg{}
+	if n.pendRcred[topo.Local] != (rcredMsg{}) {
+		n.returnCredits(topo.NumDirs, n.pendRcred[topo.Local])
+		n.pendRcred[topo.Local] = rcredMsg{}
 	}
 	for d := 0; d < 4; d++ {
 		if n.laIn[d] != nil {
@@ -483,12 +463,7 @@ func (n *Node) drain(now uint64) {
 		}
 		if n.rcredIn[d] != nil {
 			if msg, ok := n.rcredIn[d].Take(now); ok {
-				for i := 0; i < msg.NonSpec; i++ {
-					n.credNonSpec[d].Return()
-				}
-				for i := 0; i < msg.Spec; i++ {
-					n.credSpec[d].Return()
-				}
+				n.returnCredits(topo.Dir(d), *msg)
 			}
 		}
 		if n.laCredIn[d] != nil {
@@ -498,6 +473,16 @@ func (n *Node) drain(now uint64) {
 				}
 			}
 		}
+	}
+}
+
+// returnCredits returns real credits to output o's downstream buffer pair.
+func (n *Node) returnCredits(o topo.Dir, msg rcredMsg) {
+	for i := 0; i < msg.NonSpec; i++ {
+		n.credNonSpec[o].Return()
+	}
+	for i := 0; i < msg.Spec; i++ {
+		n.credSpec[o].Return()
 	}
 }
 
@@ -543,17 +528,10 @@ func (n *Node) receiveData(d topo.Dir, msg *dataMsg, now uint64) {
 // and the downstream non-speculative buffer empty (observed via returned
 // real credits).
 func (n *Node) maybeReset() {
-	for d := topo.North; d < topo.NumDirs; d++ {
-		t := n.outTables[d]
-		if t == nil {
-			continue
-		}
-		if t.Dirty() && t.AllIdle() && t.Outstanding() == 0 && n.credNonSpec[d].AtCap() {
+	for d, t := range n.outTables {
+		if t != nil && t.Dirty() && t.AllIdle() && t.Outstanding() == 0 && n.credNonSpec[d].AtCap() {
 			t.Reset()
 		}
-	}
-	if t := n.injTable; t.Dirty() && t.AllIdle() && t.Outstanding() == 0 && n.niCredNonSpec.AtCap() {
-		t.Reset()
 	}
 }
 
@@ -615,7 +593,8 @@ func (n *Node) forwardData(slot, now uint64) {
 			}
 		}
 		emergent := winner != nil
-		if !emergent && n.cfg.SpeculativeSwitching {
+		spec := false // emergent quanta go to the central buffer
+		if !emergent && n.cfg.SpeculativeSwitching() {
 			// Speculative pass: round-robin among remaining candidates.
 			rr := &n.outRR[o]
 			for i := 0; i < int(topo.NumDirs); i++ {
@@ -627,9 +606,9 @@ func (n *Node) forwardData(slot, now uint64) {
 				if n.obs.Wants(probe.KindSpecAttempt) {
 					n.obs.EmitSeq(now, probe.KindSpecAttempt, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, e.q.ID.Seq)
 				}
-				if n.canForward(o, e) {
-					winner, winnerIn = e, d
-					n.outRR[o].granted(d)
+				if s := n.classify(o, e.q.ID, e.departSlot, slot); n.canForward(o, s) {
+					winner, winnerIn, spec = e, d, s
+					rr.granted(d)
 					break
 				}
 				if n.obs.Wants(probe.KindSpecAbort) {
@@ -640,65 +619,93 @@ func (n *Node) forwardData(slot, now uint64) {
 		if winner == nil {
 			continue
 		}
-		if emergent && !n.canForward(o, winner) {
+		if emergent && !n.canForward(o, spec) {
 			n.stats.EmergentDenied++
 			continue
 		}
-		if n.fault != nil && n.fault.DenyForward(int(o), now) {
-			// The link eats the transmission. Nothing was mutated yet:
-			// the entry stays live (booked, arrived, in avail), so once
-			// its departure slot passes it is overdue and the emergent
-			// pass retries it — the same path a full downstream buffer
-			// exercises.
-			n.faultDeny(winner, o, now)
-			cands[winnerIn] = nil
+		cands[winnerIn] = nil // one forward per input per slot
+		if n.faultDeny(o, &winner.q, &winner.faultDenied, now) {
 			continue
 		}
-		n.forward(o, winnerIn, winner, slot, now)
-		cands[winnerIn] = nil // one forward per input per slot
+		n.forward(o, winnerIn, winner, spec, slot, now)
 	}
 }
 
-// classify reports whether entry e would be forwarded into the downstream
+// The four steps below are the §4.3.1 forward of every output of a node,
+// the NI's injection link (output topo.NumDirs) included: classify picks
+// the downstream buffer, canForward checks its real credit, faultDeny lets
+// an armed fault eat the transmission, and depart commits the crossing.
+
+// classify reports whether quantum id, booked to depart output o at
+// departSlot, would be forwarded during slot into the downstream
 // speculative buffer (out of order) or the central buffer (in order:
-// emergent, overdue, or first-scheduled in the output table, §4.3.1).
-func (n *Node) classify(o topo.Dir, e *inEntry, slot uint64) (spec bool) {
-	if e.departSlot <= slot {
+// emergent, overdue, or first-scheduled in the output table).
+func (n *Node) classify(o topo.Dir, id flit.QuantumID, departSlot, slot uint64) (spec bool) {
+	if departSlot <= slot {
 		return false
 	}
 	owner, _, ok := n.outTables[o].FirstScheduled()
-	return !ok || owner.Flow != e.q.ID.Flow || owner.Quantum != e.q.ID.Seq
+	return !ok || owner.Flow != id.Flow || owner.Quantum != id.Seq
 }
 
-// canForward checks downstream real-buffer space for e through output o.
-func (n *Node) canForward(o topo.Dir, e *inEntry) bool {
-	if n.classify(o, e, n.outTables[o].NowSlot()) {
+// canForward reports whether output o's downstream speculative (spec) or
+// central buffer has a real credit left.
+func (n *Node) canForward(o topo.Dir, spec bool) bool {
+	if spec {
 		return n.credSpec[o].Available() > 0
 	}
 	return n.credNonSpec[o].Available() > 0
 }
 
-// forward moves the winning quantum across output o: consume the real
-// credit, clear the input entry and the output-table slot, return the real
-// credit for the buffer it vacated, and either deliver to the sink (Local)
-// or put it on the link.
-func (n *Node) forward(o, in topo.Dir, e *inEntry, slot, now uint64) {
-	if e.faultDenied {
-		// A fault denied this quantum earlier; this crossing is its retry.
-		e.faultDenied = false
+// faultDeny reports whether an armed fault eats quantum q's transmission
+// across output o, and accounts the lost flits. Nothing else changes: the
+// quantum keeps its buffer slot and its booking, so once its departure slot
+// passes it is overdue and the emergent path retries it — the same path a
+// full downstream buffer exercises. *denied marks the quantum until depart
+// counts the retry.
+func (n *Node) faultDeny(o topo.Dir, q *Quantum, denied *bool, now uint64) bool {
+	if n.fault == nil || !n.fault.DenyForward(int(o), now) {
+		return false
+	}
+	*denied = true
+	n.stats.FaultsInjected++
+	n.stats.FlitsLost += uint64(q.Flits)
+	if n.obs.Wants(probe.KindFaultLoss) {
+		n.obs.EmitSeq(now, probe.KindFaultLoss, int32(n.id), int32(o), int32(q.ID.Flow), q.ID.Seq, uint64(q.Flits))
+	}
+	return true
+}
+
+// depart commits quantum q's crossing of output o into the downstream
+// buffer classify chose: it counts the retry of a fault-denied quantum,
+// clears the booked slot unless it already expired (the overdue case) and
+// consumes the buffer's real credit.
+func (n *Node) depart(o topo.Dir, q *Quantum, departSlot uint64, spec bool, denied *bool, now uint64) {
+	if *denied {
+		*denied = false
 		n.stats.Retries++
 		if n.obs.Wants(probe.KindFaultRetry) {
-			n.obs.EmitSeq(now, probe.KindFaultRetry, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, e.departSlot*uint64(n.cfg.QuantumFlits))
+			n.obs.EmitSeq(now, probe.KindFaultRetry, int32(n.id), int32(o), int32(q.ID.Flow), q.ID.Seq, departSlot*uint64(n.cfg.QuantumFlits))
 		}
 	}
-	spec := n.classify(o, e, slot)
 	t := n.outTables[o]
-	// Clear the booked slot unless it already expired (overdue case).
-	if e.departSlot >= t.NowSlot() {
-		if owner, busy := t.BusyAt(e.departSlot); busy && owner.Flow == e.q.ID.Flow && owner.Quantum == e.q.ID.Seq {
-			t.ClearBusy(e.departSlot)
+	if departSlot >= t.NowSlot() {
+		if owner, busy := t.BusyAt(departSlot); busy && owner.Flow == q.ID.Flow && owner.Quantum == q.ID.Seq {
+			t.ClearBusy(departSlot)
 		}
 	}
+	if spec {
+		n.credSpec[o].Consume()
+	} else {
+		n.credNonSpec[o].Consume()
+	}
+}
+
+// forward moves the winning quantum from input in across output o: it
+// departs, vacates the input buffer and queues the real credit for it, and
+// either delivers the quantum to the sink (Local) or puts it on the link.
+func (n *Node) forward(o, in topo.Dir, e *inEntry, spec bool, slot, now uint64) {
+	n.depart(o, &e.q, e.departSlot, spec, &e.faultDenied, now)
 	if e.departSlot <= slot {
 		n.stats.SchedForwards++
 	} else {
@@ -715,32 +722,14 @@ func (n *Node) forward(o, in topo.Dir, e *inEntry, slot, now uint64) {
 		n.obs.EmitAux(now, probe.KindDataForward, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, e.departSlot*uint64(n.cfg.QuantumFlits), aux)
 	}
 	n.linkBusy[o]++
-	// Vacate this node's input buffer and return its real credit.
 	ip := &n.inputs[in]
 	ip.dropAvail(e)
 	if e.inSpec {
 		ip.specUsed--
+		n.pendRcred[in].Spec++
 	} else {
 		ip.nonspecUsed--
-	}
-	if in == topo.Local {
-		if e.inSpec {
-			n.pendNIRet.Spec++
-		} else {
-			n.pendNIRet.NonSpec++
-		}
-	} else {
-		if e.inSpec {
-			n.pendRcred[in].Spec++
-		} else {
-			n.pendRcred[in].NonSpec++
-		}
-	}
-	// Occupy the downstream buffer.
-	if spec {
-		n.credSpec[o].Consume()
-	} else {
-		n.credNonSpec[o].Consume()
+		n.pendRcred[in].NonSpec++
 	}
 	// The entry retires here; copy what outlives it before recycling.
 	q, departSlot := e.q, e.departSlot
@@ -777,32 +766,15 @@ func (n *Node) flush(now uint64) {
 	}
 }
 
-// faultDeny records a fault-denied forward through output o: the quantum
-// keeps its buffer slot and reservation entry, so the overdue/emergent path
-// retries it on a later slot; the lost transmission is accounted.
-func (n *Node) faultDeny(e *inEntry, o topo.Dir, now uint64) {
-	e.faultDenied = true
-	n.stats.FaultsInjected++
-	n.stats.FlitsLost += uint64(e.q.Flits)
-	if n.obs.Wants(probe.KindFaultLoss) {
-		n.obs.EmitSeq(now, probe.KindFaultLoss, int32(n.id), int32(o), int32(e.q.ID.Flow), e.q.ID.Seq, uint64(e.q.Flits))
-	}
-}
-
 // Stats returns the node's counters.
 func (n *Node) Stats() NodeStats { return n.stats }
 
-// InjectTableFault corrupts one of the node's reservation tables (test
-// hook; see lsf.Fault). d selects a mesh output or the ejection link;
-// d == topo.NumDirs targets the injection table. No-op on a missing table
-// (mesh edge).
+// InjectTableFault corrupts output d's reservation table (test hook; see
+// lsf.Fault): a mesh output, the ejection link (topo.Local) or the
+// injection link (topo.NumDirs). No-op on a missing table (mesh edge).
 func (n *Node) InjectTableFault(d topo.Dir, f lsf.Fault) {
-	if d == topo.NumDirs {
-		n.injTable.InjectFault(f)
-		return
-	}
-	if n.outTables[d] != nil {
-		n.outTables[d].InjectFault(f)
+	if t := n.outTables[d]; t != nil {
+		t.InjectFault(f)
 	}
 }
 
