@@ -54,15 +54,13 @@ fmt:
 # A short audited simulation under the race detector: the runtime QoS
 # auditor checks every scheduler invariant and delay bound and the command
 # exits non-zero on any violation. Both architectures run so the GSF-side
-# conformance records stay covered too, and each runs again on two shards:
-# the auditor's records are staged per node under both engines, and the race
-# detector over two shards is what shows a node's stage is never touched by
-# another shard.
+# conformance records stay covered too. Audited two-shard runs are the
+# parallel determinism tests and the goldens' workers2 rows under `make race`.
 audit-smoke:
-	for arch in loft gsf; do for jnode in 1 2; do \
+	for arch in loft gsf; do \
 		$(GO) run -race ./cmd/loftsim -arch $$arch -pattern case1 -rate 0.6 \
-			-warmup 500 -cycles 2000 -audit -jnode $$jnode || exit 1; \
-	done; done
+			-warmup 500 -cycles 2000 -audit || exit 1; \
+	done
 
 # A tiny simulation exporting a run directory, then the offline toolchain
 # over it: summary and decompose must parse the artifacts, and the run
@@ -76,15 +74,14 @@ trace-smoke:
 	$(GO) run ./cmd/lofttrace diff "$$dir/run" "$$dir/run"; \
 	rm -rf "$$dir"
 
-# A profiled simulation on the parallel engine exporting a run directory,
-# then the perf toolchain over it: the stage-attribution table and the
-# shard-utilization report must render, the folded flamegraph must be
-# non-empty, and the run diffed against itself (perf metrics included) must
-# report zero regression breaches and exit 0.
+# A profiled simulation exporting a run directory, then the perf toolchain
+# over it: the stage-attribution table must render, the folded flamegraph
+# must be non-empty, and the run diffed against itself (perf metrics
+# included) must report zero regression breaches and exit 0.
 perf-smoke:
 	@dir="$$(mktemp -d)"; set -e; \
 	$(GO) run ./cmd/loftsim -arch loft -pattern uniform -rate 0.2 \
-		-warmup 200 -cycles 1500 -jnode 2 -perf -probe -out "$$dir/run"; \
+		-warmup 200 -cycles 1500 -perf -probe -out "$$dir/run"; \
 	$(GO) run ./cmd/lofttrace perf "$$dir/run"; \
 	$(GO) run ./cmd/lofttrace diff "$$dir/run" "$$dir/run"; \
 	test -s "$$dir/run/perf.folded"; \
@@ -96,24 +93,15 @@ perf-smoke:
 # command exits non-zero on any violation. Besides mesh links, the plan
 # downs and drops transmissions on the aggressors' injection links (nodes
 # 48 and 56) and stalls the hotspot sink's ejection credits (node 63), so
-# the NI and the sink take their faulted forward and credit paths too. Then the same chaotic run is
-# exported sequentially and with -jnode 4 and the probe event stream and
-# audit snapshot must be byte-identical — fault injection may not perturb
-# the parallel engine's determinism contract.
+# the NI and the sink take their faulted forward and credit paths too.
+# TestChaosPlanParallelDeterminism checks that the engine's worker count
+# does not change a faulted run's bytes.
 chaos-smoke:
 	@set -e; plan='link-down node=7 dir=south from=700 to=900; flit-loss node=3 dir=east rate=0.3 from=600 to=1800; credit-stall node=15 dir=south from=1000 to=1060; router-stall node=9 from=1200 to=1210; adversary flow=1 factor=3 cap=0.6 from=800; link-down node=48 dir=inject from=900 to=1000; flit-loss node=56 dir=inject rate=0.3 from=700 to=1700; credit-stall node=63 dir=eject from=1300 to=1340'; \
 	for seed in 1 2 3; do \
 		$(GO) run -race ./cmd/loftsim -pattern case1 -rate 0.6 \
 			-warmup 500 -cycles 2000 -seed $$seed -fault "$$plan" -audit; \
-	done; \
-	dir="$$(mktemp -d)"; \
-	$(GO) run ./cmd/loftsim -pattern case1 -rate 0.6 -warmup 500 \
-		-cycles 2000 -fault "$$plan" -audit -probe -out "$$dir/a"; \
-	$(GO) run ./cmd/loftsim -pattern case1 -rate 0.6 -warmup 500 \
-		-cycles 2000 -jnode 4 -fault "$$plan" -audit -probe -out "$$dir/b"; \
-	cmp "$$dir/a/events.jsonl" "$$dir/b/events.jsonl"; \
-	cmp "$$dir/a/audit.json" "$$dir/b/audit.json"; \
-	rm -rf "$$dir"
+	done
 
 # Ten seconds of coverage-guided fuzzing per target. Three run an optimized
 # structure in lock-step with its plain reference: FuzzTableOps runs

@@ -32,14 +32,14 @@ func main() {
 	if err := s.Load(flag.CommandLine); err != nil {
 		s.BadUsage(err)
 	}
-	if err := validateExpFlags(*which, s.Workers, s.NodeWorkers, s.JSet, s.Observed(), s.Plan); err != nil {
+	if err := validateExpFlags(*which, s.Workers, s.JSet, s.Observed(), s.Plan); err != nil {
 		s.BadUsage(err)
 	}
 	if err := s.Start(); err != nil {
 		s.Fatal(err)
 	}
 
-	o := exp.Options{Seed: s.Seed, Quick: *quick, Workers: s.Workers, NodeWorkers: s.NodeWorkers, Probe: s.Probe, Audit: s.Audit, Perf: s.Perf, Stop: s.Interrupted, Fault: s.Plan}
+	o := exp.Options{Seed: s.Seed, Quick: *quick, Workers: s.Workers, Probe: s.Probe, Audit: s.Audit, Perf: s.Perf, Stop: s.Interrupted, Fault: s.Plan}
 	report := map[string]any{}
 
 	runners := []struct {
@@ -114,7 +114,7 @@ var (
 // after the profilers had started and a link-level fault plan would abort a
 // GSF run halfway through an experiment. The execution-flag rules are the
 // session's (runio.ValidateExec). Callers report the error and exit 2.
-func validateExpFlags(which string, workers, nodeWorkers int, jSet, observed bool, plan *fault.Plan) error {
+func validateExpFlags(which string, workers int, jSet, observed bool, plan *fault.Plan) error {
 	known := which == "all"
 	for _, n := range expNames {
 		if which == n {
@@ -124,7 +124,7 @@ func validateExpFlags(which string, workers, nodeWorkers int, jSet, observed boo
 	if !known {
 		return fmt.Errorf("unknown experiment %q (want all or one of %s)", which, strings.Join(expNames, ", "))
 	}
-	if err := runio.ValidateExec(workers, nodeWorkers, jSet, observed, "sweeps"); err != nil {
+	if err := runio.ValidateExec(workers, jSet, observed, "sweeps"); err != nil {
 		return err
 	}
 	if plan != nil {

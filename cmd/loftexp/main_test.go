@@ -23,20 +23,20 @@ func TestValidateExpFlagsAccepts(t *testing.T) {
 	linkPlan := mustPlan(t, "link-down node=7 dir=south from=100 to=200")
 	advPlan := mustPlan(t, "adversary flow=1 factor=2 from=100")
 	for _, which := range append([]string{"all"}, expNames...) {
-		if err := validateExpFlags(which, 0, 0, false, false, nil); err != nil {
+		if err := validateExpFlags(which, 0, false, false, nil); err != nil {
 			t.Errorf("%s: unexpected error: %v", which, err)
 		}
 	}
-	if err := validateExpFlags("fig12", 0, 0, false, false, advPlan); err != nil {
+	if err := validateExpFlags("fig12", 0, false, false, advPlan); err != nil {
 		t.Errorf("adversary plan on fig12: %v", err)
 	}
-	if err := validateExpFlags("fig10", 0, 0, false, false, linkPlan); err != nil {
+	if err := validateExpFlags("fig10", 0, false, false, linkPlan); err != nil {
 		t.Errorf("link plan on fig10: %v", err)
 	}
-	if err := validateExpFlags("all", 0, 0, false, true, nil); err != nil {
+	if err := validateExpFlags("all", 0, false, true, nil); err != nil {
 		t.Errorf("observed run with default -j: %v", err)
 	}
-	if err := validateExpFlags("all", 8, 0, true, false, nil); err != nil {
+	if err := validateExpFlags("all", 8, true, false, nil); err != nil {
 		t.Errorf("explicit -j without observers: %v", err)
 	}
 }
@@ -46,22 +46,21 @@ func TestValidateExpFlagsAccepts(t *testing.T) {
 func TestValidateExpFlagsRejects(t *testing.T) {
 	linkPlan := mustPlan(t, "link-down node=7 dir=south from=100 to=200")
 	cases := []struct {
-		name                 string
-		which                string
-		workers, nodeWorkers int
-		jSet, observed       bool
-		plan                 *fault.Plan
-		want                 string
+		name           string
+		which          string
+		workers        int
+		jSet, observed bool
+		plan           *fault.Plan
+		want           string
 	}{
 		{name: "unknown experiment", which: "fig99", want: "unknown experiment"},
 		{name: "negative j", which: "all", workers: -1, want: "-j -1"},
-		{name: "negative jnode", which: "all", nodeWorkers: -4, want: "-jnode"},
 		{name: "fault on sim-free experiment", which: "table2", plan: linkPlan, want: "no network simulation"},
 		{name: "link faults on gsf experiment", which: "fig12", plan: linkPlan, want: "adversary events only"},
 		{name: "explicit -j on observed run", which: "all", workers: 8, jSet: true, observed: true, want: "run sequentially"},
 	}
 	for _, tc := range cases {
-		err := validateExpFlags(tc.which, tc.workers, tc.nodeWorkers, tc.jSet, tc.observed, tc.plan)
+		err := validateExpFlags(tc.which, tc.workers, tc.jSet, tc.observed, tc.plan)
 		if err == nil {
 			t.Errorf("%s: expected an error", tc.name)
 			continue

@@ -26,7 +26,7 @@
 // overdue/emergent path and the run reports faults injected, flits lost and
 // retries. Combined with -audit, quarantined adversarial flows are checked
 // for throttling while victim flows keep their delay bounds. Faulted runs
-// are byte-reproducible for a given (plan, seed) under any -jnode.
+// are byte-reproducible for a given (plan, seed).
 //
 // With -audit the runtime QoS auditor shadows the schedulers: it checks
 // flit/credit conservation and the admission inequality on every grant,
@@ -35,12 +35,11 @@
 // printed and make the run exit non-zero.
 //
 // With -perf the simulator profiles itself: cheap monotonic stage timers
-// attribute wall time to each router pipeline stage and each parallel-engine
-// phase on a sampled subset of cycles (-perf-sample). Profiling never
-// changes simulation results. With -out the run directory receives
-// perf.json and perf.folded (load in any flamegraph viewer); otherwise the
-// stage-attribution table prints to stdout. -cpuprofile adds a pprof CPU
-// profile wherever it is pointed.
+// attribute wall time to each router pipeline stage on a sampled subset of
+// cycles (-perf-sample). Profiling never changes simulation results. With
+// -out the run directory receives perf.json and perf.folded (load in any
+// flamegraph viewer); otherwise the stage-attribution table prints to
+// stdout. -cpuprofile adds a pprof CPU profile wherever it is pointed.
 //
 // SIGINT stops the run gracefully at the next chunk boundary: all requested
 // artifacts — probe exports, audit and perf snapshots, manifest — are
@@ -86,7 +85,7 @@ func main() {
 	if err := validateFlags(cliFlags{
 		Arch: *arch, Pattern: *pattern, Trace: *replay, GenTrace: *genTrace,
 		Rate: *rate, Cycles: *cycles, Spec: *spec, Seeds: *seeds, Verbose: *verbose, Heatmap: *heatmap,
-		Workers: s.Workers, JSet: s.JSet, NodeWorkers: s.NodeWorkers,
+		Workers: s.Workers, JSet: s.JSet,
 		Observed: s.Observed(), Plan: s.Plan,
 	}); err != nil {
 		s.BadUsage(err)
@@ -145,7 +144,7 @@ func main() {
 		s.Fatal(err)
 	}
 
-	run := core.RunSpec{Seed: s.Seed, Warmup: *warmup, Measure: *cycles, Probe: s.Probe, Audit: s.Audit, Workers: s.NodeWorkers, Perf: s.Perf, Stop: s.Interrupted, Fault: s.Plan}
+	run := core.RunSpec{Seed: s.Seed, Warmup: *warmup, Measure: *cycles, Probe: s.Probe, Audit: s.Audit, Perf: s.Perf, Stop: s.Interrupted, Fault: s.Plan}
 	a := core.Arch(*arch)
 	if *seeds > 1 {
 		if err := runSeeds(s, a, lcfg, p, run, *seeds, *rate); err != nil {

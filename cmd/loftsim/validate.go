@@ -23,21 +23,20 @@ var knownPatterns = map[string]bool{
 // struct (rather than the flag set itself) lets tests cover every conflict
 // without re-parsing argv.
 type cliFlags struct {
-	Arch        string
-	Pattern     string
-	Trace       string // -trace replay file, "" when synthetic
-	GenTrace    int
-	Rate        float64
-	Cycles      uint64 // -cycles, the measured window
-	Spec        int    // -spec, the LOFT speculative buffer in flits
-	Seeds       int
-	Verbose     bool // -v
-	Heatmap     bool // -heatmap
-	Workers     int  // -j as given
-	JSet        bool // -j appeared on the command line
-	NodeWorkers int
-	Observed    bool // -probe/-audit/-perf, or any flag implying one
-	Plan        *fault.Plan
+	Arch     string
+	Pattern  string
+	Trace    string // -trace replay file, "" when synthetic
+	GenTrace int
+	Rate     float64
+	Cycles   uint64 // -cycles, the measured window
+	Spec     int    // -spec, the LOFT speculative buffer in flits
+	Seeds    int
+	Verbose  bool // -v
+	Heatmap  bool // -heatmap
+	Workers  int  // -j as given
+	JSet     bool // -j appeared on the command line
+	Observed bool // -probe/-audit/-perf, or any flag implying one
+	Plan     *fault.Plan
 }
 
 // validateFlags rejects flag combinations up front that would otherwise fail
@@ -79,7 +78,7 @@ func validateFlags(f cliFlags) error {
 	if f.Seeds > 1 {
 		sweeps = "seed sweeps"
 	}
-	if err := runio.ValidateExec(f.Workers, f.NodeWorkers, f.JSet, f.Observed, sweeps); err != nil {
+	if err := runio.ValidateExec(f.Workers, f.JSet, f.Observed, sweeps); err != nil {
 		return err
 	}
 	if f.GenTrace > 0 && f.Trace != "" {

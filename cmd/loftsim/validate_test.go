@@ -118,7 +118,6 @@ func TestValidateFlagsRejects(t *testing.T) {
 		{"-v on a seed sweep", func(f *cliFlags) { f.Seeds = 2; f.Verbose = true }, "-v has no effect"},
 		{"-heatmap on a seed sweep", func(f *cliFlags) { f.Seeds = 2; f.Heatmap = true }, "-heatmap has no effect"},
 		{"negative j", func(f *cliFlags) { f.Workers = -1 }, "-j -1"},
-		{"negative jnode", func(f *cliFlags) { f.NodeWorkers = -2 }, "-jnode"},
 		{"gentrace with trace", func(f *cliFlags) { f.GenTrace = 10; f.Trace = "x.trace" }, "conflict"},
 		{"fault with gentrace", func(f *cliFlags) { f.GenTrace = 10; f.Plan = linkPlan }, "-fault has no effect"},
 		{"link faults on gsf", func(f *cliFlags) { f.Arch = "gsf"; f.Plan = linkPlan }, "adversary events only"},

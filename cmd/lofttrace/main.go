@@ -165,9 +165,6 @@ func printManifest(w io.Writer, m *trace.Manifest) {
 	if m.HostCPUs > 0 {
 		fmt.Fprintf(w, "  host         : %d CPUs, GOMAXPROCS %d\n", m.HostCPUs, m.HostGoMaxProcs)
 	}
-	if m.NodeWorkers > 1 {
-		fmt.Fprintf(w, "  node workers : %d (parallel cycle engine)\n", m.NodeWorkers)
-	}
 	if m.FaultPlan != "" {
 		fmt.Fprintf(w, "  fault plan   : %s\n", m.FaultPlan)
 	}

@@ -190,6 +190,42 @@ func TestDiffSpecOnVsOff(t *testing.T) {
 	}
 }
 
+// TestDiffOlderRunDirectory: testdata/older-run holds the manifest of a
+// two-worker run written by an older build, whose schema still had the
+// intra-run worker count and config.LOFT still had DataStages. It must load,
+// and diffing it against the same run as this build writes it must exit 0
+// and report the retired config field as a change.
+func TestDiffOlderRunDirectory(t *testing.T) {
+	old := filepath.Join("testdata", "older-run")
+	m, err := trace.ReadManifest(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Config == nil || m.Config.SpecBufFlits != 12 || m.Metrics["packets"] != 6278 {
+		t.Fatalf("older manifest decoded wrong: config %+v, metrics %v", m.Config, m.Metrics)
+	}
+	cur := filepath.Join(t.TempDir(), "cur")
+	if err := os.Mkdir(cur, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write(filepath.Join(cur, trace.ManifestName)); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := runCLI(t, "diff", old, cur)
+	if code != 0 || errOut != "" {
+		t.Fatalf("diff older current: code=%d stderr=%q\n%s", code, errOut, out)
+	}
+	if n := strings.Count(out, "config: "); n != 1 || !strings.Contains(out, "config: DataStages: 3 -> (unset)") {
+		t.Errorf("want exactly the retired DataStages as a config change, got %d:\n%s", n, out)
+	}
+	if !strings.Contains(out, "0 metric(s) changed, 0 regression breach(es)") {
+		t.Errorf("same run, yet metrics changed:\n%s", out)
+	}
+	if code, _, errOut := runCLI(t, "summary", old); code != 0 {
+		t.Errorf("summary of the older run: code=%d stderr=%q", code, errOut)
+	}
+}
+
 func TestDiffBreachExitCode(t *testing.T) {
 	// write makes a run directory whose manifest.json holds body.
 	write := func(name, body string) string {

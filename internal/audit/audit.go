@@ -36,21 +36,19 @@ import (
 	"loft/internal/probe"
 )
 
+// sweepEvery is the cycle period of the full invariant sweep (every
+// table's whole window plus the registered checks); the O(1) per-grant
+// checks always run.
+const sweepEvery = 1024
+
 // Config sizes an Auditor.
 type Config struct {
-	// CheckEvery is the cycle period of the full invariant sweep (every
-	// table's whole window plus the registered checks). 0 means the default
-	// (1024); the O(1) per-grant checks always run.
-	CheckEvery uint64
 	// MaxViolations caps the retained violation log (the total count is
 	// always exact). 0 means the default (32).
 	MaxViolations int
 }
 
 func (c Config) withDefaults() Config {
-	if c.CheckEvery == 0 {
-		c.CheckEvery = 1024
-	}
 	if c.MaxViolations == 0 {
 		c.MaxViolations = 32
 	}
@@ -182,7 +180,7 @@ func (a *Auditor) StartRun(totalCycles uint64) {
 	a.now = 0
 }
 
-// OnCycle advances the auditor's clock; every CheckEvery cycles it runs the
+// OnCycle advances the auditor's clock; every sweepEvery cycles it runs the
 // full invariant sweep. Called once per cycle from the harness's serial
 // commit, on the simulation thread.
 func (a *Auditor) OnCycle(now uint64) {
@@ -190,7 +188,7 @@ func (a *Auditor) OnCycle(now uint64) {
 		return
 	}
 	a.now = now
-	if now > 0 && now%a.cfg.CheckEvery == 0 {
+	if now > 0 && now%sweepEvery == 0 {
 		a.sweep()
 	}
 }

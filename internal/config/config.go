@@ -22,7 +22,6 @@ type LOFT struct {
 	// Data network.
 	CentralBufFlits int // non-speculative central buffer per input port (256)
 	SpecBufFlits    int // speculative buffer per input port (0..16)
-	DataStages      int // router pipeline stages (3)
 	DataFlitBits    int // data flit and link width (128)
 
 	// Look-ahead network.
@@ -60,7 +59,6 @@ func PaperLOFTSpec(spec int) LOFT {
 		QuantumFlits:      2,
 		CentralBufFlits:   256,
 		SpecBufFlits:      spec,
-		DataStages:        3,
 		DataFlitBits:      128,
 		LAVirtualChannels: 3,
 		LAVCDepth:         4,
@@ -183,6 +181,12 @@ func (c GSF) Validate() error {
 		return fmt.Errorf("config: GSF frame window %d < 2", c.FrameWindow)
 	case c.SourceQueue < c.PacketFlits:
 		return fmt.Errorf("config: GSF source queue smaller than one packet")
+	case c.BarrierDelay < 1:
+		// A zero countdown never arms the barrier: the head frame never
+		// advances.
+		return fmt.Errorf("config: GSF barrier delay %d < 1", c.BarrierDelay)
+	case c.PipeStages < 1:
+		return fmt.Errorf("config: GSF router pipeline stages %d < 1", c.PipeStages)
 	}
 	return nil
 }

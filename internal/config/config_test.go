@@ -22,7 +22,6 @@ func TestPaperLOFTMatchesTable1(t *testing.T) {
 		{"LA VC depth", c.LAVCDepth, 4},
 		{"LA flit bits", c.LAFlitBits, 64},
 		{"data flit bits", c.DataFlitBits, 128},
-		{"router stages", c.DataStages, 3},
 		// Derived: Table 1's reservation table size and per-frame slots.
 		{"table slots", c.TableSlots(), 256},
 		{"slots per frame", c.SlotsPerFrame(), 128},
@@ -97,6 +96,8 @@ func TestGSFValidateRejectsBadConfigs(t *testing.T) {
 		func(c *GSF) { c.VirtualChannels = 0 },
 		func(c *GSF) { c.FrameWindow = 1 },
 		func(c *GSF) { c.SourceQueue = 2 },
+		func(c *GSF) { c.BarrierDelay = 0 }, // the barrier never arms: the head frame never advances
+		func(c *GSF) { c.PipeStages = 0 },   // readyAt = now-1 underflows at cycle 0
 	}
 	for i, mutate := range cases {
 		c := PaperGSF()

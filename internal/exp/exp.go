@@ -27,12 +27,6 @@ type Options struct {
 	// pattern state, and network, so results are identical whatever the
 	// worker count (the cmd-level -j flag lands here).
 	Workers int
-	// NodeWorkers shards node ticking inside each simulation across the
-	// given number of OS threads (the cmd-level -jnode flag lands here).
-	// 0 or 1 runs each simulation sequentially; results are byte-identical
-	// either way. Compose with Workers carefully: total thread demand is
-	// roughly Workers x NodeWorkers.
-	NodeWorkers int
 	// Probe attaches the observability layer to every simulation the
 	// experiment runs. Runs reuse one probe, so events of consecutive
 	// simulations interleave in the trace (each run restarts at cycle 0);
@@ -84,9 +78,9 @@ func (o Options) sweepOpts() []sweep.Option {
 // runSpec returns the RunSpec for the chosen fidelity.
 func (o Options) runSpec() core.RunSpec {
 	if o.Quick {
-		return core.RunSpec{Seed: o.Seed, Warmup: 2000, Measure: 6000, Probe: o.Probe, Audit: o.Audit, Workers: o.NodeWorkers, Perf: o.Perf, Stop: o.Stop, Fault: o.Fault}
+		return core.RunSpec{Seed: o.Seed, Warmup: 2000, Measure: 6000, Probe: o.Probe, Audit: o.Audit, Perf: o.Perf, Stop: o.Stop, Fault: o.Fault}
 	}
-	return core.RunSpec{Seed: o.Seed, Warmup: 5000, Measure: 20000, Probe: o.Probe, Audit: o.Audit, Workers: o.NodeWorkers, Perf: o.Perf, Stop: o.Stop, Fault: o.Fault}
+	return core.RunSpec{Seed: o.Seed, Warmup: 5000, Measure: 20000, Probe: o.Probe, Audit: o.Audit, Perf: o.Perf, Stop: o.Stop, Fault: o.Fault}
 }
 
 // loftCfg returns the paper LOFT configuration with the given speculative

@@ -248,6 +248,7 @@ func (la *laRouter) process(now uint64) {
 
 // arriveSlotPlusPipe returns the earliest departure slot for the quantum
 // this look-ahead flit leads: its arrival slot plus one slot of router
-// pipeline (§5.1.2's 3-stage data router spans at most one 2-cycle slot
-// beyond arrival).
+// pipeline. The data router has Table 1's 3 stages, which §5.1.2 fits in
+// at most one 2-cycle slot beyond arrival, so the pipeline depth is this
+// constant and not a setting.
 func (e *laEnt) arriveSlotPlusPipe() uint64 { return e.fl.DepartPrev + 2 }

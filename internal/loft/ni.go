@@ -193,7 +193,7 @@ func (ni *netIface) forward(slot, now uint64) {
 		return
 	}
 	emergent := best.departSlot <= slot
-	if !emergent && !n.cfg.SpeculativeSwitching() {
+	if !emergent && !n.specSwitch {
 		return
 	}
 	spec := n.classify(topo.NumDirs, best.q.ID, best.departSlot, slot)

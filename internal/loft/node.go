@@ -176,6 +176,9 @@ type Node struct {
 	id   topo.NodeID
 	cfg  config.LOFT
 	mesh topo.Mesh
+	// specSwitch and statusReset cache cfg.SpeculativeSwitching() and
+	// cfg.LocalStatusReset(), which the slot loop asks every cycle.
+	specSwitch, statusReset bool
 
 	// outTables are the framed output reservation tables, indexed by
 	// output port: the four mesh outputs (nil at mesh edges), the ejection
@@ -266,7 +269,8 @@ func (r *rrState) granted(d topo.Dir) { r.next = (int(d) + 1) % int(topo.NumDirs
 // register on each link (traffic.Pattern.LinkFlows), which sizes the node's
 // reservation tables so that installing them allocates nothing.
 func (n *Node) init(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsim.Slot, linkFlows map[topo.Link][]flit.FlowID) {
-	*n = Node{id: id, cfg: cfg, mesh: mesh, obs: &slot.Stage, perf: slot.Perf}
+	*n = Node{id: id, cfg: cfg, mesh: mesh, obs: &slot.Stage, perf: slot.Perf,
+		specSwitch: cfg.SpeculativeSwitching(), statusReset: cfg.LocalStatusReset()}
 	params := lsf.Params{
 		SlotsPerFrame: cfg.SlotsPerFrame(),
 		Frames:        cfg.FrameWindow,
@@ -404,7 +408,7 @@ func (n *Node) frameTick(now uint64) {
 		}
 		n.sink.applyReturns(now)
 	}
-	if n.cfg.LocalStatusReset() {
+	if n.statusReset {
 		n.maybeReset()
 	}
 	if verifyLSF {
@@ -594,7 +598,7 @@ func (n *Node) forwardData(slot, now uint64) {
 		}
 		emergent := winner != nil
 		spec := false // emergent quanta go to the central buffer
-		if !emergent && n.cfg.SpeculativeSwitching() {
+		if !emergent && n.specSwitch {
 			// Speculative pass: round-robin among remaining candidates.
 			rr := &n.outRR[o]
 			for i := 0; i < int(topo.NumDirs); i++ {

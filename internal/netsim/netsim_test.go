@@ -250,7 +250,7 @@ func TestNewRejectsBadInputs(t *testing.T) {
 }
 
 // TestWorkersCappedAtNodes: a worker per node is the most the parallel
-// engine can use, so -jnode 100 on a 9-node mesh runs nine workers and the
+// engine can use, so Workers 100 on a 9-node mesh runs nine workers and the
 // profiler reports nine. It used to start 100, barriering 91 empty shards
 // every cycle.
 func TestWorkersCappedAtNodes(t *testing.T) {

@@ -17,7 +17,8 @@ const SnapshotSchema = 1
 type Host struct {
 	NumCPU     int `json:"num_cpu"`
 	GoMaxProcs int `json:"gomaxprocs"`
-	// Workers is the effective node-worker count (-jnode); 0 = sequential.
+	// Workers is the effective node-worker count (the network's Workers
+	// option, capped at one per node); 0 = sequential.
 	Workers int `json:"workers,omitempty"`
 }
 

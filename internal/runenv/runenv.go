@@ -21,7 +21,7 @@ type Info struct {
 	// when the binary runs outside a git checkout or git is unavailable.
 	GitRevision string
 	// NumCPU is the host's logical CPU count. Parallel-engine results
-	// (shard-utilization reports, `-jnode` wall times) are meaningless
+	// (shard-utilization reports, multi-worker wall times) are meaningless
 	// without it: a 1-CPU container shows no speedup however many node
 	// workers are configured.
 	NumCPU int

@@ -29,11 +29,10 @@ type Session struct {
 	SummaryNote string
 
 	// Flag values.
-	Seed        uint64
-	Workers     int    // -j as given; JSet tells an explicit 0 from the default
-	NodeWorkers int    // -jnode
-	Out         string // -out: the run directory, "" when none is written
-	JSet        bool
+	Seed    uint64
+	Workers int    // -j as given; JSet tells an explicit 0 from the default
+	Out     string // -out: the run directory, "" when none is written
+	JSet    bool
 
 	faultSpec                string
 	probeOn, auditOn, perfOn bool
@@ -60,11 +59,10 @@ func (s *Session) Flags(fs *flag.FlagSet) {
 	fs.Uint64Var(&s.probeSample, "probe-sample", 256, "gauge sampling period in cycles (0 disables time series)")
 	fs.IntVar(&s.probeEvents, "probe-events", 1<<20, "event ring buffer capacity")
 	fs.BoolVar(&s.auditOn, "audit", false, "enable the runtime QoS auditor (invariant checks + delay-bound conformance) on every run; violations exit non-zero")
-	fs.BoolVar(&s.perfOn, "perf", false, "enable the in-simulator profiler: per-stage cycle attribution, parallel-engine telemetry, flamegraph export (never changes results)")
+	fs.BoolVar(&s.perfOn, "perf", false, "enable the in-simulator profiler: per-stage cycle attribution, flamegraph export (never changes results)")
 	fs.Uint64Var(&s.perfSample, "perf-sample", perfmon.DefaultSampleEvery, "profile every Nth cycle (1 = every cycle)")
 	fs.StringVar(&s.Out, "out", "", "write a run directory here: manifest.json plus the files of each attached observer (-probe: events.jsonl, series.csv, trace.json; -audit: audit.json; -perf: perf.json, perf.folded)")
 	fs.IntVar(&s.Workers, "j", 0, "concurrent simulations in a sweep (0 = one per CPU; observed sweeps are forced sequential)")
-	fs.IntVar(&s.NodeWorkers, "jnode", 0, "shard node ticking inside each simulation across this many OS threads (0 or 1 = sequential; results are byte-identical)")
 	fs.StringVar(&s.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&s.memProfile, "memprofile", "", "write a heap profile to this file at exit")
 }
@@ -99,15 +97,12 @@ func (s *Session) Observed() bool {
 }
 
 // ValidateExec rejects the execution-flag values both CLIs refuse up front:
-// negative worker counts, and an explicit -j on an observed sweep, which
-// used to be silently forced to one worker. sweeps names what the CLI fans
-// out ("" when this invocation runs a single simulation).
-func ValidateExec(workers, nodeWorkers int, jSet, observed bool, sweeps string) error {
+// a negative -j, and an explicit -j on an observed sweep, which used to be
+// silently forced to one worker. sweeps names what the CLI fans out (""
+// when this invocation runs a single simulation).
+func ValidateExec(workers int, jSet, observed bool, sweeps string) error {
 	if workers < 0 {
 		return fmt.Errorf("-j %d is negative; use 0 for one worker per CPU", workers)
-	}
-	if nodeWorkers < 0 {
-		return fmt.Errorf("-jnode %d is negative; use 0 or 1 for the sequential engine", nodeWorkers)
 	}
 	if sweeps != "" && jSet && workers > 1 && observed {
 		return fmt.Errorf("-j %d conflicts with -probe/-audit/-perf: observed %s share one observer and run sequentially; drop -j or the observer flags", workers, sweeps)
@@ -163,8 +158,8 @@ func (s *Session) Interrupted() bool { return s.interrupted.Load() }
 
 // Manifest returns the manifest fields every run records the same way:
 // tool, command line, environment provenance (from runenv, the only
-// sanctioned wall-clock read below the CLIs), engine workers and fault
-// plan. The CLI adds what it ran.
+// sanctioned wall-clock read below the CLIs) and fault plan. The CLI adds
+// what it ran.
 func (s *Session) Manifest() trace.Manifest {
 	env := runenv.Capture()
 	return trace.Manifest{
@@ -175,7 +170,6 @@ func (s *Session) Manifest() trace.Manifest {
 		GitRevision:     env.GitRevision,
 		HostCPUs:        env.NumCPU,
 		HostGoMaxProcs:  env.GoMaxProcs,
-		NodeWorkers:     s.NodeWorkers,
 		FaultPlan:       s.Plan.String(),
 	}
 }

@@ -80,7 +80,7 @@ func TestSessionFlagSet(t *testing.T) {
 	_, fs := sessionFlags(t, "loftsim")
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-	want := []string{"audit", "cpuprofile", "fault", "j", "jnode", "memprofile", "out",
+	want := []string{"audit", "cpuprofile", "fault", "j", "memprofile", "out",
 		"perf", "perf-sample", "probe", "probe-events", "probe-sample", "seed"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("shared flags %q, want %q", got, want)
@@ -97,7 +97,7 @@ func runSession(t *testing.T, s *Session) int {
 	}
 	cfg := config.PaperLOFT()
 	_, err := core.Run(core.ArchLOFT, cfg, testPattern(cfg), core.RunSpec{Seed: s.Seed, Warmup: 100, Measure: 900,
-		Probe: s.Probe, Audit: s.Audit, Perf: s.Perf, Workers: s.NodeWorkers, Stop: s.Interrupted})
+		Probe: s.Probe, Audit: s.Audit, Perf: s.Perf, Stop: s.Interrupted})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func artifactNames(t *testing.T, dir string) []string {
 // TestSessionProfiledRunDirectory drives a session the way `loftexp -probe
 // -perf -out dir` does and checks the run directory README promises: the
 // probe's three files, the perf snapshot and the folded stacks, each
-// checksummed by a manifest that records the tool and node workers.
+// checksummed by a manifest that records the tool.
 func TestSessionProfiledRunDirectory(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
-	s, _ := sessionFlags(t, "loftexp", "-probe", "-perf", "-perf-sample", "8", "-jnode", "2", "-out", dir)
+	s, _ := sessionFlags(t, "loftexp", "-probe", "-perf", "-perf-sample", "8", "-out", dir)
 	if !s.Observed() {
 		t.Fatal("-probe -perf is an observed run")
 	}
@@ -149,8 +149,8 @@ func TestSessionProfiledRunDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Tool != "loftexp" || m.NodeWorkers != 2 {
-		t.Errorf("manifest base: tool %q, node workers %d", m.Tool, m.NodeWorkers)
+	if m.Tool != "loftexp" {
+		t.Errorf("manifest base: tool %q", m.Tool)
 	}
 	want := []string{trace.EventsFile, trace.SeriesFile, trace.ChromeFile, trace.PerfFile, trace.FoldedFile}
 	if got := artifactNames(t, dir); !reflect.DeepEqual(got, want) {

@@ -177,7 +177,6 @@ func configChanges(a, b *Manifest) ([]string, error) {
 	add("MeasureCycles", a.MeasureCycles, b.MeasureCycles)
 	add("HostCPUs", a.HostCPUs, b.HostCPUs)
 	add("HostGoMaxProcs", a.HostGoMaxProcs, b.HostGoMaxProcs)
-	add("NodeWorkers", a.NodeWorkers, b.NodeWorkers)
 	add("FaultPlan", a.FaultPlan, b.FaultPlan)
 	am, err := configMap(a)
 	if err != nil {
@@ -209,6 +208,8 @@ func configChanges(a, b *Manifest) ([]string, error) {
 	return out, nil
 }
 
+// configMap returns the manifest's config block as a field → value map,
+// including the fields config.LOFT no longer has.
 func configMap(m *Manifest) (map[string]any, error) {
 	if m.Config == nil {
 		return nil, nil
@@ -220,6 +221,9 @@ func configMap(m *Manifest) (map[string]any, error) {
 	var out map[string]any
 	if err := json.Unmarshal(blob, &out); err != nil {
 		return nil, err
+	}
+	for k, v := range m.retiredConfig {
+		out[k] = v
 	}
 	return out, nil
 }

@@ -58,9 +58,6 @@ type Manifest struct {
 	// are indistinguishable in cross-run diffs.
 	HostCPUs       int `json:"host_cpus,omitempty"`
 	HostGoMaxProcs int `json:"host_gomaxprocs,omitempty"`
-	// NodeWorkers is the effective intra-run worker count (-jnode); 0 or
-	// absent means the sequential engine.
-	NodeWorkers int `json:"node_workers,omitempty"`
 
 	Arch          string   `json:"arch,omitempty"`
 	Pattern       string   `json:"pattern,omitempty"`
@@ -79,6 +76,10 @@ type Manifest struct {
 
 	Metrics   map[string]float64 `json:"metrics,omitempty"`
 	Artifacts []Artifact         `json:"artifacts,omitempty"`
+
+	// retiredConfig holds the fields of the config block ReadManifest found
+	// that config.LOFT no longer has, so a diff still shows them.
+	retiredConfig map[string]any
 }
 
 // ReadManifest loads the manifest of run directory dir.
@@ -98,6 +99,24 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if m.ManifestVersion > ManifestVersion {
 		return nil, fmt.Errorf("%s: manifest version %d is newer than this tool understands (%d)",
 			path, m.ManifestVersion, ManifestVersion)
+	}
+	var raw struct {
+		Config map[string]any `json:"config"`
+	}
+	if err := json.Unmarshal(blob, &raw); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
+	}
+	known, err := configMap(&m)
+	if err != nil {
+		return nil, err
+	}
+	for k, v := range raw.Config {
+		if _, ok := known[k]; !ok {
+			if m.retiredConfig == nil {
+				m.retiredConfig = map[string]any{}
+			}
+			m.retiredConfig[k] = v
+		}
 	}
 	return &m, nil
 }

@@ -357,7 +357,7 @@ func zeroAllocRows(t *testing.T) []zeroAllocRow {
 				{"traced events", pr.Tracer().Total},
 			}
 		}),
-		loftRow("loft-0.2-jnode2", 0.2, loftnet.Options{Warmup: never, Workers: 2}, nil),
+		loftRow("loft-0.2-workers2", 0.2, loftnet.Options{Warmup: never, Workers: 2}, nil),
 		loftRow("loft-0.2-collect", 0.2, loftnet.Options{Warmup: 1000}, func(net *loftnet.Network) []counter {
 			return []counter{
 				{"latency observations", net.Latency().Count},
@@ -371,7 +371,7 @@ func zeroAllocRows(t *testing.T) []zeroAllocRow {
 		// The per-output candidate lists are carved from storage sized in
 		// gsf.New, so arbitrating past saturation allocates nothing.
 		gsfRow("gsf", gsf.Options{}),
-		gsfRow("gsf-0.6-adversary-jnode2", gsf.Options{Workers: 2, Fault: plan("adversary flow=1 factor=3 cap=0.6 from=3000")}),
+		gsfRow("gsf-0.6-adversary-workers2", gsf.Options{Workers: 2, Fault: plan("adversary flow=1 factor=3 cap=0.6 from=3000")}),
 	}
 }
 
