@@ -18,6 +18,7 @@ import (
 	"loft/internal/gsf"
 	"loft/internal/loft"
 	"loft/internal/lsf"
+	"loft/internal/perfmon"
 	"loft/internal/probe"
 	"loft/internal/topo"
 	"loft/internal/traffic"
@@ -316,14 +317,19 @@ type observedCase struct {
 	maxViolations int
 	// alone reruns the case with only the auditor and with only the probe
 	// attached: each observer's artifact must equal the both-on digest.
-	alone   bool
+	alone bool
+	// perf reruns the case with both observers and a self-profiler sampling
+	// every cycle: profiling must not change any artifact, and the profiler
+	// must have recorded stage timings (and, sharded, engine telemetry).
+	perf    bool
 	prepare func(*loft.Network, *audit.Auditor)
 	// want checks the run exercised what the row exists to pin.
 	want func(*testing.T, Result, audit.Snapshot)
 }
 
-// corruptEveryTable arms f on every reservation table of the network, like
-// runCorrupted in the root parallel_test.go.
+// corruptEveryTable arms f on every reservation table of the network, so the
+// fault's trigger (frame abandonment, credit return) occurs within the short
+// observed horizon.
 func corruptEveryTable(f lsf.Fault) func(*loft.Network, *audit.Auditor) {
 	return func(net *loft.Network, _ *audit.Auditor) {
 		for i := 0; i < config.PaperLOFT().Mesh().N(); i++ {
@@ -359,13 +365,15 @@ func wantViolation(kind string, timeline bool) func(*testing.T, Result, audit.Sn
 // land in the same cycle — the violation log is the only place their
 // relative replay order shows. A node's packet completion (switch pass)
 // always precedes its taps (booking, look-ahead) within a cycle, and the
-// first shared node-cycle is violation 148, hence the longer log.
+// first shared node-cycle is violation 148, hence the longer log. A second
+// corrupted run leaks every returned credit, which the conservation check
+// on the next grant must catch.
 var observedCases = []observedCase{
-	{name: "clean", arch: ArchLOFT, pattern: uniform(0.1), alone: true},
-	{name: "chaos", arch: ArchLOFT, pattern: uniform(0.1), plan: goldenChaosPlan, alone: true,
+	{name: "clean", arch: ArchLOFT, pattern: uniform(0.1), alone: true, perf: true},
+	{name: "chaos", arch: ArchLOFT, pattern: uniform(0.1), plan: goldenChaosPlan, alone: true, perf: true,
 		want: func(t *testing.T, res Result, _ audit.Snapshot) {
-			if res.FaultsInjected == 0 || res.Retries == 0 {
-				t.Fatalf("chaos run fired no faults: %+v", res)
+			if res.FaultsInjected == 0 || res.FlitsLost == 0 || res.Retries == 0 {
+				t.Fatalf("chaos run: %d faults, %d flits lost, %d retries; want all > 0", res.FaultsInjected, res.FlitsLost, res.Retries)
 			}
 		}},
 	{name: "chaos-ni", arch: ArchLOFT, pattern: uniform(0.1), plan: goldenNIChaosPlan,
@@ -374,7 +382,7 @@ var observedCases = []observedCase{
 				t.Fatalf("NI chaos run: %d faults, %d retries; want both > 0", res.FaultsInjected, res.Retries)
 			}
 		}},
-	{name: "gsf", arch: ArchGSF, pattern: uniform(0.6),
+	{name: "gsf", arch: ArchGSF, pattern: uniform(0.6), perf: true,
 		want: func(t *testing.T, _ Result, s audit.Snapshot) {
 			if s.PacketsChecked == 0 || s.QuantaInjected == 0 {
 				t.Fatalf("GSF recorder saw no packets: %+v", s)
@@ -401,6 +409,9 @@ var observedCases = []observedCase{
 			wantViolation("skipped-accounting", false)(t, res, s)
 			wantViolation("delay-bound-exceeded", true)(t, res, s)
 		}},
+	{name: "corrupt-leak", arch: ArchLOFT, pattern: uniform(0.2),
+		prepare: corruptEveryTable(lsf.FaultLeakCredit),
+		want:    wantViolation("credit-conservation", false)},
 }
 
 // runObserved builds c's network the way RunLOFT/RunGSF do, applies the
@@ -411,7 +422,7 @@ func runObserved(c observedCase, lcfg config.LOFT, spec RunSpec) (Result, any, e
 		return runAny(c.arch, lcfg, config.PaperGSF(), p, spec)
 	}
 	if c.arch == ArchGSF {
-		net, err := gsf.New(config.PaperGSF(), p, gsf.Options{Seed: spec.Seed, Warmup: spec.Warmup, BaseFrameFlits: lcfg.FrameFlits, Probe: spec.Probe, Audit: spec.Audit, Workers: spec.Workers, Fault: spec.Fault})
+		net, err := gsf.New(config.PaperGSF(), p, gsf.Options{Seed: spec.Seed, Warmup: spec.Warmup, BaseFrameFlits: lcfg.FrameFlits, Probe: spec.Probe, Audit: spec.Audit, Workers: spec.Workers, Perf: spec.Perf, Fault: spec.Fault})
 		if err != nil {
 			return Result{}, nil, err
 		}
@@ -420,7 +431,7 @@ func runObserved(c observedCase, lcfg config.LOFT, spec RunSpec) (Result, any, e
 		res.Drops = net.Drops()
 		return res, gsfCounters(net), nil
 	}
-	net, err := loft.New(lcfg, p, loft.Options{Seed: spec.Seed, Warmup: spec.Warmup, Probe: spec.Probe, Audit: spec.Audit, Workers: spec.Workers, Fault: spec.Fault})
+	net, err := loft.New(lcfg, p, loft.Options{Seed: spec.Seed, Warmup: spec.Warmup, Probe: spec.Probe, Audit: spec.Audit, Workers: spec.Workers, Perf: spec.Perf, Fault: spec.Fault})
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -432,19 +443,28 @@ func runObserved(c observedCase, lcfg config.LOFT, spec RunSpec) (Result, any, e
 // event stream as events.jsonl carries it and the full audit snapshot
 // (violation log and timelines included) as audit.json carries it. Replay
 // order at the cycle barrier is visible only here — the result summary is
-// order-insensitive. Rows marked alone also run with one observer at a time:
-// what an observer records must not depend on which others are attached.
+// order-insensitive. Every row runs under one, two and four workers against
+// the same stored digests, so sharding must not change a byte. Rows marked
+// alone also run with one observer at a time: what an observer records must
+// not depend on which others are attached. Rows marked perf also run with
+// the self-profiler attached.
 func goldenObserved(t *testing.T, g *goldenStore) {
 	for _, c := range observedCases {
 		observers := []string{"both"}
 		if c.alone {
 			observers = append(observers, "audit", "probe")
 		}
-		for _, workers := range []int{1, 2} {
+		if c.perf {
+			observers = append(observers, "perf")
+		}
+		for _, workers := range []int{1, 2, 4} {
 			for _, obs := range observers {
 				name := fmt.Sprintf("observed-%s/workers%d", c.name, workers)
-				if obs != "both" {
+				switch obs {
+				case "audit", "probe":
 					name += "/" + obs + "-only"
+				case "perf":
+					name += "/perf"
 				}
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
@@ -464,12 +484,25 @@ func goldenObserved(t *testing.T, g *goldenStore) {
 					if obs != "probe" {
 						aud = audit.New(audit.Config{MaxViolations: c.maxViolations})
 					}
-					res, counters, err := runObserved(c, lcfg, RunSpec{Seed: 1, Warmup: 200, Measure: 1300, Probe: pr, Audit: aud, Workers: workers, Fault: plan})
+					var mon *perfmon.Monitor
+					if obs == "perf" {
+						mon = perfmon.New(perfmon.Config{SampleEvery: 1})
+					}
+					res, counters, err := runObserved(c, lcfg, RunSpec{Seed: 1, Warmup: 200, Measure: 1300, Probe: pr, Audit: aud, Workers: workers, Perf: mon, Fault: plan})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if c.want != nil {
 						c.want(t, res, aud.Snapshot())
+					}
+					if mon != nil {
+						snap := mon.Snapshot()
+						if snap.SampledCycles == 0 || len(snap.Stages) == 0 {
+							t.Errorf("profiler attached but collected nothing: %+v", snap)
+						}
+						if workers > 1 && snap.Engine == nil {
+							t.Errorf("workers=%d: no parallel-engine telemetry", workers)
+						}
 					}
 					key := "observed-" + c.name
 					g.check(t, key+"/result", digest(t, runDigest{res, counters}))
