@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-sweep par-smoke vet fmt check audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module bench
+.PHONY: build test race vet fmt check audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module bench
 
 build:
 	$(GO) build ./...
@@ -15,32 +15,18 @@ test:
 	$(GO) test ./...
 
 # The whole suite under the race detector. This is also the compute-phase
-# purity gate: every workers2 row of TestGolden (both architectures, and the
-# observed rows with probe, auditor and fault plan attached) runs two shards
-# at once, so a node Tick that writes shared state — a collector, the tracer,
-# the auditor, a commit-only field, a shared counter — instead of staging it
-# is reported as a data race (DESIGN.md §15).
+# purity gate: the workers2 rows of TestGolden (both architectures) and its
+# workers2 and workers4 observed rows (probe, auditor, profiler, fault plans
+# and lsf corruptions attached) run two and four shards at once, so a node
+# Tick that writes shared state — a collector, the tracer, the auditor, a
+# commit-only field, a shared counter — instead of staging it is reported as
+# a data race (DESIGN.md §15). TestParallelKernelRegParity takes, on one shard, the
+# register a neighbour on another shard wrote the cycle before, with one
+# barrier per cycle. The sweep worker pool and its parallel-vs-sequential
+# determinism tests (internal/sweep, TestFig10SweepDeterminism in
+# internal/exp) run here too.
 race:
 	$(GO) test -race ./...
-
-# The sweep worker pool and the parallel-vs-sequential determinism golden
-# under the race detector (the Fig. 10 golden; the Fig. 11 corner, which
-# includes saturated runs, stays race-free in `test`).
-race-sweep:
-	$(GO) test -race ./internal/sweep
-	$(GO) test -race -run TestFig10SweepDeterminism ./internal/exp
-
-# The intra-run parallel engine's byte-identity goldens under the race
-# detector: sharded node stepping must reproduce the sequential results,
-# probe event streams and audit snapshots exactly, for LOFT and GSF — and,
-# via TestPerfmonByteIdentity, identically with the self-profiler attached.
-# The chaos goldens extend the same contract to faulted runs: a five-kind
-# fault plan and lsf table corruptions must stay byte-identical across
-# worker counts while the auditor still catches the injected damage.
-# TestParallelKernelRegParity takes, on one shard, the register a neighbour
-# on another shard wrote the cycle before, with one barrier per cycle.
-par-smoke:
-	$(GO) test -race -run 'TestParallelDeterminism|TestParallelGSFDeterminism|TestPerfmonByteIdentity|TestChaosPlanParallelDeterminism|TestInjectFaultParallelDeterminism|TestParallelKernelRegParity' -count=1 . ./internal/sim
 
 vet:
 	$(GO) vet ./...
@@ -54,8 +40,8 @@ fmt:
 # A short audited simulation under the race detector: the runtime QoS
 # auditor checks every scheduler invariant and delay bound and the command
 # exits non-zero on any violation. Both architectures run so the GSF-side
-# conformance records stay covered too. Audited two-shard runs are the
-# parallel determinism tests and the goldens' workers2 rows under `make race`.
+# conformance records stay covered too. Audited sharded runs are the goldens'
+# workers2 and workers4 observed rows under `make race`.
 audit-smoke:
 	for arch in loft gsf; do \
 		$(GO) run -race ./cmd/loftsim -arch $$arch -pattern case1 -rate 0.6 \
@@ -94,7 +80,7 @@ perf-smoke:
 # downs and drops transmissions on the aggressors' injection links (nodes
 # 48 and 56) and stalls the hotspot sink's ejection credits (node 63), so
 # the NI and the sink take their faulted forward and credit paths too.
-# TestChaosPlanParallelDeterminism checks that the engine's worker count
+# The golden's observed-chaos rows check that the engine's worker count
 # does not change a faulted run's bytes.
 chaos-smoke:
 	@set -e; plan='link-down node=7 dir=south from=700 to=900; flit-loss node=3 dir=east rate=0.3 from=600 to=1800; credit-stall node=15 dir=south from=1000 to=1060; router-stall node=9 from=1200 to=1210; adversary flow=1 factor=3 cap=0.6 from=800; link-down node=48 dir=inject from=900 to=1000; flit-loss node=56 dir=inject rate=0.3 from=700 to=1700; credit-stall node=63 dir=eject from=1300 to=1340'; \
@@ -129,7 +115,7 @@ fuzz-smoke:
 bench-module:
 	cd bench && $(GO) vet . && $(GO) test .
 
-check: build vet fmt test race-sweep par-smoke race audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module
+check: build vet fmt test race audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module
 
 bench:
 	$(GO) test -bench=. -benchmem
