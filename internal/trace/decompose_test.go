@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"cmp"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -175,5 +178,53 @@ func TestDecomposeSpeculationVisibility(t *testing.T) {
 	}
 	if m := off.Metrics(); m["decomp_mean_spec_wait_cycles"] != 0 || m["decomp_mean_spec_saved_cycles"] != 0 {
 		t.Errorf("spec=0 metrics report speculative cycles: %v", m)
+	}
+}
+
+// TestDecomposeMultiRunStream pins the decomposition of a stream that holds
+// several runs, as loftsim -seeds N -probe writes it: every run numbers its
+// quanta from 0 again, so a key recurs once per run. Decomposing the
+// concatenated streams must equal the sum of decomposing each.
+func TestDecomposeMultiRunStream(t *testing.T) {
+	cfg := config.PaperLOFT()
+	slot := uint64(cfg.QuantumFlits)
+	var streams [][]probe.Event
+	var parts []*Decomposition
+	for _, seed := range []uint64{1, 2} {
+		p := traffic.Uniform(cfg.Mesh(), 0.1, cfg.PacketFlits, cfg.FrameFlits)
+		pr := probe.New(probe.Config{EventCap: 1 << 20})
+		if _, _, err := core.RunLOFT(cfg, p, core.RunSpec{Seed: seed, Warmup: 200, Measure: 1300, Probe: pr}); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Decompose(pr.Events(), slot, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Complete == 0 || d.Incomplete == 0 || len(d.Errors) != 0 {
+			t.Fatalf("seed %d: %d complete, %d incomplete, errors %v; want quanta of both kinds and no error", seed, d.Complete, d.Incomplete, d.Errors)
+		}
+		streams = append(streams, pr.Events())
+		parts = append(parts, d)
+	}
+	both, err := Decompose(slices.Concat(streams...), slot, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(both.Errors) != 0 {
+		t.Fatalf("%d timing-invariant violations, first: %s", len(both.Errors), both.Errors[0])
+	}
+	if c, i := parts[0].Complete+parts[1].Complete, parts[0].Incomplete+parts[1].Incomplete; both.Complete != c || both.Incomplete != i {
+		t.Fatalf("concatenated: %d complete, %d incomplete; runs alone sum to %d and %d", both.Complete, both.Incomplete, c, i)
+	}
+	// Each key's quanta in stream order: the first run's before the second's.
+	want := slices.Concat(parts[0].Quanta, parts[1].Quanta)
+	slices.SortStableFunc(want, func(a, b QuantumResult) int {
+		return cmp.Or(cmp.Compare(a.Flow, b.Flow), cmp.Compare(a.Seq, b.Seq))
+	})
+	if !reflect.DeepEqual(both.Quanta, want) {
+		t.Fatal("concatenated quanta differ from the runs' quanta merged by (flow, seq)")
+	}
+	if n := parts[0].All.Count + parts[1].All.Count; both.All.Count != n {
+		t.Fatalf("aggregate counts %d quanta, runs alone %d", both.All.Count, n)
 	}
 }
