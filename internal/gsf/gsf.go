@@ -127,11 +127,14 @@ type node struct {
 	inj  *traffic.Injector
 	obs  *probe.Stage
 	perf *perfmon.Timer
-	// Effects on GSF's own network-global state (frame census, throttle
-	// counter) buffer here during the compute phase; Network.commitFrames
-	// applies them at the cycle barrier, under both engines.
-	frameDeltas    []frameDelta
-	throttleStaged uint64
+	// Effects on GSF's own network-global frame census buffer here during
+	// the compute phase; Network.commitFrames applies them at the cycle
+	// barrier, under both engines.
+	frameDeltas []frameDelta
+	// throttleCycles counts the cycles a source of this node stalled on an
+	// exhausted window (events fire only on the stall edge); the probe's
+	// gsf.throttle.cycles gauge sums it over the nodes.
+	throttleCycles uint64
 
 	drops uint64
 }
@@ -443,9 +446,8 @@ func (n *node) inject(now uint64) {
 		if fs.c == 0 {
 			if fs.ifr >= h+cfg.FrameWindow-1 {
 				// Window exhausted: source throttled. Emit one event per
-				// stall edge and count every stalled cycle (staged: the
-				// shared counter commits at the barrier).
-				n.throttleStaged++
+				// stall edge and count every stalled cycle.
+				n.throttleCycles++
 				if !fs.throttled {
 					fs.throttled = true
 					if n.obs.Wants(probe.KindGSFThrottle) {

@@ -32,10 +32,6 @@ type Network struct {
 	head       int // H: the head frame (absolute)
 	frameCount map[int]int
 	barrier    int // countdown; 0 = idle
-
-	// throttleCycles counts source-stall cycles for the probe registry
-	// (events fire only on the stall edge).
-	throttleCycles *probe.Counter
 }
 
 // Options mirror netsim.Options field for field (documented there), plus
@@ -78,7 +74,6 @@ func New(cfg config.GSF, pattern *traffic.Pattern, opts Options) (*Network, erro
 		return nil, err
 	}
 	net := &Network{Harness: h, cfg: cfg, mesh: mesh, frameCount: make(map[int]int)}
-	net.throttleCycles = opts.Probe.Registry().Counter("gsf.throttle.cycles")
 	for i := 0; i < mesh.N(); i++ {
 		n := newNode(topo.NodeID(i), cfg, net, h.Slot(i))
 		net.nodes = append(net.nodes, n)
@@ -133,13 +128,22 @@ func (net *Network) bindAudit() {
 	})
 }
 
-// registerGauges publishes the source-queue backlog gauges next to the
-// harness's link rates. No-op when probing is disabled.
+// registerGauges publishes the source-queue backlog gauges and the
+// network's source-stall cycles next to the harness's link rates. The
+// registry polls them in the serial commit, so summing the nodes' own
+// counts is safe under both engines. No-op when probing is disabled.
 func (net *Network) registerGauges() {
 	reg := net.Probe().Registry()
 	if reg == nil {
 		return
 	}
+	reg.Gauge("gsf.throttle.cycles", func() float64 {
+		var sum uint64
+		for _, n := range net.nodes {
+			sum += n.throttleCycles
+		}
+		return float64(sum)
+	})
 	for _, n := range net.nodes {
 		reg.Gauge(fmt.Sprintf("gsf.srcq.n%d", n.id), func() float64 {
 			return float64(n.srcQueue.Len())
@@ -168,18 +172,14 @@ func (net *Network) wire() {
 }
 
 // commitFrames is the harness's per-cycle commit hook: it applies every
-// node's staged frame-census and throttle deltas, then advances the barrier
-// controller. Both are sums, so node order does not matter here.
+// node's staged frame-census deltas, then advances the barrier controller.
+// The deltas are sums, so node order does not matter here.
 func (net *Network) commitFrames(now uint64) {
 	for _, n := range net.nodes {
 		for _, fd := range n.frameDeltas {
 			net.frameCount[fd.frame] += fd.delta
 		}
 		n.frameDeltas = n.frameDeltas[:0]
-		if n.throttleStaged > 0 {
-			net.throttleCycles.Add(n.throttleStaged)
-			n.throttleStaged = 0
-		}
 	}
 	net.tickBarrier(now)
 }
