@@ -1,6 +1,7 @@
 package loft
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -78,6 +79,57 @@ func TestNewRejectsFramesBelowQuantum(t *testing.T) {
 				t.Errorf("frame %d: New failed outside config validation: %v", frame, err)
 			}
 		}()
+	}
+}
+
+// TestPatternValidateAgreesWithNew checks that the pattern's ΣR check and
+// New accept and reject the same patterns, with the same error: both count
+// each reservation in quanta after the same round-up
+// (traffic.ReservedQuanta).
+func TestPatternValidateAgreesWithNew(t *testing.T) {
+	uniform := func(c config.LOFT) *traffic.Pattern {
+		return traffic.Uniform(c.Mesh(), 0.1, c.PacketFlits, c.FrameFlits)
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     func() config.LOFT
+		pattern func(config.LOFT) *traffic.Pattern
+		wantErr string // error prefix; "" when both accept
+	}{
+		{"paper-uniform", config.PaperLOFT, uniform, ""},
+		{"small-uniform", func() config.LOFT { return smallCfg(12) }, uniform, ""},
+		// Nine flows on every link reserve 28/9 = 3 flits each, 27 flits in
+		// a 28-flit frame, but each rounds up to one 4-flit quantum: nine
+		// quanta in a 7-slot frame.
+		{"sub-quantum-uniform", func() config.LOFT {
+			c := config.PaperLOFT()
+			c.MeshK, c.QuantumFlits, c.FrameFlits, c.CentralBufFlits = 3, 4, 28, 28
+			return c
+		}, uniform, "traffic: ΣR=9 quanta exceeds frame size 7 quanta on link "},
+		{"oversubscribed-hotspot", config.PaperLOFT, func(c config.LOFT) *traffic.Pattern {
+			p := traffic.Hotspot(c.Mesh(), 63, 0.1, c.PacketFlits, c.FrameFlits, c.QuantumFlits, nil)
+			p.Flows[0].Reservation = c.FrameFlits
+			return p
+		}, "traffic: ΣR="},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg()
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("config: %v", err)
+			}
+			p := tc.pattern(cfg)
+			validateErr := p.Validate(cfg.FrameFlits, cfg.QuantumFlits)
+			_, newErr := New(cfg, p, Options{Seed: 1})
+			if fmt.Sprint(validateErr) != fmt.Sprint(newErr) {
+				t.Fatalf("Pattern.Validate: %v; New: %v", validateErr, newErr)
+			}
+			switch {
+			case tc.wantErr == "" && validateErr != nil:
+				t.Fatalf("rejected: %v", validateErr)
+			case tc.wantErr != "" && (validateErr == nil || !strings.HasPrefix(validateErr.Error(), tc.wantErr)):
+				t.Fatalf("error %v, want prefix %q", validateErr, tc.wantErr)
+			}
+		})
 	}
 }
 

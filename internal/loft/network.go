@@ -40,7 +40,7 @@ func New(cfg config.LOFT, pattern *traffic.Pattern, opts Options) (*Network, err
 		return nil, err
 	}
 	linkFlows := pattern.LinkFlows()
-	if err := pattern.ValidateLinks(linkFlows, cfg.FrameFlits); err != nil {
+	if err := pattern.ValidateLinks(linkFlows, cfg.FrameFlits, cfg.QuantumFlits); err != nil {
 		return nil, err
 	}
 	mesh := cfg.Mesh()
@@ -232,7 +232,8 @@ func (net *Network) wire() {
 }
 
 // installReservations registers every flow on the tables of every link it
-// may use, with R converted from flits to quanta. The injection link uses
+// may use, with R converted from flits to quanta (traffic.ReservedQuanta,
+// which the pattern check applies too). The injection link uses
 // the flow's own reservation like every other link of its path (§5.1: "a
 // flow uses the same reservation R_ij for all links of its path"): this
 // paces look-ahead generation to the flow's guaranteed rate (plus local
@@ -249,10 +250,7 @@ func (net *Network) installReservations(linkFlows map[topo.Link][]flit.FlowID) e
 			return fmt.Errorf("loft: pattern uses nonexistent link %s", link)
 		}
 		for _, id := range linkFlows[link] {
-			r := net.pattern.Flow(id).Reservation / net.cfg.QuantumFlits
-			if r < 1 {
-				r = 1
-			}
+			r := traffic.ReservedQuanta(net.pattern.Flow(id).Reservation, net.cfg.QuantumFlits)
 			if err := table.AddFlow(id, r); err != nil {
 				return err
 			}

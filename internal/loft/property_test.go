@@ -42,7 +42,7 @@ func TestQuickRandomPatternsConserve(t *testing.T) {
 			p.Flows = append(p.Flows, flit.Flow{ID: id, Src: src, Dst: dst, Reservation: cfg.FrameFlits / 8})
 			p.Gens[src] = append(p.Gens[src], traffic.Gen{Flow: id, Rate: rate, Dst: dst})
 		}
-		if p.Validate(cfg.FrameFlits) != nil {
+		if p.Validate(cfg.FrameFlits, cfg.QuantumFlits) != nil {
 			return true // oversubscribed random draw: skip
 		}
 		net, err := New(cfg, p, Options{Seed: seed, Warmup: 0})

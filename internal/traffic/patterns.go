@@ -66,7 +66,7 @@ func Hotspot(m topo.Mesh, hotspot topo.NodeID, rate float64, pktFlits, frameFlit
 		p.Gens[src] = []Gen{{Flow: id, Rate: rate, Dst: hotspot}}
 		id++
 	}
-	if err := p.Validate(frameFlits); err != nil {
+	if err := p.Validate(frameFlits, quantumFlits); err != nil {
 		panic(fmt.Sprintf("traffic: hotspot weights overflow frame: %v", err))
 	}
 	return p

@@ -139,7 +139,7 @@ func FromTrace(m topo.Mesh, events []TraceEvent, pktFlits, frameFlits, quantumFl
 	}
 	// Record flow ids for replay.
 	p.traceFlow = func(src, dst topo.NodeID) flit.FlowID { return ids[pair{src, dst}] }
-	if err := p.Validate(frameFlits); err != nil {
+	if err := p.Validate(frameFlits, quantumFlits); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -90,7 +90,7 @@ func TestFromTraceBuildsFlowsAndReservations(t *testing.T) {
 	if len(p.Flows) != 2 {
 		t.Fatalf("flows = %d, want 2", len(p.Flows))
 	}
-	if err := p.Validate(32); err != nil {
+	if err := p.Validate(32, 2); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range p.Flows {

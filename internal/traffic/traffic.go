@@ -146,21 +146,32 @@ func (p *Pattern) eachLinkFlow(fn func(topo.Link, flit.FlowID)) {
 	}
 }
 
-// Validate checks the LSF admission constraint ΣR_ij ≤ F on every link.
-func (p *Pattern) Validate(frameFlits int) error {
-	return p.ValidateLinks(p.LinkFlows(), frameFlits)
+// ReservedQuanta is the reservation, in whole quanta per frame, that a
+// LOFT reservation table installs for a flow reserving reservationFlits
+// flits: the flits in whole quanta, and at least one quantum, so a flow
+// reserving less than a quantum still gets a slot.
+func ReservedQuanta(reservationFlits, quantumFlits int) int {
+	return max(reservationFlits/quantumFlits, 1)
+}
+
+// Validate checks the LSF admission constraint ΣR_ij ≤ F on every link, in
+// quanta as the reservation tables install the reservations
+// (ReservedQuanta), so a pattern it accepts installs on every table.
+func (p *Pattern) Validate(frameFlits, quantumFlits int) error {
+	return p.ValidateLinks(p.LinkFlows(), frameFlits, quantumFlits)
 }
 
 // ValidateLinks is Validate over linkFlows, which must be p.LinkFlows(): a
 // caller that needs the lists anyway builds them once for both.
-func (p *Pattern) ValidateLinks(linkFlows map[topo.Link][]flit.FlowID, frameFlits int) error {
+func (p *Pattern) ValidateLinks(linkFlows map[topo.Link][]flit.FlowID, frameFlits, quantumFlits int) error {
+	slots := frameFlits / quantumFlits
 	for _, l := range det.KeysFunc(linkFlows, topo.Link.Less) {
 		sum := 0
 		for _, id := range linkFlows[l] {
-			sum += p.Flows[id].Reservation
+			sum += ReservedQuanta(p.Flows[id].Reservation, quantumFlits)
 		}
-		if sum > frameFlits {
-			return fmt.Errorf("traffic: ΣR=%d exceeds frame size %d on link %s", sum, frameFlits, l)
+		if sum > slots {
+			return fmt.Errorf("traffic: ΣR=%d quanta exceeds frame size %d quanta on link %s", sum, slots, l)
 		}
 	}
 	return nil

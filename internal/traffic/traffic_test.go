@@ -21,7 +21,7 @@ func TestUniformPattern(t *testing.T) {
 			t.Fatalf("uniform reservation = %d, want F/64 = 4", f.Reservation)
 		}
 	}
-	if err := p.Validate(256); err != nil {
+	if err := p.Validate(256, 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -42,7 +42,7 @@ func TestHotspotEqualReservations(t *testing.T) {
 	if sum > 256 {
 		t.Fatalf("ΣR = %d > F", sum)
 	}
-	if err := p.Validate(256); err != nil {
+	if err := p.Validate(256, 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -50,7 +50,7 @@ func TestHotspotEqualReservations(t *testing.T) {
 func TestHotspotWeightedReservations(t *testing.T) {
 	m := topo.NewMesh(8)
 	p := Hotspot(m, 63, 0.5, 4, 256, 2, QuadrantWeight(m, [4]int{3, 2, 2, 1}))
-	if err := p.Validate(256); err != nil {
+	if err := p.Validate(256, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Node 0 is in quadrant 0 (weight 3); node 7 in quadrant 1 (weight 2).
@@ -83,7 +83,7 @@ func TestCaseStudyIFlows(t *testing.T) {
 			t.Fatalf("flow %d reservation = %d, want F/4", i, f.Reservation)
 		}
 	}
-	if err := p.Validate(256); err != nil {
+	if err := p.Validate(256, 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,7 +115,7 @@ func TestCaseStudyIIIsolatedLink(t *testing.T) {
 			}
 		}
 	}
-	if err := p.Validate(256); err != nil {
+	if err := p.Validate(256, 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -193,7 +193,7 @@ func TestValidateRejectsOversubscription(t *testing.T) {
 	p := Hotspot(m, 63, 0.5, 4, 256, 2, nil)
 	// Inflate one reservation to break ΣR ≤ F on the ejection link.
 	p.Flows[0].Reservation = 256
-	if err := p.Validate(256); err == nil {
+	if err := p.Validate(256, 2); err == nil {
 		t.Fatal("oversubscription accepted")
 	}
 }
@@ -201,7 +201,7 @@ func TestValidateRejectsOversubscription(t *testing.T) {
 func TestNearestNeighborAndTranspose(t *testing.T) {
 	m := topo.NewMesh(8)
 	for _, p := range []*Pattern{NearestNeighbor(m, 0.2, 4, 256), Transpose(m, 0.2, 4, 256)} {
-		if err := p.Validate(256); err != nil {
+		if err := p.Validate(256, 2); err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
 		for _, f := range p.Flows {
