@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt check audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module bench
+.PHONY: build test race vet fmt check audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module
 
 build:
 	$(GO) build ./...
@@ -116,7 +116,4 @@ bench-module:
 	cd bench && $(GO) vet . && $(GO) test .
 
 check: build vet fmt test race audit-smoke trace-smoke perf-smoke chaos-smoke fuzz-smoke bench-module
-
-bench:
-	$(GO) test -bench=. -benchmem
 

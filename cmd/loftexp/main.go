@@ -24,7 +24,7 @@ func main() {
 	s := &runio.Session{Tool: "loftexp", SummaryNote: " (all runs combined)"}
 	s.Flags(flag.CommandLine)
 	var (
-		which    = flag.String("exp", "all", "experiment: fig6, fig10, fig11a, fig11b, fig12, fig13, table2, bounds, areapower, all")
+		which    = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames(), ", ")+", all")
 		quick    = flag.Bool("quick", false, "reduced cycle counts and sweep densities")
 		jsonPath = flag.String("json", "", "also write all results as JSON to this file")
 	)
@@ -42,31 +42,14 @@ func main() {
 	o := exp.Options{Seed: s.Seed, Quick: *quick, Workers: s.Workers, Probe: s.Probe, Audit: s.Audit, Perf: s.Perf, Stop: s.Interrupted, Fault: s.Plan}
 	report := map[string]any{}
 
-	runners := []struct {
-		name string
-		fn   func(exp.Options) (any, error)
-	}{
-		{"fig6", fig6},
-		{"fig10", fig10},
-		{"fig11a", func(o exp.Options) (any, error) { return fig11("uniform", o) }},
-		{"fig11b", func(o exp.Options) (any, error) { return fig11("hotspot", o) }},
-		{"fig12", fig12},
-		{"fig13", fig13},
-		{"table2", func(exp.Options) (any, error) { return table2() }},
-		{"bounds", bounds},
-		{"areapower", func(exp.Options) (any, error) { return areaPower() }},
-	}
-	for _, r := range runners {
-		if *which != "all" && *which != r.name {
-			continue
-		}
+	for _, r := range selected(*which) {
 		// After SIGINT, in-flight simulations end at the next chunk boundary
 		// and later experiments do not start.
 		if s.Interrupted() {
 			break
 		}
 		fmt.Printf("==== %s ====\n", r.name)
-		data, err := r.fn(o)
+		data, err := r.run(o)
 		if err != nil {
 			s.Fatal(fmt.Errorf("%s: %w", r.name, err))
 		}
@@ -98,16 +81,70 @@ func main() {
 	os.Exit(s.Finish())
 }
 
-// expNames lists the experiments -exp accepts, in run order.
-var expNames = []string{"fig6", "fig10", "fig11a", "fig11b", "fig12", "fig13", "table2", "bounds", "areapower"}
+// faultUse says which fault plans an experiment takes.
+type faultUse int
 
-// simExps marks experiments that run network simulations; a fault plan is
-// meaningless on the rest. gsfExps marks the subset that also simulates the
-// GSF baseline, which accepts adversary-only plans.
-var (
-	simExps = map[string]bool{"fig10": true, "fig11a": true, "fig11b": true, "fig12": true, "fig13": true, "bounds": true, "all": true}
-	gsfExps = map[string]bool{"fig11a": true, "fig11b": true, "fig12": true, "fig13": true, "bounds": true, "all": true}
+const (
+	faultNone      faultUse = iota // no simulation a plan applies to; runs clean under all
+	faultAdversary                 // also simulates GSF, which accepts adversary events only
+	faultAny                       // simulates LOFT only
 )
+
+// experiment is one -exp value: its runner and the fault plans it takes.
+type experiment struct {
+	name  string
+	run   func(exp.Options) (any, error)
+	fault faultUse
+}
+
+// experiments is the one list of -exp names, in the order all runs them.
+var experiments = []experiment{
+	{"fig6", fig6, faultNone},
+	{"fig10", fig10, faultAny},
+	{"fig11a", func(o exp.Options) (any, error) { return fig11("uniform", o) }, faultAdversary},
+	{"fig11b", func(o exp.Options) (any, error) { return fig11("hotspot", o) }, faultAdversary},
+	{"fig12", fig12, faultAdversary},
+	{"fig13", fig13, faultAdversary},
+	{"table2", func(exp.Options) (any, error) { return table2() }, faultNone},
+	{"bounds", bounds, faultAdversary},
+	{"areapower", func(exp.Options) (any, error) { return areaPower() }, faultNone},
+	{"ablation", ablation, faultNone},
+}
+
+// experimentNames lists the experiment names in run order.
+func experimentNames() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
+}
+
+// namesTaking lists, in run order, the experiments that take plans as use
+// says.
+func namesTaking(use faultUse) []string {
+	var names []string
+	for _, e := range experiments {
+		if e.fault == use {
+			names = append(names, e.name)
+		}
+	}
+	return names
+}
+
+// selected returns the experiments which names: all of them for "all", the
+// named one, or none for an unknown name.
+func selected(which string) []experiment {
+	if which == "all" {
+		return experiments
+	}
+	for i, e := range experiments {
+		if e.name == which {
+			return experiments[i : i+1]
+		}
+	}
+	return nil
+}
 
 // validateExpFlags rejects flag combinations up front that would otherwise
 // fail mid-sweep or be silently ignored: an unknown -exp used to surface only
@@ -115,25 +152,30 @@ var (
 // GSF run halfway through an experiment. The execution-flag rules are the
 // session's (runio.ValidateExec). Callers report the error and exit 2.
 func validateExpFlags(which string, workers int, jSet, observed bool, plan *fault.Plan) error {
-	known := which == "all"
-	for _, n := range expNames {
-		if which == n {
-			known = true
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown experiment %q (want all or one of %s)", which, strings.Join(expNames, ", "))
+	sel := selected(which)
+	if sel == nil {
+		return fmt.Errorf("unknown experiment %q (want all or one of %s)", which, strings.Join(experimentNames(), ", "))
 	}
 	if err := runio.ValidateExec(workers, jSet, observed, "sweeps"); err != nil {
 		return err
 	}
-	if plan != nil {
-		if !simExps[which] {
-			return fmt.Errorf("-fault has no effect on %q: it runs no network simulation", which)
+	if plan == nil {
+		return nil
+	}
+	takes := false
+	for _, e := range sel {
+		switch e.fault {
+		case faultAdversary:
+			if !plan.Adversarial() {
+				return fmt.Errorf("fault plan %q uses link-level faults, but %q also simulates the GSF baseline, which accepts adversary events only; use -exp %s or an adversary-only plan", plan, which, strings.Join(namesTaking(faultAny), ", "))
+			}
+			takes = true
+		case faultAny:
+			takes = true
 		}
-		if gsfExps[which] && !plan.Adversarial() {
-			return fmt.Errorf("fault plan %q uses link-level faults, but %q also simulates the GSF baseline, which accepts adversary events only; use -exp fig10 or an adversary-only plan", plan, which)
-		}
+	}
+	if !takes {
+		return fmt.Errorf("-fault has no effect on %q: it runs no network simulation a fault plan applies to", which)
 	}
 	return nil
 }
@@ -268,4 +310,18 @@ func areaPower() (any, error) {
 	fmt.Printf("  64-node LOFT NoC: %.1f mm² (%.0f%% of a 64-core CMP die), %.1f W (%.0f%% of chip power)\n",
 		ap.AreaMM2, ap.ChipAreaFrac*100, ap.PowerW, ap.ChipPowerFrac*100)
 	return ap, nil
+}
+
+func ablation(o exp.Options) (any, error) {
+	rows, err := exp.Ablations(o)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Println("Ablations: one knob per study, the paper's configuration otherwise")
+	fmt.Printf("  %-7s %-13s %10s %8s %9s %9s %6s\n", "study", "variant", "accepted", "total", "latency", "net lat", "drops")
+	for _, r := range rows {
+		fmt.Printf("  %-7s %-13s %10.4f %8.4f %9.2f %9.2f %6d\n", r.Study, r.Variant, r.Accepted, r.Total, r.Latency, r.NetLatency, r.Drops)
+	}
+	fmt.Println("  (accepted in flits/cycle/node, total in flits/cycle, latencies in cycles)")
+	return rows, nil
 }

@@ -17,21 +17,26 @@ func mustPlan(t *testing.T, spec string) *fault.Plan {
 }
 
 // TestValidateExpFlagsAccepts pins working combinations: every experiment
-// name, adversary plans on GSF-including experiments, link-level plans on
-// the LOFT-only fig10, and observed runs without an explicit -j.
+// name, adversary plans on every experiment that simulates GSF and on all,
+// link-level plans on the LOFT-only experiments, and observed runs without
+// an explicit -j.
 func TestValidateExpFlagsAccepts(t *testing.T) {
 	linkPlan := mustPlan(t, "link-down node=7 dir=south from=100 to=200")
 	advPlan := mustPlan(t, "adversary flow=1 factor=2 from=100")
-	for _, which := range append([]string{"all"}, expNames...) {
+	for _, which := range append([]string{"all"}, experimentNames()...) {
 		if err := validateExpFlags(which, 0, false, false, nil); err != nil {
 			t.Errorf("%s: unexpected error: %v", which, err)
 		}
 	}
-	if err := validateExpFlags("fig12", 0, false, false, advPlan); err != nil {
-		t.Errorf("adversary plan on fig12: %v", err)
+	for _, which := range append([]string{"all"}, namesTaking(faultAdversary)...) {
+		if err := validateExpFlags(which, 0, false, false, advPlan); err != nil {
+			t.Errorf("adversary plan on %s: %v", which, err)
+		}
 	}
-	if err := validateExpFlags("fig10", 0, false, false, linkPlan); err != nil {
-		t.Errorf("link plan on fig10: %v", err)
+	for _, which := range namesTaking(faultAny) {
+		if err := validateExpFlags(which, 0, false, false, linkPlan); err != nil {
+			t.Errorf("link plan on %s: %v", which, err)
+		}
 	}
 	if err := validateExpFlags("all", 0, false, true, nil); err != nil {
 		t.Errorf("observed run with default -j: %v", err)
@@ -41,23 +46,36 @@ func TestValidateExpFlagsAccepts(t *testing.T) {
 	}
 }
 
+// rejectCase is one flag combination validateExpFlags must refuse, with a
+// phrase its error must contain.
+type rejectCase struct {
+	name           string
+	which          string
+	workers        int
+	jSet, observed bool
+	plan           *fault.Plan
+	want           string
+}
+
 // TestValidateExpFlagsRejects pins the up-front conflict detection, exit
-// code 2 material that previously failed mid-sweep or was silently ignored.
+// code 2 material that previously failed mid-sweep or was silently ignored:
+// any plan on an experiment that takes none (ablation among them), and a
+// link-level plan on every experiment that simulates GSF and on all.
 func TestValidateExpFlagsRejects(t *testing.T) {
 	linkPlan := mustPlan(t, "link-down node=7 dir=south from=100 to=200")
-	cases := []struct {
-		name           string
-		which          string
-		workers        int
-		jSet, observed bool
-		plan           *fault.Plan
-		want           string
-	}{
+	advPlan := mustPlan(t, "adversary flow=1 factor=2 from=100")
+	cases := []rejectCase{
 		{name: "unknown experiment", which: "fig99", want: "unknown experiment"},
 		{name: "negative j", which: "all", workers: -1, want: "-j -1"},
-		{name: "fault on sim-free experiment", which: "table2", plan: linkPlan, want: "no network simulation"},
-		{name: "link faults on gsf experiment", which: "fig12", plan: linkPlan, want: "adversary events only"},
+		{name: "link faults on all", which: "all", plan: linkPlan, want: "adversary events only"},
+		{name: "adversary plan on ablation", which: "ablation", plan: advPlan, want: "no network simulation"},
 		{name: "explicit -j on observed run", which: "all", workers: 8, jSet: true, observed: true, want: "run sequentially"},
+	}
+	for _, which := range namesTaking(faultNone) {
+		cases = append(cases, rejectCase{name: "fault on " + which, which: which, plan: advPlan, want: "no network simulation"})
+	}
+	for _, which := range namesTaking(faultAdversary) {
+		cases = append(cases, rejectCase{name: "link faults on " + which, which: which, plan: linkPlan, want: "adversary events only"})
 	}
 	for _, tc := range cases {
 		err := validateExpFlags(tc.which, tc.workers, tc.jSet, tc.observed, tc.plan)

@@ -57,7 +57,6 @@ import (
 	"loft/internal/runio"
 	"loft/internal/stats"
 	"loft/internal/sweep"
-	"loft/internal/topo"
 	"loft/internal/trace"
 	"loft/internal/traffic"
 )
@@ -67,7 +66,7 @@ func main() {
 	s.Flags(flag.CommandLine)
 	var (
 		arch     = flag.String("arch", "loft", "architecture: loft or gsf")
-		pattern  = flag.String("pattern", "uniform", "traffic: uniform, hotspot, case1, case2, neighbor, transpose")
+		pattern  = flag.String("pattern", "uniform", "traffic: "+patternNames())
 		rate     = flag.Float64("rate", 0.1, "offered load in flits/cycle/node (aggressor rate for case1)")
 		spec     = flag.Int("spec", 12, "LOFT speculative buffer size in flits (0 disables §4.3 optimizations)")
 		warmup   = flag.Uint64("warmup", 5000, "warmup cycles excluded from statistics")
@@ -121,21 +120,14 @@ func main() {
 		if !explicit {
 			*warmup = 0
 		}
-	}
-	switch {
-	case p != nil: // trace already loaded
-	case *pattern == "uniform":
-		p = traffic.Uniform(mesh, *rate, lcfg.PacketFlits, lcfg.FrameFlits)
-	case *pattern == "hotspot":
-		p = traffic.Hotspot(mesh, topo.NodeID(mesh.N()-1), *rate, lcfg.PacketFlits, lcfg.FrameFlits, lcfg.QuantumFlits, nil)
-	case *pattern == "case1":
-		p = traffic.CaseStudyI(mesh, 0.2, *rate, lcfg.PacketFlits, lcfg.FrameFlits)
-	case *pattern == "case2":
-		p = traffic.CaseStudyII(mesh, *rate, lcfg.PacketFlits, lcfg.FrameFlits)
-	case *pattern == "neighbor":
-		p = traffic.NearestNeighbor(mesh, *rate, lcfg.PacketFlits, lcfg.FrameFlits)
-	case *pattern == "transpose":
-		p = traffic.Transpose(mesh, *rate, lcfg.PacketFlits, lcfg.FrameFlits)
+	} else {
+		build, err := lookupPattern(*pattern)
+		if err == nil {
+			p, err = build(lcfg, *rate)
+		}
+		if err != nil {
+			s.BadUsage(err)
+		}
 	}
 	if err := s.Plan.Validate(mesh.N(), len(p.Flows)); err != nil {
 		s.BadUsage(err)

@@ -3,20 +3,60 @@ package main
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"loft/internal/config"
 	"loft/internal/fault"
 	"loft/internal/runio"
+	"loft/internal/topo"
+	"loft/internal/traffic"
 )
 
-// knownPatterns lists the synthetic patterns -pattern accepts.
-var knownPatterns = map[string]bool{
-	"uniform":   true,
-	"hotspot":   true,
-	"case1":     true,
-	"case2":     true,
-	"neighbor":  true,
-	"transpose": true,
+// patterns is the one table of synthetic patterns: the -pattern help,
+// validateFlags' check and pattern construction all read it. Each entry
+// builds its pattern on cfg's mesh at offered load rate (the aggressor rate
+// for case1).
+var patterns = []struct {
+	name  string
+	build func(cfg config.LOFT, rate float64) (*traffic.Pattern, error)
+}{
+	{"uniform", onMesh(traffic.Uniform)},
+	{"hotspot", func(c config.LOFT, rate float64) (*traffic.Pattern, error) {
+		m := c.Mesh()
+		return traffic.Hotspot(m, topo.NodeID(m.N()-1), rate, c.PacketFlits, c.FrameFlits, c.QuantumFlits, nil)
+	}},
+	{"case1", onMesh(func(m topo.Mesh, rate float64, pkt, frame int) *traffic.Pattern {
+		return traffic.CaseStudyI(m, 0.2, rate, pkt, frame)
+	})},
+	{"case2", onMesh(traffic.CaseStudyII)},
+	{"neighbor", onMesh(traffic.NearestNeighbor)},
+	{"transpose", onMesh(traffic.Transpose)},
+}
+
+// onMesh adapts a constructor that cannot fail to the patterns table.
+func onMesh(f func(m topo.Mesh, rate float64, pktFlits, frameFlits int) *traffic.Pattern) func(config.LOFT, float64) (*traffic.Pattern, error) {
+	return func(c config.LOFT, rate float64) (*traffic.Pattern, error) {
+		return f(c.Mesh(), rate, c.PacketFlits, c.FrameFlits), nil
+	}
+}
+
+// patternNames lists the -pattern values in table order.
+func patternNames() string {
+	names := make([]string, len(patterns))
+	for i, p := range patterns {
+		names[i] = p.name
+	}
+	return strings.Join(names, ", ")
+}
+
+// lookupPattern returns the named synthetic pattern's constructor.
+func lookupPattern(name string) (func(config.LOFT, float64) (*traffic.Pattern, error), error) {
+	for _, p := range patterns {
+		if p.name == name {
+			return p.build, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown pattern %q (want one of %s)", name, patternNames())
 }
 
 // cliFlags carries the parsed flag values validateFlags checks. A plain
@@ -50,8 +90,10 @@ func validateFlags(f cliFlags) error {
 	if f.Arch != "loft" && f.Arch != "gsf" {
 		return fmt.Errorf("unknown architecture %q (want loft or gsf)", f.Arch)
 	}
-	if f.Trace == "" && f.GenTrace <= 0 && !knownPatterns[f.Pattern] {
-		return fmt.Errorf("unknown pattern %q (want uniform, hotspot, case1, case2, neighbor or transpose)", f.Pattern)
+	if f.Trace == "" && f.GenTrace <= 0 {
+		if _, err := lookupPattern(f.Pattern); err != nil {
+			return err
+		}
 	}
 	if math.IsNaN(f.Rate) || math.IsInf(f.Rate, 0) || f.Rate < 0 {
 		return fmt.Errorf("-rate %g must be a finite, non-negative offered load in flits/cycle/node", f.Rate)

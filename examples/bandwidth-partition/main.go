@@ -21,8 +21,11 @@ func main() {
 	hot := topo.NodeID(mesh.N() - 1)
 
 	// Two halves with a 3:1 bandwidth split (Fig. 10c).
-	pattern := traffic.Hotspot(mesh, hot, 0.5, cfg.PacketFlits, cfg.FrameFlits,
+	pattern, err := traffic.Hotspot(mesh, hot, 0.5, cfg.PacketFlits, cfg.FrameFlits,
 		cfg.QuantumFlits, traffic.HalfWeight(mesh, 3, 1))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	res, _, err := core.RunLOFT(cfg, pattern, core.RunSpec{Seed: 3, Warmup: 5000, Measure: 20000})
 	if err != nil {

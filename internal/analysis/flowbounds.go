@@ -32,13 +32,3 @@ func FlowHops(m topo.Mesh, f flit.Flow) int {
 	}
 	return route.Hops(m, f.Src, f.Dst)
 }
-
-// FlowBoundsLOFT returns the per-flow LOFT delay bound (over the full
-// implemented path, see DelayBoundLOFTPath) for every flow of a pattern.
-func FlowBoundsLOFT(cfg config.LOFT, m topo.Mesh, flows []flit.Flow) map[flit.FlowID]uint64 {
-	out := make(map[flit.FlowID]uint64, len(flows))
-	for _, f := range flows {
-		out[f.ID] = DelayBoundLOFTPath(cfg, FlowHops(m, f))
-	}
-	return out
-}

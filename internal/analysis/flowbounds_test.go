@@ -16,7 +16,10 @@ func TestFlowBoundsLOFT(t *testing.T) {
 		{ID: 1, Src: 0, Dst: 1},                      // one hop
 		{ID: 2, Src: 5, Dst: -1},                     // random destination: diameter
 	}
-	bounds := FlowBoundsLOFT(cfg, m, flows)
+	bounds := make([]uint64, len(flows))
+	for i, f := range flows {
+		bounds[i] = DelayBoundLOFTPath(cfg, FlowHops(m, f))
+	}
 	perTable := uint64(cfg.FrameFlits) * uint64(cfg.FrameWindow) // 512 cycles
 	if got, want := bounds[0], perTable*16; got != want {
 		t.Errorf("corner-to-corner bound = %d, want %d", got, want)

@@ -113,9 +113,6 @@ func New(cfg Config) *Auditor {
 	return &Auditor{cfg: cfg.withDefaults()}
 }
 
-// Enabled reports whether the auditor is live (non-nil).
-func (a *Auditor) Enabled() bool { return a != nil }
-
 // beginRun resets the per-run state (taps, checks, recorder) while keeping
 // the violation log and counters: one auditor accumulates across the runs
 // of a sweep.

@@ -3,11 +3,7 @@
 // pair used by the LOFT data network (§4.3.1, Fig. 9).
 package buffers
 
-import (
-	"fmt"
-
-	"loft/internal/label"
-)
+import "loft/internal/label"
 
 // FIFO is a bounded first-in first-out queue.
 type FIFO[T any] struct {
@@ -74,14 +70,6 @@ func (f *FIFO[T]) Front() *T {
 	return &f.buf[f.head]
 }
 
-// At returns the i-th oldest item (0 = head). It panics when out of range.
-func (f *FIFO[T]) At(i int) T {
-	if i < 0 || i >= f.count {
-		panic(fmt.Sprintf("buffers: index %d out of range on FIFO %s (len %d)", i, f.name, f.count))
-	}
-	return f.buf[(f.head+i)%f.cap]
-}
-
 // Credits tracks credit-based flow control toward one downstream buffer.
 // Owners embed their counters and set each up with Init.
 type Credits struct {
@@ -103,9 +91,6 @@ func (c *Credits) Name() string { return c.name.String() }
 
 // Available returns the current credit count.
 func (c *Credits) Available() int { return c.avail }
-
-// Cap returns the downstream capacity.
-func (c *Credits) Cap() int { return c.cap }
 
 // Consume spends one credit; it panics when none remain.
 func (c *Credits) Consume() {

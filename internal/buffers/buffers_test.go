@@ -50,6 +50,8 @@ func TestFIFOOverflowPanics(t *testing.T) {
 	f.Push(2)
 }
 
+// TestFIFOFrontAt checks that Front reads the item at the head without
+// consuming it.
 func TestFIFOFrontAt(t *testing.T) {
 	f := NewFIFO[int]("t", 4)
 	f.Push(10)
@@ -57,11 +59,8 @@ func TestFIFOFrontAt(t *testing.T) {
 	if p := f.Front(); p == nil || *p != 10 {
 		t.Fatalf("Front = %v", p)
 	}
-	if f.At(0) != 10 || f.At(1) != 20 {
-		t.Fatalf("At(0), At(1) = %d, %d", f.At(0), f.At(1))
-	}
 	if f.Len() != 2 {
-		t.Fatal("Front or At consumed items")
+		t.Fatal("Front consumed an item")
 	}
 }
 
@@ -93,8 +92,8 @@ func TestFIFOFrontFollowsHead(t *testing.T) {
 		}
 		for i := 0; i < 2; i++ {
 			p := f.Front()
-			if p == nil || *p != f.At(0) {
-				t.Fatalf("round %d: Front = %v, At(0) = %d", round, p, f.At(0))
+			if p == nil || *p != next-f.Len() {
+				t.Fatalf("round %d: Front = %v, want %d", round, p, next-f.Len())
 			}
 			*p += 1000
 			want := *p

@@ -38,7 +38,7 @@ type LOFT struct {
 
 	// YieldCondition enables the buffer-yield admission policy derived
 	// from the paper's condition (1). Off by default (see internal/lsf and
-	// DESIGN.md); the ablation benchmarks flip it.
+	// DESIGN.md); the yield study of exp.Ablations flips it.
 	YieldCondition bool
 }
 

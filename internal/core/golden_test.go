@@ -64,7 +64,11 @@ func caseI(c config.LOFT) *traffic.Pattern {
 func hotspot(rate float64) func(config.LOFT) *traffic.Pattern {
 	return func(c config.LOFT) *traffic.Pattern {
 		m := c.Mesh()
-		return traffic.Hotspot(m, topo.NodeID(m.N()-1), rate, c.PacketFlits, c.FrameFlits, c.QuantumFlits, nil)
+		p, err := traffic.Hotspot(m, topo.NodeID(m.N()-1), rate, c.PacketFlits, c.FrameFlits, c.QuantumFlits, nil)
+		if err != nil {
+			panic(err) // every golden configuration admits the pattern
+		}
+		return p
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package exp reproduces every table and figure of the paper's evaluation
 // (§5–§6). Each experiment has one runner returning the same rows/series the
-// paper reports; cmd/loftexp renders them as text tables and bench_test.go
-// wraps them as benchmarks. EXPERIMENTS.md records paper-vs-measured values.
+// paper reports, and Ablations runs the studies beyond the paper; cmd/loftexp
+// renders them as text tables. EXPERIMENTS.md records paper-vs-measured
+// values.
 package exp
 
 import (
@@ -20,7 +21,8 @@ import (
 type Options struct {
 	// Seed drives all traffic deterministically.
 	Seed uint64
-	// Quick reduces cycle counts and sweep densities for tests/benches.
+	// Quick reduces cycle counts and sweep densities for tests and the
+	// benchmark.
 	Quick bool
 	// Workers bounds the number of simulations an experiment runs
 	// concurrently; <= 0 selects GOMAXPROCS. Every run owns its RNGs,

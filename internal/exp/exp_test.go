@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"testing"
 
 	"loft/internal/core"
@@ -148,5 +149,47 @@ func TestDelayBoundsHold(t *testing.T) {
 		if r.Arch == "GSF" && r.BoundCycles != 24000 {
 			t.Fatalf("GSF bound %d, want 24000", r.BoundCycles)
 		}
+	}
+}
+
+// TestAblationShape checks the claims EXPERIMENTS.md makes of the ablation
+// studies on one quick run: the bursty flow drops nothing, speculation cuts
+// light-load network latency, per-node throughput holds as the mesh grows,
+// and the guarantees cost LOFT raw throughput against both GSF and wormhole.
+func TestAblationShape(t *testing.T) {
+	if raceEnabled {
+		// Twelve 8k-cycle runs, four of them saturated, are minutes under
+		// the race detector; TestFig10SweepDeterminism exercises the same
+		// shared-state surface there.
+		t.Skip("skipped under -race; covered by TestFig10SweepDeterminism")
+	}
+	rows, err := Ablations(Options{Seed: 1, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := map[string]AblationRow{}
+	for _, r := range rows {
+		row[r.Study+" "+r.Variant] = r
+	}
+	if len(row) != 12 {
+		t.Fatalf("%d distinct variants, want 12", len(row))
+	}
+	if b := row["bursty 0->63 60/400"]; b.Drops != 0 || b.Total == 0 {
+		t.Errorf("bursty flow: %d drops, %.4f flits/cycle accepted; want no drops", b.Drops, b.Total)
+	}
+	if s0, s4 := row["spec spec=0"].NetLatency, row["spec spec=4"].NetLatency; s0 <= s4 {
+		t.Errorf("net latency spec=0 %.2f not above spec=4 %.2f", s0, s4)
+	}
+	lo, hi := math.Inf(1), 0.0
+	for _, k := range []string{"4x4", "8x8", "12x12"} {
+		a := row["mesh "+k].Accepted
+		lo, hi = math.Min(lo, a), math.Max(hi, a)
+	}
+	if hi > 1.1*lo {
+		t.Errorf("accepted flits/cycle/node spans %.4f–%.4f across meshes, more than 10%%", lo, hi)
+	}
+	l, g, w := row["qos LOFT"].Accepted, row["qos GSF"].Accepted, row["qos wormhole"].Accepted
+	if l >= g || l >= w {
+		t.Errorf("LOFT accepts %.4f at 0.44, not below GSF %.4f and wormhole %.4f", l, g, w)
 	}
 }

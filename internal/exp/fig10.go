@@ -89,7 +89,10 @@ func Fig10Fairness(alloc Allocation, o Options) ([]FairnessRow, error) {
 	}
 
 	// Saturating offered load: every flow injects far above its share.
-	p := traffic.Hotspot(mesh, hot, 0.5, cfg.PacketFlits, cfg.FrameFlits, cfg.QuantumFlits, weight)
+	p, err := traffic.Hotspot(mesh, hot, 0.5, cfg.PacketFlits, cfg.FrameFlits, cfg.QuantumFlits, weight)
+	if err != nil {
+		return nil, err
+	}
 	res, _, err := core.RunLOFT(cfg, p, o.runSpec())
 	if err != nil {
 		return nil, err

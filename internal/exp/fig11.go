@@ -130,7 +130,7 @@ func fig11Pattern(cfg config.LOFT, pattern string, load float64) (*traffic.Patte
 		return traffic.Uniform(mesh, load, cfg.PacketFlits, cfg.FrameFlits), nil
 	case "hotspot":
 		hot := topo.NodeID(mesh.N() - 1)
-		return traffic.Hotspot(mesh, hot, load, cfg.PacketFlits, cfg.FrameFlits, cfg.QuantumFlits, nil), nil
+		return traffic.Hotspot(mesh, hot, load, cfg.PacketFlits, cfg.FrameFlits, cfg.QuantumFlits, nil)
 	}
 	return nil, fmt.Errorf("exp: unknown pattern %q", pattern)
 }

@@ -43,8 +43,8 @@ func cloneArb(n *node) *refNode {
 		for _, vc := range n.port(d) {
 			c := vc
 			c.fifo = buffers.NewFIFO[vcEntry]("ref", vc.fifo.Cap())
-			for i := 0; i < vc.fifo.Len(); i++ {
-				c.fifo.Push(vc.fifo.At(i))
+			for _, e := range fifoItems(vc.fifo) {
+				c.fifo.Push(e)
 			}
 			r.vcs[d] = append(r.vcs[d], &c)
 		}
@@ -55,11 +55,23 @@ func cloneArb(n *node) *refNode {
 	return r
 }
 
+// fifoItems lists f's items oldest first. It pops each item and pushes it
+// back: a full rotation, which leaves the queue's order unchanged.
+func fifoItems[T any](f *buffers.FIFO[T]) []T {
+	out := make([]T, 0, f.Len())
+	for i := f.Len(); i > 0; i-- {
+		v, _ := f.Pop()
+		f.Push(v)
+		out = append(out, v)
+	}
+	return out
+}
+
 func refPeek(vc *inputVC) (vcEntry, bool) {
 	if vc.fifo.Empty() {
 		return vcEntry{}, false
 	}
-	return vc.fifo.At(0), true
+	return *vc.fifo.Front(), true
 }
 
 func refMustPeek(vc *inputVC) vcEntry {
@@ -169,9 +181,10 @@ func (r *refNode) sameState(n *node) error {
 				return fmt.Errorf("VC %s.%d: routed %v out %s down %d len %d, reference routed %v out %s down %d len %d", d, v,
 					got.routed, got.outDir, got.downVC, got.fifo.Len(), want.routed, want.outDir, want.downVC, want.fifo.Len())
 			}
-			for i := 0; i < got.fifo.Len(); i++ {
-				if got.fifo.At(i) != want.fifo.At(i) {
-					return fmt.Errorf("VC %s.%d entry %d: %+v, reference %+v", d, v, i, got.fifo.At(i), want.fifo.At(i))
+			wantItems := fifoItems(want.fifo)
+			for i, e := range fifoItems(got.fifo) {
+				if e != wantItems[i] {
+					return fmt.Errorf("VC %s.%d entry %d: %+v, reference %+v", d, v, i, e, wantItems[i])
 				}
 			}
 		}

@@ -16,6 +16,18 @@ func smallGSF() config.GSF {
 	return cfg
 }
 
+// hotspot is every node of cfg's mesh sending to the last one at rate, its
+// reservations set against a 32-flit frame of 2-flit quanta.
+func hotspot(t *testing.T, cfg config.GSF, rate float64) *traffic.Pattern {
+	t.Helper()
+	m := cfg.Mesh()
+	p, err := traffic.Hotspot(m, topo.NodeID(m.N()-1), rate, cfg.PacketFlits, 32, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func mustNet(t *testing.T, cfg config.GSF, p *traffic.Pattern, seed, warmup uint64) *Network {
 	t.Helper()
 	net, err := New(cfg, p, Options{Seed: seed, Warmup: warmup, BaseFrameFlits: 32})
@@ -91,9 +103,7 @@ func TestGSFFramesRecycle(t *testing.T) {
 
 func TestGSFHotspotRegulation(t *testing.T) {
 	cfg := smallGSF()
-	mesh := cfg.Mesh()
-	hot := topo.NodeID(mesh.N() - 1)
-	p := traffic.Hotspot(mesh, hot, 0.5, cfg.PacketFlits, 32, 2, nil)
+	p := hotspot(t, cfg, 0.5)
 	net := mustNet(t, cfg, p, 5, 2000)
 	net.Run(20000)
 	var total float64
@@ -152,8 +162,7 @@ func TestGSFBarrierDelayMatters(t *testing.T) {
 func TestGSFSourceQueueDropsWhenFull(t *testing.T) {
 	cfg := smallGSF()
 	cfg.SourceQueue = 20
-	hot := topo.NodeID(cfg.Mesh().N() - 1)
-	p := traffic.Hotspot(cfg.Mesh(), hot, 0.9, cfg.PacketFlits, 32, 2, nil)
+	p := hotspot(t, cfg, 0.9)
 	net := mustNet(t, cfg, p, 17, 0)
 	net.Run(8000)
 	if net.Drops() == 0 {
@@ -168,8 +177,7 @@ func TestGSFFramePriorityHelpsOlderFrames(t *testing.T) {
 	// Under contention the network drains head-frame flits first, so the
 	// head frame keeps advancing even at full load.
 	cfg := smallGSF()
-	hot := topo.NodeID(cfg.Mesh().N() - 1)
-	p := traffic.Hotspot(cfg.Mesh(), hot, 0.5, cfg.PacketFlits, 32, 2, nil)
+	p := hotspot(t, cfg, 0.5)
 	net := mustNet(t, cfg, p, 19, 0)
 	net.Run(10000)
 	if net.Head() < 3 {
@@ -212,9 +220,7 @@ func TestBestEffortHasNoIsolation(t *testing.T) {
 	// take bandwidth from the victim beyond its share.
 	cfg := smallGSF()
 	cfg.BestEffort = true
-	mesh := cfg.Mesh()
-	hot := topo.NodeID(mesh.N() - 1)
-	p := traffic.Hotspot(mesh, hot, 0.5, cfg.PacketFlits, 32, 2, nil)
+	p := hotspot(t, cfg, 0.5)
 	net := mustNet(t, cfg, p, 7, 2000)
 	net.Run(15000)
 	var min, max float64 = 1, 0

@@ -4,15 +4,13 @@ import (
 	"testing"
 
 	"loft/internal/probe"
-	"loft/internal/topo"
 	"loft/internal/traffic"
 )
 
 func TestGSFProbeFrameRollAndThrottle(t *testing.T) {
 	cfg := smallGSF()
-	mesh := cfg.Mesh()
 	// A saturated hotspot exhausts frame windows, forcing source throttling.
-	p := traffic.Hotspot(mesh, topo.NodeID(mesh.N()-1), 0.9, cfg.PacketFlits, 32, 2, nil)
+	p := hotspot(t, cfg, 0.9)
 	pr := probe.New(probe.Config{SampleEvery: 64})
 	net, err := New(cfg, p, Options{Seed: 1, Warmup: 0, BaseFrameFlits: 32, Probe: pr})
 	if err != nil {

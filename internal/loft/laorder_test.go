@@ -59,8 +59,11 @@ func (r *refLA) scan(o topo.Dir, first int) []*laEnt {
 	var out []*laEnt
 	for i := 0; i < int(topo.NumDirs); i++ {
 		for _, vc := range r.vcs[(first+i)%int(topo.NumDirs)] {
-			for j := 0; j < vc.Len(); j++ {
-				if e := vc.At(j); e.outDir == o {
+			// A full rotation visits every flit and keeps the VC's order.
+			for k := vc.Len(); k > 0; k-- {
+				e, _ := vc.Pop()
+				vc.Push(e)
+				if e.outDir == o {
 					out = append(out, e)
 				}
 			}

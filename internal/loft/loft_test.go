@@ -21,6 +21,17 @@ func smallCfg(spec int) config.LOFT {
 	return cfg
 }
 
+// hotspot is every node of cfg's mesh sending to the last one at rate.
+func hotspot(t *testing.T, cfg config.LOFT, rate float64) *traffic.Pattern {
+	t.Helper()
+	m := cfg.Mesh()
+	p, err := traffic.Hotspot(m, topo.NodeID(m.N()-1), rate, cfg.PacketFlits, cfg.FrameFlits, cfg.QuantumFlits, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func mustNet(t *testing.T, cfg config.LOFT, p *traffic.Pattern, seed uint64, warmup uint64) *Network {
 	t.Helper()
 	net, err := New(cfg, p, Options{Seed: seed, Warmup: warmup})
@@ -87,13 +98,13 @@ func TestNewRejectsFramesBelowQuantum(t *testing.T) {
 // each reservation in quanta after the same round-up
 // (traffic.ReservedQuanta).
 func TestPatternValidateAgreesWithNew(t *testing.T) {
-	uniform := func(c config.LOFT) *traffic.Pattern {
+	uniform := func(_ *testing.T, c config.LOFT) *traffic.Pattern {
 		return traffic.Uniform(c.Mesh(), 0.1, c.PacketFlits, c.FrameFlits)
 	}
 	for _, tc := range []struct {
 		name    string
 		cfg     func() config.LOFT
-		pattern func(config.LOFT) *traffic.Pattern
+		pattern func(*testing.T, config.LOFT) *traffic.Pattern
 		wantErr string // error prefix; "" when both accept
 	}{
 		{"paper-uniform", config.PaperLOFT, uniform, ""},
@@ -106,8 +117,8 @@ func TestPatternValidateAgreesWithNew(t *testing.T) {
 			c.MeshK, c.QuantumFlits, c.FrameFlits, c.CentralBufFlits = 3, 4, 28, 28
 			return c
 		}, uniform, "traffic: ΣR=9 quanta exceeds frame size 7 quanta on link "},
-		{"oversubscribed-hotspot", config.PaperLOFT, func(c config.LOFT) *traffic.Pattern {
-			p := traffic.Hotspot(c.Mesh(), 63, 0.1, c.PacketFlits, c.FrameFlits, c.QuantumFlits, nil)
+		{"oversubscribed-hotspot", config.PaperLOFT, func(t *testing.T, c config.LOFT) *traffic.Pattern {
+			p := hotspot(t, c, 0.1)
 			p.Flows[0].Reservation = c.FrameFlits
 			return p
 		}, "traffic: ΣR="},
@@ -117,7 +128,7 @@ func TestPatternValidateAgreesWithNew(t *testing.T) {
 			if err := cfg.Validate(); err != nil {
 				t.Fatalf("config: %v", err)
 			}
-			p := tc.pattern(cfg)
+			p := tc.pattern(t, cfg)
 			validateErr := p.Validate(cfg.FrameFlits, cfg.QuantumFlits)
 			_, newErr := New(cfg, p, Options{Seed: 1})
 			if fmt.Sprint(validateErr) != fmt.Sprint(newErr) {
@@ -212,9 +223,7 @@ func TestSpeculationReducesLatency(t *testing.T) {
 
 func TestHotspotThroughputMatchesReservation(t *testing.T) {
 	cfg := smallCfg(8)
-	mesh := cfg.Mesh()
-	hot := topo.NodeID(mesh.N() - 1)
-	p := traffic.Hotspot(mesh, hot, 0.5, cfg.PacketFlits, cfg.FrameFlits, cfg.QuantumFlits, nil)
+	p := hotspot(t, cfg, 0.5)
 	net := mustNet(t, cfg, p, 5, 4000)
 	net.Run(20000)
 	// 15 flows share the hotspot ejection link; all inject far above their
@@ -272,9 +281,7 @@ func TestVerifiedBookkeeping(t *testing.T) {
 	verifyLSF = true
 	defer func() { verifyLSF = false }()
 	cfg := smallCfg(8)
-	mesh := cfg.Mesh()
-	hot := topo.NodeID(mesh.N() - 1)
-	p := traffic.Hotspot(mesh, hot, 0.5, cfg.PacketFlits, cfg.FrameFlits, cfg.QuantumFlits, nil)
+	p := hotspot(t, cfg, 0.5)
 	net := mustNet(t, cfg, p, 21, 0)
 	net.Run(6000)
 	if net.Throughput().TotalFlits() == 0 {
@@ -300,16 +307,14 @@ func TestYieldConditionRuns(t *testing.T) {
 // bound, keeping measured latency finite.
 func TestNIDropsUnderOverload(t *testing.T) {
 	cfg := smallCfg(8)
-	mesh := cfg.Mesh()
-	hot := topo.NodeID(mesh.N() - 1)
-	p := traffic.Hotspot(mesh, hot, 0.9, cfg.PacketFlits, cfg.FrameFlits, cfg.QuantumFlits, nil)
+	p := hotspot(t, cfg, 0.9)
 	net := mustNet(t, cfg, p, 17, 1000)
 	net.Run(10000)
 	s := net.TotalStats()
 	if s.Drops == 0 {
 		t.Fatal("no drops at 0.9 offered into a saturated hotspot")
 	}
-	if net.Backlog() > mesh.N()*cfg.NIQueueFlits/cfg.QuantumFlits {
+	if net.Backlog() > cfg.Mesh().N()*cfg.NIQueueFlits/cfg.QuantumFlits {
 		t.Fatalf("backlog %d exceeds the NI queue bound", net.Backlog())
 	}
 }

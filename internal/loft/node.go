@@ -782,8 +782,5 @@ func (n *Node) InjectTableFault(d topo.Dir, f lsf.Fault) {
 	}
 }
 
-// ID returns the node id.
-func (n *Node) ID() topo.NodeID { return n.id }
-
 // Backlog returns the number of quanta waiting in the NI (source backlog).
 func (n *Node) Backlog() int { return n.ni.backlog() }

@@ -69,8 +69,8 @@ type Params struct {
 	// see conditionOne). Safety never depends on it — the constructive
 	// Theorem I check in trySchedule always applies — and it penalizes
 	// flows whose quanta arrive with late earliest-departure constraints
-	// (long congested paths), so it defaults to off; the ablation
-	// benchmarks exercise it.
+	// (long congested paths), so it defaults to off; the yield study of
+	// exp.Ablations runs it.
 	Yield bool
 }
 

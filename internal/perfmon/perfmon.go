@@ -140,9 +140,6 @@ func New(cfg Config) *Monitor {
 	return &Monitor{base: time.Now(), every: every}
 }
 
-// SampleEvery returns the sampling period in cycles.
-func (m *Monitor) SampleEvery() uint64 { return m.every }
-
 // SetWorkers records the effective node-worker count for the snapshot's
 // host context (networks call it when they select the parallel engine; a
 // monitor that never hears of one reports 0, sequential).

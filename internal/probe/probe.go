@@ -373,9 +373,6 @@ func New(cfg Config) *Probe {
 	}
 }
 
-// Enabled reports whether the probe is collecting.
-func (p *Probe) Enabled() bool { return p != nil }
-
 // Emit records one event (no-op when disabled). Serial-only: compute-phase
 // code goes through a Stage instead.
 func (p *Probe) Emit(cycle uint64, k Kind, node, loc, flow int32, arg uint64) {

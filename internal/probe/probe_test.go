@@ -31,9 +31,6 @@ func TestTracerRingWrap(t *testing.T) {
 
 func TestNilProbeIsInert(t *testing.T) {
 	var p *Probe
-	if p.Enabled() {
-		t.Fatal("nil probe reports enabled")
-	}
 	// Every call on the nil probe must be a safe no-op.
 	p.Emit(1, KindReserveGrant, 0, 0, 0, 0)
 	p.MaybeSample(0)

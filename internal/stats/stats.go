@@ -33,13 +33,8 @@ type Latency struct {
 // that share the same experiment seed.
 const latencyStream = 0x10a7e9c1
 
-// NewLatency returns a collector that ignores packets created before warmup,
-// with a fixed reservoir seed. Prefer NewLatencySeeded inside simulations so
-// the reservoir follows the run seed.
-func NewLatency(warmup uint64) *Latency { return NewLatencySeeded(warmup, 0) }
-
-// NewLatencySeeded returns a collector whose percentile reservoir is driven
-// by the given run seed.
+// NewLatencySeeded returns a collector that ignores packets created before
+// warmup, its percentile reservoir driven by the given run seed.
 func NewLatencySeeded(warmup, seed uint64) *Latency {
 	return &Latency{
 		warmup:  warmup,

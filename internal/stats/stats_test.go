@@ -8,7 +8,7 @@ import (
 )
 
 func TestLatencyBasics(t *testing.T) {
-	l := NewLatency(100)
+	l := NewLatencySeeded(100, 0)
 	l.Observe(50, 90) // before warmup: ignored
 	l.Observe(100, 110)
 	l.Observe(200, 240)
@@ -24,7 +24,7 @@ func TestLatencyBasics(t *testing.T) {
 }
 
 func TestLatencyPercentile(t *testing.T) {
-	l := NewLatency(0)
+	l := NewLatencySeeded(0, 0)
 	for i := uint64(1); i <= 100; i++ {
 		l.Observe(0, i)
 	}
@@ -34,7 +34,7 @@ func TestLatencyPercentile(t *testing.T) {
 	if p := l.Percentile(99); p != 99 {
 		t.Fatalf("p99 = %f", p)
 	}
-	empty := NewLatency(0)
+	empty := NewLatencySeeded(0, 0)
 	if empty.Percentile(99) != 0 {
 		t.Fatal("empty percentile should be 0")
 	}

@@ -141,12 +141,9 @@ func (l Link) Less(m Link) bool {
 
 // InjectionLink returns the link from node n's network interface into its
 // router (modeled as a link so it can carry an output scheduler like any
-// other). It is distinguished from ejection by direction Local on the NI
-// side; callers use the helper constructors below to avoid ambiguity.
+// other). Its direction is NumDirs, so it is never confused with the
+// router-to-sink ejection link, direction Local.
 func InjectionLink(n NodeID) Link { return Link{From: n, D: NumDirs} }
-
-// EjectionLink returns node n's router-to-sink link.
-func EjectionLink(n NodeID) Link { return Link{From: n, D: Local} }
 
 // RenderHeatmap renders per-link utilization over the mesh as an ASCII
 // grid: each node shows its East (right) and South (below) link loads as

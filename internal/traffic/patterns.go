@@ -33,8 +33,9 @@ func Uniform(m topo.Mesh, rate float64, pktFlits, frameFlits int) *Pattern {
 // relative reservation weight for a source node (Fig. 10's partitions);
 // reservations are computed in quantum units (quantumFlits data flits each)
 // and scaled so that ΣR ≤ F holds on the hotspot's ejection link, the most
-// contended link in the pattern.
-func Hotspot(m topo.Mesh, hotspot topo.NodeID, rate float64, pktFlits, frameFlits, quantumFlits int, weight func(src topo.NodeID) int) *Pattern {
+// contended link in the pattern. It returns an error when even one quantum
+// per flow overflows the frame.
+func Hotspot(m topo.Mesh, hotspot topo.NodeID, rate float64, pktFlits, frameFlits, quantumFlits int, weight func(src topo.NodeID) int) (*Pattern, error) {
 	if weight == nil {
 		weight = func(topo.NodeID) int { return 1 }
 	}
@@ -67,9 +68,9 @@ func Hotspot(m topo.Mesh, hotspot topo.NodeID, rate float64, pktFlits, frameFlit
 		id++
 	}
 	if err := p.Validate(frameFlits, quantumFlits); err != nil {
-		panic(fmt.Sprintf("traffic: hotspot weights overflow frame: %v", err))
+		return nil, fmt.Errorf("traffic: hotspot weights overflow frame: %w", err)
 	}
-	return p
+	return p, nil
 }
 
 // QuadrantWeight partitions the mesh into four quadrants with the given
@@ -209,7 +210,7 @@ func NearestNeighbor(m topo.Mesh, rate float64, pktFlits, frameFlits int) *Patte
 }
 
 // Transpose returns the transpose permutation pattern ((x,y) → (y,x)),
-// a classic adversarial pattern for XY routing used by extension benches.
+// a classic adversarial pattern for XY routing (loftsim -pattern transpose).
 func Transpose(m topo.Mesh, rate float64, pktFlits, frameFlits int) *Pattern {
 	p := &Pattern{
 		Name:        "transpose",
@@ -255,8 +256,8 @@ func SingleFlow(m topo.Mesh, src, dst topo.NodeID, rate float64, pktFlits, frame
 // between bursts at full packet rate and idle gaps, with the given mean
 // burst and gap lengths (cycles). The frame window's purpose (§3.1: "allows
 // bursty flows to utilize excess bandwidth by providing multiple on-the-fly
-// frames") is exercised by this pattern; used by extension tests and
-// benches.
+// frames") is exercised by this pattern; the bursty study of
+// exp.Ablations runs it.
 func Bursty(m topo.Mesh, src, dst topo.NodeID, burst, gap int, pktFlits, frameFlits int) *Pattern {
 	p := SingleFlow(m, src, dst, 0, pktFlits, frameFlits)
 	p.Name = "bursty"

@@ -151,8 +151,8 @@ func linkSet(m topo.Mesh, f flit.Flow) []topo.Link {
 }
 
 // SyntheticTrace generates a reproducible random trace (used by tests,
-// examples and benches as a stand-in for captured workloads): n packets
-// over the given cycle horizon with uniform random endpoints.
+// examples and loftsim -gentrace as a stand-in for captured workloads): n
+// packets over the given cycle horizon with uniform random endpoints.
 func SyntheticTrace(m topo.Mesh, n int, horizon uint64, pktFlits int, seed uint64) []TraceEvent {
 	rng := sim.NewRNG(sim.SeedFor(seed, 0))
 	events := make([]TraceEvent, 0, n)

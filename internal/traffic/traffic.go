@@ -65,18 +65,6 @@ func (p *Pattern) SetRate(rate float64) {
 	}
 }
 
-// SetFlowRate overrides the offered load of one flow's generator.
-func (p *Pattern) SetFlowRate(id flit.FlowID, rate float64) {
-	for n, gens := range p.Gens {
-		for i := range gens {
-			if gens[i].Flow == id {
-				gens[i].Rate = rate
-			}
-		}
-		p.Gens[n] = gens
-	}
-}
-
 // LinkFlows returns, for every link, the flows whose reservations are
 // installed on it, in flow order. For path-based patterns these are the
 // XY-path links of each flow plus its injection link; for AllLinks patterns

@@ -28,7 +28,10 @@ func TestUniformPattern(t *testing.T) {
 
 func TestHotspotEqualReservations(t *testing.T) {
 	m := topo.NewMesh(8)
-	p := Hotspot(m, 63, 0.5, 4, 256, 2, nil)
+	p, err := Hotspot(m, 63, 0.5, 4, 256, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(p.Flows) != 63 {
 		t.Fatalf("flows = %d", len(p.Flows))
 	}
@@ -47,9 +50,39 @@ func TestHotspotEqualReservations(t *testing.T) {
 	}
 }
 
+// TestHotspotAdmission checks that Hotspot returns its pattern when the
+// frame holds one quantum per flow on the hotspot's ejection link, and an
+// error, not a panic, when it does not.
+func TestHotspotAdmission(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		k                   int
+		hot                 topo.NodeID
+		frame, quantumFlits int
+		wantErr             string // "" when accepted
+	}{
+		{"paper-8x8", 8, 63, 256, 2, ""},
+		{"4x4-inner-hotspot", 4, 5, 32, 2, ""},
+		{"5x5-24-flows-16-quanta", 5, 24, 32, 2, "traffic: hotspot weights overflow frame: traffic: ΣR=20 quanta exceeds frame size 16 quanta on link 19.S"},
+	} {
+		p, err := Hotspot(topo.NewMesh(tc.k), tc.hot, 0.1, 4, tc.frame, tc.quantumFlits, nil)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.wantErr == "" && len(p.Flows) != tc.k*tc.k-1:
+			t.Errorf("%s: %d flows, want %d", tc.name, len(p.Flows), tc.k*tc.k-1)
+		case tc.wantErr != "" && (err == nil || err.Error() != tc.wantErr):
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
 func TestHotspotWeightedReservations(t *testing.T) {
 	m := topo.NewMesh(8)
-	p := Hotspot(m, 63, 0.5, 4, 256, 2, QuadrantWeight(m, [4]int{3, 2, 2, 1}))
+	p, err := Hotspot(m, 63, 0.5, 4, 256, 2, QuadrantWeight(m, [4]int{3, 2, 2, 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := p.Validate(256, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -173,24 +206,12 @@ func TestInjectorSequenceNumbers(t *testing.T) {
 	}
 }
 
-func TestSetFlowRate(t *testing.T) {
-	m := topo.NewMesh(8)
-	p := CaseStudyI(m, 0.2, 0.1, 4, 256)
-	p.SetFlowRate(CaseStudyIAggressor1, 0.7)
-	found := false
-	for _, g := range p.Gens[48] {
-		if g.Flow == CaseStudyIAggressor1 && g.Rate == 0.7 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("SetFlowRate did not update the generator")
-	}
-}
-
 func TestValidateRejectsOversubscription(t *testing.T) {
 	m := topo.NewMesh(8)
-	p := Hotspot(m, 63, 0.5, 4, 256, 2, nil)
+	p, err := Hotspot(m, 63, 0.5, 4, 256, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Inflate one reservation to break ΣR ≤ F on the ejection link.
 	p.Flows[0].Reservation = 256
 	if err := p.Validate(256, 2); err == nil {
@@ -214,7 +235,10 @@ func TestNearestNeighborAndTranspose(t *testing.T) {
 
 func TestFlowIDsAreDense(t *testing.T) {
 	m := topo.NewMesh(8)
-	p := Hotspot(m, 63, 0.5, 4, 256, 2, nil)
+	p, err := Hotspot(m, 63, 0.5, 4, 256, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, f := range p.Flows {
 		if f.ID != flit.FlowID(i) {
 			t.Fatalf("flow ids not dense at %d", i)
@@ -288,9 +312,13 @@ func TestLinkFlowsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hot, err := Hotspot(m, 5, 0.3, 4, 32, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []*Pattern{
 		Uniform(m, 0.3, 4, 32),
-		Hotspot(m, 5, 0.3, 4, 32, 2, nil),
+		hot,
 		CaseStudyI(topo.NewMesh(8), 0.1, 0.5, 4, 256),
 		CaseStudyII(topo.NewMesh(8), 0.5, 4, 256),
 		NearestNeighbor(m, 0.2, 4, 32),

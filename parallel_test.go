@@ -16,6 +16,7 @@ import (
 	"loft/internal/perfmon"
 	"loft/internal/probe"
 	"loft/internal/sim"
+	"loft/internal/traffic"
 )
 
 // steadyNet is what TestSteadyStateZeroAlloc drives: either architecture's
@@ -59,6 +60,11 @@ func requireParallel(t *testing.T, h *netsim.Harness) {
 	if engine != reflect.TypeOf((*sim.ParallelKernel)(nil)) {
 		t.Fatalf("engine is %v, want *sim.ParallelKernel", engine)
 	}
+}
+
+// trafficUniform is the paper's uniform pattern on cfg's mesh at rate.
+func trafficUniform(cfg config.LOFT, rate float64) *traffic.Pattern {
+	return traffic.Uniform(cfg.Mesh(), rate, cfg.PacketFlits, cfg.FrameFlits)
 }
 
 // zeroAllocRows cover every path the steady state must run without
