@@ -110,6 +110,13 @@ func hotspot(rate float64) func(config.LOFT) *traffic.Pattern {
 // or its rescan when a credit return lifts that slot. Hotspot traffic at 0.1
 // without speculative buffering overloads the hotspot's links: about one
 // booking in ten leaves a zero-credit slot behind it.
+//
+// Three rows run nearly idle: hotspot traffic at 0.002, long enough that a
+// node's quiet stretches span many frame windows (WT = 256 slots, 512
+// cycles). With local status resets (spec 12) a table is often reset-due
+// when its node falls quiet; without them (spec 0) dirty tables carry live
+// flows across frame edge after frame edge. Every LOFT row also pins the
+// end-of-run state of every reservation table as <row>/tables.
 var goldenCases = []goldenCase{
 	{"loft-uniform-0.05", ArchLOFT, 12, uniform(0.05), 500, 2500, nil, nil},
 	{"loft-uniform-0.6", ArchLOFT, 12, uniform(0.6), 300, 1200, nil, nil},
@@ -130,6 +137,9 @@ var goldenCases = []goldenCase{
 	{"loft-la4x1-s1-0.3", ArchLOFT, 12, uniform(0.3), 300, 1200, func(c *config.LOFT) { c.LAVirtualChannels, c.LAVCDepth, c.LAStages = 4, 1, 1 }, nil},
 	{"loft-q1-s1-0.3", ArchLOFT, 12, uniform(0.3), 300, 1200, func(c *config.LOFT) { c.QuantumFlits, c.LAStages = 1, 1 }, nil},
 	{"loft-spec0-hotspot-0.1", ArchLOFT, 0, hotspot(0.1), 500, 3000, nil, nil},
+	{"loft-hotspot-0.002", ArchLOFT, 12, hotspot(0.002), 500, 6000, nil, nil},
+	{"loft-spec0-hotspot-0.002", ArchLOFT, 0, hotspot(0.002), 500, 6000, nil, nil},
+	{"gsf-hotspot-0.002", ArchGSF, 12, hotspot(0.002), 500, 6000, nil, nil},
 }
 
 // goldenChaosPlan arms every fault kind inside the observed run's horizon.
@@ -151,21 +161,61 @@ credit-stall node=12 dir=eject  from=500 to=560
 `
 
 // runAny runs either architecture the way every CLI does and returns the
-// result plus the architecture's own end-of-run counters. A GSF run uses
+// result plus the architecture's own end-of-run counters and, for LOFT, the
+// end-of-run state of every reservation table (nil for GSF). A GSF run uses
 // gcfg; its reservations are scaled from lcfg's frame.
-func runAny(arch Arch, lcfg config.LOFT, gcfg config.GSF, p *traffic.Pattern, spec RunSpec) (Result, any, error) {
+func runAny(arch Arch, lcfg config.LOFT, gcfg config.GSF, p *traffic.Pattern, spec RunSpec) (Result, any, []tableState, error) {
 	if arch == ArchGSF {
 		res, net, err := RunGSF(gcfg, p, lcfg.FrameFlits, spec)
 		if err != nil {
-			return res, nil, err
+			return res, nil, nil, err
 		}
-		return res, gsfCounters(net), nil
+		return res, gsfCounters(net), nil, nil
 	}
 	res, net, err := RunLOFT(lcfg, p, spec)
 	if err != nil {
-		return res, nil, err
+		return res, nil, nil, err
 	}
-	return res, loftCounters(net), nil
+	return res, loftCounters(net), tableStates(net, lcfg, p), nil
+}
+
+// tableState is what a <row>/tables digest covers of one reservation table:
+// its clock, its credit window, its skipped counters and the (IF, C, R) of
+// every flow registered on it. A table whose time lagged behind the network
+// after Run would show here even when every counter agrees.
+type tableState struct {
+	Name     string
+	Now      uint64
+	HF       int
+	Version  uint64
+	Credits  []int
+	Skipped  []int
+	FlowIFCR [][4]int
+}
+
+// tableStates reads every table of every node, injection and ejection links
+// included, in node and port order.
+func tableStates(net *loft.Network, lcfg config.LOFT, p *traffic.Pattern) []tableState {
+	var out []tableState
+	for i := 0; i < lcfg.Mesh().N(); i++ {
+		for d := topo.Dir(0); d <= topo.NumDirs; d++ {
+			t := net.Node(topo.NodeID(i)).Table(d)
+			if t == nil {
+				continue
+			}
+			st := tableState{Name: t.Name(), Now: t.NowSlot(), HF: t.HeadFrame(), Version: t.Version(), Credits: t.AppendCredits(nil)}
+			for f := 0; f < lcfg.FrameWindow; f++ {
+				st.Skipped = append(st.Skipped, t.Skipped(f))
+			}
+			for _, fl := range p.Flows {
+				if ifr, c, r, ok := t.FlowState(fl.ID); ok {
+					st.FlowIFCR = append(st.FlowIFCR, [4]int{int(fl.ID), ifr, c, r})
+				}
+			}
+			out = append(out, st)
+		}
+	}
+	return out
 }
 
 func loftCounters(net *loft.Network) any {
@@ -286,14 +336,18 @@ func TestGolden(t *testing.T) {
 						if c.gsf != nil {
 							gcfg = c.gsf()
 						}
-						res, counters, err := runAny(c.arch, lcfg, gcfg, c.pattern(lcfg), RunSpec{Seed: seed, Warmup: c.warmup, Measure: c.measure, Workers: workers})
+						res, counters, tables, err := runAny(c.arch, lcfg, gcfg, c.pattern(lcfg), RunSpec{Seed: seed, Warmup: c.warmup, Measure: c.measure, Workers: workers})
 						if err != nil {
 							t.Fatal(err)
 						}
 						if res.Packets == 0 {
 							t.Fatal("no packets measured")
 						}
-						g.check(t, fmt.Sprintf("%s/seed%d", c.name, seed), digest(t, runDigest{res, counters}))
+						key := fmt.Sprintf("%s/seed%d", c.name, seed)
+						g.check(t, key, digest(t, runDigest{res, counters}))
+						if tables != nil {
+							g.check(t, key+"/tables", digest(t, tables))
+						}
 					})
 				}
 			}
@@ -423,7 +477,8 @@ var observedCases = []observedCase{
 func runObserved(c observedCase, lcfg config.LOFT, spec RunSpec) (Result, any, error) {
 	p := c.pattern(lcfg)
 	if c.prepare == nil {
-		return runAny(c.arch, lcfg, config.PaperGSF(), p, spec)
+		res, counters, _, err := runAny(c.arch, lcfg, config.PaperGSF(), p, spec)
+		return res, counters, err
 	}
 	if c.arch == ArchGSF {
 		net, err := gsf.New(config.PaperGSF(), p, gsf.Options{Seed: spec.Seed, Warmup: spec.Warmup, BaseFrameFlits: lcfg.FrameFlits, Probe: spec.Probe, Audit: spec.Audit, Workers: spec.Workers, Perf: spec.Perf, Fault: spec.Fault})

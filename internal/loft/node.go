@@ -782,5 +782,10 @@ func (n *Node) InjectTableFault(d topo.Dir, f lsf.Fault) {
 	}
 }
 
+// Table returns output d's reservation table: a mesh output, the ejection
+// link (topo.Local) or the injection link (topo.NumDirs); nil for a missing
+// table (mesh edge). Tests and diagnostics read it between runs.
+func (n *Node) Table(d topo.Dir) *lsf.Table { return n.outTables[d] }
+
 // Backlog returns the number of quanta waiting in the NI (source backlog).
 func (n *Node) Backlog() int { return n.ni.backlog() }
