@@ -286,6 +286,10 @@ func (t *Table) emit(k probe.Kind, flow int32, seq, arg uint64) {
 	}
 }
 
+// Observed reports whether a probe stage or an audit sink is attached: then
+// every Tick may stage records, and Advance ticks one slot at a time.
+func (t *Table) Observed() bool { return t.probe != nil || t.aud != nil }
+
 // Stats returns a snapshot of the event counters.
 func (t *Table) Stats() Stats { return t.stats }
 
@@ -463,10 +467,15 @@ func (t *Table) Tick() {
 		t.base += int(t.delta[p])
 		t.step(p, 0)
 	}
-	if t.cp < (t.hf+1)*t.p.SlotsPerFrame {
-		return
+	if t.cp == (t.hf+1)*t.p.SlotsPerFrame {
+		t.frameEdge()
 	}
-	// CP crossed a frame edge: the head frame advances.
+}
+
+// frameEdge advances the head frame once CP has reached the end of it:
+// flows stuck at the old head frame move on with replenished reservations
+// and the recycled frame's skipped counter resets.
+func (t *Table) frameEdge() {
 	oldHF := t.hf
 	t.hf++
 	if t.cp == t.wt {
@@ -482,6 +491,61 @@ func (t *Table) Tick() {
 	t.emit(probe.KindFrameRecycle, -1, 0, uint64(t.hf))
 	if t.aud != nil {
 		t.aud.AuditRecycle(oldHF)
+	}
+}
+
+// Advance is exactly k Ticks. A table with a busy slot, or with a probe or
+// audit sink attached (each Tick may stage records), ticks k times. Any
+// other table moves arithmetically, in O(breakpoints + frame edges): no slot
+// expires busy, the window end keeps its credit, and the steps of the k
+// slots that became current fold into base. Once WF frame edges have passed,
+// every live flow sits at the head frame with C = R and every skipped
+// counter is zero, so each further whole turn of the ring returns the table
+// to the same state and is skipped.
+func (t *Table) Advance(k uint64) {
+	if t.busyCount != 0 || t.Observed() {
+		for ; k > 0; k-- {
+			t.Tick()
+		}
+		return
+	}
+	if k == 0 {
+		return
+	}
+	t.version += k
+	t.now += k
+	wt := uint64(t.wt)
+	switch {
+	case t.end == 0:
+		t.lastZero = t.wt - 1
+	case uint64(t.lastZero+1) <= k:
+		t.lastZero = -1
+	default:
+		t.lastZero -= int(k)
+	}
+	if k >= wt {
+		t.base = t.end
+		t.clearSteps()
+	} else {
+		for b := t.nextBreak(0); b <= int(k) && b < t.wt; b = t.nextBreak(b) {
+			p := t.at(b)
+			t.base += int(t.delta[p])
+			t.step(p, 0)
+		}
+	}
+	F := uint64(t.p.SlotsPerFrame)
+	for edges := 0; ; {
+		toEdge := uint64(t.hf+1)*F - uint64(t.cp)
+		if k < toEdge {
+			t.cp += int(k)
+			return
+		}
+		k -= toEdge
+		t.cp += int(toEdge)
+		t.frameEdge()
+		if edges++; edges == t.p.Frames {
+			k %= wt
+		}
 	}
 }
 
@@ -826,12 +890,7 @@ func (t *Table) Outstanding() int { return t.outstanding }
 func (t *Table) Reset() {
 	t.cp, t.hf = 0, 0
 	t.base, t.end = t.p.BufferQuanta, t.p.BufferQuanta
-	for w, m := range t.bp {
-		for ; m != 0; m &= m - 1 {
-			t.delta[w<<6+bits.TrailingZeros64(m)] = 0
-		}
-		t.bp[w] = 0
-	}
+	t.clearSteps()
 	clear(t.busy)
 	clear(t.skipped)
 	for i := t.live; i >= 0; i = t.flows[i].next {
@@ -847,6 +906,16 @@ func (t *Table) Reset() {
 	t.emit(probe.KindLocalReset, -1, 0, 0)
 	if t.aud != nil {
 		t.aud.AuditReset()
+	}
+}
+
+// clearSteps zeroes every credit step, visiting only the breakpoints.
+func (t *Table) clearSteps() {
+	for w, m := range t.bp {
+		for ; m != 0; m &= m - 1 {
+			t.delta[w<<6+bits.TrailingZeros64(m)] = 0
+		}
+		t.bp[w] = 0
 	}
 }
 

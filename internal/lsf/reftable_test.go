@@ -567,18 +567,22 @@ func recovered(f func()) (v any) {
 }
 
 // lockStep drives a Table and the reference through the same operations —
-// AddFlow, Request, Tick, ReturnCredit, ClearBusy and Reset, plus the
-// misuses that must panic — and returns the first divergence: in an
+// AddFlow, Request, Tick, Advance, ReturnCredit, ClearBusy and Reset, plus
+// the misuses that must panic — and returns the first divergence: in an
 // operation's results, in whether it panicked, in whether Version() moved,
-// in the probe records and audit calls it made, or in any observable
-// afterwards. A run ends at the first operation both sides panic on.
-func lockStep(cfg uint8, ops []tableOp) error {
+// in the probe records and audit calls it made (when sinks attaches a probe
+// stage and an audit sink to the Table), or in any observable afterwards. A
+// run ends at the first operation both sides panic on. Without sinks the
+// Table's Advance takes its arithmetic path whenever no slot is busy.
+func lockStep(cfg uint8, sinks bool, ops []tableOp) error {
 	p, fault, _ := lockStepConfig(cfg)
 	tb := NewTable("lockstep", p)
 	tb.InjectFault(fault)
 	tl := &tableLog{stage: probe.NewStage(probe.TracedKinds)}
-	tb.SetProbe(&tl.stage, refNode, refLink, refSlotCycles)
-	tb.SetAudit(tl)
+	if sinks {
+		tb.SetProbe(&tl.stage, refNode, refLink, refSlotCycles)
+		tb.SetAudit(tl)
+	}
 	ref := newRefTable(p, fault)
 	F, wt := p.SlotsPerFrame, ref.wt
 
@@ -602,7 +606,7 @@ func lockStep(cfg uint8, ops []tableOp) error {
 			return fmt.Errorf("step %d %s: table returned %v, reference %v", step, name, got, want)
 		case (tb.Version() != v) != (ref.version != rv):
 			return fmt.Errorf("step %d %s: Version() moved %v, reference %v", step, name, tb.Version() != v, ref.version != rv)
-		case !slices.Equal(tl.log, ref.log):
+		case sinks && !slices.Equal(tl.log, ref.log):
 			return fmt.Errorf("step %d %s: emitted\n\t%q\nreference\n\t%q", step, name, tl.log, ref.log)
 		}
 		tl.log, ref.log = tl.log[:0], ref.log[:0]
@@ -631,6 +635,14 @@ func lockStep(cfg uint8, ops []tableOp) error {
 	}
 	tick := func() error {
 		return do("Tick()", func() any { tb.Tick(); return nil }, func() any { ref.tick(); return nil })
+	}
+	advance := func(k uint64) error {
+		return do(fmt.Sprintf("Advance(%d)", k), func() any { tb.Advance(k); return nil }, func() any {
+			for i := uint64(0); i < k; i++ {
+				ref.tick()
+			}
+			return nil
+		})
 	}
 	returnCredit := func(tag uint64) error {
 		if len(inflight) > 0 {
@@ -669,6 +681,8 @@ func lockStep(cfg uint8, ops []tableOp) error {
 				minSlot := ref.now + uint64(int(op.B)%(wt/2+2))
 				err = request(fl.id, minSlot)
 			}
+		case k < 9 && op.A%4 == 0: // a long gap: up to 3·WT slots at once
+			err = advance((uint64(op.A)<<6 | uint64(op.B)) % uint64(3*wt+1))
 		case k < 9: // time passes
 			for i := 0; i <= int(op.B)%max(2, wt/6) && err == nil; i++ {
 				err = tick()
@@ -724,45 +738,78 @@ var errStop = errors.New("both panicked")
 // TestLockStepReference drives the Table and refTable through random
 // operation sequences for every shape, in strict and clamping mode, with the
 // yield condition on and off, under each Fault at BN = F and BN = F+2, and
-// unfaulted at BN = 4·F and 4·F+2.
+// unfaulted at BN = 4·F and 4·F+2; each with the probe and audit sinks
+// attached and without them (four runs each: quick.Check draws new runs
+// every time the test runs).
 func TestLockStepReference(t *testing.T) {
 	for cfg := 0; cfg < 256; cfg++ {
 		if cfg&7 >= len(lockStepShapes) {
 			continue // duplicate encodings
 		}
 		_, _, name := lockStepConfig(uint8(cfg))
-		t.Run(name, func(t *testing.T) {
-			check := func(ops tableOps) bool {
-				if err := lockStep(uint8(cfg), ops); err != nil {
-					t.Log(err)
-					return false
+		for _, sinks := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/sinks=%v", name, sinks), func(t *testing.T) {
+				check := func(ops tableOps) bool {
+					if err := lockStep(uint8(cfg), sinks, ops); err != nil {
+						t.Log(err)
+						return false
+					}
+					return true
 				}
-				return true
-			}
-			if err := quick.Check(check, &quick.Config{MaxCount: 8}); err != nil {
-				t.Fatal(err)
-			}
-		})
+				if err := quick.Check(check, &quick.Config{MaxCount: 4}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 
+// longGapOps is a run that leaves a table idle with live flows and then lets
+// long gaps pass: flows 0 and 3 book, their quanta leave and their credits
+// return, so every slot is free again while both flows are still live, and
+// Advance ops of 0 to 3·WT slots follow, with a request between each pair
+// so the flows keep changing frames. ClearBusy and ReturnCredit pick their
+// targets from the reference's state, so the run holds for every shape.
+func longGapOps(rnd *rand.Rand) tableOps {
+	var ops tableOps
+	gap := func() tableOp { return tableOp{6, uint8(rnd.Intn(64)) * 4, uint8(rnd.Intn(256))} }
+	for i := 0; i < 4; i++ {
+		ops = append(ops,
+			tableOp{0, uint8(rnd.Intn(2)) * 66, uint8(rnd.Intn(8))},   // flow 0 requests once or twice
+			tableOp{1, 1 + uint8(rnd.Intn(2))*66, uint8(rnd.Intn(8))}, // flow 3 requests once or twice
+			gap(), gap(),
+			tableOp{12, 0, 0}, tableOp{12, 0, 0}, tableOp{12, 0, 0}, // booked quanta leave
+			tableOp{9, 0, uint8(rnd.Intn(4))}, tableOp{9, 0, 0}, tableOp{9, 0, 0}, // onward credits return
+			gap(), gap(), gap(),
+		)
+		if rnd.Intn(3) == 0 {
+			ops = append(ops, tableOp{15, uint8(rnd.Intn(8)), 0}) // a reset
+		}
+	}
+	return ops
+}
+
 // FuzzTableOps runs the lock-step body on arbitrary bytes: the first is the
-// configuration (lockStepConfig), every following three an operation. The
-// seed corpus holds one generated run per quick-check configuration.
+// configuration (lockStepConfig), the second's low bit attaches the sinks,
+// every following three an operation. The seed corpus holds, per
+// quick-check configuration, one generated run and one long-gap run
+// (longGapOps), one with the sinks and one without, alternating.
 func FuzzTableOps(f *testing.F) {
 	rnd := rand.New(rand.NewSource(1))
 	for cfg := 0; cfg < 256; cfg++ {
 		if cfg&7 >= len(lockStepShapes) {
 			continue
 		}
+		sinks := byte(cfg>>3) & 1
 		ops := tableOps{}.Generate(rnd, 40).Interface().(tableOps)
-		f.Add(append([]byte{byte(cfg)}, encodeOps(ops)...))
+		f.Add(append([]byte{byte(cfg), sinks}, encodeOps(ops)...))
+		f.Add(append([]byte{byte(cfg), sinks ^ 1}, encodeOps(longGapOps(rnd))...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
+		if len(data) < 2 {
 			return
 		}
-		if err := lockStep(data[0], decodeOps(data[1:])); err != nil {
+		if err := lockStep(data[0], data[1]&1 != 0, decodeOps(data[2:])); err != nil {
 			t.Fatal(err)
 		}
 	})
