@@ -142,6 +142,11 @@ var goldenCases = []goldenCase{
 	{"gsf-hotspot-0.002", ArchGSF, 12, hotspot(0.002), 500, 6000, nil, nil},
 }
 
+// nearlyIdleRows also run under four workers: their nodes spend most cycles
+// on the quiet path, reading their neighbours' link activity stamps, and
+// four shards put more of those reads across a shard boundary.
+var nearlyIdleRows = map[string]bool{"loft-hotspot-0.002": true, "loft-spec0-hotspot-0.002": true, "gsf-hotspot-0.002": true}
+
 // goldenChaosPlan arms every fault kind inside the observed run's horizon.
 const goldenChaosPlan = `
 link-down    node=7  dir=south from=300 to=400
@@ -324,8 +329,12 @@ func TestGolden(t *testing.T) {
 	// The group returns once its parallel subtests have all finished.
 	t.Run("runs", func(t *testing.T) {
 		for _, c := range goldenCases {
+			workerCounts := []int{1, 2}
+			if nearlyIdleRows[c.name] {
+				workerCounts = append(workerCounts, 4)
+			}
 			for _, seed := range []uint64{1, 2} {
-				for _, workers := range []int{1, 2} {
+				for _, workers := range workerCounts {
 					t.Run(fmt.Sprintf("%s/seed%d/workers%d", c.name, seed, workers), func(t *testing.T) {
 						t.Parallel()
 						lcfg := config.PaperLOFTSpec(c.spec)

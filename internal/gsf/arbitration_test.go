@@ -255,7 +255,7 @@ func stepChecked(net *Network, now uint64) error {
 		for _, pkt := range n.inj.Next(now) {
 			n.enqueue(pkt)
 		}
-		n.drain(now)
+		n.drain(now, n.slot.Arrivals(now))
 		ref := cloneArb(n)
 		wantAlloc := ref.allocateVCs(now)
 		wantSwitch := ref.switchFlits(now)
@@ -285,12 +285,7 @@ func stepChecked(net *Network, now uint64) error {
 		}
 
 		n.inject(now)
-		for d := 0; d < 4; d++ {
-			if n.pendCredSet[d] {
-				n.credOut[d].Write(now, n.pendCred[d])
-				n.pendCredSet[d] = false
-			}
-		}
+		n.flush(now)
 	}
 	for _, n := range net.nodes {
 		n.obs.Drain()

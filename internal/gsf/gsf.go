@@ -108,6 +108,8 @@ type node struct {
 	srcQueue *buffers.FIFO[flit.Flit]
 	flows    map[flit.FlowID]*flowState
 	injVC    int // local input VC currently carrying the injected packet
+	// held counts the flits in every input VC.
+	held int
 
 	flitOut [4]*sim.Reg[linkMsg]
 	flitIn  [4]*sim.Reg[linkMsg]
@@ -127,6 +129,12 @@ type node struct {
 	inj  *traffic.Injector
 	obs  *probe.Stage
 	perf *perfmon.Timer
+	// slot is the node's harness slot, whose link activity stamps tell drain
+	// which neighbours wrote toward this node.
+	slot *netsim.Slot
+	// quietCycles counts the cycles the node spent on the quiet path (not
+	// behaviour: no digest or result reads it).
+	quietCycles uint64
 	// Effects on GSF's own network-global frame census buffer here during
 	// the compute phase; Network.commitFrames applies them at the cycle
 	// barrier, under both engines.
@@ -159,6 +167,7 @@ func newNode(id topo.NodeID, cfg config.GSF, net *Network, slot *netsim.Slot) *n
 		inj:      slot.Injector,
 		obs:      &slot.Stage,
 		perf:     slot.Perf,
+		slot:     slot,
 	}
 	all := int(topo.NumDirs) * cfg.VirtualChannels
 	n.vcs = make([]inputVC, all)
@@ -188,13 +197,25 @@ func newNode(id topo.NodeID, cfg config.GSF, net *Network, slot *netsim.Slot) *n
 
 // Tick advances this node one cycle (sim.Ticker): it drains the node's
 // traffic injector into the source queue, then runs the router pipeline.
+// A quiet node — no flit in its VCs or source queue, none arriving — has
+// no pipeline work: it polls the injector and runs the pipeline only if
+// that queued a packet.
 func (n *node) Tick(now uint64) {
+	in := n.slot.Arrivals(now)
 	n.perf.Begin(now)
-	for _, pkt := range n.inj.Next(now) {
+	pkts := n.inj.Next(now)
+	if in == 0 && n.held == 0 && n.srcQueue.Len() == 0 {
+		n.quietCycles++
+		if len(pkts) == 0 {
+			n.perf.Lap(perfmon.StageBooking)
+			return
+		}
+	}
+	for _, pkt := range pkts {
 		n.enqueue(pkt)
 	}
 	n.perf.Lap(perfmon.StageBooking)
-	n.tick(now)
+	n.tick(now, in)
 }
 
 // addFrame adjusts the global frame census: the update is staged and
@@ -203,9 +224,10 @@ func (n *node) addFrame(frame, delta int) {
 	n.frameDeltas = append(n.frameDeltas, frameDelta{frame, delta})
 }
 
-// tick advances one cycle: drain links, eject, switch, inject.
-func (n *node) tick(now uint64) {
-	n.drain(now)
+// tick advances one cycle: drain the links in the arrival set in, eject,
+// switch, inject.
+func (n *node) tick(now uint64, in uint8) {
+	n.drain(now, in)
 	n.gather(now)
 	n.perf.Lap(perfmon.StageDrain)
 	n.allocateVCs()
@@ -214,18 +236,28 @@ func (n *node) tick(now uint64) {
 	n.perf.Lap(perfmon.StageSwitch)
 	n.inject(now)
 	n.perf.Lap(perfmon.StageBooking)
-	for d := 0; d < 4; d++ {
-		if n.pendCredSet[d] {
-			n.credOut[d].Write(now, n.pendCred[d])
-			n.pendCredSet[d] = false
-		}
-	}
+	n.flush(now)
 	n.perf.Lap(perfmon.StageFlush)
 }
 
-// drain takes this cycle's flit and credit off every input link.
-func (n *node) drain(now uint64) {
+// flush sends this cycle's credit returns upstream.
+func (n *node) flush(now uint64) {
 	for d := 0; d < 4; d++ {
+		if n.pendCredSet[d] {
+			n.credOut[d].Write(now, n.pendCred[d])
+			n.slot.Sent(topo.Dir(d), now)
+			n.pendCredSet[d] = false
+		}
+	}
+}
+
+// drain takes this cycle's flit and credit off every input link in the
+// arrival set in (bit d for input d; see netsim.Slot).
+func (n *node) drain(now uint64, in uint8) {
+	for d := 0; d < 4; d++ {
+		if in&(1<<d) == 0 {
+			continue
+		}
 		if n.flitIn[d] != nil {
 			if msg, ok := n.flitIn[d].Take(now); ok {
 				vc := &n.port(topo.Dir(d))[msg.VC]
@@ -237,6 +269,7 @@ func (n *node) drain(now uint64) {
 					vc.routed = true
 				}
 				vc.fifo.Push(vcEntry{f: msg.F, readyAt: now + uint64(n.net.cfg.PipeStages) - 1})
+				n.held++
 			}
 		}
 		if n.credIn[d] != nil {
@@ -344,12 +377,14 @@ func (n *node) switchFlits(now uint64) {
 		}
 		usedInput[best.dir] = true
 		e, _ := best.fifo.Pop()
+		n.held--
 		if o == topo.Local {
 			n.eject(&best.pkt, e.f, now)
 			n.addFrame(e.f.Frame, -1) // the flit left the network
 		} else {
 			n.outs[o].down[best.downVC].credits--
 			n.flitOut[o].Write(now, linkMsg{F: e.f, VC: best.downVC})
+			n.slot.Sent(o, now)
 			n.linkBusy[o]++
 		}
 		if best.dir != topo.Local {
@@ -477,6 +512,7 @@ func (n *node) inject(now uint64) {
 		vc.routed = true
 	}
 	vc.fifo.Push(vcEntry{f: f, readyAt: now + uint64(cfg.PipeStages) - 1})
+	n.held++
 	n.addFrame(f.Frame, 1)
 	if f.Tail {
 		n.injVC = -1

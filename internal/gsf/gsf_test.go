@@ -239,3 +239,40 @@ func TestBestEffortHasNoIsolation(t *testing.T) {
 		t.Fatalf("best-effort hotspot unexpectedly fair: min=%.4f max=%.4f", min, max)
 	}
 }
+
+// TestQuietPathRuns checks that the quiet path of node.Tick carries nearly
+// every node-cycle of a nearly idle network and almost none of a saturated
+// one.
+func TestQuietPathRuns(t *testing.T) {
+	cfg := config.PaperGSF()
+	lcfg := config.PaperLOFT()
+	m := cfg.Mesh()
+	hot, err := traffic.Hotspot(m, topo.NodeID(m.N()-1), 0.001, lcfg.PacketFlits, lcfg.FrameFlits, lcfg.QuantumFlits, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		p        *traffic.Pattern
+		min, max float64
+	}{
+		{"hotspot-0.001", hot, 0.9, 1},
+		{"uniform-0.6", traffic.Uniform(m, 0.6, lcfg.PacketFlits, lcfg.FrameFlits), 0, 0.05},
+	} {
+		net, err := New(cfg, c.p, Options{Seed: 1, BaseFrameFlits: lcfg.FrameFlits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const cycles = 4000
+		net.Run(cycles)
+		var quiet uint64
+		for _, n := range net.nodes {
+			quiet += n.quietCycles
+		}
+		frac := float64(quiet) / float64(cycles*m.N())
+		t.Logf("%s: %.1f%% of node-cycles quiet", c.name, 100*frac)
+		if frac < c.min || frac >= c.max {
+			t.Errorf("%s: %.3f of node-cycles quiet, want [%.2f, %.2f)", c.name, frac, c.min, c.max)
+		}
+	}
+}

@@ -47,6 +47,8 @@ type laRouter struct {
 	// pool recycles laEnt records between accept and process, keeping the
 	// steady state allocation-free.
 	pool []*laEnt
+	// held counts the flits on the byOut lists (the quiet test reads it).
+	held int
 }
 
 // allocEnt returns a recycled laEnt or a fresh one.
@@ -154,6 +156,7 @@ func (la *laRouter) accept(fl *flit.Lookahead, d topo.Dir, now uint64) {
 	copy(list[i+1:], list[i:])
 	list[i] = ent
 	la.byOut[outDir] = list
+	la.held++
 }
 
 // process runs one cycle of look-ahead switching: per output port, at most
@@ -214,6 +217,7 @@ func (la *laRouter) process(now uint64) {
 		ent := list[won]
 		copy(list[won:], list[won+1:])
 		la.byOut[o] = list[:len(list)-1]
+		la.held--
 		d := ent.inDir
 		la.vcLen[d][ent.vc]--
 		entry := ent.entry // written by accept; skips the slab lookup
@@ -224,6 +228,7 @@ func (la *laRouter) process(now uint64) {
 		}
 		if entry.arrived {
 			n.inputs[d].avail = append(n.inputs[d].avail, entry)
+			n.candidates++
 		}
 		// Step 4 (§3.2): the input scheduler returns the virtual credit
 		// to the previous router, tagged with the booked departure.
@@ -237,6 +242,7 @@ func (la *laRouter) process(now uint64) {
 			fl := ent.fl
 			fl.DepartPrev = depart
 			n.laOut[o].Write(now, fl)
+			n.slot.Sent(o, now)
 			la.credits[o].Consume()
 			if n.obs.Wants(probe.KindLAIssue) {
 				n.obs.EmitSeq(now, probe.KindLAIssue, int32(n.id), int32(o), int32(fl.Flow), fl.Quantum, depart*uint64(n.cfg.QuantumFlits))

@@ -235,7 +235,7 @@ func (r *refLA) checkProcess(n *Node, now uint64) error {
 func stepChecked(net *Network, refs []*refLA, now uint64) error {
 	for i, n := range net.nodes {
 		ref := refs[i]
-		n.drain(now)
+		n.drain(now, n.slot.Arrivals(now))
 		if err := ref.mirrorAccepts(n, now); err != nil {
 			return fmt.Errorf("cycle %d node %d drain: %v", now, n.id, err)
 		}

@@ -63,6 +63,7 @@ func New(cfg config.LOFT, pattern *traffic.Pattern, opts Options) (*Network, err
 		return nil, err
 	}
 	net.armFault(opts.Fault, opts.Seed)
+	net.OnSettle(net)
 	net.SetLinks("loft", net.linkFlits)
 	net.registerGauges()
 	net.registerPerfGauges(opts.Perf, opts.Fault)
@@ -257,6 +258,14 @@ func (net *Network) installReservations(linkFlows map[topo.Link][]flit.FlowID) e
 		}
 	}
 	return nil
+}
+
+// Settle applies every node's deferred table ticks (netsim.Settler); Run
+// calls it before it returns.
+func (net *Network) Settle() {
+	for _, n := range net.nodes {
+		n.catchUp()
+	}
 }
 
 // Node returns node i (tests and diagnostics).

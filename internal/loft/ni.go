@@ -42,6 +42,8 @@ type netIface struct {
 	flows    []*flowQ
 	byFlow   map[flit.FlowID]*flowQ
 	rr       int
+	// queued counts the quanta in every flow queue: the source backlog.
+	queued int
 }
 
 func (ni *netIface) init(n *Node, injector *traffic.Injector) {
@@ -73,14 +75,6 @@ func (ni *netIface) newFlowQueue(id flit.FlowID) *flowQ {
 	return q
 }
 
-func (ni *netIface) backlog() int {
-	total := 0
-	for _, f := range ni.flows {
-		total += len(f.queue)
-	}
-	return total
-}
-
 // generate polls the traffic injector and segments fresh packets into
 // quanta. Packets arriving to a full NI queue are dropped: LOFT carries no
 // large source buffers (Table 2), so saturation shows up as drops and a
@@ -90,7 +84,7 @@ func (ni *netIface) generate(now uint64) {
 	q := n.cfg.QuantumFlits
 	limit := n.cfg.NIQueueFlits / q
 	for _, pkt := range ni.injector.Next(now) {
-		if ni.backlog()+(pkt.Flits+q-1)/q > limit {
+		if ni.queued+(pkt.Flits+q-1)/q > limit {
 			n.stats.Drops++
 			continue
 		}
@@ -114,6 +108,7 @@ func (ni *netIface) generate(now uint64) {
 			}})
 			fq.next++
 		}
+		ni.queued += quanta
 	}
 }
 
@@ -215,6 +210,7 @@ func (ni *netIface) forward(slot, now uint64) {
 	q.Injected = now
 	copy(bestFlow.queue, bestFlow.queue[1:])
 	bestFlow.queue = bestFlow.queue[:len(bestFlow.queue)-1]
+	ni.queued--
 	if n.obs.Wants(probe.KindDataInject) {
 		n.obs.EmitAux(now, probe.KindDataInject, int32(n.id), int32(topo.NumDirs), int32(q.ID.Flow), q.ID.Seq, depart*uint64(n.cfg.QuantumFlits), uint64(q.Flits))
 	}

@@ -191,6 +191,8 @@ type Node struct {
 	tables []lsf.Table
 
 	inputs [topo.NumDirs]inputPort // topo.Local = from the NI
+	// candidates counts the entries on the five inputs' avail lists.
+	candidates int
 
 	la   laRouter
 	ni   netIface
@@ -245,6 +247,16 @@ type Node struct {
 	// profiling is off).
 	obs  *probe.Stage
 	perf *perfmon.Timer
+	// slot is the node's harness slot, whose link activity stamps tell drain
+	// which neighbours wrote toward this node.
+	slot *netsim.Slot
+
+	// lag counts the slot-edge table ticks a quiet node deferred (see
+	// quietTick); catchUp applies them. quietCycles counts the cycles the
+	// node spent on the quiet path. Neither is behaviour: NodeStats, which
+	// every digest hashes, does not hold them.
+	lag         uint64
+	quietCycles uint64
 
 	// fault is this node's compiled fault-injection runtime (nil when no
 	// plan is armed or the plan does not target this node). All its state
@@ -269,7 +281,7 @@ func (r *rrState) granted(d topo.Dir) { r.next = (int(d) + 1) % int(topo.NumDirs
 // register on each link (traffic.Pattern.LinkFlows), which sizes the node's
 // reservation tables so that installing them allocates nothing.
 func (n *Node) init(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsim.Slot, linkFlows map[topo.Link][]flit.FlowID) {
-	*n = Node{id: id, cfg: cfg, mesh: mesh, obs: &slot.Stage, perf: slot.Perf,
+	*n = Node{id: id, cfg: cfg, mesh: mesh, obs: &slot.Stage, perf: slot.Perf, slot: slot,
 		specSwitch: cfg.SpeculativeSwitching(), statusReset: cfg.LocalStatusReset()}
 	params := lsf.Params{
 		SlotsPerFrame: cfg.SlotsPerFrame(),
@@ -343,13 +355,22 @@ func (n *Node) slotOf(c uint64) uint64 { return c / uint64(n.cfg.QuantumFlits) }
 
 // Tick advances the node by one cycle. See the package comment for phase
 // ordering; all cross-node communication flows through registers, so node
-// iteration order does not affect results.
+// iteration order does not affect results. A quiet node (see idle) takes
+// quietTick instead, which does only the part of a cycle that can change
+// its state.
 func (n *Node) Tick(now uint64) {
+	in := n.slot.Arrivals(now)
+	if in == 0 && n.idle(now) {
+		n.quietTick(now)
+		return
+	}
 	n.perf.Begin(now)
+	n.catchUp()
 	if n.fault != nil {
 		n.faultTick(now)
+		in = allLinks // credits withheld by a stall replay on every link
 	}
-	n.drain(now)
+	n.drain(now, in)
 	n.perf.Lap(perfmon.StageDrain)
 	if now%uint64(n.cfg.QuantumFlits) == 0 {
 		n.frameTick(now)
@@ -373,6 +394,99 @@ func (n *Node) Tick(now uint64) {
 	n.perf.Lap(perfmon.StageLookahead)
 	n.flush(now)
 	n.perf.Lap(perfmon.StageFlush)
+}
+
+// allLinks is the arrival set naming every mesh input.
+const allLinks = 1<<topo.Local - 1
+
+// idle reports whether the full Tick of cycle now, given that no neighbour
+// wrote toward this node in the cycle before, would do nothing but tick
+// the tables at a slot edge and poll the injector: no quantum waits in the
+// NI or on the NI-to-router register, no look-ahead flit waits for its
+// booking, no booked quantum waits for the switch, no credit return waits
+// to be applied, and no fault runtime keeps time. Every term is a counter
+// or a field, kept where quanta, flits and credits enter and leave.
+func (n *Node) idle(now uint64) bool {
+	return n.ni.queued == 0 && n.la.held == 0 && n.candidates == 0 &&
+		n.pendSinkRet == (rcredMsg{}) && n.pendRcred[topo.Local] == (rcredMsg{}) &&
+		len(n.sink.pendVcred) == 0 && n.fault == nil && !n.niData.Ready(now)
+}
+
+// quietTick is Tick for a quiet node: the slot-edge table maintenance and
+// the injector poll. When the injector queues a quantum, the NI books it
+// through the same book, process and flush steps as Tick.
+//
+// At a slot edge the table ticks are deferred instead (lag) while no table
+// is observed, booked or due for a local status reset (deferrable): then a
+// tick changes nothing but the table's clock, which catchUp advances
+// arithmetically (lsf.Table.Advance) before anything reads or books a
+// table — a full Tick, a quiet cycle that books, and the end of every Run
+// (Network's settle hook).
+func (n *Node) quietTick(now uint64) {
+	n.quietCycles++
+	n.perf.Begin(now)
+	if now%uint64(n.cfg.QuantumFlits) == 0 {
+		if now > 0 && (n.lag > 0 || n.deferrable()) {
+			n.lag++
+		} else {
+			n.frameTick(now)
+		}
+		n.perf.Lap(perfmon.StageFrame)
+	}
+	n.ni.generate(now)
+	if n.ni.queued > 0 {
+		n.catchUp()
+		n.ni.book(now)
+		n.perf.Lap(perfmon.StageBooking)
+		n.la.process(now)
+		n.perf.Lap(perfmon.StageLookahead)
+		n.flush(now)
+		n.perf.Lap(perfmon.StageFlush)
+		return
+	}
+	n.perf.Lap(perfmon.StageBooking)
+}
+
+// deferrable reports whether the tables' slot-edge ticks may lag: no table
+// stages probe or audit records (each tick of such a table may emit), none
+// has a booked slot (a tick may expire it) and none is due for a local
+// status reset (frameTick would reset it). Quiet cycles change none of
+// these, so the answer holds until the node next does anything.
+func (n *Node) deferrable() bool {
+	if verifyLSF {
+		return false
+	}
+	for i := range n.tables {
+		if t := &n.tables[i]; t.Observed() || !t.AllIdle() {
+			return false
+		}
+	}
+	if n.statusReset {
+		for d, t := range n.outTables {
+			if t != nil && n.resetDue(topo.Dir(d), t) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// catchUp applies the deferred table ticks, if any.
+func (n *Node) catchUp() {
+	if n.lag > 0 {
+		n.advanceTables()
+	}
+}
+
+// advanceTables is catchUp's slow path, out of line so the lag test inlines
+// into every full Tick.
+//
+//go:noinline
+func (n *Node) advanceTables() {
+	for i := range n.tables {
+		n.tables[i].Advance(n.lag)
+	}
+	n.lag = 0
 }
 
 // faultTick replays the armed plan's window boundaries crossing this cycle
@@ -418,9 +532,12 @@ func (n *Node) frameTick(now uint64) {
 	}
 }
 
-// drain consumes every incoming register. Look-ahead flits are drained
-// before data so a quantum always finds its input reservation entry.
-func (n *Node) drain(now uint64) {
+// drain consumes the incoming registers: the node's own deferred credit
+// returns, the NI-to-router register and the registers of every mesh link
+// in the arrival set in (bit d for input d; see netsim.Slot). Look-ahead
+// flits are drained before data so a quantum always finds its input
+// reservation entry.
+func (n *Node) drain(now uint64, in uint8) {
 	if n.pendSinkRet != (rcredMsg{}) {
 		n.returnCredits(topo.Local, n.pendSinkRet)
 		n.pendSinkRet = rcredMsg{}
@@ -430,7 +547,7 @@ func (n *Node) drain(now uint64) {
 		n.pendRcred[topo.Local] = rcredMsg{}
 	}
 	for d := 0; d < 4; d++ {
-		if n.laIn[d] != nil {
+		if in&(1<<d) != 0 && n.laIn[d] != nil {
 			if fl, ok := n.laIn[d].Take(now); ok {
 				n.la.accept(fl, topo.Dir(d), now)
 			}
@@ -440,6 +557,9 @@ func (n *Node) drain(now uint64) {
 		n.receiveData(topo.Local, msg, now)
 	}
 	for d := 0; d < 4; d++ {
+		if in&(1<<d) == 0 {
+			continue
+		}
 		if n.dataIn[d] != nil {
 			if msg, ok := n.dataIn[d].Take(now); ok {
 				n.receiveData(topo.Dir(d), msg, now)
@@ -510,6 +630,7 @@ func (n *Node) receiveData(d topo.Dir, msg *dataMsg, now uint64) {
 	e.q = msg.Q
 	if e.booked {
 		ip.avail = append(ip.avail, e)
+		n.candidates++
 		if e.departSlot < n.slotOf(now) {
 			n.stats.LateArrivals++
 		}
@@ -533,10 +654,15 @@ func (n *Node) receiveData(d topo.Dir, msg *dataMsg, now uint64) {
 // real credits).
 func (n *Node) maybeReset() {
 	for d, t := range n.outTables {
-		if t != nil && t.Dirty() && t.AllIdle() && t.Outstanding() == 0 && n.credNonSpec[d].AtCap() {
+		if t != nil && n.resetDue(topo.Dir(d), t) {
 			t.Reset()
 		}
 	}
+}
+
+// resetDue reports whether output d's table t meets the reset trigger.
+func (n *Node) resetDue(d topo.Dir, t *lsf.Table) bool {
+	return t.Dirty() && t.AllIdle() && t.Outstanding() == 0 && n.credNonSpec[d].AtCap()
 }
 
 // candidate returns input port d's switching candidate: the arrived, booked
@@ -728,6 +854,7 @@ func (n *Node) forward(o, in topo.Dir, e *inEntry, spec bool, slot, now uint64) 
 	n.linkBusy[o]++
 	ip := &n.inputs[in]
 	ip.dropAvail(e)
+	n.candidates--
 	if e.inSpec {
 		ip.specUsed--
 		n.pendRcred[in].Spec++
@@ -743,6 +870,7 @@ func (n *Node) forward(o, in topo.Dir, e *inEntry, spec bool, slot, now uint64) 
 		return
 	}
 	n.dataOut[o].Write(now, dataMsg{Q: q, Spec: spec, Depart: departSlot})
+	n.slot.Sent(o, now)
 }
 
 // flush writes the per-cycle accumulators to their registers.
@@ -755,16 +883,19 @@ func (n *Node) flush(now uint64) {
 			sel := n.vcredSel[d]
 			n.vcredBuf[d][sel] = n.pendVcred[d]
 			n.vcredOut[d].Write(now, vcredMsg{Tags: n.pendVcred[d]})
+			n.slot.Sent(topo.Dir(d), now)
 			sel ^= 1
 			n.vcredSel[d] = sel
 			n.pendVcred[d] = n.vcredBuf[d][sel][:0]
 		}
 		if n.pendRcred[d] != (rcredMsg{}) {
 			n.rcredOut[d].Write(now, n.pendRcred[d])
+			n.slot.Sent(topo.Dir(d), now)
 			n.pendRcred[d] = rcredMsg{}
 		}
 		if n.pendLaCred[d] > 0 {
 			n.laCredOut[d].Write(now, laCredMsg{N: n.pendLaCred[d]})
+			n.slot.Sent(topo.Dir(d), now)
 			n.pendLaCred[d] = 0
 		}
 	}
@@ -788,4 +919,4 @@ func (n *Node) InjectTableFault(d topo.Dir, f lsf.Fault) {
 func (n *Node) Table(d topo.Dir) *lsf.Table { return n.outTables[d] }
 
 // Backlog returns the number of quanta waiting in the NI (source backlog).
-func (n *Node) Backlog() int { return n.ni.backlog() }
+func (n *Node) Backlog() int { return n.ni.queued }

@@ -78,6 +78,7 @@ type Harness struct {
 
 	hook      func(now uint64)
 	hookStage perfmon.Stage
+	settler   Settler
 	linkFlits func(topo.Link) (uint64, bool)
 
 	lat     *stats.Latency // total latency (generation → delivery)
@@ -130,7 +131,16 @@ func New(mesh topo.Mesh, pattern *traffic.Pattern, opts Options) (*Harness, erro
 	h.slots = make([]Slot, mesh.N())
 	for i := range h.slots {
 		h.slots[i] = Slot{Stage: probe.NewStage(want), Perf: h.perf.Timer(),
-			Injector: traffic.NewInjector(pattern, topo.NodeID(i), opts.Seed)}
+			Injector: traffic.NewInjector(pattern, topo.NodeID(i), opts.Seed),
+			sent:     [4][2]uint64{{never, never}, {never, never}, {never, never}, {never, never}}}
+	}
+	for i := range h.slots {
+		for d := topo.North; d < topo.Local; d++ {
+			h.slots[i].recv[d] = &silent
+			if nb, ok := mesh.Neighbor(topo.NodeID(i), d); ok {
+				h.slots[i].recv[d] = &h.slots[nb].sent[d.Opposite()]
+			}
+		}
 	}
 	h.perfT = h.perf.Timer()
 	if opts.Fault.HasAdversary() {
@@ -164,6 +174,17 @@ func (h *Harness) AddTicker(i int, t sim.Ticker) { h.engine.AddTicker(i, t) }
 func (h *Harness) OnCommit(stage perfmon.Stage, f func(now uint64)) {
 	h.hook, h.hookStage = f, stage
 }
+
+// Settler is an architecture whose nodes may let state lag during quiet
+// cycles (see loft.Node's quietTick).
+type Settler interface {
+	// Settle brings every piece of lagging state up to date.
+	Settle()
+}
+
+// OnSettle installs the architecture whose Settle runs at the end of every
+// Run, so that nothing outside the compute phase ever sees a lag.
+func (h *Harness) OnSettle(s Settler) { h.settler = s }
 
 // SetLinks installs the reader of the architecture's link counters — the
 // flits a link has carried so far, or false for a link it does not model —
@@ -247,6 +268,9 @@ func (h *Harness) commit(now uint64) {
 // Run advances the simulation n cycles.
 func (h *Harness) Run(n uint64) {
 	h.engine.Run(n)
+	if h.settler != nil {
+		h.settler.Settle()
+	}
 	h.thr.Close(h.engine.Now())
 }
 
@@ -297,10 +321,56 @@ func (h *Harness) Heatmap() string {
 // Slot is what the harness gives one node: its traffic Injector, the Stage
 // it reports simulated occurrences into while computing — probe events, the
 // auditor's recorder operations and statistics observations alike; the
-// harness replays them at the cycle barrier — and its Perf stage timer (nil
-// when profiling is off).
+// harness replays them at the cycle barrier — its Perf stage timer (nil
+// when profiling is off), and its link activity stamps.
+//
+// The stamps tell a node which of its four mesh neighbours wrote anything
+// toward it, so it takes only those links' registers instead of polling
+// every one. sent[d] holds, like a sim.Reg, two parity slots stamped with
+// the cycle in which the values this node wrote on its links toward d
+// become readable: a write in cycle n stamps slot (n+1)&1 and a read in
+// cycle n looks at slot n&1 of the neighbour's stamps. Each word has one
+// writer, its node, and is read by one neighbour only in the cycle after
+// the write, across the cycle barrier, so the stamps are race-free under
+// both engines. recv[d] points at the stamps of the neighbour toward d (at
+// a never-stamped pair at a mesh edge); New wires them once from the mesh.
 type Slot struct {
 	Injector *traffic.Injector
 	Stage    probe.Stage
 	Perf     *perfmon.Timer
+
+	sent [4][2]uint64
+	recv [4]*[2]uint64
+}
+
+// never stamps an empty parity slot: no cycle reaches it.
+const never = ^uint64(0)
+
+// silent is the stamp pair of the missing neighbour beyond a mesh edge.
+var silent = [2]uint64{never, never}
+
+// Sent records that the node wrote, in cycle now, a value on a link toward
+// its neighbour in direction d (North..West): the neighbour reads it in
+// cycle now+1.
+func (s *Slot) Sent(d topo.Dir, now uint64) { s.sent[d][(now+1)&1] = now + 1 }
+
+// Arrivals returns the set of directions whose neighbour wrote toward this
+// node in cycle now-1, as bit d for direction d: the links whose registers
+// hold a value to take in cycle now.
+func (s *Slot) Arrivals(now uint64) uint8 {
+	i := now & 1
+	var in uint8
+	for d := range s.recv {
+		in |= bit(s.recv[d][i] == now) << d
+	}
+	return in
+}
+
+// bit is 1 for true and 0 for false: Arrivals sets its bits without a
+// branch, which a busy node would mispredict.
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }

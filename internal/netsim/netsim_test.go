@@ -271,3 +271,58 @@ func TestWorkersCappedAtNodes(t *testing.T) {
 		t.Errorf("profiler reports %d workers, want %d", got, mesh.N())
 	}
 }
+
+// TestLinkStamps pins the link activity stamps New wires: a node's Sent
+// toward d in cycle n shows in Arrivals of its neighbour toward d, as the
+// opposite input, in cycle n+1 and in no other cycle; writes in two
+// consecutive cycles use both parity slots; and no node hears a neighbour
+// it does not have.
+func TestLinkStamps(t *testing.T) {
+	mesh := topo.NewMesh(3)
+	h, err := New(mesh, traffic.Uniform(mesh, 0.1, 4, 256), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heard := func(now uint64) map[topo.Link]bool {
+		out := map[topo.Link]bool{}
+		for i := 0; i < mesh.N(); i++ {
+			in := h.Slot(i).Arrivals(now)
+			for d := topo.North; d < topo.Local; d++ {
+				if in&(1<<d) != 0 {
+					out[topo.Link{From: topo.NodeID(i), D: d}] = true
+				}
+			}
+		}
+		return out
+	}
+	for now := uint64(0); now < 4; now++ {
+		if got := heard(now); len(got) != 0 {
+			t.Fatalf("cycle %d: nothing was sent, heard %v", now, got)
+		}
+	}
+	// Node 4 is the centre: it sends east in cycles 5 and 6, and every node
+	// sends toward each neighbour it has in cycle 9.
+	h.Slot(4).Sent(topo.East, 5)
+	h.Slot(4).Sent(topo.East, 6)
+	want := map[topo.Link]bool{{From: 5, D: topo.West}: true}
+	for _, now := range []uint64{6, 7} {
+		if got := heard(now); !reflect.DeepEqual(got, want) {
+			t.Errorf("cycle %d: heard %v, want %v", now, got, want)
+		}
+	}
+	if got := heard(8); len(got) != 0 {
+		t.Errorf("cycle 8: heard %v, want nothing", got)
+	}
+	want = map[topo.Link]bool{}
+	for i := 0; i < mesh.N(); i++ {
+		for d := topo.North; d < topo.Local; d++ {
+			if nb, ok := mesh.Neighbor(topo.NodeID(i), d); ok {
+				h.Slot(i).Sent(d, 9)
+				want[topo.Link{From: nb, D: d.Opposite()}] = true
+			}
+		}
+	}
+	if got := heard(10); !reflect.DeepEqual(got, want) {
+		t.Errorf("cycle 10: heard %v, want %v", got, want)
+	}
+}

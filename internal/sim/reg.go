@@ -54,6 +54,10 @@ func (r *Reg[T]) Take(now uint64) (*T, bool) {
 	return &r.slot[i], true
 }
 
+// Ready reports whether a value written in cycle now-1 waits to be taken in
+// cycle now, without taking it.
+func (r *Reg[T]) Ready(now uint64) bool { return r.at[now&1] == now }
+
 // Write stores v for reading in cycle now+1. It panics when a value was
 // already written in cycle now, signalling two drivers in the same cycle.
 func (r *Reg[T]) Write(now uint64, v T) {
