@@ -319,9 +319,17 @@ func ablation(o exp.Options) (any, error) {
 	}
 	fmt.Println("Ablations: one knob per study, the paper's configuration otherwise")
 	fmt.Printf("  %-7s %-13s %10s %8s %9s %9s %6s\n", "study", "variant", "accepted", "total", "latency", "net lat", "drops")
+	none := false
 	for _, r := range rows {
-		fmt.Printf("  %-7s %-13s %10.4f %8.4f %9.2f %9.2f %6d\n", r.Study, r.Variant, r.Accepted, r.Total, r.Latency, r.NetLatency, r.Drops)
+		lat, net := fmt.Sprintf("%9.2f", r.Latency), fmt.Sprintf("%9.2f", r.NetLatency)
+		if r.Packets == 0 {
+			lat, net, none = fmt.Sprintf("%9s", "n/a"), fmt.Sprintf("%9s", "n/a"), true
+		}
+		fmt.Printf("  %-7s %-13s %10.4f %8.4f %s %s %6d\n", r.Study, r.Variant, r.Accepted, r.Total, lat, net, r.Drops)
 	}
 	fmt.Println("  (accepted in flits/cycle/node, total in flits/cycle, latencies in cycles)")
+	if none {
+		fmt.Println("  (n/a: the run delivered no packet created after warm-up)")
+	}
 	return rows, nil
 }

@@ -49,6 +49,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"loft/internal/config"
@@ -159,9 +160,7 @@ func main() {
 
 	fmt.Printf("%s / %s @ %.3f flits/cycle/node (%d+%d cycles, seed %d)\n",
 		res.Arch, p.Name, *rate, *warmup, *cycles, s.Seed)
-	fmt.Printf("  packets delivered : %d\n", res.Packets)
-	fmt.Printf("  avg latency       : %.1f cycles (network %.1f)\n", res.AvgLatency, res.AvgNetLatency)
-	fmt.Printf("  p99 / max latency : %.0f / %d cycles\n", res.P99Latency, res.MaxLatency)
+	reportLatency(os.Stdout, res, *warmup)
 	fmt.Printf("  accepted rate     : %.4f flits/cycle/node (%.3f total)\n",
 		res.TotalRate/float64(mesh.N()), res.TotalRate)
 	if res.Arch == core.ArchLOFT {
@@ -215,18 +214,11 @@ func runSeeds(s *runio.Session, arch core.Arch, lcfg config.LOFT, p *traffic.Pat
 	nodes := float64(lcfg.Mesh().N())
 	fmt.Printf("%s / %s @ %.3f flits/cycle/node (%d+%d cycles, %d seeds from %d, -j %d)\n",
 		results[0].Arch, p.Name, rate, run.Warmup, run.Measure, n, run.Seed, sweep.Workers(workers))
-	var lats, rates []float64
 	seedList := make([]uint64, n)
-	for i, r := range results {
+	for i := range results {
 		seedList[i] = run.Seed + uint64(i)
-		fmt.Printf("  seed %-4d: avg latency %8.1f cycles, accepted %.4f flits/cycle/node\n",
-			seedList[i], r.AvgLatency, r.TotalRate/nodes)
-		lats = append(lats, r.AvgLatency)
-		rates = append(rates, r.TotalRate/nodes)
 	}
-	ls, rs := stats.Summarize(lats), stats.Summarize(rates)
-	fmt.Printf("  aggregate : latency %.1f ±%.1f%%, accepted %.4f ±%.1f%% (n=%d)\n",
-		ls.Avg, ls.Stdev*100, rs.Avg, rs.Stdev*100, ls.N)
+	ls, rs := reportSeeds(os.Stdout, results, seedList, run.Warmup, nodes)
 	return s.Export(func() trace.Manifest {
 		// Aggregate metrics: the per-seed probe/audit/perf layers are shared,
 		// the headline result metrics are the cross-seed means.
@@ -235,6 +227,58 @@ func runSeeds(s *runio.Session, arch core.Arch, lcfg config.LOFT, p *traffic.Pat
 		metrics["throughput_flits_per_cycle"] = rs.Avg * nodes
 		return newManifest(s, arch, p.Name, lcfg, run, seedList, metrics)
 	})
+}
+
+// noLatency stands in for a latency figure of a run that delivered no
+// packet created after warm-up: the collectors then hold no sample, and
+// their mean of nothing would print as an impossible 0.0 cycles.
+func noLatency(warmup uint64) string {
+	return fmt.Sprintf("n/a (no packet created after the %d-cycle warm-up was delivered)", warmup)
+}
+
+// reportLatency prints a single run's delivered-packet count and latency
+// lines.
+func reportLatency(w io.Writer, res core.Result, warmup uint64) {
+	fmt.Fprintf(w, "  packets delivered : %d\n", res.Packets)
+	if res.Packets == 0 {
+		fmt.Fprintf(w, "  avg latency       : %s\n", noLatency(warmup))
+		fmt.Fprintf(w, "  p99 / max latency : %s\n", noLatency(warmup))
+		return
+	}
+	fmt.Fprintf(w, "  avg latency       : %.1f cycles (network %.1f)\n", res.AvgLatency, res.AvgNetLatency)
+	fmt.Fprintf(w, "  p99 / max latency : %.0f / %d cycles\n", res.P99Latency, res.MaxLatency)
+}
+
+// reportSeeds prints one line per seed and the aggregate line of a -seeds
+// run, and returns the latency and accepted-rate summaries. The latency
+// aggregate covers the seeds that delivered a packet created after warm-up;
+// when some did not, the line says over how many it ran.
+func reportSeeds(w io.Writer, results []core.Result, seeds []uint64, warmup uint64, nodes float64) (lat, rate stats.Summary) {
+	var lats, rates []float64
+	for i, r := range results {
+		if r.Packets == 0 {
+			fmt.Fprintf(w, "  seed %-4d: avg latency %s, accepted %.4f flits/cycle/node\n",
+				seeds[i], noLatency(warmup), r.TotalRate/nodes)
+		} else {
+			fmt.Fprintf(w, "  seed %-4d: avg latency %8.1f cycles, accepted %.4f flits/cycle/node\n",
+				seeds[i], r.AvgLatency, r.TotalRate/nodes)
+			lats = append(lats, r.AvgLatency)
+		}
+		rates = append(rates, r.TotalRate/nodes)
+	}
+	lat, rate = stats.Summarize(lats), stats.Summarize(rates)
+	switch {
+	case len(lats) == 0:
+		fmt.Fprintf(w, "  aggregate : latency %s, accepted %.4f ±%.1f%% (n=%d)\n",
+			noLatency(warmup), rate.Avg, rate.Stdev*100, rate.N)
+	case len(lats) < len(results):
+		fmt.Fprintf(w, "  aggregate : latency %.1f ±%.1f%% over the %d seeds that delivered, accepted %.4f ±%.1f%% (n=%d)\n",
+			lat.Avg, lat.Stdev*100, lat.N, rate.Avg, rate.Stdev*100, rate.N)
+	default:
+		fmt.Fprintf(w, "  aggregate : latency %.1f ±%.1f%%, accepted %.4f ±%.1f%% (n=%d)\n",
+			lat.Avg, lat.Stdev*100, rate.Avg, rate.Stdev*100, rate.N)
+	}
+	return lat, rate
 }
 
 // newManifest assembles the run manifest recorded next to every exported

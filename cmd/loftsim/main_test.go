@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -54,5 +55,51 @@ func TestWriteRunDirectory(t *testing.T) {
 	}
 	if len(ev) != 1 || ev[0].Kind != probe.KindSpecHit {
 		t.Errorf("round-tripped events = %+v", ev)
+	}
+}
+
+// TestReportLatency pins the latency lines of a run that delivered packets
+// and of runs that delivered none created after warm-up, such as
+// loftsim -pattern hotspot -rate 0.5 -warmup 2000 -cycles 6000: those print
+// n/a with the reason, never an average of 0.0 cycles.
+func TestReportLatency(t *testing.T) {
+	delivered := core.Result{Packets: 7, AvgLatency: 31.25, AvgNetLatency: 20.5, P99Latency: 64, MaxLatency: 70, TotalRate: 6.4}
+	none := core.Result{TotalRate: 3.2}
+	const na = "n/a (no packet created after the 2000-cycle warm-up was delivered)"
+	for _, c := range []struct {
+		name    string
+		results []core.Result
+		want    string
+	}{
+		{"delivered", []core.Result{delivered}, "" +
+			"  packets delivered : 7\n" +
+			"  avg latency       : 31.2 cycles (network 20.5)\n" +
+			"  p99 / max latency : 64 / 70 cycles\n"},
+		{"none", []core.Result{none}, "" +
+			"  packets delivered : 0\n" +
+			"  avg latency       : " + na + "\n" +
+			"  p99 / max latency : " + na + "\n"},
+		{"seeds-delivered", []core.Result{delivered, delivered}, "" +
+			"  seed 1   : avg latency     31.2 cycles, accepted 0.1000 flits/cycle/node\n" +
+			"  seed 2   : avg latency     31.2 cycles, accepted 0.1000 flits/cycle/node\n" +
+			"  aggregate : latency 31.2 ±0.0%, accepted 0.1000 ±0.0% (n=2)\n"},
+		{"seeds-none", []core.Result{none, none}, "" +
+			"  seed 1   : avg latency " + na + ", accepted 0.0500 flits/cycle/node\n" +
+			"  seed 2   : avg latency " + na + ", accepted 0.0500 flits/cycle/node\n" +
+			"  aggregate : latency " + na + ", accepted 0.0500 ±0.0% (n=2)\n"},
+		{"seeds-some", []core.Result{delivered, none}, "" +
+			"  seed 1   : avg latency     31.2 cycles, accepted 0.1000 flits/cycle/node\n" +
+			"  seed 2   : avg latency " + na + ", accepted 0.0500 flits/cycle/node\n" +
+			"  aggregate : latency 31.2 ±0.0% over the 1 seeds that delivered, accepted 0.0750 ±33.3% (n=2)\n"},
+	} {
+		var b bytes.Buffer
+		if len(c.results) == 1 {
+			reportLatency(&b, c.results[0], 2000)
+		} else {
+			reportSeeds(&b, c.results, []uint64{1, 2}, 2000, 64)
+		}
+		if b.String() != c.want {
+			t.Errorf("%s: printed\n%s\nwant\n%s", c.name, b.String(), c.want)
+		}
 	}
 }

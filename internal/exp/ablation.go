@@ -18,8 +18,11 @@ type AblationRow struct {
 	// it over the mesh.
 	Accepted, Total float64
 	// Latency is the average total packet latency (source queueing
-	// included), NetLatency the average from network injection, in cycles.
+	// included), NetLatency the average from network injection, in cycles,
+	// over the Packets packets created after warm-up and delivered; with
+	// none, both read 0 and mean nothing.
 	Latency, NetLatency float64
+	Packets             uint64
 	// Drops counts packets lost at the source (NI or source queue).
 	Drops uint64
 }
@@ -103,7 +106,7 @@ func Ablations(o Options) ([]AblationRow, error) {
 		return AblationRow{
 			Study: j.study, Variant: j.variant,
 			Accepted: res.TotalRate / float64(j.cfg.Mesh().N()), Total: res.TotalRate,
-			Latency: res.AvgLatency, NetLatency: res.AvgNetLatency, Drops: res.Drops,
+			Latency: res.AvgLatency, NetLatency: res.AvgNetLatency, Packets: res.Packets, Drops: res.Drops,
 		}, nil
 	}, o.sweepOpts()...)
 }
