@@ -747,20 +747,22 @@ func TestLockStepReference(t *testing.T) {
 			continue // duplicate encodings
 		}
 		_, _, name := lockStepConfig(uint8(cfg))
-		for _, sinks := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/sinks=%v", name, sinks), func(t *testing.T) {
-				check := func(ops tableOps) bool {
-					if err := lockStep(uint8(cfg), sinks, ops); err != nil {
-						t.Log(err)
-						return false
+		t.Run(name, func(t *testing.T) {
+			for _, sinks := range []bool{true, false} {
+				t.Run(fmt.Sprintf("sinks=%v", sinks), func(t *testing.T) {
+					check := func(ops tableOps) bool {
+						if err := lockStep(uint8(cfg), sinks, ops); err != nil {
+							t.Log(err)
+							return false
+						}
+						return true
 					}
-					return true
-				}
-				if err := quick.Check(check, &quick.Config{MaxCount: 4}); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+					if err := quick.Check(check, &quick.Config{MaxCount: 4}); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		})
 	}
 }
 
