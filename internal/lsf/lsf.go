@@ -527,7 +527,7 @@ func (t *Table) Advance(k uint64) {
 		t.base = t.end
 		t.clearSteps()
 	} else {
-		for b := t.nextBreak(0); b <= int(k) && b < t.wt; b = t.nextBreak(b) {
+		for b := t.nextBreak(0); b <= int(k); b = t.nextBreak(b) {
 			p := t.at(b)
 			t.base += int(t.delta[p])
 			t.step(p, 0)
