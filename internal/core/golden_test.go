@@ -20,6 +20,7 @@ import (
 	"loft/internal/lsf"
 	"loft/internal/perfmon"
 	"loft/internal/probe"
+	"loft/internal/sim"
 	"loft/internal/topo"
 	"loft/internal/traffic"
 )
@@ -72,6 +73,36 @@ func hotspot(rate float64) func(config.LOFT) *traffic.Pattern {
 	}
 }
 
+// mixedTrace replays packets of 1 to 5 flits to random destinations. Every
+// 100 cycles six sources each receive a burst of 24 packets within three
+// cycles, about 72 flits, and a source injects at most one flit per cycle,
+// so their queues back up for tens of cycles. The last burst comes five
+// cycles before the row's horizon, so queues still hold packets when the
+// run ends. Quanta of one flit admit every packet size. Replay draws no
+// random numbers, so both seeds run the same packets.
+func mixedTrace(c config.LOFT) *traffic.Pattern {
+	m := c.Mesh()
+	rng := sim.NewRNG(sim.SeedFor(5, 0))
+	var events []traffic.TraceEvent
+	for cycle := uint64(95); cycle < 1500; cycle += 100 {
+		for b := 0; b < 6; b++ {
+			src := topo.NodeID(rng.Intn(m.N()))
+			for i := 0; i < 24; i++ {
+				dst := src
+				for dst == src {
+					dst = topo.NodeID(rng.Intn(m.N()))
+				}
+				events = append(events, traffic.TraceEvent{Cycle: cycle + uint64(i%3), Src: src, Dst: dst, Flits: 1 + rng.Intn(5)})
+			}
+		}
+	}
+	p, err := traffic.FromTrace(m, events, c.PacketFlits, c.FrameFlits, 1)
+	if err != nil {
+		panic(err) // the trace is admissible on the paper's mesh
+	}
+	return p
+}
+
 // goldenCases cover both architectures at light load and past saturation,
 // the hotspot and case-study patterns and the optimizations-off LOFT (which
 // delivers only its reserved 1/64 share, hence the low rate). The saturated
@@ -89,6 +120,13 @@ func hotspot(rate float64) func(config.LOFT) *traffic.Pattern {
 // with frame 0, so scan order alone decides each arbitration. The two-VC row
 // runs out of free downstream VCs and sizes the per-node VC storage away
 // from 6×5.
+//
+// Two more GSF rows pin the source queue. A 42-flit queue is no multiple of
+// the 4-flit packet, so uniform traffic at 0.6 drops packets while one to
+// three flits are still free. A trace of 1- to 5-flit packets backs its
+// queues up behind bursts, and with a 50-flit queue drops packets of every
+// size. Every GSF row also pins each node's source-queue flits and drops at
+// the end of the run as <row>/srcq.
 //
 // Two LOFT rows leave the paper's look-ahead router (3 VCs × 4 flits, 3
 // stages). With one 2-flit VC per input the look-ahead buffers fill: the NI
@@ -140,6 +178,16 @@ var goldenCases = []goldenCase{
 	{"loft-hotspot-0.002", ArchLOFT, 12, hotspot(0.002), 500, 6000, nil, nil},
 	{"loft-spec0-hotspot-0.002", ArchLOFT, 0, hotspot(0.002), 500, 6000, nil, nil},
 	{"gsf-hotspot-0.002", ArchGSF, 12, hotspot(0.002), 500, 6000, nil, nil},
+	{"gsf-srcq42-0.6", ArchGSF, 12, uniform(0.6), 300, 1200, nil, func() config.GSF {
+		c := config.PaperGSF()
+		c.SourceQueue = 42
+		return c
+	}},
+	{"gsf-trace-mixed", ArchGSF, 12, mixedTrace, 300, 1200, nil, func() config.GSF {
+		c := config.PaperGSF()
+		c.SourceQueue = 50
+		return c
+	}},
 }
 
 // nearlyIdleRows also run under four workers: their nodes spend most cycles
@@ -165,23 +213,41 @@ flit-loss    node=6  dir=inject rate=0.5 from=250 to=1200
 credit-stall node=12 dir=eject  from=500 to=560
 `
 
+// rowState is a row's end-of-run state beyond its counters, stored as
+// <row>/<key>: every reservation table of a LOFT network ("tables"), every
+// source queue of a GSF network ("srcq").
+type rowState struct {
+	key string
+	v   any
+}
+
 // runAny runs either architecture the way every CLI does and returns the
-// result plus the architecture's own end-of-run counters and, for LOFT, the
-// end-of-run state of every reservation table (nil for GSF). A GSF run uses
-// gcfg; its reservations are scaled from lcfg's frame.
-func runAny(arch Arch, lcfg config.LOFT, gcfg config.GSF, p *traffic.Pattern, spec RunSpec) (Result, any, []tableState, error) {
+// result plus the architecture's own end-of-run counters and end-of-run
+// state. A GSF run uses gcfg; its reservations are scaled from lcfg's frame.
+func runAny(arch Arch, lcfg config.LOFT, gcfg config.GSF, p *traffic.Pattern, spec RunSpec) (Result, any, rowState, error) {
 	if arch == ArchGSF {
 		res, net, err := RunGSF(gcfg, p, lcfg.FrameFlits, spec)
 		if err != nil {
-			return res, nil, nil, err
+			return res, nil, rowState{}, err
 		}
-		return res, gsfCounters(net), nil, nil
+		return res, gsfCounters(net), rowState{"srcq", srcqStates(net, gcfg)}, nil
 	}
 	res, net, err := RunLOFT(lcfg, p, spec)
 	if err != nil {
-		return res, nil, nil, err
+		return res, nil, rowState{}, err
 	}
-	return res, loftCounters(net), tableStates(net, lcfg, p), nil
+	return res, loftCounters(net), rowState{"tables", tableStates(net, lcfg, p)}, nil
+}
+
+// srcqStates reads, node by node, the flits each source queue holds and the
+// packets it dropped.
+func srcqStates(net *gsf.Network, gcfg config.GSF) [][2]uint64 {
+	out := make([][2]uint64, gcfg.Mesh().N())
+	for i := range out {
+		flits, drops := net.SourceQueue(topo.NodeID(i))
+		out[i] = [2]uint64{uint64(flits), drops}
+	}
+	return out
 }
 
 // tableState is what a <row>/tables digest covers of one reservation table:
@@ -345,7 +411,7 @@ func TestGolden(t *testing.T) {
 						if c.gsf != nil {
 							gcfg = c.gsf()
 						}
-						res, counters, tables, err := runAny(c.arch, lcfg, gcfg, c.pattern(lcfg), RunSpec{Seed: seed, Warmup: c.warmup, Measure: c.measure, Workers: workers})
+						res, counters, state, err := runAny(c.arch, lcfg, gcfg, c.pattern(lcfg), RunSpec{Seed: seed, Warmup: c.warmup, Measure: c.measure, Workers: workers})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -354,9 +420,7 @@ func TestGolden(t *testing.T) {
 						}
 						key := fmt.Sprintf("%s/seed%d", c.name, seed)
 						g.check(t, key, digest(t, runDigest{res, counters}))
-						if tables != nil {
-							g.check(t, key+"/tables", digest(t, tables))
-						}
+						g.check(t, key+"/"+state.key, digest(t, state.v))
 					})
 				}
 			}
