@@ -92,7 +92,8 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 // Metrics assembles the manifest metric map from a run summary and the
-// attached layers: headline result metrics, scheduler outcome rates from
+// attached layers: headline result metrics (the latencies only when a
+// packet was measured), scheduler outcome rates from
 // the probe's kind counters, the offline latency decomposition, the
 // auditor's delay-bound margin, and the perfmon monitor's stage/engine
 // summary metrics. Any of the four sources may be nil.
@@ -101,11 +102,15 @@ func Metrics(res *core.Result, pr *probe.Probe, aud *audit.Auditor, mon *perfmon
 	if res != nil {
 		m["throughput_flits_per_cycle"] = res.TotalRate
 		m["packets"] = float64(res.Packets)
-		m["avg_latency_cycles"] = res.AvgLatency
-		m["p50_latency_cycles"] = res.P50Latency
-		m["p99_latency_cycles"] = res.P99Latency
-		m["max_latency_cycles"] = float64(res.MaxLatency)
-		m["avg_net_latency_cycles"] = res.AvgNetLatency
+		// With no packet measured there is no latency: a 0 here would
+		// read as one, and a diff would compare it as one.
+		if res.Packets > 0 {
+			m["avg_latency_cycles"] = res.AvgLatency
+			m["p50_latency_cycles"] = res.P50Latency
+			m["p99_latency_cycles"] = res.P99Latency
+			m["max_latency_cycles"] = float64(res.MaxLatency)
+			m["avg_net_latency_cycles"] = res.AvgNetLatency
+		}
 		m["spec_forwards"] = float64(res.SpecForward)
 		m["drops"] = float64(res.Drops)
 		m["resets"] = float64(res.Resets)

@@ -55,6 +55,48 @@ func TestMetricsFromLiveRun(t *testing.T) {
 	}
 }
 
+// TestMetricsLatencyNeedsPackets checks that a run with no measured packet
+// records no latency: the five latency metrics are left out, not written as
+// 0, so a diff against a run that measured packets reports them as present
+// on one side only instead of comparing zeros as latencies.
+func TestMetricsLatencyNeedsPackets(t *testing.T) {
+	latency := []string{"avg_latency_cycles", "avg_net_latency_cycles", "p50_latency_cycles", "p99_latency_cycles", "max_latency_cycles"}
+	measured := core.Result{Packets: 3, AvgLatency: 40, AvgNetLatency: 25, P50Latency: 38, P99Latency: 61, MaxLatency: 61, TotalRate: 0.1}
+	for _, c := range []struct {
+		name    string
+		res     core.Result
+		present bool
+	}{
+		{"no packets", core.Result{TotalRate: 0.1}, false},
+		{"no packets, saturated", core.Result{TotalRate: 0.999, Drops: 12}, false},
+		{"one packet", core.Result{Packets: 1, AvgLatency: 7, MaxLatency: 7}, true},
+		{"packets", measured, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := Metrics(&c.res, nil, nil, nil, 0)
+			if m["packets"] != float64(c.res.Packets) {
+				t.Errorf("packets = %v, want %d", m["packets"], c.res.Packets)
+			}
+			for _, name := range latency {
+				if _, ok := m[name]; ok != c.present {
+					t.Errorf("%s recorded: %v, want %v", name, ok, c.present)
+				}
+			}
+			onlyIn := map[string]string{}
+			for _, d := range trace.DiffMetrics(Metrics(&measured, nil, nil, nil, 0), m, 5) {
+				if d.OnlyIn != "" {
+					onlyIn[d.Name] = d.OnlyIn
+				}
+			}
+			for _, name := range latency {
+				if want := map[bool]string{false: "base", true: ""}[c.present]; onlyIn[name] != want {
+					t.Errorf("diff against a measured run: %s only in %q, want %q", name, onlyIn[name], want)
+				}
+			}
+		})
+	}
+}
+
 // TestWriteRunDirWithPerf pins the perf artifact path: a profiled run's
 // directory gains perf.json (readable back through perfmon.ReadSnapshot)
 // and perf.folded, both checksummed into the manifest, and the manifest
