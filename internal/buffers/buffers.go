@@ -5,13 +5,13 @@ package buffers
 
 import "loft/internal/label"
 
-// FIFO is a bounded first-in first-out queue.
+// FIFO is a bounded first-in first-out queue over a ring. Owners that keep
+// many FIFOs embed them by value and cut their rings from one array (Init).
 type FIFO[T any] struct {
 	buf   []T
 	head  int
 	count int
-	cap   int
-	name  string
+	name  label.Label
 }
 
 // NewFIFO returns a FIFO with the given capacity. Capacity 0 is legal and
@@ -20,31 +20,46 @@ func NewFIFO[T any](name string, capacity int) *FIFO[T] {
 	if capacity < 0 {
 		panic("buffers: negative FIFO capacity")
 	}
-	return &FIFO[T]{buf: make([]T, capacity), cap: capacity, name: name}
+	f := new(FIFO[T])
+	f.Init(label.Fixed(name), make([]T, capacity))
+	return f
 }
+
+// Init empties f and names it, with ring as its storage: the in-place form
+// of NewFIFO. The capacity is len(ring), and f owns ring from now on.
+func (f *FIFO[T]) Init(name label.Label, ring []T) {
+	*f = FIFO[T]{buf: ring, name: name}
+}
+
+// Name returns the FIFO's diagnostic name.
+func (f *FIFO[T]) Name() string { return f.name.String() }
 
 // Len returns the number of queued items.
 func (f *FIFO[T]) Len() int { return f.count }
 
 // Cap returns the capacity.
-func (f *FIFO[T]) Cap() int { return f.cap }
+func (f *FIFO[T]) Cap() int { return len(f.buf) }
 
 // Free returns the remaining space.
-func (f *FIFO[T]) Free() int { return f.cap - f.count }
+func (f *FIFO[T]) Free() int { return len(f.buf) - f.count }
 
 // Empty reports whether the FIFO holds no items.
 func (f *FIFO[T]) Empty() bool { return f.count == 0 }
 
 // Full reports whether no space remains.
-func (f *FIFO[T]) Full() bool { return f.count == f.cap }
+func (f *FIFO[T]) Full() bool { return f.count == len(f.buf) }
 
 // Push appends v. It panics on overflow: callers must check Free first
 // (credit flow control guarantees it in a correct model).
 func (f *FIFO[T]) Push(v T) {
 	if f.Full() {
-		panic("buffers: overflow on FIFO " + f.name)
+		panic("buffers: overflow on FIFO " + f.Name())
 	}
-	f.buf[(f.head+f.count)%f.cap] = v
+	i := f.head + f.count
+	if i >= len(f.buf) {
+		i -= len(f.buf)
+	}
+	f.buf[i] = v
 	f.count++
 }
 
@@ -56,7 +71,9 @@ func (f *FIFO[T]) Pop() (T, bool) {
 	}
 	v := f.buf[f.head]
 	f.buf[f.head] = zero
-	f.head = (f.head + 1) % f.cap
+	if f.head++; f.head == len(f.buf) {
+		f.head = 0
+	}
 	f.count--
 	return v, true
 }

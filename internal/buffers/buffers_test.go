@@ -1,6 +1,7 @@
 package buffers
 
 import (
+	"fmt"
 	"testing"
 
 	"loft/internal/label"
@@ -101,6 +102,45 @@ func TestFIFOFrontFollowsHead(t *testing.T) {
 				t.Fatalf("round %d: Pop = (%d,%v), Front held %d", round, v, ok, want)
 			}
 		}
+	}
+}
+
+func fifoName(a, b int) string { return fmt.Sprintf("q%d.%d", a, b) }
+
+// TestFIFOInitOnOneArray runs two FIFOs whose rings are cut from one array
+// through many wraparounds: each keeps its own order and never writes into
+// the other's ring, and each reads its label as its name, in panics too.
+func TestFIFOInitOnOneArray(t *testing.T) {
+	ring := make([]int, 5)
+	var a, b FIFO[int]
+	a.Init(label.New(fifoName, 1, 0), ring[0:3:3])
+	b.Init(label.New(fifoName, 1, 1), ring[3:5:5])
+	if a.Cap() != 3 || b.Cap() != 2 || a.Name() != "q1.0" || b.Name() != "q1.1" {
+		t.Fatalf("a: cap %d %q, b: cap %d %q", a.Cap(), a.Name(), b.Cap(), b.Name())
+	}
+	next := [2]int{0, 1000}
+	want := [2]int{0, 1000}
+	for round := 0; round < 20; round++ {
+		for i, f := range []*FIFO[int]{&a, &b} {
+			for f.Free() > 0 {
+				f.Push(next[i])
+				next[i]++
+			}
+			for j := 0; j <= round%f.Cap(); j++ {
+				if v, ok := f.Pop(); !ok || v != want[i] {
+					t.Fatalf("round %d FIFO %d: Pop = (%d,%v), want %d", round, i, v, ok, want[i])
+				}
+				want[i]++
+			}
+		}
+	}
+	defer func() {
+		if r := recover(); r != "buffers: overflow on FIFO q1.1" {
+			t.Fatalf("overflow panicked with %v", r)
+		}
+	}()
+	for {
+		b.Push(0)
 	}
 }
 

@@ -36,14 +36,19 @@ type grant struct {
 var noGrant = grant{dir: -1, idx: -1, down: -1}
 
 // cloneArb copies what arbitration reads and writes: every VC's queue,
-// route and downstream VC, and every output's downstream VC state.
+// route and downstream VC, and every output's downstream VC state. It walks
+// the VCs by index: a copy of a VC shares its FIFO's ring, so reading the
+// items through a copy (fifoItems rotates the queue) would move them under
+// the original's head.
 func cloneArb(n *node) *refNode {
 	r := &refNode{}
 	for d := topo.North; d < topo.NumDirs; d++ {
-		for _, vc := range n.port(d) {
-			c := vc
-			c.fifo = buffers.NewFIFO[vcEntry]("ref", vc.fifo.Cap())
-			for _, e := range fifoItems(vc.fifo) {
+		port := n.port(d)
+		for v := range port {
+			vc := &port[v]
+			c := *vc
+			c.fifo = *buffers.NewFIFO[vcEntry]("ref", vc.fifo.Cap())
+			for _, e := range fifoItems(&vc.fifo) {
 				c.fifo.Push(e)
 			}
 			r.vcs[d] = append(r.vcs[d], &c)
@@ -56,7 +61,9 @@ func cloneArb(n *node) *refNode {
 }
 
 // fifoItems lists f's items oldest first. It pops each item and pushes it
-// back: a full rotation, which leaves the queue's order unchanged.
+// back: a full rotation, which leaves the queue's order unchanged. f must
+// be the FIFO itself, not a copy, whose ring the rotation would rewrite
+// behind the original's head.
 func fifoItems[T any](f *buffers.FIFO[T]) []T {
 	out := make([]T, 0, f.Len())
 	for i := f.Len(); i > 0; i-- {
@@ -181,8 +188,8 @@ func (r *refNode) sameState(n *node) error {
 				return fmt.Errorf("VC %s.%d: routed %v out %s down %d len %d, reference routed %v out %s down %d len %d", d, v,
 					got.routed, got.outDir, got.downVC, got.fifo.Len(), want.routed, want.outDir, want.downVC, want.fifo.Len())
 			}
-			wantItems := fifoItems(want.fifo)
-			for i, e := range fifoItems(got.fifo) {
+			wantItems := fifoItems(&want.fifo)
+			for i, e := range fifoItems(&got.fifo) {
 				if e != wantItems[i] {
 					return fmt.Errorf("VC %s.%d entry %d: %+v, reference %+v", d, v, i, e, wantItems[i])
 				}

@@ -152,8 +152,9 @@ func zeroAllocRows(t *testing.T) []zeroAllocRow {
 		loftRow("loft-0.2-audited", 0.2, loftnet.Options{Warmup: never, Audit: aud}, func(*loftnet.Network) []counter {
 			return []counter{{"packets checked", func() uint64 { return aud.Snapshot().PacketsChecked }}}
 		}),
-		// The per-output candidate lists are carved from storage sized in
-		// gsf.New, so arbitrating past saturation allocates nothing.
+		// The per-output candidate lists and the source queues' packet
+		// rings are carved from storage sized in gsf.New, so arbitrating
+		// and queueing past saturation allocate nothing.
 		gsfRow("gsf", gsf.Options{}),
 		gsfRow("gsf-0.6-adversary-workers2", gsf.Options{Workers: 2, Fault: plan("adversary flow=1 factor=3 cap=0.6 from=3000")}),
 	}
