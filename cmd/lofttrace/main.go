@@ -28,6 +28,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"loft/internal/config"
 	"loft/internal/det"
@@ -253,32 +254,6 @@ func printFaultTimeline(w io.Writer, ev []probe.Event) {
 	}
 }
 
-// decomposeJSON is the -json shape of a decomposition report.
-type decomposeJSON struct {
-	SlotCycles uint64             `json:"slot_cycles"`
-	Complete   int                `json:"complete"`
-	Incomplete int                `json:"incomplete"`
-	Dropped    uint64             `json:"dropped_events"`
-	All        trace.AggSummary   `json:"all"`
-	PerFlow    []flowJSON         `json:"per_flow,omitempty"`
-	PerHop     []hopJSON          `json:"per_hop,omitempty"`
-	Errors     []string           `json:"errors,omitempty"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
-}
-
-type flowJSON struct {
-	Flow    int32            `json:"flow"`
-	Summary trace.AggSummary `json:"summary"`
-}
-
-type hopJSON struct {
-	Hop      int     `json:"hop"`
-	Count    uint64  `json:"count"`
-	SpecPct  float64 `json:"spec_pct"`
-	MeanWait float64 `json:"mean_wait_cycles"`
-	MaxWait  uint64  `json:"max_wait_cycles"`
-}
-
 func cmdDecompose(args []string, stdout, stderr io.Writer) (int, error) {
 	fs := flag.NewFlagSet("decompose", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -308,88 +283,70 @@ func cmdDecompose(args []string, stdout, stderr io.Writer) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-	if *asJSON {
-		rep := decomposeJSON{
-			SlotCycles: d.SlotCycles, Complete: d.Complete, Incomplete: d.Incomplete,
-			Dropped: d.Dropped, All: d.All.Summary(), Errors: d.Errors, Metrics: d.Metrics(),
-		}
-		for i := range d.PerFlow {
-			f := &d.PerFlow[i]
-			if *flow >= 0 && f.Flow != int32(*flow) {
-				continue
-			}
-			rep.PerFlow = append(rep.PerFlow, flowJSON{Flow: f.Flow, Summary: f.Agg.Summary()})
-		}
-		for i := range d.PerHop {
-			h := &d.PerHop[i]
-			hj := hopJSON{Hop: h.Hop, Count: h.Count, MeanWait: h.Wait.Mean(), MaxWait: h.Wait.Max()}
-			if h.Count > 0 {
-				hj.SpecPct = 100 * float64(h.Spec) / float64(h.Count)
-			}
-			rep.PerHop = append(rep.PerHop, hj)
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return 0, enc.Encode(rep)
+	if *flow >= 0 {
+		d.PerFlow = slices.DeleteFunc(d.PerFlow, func(f trace.FlowSummary) bool { return f.Flow != int32(*flow) })
 	}
-	fmt.Fprintf(stdout, "decomposition: %d quanta complete, %d incomplete (slot = %d cycles",
+	if *asJSON {
+		return 0, writeJSON(stdout, d)
+	}
+	printDecomposition(stdout, d)
+	return 0, nil
+}
+
+// printDecomposition renders the report -json encodes as text.
+func printDecomposition(w io.Writer, d *trace.Decomposition) {
+	fmt.Fprintf(w, "decomposition: %d quanta complete, %d incomplete (slot = %d cycles",
 		d.Complete, d.Incomplete, d.SlotCycles)
 	if d.Dropped > 0 {
-		fmt.Fprintf(stdout, "; ring dropped %d events, stream is the tail", d.Dropped)
+		fmt.Fprintf(w, "; ring dropped %d events, stream is the tail", d.Dropped)
 	}
-	fmt.Fprintln(stdout, ")")
+	fmt.Fprintln(w, ")")
 	for _, e := range d.Errors {
-		fmt.Fprintf(stdout, "  TIMING VIOLATION: %s\n", e)
+		fmt.Fprintf(w, "  TIMING VIOLATION: %s\n", e)
 	}
 	if d.Complete == 0 {
-		fmt.Fprintln(stdout, "  no data-path events to decompose (GSF stream, or probe attached without data traffic)")
-		return 0, nil
+		fmt.Fprintln(w, "  no data-path events to decompose (GSF stream, or probe attached without data traffic)")
+		return
 	}
-	printAgg := func(label string, a *trace.Agg) {
-		s := a.Summary()
-		fmt.Fprintf(stdout, "%s: %d quanta, %.1f hops avg, %.1f%% hops speculative\n",
-			label, s.Quanta, s.MeanHops, s.SpecHopPct)
-		rows := []struct {
-			name string
-			c    trace.ComponentStats
-		}{
-			{"total", s.Total},
-			{"booking-wait", s.BookingWait},
-			{"serialization", s.Serialization},
-			{"lookahead-wait", s.LookaheadWait},
-			{"spec-wait", s.SpecWait},
-			{"spec-saved*", s.SpecSaved},
-		}
-		fmt.Fprintf(stdout, "  %-15s %10s %8s  %s\n", "component", "mean", "max", "histogram (cycles)")
-		for _, r := range rows {
-			fmt.Fprintf(stdout, "  %-15s %10.2f %8d  %s\n", r.name, r.c.Mean, r.c.Max, r.c.Hist)
-		}
+	s := &d.All
+	fmt.Fprintf(w, "all flows: %d quanta, %.1f hops avg, %.1f%% hops speculative\n",
+		s.Quanta, s.MeanHops, s.SpecHopPct)
+	rows := []struct {
+		name string
+		c    trace.ComponentStats
+	}{
+		{"total", s.Total},
+		{"booking-wait", s.BookingWait},
+		{"serialization", s.Serialization},
+		{"lookahead-wait", s.LookaheadWait},
+		{"spec-wait", s.SpecWait},
+		{"spec-saved*", s.SpecSaved},
 	}
-	printAgg("all flows", &d.All)
-	fmt.Fprintln(stdout, "  (* spec-saved is informational; the four components above it sum to total)")
-	for i := range d.PerFlow {
-		f := &d.PerFlow[i]
-		if *flow >= 0 && f.Flow != int32(*flow) {
-			continue
-		}
-		s := f.Agg.Summary()
-		fmt.Fprintf(stdout, "flow %3d: %6d quanta  total %8.2f  book %8.2f  serial %7.2f  lookahead %8.2f  spec %6.2f  (saved %6.2f)\n",
+	fmt.Fprintf(w, "  %-15s %10s %8s  %s\n", "component", "mean", "max", "histogram (cycles)")
+	for _, r := range rows {
+		fmt.Fprintf(w, "  %-15s %10.2f %8d  %s\n", r.name, r.c.Mean, r.c.Max, r.c.Hist)
+	}
+	fmt.Fprintln(w, "  (* spec-saved is informational; the four components above it sum to total)")
+	for _, f := range d.PerFlow {
+		s := &f.Summary
+		fmt.Fprintf(w, "flow %3d: %6d quanta  total %8.2f  book %8.2f  serial %7.2f  lookahead %8.2f  spec %6.2f  (saved %6.2f)\n",
 			f.Flow, s.Quanta, s.Total.Mean, s.BookingWait.Mean, s.Serialization.Mean,
 			s.LookaheadWait.Mean, s.SpecWait.Mean, s.SpecSaved.Mean)
 	}
 	if len(d.PerHop) > 0 {
-		fmt.Fprintf(stdout, "per-hop residual wait (hop 0 = first router crossing):\n")
-		for i := range d.PerHop {
-			h := &d.PerHop[i]
-			specPct := 0.0
-			if h.Count > 0 {
-				specPct = 100 * float64(h.Spec) / float64(h.Count)
-			}
-			fmt.Fprintf(stdout, "  hop %2d: %6d crossings, mean wait %7.2f, max %6d, %5.1f%% speculative\n",
-				h.Hop, h.Count, h.Wait.Mean(), h.Wait.Max(), specPct)
+		fmt.Fprintf(w, "per-hop residual wait (hop 0 = first router crossing):\n")
+		for _, h := range d.PerHop {
+			fmt.Fprintf(w, "  hop %2d: %6d crossings, mean wait %7.2f, max %6d, %5.1f%% speculative\n",
+				h.Hop, h.Count, h.MeanWait, h.MaxWait, h.SpecPct)
 		}
 	}
-	return 0, nil
+}
+
+// writeJSON writes v as indented JSON, the form of every -json report.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // cmdPerf renders a run's perfmon snapshot: the stage-attribution table,
@@ -414,9 +371,7 @@ func cmdPerf(args []string, stdout, stderr io.Writer) (int, error) {
 		return 2, err
 	}
 	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return 0, enc.Encode(snap)
+		return 0, writeJSON(stdout, snap)
 	}
 	snap.WriteText(stdout)
 	return 0, nil
@@ -453,9 +408,7 @@ func cmdDiff(args []string, stdout, stderr io.Writer) (int, error) {
 		return 2, err
 	}
 	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
+		if err := writeJSON(stdout, rep); err != nil {
 			return 2, err
 		}
 	} else {

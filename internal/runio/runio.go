@@ -135,7 +135,7 @@ func Metrics(res *core.Result, pr *probe.Probe, aud *audit.Auditor, mon *perfmon
 		}
 		if slotCycles > 0 {
 			if d, err := trace.Decompose(pr.Events(), slotCycles, tr.Dropped()); err == nil {
-				for k, v := range d.Metrics() {
+				for k, v := range d.Metrics {
 					m[k] = v
 				}
 			}

@@ -11,7 +11,6 @@ import (
 
 // Forward is one observed data crossing of a switch output.
 type Forward struct {
-	Node   int32  // router that forwarded the quantum
 	Dir    int32  // output direction; topo.Local is the ejection into the sink
 	Cycle  uint64 // crossing cycle
 	Booked uint64 // booked departure cycle on that link
@@ -28,8 +27,6 @@ func (f Forward) Spec() bool { return f.Cycle < f.Booked }
 type QuantumTrace struct {
 	Flow     int32
 	Seq      uint64
-	Src      int32 // injecting node
-	Dst      int32 // ejecting node
 	Book     uint64
 	Inject   uint64
 	Forwards []Forward
@@ -62,7 +59,8 @@ type Components struct {
 // Components decomposes the quantum's latency. slotCycles is the cycles per
 // quantum slot (config QuantumFlits). It returns an error when the timeline
 // violates the simulator's timing invariants (incomplete, out of order, or
-// a dwell shorter than one slot) — a correct stream never does.
+// a dwell shorter than one slot) — a correct stream never does — and when
+// the four summed components do not add up to Total.
 func (q *QuantumTrace) Components(slotCycles uint64) (Components, error) {
 	if slotCycles == 0 {
 		return Components{}, fmt.Errorf("flow %d seq %d: slotCycles must be positive", q.Flow, q.Seq)
@@ -96,36 +94,36 @@ func (q *QuantumTrace) Components(slotCycles uint64) (Components, error) {
 		}
 		prev = f.Cycle
 	}
+	if sum := c.BookingWait + c.Serialization + c.LookaheadWait + c.SpecWait; sum != c.Total {
+		return Components{}, fmt.Errorf("flow %d seq %d: components sum to %d, not the total %d (booking-wait %d, serialization %d, lookahead-wait %d, spec-wait %d)",
+			q.Flow, q.Seq, sum, c.Total, c.BookingWait, c.Serialization, c.LookaheadWait, c.SpecWait)
+	}
 	return c, nil
 }
 
-// Agg aggregates component distributions over many quanta.
-type Agg struct {
-	Count         uint64
-	HopCount      uint64 // total crossed links
-	SpecHops      uint64
-	Total         stats.Histogram
-	BookingWait   stats.Histogram
-	Serialization stats.Histogram
-	LookaheadWait stats.Histogram
-	SpecWait      stats.Histogram
-	SpecSaved     stats.Histogram
+// agg accumulates component distributions over many quanta.
+type agg struct {
+	hops, specHops uint64 // crossed links, and those crossed speculatively
+	total          stats.Histogram
+	bookingWait    stats.Histogram
+	serialization  stats.Histogram
+	lookaheadWait  stats.Histogram
+	specWait       stats.Histogram
+	specSaved      stats.Histogram
 }
 
-func (a *Agg) observe(c Components) {
-	a.Count++
-	a.HopCount += uint64(c.Hops)
-	a.SpecHops += uint64(c.SpecHops)
-	a.Total.Observe(c.Total)
-	a.BookingWait.Observe(c.BookingWait)
-	a.Serialization.Observe(c.Serialization)
-	a.LookaheadWait.Observe(c.LookaheadWait)
-	a.SpecWait.Observe(c.SpecWait)
-	a.SpecSaved.Observe(c.SpecSaved)
+func (a *agg) observe(c Components) {
+	a.hops += uint64(c.Hops)
+	a.specHops += uint64(c.SpecHops)
+	a.total.Observe(c.Total)
+	a.bookingWait.Observe(c.BookingWait)
+	a.serialization.Observe(c.Serialization)
+	a.lookaheadWait.Observe(c.LookaheadWait)
+	a.specWait.Observe(c.SpecWait)
+	a.specSaved.Observe(c.SpecSaved)
 }
 
-// ComponentStats is the JSON-friendly rendering of one component's
-// distribution.
+// ComponentStats is one component's distribution.
 type ComponentStats struct {
 	Mean float64 `json:"mean_cycles"`
 	Max  uint64  `json:"max_cycles"`
@@ -136,7 +134,7 @@ func componentStats(h *stats.Histogram) ComponentStats {
 	return ComponentStats{Mean: h.Mean(), Max: h.Max(), Hist: h.String()}
 }
 
-// AggSummary is the JSON-friendly rendering of an Agg.
+// AggSummary is the component distributions of a set of quanta.
 type AggSummary struct {
 	Quanta        uint64         `json:"quanta"`
 	MeanHops      float64        `json:"mean_hops"`
@@ -149,58 +147,66 @@ type AggSummary struct {
 	SpecSaved     ComponentStats `json:"spec_saved"`
 }
 
-// Summary renders the aggregate.
-func (a *Agg) Summary() AggSummary {
+func (a *agg) summary() AggSummary {
 	s := AggSummary{
-		Quanta:        a.Count,
-		Total:         componentStats(&a.Total),
-		BookingWait:   componentStats(&a.BookingWait),
-		Serialization: componentStats(&a.Serialization),
-		LookaheadWait: componentStats(&a.LookaheadWait),
-		SpecWait:      componentStats(&a.SpecWait),
-		SpecSaved:     componentStats(&a.SpecSaved),
+		Quanta:        a.total.Count(),
+		Total:         componentStats(&a.total),
+		BookingWait:   componentStats(&a.bookingWait),
+		Serialization: componentStats(&a.serialization),
+		LookaheadWait: componentStats(&a.lookaheadWait),
+		SpecWait:      componentStats(&a.specWait),
+		SpecSaved:     componentStats(&a.specSaved),
 	}
-	if a.Count > 0 {
-		s.MeanHops = float64(a.HopCount) / float64(a.Count)
+	if s.Quanta > 0 {
+		s.MeanHops = float64(a.hops) / float64(s.Quanta)
 	}
-	if a.HopCount > 0 {
-		s.SpecHopPct = 100 * float64(a.SpecHops) / float64(a.HopCount)
+	if a.hops > 0 {
+		s.SpecHopPct = 100 * float64(a.specHops) / float64(a.hops)
 	}
 	return s
 }
 
-// FlowAgg is one flow's aggregate.
-type FlowAgg struct {
-	Flow int32
-	Agg  Agg
+// FlowSummary is one flow's component distributions.
+type FlowSummary struct {
+	Flow    int32      `json:"flow"`
+	Summary AggSummary `json:"summary"`
 }
 
-// HopAgg is the residual-wait distribution at one hop position along the
-// path (hop 0 is the first router crossing after injection).
-type HopAgg struct {
-	Hop   int
-	Count uint64
-	Spec  uint64 // speculative crossings at this position
-	Wait  stats.Histogram
+// HopSummary is the residual wait above one slot at one hop position along
+// the path (hop 0 is the first router crossing after injection).
+type HopSummary struct {
+	Hop      int     `json:"hop"`
+	Count    uint64  `json:"count"`
+	SpecPct  float64 `json:"spec_pct"` // share of the crossings that were speculative
+	MeanWait float64 `json:"mean_wait_cycles"`
+	MaxWait  uint64  `json:"max_wait_cycles"`
 }
 
-// QuantumResult pairs one quantum's timeline with its decomposition.
-type QuantumResult struct {
-	QuantumTrace
-	Components Components
+// hopAgg accumulates one hop position's crossings.
+type hopAgg struct {
+	spec uint64
+	wait stats.Histogram
 }
 
-// Decomposition is the result of replaying an event stream.
+// Decomposition is the report of replaying an event stream; lofttrace
+// decompose prints it as text or encodes it as JSON.
 type Decomposition struct {
-	SlotCycles uint64
-	Complete   int // quanta fully decomposed
-	Incomplete int // quanta missing booking, injection or ejection (in flight at the end of the run, or lost to ring drop)
-	Dropped    uint64
-	All        Agg
-	PerFlow    []FlowAgg
-	PerHop     []HopAgg
-	Quanta     []QuantumResult // complete quanta in (flow, seq) order, one key's quanta in stream order
-	Errors     []string        // timing-invariant violations; empty on a well-formed stream
+	SlotCycles uint64 `json:"slot_cycles"`
+	Complete   int    `json:"complete"` // quanta fully decomposed
+	// Incomplete counts quanta missing their booking, injection or ejection:
+	// in flight at the end of a run, or clipped by the ring.
+	Incomplete int           `json:"incomplete"`
+	Dropped    uint64        `json:"dropped_events"`
+	All        AggSummary    `json:"all"`
+	PerFlow    []FlowSummary `json:"per_flow,omitempty"` // in flow order
+	PerHop     []HopSummary  `json:"per_hop,omitempty"`
+	// Errors lists the ejected quanta whose timeline breaks a timing
+	// invariant or whose components miss the identity, in ejection order;
+	// empty on a well-formed stream.
+	Errors []string `json:"errors,omitempty"`
+	// Metrics flattens All into the metric map manifests record and the
+	// differ compares; nil when no quantum decomposed (e.g. a GSF stream).
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 type quantumKey struct {
@@ -208,40 +214,73 @@ type quantumKey struct {
 	seq  uint64
 }
 
-type quantumBuild struct {
-	qt         QuantumTrace
-	haveBook   bool
-	haveInject bool
-	done       bool
+// inFlight is a quantum whose ejection the replay has not reached yet.
+type inFlight struct {
+	qt               QuantumTrace
+	booked, injected bool
 }
 
-// Decompose replays a probe event stream into per-quantum latency
-// decompositions. slotCycles is the configuration's QuantumFlits (cycles
-// per slot); dropped is the ring-drop count reported by the dump header —
-// a truncated stream decomposes fine, the clipped quanta just count as
+// Decompose replays a probe event stream into latency decompositions in
+// one pass. slotCycles is the configuration's QuantumFlits (cycles per
+// slot); dropped is the ring-drop count reported by the dump header — a
+// truncated stream decomposes fine, the clipped quanta just count as
 // incomplete. GSF streams carry no data-path events and yield zero quanta.
+//
+// Only quanta in flight hold state. A stream may hold several runs (loftsim
+// -seeds N -probe shares one probe across them), each numbering every
+// flow's quanta from 0 again, so one (flow, seq) can name one quantum per
+// run. The NI books a quantum exactly once, so its booking always starts
+// the key's next quantum, and whatever the key held before counts as
+// incomplete. An ejection folds the quantum into the aggregates and drops
+// it; whatever is left at the end of the stream is incomplete.
 func Decompose(events []probe.Event, slotCycles, dropped uint64) (*Decomposition, error) {
 	if slotCycles == 0 {
 		return nil, fmt.Errorf("decompose: slotCycles must be positive")
 	}
-	// A stream may hold several runs (loftsim -seeds N -probe shares one
-	// probe across them), and each run numbers every flow's quanta from 0
-	// again, so one (flow, seq) can name one quantum per run. The NI books a
-	// quantum exactly once, so a second booking of a key starts the key's
-	// next quantum; each key keeps its quanta in stream order, and an
-	// earlier one that never ejected counts as incomplete.
-	builds := make(map[quantumKey][]*quantumBuild)
-	start := func(e probe.Event) *quantumBuild {
-		k := quantumKey{flow: e.Flow, seq: e.Seq}
-		b := &quantumBuild{qt: QuantumTrace{Flow: e.Flow, Seq: e.Seq}}
-		builds[k] = append(builds[k], b)
-		return b
-	}
-	get := func(e probe.Event) *quantumBuild {
-		if gens := builds[quantumKey{flow: e.Flow, seq: e.Seq}]; len(gens) > 0 {
-			return gens[len(gens)-1]
+	d := &Decomposition{SlotCycles: slotCycles, Dropped: dropped}
+	var all agg
+	perFlow := make(map[int32]*agg)
+	var perHop []hopAgg
+	eject := func(q *inFlight) {
+		if !q.booked || !q.injected {
+			d.Incomplete++
+			return
 		}
-		return start(e)
+		c, err := q.qt.Components(slotCycles)
+		if err != nil {
+			d.Errors = append(d.Errors, err.Error())
+			return
+		}
+		d.Complete++
+		all.observe(c)
+		fa := perFlow[q.qt.Flow]
+		if fa == nil {
+			fa = &agg{}
+			perFlow[q.qt.Flow] = fa
+		}
+		fa.observe(c)
+		prev := q.qt.Inject
+		for i, f := range q.qt.Forwards {
+			if i == len(perHop) {
+				perHop = append(perHop, hopAgg{})
+			}
+			h := &perHop[i]
+			h.wait.Observe(f.Cycle - prev - slotCycles)
+			if f.Spec() {
+				h.spec++
+			}
+			prev = f.Cycle
+		}
+	}
+	live := make(map[quantumKey]*inFlight)
+	at := func(e probe.Event) *inFlight {
+		k := quantumKey{flow: e.Flow, seq: e.Seq}
+		q := live[k]
+		if q == nil {
+			q = &inFlight{qt: QuantumTrace{Flow: e.Flow, Seq: e.Seq}}
+			live[k] = q
+		}
+		return q
 	}
 	for _, e := range events {
 		switch e.Kind {
@@ -251,100 +290,52 @@ func Decompose(events []probe.Event, slotCycles, dropped uint64) (*Decomposition
 			if e.Loc != int32(topo.NumDirs) {
 				continue
 			}
-			b := get(e)
-			if b.haveBook {
-				b = start(e)
-			}
-			b.qt.Book = e.Cycle
-			b.haveBook = true
-		case probe.KindDataInject:
-			b := get(e)
-			b.qt.Inject = e.Cycle
-			b.qt.Src = e.Node
-			b.haveInject = true
-		case probe.KindDataForward:
-			b := get(e)
-			b.qt.Forwards = append(b.qt.Forwards, Forward{
-				Node: e.Node, Dir: e.Loc, Cycle: e.Cycle, Booked: e.Arg,
-			})
-			if e.Loc == int32(topo.Local) {
-				b.done = true
-				b.qt.Dst = e.Node
-			}
-		}
-	}
-	d := &Decomposition{SlotCycles: slotCycles, Dropped: dropped}
-	perFlow := make(map[int32]*Agg)
-	keys := det.KeysFunc(builds, func(a, b quantumKey) bool {
-		if a.flow != b.flow {
-			return a.flow < b.flow
-		}
-		return a.seq < b.seq
-	})
-	for _, k := range keys {
-		for _, b := range builds[k] {
-			if !b.done || !b.haveBook || !b.haveInject {
+			k := quantumKey{flow: e.Flow, seq: e.Seq}
+			if _, held := live[k]; held {
 				d.Incomplete++
-				continue
 			}
-			c, err := b.qt.Components(slotCycles)
-			if err != nil {
-				d.Errors = append(d.Errors, err.Error())
-				continue
+			live[k] = &inFlight{qt: QuantumTrace{Flow: e.Flow, Seq: e.Seq, Book: e.Cycle}, booked: true}
+		case probe.KindDataInject:
+			q := at(e)
+			q.qt.Inject = e.Cycle
+			q.injected = true
+		case probe.KindDataForward:
+			q := at(e)
+			q.qt.Forwards = append(q.qt.Forwards, Forward{Dir: e.Loc, Cycle: e.Cycle, Booked: e.Arg})
+			if e.Loc == int32(topo.Local) {
+				delete(live, quantumKey{flow: e.Flow, seq: e.Seq})
+				eject(q)
 			}
-			d.Complete++
-			d.All.observe(c)
-			fa, ok := perFlow[b.qt.Flow]
-			if !ok {
-				fa = &Agg{}
-				perFlow[b.qt.Flow] = fa
-			}
-			fa.observe(c)
-			for i, f := range b.qt.Forwards {
-				for len(d.PerHop) <= i {
-					d.PerHop = append(d.PerHop, HopAgg{Hop: len(d.PerHop)})
-				}
-				h := &d.PerHop[i]
-				h.Count++
-				var prev uint64
-				if i == 0 {
-					prev = b.qt.Inject
-				} else {
-					prev = b.qt.Forwards[i-1].Cycle
-				}
-				h.Wait.Observe(f.Cycle - prev - slotCycles)
-				if f.Spec() {
-					h.Spec++
-				}
-			}
-			d.Quanta = append(d.Quanta, QuantumResult{QuantumTrace: b.qt, Components: c})
 		}
 	}
+	d.Incomplete += len(live)
+	d.All = all.summary()
 	for _, fl := range det.Keys(perFlow) {
-		d.PerFlow = append(d.PerFlow, FlowAgg{Flow: fl, Agg: *perFlow[fl]})
+		d.PerFlow = append(d.PerFlow, FlowSummary{Flow: fl, Summary: perFlow[fl].summary()})
+	}
+	for i := range perHop {
+		h := &perHop[i]
+		hs := HopSummary{Hop: i, Count: h.wait.Count(), MeanWait: h.wait.Mean(), MaxWait: h.wait.Max()}
+		if hs.Count > 0 {
+			hs.SpecPct = 100 * float64(h.spec) / float64(hs.Count)
+		}
+		d.PerHop = append(d.PerHop, hs)
+	}
+	if d.Complete > 0 {
+		s := d.All
+		d.Metrics = map[string]float64{
+			"decomp_quanta":                     float64(s.Quanta),
+			"decomp_incomplete":                 float64(d.Incomplete),
+			"decomp_mean_hops":                  s.MeanHops,
+			"decomp_spec_hop_pct":               s.SpecHopPct,
+			"decomp_mean_total_cycles":          s.Total.Mean,
+			"decomp_max_total_cycles":           float64(s.Total.Max),
+			"decomp_mean_booking_wait_cycles":   s.BookingWait.Mean,
+			"decomp_mean_serialization_cycles":  s.Serialization.Mean,
+			"decomp_mean_lookahead_wait_cycles": s.LookaheadWait.Mean,
+			"decomp_mean_spec_wait_cycles":      s.SpecWait.Mean,
+			"decomp_mean_spec_saved_cycles":     s.SpecSaved.Mean,
+		}
 	}
 	return d, nil
-}
-
-// Metrics flattens the decomposition's aggregate into the flat metric map
-// manifests record and the differ compares. Empty when no quantum
-// decomposed (e.g. a GSF stream).
-func (d *Decomposition) Metrics() map[string]float64 {
-	if d.Complete == 0 {
-		return nil
-	}
-	s := d.All.Summary()
-	return map[string]float64{
-		"decomp_quanta":                     float64(s.Quanta),
-		"decomp_incomplete":                 float64(d.Incomplete),
-		"decomp_mean_hops":                  s.MeanHops,
-		"decomp_spec_hop_pct":               s.SpecHopPct,
-		"decomp_mean_total_cycles":          s.Total.Mean,
-		"decomp_max_total_cycles":           float64(s.Total.Max),
-		"decomp_mean_booking_wait_cycles":   s.BookingWait.Mean,
-		"decomp_mean_serialization_cycles":  s.Serialization.Mean,
-		"decomp_mean_lookahead_wait_cycles": s.LookaheadWait.Mean,
-		"decomp_mean_spec_wait_cycles":      s.SpecWait.Mean,
-		"decomp_mean_spec_saved_cycles":     s.SpecSaved.Mean,
-	}
 }
