@@ -31,6 +31,7 @@ package audit
 import (
 	"fmt"
 
+	"loft/internal/det"
 	"loft/internal/flit"
 	"loft/internal/lsf"
 	"loft/internal/probe"
@@ -106,6 +107,12 @@ type Auditor struct {
 	// grantChecks counts the per-grant checks of finished runs; the current
 	// run's are the sum of its tables' granted counters (grantChecksSoFar).
 	grantChecks uint64
+	// The finished runs' checked packets, watched tables and worst latency
+	// as a percentage of its bound; Snapshot and Summary add the current
+	// run's, so a sweep's verdict covers the packets its violation log does.
+	packetsChecked uint64
+	tablesWatched  int
+	worstMarginPct float64
 }
 
 // New returns an enabled auditor.
@@ -114,12 +121,17 @@ func New(cfg Config) *Auditor {
 }
 
 // beginRun resets the per-run state (taps, checks, recorder) while keeping
-// the violation log and counters: one auditor accumulates across the runs
-// of a sweep.
+// the violation log and folding the finished run into the totals: one
+// auditor accumulates across the runs of a sweep.
 func (a *Auditor) beginRun(arch string) {
 	a.arch = arch
 	a.runs++
 	a.grantChecks = a.grantChecksSoFar()
+	a.packetsChecked += a.rec.packetsDone
+	a.tablesWatched += len(a.tables)
+	for _, id := range det.Keys(a.rec.flows) {
+		a.worstMarginPct = max(a.worstMarginPct, a.rec.flows[id].marginPct())
+	}
 	a.tables = nil
 	a.checks = nil
 	a.rec.reset()

@@ -1,6 +1,8 @@
 package audit_test
 
 import (
+	"regexp"
+	"strconv"
 	"testing"
 
 	"loft/internal/audit"
@@ -220,6 +222,54 @@ func TestDelayBoundViolationTimeline(t *testing.T) {
 	summary := aud.Summary()
 	if len(summary) == 0 || summary[len(summary)-1][:11] != "audit: FAIL" {
 		t.Fatalf("summary does not report failure: %v", summary)
+	}
+}
+
+// TestSummaryCoversSweep runs two LOFT runs on one auditor, as a sweep
+// does: the first fails through a one-cycle bound on the victim flow, the
+// second is clean. The verdict must cover both runs, like the violation log
+// it summarises: the first run's worst margin, both runs' checked packets
+// and both runs' tables.
+func TestSummaryCoversSweep(t *testing.T) {
+	cfg := config.PaperLOFTSpec(12)
+	p := caseIPattern(cfg)
+	aud := audit.New(audit.Config{})
+	tables := regexp.MustCompile(`over (\d+) table\(s\)`)
+	var snaps []audit.Snapshot
+	var tableCounts []string
+	for run := 0; run < 2; run++ {
+		net, err := loft.New(cfg, p, loft.Options{Seed: 1, Audit: aud})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			aud.SetFlowBound(traffic.CaseStudyIVictim, 1)
+		}
+		aud.StartRun(1000)
+		net.Run(1000)
+		aud.FinishRun(net.Now())
+		snaps = append(snaps, aud.Snapshot())
+		tableCounts = append(tableCounts, tables.FindStringSubmatch(aud.Summary()[0])[1])
+	}
+	first, both := snaps[0], snaps[1]
+	if first.Violations == 0 || first.WorstMarginPct <= 100 {
+		t.Fatalf("first run: %d violations, worst at %.1f%% of bound; want a failure", first.Violations, first.WorstMarginPct)
+	}
+	if both.Violations != first.Violations {
+		t.Fatalf("second run added %d violations; want it clean", both.Violations-first.Violations)
+	}
+	if both.WorstMarginPct != first.WorstMarginPct {
+		t.Errorf("after both runs the worst case is at %.1f%% of bound, the first run's was %.1f%%", both.WorstMarginPct, first.WorstMarginPct)
+	}
+	var second uint64 // the per-flow rows are the last run's
+	for _, f := range both.Flows {
+		second += f.Packets
+	}
+	if second == 0 || both.PacketsChecked != first.PacketsChecked+second {
+		t.Errorf("%d packets checked after both runs; the first checked %d and the second %d", both.PacketsChecked, first.PacketsChecked, second)
+	}
+	if n, _ := strconv.Atoi(tableCounts[0]); tableCounts[1] != strconv.Itoa(2*n) {
+		t.Errorf("summary counts %s tables after both runs, %s after the first", tableCounts[1], tableCounts[0])
 	}
 }
 

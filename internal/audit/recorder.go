@@ -81,6 +81,15 @@ type flowConf struct {
 	rateCap     float64 // flits/cycle the scheduler may grant it
 }
 
+// marginPct is the flow's worst observed latency as a percentage of its
+// bound; 0 for a best-effort or quarantined flow, which has no bound.
+func (fc *flowConf) marginPct() float64 {
+	if fc.quarantined || fc.bound == 0 {
+		return 0
+	}
+	return 100 * float64(fc.hist.Max()) / float64(fc.bound)
+}
+
 // recorder is the flight-recorder state, reset per run. quanta and packets
 // index into slab; free lists the slab records no packet holds.
 type recorder struct {
@@ -474,7 +483,10 @@ type Snapshot struct {
 }
 
 // Snapshot assembles the current audit state. Must be called from the
-// simulation thread (it reads live recorder maps).
+// simulation thread (it reads live recorder maps). The violations, checked
+// packets, worst margin, sweeps and grant checks cover every run since New;
+// the per-flow rows, the quantum ledger and the in-flight counts are the
+// last run's.
 func (a *Auditor) Snapshot() Snapshot {
 	if a == nil {
 		return Snapshot{Clean: true}
@@ -486,7 +498,7 @@ func (a *Auditor) Snapshot() Snapshot {
 		Runs:            a.runs,
 		Clean:           a.totalViolations == 0,
 		Violations:      a.totalViolations,
-		PacketsChecked:  a.rec.packetsDone,
+		PacketsChecked:  a.packetsChecked + a.rec.packetsDone,
 		QuantaBooked:    a.rec.bookedQuanta,
 		QuantaInjected:  a.rec.injectedQuanta,
 		QuantaEjected:   a.rec.ejectedQuanta,
@@ -494,6 +506,7 @@ func (a *Auditor) Snapshot() Snapshot {
 		InFlightPackets: len(a.rec.packets),
 		InvariantSweeps: a.sweeps,
 		GrantChecks:     a.grantChecksSoFar(),
+		WorstMarginPct:  a.worstMarginPct,
 		ViolationLog:    a.violations,
 	}
 	for _, id := range det.Keys(a.rec.flows) {
@@ -510,15 +523,12 @@ func (a *Auditor) Snapshot() Snapshot {
 			if a.now > 0 {
 				f.AcceptedRate = float64(fc.hist.Count()) * float64(a.rec.pktFlits) / float64(a.now)
 			}
-		} else if fc.bound > 0 {
-			f.MarginPct = 100 * float64(fc.hist.Max()) / float64(fc.bound)
-			if f.MarginPct > s.WorstMarginPct {
-				s.WorstMarginPct = f.MarginPct
-			}
+		} else {
+			f.MarginPct = fc.marginPct()
+			s.WorstMarginPct = max(s.WorstMarginPct, f.MarginPct)
 		}
 		s.Flows = append(s.Flows, f)
 	}
-	sort.Slice(s.Flows, func(i, j int) bool { return s.Flows[i].Flow < s.Flows[j].Flow })
 	return s
 }
 
@@ -530,7 +540,7 @@ func (a *Auditor) Summary() []string {
 	s := a.Snapshot()
 	lines := []string{
 		fmt.Sprintf("audit: %d run(s) (%s), %d invariant sweep(s) over %d table(s), %d per-grant checks",
-			s.Runs, s.Arch, s.InvariantSweeps, len(a.tables), s.GrantChecks),
+			s.Runs, s.Arch, s.InvariantSweeps, a.tablesWatched+len(a.tables), s.GrantChecks),
 		fmt.Sprintf("audit: %d packet(s) checked against delay bounds, worst case at %.1f%% of bound",
 			s.PacketsChecked, s.WorstMarginPct),
 	}
