@@ -51,23 +51,14 @@ type laRouter struct {
 	held int
 }
 
-// allocEnt returns a recycled laEnt or a fresh one.
+// allocEnt pops a pooled laEnt. init seeds the pool with one record per
+// look-ahead VC slot, accept panics on a full VC before it takes a record,
+// and every live record holds a slot, so the pool cannot run dry.
 func (la *laRouter) allocEnt() *laEnt {
-	if k := len(la.pool); k > 0 {
-		e := la.pool[k-1]
-		la.pool = la.pool[:k-1]
-		return e
-	}
-	return newEnt()
-}
-
-// newEnt is the refill path. init seeds the pool to the exact live bound, so
-// this only runs if that bound is ever wrong; out of line so the slow path
-// stays out of allocEnt's inlined fast path.
-//
-//go:noinline
-func newEnt() *laEnt {
-	return new(laEnt)
+	k := len(la.pool) - 1
+	e := la.pool[k]
+	la.pool = la.pool[:k]
+	return e
 }
 
 func (la *laRouter) init(n *Node) {
