@@ -50,7 +50,9 @@ audit-smoke:
 
 # A tiny simulation exporting a run directory, then the offline toolchain
 # over it: summary and decompose must parse the artifacts, and the run
-# diffed against itself must report zero delta and exit 0.
+# diffed against itself must report zero delta and exit 0. A two-seed run
+# into a 20000-event ring then decomposes a multi-run stream whose head the
+# ring dropped; it must report no timing violation.
 trace-smoke:
 	@dir="$$(mktemp -d)"; set -e; \
 	$(GO) run ./cmd/loftsim -arch loft -pattern case1 -rate 0.6 \
@@ -58,6 +60,12 @@ trace-smoke:
 	$(GO) run ./cmd/lofttrace summary "$$dir/run" > /dev/null; \
 	$(GO) run ./cmd/lofttrace decompose "$$dir/run" > /dev/null; \
 	$(GO) run ./cmd/lofttrace diff "$$dir/run" "$$dir/run"; \
+	$(GO) run ./cmd/loftsim -arch loft -pattern uniform -rate 0.1 \
+		-warmup 200 -cycles 1500 -seeds 2 -probe -probe-events 20000 -out "$$dir/seeds" > /dev/null; \
+	$(GO) run ./cmd/lofttrace decompose -json "$$dir/seeds" > "$$dir/seeds.json"; \
+	if grep -q '"errors"' "$$dir/seeds.json"; then \
+		echo "trace-smoke: timing violations in the two-seed decomposition" >&2; exit 1; \
+	fi; \
 	rm -rf "$$dir"
 
 # A profiled simulation exporting a run directory, then the perf toolchain
