@@ -572,10 +572,10 @@ func runObserved(c observedCase, lcfg config.LOFT, spec RunSpec) (Result, any, e
 }
 
 // goldenObserved pins the observer artifacts of the observedCases: the probe
-// event stream as events.jsonl carries it and the full audit snapshot
-// (violation log and timelines included) as audit.json carries it. Replay
-// order at the cycle barrier is visible only here — the result summary is
-// order-insensitive. Every row runs under one, two and four workers against
+// event stream as events.jsonl carries it, the sampled gauges as series.csv
+// carries them, and the full audit snapshot (violation log and timelines
+// included) as audit.json carries it. Replay order at the cycle barrier is
+// visible only here — the result summary is order-insensitive. Every row runs under one, two and four workers against
 // the same stored digests, so sharding must not change a byte. Rows marked
 // alone also run with one observer at a time: what an observer records must
 // not depend on which others are attached. Rows marked perf also run with
@@ -644,6 +644,11 @@ func goldenObserved(t *testing.T, g *goldenStore) {
 							t.Fatal(err)
 						}
 						g.check(t, key+"/events.jsonl", hex.EncodeToString(events.Sum(nil)))
+						series := sha256.New()
+						if err := probe.WriteSeriesCSV(series, pr.Series()); err != nil {
+							t.Fatal(err)
+						}
+						g.check(t, key+"/series.csv", hex.EncodeToString(series.Sum(nil)))
 					}
 					if aud != nil {
 						snap, err := json.MarshalIndent(aud.Snapshot(), "", "  ")

@@ -3,6 +3,7 @@ package probe
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -249,6 +250,48 @@ func TestKindNamesComplete(t *testing.T) {
 	for k := Kind(0); int(k) < NumKinds(); k++ {
 		if strings.HasPrefix(k.String(), "kind-") || k.String() == "" {
 			t.Fatalf("kind %d has no name", int(k))
+		}
+	}
+}
+
+// TestRegistrySeriesExact pins every value Series exports for a registry
+// whose gauges come and go: a gauge registered after sampling began starts
+// at its first sample point, a rate gauge drops its first reading as the
+// baseline and skips a reading whose cycle does not advance past the
+// previous one (while still taking it as the next baseline), and two gauges
+// of one name export as two series in registration order.
+func TestRegistrySeriesExact(t *testing.T) {
+	var r Registry
+	occ, cum := 1.0, 0.0
+	r.Gauge("b.occ", func() float64 { return occ })
+	r.Rate("a.util", func() float64 { return cum })
+	r.Sample(10)
+	occ, cum = 2, 5
+	r.Sample(20)
+	r.Gauge("c.late", func() float64 { return occ * 10 })
+	r.Gauge("b.occ", func() float64 { return -occ })
+	r.Rate("d.late", func() float64 { return cum * 2 })
+	cum = 11
+	r.Sample(20)
+	occ, cum = 3, 17
+	r.Sample(23)
+	cum = 20
+	r.Sample(7)
+	r.Sample(11)
+	want := []Series{
+		{Name: "a.util", Samples: []Sample{{20, 0.5}, {23, 2}, {11, 0}}},
+		{Name: "b.occ", Samples: []Sample{{10, 1}, {20, 2}, {20, 2}, {23, 3}, {7, 3}, {11, 3}}},
+		{Name: "b.occ", Samples: []Sample{{20, -2}, {23, -3}, {7, -3}, {11, -3}}},
+		{Name: "c.late", Samples: []Sample{{20, 20}, {23, 30}, {7, 30}, {11, 30}}},
+		{Name: "d.late", Samples: []Sample{{23, 4}, {11, 0}}},
+	}
+	got := r.Series()
+	if len(got) != len(want) {
+		t.Fatalf("%d series, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i].Name != want[i].Name || !slices.Equal(got[i].Samples, want[i].Samples) {
+			t.Errorf("series %d = %s %v, want %s %v", i, got[i].Name, got[i].Samples, want[i].Name, want[i].Samples)
 		}
 	}
 }
