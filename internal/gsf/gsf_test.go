@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"loft/internal/config"
+	"loft/internal/probe"
 	"loft/internal/topo"
 	"loft/internal/traffic"
 )
@@ -65,6 +66,35 @@ func TestNewAllocs(t *testing.T) {
 	const limit = 297
 	if n > limit {
 		t.Errorf("gsf.New: %.0f allocations, want at most %d", n, limit)
+	}
+}
+
+// TestNewProbedAllocs prices the probe's gauges in New: a probed New makes
+// at most a fixed number of allocations more than a bare one, on a 4×4 mesh
+// and on the paper's 8×8 alike, because every kind of gauge is one family
+// whose names are formatted only at export.
+func TestNewProbedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation count not reproducible under -race")
+	}
+	const limit = 18
+	for _, cfg := range []config.GSF{smallGSF(), config.PaperGSF()} {
+		p := traffic.Uniform(cfg.Mesh(), 0.1, cfg.PacketFlits, 256)
+		allocs := func(probed bool) float64 {
+			return testing.AllocsPerRun(5, func() {
+				var pr *probe.Probe
+				if probed {
+					pr = probe.New(probe.Config{EventCap: 1, SampleEvery: 256})
+				}
+				var err error
+				if allocSink, err = New(cfg, p, Options{Seed: 1, BaseFrameFlits: 256, Probe: pr}); err != nil {
+					panic(err)
+				}
+			})
+		}
+		if extra := allocs(true) - allocs(false); extra > limit {
+			t.Errorf("%d×%d mesh: a probed New makes %.0f allocations more than a bare one, want at most %d", cfg.MeshK, cfg.MeshK, extra, limit)
+		}
 	}
 }
 

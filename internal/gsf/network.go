@@ -152,22 +152,18 @@ func (net *Network) bindAudit() {
 // registry polls them in the serial commit, so summing the nodes' own
 // counts is safe under both engines. No-op when probing is disabled.
 func (net *Network) registerGauges() {
-	reg := net.Probe().Registry()
-	if reg == nil {
+	if net.Probe() == nil {
 		return
 	}
-	reg.Gauge("gsf.throttle.cycles", func() float64 {
+	net.Gauges(1, func(int) string { return "gsf.throttle.cycles" }, func(int) float64 {
 		var sum uint64
 		for _, n := range net.nodes {
 			sum += n.throttleCycles
 		}
 		return float64(sum)
 	})
-	for _, n := range net.nodes {
-		reg.Gauge(fmt.Sprintf("gsf.srcq.n%d", n.id), func() float64 {
-			return float64(n.srcQueue.Len())
-		})
-	}
+	net.Gauges(len(net.nodes), func(i int) string { return fmt.Sprintf("gsf.srcq.n%d", i) },
+		func(i int) float64 { return float64(net.nodes[i].srcQueue.Len()) })
 }
 
 // cut returns the i-th of the consecutive size-long pieces of slab.

@@ -138,32 +138,44 @@ func (net *Network) bindAudit() {
 }
 
 // registerGauges publishes LOFT's sampled time series next to the harness's
-// link rates: per-VC look-ahead buffer occupancy, data input-buffer
-// occupancy, and the fill of every framed output reservation table. No-op
-// when probing is disabled.
+// link rates, one family each: the fill of every framed output reservation
+// table (the injection table included), data input-buffer occupancy, and
+// per-VC look-ahead buffer occupancy. No-op when probing is disabled.
 func (net *Network) registerGauges() {
-	reg := net.Probe().Registry()
-	if reg == nil {
+	if net.Probe() == nil {
 		return
 	}
+	const ports = int(topo.NumDirs) + 1
+	tables := make([]int, 0, len(net.nodes)*ports) // node*ports + port of every table
 	for _, n := range net.nodes {
-		for d := topo.North; d < topo.NumDirs; d++ {
-			if t := n.outTables[d]; t != nil {
-				reg.Gauge(fmt.Sprintf("loft.table.n%d.%s", n.id, d), t.Occupancy)
-			}
-			ip := &n.inputs[d]
-			reg.Gauge(fmt.Sprintf("loft.buf.n%d.%s", n.id, d), func() float64 {
-				return float64(ip.nonspecUsed + ip.specUsed)
-			})
-			lens := n.la.vcLen[d]
-			for v := range lens {
-				reg.Gauge(fmt.Sprintf("loft.lavc.n%d.%s.vc%d", n.id, d, v), func() float64 {
-					return float64(lens[v])
-				})
+		for d, t := range n.outTables {
+			if t != nil {
+				tables = append(tables, int(n.id)*ports+d)
 			}
 		}
-		reg.Gauge(fmt.Sprintf("loft.table.n%d.inject", n.id), n.outTables[topo.NumDirs].Occupancy)
 	}
+	net.Gauges(len(tables), func(i int) string {
+		n, d := tables[i]/ports, topo.Dir(tables[i]%ports)
+		if d == topo.NumDirs {
+			return fmt.Sprintf("loft.table.n%d.inject", n)
+		}
+		return fmt.Sprintf("loft.table.n%d.%s", n, d)
+	}, func(i int) float64 {
+		return net.nodes[tables[i]/ports].outTables[tables[i]%ports].Occupancy()
+	})
+	dirs := int(topo.NumDirs)
+	net.Gauges(len(net.nodes)*dirs, func(i int) string {
+		return fmt.Sprintf("loft.buf.n%d.%s", i/dirs, topo.Dir(i%dirs))
+	}, func(i int) float64 {
+		ip := &net.nodes[i/dirs].inputs[i%dirs]
+		return float64(ip.nonspecUsed + ip.specUsed)
+	})
+	vcs := net.cfg.LAVirtualChannels
+	net.Gauges(len(net.nodes)*dirs*vcs, func(i int) string {
+		return fmt.Sprintf("loft.lavc.n%d.%s.vc%d", i/(dirs*vcs), topo.Dir(i/vcs%dirs), i%vcs)
+	}, func(i int) float64 {
+		return float64(net.nodes[i/(dirs*vcs)].la.vcLen[i/vcs%dirs][i%vcs])
+	})
 }
 
 // registerPerfGauges publishes the self-profiler's occupancy gauges:

@@ -80,6 +80,9 @@ type Harness struct {
 	hookStage perfmon.Stage
 	settler   Settler
 	linkFlits func(topo.Link) (uint64, bool)
+	// gauges are the probe gauge families this network registered; Close
+	// retires them.
+	gauges []probe.Family
 
 	lat     *stats.Latency // total latency (generation → delivery)
 	latNet  *stats.Latency // network latency (injection → delivery)
@@ -197,12 +200,22 @@ func (h *Harness) SetLinks(arch string, f func(topo.Link) (uint64, bool)) {
 	if reg == nil {
 		return
 	}
-	h.eachLink(func(l topo.Link, _ uint64) {
-		reg.Rate(fmt.Sprintf("%s.link.n%d.%s", arch, l.From, l.D), func() float64 {
-			flits, _ := f(l)
+	links := make([]topo.Link, 0, h.mesh.N()*int(topo.NumDirs))
+	h.eachLink(func(l topo.Link, _ uint64) { links = append(links, l) })
+	h.gauges = append(h.gauges, reg.Rates(len(links),
+		func(i int) string { return fmt.Sprintf("%s.link.n%d.%s", arch, links[i].From, links[i].D) },
+		func(i int) float64 {
+			flits, _ := f(links[i])
 			return float64(flits)
-		})
-	})
+		}))
+}
+
+// Gauges publishes a family of n gauges to the probe registry (see
+// probe.Registry.Gauges), polled until Close. No-op without a probe.
+func (h *Harness) Gauges(n int, name func(i int) string, read func(i int) float64) {
+	if reg := h.probe.Registry(); reg != nil {
+		h.gauges = append(h.gauges, reg.Gauges(n, name, read))
+	}
 }
 
 // eachLink visits every link the architecture models with its flit count.
@@ -277,9 +290,18 @@ func (h *Harness) Run(n uint64) {
 // Now returns the current cycle.
 func (h *Harness) Now() uint64 { return h.engine.Now() }
 
-// Close releases engine resources (the parallel worker pool). The network
-// stays usable: a later Run restarts the pool transparently.
-func (h *Harness) Close() { h.engine.Close() }
+// Close releases engine resources (the parallel worker pool) and retires
+// the network's probe gauges: their series keep what was sampled, and later
+// sample points of a probe shared with other runs no longer poll them. The
+// network stays usable: a later Run restarts the pool transparently, and
+// still traces events, but samples no gauge of this network.
+func (h *Harness) Close() {
+	h.engine.Close()
+	for _, f := range h.gauges {
+		h.probe.Registry().Retire(f)
+	}
+	h.gauges = nil
+}
 
 // Probe returns the attached probe (nil when observability is disabled).
 func (h *Harness) Probe() *probe.Probe { return h.probe }

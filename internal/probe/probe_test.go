@@ -3,6 +3,8 @@ package probe
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -292,6 +294,70 @@ func TestRegistrySeriesExact(t *testing.T) {
 	for i := range want {
 		if got[i].Name != want[i].Name || !slices.Equal(got[i].Samples, want[i].Samples) {
 			t.Errorf("series %d = %s %v, want %s %v", i, got[i].Name, got[i].Samples, want[i].Name, want[i].Samples)
+		}
+	}
+}
+
+// TestRetireStopsPolling checks that a retired family is never read again,
+// keeps the samples it took, and that retiring out of registration order
+// leaves the families around it intact.
+func TestRetireStopsPolling(t *testing.T) {
+	var r Registry
+	var reads [3]int
+	fam := func(k int) Family {
+		return r.Gauges(2, func(i int) string { return fmt.Sprintf("f%d.%d", k, i) }, func(i int) float64 {
+			reads[k]++
+			return float64(10*k + i)
+		})
+	}
+	a, b := fam(0), fam(1)
+	r.Sample(1)
+	r.Retire(b) // out of order: a is still live
+	r.Sample(2)
+	c := fam(2)
+	r.Sample(3)
+	r.Retire(a)
+	r.Retire(a) // twice is a no-op
+	r.Sample(4)
+	r.Retire(c)
+	r.Sample(5)
+	if reads != [3]int{6, 2, 4} {
+		t.Fatalf("reads per family = %v, want [6 2 4]", reads)
+	}
+	want := map[string][]Sample{
+		"f0.0": {{1, 0}, {2, 0}, {3, 0}}, "f0.1": {{1, 1}, {2, 1}, {3, 1}},
+		"f1.0": {{1, 10}}, "f1.1": {{1, 11}},
+		"f2.0": {{3, 20}, {4, 20}}, "f2.1": {{3, 21}, {4, 21}},
+	}
+	got := r.Series()
+	if len(got) != len(want) {
+		t.Fatalf("%d series, want %d", len(got), len(want))
+	}
+	for _, s := range got {
+		if !slices.Equal(s.Samples, want[s.Name]) {
+			t.Errorf("%s = %v, want %v", s.Name, s.Samples, want[s.Name])
+		}
+	}
+}
+
+// TestSampleAllocs checks that sampling allocates only when the registry's
+// one slab or its row list grows: 64 sample points make O(log samples)
+// allocations under one bound for 20 gauges and for 2,000 alike.
+func TestSampleAllocs(t *testing.T) {
+	const points = 64
+	// Registration, then one growth per doubling of the slab and of the
+	// row list.
+	limit := 2 + 2*float64(bits.Len(points))
+	for _, gauges := range []int{20, 2000} {
+		n := testing.AllocsPerRun(3, func() {
+			var r Registry
+			r.Gauges(gauges, func(int) string { return "g" }, func(i int) float64 { return float64(i) })
+			for c := uint64(0); c < points; c++ {
+				r.Sample(c)
+			}
+		})
+		if n > limit {
+			t.Errorf("64 samples of %d gauges: %.0f allocations, want at most %.0f", gauges, n, limit)
 		}
 	}
 }
