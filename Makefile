@@ -106,14 +106,17 @@ chaos-smoke:
 # look-ahead lists against the per-VC FIFOs and nested scans of
 # internal/loft/laorder_test.go, over arbitrary small configurations.
 # FuzzFaultPlan feeds arbitrary text to the fault-plan parser, which must
-# reject it or accept a plan of finite values that round-trips exactly. Any
-# failure leaves its input under the package's testdata/fuzz, where `go
-# test` replays it from then on.
+# reject it or accept a plan of finite values that round-trips exactly.
+# FuzzReadEventsJSONL decodes arbitrary events.jsonl dumps with and without
+# the direct scan of writer-shaped lines, which must agree on the events,
+# the drop count and the error. Any failure leaves its input under the
+# package's testdata/fuzz, where `go test` replays it from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTableOps$$' -fuzztime 10s -parallel 2 ./internal/lsf
 	$(GO) test -run '^$$' -fuzz '^FuzzGSFArbitration$$' -fuzztime 10s -parallel 2 ./internal/gsf
 	$(GO) test -run '^$$' -fuzz '^FuzzLookaheadOrder$$' -fuzztime 10s -parallel 2 ./internal/loft
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s -parallel 2 ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime 10s -parallel 2 ./internal/trace
 
 # The frozen benchmark (bench/, its own module with `replace loft => ../`)
 # is invisible to the root `go build ./...`, yet it constructs loft.Options,
