@@ -32,7 +32,9 @@ type Options struct {
 	// Probe attaches the observability layer to every simulation the
 	// experiment runs. Runs reuse one probe, so events of consecutive
 	// simulations interleave in the trace (each run restarts at cycle 0);
-	// combine with a single-experiment selection for a readable trace.
+	// combine with a single-experiment selection for a readable trace. A
+	// run's gauges are sampled only while it runs, so the sweep's
+	// series.csv holds one block per run for each series name.
 	Probe *probe.Probe
 	// Audit attaches the runtime QoS auditor to every simulation the
 	// experiment runs. Like Probe, all runs share the one auditor, so

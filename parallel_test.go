@@ -119,7 +119,8 @@ func zeroAllocRows(t *testing.T) []zeroAllocRow {
 	// Stage timers write into fixed arrays and gauges are polled into
 	// preallocated slots, so sampling every cycle allocates nothing.
 	mon := perfmon.New(perfmon.Config{SampleEvery: 1})
-	// Tracer only: the time-series sampler grows its series by design.
+	// Tracer only: the time-series sampler appends to its slab by design
+	// (one growth per doubling, see probe.TestSampleAllocs).
 	pr := probe.New(probe.Config{EventCap: 4096})
 	aud := audit.New(audit.Config{})
 	return []zeroAllocRow{
