@@ -80,14 +80,15 @@ type Harness struct {
 	hookStage perfmon.Stage
 	settler   Settler
 	linkFlits func(topo.Link) (uint64, bool)
-	// gauges are the probe gauge families this network registered; Close
-	// retires them.
-	gauges []probe.Family
 
 	lat     *stats.Latency // total latency (generation → delivery)
 	latNet  *stats.Latency // network latency (injection → delivery)
 	latFlow *stats.FlowLatency
 	thr     *stats.Throughput
+
+	// gauges are the probe gauge families this network registered; Close
+	// retires them.
+	gauges []probe.Family
 }
 
 // New builds the harness for one run of pattern on mesh: the engine chosen
