@@ -345,9 +345,10 @@ func TestRetireStopsPolling(t *testing.T) {
 // allocations under one bound for 20 gauges and for 2,000 alike.
 func TestSampleAllocs(t *testing.T) {
 	const points = 64
-	// Registration, then one growth per doubling of the slab and of the
-	// row list.
-	limit := 2 + 2*float64(bits.Len(points))
+	// Registration and one growth per doubling of the slab and of the row
+	// list make 16; the bound is twice the growths, so an allocation the
+	// runtime makes on its own (as under -race) does not fail the test.
+	limit := 4 * float64(bits.Len(points))
 	for _, gauges := range []int{20, 2000} {
 		n := testing.AllocsPerRun(3, func() {
 			var r Registry
