@@ -575,11 +575,12 @@ func runObserved(c observedCase, lcfg config.LOFT, spec RunSpec) (Result, any, e
 // event stream as events.jsonl carries it, the sampled gauges as series.csv
 // carries them, and the full audit snapshot (violation log and timelines
 // included) as audit.json carries it. Replay order at the cycle barrier is
-// visible only here — the result summary is order-insensitive. Every row runs under one, two and four workers against
-// the same stored digests, so sharding must not change a byte. Rows marked
-// alone also run with one observer at a time: what an observer records must
-// not depend on which others are attached. Rows marked perf also run with
-// the self-profiler attached.
+// visible only here — the result summary is order-insensitive. Every row
+// runs under one, two and four workers against the same stored digests, so
+// sharding must not change a byte. Rows marked alone also run with one
+// observer at a time: what an observer records must not depend on which
+// others are attached. Rows marked perf also run with the self-profiler
+// attached.
 func goldenObserved(t *testing.T, g *goldenStore) {
 	for _, c := range observedCases {
 		observers := []string{"both"}
