@@ -446,9 +446,9 @@ type observedCase struct {
 	plan    string // fault plan text, "" for an unfaulted run
 	// maxViolations sizes the retained violation log (0: the default 32).
 	maxViolations int
-	// alone reruns the case with only the auditor and with only the probe
-	// attached: each observer's artifact must equal the both-on digest.
-	alone bool
+	// alone lists the observers ("audit", "probe") the case also runs with
+	// on their own: each observer's artifact must equal the both-on digest.
+	alone []string
 	// perf reruns the case with both observers and a self-profiler sampling
 	// every cycle: profiling must not change any artifact, and the profiler
 	// must have recorded stage timings (and, sharded, engine telemetry).
@@ -498,10 +498,12 @@ func wantViolation(kind string, timeline bool) func(*testing.T, Result, audit.Sn
 // always precedes its taps (booking, look-ahead) within a cycle, and the
 // first shared node-cycle is violation 148, hence the longer log. A second
 // corrupted run leaks every returned credit, which the conservation check
-// on the next grant must catch.
+// on the next grant must catch. Both corrupted runs also run audit-only: with
+// no tracer the node stage wants none of the table's record kinds, yet every
+// table tap must still fire and raise the same violations.
 var observedCases = []observedCase{
-	{name: "clean", arch: ArchLOFT, pattern: uniform(0.1), alone: true, perf: true},
-	{name: "chaos", arch: ArchLOFT, pattern: uniform(0.1), plan: goldenChaosPlan, alone: true, perf: true,
+	{name: "clean", arch: ArchLOFT, pattern: uniform(0.1), alone: bothAlone, perf: true},
+	{name: "chaos", arch: ArchLOFT, pattern: uniform(0.1), plan: goldenChaosPlan, alone: bothAlone, perf: true,
 		want: func(t *testing.T, res Result, _ audit.Snapshot) {
 			if res.FaultsInjected == 0 || res.FlitsLost == 0 || res.Retries == 0 {
 				t.Fatalf("chaos run: %d faults, %d flits lost, %d retries; want all > 0", res.FaultsInjected, res.FlitsLost, res.Retries)
@@ -529,7 +531,7 @@ var observedCases = []observedCase{
 			}
 		},
 		want: wantViolation("delay-bound-exceeded", true)},
-	{name: "corrupt", arch: ArchLOFT, pattern: uniform(0.2), maxViolations: 512,
+	{name: "corrupt", arch: ArchLOFT, pattern: uniform(0.2), maxViolations: 512, alone: auditAlone,
 		prepare: func(net *loft.Network, aud *audit.Auditor) {
 			corruptEveryTable(lsf.FaultDropSkipped)(net, aud)
 			for f := 0; f < config.PaperLOFT().Mesh().N(); f++ {
@@ -540,10 +542,14 @@ var observedCases = []observedCase{
 			wantViolation("skipped-accounting", false)(t, res, s)
 			wantViolation("delay-bound-exceeded", true)(t, res, s)
 		}},
-	{name: "corrupt-leak", arch: ArchLOFT, pattern: uniform(0.2),
+	{name: "corrupt-leak", arch: ArchLOFT, pattern: uniform(0.2), alone: auditAlone,
 		prepare: corruptEveryTable(lsf.FaultLeakCredit),
 		want:    wantViolation("credit-conservation", false)},
 }
+
+// The observers a case reruns alone: both, or only the auditor for a case
+// whose checks read the audit snapshot.
+var bothAlone, auditAlone = []string{"audit", "probe"}, []string{"audit"}
 
 // runObserved builds c's network the way RunLOFT/RunGSF do, applies the
 // case's preparation and runs it.
@@ -577,16 +583,13 @@ func runObserved(c observedCase, lcfg config.LOFT, spec RunSpec) (Result, any, e
 // included) as audit.json carries it. Replay order at the cycle barrier is
 // visible only here — the result summary is order-insensitive. Every row
 // runs under one, two and four workers against the same stored digests, so
-// sharding must not change a byte. Rows marked alone also run with one
-// observer at a time: what an observer records must not depend on which
-// others are attached. Rows marked perf also run with the self-profiler
+// sharding must not change a byte. Rows marked alone also run with the
+// observers it lists one at a time: what an observer records must not
+// depend on which others are attached. Rows marked perf also run with the self-profiler
 // attached.
 func goldenObserved(t *testing.T, g *goldenStore) {
 	for _, c := range observedCases {
-		observers := []string{"both"}
-		if c.alone {
-			observers = append(observers, "audit", "probe")
-		}
+		observers := append([]string{"both"}, c.alone...)
 		if c.perf {
 			observers = append(observers, "perf")
 		}
