@@ -201,3 +201,34 @@ func TestRecorderSlabBounded(t *testing.T) {
 		t.Fatalf("checked %d packets (clean %v), want 1000 clean", s.PacketsChecked, s.Clean)
 	}
 }
+
+// TestRecorderUnknownFlow arms flows 2 and 0, leaving id 1 a hole in the
+// flow table: a packet or a quarantine for the hole, for an id past the
+// table or for a negative id is an unknown flow, a bound for one is ignored,
+// and the snapshot lists the registered flows in id order.
+func TestRecorderUnknownFlow(t *testing.T) {
+	cfg := config.PaperLOFT()
+	a := New(Config{})
+	a.BeginLOFT(cfg, cfg.Mesh(), []flit.Flow{{ID: 2, Src: 0, Dst: 2}, {ID: 0, Src: 0, Dst: 1}})
+	d := drive{t, a}
+	for _, flow := range []int32{1, 3, -1} {
+		d.emit(10, probe.KindPacketDone, 1, -1, flow, 0, 5, 0)
+	}
+	a.Quarantine(1, 0.1)
+	a.SetFlowBound(9, 1)
+	if n := len(a.Violations()); n != 4 {
+		t.Fatalf("%d violations, want 4 unknown-flow: %v", n, a.Violations())
+	}
+	for _, v := range a.Violations() {
+		if v.Kind != "unknown-flow" {
+			t.Fatalf("violation %v, want unknown-flow", v)
+		}
+	}
+	var ids []int32
+	for _, f := range a.Snapshot().Flows {
+		ids = append(ids, f.Flow)
+	}
+	if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
+		t.Fatalf("snapshot lists flows %v, want [0 2]", ids)
+	}
+}
