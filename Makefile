@@ -107,6 +107,8 @@ chaos-smoke:
 # internal/loft/laorder_test.go, over arbitrary small configurations.
 # FuzzFaultPlan feeds arbitrary text to the fault-plan parser, which must
 # reject it or accept a plan of finite values that round-trips exactly.
+# FuzzParseTrace does the same for the workload-trace parser: an error, or
+# events that WriteTrace and ParseTrace return unchanged and in order.
 # FuzzReadEventsJSONL decodes arbitrary events.jsonl dumps with and without
 # the direct scan of writer-shaped lines, which must agree on the events,
 # the drop count and the error. Any failure leaves its input under the
@@ -116,6 +118,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGSFArbitration$$' -fuzztime 10s -parallel 2 ./internal/gsf
 	$(GO) test -run '^$$' -fuzz '^FuzzLookaheadOrder$$' -fuzztime 10s -parallel 2 ./internal/loft
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s -parallel 2 ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 10s -parallel 2 ./internal/traffic
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime 10s -parallel 2 ./internal/trace
 
 # The frozen benchmark (bench/, its own module with `replace loft => ../`)

@@ -24,7 +24,8 @@ type TraceEvent struct {
 
 // ParseTrace reads a workload trace: one event per line,
 // "cycle src dst flits", '#' comments and blank lines ignored. Events need
-// not be sorted. The paper's evaluation uses synthetic traffic only (it has
+// not be sorted; they come back sorted by cycle, events of one cycle in
+// file order. The paper's evaluation uses synthetic traffic only (it has
 // no access to production traces, and neither do we — DESIGN.md §5); the
 // trace path lets downstream users replay their own captured workloads
 // through either network.
@@ -64,7 +65,7 @@ func ParseTrace(r io.Reader) ([]TraceEvent, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Cycle < events[j].Cycle })
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Cycle < events[j].Cycle })
 	return events, nil
 }
 

@@ -2,6 +2,8 @@ package traffic
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,6 +42,26 @@ func TestParseTraceSortsAndSkipsComments(t *testing.T) {
 	}
 	if len(events) != 2 || events[0].Cycle != 10 || events[1].Cycle != 20 {
 		t.Fatalf("events = %v", events)
+	}
+}
+
+// TestParseTraceKeepsFileOrderWithinACycle gives 60 events in descending
+// cycle order, two per cycle: sorting by cycle must keep each pair in file
+// order, which decides the order a node queues its packets in.
+func TestParseTraceKeepsFileOrderWithinACycle(t *testing.T) {
+	var in strings.Builder
+	for i := 0; i < 60; i++ {
+		fmt.Fprintf(&in, "%d %d %d 4\n", (59-i)/2, i, i+1)
+	}
+	events, err := ParseTrace(strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+1 < len(events); i += 2 {
+		a, b := events[i], events[i+1]
+		if a.Cycle != uint64(i/2) || b.Cycle != a.Cycle || a.Src > b.Src {
+			t.Fatalf("events %d and %d: %v then %v, want cycle %d in file order", i, i+1, a, b, i/2)
+		}
 	}
 }
 
@@ -133,4 +155,38 @@ func TestSyntheticTraceDeterministic(t *testing.T) {
 			t.Fatal("same-seed traces differ")
 		}
 	}
+}
+
+// FuzzParseTrace feeds arbitrary text to ParseTrace, which must not panic:
+// it returns an error, or events that WriteTrace then ParseTrace return
+// unchanged and in the same order.
+func FuzzParseTrace(f *testing.F) {
+	for _, seed := range []string{
+		"# cycle src dst flits\n5 0 3 4\n9 1 2 4\n9 3 0 8\n",
+		"20 1 2 4\n10 0 3 4\n10 2 1 8\n20 0 1 4\n",
+		"  7\t-1 +2 0 \r\n\n# trailing comment",
+		"18446744073709551615 0 1 4\n",
+		"1 2 3",
+		"x 0 1 4",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		events, err := ParseTrace(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, events); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseTrace(&buf)
+		if err != nil {
+			t.Fatalf("re-parsing %q: %v", buf.String(), err)
+		}
+		if !slices.Equal(again, events) {
+			t.Fatalf("round trip changed the events:\n%v\nbecame\n%v", events, again)
+		}
+	})
 }
