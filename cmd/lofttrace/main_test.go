@@ -128,6 +128,46 @@ func TestDecomposeOnRunDirectory(t *testing.T) {
 	}
 }
 
+// TestDecomposeManifest: decompose takes the slot length from the manifest,
+// falls back to the paper quantum when there is none, and exits 2 on a
+// manifest it cannot read, as summary does.
+func TestDecomposeManifest(t *testing.T) {
+	events, err := os.ReadFile(filepath.Join(writeTestRun(t, 12), trace.EventsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, manifest string // manifest "" writes none
+		want           string // in stdout, or in stderr on exit 2
+		code           int
+	}{
+		{"missing", "", "slot = 2 cycles", 0},
+		{"no-config", `{"manifest_version": 1, "tool": "loftexp"}`, "slot = 2 cycles", 0},
+		{"truncated", `{"manifest_version": 1, "config": {`, trace.ManifestName, 2},
+		{"not-a-manifest", `{"tool": "loftsim"}`, "missing manifest_version", 2},
+	} {
+		dir := filepath.Join(t.TempDir(), c.name)
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, trace.EventsFile), events, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if c.manifest != "" {
+			if err := os.WriteFile(filepath.Join(dir, trace.ManifestName), []byte(c.manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		code, out, errOut := runCLI(t, "decompose", dir)
+		if code != 0 {
+			out = errOut
+		}
+		if code != c.code || !strings.Contains(out, c.want) {
+			t.Errorf("%s: code=%d output begins %q, want exit %d saying %q", c.name, code, strings.SplitN(out, "\n", 2)[0], c.code, c.want)
+		}
+	}
+}
+
 // TestPerfOnRunDirectory pins the acceptance criterion: `lofttrace perf`
 // renders the per-stage attribution table and the per-worker
 // shard-utilization machinery from a -perf-enabled run directory.
