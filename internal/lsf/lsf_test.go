@@ -7,6 +7,7 @@ import (
 
 	"loft/internal/flit"
 	"loft/internal/label"
+	"loft/internal/probe"
 )
 
 func newTestTable(t *testing.T, f, wf, bn int) *Table {
@@ -539,6 +540,49 @@ func TestLocalStatusReset(t *testing.T) {
 	}
 	if tb.Stats().Resets != 1 {
 		t.Fatalf("reset count = %d", tb.Stats().Resets)
+	}
+}
+
+// kindCounter is an Emitter that counts the records it receives by kind.
+type kindCounter map[probe.Kind]int
+
+func (c kindCounter) EmitSeq(_ uint64, k probe.Kind, _, _, _ int32, _, _ uint64) { c[k]++ }
+
+// TestEmitterKinds checks that a table calls its emitter for the kinds it
+// was attached with and for no others, and that an emitter without kinds,
+// or a nil one, leaves the table unobserved.
+func TestEmitterKinds(t *testing.T) {
+	tb := newTestTable(t, 4, 2, 4)
+	if err := tb.AddFlow(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	got := kindCounter{}
+	tb.SetEmitter(got, probe.KindSetOf(probe.KindReserveGrant, probe.KindVCreditGrant, probe.KindEject))
+	if !tb.Observed() {
+		t.Fatal("table with an emitter is not observed")
+	}
+	for q := uint64(0); q < 5; q++ {
+		if slot, ok := tb.Request(1, q, 0); ok {
+			tb.ClearBusy(slot)
+			tb.ReturnCredit(slot + 1)
+		}
+	}
+	s := tb.Stats()
+	if s.FrameSkips == 0 || s.Throttled == 0 {
+		t.Fatalf("run skipped %d frames and throttled %d times, want both > 0", s.FrameSkips, s.Throttled)
+	}
+	want := kindCounter{probe.KindReserveGrant: 4, probe.KindVCreditGrant: 4}
+	if len(got) != len(want) || got[probe.KindReserveGrant] != 4 || got[probe.KindVCreditGrant] != 4 {
+		t.Fatalf("emitter saw %v, want %v", got, want)
+	}
+	for _, c := range []struct {
+		e    Emitter
+		want probe.KindSet
+	}{{got, 0}, {got, probe.KindSetOf(probe.KindEject)}, {nil, Kinds}} {
+		tb.SetEmitter(c.e, c.want)
+		if tb.Observed() {
+			t.Fatalf("SetEmitter(%v, %b) left the table observed", c.e, c.want)
+		}
 	}
 }
 

@@ -330,6 +330,9 @@ func NewStage(want KindSet) Stage { return Stage{want: want} }
 // Wants reports whether some consumer wants kind k.
 func (s *Stage) Wants(k Kind) bool { return s.want.Has(k) }
 
+// Kinds returns the kinds some consumer wants.
+func (s *Stage) Kinds() KindSet { return s.want }
+
 // Emit stages one record.
 func (s *Stage) Emit(cycle uint64, k Kind, node, loc, flow int32, arg uint64) {
 	s.EmitAux(cycle, k, node, loc, flow, 0, arg, 0)
