@@ -178,6 +178,13 @@ var goldenCases = []goldenCase{
 	{"loft-hotspot-0.002", ArchLOFT, 12, hotspot(0.002), 500, 6000, nil, nil},
 	{"loft-spec0-hotspot-0.002", ArchLOFT, 0, hotspot(0.002), 500, 6000, nil, nil},
 	{"gsf-hotspot-0.002", ArchGSF, 12, hotspot(0.002), 500, 6000, nil, nil},
+	// 13 VCs give 65 input VCs per node: more than one 64-bit word of
+	// per-node VC state.
+	{"gsf-vc13-0.6", ArchGSF, 12, uniform(0.6), 300, 1200, nil, func() config.GSF {
+		c := config.PaperGSF()
+		c.VirtualChannels = 13
+		return c
+	}},
 	{"gsf-srcq42-0.6", ArchGSF, 12, uniform(0.6), 300, 1200, nil, func() config.GSF {
 		c := config.PaperGSF()
 		c.SourceQueue = 42
