@@ -51,7 +51,13 @@ func (f *FIFO[T]) Full() bool { return f.count == len(f.buf) }
 
 // Push appends v. It panics on overflow: callers must check Free first
 // (credit flow control guarantees it in a correct model).
-func (f *FIFO[T]) Push(v T) {
+func (f *FIFO[T]) Push(v T) { *f.PushSlot() = v }
+
+// PushSlot appends an item and returns its ring slot for the caller to fill
+// in place, which saves copying a large T through a value. The slot holds
+// the zero T unless Init was handed a ring with items in it, since Pop and
+// Drop zero the slots they free. It panics on overflow, as Push does.
+func (f *FIFO[T]) PushSlot() *T {
 	if f.Full() {
 		panic("buffers: overflow on FIFO " + f.Name())
 	}
@@ -59,23 +65,34 @@ func (f *FIFO[T]) Push(v T) {
 	if i >= len(f.buf) {
 		i -= len(f.buf)
 	}
-	f.buf[i] = v
 	f.count++
+	return &f.buf[i]
 }
 
 // Pop removes and returns the oldest item.
 func (f *FIFO[T]) Pop() (T, bool) {
-	var zero T
 	if f.count == 0 {
+		var zero T
 		return zero, false
 	}
 	v := f.buf[f.head]
+	f.Drop()
+	return v, true
+}
+
+// Drop removes the oldest item without copying it out: the form of Pop for
+// a caller that has read the item in place through Front. Its slot is
+// zeroed. It panics when the FIFO is empty.
+func (f *FIFO[T]) Drop() {
+	if f.count == 0 {
+		panic("buffers: drop on empty FIFO " + f.Name())
+	}
+	var zero T
 	f.buf[f.head] = zero
 	if f.head++; f.head == len(f.buf) {
 		f.head = 0
 	}
 	f.count--
-	return v, true
 }
 
 // Front returns the oldest item in place, or nil when the FIFO is empty. The

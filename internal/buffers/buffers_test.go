@@ -105,6 +105,59 @@ func TestFIFOFrontFollowsHead(t *testing.T) {
 	}
 }
 
+// TestFIFOPushSlotDrop fills slots in place and drops items without
+// copying them out, across many wraparounds: the order is that of Push and
+// Pop, each dropped slot is zeroed, and both forms panic where Push and Pop
+// would fail.
+func TestFIFOPushSlotDrop(t *testing.T) {
+	type item struct{ a, b int }
+	ring := make([]item, 3)
+	var f FIFO[item]
+	f.Init(label.Fixed("slots"), ring)
+	next, want := 0, 0
+	for round := 0; round < 10; round++ {
+		for f.Free() > 0 {
+			p := f.PushSlot()
+			if *p != (item{}) {
+				t.Fatalf("round %d: PushSlot returned a used slot %+v", round, *p)
+			}
+			p.a, p.b = next, -next
+			next++
+		}
+		for i := 0; i <= round%f.Cap(); i++ {
+			head := f.Front()
+			if head == nil || *head != (item{want, -want}) {
+				t.Fatalf("round %d: Front = %v, want %d", round, head, want)
+			}
+			f.Drop()
+			if *head != (item{}) {
+				t.Fatalf("round %d: dropped slot holds %+v", round, *head)
+			}
+			want++
+		}
+	}
+	if r := panicValue(func() {
+		for {
+			f.PushSlot()
+		}
+	}); r != "buffers: overflow on FIFO slots" {
+		t.Fatalf("PushSlot overflow panicked with %v", r)
+	}
+	for !f.Empty() {
+		f.Drop()
+	}
+	if r := panicValue(f.Drop); r != "buffers: drop on empty FIFO slots" {
+		t.Fatalf("Drop on an empty FIFO panicked with %v", r)
+	}
+}
+
+// panicValue returns what f panics with, or nil.
+func panicValue(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
 func fifoName(a, b int) string { return fmt.Sprintf("q%d.%d", a, b) }
 
 // TestFIFOInitOnOneArray runs two FIFOs whose rings are cut from one array

@@ -60,10 +60,17 @@ func (r *Reg[T]) Ready(now uint64) bool { return r.at[now&1] == now }
 
 // Write stores v for reading in cycle now+1. It panics when a value was
 // already written in cycle now, signalling two drivers in the same cycle.
-func (r *Reg[T]) Write(now uint64, v T) {
+func (r *Reg[T]) Write(now uint64, v T) { *r.WriteSlot(now) = v }
+
+// WriteSlot is Write that returns the slot for the caller to fill in place,
+// which saves copying a large T through a value. The slot still holds the
+// value of an earlier cycle: the caller sets every field. It panics on a
+// second write in cycle now, as Write does.
+func (r *Reg[T]) WriteSlot(now uint64) *T {
 	i := (now + 1) & 1
 	if r.at[i] == now+1 {
 		panic("sim: double write to register " + r.Name())
 	}
-	r.slot[i], r.at[i] = v, now+1
+	r.at[i] = now + 1
+	return &r.slot[i]
 }

@@ -78,6 +78,40 @@ func TestRegInit(t *testing.T) {
 	slab[0].Write(5, 2)
 }
 
+// TestRegWriteSlot checks the in-place write: a value filled through the
+// slot is taken in the next cycle and only then, the slot of a later write
+// is filled over an old value, and a second write in one cycle panics
+// whichever form each write takes.
+func TestRegWriteSlot(t *testing.T) {
+	type msg struct{ a, b int }
+	r := NewReg[msg]("slot")
+	for now := uint64(0); now < 6; now++ {
+		if now%3 != 2 {
+			p := r.WriteSlot(now)
+			p.a, p.b = int(now), -int(now)
+		}
+		v, ok := r.Take(now)
+		if wrote := now > 0 && (now-1)%3 != 2; ok != wrote || ok && *v != (msg{int(now) - 1, 1 - int(now)}) {
+			t.Fatalf("cycle %d: Take = (%v, %v), wrote in cycle %d: %v", now, v, ok, now-1, wrote)
+		}
+	}
+	for _, second := range []func(){
+		func() { r.WriteSlot(10) },
+		func() { r.Write(10, msg{}) },
+	} {
+		r.Init(label.Fixed("slot"))
+		r.WriteSlot(10)
+		if v := panics(second); v != "sim: double write to register slot" {
+			t.Fatalf("second write panicked with %v", v)
+		}
+	}
+	r.Init(label.Fixed("slot"))
+	r.Write(10, msg{})
+	if v := panics(func() { r.WriteSlot(10) }); v != "sim: double write to register slot" {
+		t.Fatalf("WriteSlot after Write panicked with %v", v)
+	}
+}
+
 // refReg is the two-phase register the stamped Reg replaced: Write fills a
 // next side that Update commits at the end of every cycle, dropping a
 // committed value nobody took. TestRegLockStep holds Reg to it.
