@@ -107,7 +107,7 @@ func (q *srcQueue) Pop() (flit.Flit, bool) {
 	}
 	q.flits--
 	if q.sent++; f.Tail {
-		q.pkts.Pop()
+		q.pkts.Drop()
 		q.sent = 0
 	}
 	return f, true
