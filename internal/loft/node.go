@@ -336,7 +336,7 @@ func (n *Node) init(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsi
 		n.pendVcred[d] = n.vcredBuf[d][0]
 	}
 	n.la.init(n)
-	n.ni.init(n, slot.Injector)
+	n.ni.init(n, &slot.Injector)
 	n.sink.init(n)
 }
 

@@ -26,7 +26,7 @@ type Latency struct {
 	max     uint64
 	samples []float64 // uniform reservoir for percentiles
 	capHint int
-	rng     *sim.RNG
+	rng     sim.RNG
 }
 
 // latencyStream decorrelates the reservoir RNG from the traffic streams
@@ -39,7 +39,7 @@ func NewLatencySeeded(warmup, seed uint64) *Latency {
 	return &Latency{
 		warmup:  warmup,
 		capHint: 1 << 16,
-		rng:     sim.NewRNG(sim.SeedFor(seed, latencyStream)),
+		rng:     *sim.NewRNG(sim.SeedFor(seed, latencyStream)),
 	}
 }
 

@@ -188,6 +188,32 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 }
 
+// TestInitInjectorsMatchNewInjector checks that the injectors InitInjectors
+// sets up in place, their state cut from shared slabs, generate exactly
+// the packets of injectors NewInjector builds one by one, for rate, on/off
+// and trace-replay generators alike.
+func TestInitInjectorsMatchNewInjector(t *testing.T) {
+	m := topo.NewMesh(4)
+	trace, err := FromTrace(m, SyntheticTrace(m, 50, 2000, 4, 7), 4, 64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bursty := Bursty(m, 0, 15, 40, 200, 4, 32)
+	bursty.Gens[0] = append(bursty.Gens[0], Gen{Flow: 0, Rate: 0.3, RandomDst: true})
+	for _, p := range []*Pattern{Uniform(m, 0.3, 4, 32), bursty, trace} {
+		ins := make([]Injector, m.N())
+		InitInjectors(p, 7, func(i int) *Injector { return &ins[i] })
+		for n := range ins {
+			want := NewInjector(p, topo.NodeID(n), 7)
+			for now := uint64(0); now < 3000; now++ {
+				if got, want := ins[n].Next(now), want.Next(now); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s node %d cycle %d: %v, want %v", p.Name, n, now, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestInjectorSequenceNumbers(t *testing.T) {
 	m := topo.NewMesh(4)
 	p := SingleFlow(m, 0, 15, 0.9, 4, 32)
