@@ -39,6 +39,9 @@ func New(cfg config.LOFT, pattern *traffic.Pattern, opts Options) (*Network, err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := pattern.ValidateFlowIDs(); err != nil {
+		return nil, err
+	}
 	linkFlows := pattern.LinkFlows()
 	if err := pattern.ValidateLinks(linkFlows, cfg.FrameFlits, cfg.QuantumFlits); err != nil {
 		return nil, err

@@ -233,12 +233,18 @@ func TestCollectorsShareTheWarmupRule(t *testing.T) {
 	}
 }
 
-// TestNewRejectsBadInputs: a pattern for another mesh and a plan naming a
-// flow the pattern lacks are construction errors.
+// TestNewRejectsBadInputs: a pattern for another mesh, a pattern whose flow
+// ids are not 0..len(Flows)-1, and a plan naming a flow the pattern lacks
+// are construction errors.
 func TestNewRejectsBadInputs(t *testing.T) {
 	mesh := topo.NewMesh(3)
 	if _, err := New(mesh, traffic.Uniform(topo.NewMesh(4), 0.1, 4, 256), Options{}); err == nil {
 		t.Error("pattern built for a 4x4 mesh accepted on a 3x3 one")
+	}
+	bad := traffic.Uniform(mesh, 0.1, 4, 256)
+	bad.Flows[3].ID = -1
+	if _, err := New(mesh, bad, Options{}); err == nil {
+		t.Error("pattern with flow id -1 accepted")
 	}
 	plan, err := fault.Parse("adversary flow=99 factor=2 from=1")
 	if err != nil {
