@@ -100,9 +100,11 @@ chaos-smoke:
 # Ten seconds of coverage-guided fuzzing per target. Three run an optimized
 # structure in lock-step with its plain reference: FuzzTableOps runs
 # lsf.Table beside the reference table of internal/lsf/reftable_test.go over
-# arbitrary operation sequences, FuzzGSFArbitration runs GSF's
-# candidate-list arbitration against the nested scans of
-# internal/gsf/arbitration_test.go, and FuzzLookaheadOrder LOFT's per-output
+# arbitrary operation sequences, FuzzGSFArbitration runs GSF's gathered
+# arbitration against the nested scans of internal/gsf/arbitration_test.go
+# on 1 to 16 VCs per port (from 13 up a node's VC bit sets span two
+# words) and checks those sets against the VCs they describe at every
+# node and cycle, and FuzzLookaheadOrder LOFT's per-output
 # look-ahead lists against the per-VC FIFOs and nested scans of
 # internal/loft/laorder_test.go, over arbitrary small configurations.
 # FuzzFaultPlan feeds arbitrary text to the fault-plan parser, which must
