@@ -122,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s -parallel 2 ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 10s -parallel 2 ./internal/traffic
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime 10s -parallel 2 ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzRecorder$$' -fuzztime 10s -parallel 2 ./internal/audit
 
 # The frozen benchmark (bench/, its own module with `replace loft => ../`)
 # is invisible to the root `go build ./...`, yet it constructs loft.Options,

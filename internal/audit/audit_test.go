@@ -25,7 +25,7 @@ func faultTable(t *testing.T) (aud *audit.Auditor, tb *lsf.Table, barrier func()
 	aud = audit.New(audit.Config{})
 	stage := probe.NewStage(aud.Kinds())
 	tb = lsf.NewTable("faulty", lsf.Params{SlotsPerFrame: 4, Frames: 2, BufferQuanta: 4})
-	aud.WatchTable(tb, "faulty", &stage)
+	aud.WatchTable(tb, &stage)
 	if err := tb.AddFlow(1, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestNilAuditorInert(t *testing.T) {
 	aud.FinishRun(100)
 	aud.RegisterCheck("x", func() error { return nil })
 	aud.SetFlowBound(0, 1)
-	aud.WatchTable(nil, "x", nil)
+	aud.WatchTable(nil, nil)
 	aud.Record(&probe.Record{})
 	if aud.Kinds() != 0 {
 		t.Fatal("nil auditor wants records")

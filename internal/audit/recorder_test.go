@@ -59,18 +59,39 @@ func (d drive) timelines() [][]HopEvent {
 	return out
 }
 
+// head returns the first slab record of packet pkt of flow, failing when
+// the packet has no chain.
+func (d drive) head(flow flit.FlowID, pkt uint64) int32 {
+	d.t.Helper()
+	c, ok := d.a.rec.packets.get(flow, pkt)
+	if !ok {
+		d.t.Fatalf("packet %d of flow %d has no chain", pkt, flow)
+	}
+	return c.head
+}
+
+// freeRecords counts the slab records on the free list.
+func (r *recorder) freeRecords() int {
+	n := 0
+	for i := r.free; i >= 0; i = r.slab[i].next {
+		n++
+	}
+	return n
+}
+
 // TestRecorderReusesRecord completes two packets one after the other: the
 // second reuses the first one's slab record, and its timeline holds only its
 // own events.
 func TestRecorderReusesRecord(t *testing.T) {
 	d := newLOFTDrive(t)
 	d.quantum(10, 0, 0)
+	first := d.head(0, 0)
 	d.done(17, 0, 13)
 	d.quantum(100, 1, 1)
-	d.done(107, 1, 103)
-	if n := len(d.a.rec.slab); n != 1 {
-		t.Fatalf("slab holds %d records, want 1", n)
+	if i := d.head(0, 1); i != first {
+		t.Fatalf("second packet holds record %d, want the first one's, %d", i, first)
 	}
+	d.done(107, 1, 103)
 	tl := d.timelines()
 	if len(tl) != 2 {
 		t.Fatalf("%d timelines, want 2", len(tl))
@@ -103,13 +124,16 @@ func TestRecorderGSFReusesRecord(t *testing.T) {
 	a.BeginGSF(config.PaperGSF(), config.PaperGSF().Mesh(), []flit.Flow{{ID: 3, Src: 5, Dst: 6}})
 	a.SetFlowBound(3, 1)
 	d := drive{t, a}
+	var first int32
 	for pkt := uint64(0); pkt < 2; pkt++ {
 		at := 50 * pkt
 		d.emit(at, probe.KindGSFInject, 5, -1, 3, pkt, 0, 0)
+		if i := d.head(3, pkt); pkt == 0 {
+			first = i
+		} else if i != first {
+			t.Fatalf("second packet holds record %d, want the first one's, %d", i, first)
+		}
 		d.emit(at+9, probe.KindPacketDone, 6, -1, 3, pkt, at, 0)
-	}
-	if n := len(a.rec.slab); n != 1 {
-		t.Fatalf("slab holds %d records, want 1", n)
 	}
 	tl := d.timelines()
 	if len(tl) != 2 || len(tl[1]) != 1 || tl[1][0] != (HopEvent{Cycle: 50, Node: 5, Link: int32(topo.NumDirs), Stage: "inject"}) {
@@ -132,8 +156,8 @@ func TestRecorderChainOrder(t *testing.T) {
 	if len(tl) != 4 || tl[0].Slot != 6 || tl[1].Slot != 4 || tl[2].Stage != "eject" || tl[3].Stage != "eject" {
 		t.Fatalf("timeline %+v is not in ejection order", tl)
 	}
-	if n := len(d.a.rec.free); n != 2 {
-		t.Fatalf("%d records freed, want 2", n)
+	if free, n := d.a.rec.freeRecords(), len(d.a.rec.slab); free != n {
+		t.Fatalf("%d of %d records free after the packet completed, want all", free, n)
 	}
 }
 
@@ -184,7 +208,8 @@ func TestRecorderInFlightDrains(t *testing.T) {
 }
 
 // TestRecorderSlabBounded runs 1,000 two-quantum packets one after the
-// other: the slab never holds more records than were in flight at once.
+// other: they take only the first two records, as many as were ever in
+// flight at once, and the slab never grows past its first chunk.
 func TestRecorderSlabBounded(t *testing.T) {
 	d := newLOFTDrive(t)
 	d.a.SetFlowBound(0, 0) // no bound: no timelines to build
@@ -192,10 +217,13 @@ func TestRecorderSlabBounded(t *testing.T) {
 		at := 20 * pkt
 		d.quantum(at, 2*pkt, pkt)
 		d.quantum(at+1, 2*pkt+1, pkt)
+		if c, _ := d.a.rec.packets.get(0, pkt); c.head > 1 || c.tail > 1 {
+			t.Fatalf("packet %d holds records %d and %d, want records 0 and 1", pkt, c.head, c.tail)
+		}
 		d.done(at+8, pkt, at+3)
 	}
-	if n := len(d.a.rec.slab); n != 2 {
-		t.Fatalf("slab holds %d records after 1,000 serial packets, want the peak in flight, 2", n)
+	if n := len(d.a.rec.slab); n != 16 {
+		t.Fatalf("slab holds %d records after 1,000 serial packets, want its first chunk, 16", n)
 	}
 	if s := d.a.Snapshot(); s.PacketsChecked != 1000 || !s.Clean {
 		t.Fatalf("checked %d packets (clean %v), want 1000 clean", s.PacketsChecked, s.Clean)
@@ -230,5 +258,89 @@ func TestRecorderUnknownFlow(t *testing.T) {
 	}
 	if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
 		t.Fatalf("snapshot lists flows %v, want [0 2]", ids)
+	}
+}
+
+// TestSeqRows drives the rows directly: a collision doubles every row and
+// keeps the other flows' values, an aliased slot is a miss, and a flow id
+// with no row, the sequence 2^64-1 and a collision at the widest rows spill
+// into the map.
+func TestSeqRows(t *testing.T) {
+	var s seqRows[int32]
+	s.reset(3)
+	s.set(0, 0, 10)
+	s.set(2, 5, 25)
+	if s.mask+1 != minRowWidth {
+		t.Fatalf("width %d, want %d", s.mask+1, minRowWidth)
+	}
+	s.set(0, minRowWidth, 11) // lands on sequence 0
+	if s.mask+1 != 2*minRowWidth {
+		t.Fatalf("width %d after a collision, want %d", s.mask+1, 2*minRowWidth)
+	}
+	for _, c := range []struct {
+		flow flit.FlowID
+		seq  uint64
+		want int32
+		ok   bool
+	}{{0, 0, 10, true}, {0, minRowWidth, 11, true}, {2, 5, 25, true}, {0, 2 * minRowWidth, 0, false}, {1, 0, 0, false}} {
+		if v, ok := s.get(c.flow, c.seq); v != c.want || ok != c.ok {
+			t.Fatalf("get(%d, %d) = %d, %v; want %d, %v", c.flow, c.seq, v, ok, c.want, c.ok)
+		}
+	}
+	s.set(-1, 0, 1)
+	s.set(3, 0, 2)
+	s.set(1, 1<<64-1, 3)
+	s.set(1, 0, 4)
+	for w := s.mask + 1; w < maxRowWidth; w = s.mask + 1 {
+		s.set(1, w, 5) // lands on sequence 0 and doubles the rows again
+	}
+	s.set(1, 2*maxRowWidth, 6) // lands on sequence 0 at the widest rows
+	if len(s.spill) != 4 || s.live != 14 {
+		t.Fatalf("%d spilled of %d live, want 4 of 14", len(s.spill), s.live)
+	}
+	for _, k := range []seqKey{{-1, 0}, {3, 0}, {1, 1<<64 - 1}, {1, 2 * maxRowWidth}, {0, minRowWidth}} {
+		if _, ok := s.remove(k.flow, k.seq); !ok {
+			t.Fatalf("remove(%d, %d) missed", k.flow, k.seq)
+		}
+		if _, ok := s.get(k.flow, k.seq); ok {
+			t.Fatalf("get(%d, %d) hit after its removal", k.flow, k.seq)
+		}
+	}
+	if len(s.spill) != 0 || s.live != 9 {
+		t.Fatalf("%d spilled of %d live after the removals, want 0 of 9", len(s.spill), s.live)
+	}
+}
+
+// TestRecorderStrideFits alternates packets of a one-hop and a fourteen-hop
+// flow, each quantum with every hop its route has: a record recycled from
+// the short flow to the long one keeps its hop storage, so the steady state
+// allocates nothing.
+func TestRecorderStrideFits(t *testing.T) {
+	cfg := config.PaperLOFT()
+	a := New(Config{})
+	a.BeginLOFT(cfg, cfg.Mesh(), []flit.Flow{{ID: 0, Src: 0, Dst: 1}, {ID: 1, Src: 0, Dst: 63}})
+	d := drive{t, a}
+	var seq [2]uint64
+	lifecycle := func(flow int32, hops int) {
+		s := seq[flow]
+		seq[flow]++
+		d.emit(1, probe.KindLAIssue, 0, int32(topo.NumDirs), flow, s, 8, s)
+		d.emit(2, probe.KindDataInject, 0, int32(topo.NumDirs), flow, s, 0, 4)
+		for h := 0; h <= hops; h++ {
+			d.emit(3, probe.KindReserve, int32(h), int32(topo.East), flow, s, 4, 0)
+			d.emit(4, probe.KindDataForward, int32(h), int32(topo.East), flow, s, 0, 0)
+		}
+		d.emit(5, probe.KindEject, 1, 0, flow, s, 0, 4)
+		d.emit(6, probe.KindPacketDone, 1, -1, flow, s, 2, 0)
+	}
+	lifecycle(0, 1)
+	if n := testing.AllocsPerRun(100, func() {
+		lifecycle(0, 1)
+		lifecycle(1, 14)
+	}); n != 0 {
+		t.Fatalf("%.1f allocations per pair of packets, want 0", n)
+	}
+	if s := a.Snapshot(); s.PacketsChecked != 203 || !s.Clean {
+		t.Fatalf("checked %d packets (clean %v), want 203 clean", s.PacketsChecked, s.Clean)
 	}
 }

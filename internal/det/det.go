@@ -13,6 +13,7 @@ package det
 
 import (
 	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -24,6 +25,17 @@ func Keys[K cmp.Ordered, V any](m map[K]V) []K {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// AppendKeys appends m's keys to dst sorted ascending: Keys into a buffer
+// the caller reuses, so a walk repeated every few cycles allocates nothing.
+func AppendKeys[K cmp.Ordered, V any](dst []K, m map[K]V) []K {
+	n := len(dst)
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // KeysFunc returns m's keys sorted by less, for key types without a total

@@ -138,8 +138,10 @@ func (net *Network) bindAudit() {
 	if aud == nil {
 		return
 	}
+	var frames []int // reused by every sweep
 	aud.RegisterCheck("gsf.frame-count", func() error {
-		for _, frame := range det.Keys(net.frameCount) {
+		frames = det.AppendKeys(frames[:0], net.frameCount)
+		for _, frame := range frames {
 			c := net.frameCount[frame]
 			if c < 0 {
 				return fmt.Errorf("frame %d flit census is negative (%d)", frame, c)

@@ -101,6 +101,32 @@ func TestNewProbedAllocs(t *testing.T) {
 	}
 }
 
+// TestNewAuditedAllocs prices the auditor in New: once an auditor has armed
+// one paper-configuration network, arming the next costs at most a fixed
+// number of allocations over a bare New, because the table taps and their
+// shadow counters come from slabs the auditor keeps across runs and no
+// table's name is formatted.
+func TestNewAuditedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation count not reproducible under -race")
+	}
+	const limit = 16
+	cfg := config.PaperLOFT()
+	p := traffic.Uniform(cfg.Mesh(), 0.2, cfg.PacketFlits, cfg.FrameFlits)
+	aud := audit.New(audit.Config{})
+	allocs := func(aud *audit.Auditor) float64 {
+		return testing.AllocsPerRun(5, func() {
+			var err error
+			if allocSink, err = New(cfg, p, Options{Seed: 1, Audit: aud}); err != nil {
+				panic(err)
+			}
+		})
+	}
+	if extra := allocs(aud) - allocs(nil); extra > limit {
+		t.Errorf("an audited New makes %.0f allocations more than a bare one, want at most %d", extra, limit)
+	}
+}
+
 // TestNewRejectsFramesBelowQuantum checks that a frame of no whole quantum
 // is a config error from New, never a panic. Frames of 0 and -256 flits are
 // quantum multiples, so only the explicit bound in config.Validate stops

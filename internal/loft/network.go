@@ -104,7 +104,7 @@ func (net *Network) bindAudit() {
 	for _, n := range net.nodes {
 		for _, t := range n.outTables {
 			if t != nil {
-				aud.WatchTable(t, t.Name(), n.obs)
+				aud.WatchTable(t, n.obs)
 			}
 		}
 	}
