@@ -47,11 +47,12 @@ var allocSink *Network
 
 // TestNewAllocs pins the construction floor of a paper-configuration network
 // at its measured count: a few arrays per node (its reservation tables and
-// their storage, input-port pools and candidate lists, credit-return
-// buffers, look-ahead buffering, the NI and sink maps), one slab for the
-// nodes and one per link-register kind, and the harness's slab of slots,
-// which hold the traffic injectors. Names are formatted only when read, and
-// registering the flows allocates nothing.
+// their storage, input-port candidate lists, credit-return buffers,
+// look-ahead buffering, the NI and sink maps), one slab for the nodes, one
+// for their input reservation entries and one per link-register kind, and
+// the harness's slab of slots, which hold the traffic injectors. Names are
+// formatted only when read, and registering the flows allocates nothing. A
+// return to one entry pool per node adds 63 allocations and fails here.
 func TestNewAllocs(t *testing.T) {
 	if raceEnabled {
 		// sync.Pool drops fmt's pooled printers at random under the race
@@ -66,7 +67,7 @@ func TestNewAllocs(t *testing.T) {
 			panic(err)
 		}
 	})
-	const limit = 881
+	const limit = 818
 	if n > limit {
 		t.Errorf("loft.New: %.0f allocations, want at most %d", n, limit)
 	}

@@ -28,15 +28,15 @@ type inEntry struct {
 	q          Quantum
 	outDir     topo.Dir
 	arriveSlot uint64
-	booked     bool
 	departSlot uint64
+	booked     bool
 	arrived    bool
 	inSpec     bool // resides in this node's speculative buffer
 	// faultDenied marks a quantum whose forward was denied by an active
 	// fault; its eventual successful forward counts as a retry.
 	faultDenied bool
-	// next links the entry into its slab chain while live and into the free
-	// list once retired.
+	// next links the entry into its slab chain while live and into the
+	// node's free list once retired.
 	next *inEntry
 }
 
@@ -52,13 +52,12 @@ type inEntry struct {
 // upstream link re-book the same absolute slot while the first quantum's
 // entry is still live (and because distant slots are congruent modulo
 // portSlots). Entries link through inEntry.next, into a chain while live and
-// into the free list once retired, so the steady state allocates nothing.
-// A node embeds its five ports and cuts their entry pools and candidate
-// lists from one array each.
+// into the node's free list once retired, so the steady state allocates
+// nothing. A node embeds its five ports and cuts their candidate lists from
+// one array; their entries come from the node's one pool (Node.alloc).
 type inputPort struct {
 	dir  topo.Dir
 	ring [portSlots]*inEntry // chain heads indexed by arriveSlot & (portSlots-1)
-	free *inEntry            // retired entries for reuse
 	// avail lists entries that are booked AND physically arrived — the
 	// switching candidates — so per-slot arbitration does not scan the
 	// whole input reservation table.
@@ -73,34 +72,37 @@ type inputPort struct {
 // chains at length 0 or 1.
 const portSlots = 64
 
-// init sets up the port with its entry pool and the backing of its
-// candidate list. Both are sized so a new live-entry maximum does not
-// allocate mid-run; alloc() still falls back to the heap if a pathological
-// workload exceeds the pool, and append if one exceeds the list.
-func (ip *inputPort) init(d topo.Dir, pool []inEntry, avail []*inEntry) {
-	ip.dir, ip.avail = d, avail
-	for i := range pool {
-		pool[i].next = ip.free
-		ip.free = &pool[i]
-	}
+// poolRows is the size of a node's entry pool: one input port's full
+// central and speculative buffers plus every look-ahead VC slot of the node
+// (194 rows with the paper's Table 1). An entry lives from its look-ahead
+// flit's arrival until its quantum departs, so it holds a look-ahead slot,
+// a buffer slot, or a booking its data has not yet crossed. The paper
+// configuration's busiest node holds 158 at Case Study II's 0.95
+// (TestEntryRowsHighWater); Node.allocSlow covers a workload that holds
+// more.
+func poolRows(cfg config.LOFT) int {
+	return cfg.BufferQuanta() + cfg.SpecQuanta() + int(topo.NumDirs)*cfg.LAVirtualChannels*cfg.LAVCDepth
 }
 
-// alloc returns a recycled entry or a fresh one. The caller overwrites the
-// whole entry, next included.
-func (ip *inputPort) alloc() *inEntry {
-	if e := ip.free; e != nil {
-		ip.free = e.next
+// alloc returns a recycled entry from the node's pool, or a fresh one once
+// the pool is exhausted. The caller overwrites the whole entry, next
+// included.
+func (n *Node) alloc() *inEntry {
+	if e := n.free; e != nil {
+		n.free = e.next
 		return e
 	}
-	return ip.allocSlow()
+	return n.allocSlow()
 }
 
 // allocSlow is the pool-exhausted fallback: it heap-allocates, which only a
-// pathological workload reaches, so it is kept out of line: the slow path
-// stays out of the fast path inlined into alloc's steady-state callers.
+// workload holding more than poolRows entries at once reaches, so it is
+// kept out of line: the slow path stays out of the fast path inlined into
+// alloc's steady-state callers.
 //
 //go:noinline
-func (ip *inputPort) allocSlow() *inEntry {
+func (n *Node) allocSlow() *inEntry {
+	n.heapRows++
 	return new(inEntry)
 }
 
@@ -130,13 +132,14 @@ func (ip *inputPort) insert(e *inEntry, nodeID topo.NodeID) {
 	*head = e
 }
 
-// remove unlinks a live entry and retires it into the free list.
-func (ip *inputPort) remove(e *inEntry) {
-	for p := &ip.ring[e.arriveSlot&(portSlots-1)]; *p != nil; p = &(*p).next {
+// remove unlinks a live entry from input port in and retires it into the
+// node's free list.
+func (n *Node) remove(in topo.Dir, e *inEntry) {
+	for p := &n.inputs[in].ring[e.arriveSlot&(portSlots-1)]; *p != nil; p = &(*p).next {
 		if *p == e {
 			*p = e.next
-			e.next = ip.free
-			ip.free = e
+			e.next = n.free
+			n.free = e
 			return
 		}
 	}
@@ -191,6 +194,12 @@ type Node struct {
 	tables []lsf.Table
 
 	inputs [topo.NumDirs]inputPort // topo.Local = from the NI
+	// free lists the node's retired input reservation entries, which all
+	// five ports take from and retire to. heapRows counts the entries
+	// allocSlow took from the heap once the pool ran dry; like lag, it is
+	// not behaviour, and no digest hashes it.
+	free     *inEntry
+	heapRows int
 	// candidates counts the entries on the five inputs' avail lists.
 	candidates int
 
@@ -279,8 +288,9 @@ func (r *rrState) granted(d topo.Dir) { r.next = (int(d) + 1) % int(topo.NumDirs
 
 // init builds node id in place. linkFlows lists the flows the network will
 // register on each link (traffic.Pattern.LinkFlows), which sizes the node's
-// reservation tables so that installing them allocates nothing.
-func (n *Node) init(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsim.Slot, linkFlows map[topo.Link][]flit.FlowID) {
+// reservation tables so that installing them allocates nothing. rows is the
+// node's entry pool, poolRows(cfg) entries cut from the network's array.
+func (n *Node) init(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsim.Slot, linkFlows map[topo.Link][]flit.FlowID, rows []inEntry) {
 	*n = Node{id: id, cfg: cfg, mesh: mesh, obs: &slot.Stage, perf: slot.Perf, slot: slot,
 		specSwitch: cfg.SpeculativeSwitching(), statusReset: cfg.LocalStatusReset()}
 	params := lsf.Params{
@@ -320,10 +330,15 @@ func (n *Node) init(id topo.NodeID, cfg config.LOFT, mesh topo.Mesh, slot *netsi
 		n.tables[i].SetStamp(int32(id), int32(d), cfg.QuantumFlits)
 		n.tables[i].SetEmitter(n.obs, n.obs.Kinds())
 	}
-	pool := make([]inEntry, int(topo.NumDirs)*2*portSlots)
+	for i := range rows {
+		rows[i].next = n.free
+		n.free = &rows[i]
+	}
+	// The candidate lists are sized so a new maximum does not allocate
+	// mid-run; a port that exceeds its list grows it by append.
 	avail := make([]*inEntry, int(topo.NumDirs)*portSlots)
 	for d := topo.North; d < topo.NumDirs; d++ {
-		n.inputs[d].init(d, carve(&pool, 2*portSlots), carve(&avail, portSlots)[:0])
+		n.inputs[d].dir, n.inputs[d].avail = d, carve(&avail, portSlots)[:0]
 	}
 	n.niData.Init(label.New(niDataName, int(id), 0))
 	// A cycle books at most one quantum per output table, so at most
@@ -862,7 +877,7 @@ func (n *Node) forward(o, in topo.Dir, e *inEntry, spec bool, slot, now uint64) 
 	}
 	// The entry retires here; copy what outlives it before recycling.
 	q, departSlot := e.q, e.departSlot
-	ip.remove(e)
+	n.remove(in, e)
 	if o == topo.Local {
 		n.sink.receive(q, spec, slot, departSlot, now)
 		return
