@@ -6,7 +6,7 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"loft/internal/flit"
 	"loft/internal/sim"
@@ -18,13 +18,17 @@ import (
 // retained sample with probability capHint/count (Vitter's algorithm R), so
 // every packet of the run is equally likely to be retained. The reservoir
 // RNG is deterministic (seeded from the run seed via sim.SeedFor), keeping
-// results bit-for-bit reproducible.
+// results bit-for-bit reproducible. The reservoir is allocated whole at the
+// first recorded packet, so recording never allocates after that.
 type Latency struct {
-	warmup  uint64
-	sum     float64
-	count   uint64
-	max     uint64
-	samples []float64 // uniform reservoir for percentiles
+	warmup uint64
+	sum    float64
+	count  uint64
+	max    uint64
+	// samples is the uniform reservoir for percentiles. A latency is a
+	// cycle count, exact in 32 bits for any run shorter than 2^32 cycles;
+	// longer ones saturate.
+	samples []uint32
 	capHint int
 	rng     sim.RNG
 }
@@ -55,13 +59,17 @@ func (l *Latency) Observe(created, done uint64) {
 	if lat > l.max {
 		l.max = lat
 	}
+	sample := uint32(min(lat, math.MaxUint32))
 	if len(l.samples) < l.capHint {
-		l.samples = append(l.samples, float64(lat))
+		if l.samples == nil {
+			l.samples = make([]uint32, 0, l.capHint)
+		}
+		l.samples = append(l.samples, sample)
 		return
 	}
 	// Reservoir step: keep each of the count packets with equal probability.
 	if j := l.rng.Intn(int(l.count)); j < l.capHint {
-		l.samples[j] = float64(lat)
+		l.samples[j] = sample
 	}
 }
 
@@ -87,8 +95,8 @@ func (l *Latency) Percentile(p float64) float64 {
 	if len(l.samples) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), l.samples...)
-	sort.Float64s(s)
+	s := slices.Clone(l.samples)
+	slices.Sort(s)
 	idx := int(math.Ceil(p/100*float64(len(s)))) - 1
 	if idx < 0 {
 		idx = 0
@@ -96,7 +104,7 @@ func (l *Latency) Percentile(p float64) float64 {
 	if idx >= len(s) {
 		idx = len(s) - 1
 	}
-	return s[idx]
+	return float64(s[idx])
 }
 
 // FlowLatency tracks per-flow packet latency summaries (Fig. 12 reports

@@ -217,3 +217,28 @@ func TestThroughputObserveNEquivalence(t *testing.T) {
 		t.Fatalf("Total = %v, want %v (12 flits over window [10,21))", got, want)
 	}
 }
+
+// TestLatencyReservoirAllocatesOnce checks that the reservoir is allocated
+// whole at the first recorded packet: filling it and sampling past its size
+// allocate nothing more, so a run's steady state does not depend on how many
+// packets it has measured.
+func TestLatencyReservoirAllocatesOnce(t *testing.T) {
+	l := NewLatencySeeded(10, 1)
+	l.Observe(5, 20) // created before warm-up: not recorded
+	if l.samples != nil {
+		t.Fatal("reservoir allocated before the first recorded packet")
+	}
+	l.Observe(10, 20)
+	if cap(l.samples) != l.capHint {
+		t.Fatalf("reservoir capacity %d after the first recorded packet, want %d", cap(l.samples), l.capHint)
+	}
+	var done uint64
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1<<17; i++ {
+			done++
+			l.Observe(10, 10+done%500)
+		}
+	}); n != 0 {
+		t.Errorf("filling the reservoir and sampling past it: %.0f allocations, want 0", n)
+	}
+}

@@ -5,6 +5,7 @@ package loft
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"loft/internal/audit"
@@ -184,8 +185,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			for i, c := range counters {
 				before[i] = c.read()
 			}
-			if avg := testing.AllocsPerRun(row.runs, func() { net.Run(uint64(row.chunk)) }); avg != 0 {
-				t.Fatalf("steady state allocates: %.1f allocs per %d-cycle chunk, want 0", avg, row.chunk)
+			if n := mallocs(row.runs, func() { net.Run(uint64(row.chunk)) }); n != 0 {
+				t.Fatalf("steady state allocates: %d allocs over %d %d-cycle chunks, want 0", n, row.runs, row.chunk)
 			}
 			for i, c := range counters {
 				if after := c.read(); after <= before[i] {
@@ -194,4 +195,20 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mallocs is testing.AllocsPerRun without the average: on one processor it
+// calls f once to warm up, then runs more times, and returns every heap
+// allocation those runs made. An average in integer arithmetic would hide
+// up to runs-1 of them.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
