@@ -10,25 +10,30 @@ import (
 	"testing"
 )
 
+// TestTracerRingWrap fills a four-event ring part way into a second lap,
+// then past the end of the ring twice more, so the write index both moves
+// on and resets to the start.
 func TestTracerRingWrap(t *testing.T) {
-	tr := NewTracer(4)
-	for i := uint64(0); i < 6; i++ {
-		tr.Emit(Event{Cycle: i, Kind: KindSpecHit})
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("len = %d, want 4", tr.Len())
-	}
-	if tr.Total() != 6 || tr.Dropped() != 2 {
-		t.Fatalf("total=%d dropped=%d, want 6/2", tr.Total(), tr.Dropped())
-	}
-	ev := tr.Events()
-	for i, e := range ev {
-		if want := uint64(i + 2); e.Cycle != want {
-			t.Fatalf("event %d cycle = %d, want %d (oldest overwritten, order kept)", i, e.Cycle, want)
+	for _, n := range []uint64{6, 13} {
+		tr := NewTracer(4)
+		for i := uint64(0); i < n; i++ {
+			tr.Emit(Event{Cycle: i, Kind: KindSpecHit})
 		}
-	}
-	if tr.Count(KindSpecHit) != 6 {
-		t.Fatalf("count survives wrap: got %d", tr.Count(KindSpecHit))
+		if tr.Len() != 4 {
+			t.Fatalf("%d events: len = %d, want 4", n, tr.Len())
+		}
+		if tr.Total() != n || tr.Dropped() != n-4 {
+			t.Fatalf("%d events: total=%d dropped=%d, want %d/%d", n, tr.Total(), tr.Dropped(), n, n-4)
+		}
+		ev := tr.Events()
+		for i, e := range ev {
+			if want := n - 4 + uint64(i); e.Cycle != want {
+				t.Fatalf("%d events: event %d cycle = %d, want %d (oldest overwritten, order kept)", n, i, e.Cycle, want)
+			}
+		}
+		if tr.Count(KindSpecHit) != n {
+			t.Fatalf("%d events: count survives wrap: got %d", n, tr.Count(KindSpecHit))
+		}
 	}
 }
 
