@@ -113,7 +113,9 @@ chaos-smoke:
 # events that WriteTrace and ParseTrace return unchanged and in order.
 # FuzzReadEventsJSONL decodes arbitrary events.jsonl dumps with and without
 # the direct scan of writer-shaped lines, which must agree on the events,
-# the drop count and the error. Any failure leaves its input under the
+# the drop count and the error. FuzzRecorder runs the audit flight
+# recorder beside a map transcription of it over arbitrary record streams,
+# comparing snapshots and violation logs. Any failure leaves its input under the
 # package's testdata/fuzz, where `go test` replays it from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTableOps$$' -fuzztime 10s -parallel 2 ./internal/lsf
