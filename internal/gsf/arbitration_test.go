@@ -334,7 +334,7 @@ func stepChecked(net *Network, now uint64) error {
 	for _, n := range net.nodes {
 		n.obs.Drain()
 	}
-	net.commitFrames(now)
+	net.tickBarrier(now)
 	return nil
 }
 

@@ -150,21 +150,17 @@ type node struct {
 	// quietCycles counts the cycles the node spent on the quiet path (not
 	// behaviour: no digest or result reads it).
 	quietCycles uint64
-	// Effects on GSF's own network-global frame census buffer here during
-	// the compute phase; Network.commitFrames applies them at the cycle
-	// barrier, under both engines.
-	frameDeltas []frameDelta
+	// frames is the node's share of the frame census: frames[f%FrameWindow]
+	// counts the flits of frame f it injected less those it ejected. Only
+	// the node's own Tick writes it; Network.census sums the shares in the
+	// serial commit.
+	frames []int
 	// throttleCycles counts the cycles a source of this node stalled on an
 	// exhausted window (events fire only on the stall edge); the probe's
 	// gsf.throttle.cycles gauge sums it over the nodes.
 	throttleCycles uint64
 
 	drops uint64
-}
-
-// frameDelta is one deferred frame-census update.
-type frameDelta struct {
-	frame, delta int
 }
 
 type pktProgress struct {
@@ -175,18 +171,19 @@ type pktProgress struct {
 // init sets n up as node id of net. Its storage comes from the network's
 // slabs: vcs holds every input VC, rings their FIFO rings (VCDepth entries
 // each), sets the words of occ and of the four wait sets (one bit per VC
-// each) and pkts the source queue's packet ring. wire adds the output ports
-// and link registers.
-func (n *node) init(id topo.NodeID, cfg config.GSF, net *Network, slot *netsim.Slot, vcs []inputVC, rings []vcEntry, sets []uint64, pkts []flit.Packet) {
+// each), pkts the source queue's packet ring and frames the node's census
+// share. wire adds the output ports and link registers.
+func (n *node) init(id topo.NodeID, cfg config.GSF, net *Network, slot *netsim.Slot, vcs []inputVC, rings []vcEntry, sets []uint64, pkts []flit.Packet, frames []int) {
 	*n = node{
-		id:    id,
-		net:   net,
-		vcs:   vcs,
-		injVC: -1,
-		inj:   &slot.Injector,
-		obs:   &slot.Stage,
-		perf:  slot.Perf,
-		slot:  slot,
+		id:     id,
+		net:    net,
+		vcs:    vcs,
+		injVC:  -1,
+		inj:    &slot.Injector,
+		obs:    &slot.Stage,
+		perf:   slot.Perf,
+		slot:   slot,
+		frames: frames,
 	}
 	n.srcQueue.init(label.New(srcqName, int(id), 0), cfg.SourceQueue, pkts)
 	words := len(sets) / (1 + len(n.wait))
@@ -224,10 +221,9 @@ func (n *node) Tick(now uint64) {
 	n.tick(now, in)
 }
 
-// addFrame adjusts the global frame census: the update is staged and
-// replayed at the cycle barrier (frameCount is commit-only state).
+// addFrame adds delta flits of frame to the node's census share.
 func (n *node) addFrame(frame, delta int) {
-	n.frameDeltas = append(n.frameDeltas, frameDelta{frame, delta})
+	n.frames[frame%len(n.frames)] += delta
 }
 
 // tick advances one cycle: drain the links in the arrival set in, eject,

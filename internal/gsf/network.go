@@ -5,7 +5,6 @@ import (
 
 	"loft/internal/audit"
 	"loft/internal/config"
-	"loft/internal/det"
 	"loft/internal/fault"
 	"loft/internal/flit"
 	"loft/internal/label"
@@ -31,12 +30,14 @@ type Network struct {
 
 	// Barrier / global frame state. Commit-only: the compute phase may read
 	// head (stable between barriers) but every write happens in the serial
-	// commit phase — nodes stage census updates as frameDeltas instead. A
-	// compute-phase write is a data race on the two-worker goldens under
-	// -race.
-	head       int // H: the head frame (absolute)
-	frameCount map[int]int
-	barrier    int // countdown; 0 = idle
+	// commit phase. A compute-phase write is a data race on the two-worker
+	// goldens under -race. The frame census is the nodes' shares, summed
+	// by census.
+	head    int // H: the head frame (absolute)
+	barrier int // countdown; 0 = idle
+	// left is the last frame the barrier retired with a nonzero census,
+	// and leftFlits that census (the frame-count check reports it).
+	left, leftFlits int
 }
 
 // Options mirror netsim.Options field for field (documented there), plus
@@ -81,7 +82,7 @@ func New(cfg config.GSF, pattern *traffic.Pattern, opts Options) (*Network, erro
 	if err != nil {
 		return nil, err
 	}
-	net := &Network{Harness: h, cfg: cfg, mesh: mesh, frameCount: make(map[int]int)}
+	net := &Network{Harness: h, cfg: cfg, mesh: mesh}
 	// Every node's state comes from one slab per kind, cut node by node.
 	nn, all := mesh.N(), int(topo.NumDirs)*cfg.VirtualChannels
 	nodes := make([]node, nn)
@@ -92,11 +93,12 @@ func New(cfg config.GSF, pattern *traffic.Pattern, opts Options) (*Network, erro
 	bitsets := make([]uint64, nn*sets)
 	queuePkts := ringPackets(cfg.SourceQueue, minPacketFlits(pattern))
 	pkts := make([]flit.Packet, nn*queuePkts)
+	frames := make([]int, nn*cfg.FrameWindow)
 	net.nodes = make([]*node, nn)
 	for i := range nodes {
 		n := &nodes[i]
 		n.init(topo.NodeID(i), cfg, net, h.Slot(i), cut(vcs, i, all), cut(rings, i, all*cfg.VCDepth),
-			cut(bitsets, i, sets), cut(pkts, i, queuePkts))
+			cut(bitsets, i, sets), cut(pkts, i, queuePkts), cut(frames, i, cfg.FrameWindow))
 		net.nodes[i] = n
 		net.AddTicker(i, n)
 	}
@@ -119,7 +121,7 @@ func New(cfg config.GSF, pattern *traffic.Pattern, opts Options) (*Network, erro
 	}
 	net.wire()
 	net.SetLinks("gsf", net.linkFlits)
-	net.OnCommit(perfmon.StageGSFFrame, net.commitFrames)
+	net.OnCommit(perfmon.StageGSFFrame, net.tickBarrier)
 	net.registerGauges()
 	// The self-profiler's occupancy gauges run in the serial commit, so
 	// reading shared state is safe (registration is a no-op without -perf).
@@ -132,22 +134,20 @@ func New(cfg config.GSF, pattern *traffic.Pattern, opts Options) (*Network, erro
 // bindAudit registers the GSF-side invariant check. GSF has no reservation
 // tables to shadow, so beyond the per-packet latency conformance New armed
 // (against analysis.DelayBoundGSF) the auditor only tracks the head-frame
-// flit census.
+// flit census: no live frame's census is negative, and the barrier retired
+// no frame with flits counted in it.
 func (net *Network) bindAudit() {
 	aud := net.Audit()
 	if aud == nil {
 		return
 	}
-	var frames []int // reused by every sweep
 	aud.RegisterCheck("gsf.frame-count", func() error {
-		frames = det.AppendKeys(frames[:0], net.frameCount)
-		for _, frame := range frames {
-			c := net.frameCount[frame]
-			if c < 0 {
-				return fmt.Errorf("frame %d flit census is negative (%d)", frame, c)
-			}
-			if c > 0 && !net.cfg.BestEffort && frame < net.head {
-				return fmt.Errorf("retired frame %d still holds %d flits (head %d)", frame, c, net.head)
+		if net.leftFlits != 0 {
+			return fmt.Errorf("retired frame %d still holds %d flits (head %d)", net.left, net.leftFlits, net.head)
+		}
+		for f := net.head; f < net.head+net.cfg.FrameWindow; f++ {
+			if c := net.census(f); c < 0 {
+				return fmt.Errorf("frame %d flit census is negative (%d)", f, c)
 			}
 		}
 		return nil
@@ -231,22 +231,20 @@ func vcName(id, b int) string {
 	return fmt.Sprintf("gsf.n%d.%s.vc%d", id, topo.Dir(b>>16), b&0xffff)
 }
 
-// commitFrames is the harness's per-cycle commit hook: it applies every
-// node's staged frame-census deltas, then advances the barrier controller.
-// The deltas are sums, so node order does not matter here.
-func (net *Network) commitFrames(now uint64) {
+// census returns the number of frame f's flits in the network, the sum of
+// the nodes' shares. Frames H..H+FrameWindow-1 are live, one share slot each.
+func (net *Network) census(f int) int {
+	c := 0
 	for _, n := range net.nodes {
-		for _, fd := range n.frameDeltas {
-			net.frameCount[fd.frame] += fd.delta
-		}
-		n.frameDeltas = n.frameDeltas[:0]
+		c += n.frames[f%len(n.frames)]
 	}
-	net.tickBarrier(now)
+	return c
 }
 
-// tickBarrier models the global barrier network: once no head-frame flit
-// remains in the network, the window shifts after the barrier round-trip
-// delay (16 cycles in Table 1). Best-effort mode has no barrier.
+// tickBarrier is the harness's per-cycle commit hook. It models the global
+// barrier network: once no head-frame flit remains in the network, the
+// window shifts after the barrier round-trip delay (16 cycles in Table 1).
+// Best-effort mode has no barrier.
 func (net *Network) tickBarrier(now uint64) {
 	if net.cfg.BestEffort {
 		return
@@ -254,7 +252,9 @@ func (net *Network) tickBarrier(now uint64) {
 	if net.barrier > 0 {
 		net.barrier--
 		if net.barrier == 0 {
-			delete(net.frameCount, net.head)
+			if c := net.census(net.head); c != 0 {
+				net.left, net.leftFlits = net.head, c
+			}
 			net.head++
 			if pr := net.Probe(); pr != nil {
 				pr.Emit(now, probe.KindGSFFrameRoll, -1, -1, -1, uint64(net.head))
@@ -262,7 +262,7 @@ func (net *Network) tickBarrier(now uint64) {
 		}
 		return
 	}
-	if net.frameCount[net.head] == 0 {
+	if net.census(net.head) == 0 {
 		net.barrier = net.cfg.BarrierDelay
 	}
 }
@@ -298,8 +298,10 @@ func (net *Network) SourceQueue(id topo.NodeID) (flits int, drops uint64) {
 // InFlight returns the number of flits inside the network (diagnostics).
 func (net *Network) InFlight() int {
 	total := 0
-	for _, c := range net.frameCount {
-		total += c
+	for _, n := range net.nodes {
+		for _, c := range n.frames {
+			total += c
+		}
 	}
 	return total
 }
