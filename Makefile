@@ -113,7 +113,9 @@ chaos-smoke:
 # events that WriteTrace and ParseTrace return unchanged and in order.
 # FuzzReadEventsJSONL decodes arbitrary events.jsonl dumps with and without
 # the direct scan of writer-shaped lines, which must agree on the events,
-# the drop count and the error. FuzzRecorder runs the audit flight
+# the drop count and the error. FuzzReadManifest reads arbitrary bytes as a
+# run's manifest.json: an error, or a manifest whose exported fields Write
+# and ReadManifest return unchanged. FuzzRecorder runs the audit flight
 # recorder beside a map transcription of it over arbitrary record streams,
 # comparing snapshots and violation logs. Any failure leaves its input under the
 # package's testdata/fuzz, where `go test` replays it from then on.
@@ -124,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s -parallel 2 ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 10s -parallel 2 ./internal/traffic
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime 10s -parallel 2 ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime 10s -parallel 2 ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzRecorder$$' -fuzztime 10s -parallel 2 ./internal/audit
 
 # The frozen benchmark (bench/, its own module with `replace loft => ../`)

@@ -89,22 +89,33 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	var m Manifest
-	if err := json.Unmarshal(blob, &m); err != nil {
+	m, err := parseManifest(blob)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	if m.ManifestVersion == 0 {
-		return nil, fmt.Errorf("%s: not a run manifest (missing manifest_version)", path)
+	return m, nil
+}
+
+// parseManifest decodes the bytes of a manifest.json.
+func parseManifest(blob []byte) (*Manifest, error) {
+	var m Manifest
+	if err := json.Unmarshal(blob, &m); err != nil {
+		return nil, err
 	}
-	if m.ManifestVersion > ManifestVersion {
-		return nil, fmt.Errorf("%s: manifest version %d is newer than this tool understands (%d)",
-			path, m.ManifestVersion, ManifestVersion)
+	switch {
+	case m.ManifestVersion == 0:
+		return nil, fmt.Errorf("not a run manifest (missing manifest_version)")
+	case m.ManifestVersion < 0:
+		return nil, fmt.Errorf("manifest version %d is not a version (they start at 1)", m.ManifestVersion)
+	case m.ManifestVersion > ManifestVersion:
+		return nil, fmt.Errorf("manifest version %d is newer than this tool understands (%d)",
+			m.ManifestVersion, ManifestVersion)
 	}
 	var raw struct {
 		Config map[string]any `json:"config"`
 	}
 	if err := json.Unmarshal(blob, &raw); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
+		return nil, err
 	}
 	known, err := configMap(&m)
 	if err != nil {
